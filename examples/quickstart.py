@@ -13,8 +13,8 @@ from repro import AsyncCluster, Delivery, ViewChange
 
 
 async def main() -> None:
-    async with AsyncCluster(record_trace=True) as cluster:
-        alice, bob, carol = cluster.add_nodes(["alice", "bob", "carol"])
+    async with AsyncCluster() as cluster:
+        alice, bob, carol = await cluster.add_nodes(["alice", "bob", "carol"])
 
         view = await cluster.start()
         print(f"initial view: {sorted(view.members)} (id {view.vid})")

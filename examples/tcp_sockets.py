@@ -2,7 +2,7 @@
 
 Every wire message - view announcements, application payloads,
 synchronization messages - crosses an actual socket, framed and pickled,
-through :class:`~repro.runtime.tcp_cluster.TcpCluster`.  This is the
+through :class:`~repro.runtime.cluster.TcpCluster`.  This is the
 closest analogue in this repository to the paper's C++ deployment.
 
 Run with:  python examples/tcp_sockets.py
@@ -15,10 +15,11 @@ from repro.runtime import Delivery, TcpCluster, ViewChange
 
 
 async def main() -> None:
-    async with TcpCluster(record_trace=True) as cluster:
+    async with TcpCluster() as cluster:
         nodes = await cluster.add_nodes(["athens", "berlin", "cairo"])
         view = await cluster.start()
-        ports = {n.pid: n.transport.port for n in nodes}
+        # Members and the membership server alike listen on a socket.
+        ports = {pid: port for pid, (_host, port) in cluster.fabric.addresses.items()}
         print(f"view {view.vid} over sockets {ports}")
 
         await nodes[0].send("routed through the kernel")
@@ -27,8 +28,8 @@ async def main() -> None:
 
         for node in nodes:
             received = []
-            while not node.events.empty():
-                event = node.events.get_nowait()
+            while not node.events_queue.empty():
+                event = node.events_queue.get_nowait()
                 if isinstance(event, Delivery):
                     received.append(f"{event.sender}: {event.payload!r}")
                 elif isinstance(event, ViewChange):

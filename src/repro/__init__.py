@@ -28,7 +28,7 @@ Quickstart (asyncio)::
 
     async def main():
         async with AsyncCluster() as cluster:
-            a, b = cluster.add_nodes(["a", "b"])
+            a, b = await cluster.add_nodes(["a", "b"])
             await cluster.start()
             await a.send("hello group")
             print(await b.next_event(timeout=1.0))
@@ -68,7 +68,7 @@ from repro.net import (
     UniformLatency,
 )
 from repro.order import CausalOrderNode, TotalOrderNode
-from repro.runtime import AsyncCluster, AsyncGcsNode, Delivery, ViewChange
+from repro.runtime import AsyncCluster, Delivery, GcsNode, ViewChange
 from repro.types import (
     CID_ZERO,
     VID_ZERO,
@@ -86,7 +86,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "AsyncCluster",
-    "AsyncGcsNode",
     "CID_ZERO",
     "CausalOrderNode",
     "ConstantLatency",
@@ -94,6 +93,7 @@ __all__ = [
     "Delivery",
     "Deployment",
     "GcsEndpoint",
+    "GcsNode",
     "GcsTrace",
     "InvariantViolation",
     "LognormalLatency",

@@ -20,6 +20,8 @@ DEFAULT_DET_SCOPE: Tuple[str, ...] = (
     "repro.core",
     "repro.chaos",
     "repro.links",
+    "repro.membership",
+    "repro.net",
     "repro.scale",
     "repro.apps",
     "repro.checking.verdict",

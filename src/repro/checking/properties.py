@@ -62,11 +62,6 @@ from repro.spec.vs_rfifo import FullSafetySpec
 from repro.spec.wv_rfifo import WvRfifoSpec
 from repro.types import ProcessId, View
 
-# Back-compat aliases: these helpers started here and moved to the
-# verdict module so the engine and the wrappers share one copy.
-_infer_set_cut = infer_set_cut
-_reset_recovered_process = reset_recovered_process
-
 
 def _check_rule(trace: GcsTrace, rule: TraceRule) -> None:
     violation = first_violation(trace, rule)

@@ -20,8 +20,8 @@ from __future__ import annotations
 import asyncio
 from typing import Any, Awaitable, Callable
 
-from repro.deploy.asyncio_backend import AsyncDeployment
 from repro.deploy.base import Deployment
+from repro.deploy.runtime import AsyncDeployment, TcpDeployment
 from repro.deploy.scenarios import (
     SCENARIOS,
     scenario_churn,
@@ -31,7 +31,6 @@ from repro.deploy.scenarios import (
     scenario_virtual_synchrony,
 )
 from repro.deploy.sim import SimDeployment
-from repro.deploy.tcp_backend import TcpDeployment
 
 SUBSTRATES = ("sim", "async", "tcp")
 

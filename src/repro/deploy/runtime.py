@@ -1,27 +1,33 @@
-"""Deployment backend over the in-process asyncio runtime."""
+"""Deployment backends over the asyncio runtime: hub and sockets.
+
+Both run the group on a :class:`~repro.runtime.cluster.Cluster` - real
+end-point runners, a :class:`~repro.membership.tier.MembershipTier` of
+real membership servers - and differ only in the fabric the cluster
+constructor picks.
+"""
 
 from __future__ import annotations
 
-from typing import Any, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Iterable, List, Optional, Tuple
 
 from repro.checking.events import GcsTrace
 from repro.deploy.base import Deployment
-from repro.runtime.cluster import AsyncCluster
+from repro.links import LinkCore
+from repro.runtime.cluster import AsyncCluster, Cluster, TcpCluster
 from repro.types import ProcessId, View
 
 
-class AsyncDeployment(Deployment):
-    """Runs the group on :class:`AsyncCluster`: asyncio queues as the
-    transport, a :class:`~repro.membership.tier.MembershipTier` of real
-    membership servers on the same hub."""
+class ClusterDeployment(Deployment):
+    """The :class:`Deployment` contract on a runtime :class:`Cluster`."""
 
-    name = "async"
+    #: The cluster constructor; keyword arguments pass through to it.
+    make_cluster: Callable[..., Cluster]
 
     def __init__(self, **cluster_kwargs: Any) -> None:
-        self.cluster = AsyncCluster(**cluster_kwargs)
+        self.cluster = self.make_cluster(**cluster_kwargs)
 
     async def setup(self, pids: Iterable[ProcessId]) -> View:
-        self.cluster.add_nodes(list(pids))
+        await self.cluster.add_nodes(list(pids))
         return await self.cluster.start()
 
     async def close(self) -> None:
@@ -67,7 +73,7 @@ class AsyncDeployment(Deployment):
         return self.cluster.trace
 
     @property
-    def links(self):
+    def links(self) -> LinkCore:
         return self.cluster.links
 
     def processes(self) -> List[ProcessId]:
@@ -81,3 +87,33 @@ class AsyncDeployment(Deployment):
 
     def views(self, pid: ProcessId) -> List[View]:
         return list(self.cluster.node(pid).views)
+
+
+# Each backend re-exports the four operations the benchmark times: its
+# tracer (bench/tracing.py) wraps them per backend class, looking each up
+# in the class's own ``__dict__``.
+
+
+class AsyncDeployment(ClusterDeployment):
+    """In-process asyncio queues as the transport
+    (:class:`~repro.runtime.cluster.AsyncCluster`)."""
+
+    name = "async"
+    make_cluster = AsyncCluster
+    setup = ClusterDeployment.setup
+    send = ClusterDeployment.send
+    settle = ClusterDeployment.settle
+    reconfigure = ClusterDeployment.reconfigure
+
+
+class TcpDeployment(ClusterDeployment):
+    """Real loopback sockets (:class:`~repro.runtime.cluster.TcpCluster`):
+    every wire message - and every membership notice, since the servers
+    listen on sockets of their own - crosses the kernel's TCP stack."""
+
+    name = "tcp"
+    make_cluster = TcpCluster
+    setup = ClusterDeployment.setup
+    send = ClusterDeployment.send
+    settle = ClusterDeployment.settle
+    reconfigure = ClusterDeployment.reconfigure

@@ -17,8 +17,8 @@ from typing import Dict, List, Optional
 from repro.checking.events import DeliverEvent, MbrshpViewEvent, SendEvent, ViewEvent
 from repro.checking.properties import check_all_safety
 from repro.net import ConstantLatency, SimWorld
-from repro.net.hierarchy import TwoTierOverlay, balanced_groups
 from repro.order import CausalOrderNode, TotalOrderNode
+from repro.scale import TwoTierOverlay, balanced_groups
 
 
 @dataclass
@@ -47,7 +47,12 @@ def measure_two_tier(
     pids = [f"p{i:02d}" for i in range(group_size)]
     nodes = world.add_nodes(pids)
     if leaders:
-        TwoTierOverlay(world, balanced_groups(pids, leaders))
+        TwoTierOverlay(
+            {node.pid: node.runner for node in nodes},
+            world.clock.schedule,
+            balanced_groups(pids, leaders),
+            connected=world.network.connected,
+        )
     world.start()
     world.run()
     for node in nodes:
@@ -117,8 +122,8 @@ def measure_compact_syncs(
     return CompactSyncResult(
         group_size=group_size,
         compact=compact,
-        sync_messages=world.network.sent.get("SyncMsg", 0),
-        sync_volume=world.network.volume.get("SyncMsg", 0),
+        sync_messages=world.network.core.stats.sent.get("SyncMsg", 0),
+        sync_volume=world.network.core.stats.volume.get("SyncMsg", 0),
         converged=world.all_in_view(view),
     )
 

@@ -321,7 +321,9 @@ class MembershipServer:
             max_counter=self.max_counter,
         )
         self._proposals[self.sid] = proposal
-        for sid in self.reachable:
+        # Sorted: send order feeds the fault injector's RNG stream, and
+        # hash-order iteration would leak the interpreter's hash seed.
+        for sid in sorted(self.reachable):
             if sid != self.sid:
                 self._send(sid, proposal)
         self._maybe_form_view()
@@ -348,7 +350,7 @@ class MembershipServer:
     def _round_proposals(self) -> Optional[List[ServerProposal]]:
         """Proposals from every reachable server for the current round."""
         proposals = []
-        for sid in self.reachable:
+        for sid in sorted(self.reachable):
             proposal = self._proposals.get(sid)
             if (
                 proposal is None

@@ -4,15 +4,18 @@ The paper's client-server architecture puts membership agreement on a
 small tier of dedicated servers; the GCS end-points only ever see the
 MBRSHP interface (``start_change`` / ``view`` notices).  ``MembershipTier``
 assembles such a tier out of :class:`~repro.membership.server.MembershipServer`
-instances over *any* transport: the substrate contributes a tiny adapter
-(the :class:`TierLink` protocol below), and the tier contributes the
+instances over *any* transport: the substrate contributes the two calls
+of the :class:`TierLink` protocol below, and the tier contributes the
 whole Figure 2 discipline - fresh locally-unique cids, monotone view
 counters, one-round (two in the cold-registry case) view agreement.
 
 This is what lets the asyncio and TCP deployments run the *same*
 membership algorithm as the simulator instead of an ad-hoc in-process
-coordinator: ``AsyncCluster`` links the tier to its ``AsyncHub``,
-``TcpCluster`` gives every server a real socket endpoint.
+coordinator.  A runtime fabric (:class:`~repro.runtime.cluster.Fabric` -
+the asyncio hub, the socket fabric) *is* a ``TierLink``: servers attach
+to it exactly like group members do, so :class:`~repro.runtime.cluster.Cluster`
+hands the tier its fabric; the simulator adapts ``SimNetwork`` with the
+three-line :class:`~repro.net.world.SimTierLink`.
 
 Topology input (who can reach whom among servers) is injected by the
 deployment when it partitions or heals its transport - the tier-side
@@ -46,20 +49,21 @@ class TierLink(Protocol):
     """What a substrate must provide to host membership servers.
 
     ``attach`` registers a server's inbox on the substrate (async because
-    real transports may need to open sockets); ``transmit`` carries one
-    tier message from a server to any process - another server
-    (proposals) or a client (start_change / view notices).
+    real transports may need to open sockets); ``send`` carries one tier
+    message from a server to other processes - servers (proposals) or
+    clients (start_change / view notices) - and never blocks.  The pair
+    is the attach/send half of the runtime's
+    :class:`~repro.runtime.cluster.Fabric` contract, so any fabric hosts
+    a tier as it is.
 
-    ``transmit`` is *not* a side-channel: it must route the message
+    ``send`` is *not* a side-channel: it must route the message
     through the substrate's unified :class:`~repro.links.LinkCore`
     (``outbound()`` on admission, ``inbound()``/``inbound_batch()`` on
     arrival) exactly like data traffic, so tier messages see the same
     partition matrix, fault pipeline, receiver-side dedup, per-link FIFO
     clamp, and :class:`~repro.links.LinkStats` counters - which is what
     makes ``Deployment.link_totals()`` and the settle-timeout
-    busiest-link diagnostics cover membership traffic too.  (The former
-    ``post`` hook made no such demand; each substrate carried tier
-    traffic its own way.)
+    busiest-link diagnostics cover membership traffic too.
 
     A link whose attach needs no awaiting (the asyncio hub, the
     simulator) may additionally expose ``attach_sync`` with the same
@@ -70,7 +74,7 @@ class TierLink(Protocol):
     async def attach(self, sid: ProcessId, handler: Callable[[ProcessId, Any], None]) -> None:
         ...  # pragma: no cover - protocol
 
-    def transmit(self, src: ProcessId, dst: ProcessId, message: Any) -> None:
+    def send(self, src: ProcessId, targets: Iterable[ProcessId], message: Any) -> None:
         ...  # pragma: no cover - protocol
 
 
@@ -211,7 +215,7 @@ class MembershipTier:
                 return  # a dead server says nothing
             if server is not None:
                 self.store.observe(server.round, server.max_counter)
-            self.link.transmit(sid, dst, message)
+            self.link.send(sid, (dst,), message)
 
         return send
 

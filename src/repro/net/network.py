@@ -15,14 +15,13 @@ than silently checking connectivity at arrival - keeps the per-link
 FIFO/no-gap discipline easy to preserve across flapping links.
 
 The per-kind message counters live in the core's
-:class:`~repro.links.LinkStats`; the benchmark harness reads them to
-reproduce the paper's message-cost claims, and the legacy ``sent`` /
-``delivered`` / ``bounced`` / ``volume`` attributes remain as views.
+:class:`~repro.links.LinkStats` (``network.core.stats``); the benchmark
+harness reads them to reproduce the paper's message-cost claims.
 """
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import deque
 from typing import Any, Callable, Deque, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.chaos.faults import FaultInjector
@@ -218,24 +217,8 @@ class SimNetwork:
         flight.append(entry)
 
     # ------------------------------------------------------------------
-    # statistics (views over the core's LinkStats)
+    # statistics (the core's LinkStats)
     # ------------------------------------------------------------------
-
-    @property
-    def sent(self) -> Counter:
-        return self.core.stats.sent
-
-    @property
-    def delivered(self) -> Counter:
-        return self.core.stats.delivered
-
-    @property
-    def bounced(self) -> Counter:
-        return self.core.stats.bounced
-
-    @property
-    def volume(self) -> Counter:
-        return self.core.stats.volume
 
     def reset_counters(self) -> None:
         self.core.reset_counters()

@@ -65,7 +65,15 @@ class EventScheduler:
         return ScheduledEvent(entry, self)
 
     def schedule_at(self, time: float, callback: Callable[[], None]) -> ScheduledEvent:
-        return self.schedule(max(0.0, time - self.now), callback)
+        """Run ``callback`` at exactly ``time`` (or now, if that is past).
+
+        The entry carries the absolute time: ``now + (time - now)`` is
+        not ``time`` in floating point, and an arrival the link core
+        clamped to an earlier carrier's must not land one ulp before it.
+        """
+        entry = _Entry(max(time, self.now), next(self._seq), callback)
+        heapq.heappush(self._heap, entry)
+        return ScheduledEvent(entry, self)
 
     def note_cancelled(self) -> None:
         """Account one cancelled-in-place entry; compact when they dominate.

@@ -135,7 +135,9 @@ class SimTransport:
             pending.popleft()
 
     def _pump_all(self) -> None:
-        for dst in set(self._retransmit) | set(self._pending):
+        # Sorted: pump order is send order, which feeds the fault
+        # injector's RNG stream (no hash-seed leaks into replays).
+        for dst in sorted(set(self._retransmit) | set(self._pending)):
             self._pump(dst)
 
     def backlog(self, dst: ProcessId) -> int:

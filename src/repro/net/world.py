@@ -43,28 +43,26 @@ from repro.types import ProcessId, View
 
 class SimTierLink:
     """Hosts a :class:`~repro.membership.tier.MembershipTier` on the
-    simulated network.
+    simulated network: the tier's attach/send pair on ``SimNetwork``.
 
-    ``transmit`` rides ``network.send``, which admits every tier message
-    through the shared :class:`~repro.links.LinkCore` (``outbound`` on
-    entry, ``inbound_batch`` on carrier arrival) - proposals and notices
-    see the same latency model, partition matrix, fault pipeline, dedup
-    and counters as data traffic.
+    ``network.send`` admits every tier message through the shared
+    :class:`~repro.links.LinkCore`, so proposals and notices see the same
+    latency model, partition matrix, fault pipeline, dedup and counters
+    as data traffic.
     """
 
     def __init__(self, network: SimNetwork) -> None:
         self.network = network
 
-    async def attach(
-        self, sid: ProcessId, handler: Callable[[ProcessId, Any], None]
-    ) -> None:
-        self.attach_sync(sid, handler)
+    async def attach(self, sid: ProcessId, handler: Callable[[ProcessId, Any], None]) -> None:
+        self.network.register(sid, handler)
 
     def attach_sync(self, sid: ProcessId, handler: Callable[[ProcessId, Any], None]) -> None:
         self.network.register(sid, handler)
 
-    def transmit(self, src: ProcessId, dst: ProcessId, message: Any) -> None:
-        self.network.send(src, dst, message)
+    def send(self, src: ProcessId, targets: Iterable[ProcessId], message: Any) -> None:
+        for dst in targets:
+            self.network.send(src, dst, message)
 
 
 class SimNode:
@@ -86,7 +84,7 @@ class SimNode:
         self._app_on_deliver: Optional[Callable[[ProcessId, Any], None]] = None
         self._app_on_view: Optional[Callable[[View, FrozenSet[ProcessId]], None]] = None
         # Optional overlay interceptors (e.g. the two-tier hierarchy of
-        # repro.net.hierarchy): return True to consume the send/receive.
+        # repro.scale): return True to consume the send/receive.
         self.wire_interceptor: Optional[Callable[[FrozenSet[ProcessId], Any], bool]] = None
         self.receive_interceptor: Optional[Callable[[ProcessId, Any], bool]] = None
         self.transport = world.network and None  # replaced below

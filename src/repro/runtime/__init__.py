@@ -1,37 +1,37 @@
 """asyncio runtime: the deployable face of the library (cf. the paper's
 C++ implementation).
 
-* :class:`AsyncGcsNode` - one group member with an async send/receive API;
-* :class:`AsyncCluster` - in-process cluster whose membership tier runs
-  the real one-round MBRSHP protocol over :class:`HubTierLink`;
-* :class:`AsyncHub` - lossless in-process transport;
-* :class:`TcpTransport` - a length-prefixed TCP transport for
-  cross-process deployments among trusted peers, with
-  :class:`TcpCluster` driving the same membership tier over sockets;
-* :func:`await_settled` - event-driven settling shared by both clusters.
+* :class:`GcsNode` - one group member with an async send/receive API;
+* :class:`Cluster` - nodes plus a membership tier running the real
+  one-round MBRSHP protocol, written once over the :class:`Fabric`
+  contract (``core``, ``attach``, fire-and-forget ``send``,
+  ``quiesce``, ``close``);
+* :class:`AsyncHub` - the lossless in-process fabric, picked by
+  :class:`AsyncCluster`;
+* :class:`TcpFabric` - one length-prefixed :class:`TcpTransport` socket
+  per process among trusted peers, picked by :class:`TcpCluster`;
+* :func:`await_settled` - event-driven settling.
 """
 
-from repro.runtime.cluster import AsyncCluster, HubTierLink
-from repro.runtime.node import AsyncGcsNode, Delivery, ViewChange
-from repro.runtime.settle import await_settled, describe_views, uniform_view
-from repro.runtime.tcp import TcpTransport, encode_frame, read_frame
-from repro.runtime.tcp_cluster import TcpCluster, TcpGcsNode, TcpTierLink
+from repro.runtime.cluster import AsyncCluster, Cluster, Fabric, TcpCluster
+from repro.runtime.node import Delivery, GcsNode, ViewChange
+from repro.runtime.settle import await_settled, describe_views
+from repro.runtime.tcp import TcpFabric, TcpTransport, encode_frame, read_frame
 from repro.runtime.transport import AsyncHub
 
 __all__ = [
     "AsyncCluster",
-    "AsyncGcsNode",
     "AsyncHub",
+    "Cluster",
     "Delivery",
-    "HubTierLink",
+    "Fabric",
+    "GcsNode",
     "TcpCluster",
-    "TcpGcsNode",
-    "TcpTierLink",
+    "TcpFabric",
     "TcpTransport",
     "ViewChange",
     "await_settled",
     "describe_views",
     "encode_frame",
     "read_frame",
-    "uniform_view",
 ]

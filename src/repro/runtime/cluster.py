@@ -1,11 +1,18 @@
-"""Convenience cluster for asyncio deployments.
+"""The runtime cluster: GCS nodes plus a membership tier on one fabric.
 
-``AsyncCluster`` bundles an :class:`~repro.runtime.transport.AsyncHub`,
-a :class:`~repro.membership.tier.MembershipTier` of real membership
+``Cluster`` bundles a *fabric* (the :class:`Fabric` contract below), a
+:class:`~repro.membership.tier.MembershipTier` of real membership
 servers (the same one-round client-server protocol the simulator runs -
-see :mod:`repro.membership.server`), and node management.  Membership
-notices travel over the hub like any other traffic, so partitions cut
-clients off from their servers exactly as a WAN partition would.
+see :mod:`repro.membership.server`), and node management.  Servers and
+clients are the same kind of thing on the fabric - a pid with a handler
+- so membership notices travel like any other traffic, and partitions
+cut clients off from their servers exactly as a WAN partition would.
+
+The cluster is written once; the substrate is whichever fabric it is
+given.  :class:`AsyncCluster` picks the in-process
+:class:`~repro.runtime.transport.AsyncHub`, :class:`TcpCluster` the
+socket-backed :class:`~repro.runtime.tcp.TcpFabric`; a further substrate
+is one more class satisfying :class:`Fabric`.
 
 All settling is event-driven: view installations wake the waiters, and a
 stuck protocol raises :class:`~repro.errors.SettleTimeoutError` instead
@@ -17,61 +24,66 @@ from __future__ import annotations
 
 import asyncio
 import time
-from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Optional
+from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Protocol
 
 from repro.chaos.faults import FaultInjector
 from repro.checking.events import GcsTrace
 from repro.core.forwarding import ForwardingStrategy
-from repro.membership.tier import MembershipTier
-from repro.runtime.node import AsyncGcsNode
+from repro.links import LinkCore
+from repro.membership.tier import MembershipTier, TierLink
+from repro.runtime.node import GcsNode
 from repro.runtime.settle import await_settled, describe_views
 from repro.runtime.settle import settle_timeout as env_settle_timeout
+from repro.runtime.tcp import TcpFabric
 from repro.runtime.transport import AsyncHub
 from repro.types import VID_ZERO, ProcessId, View
 
 
-class HubTierLink:
-    """Hosts membership servers on an :class:`AsyncHub`.
+class Fabric(TierLink, Protocol):
+    """What a substrate provides to carry a cluster.
 
-    Servers are hub processes like any client: ``transmit`` rides
-    ``hub.send``, which admits every message through the shared
-    :class:`~repro.links.LinkCore` (``outbound`` on entry,
-    ``inbound_batch`` in the pumps) - tier traffic sees the same
-    partition matrix, fault pipeline, dedup and counters as data.
+    A fabric moves messages between attached processes - group members
+    and membership servers alike - through its unified
+    :class:`~repro.links.LinkCore`: ``outbound()`` on admission,
+    ``inbound()``/``inbound_batch()`` on arrival, so every message sees
+    the one partition matrix, fault pipeline, dedup and counter set of
+    ``core``.  Per ordered pair of processes delivery is FIFO and
+    gap-free while the pair stays connected (CO_RFIFO, Figure 3).
+
+    The message-moving half is inherited: ``attach(pid, handler)``
+    delivers every message for ``pid`` to ``handler(src, message)``, and
+    ``send(src, targets, message)`` is a fire-and-forget FIFO multicast
+    that never blocks - the whole
+    :class:`~repro.membership.tier.TierLink` protocol, which is why the
+    tier is handed the fabric itself.
     """
 
-    def __init__(self, hub: AsyncHub) -> None:
-        self.hub = hub
+    core: LinkCore
 
-    async def attach(self, sid: ProcessId, handler: Callable[[ProcessId, Any], None]) -> None:
-        self.attach_sync(sid, handler)
+    async def quiesce(self) -> None:
+        """Return once no message is in flight; raise
+        :class:`~repro.errors.SettleTimeoutError` if traffic never stops."""
+        ...  # pragma: no cover - protocol
 
-    def attach_sync(self, sid: ProcessId, handler: Callable[[ProcessId, Any], None]) -> None:
-        # Hub registration needs no awaiting, so the tier may grow its
-        # own capacity mid-plan (MembershipTier._grow_sync).
-        self.hub.register(sid, handler)
-
-    def transmit(self, src: ProcessId, dst: ProcessId, message: Any) -> None:
-        self.hub.send(src, [dst], message)
+    async def close(self) -> None:
+        """Release tasks and sockets."""
+        ...  # pragma: no cover - protocol
 
 
-class AsyncCluster:
-    """An in-process group of GCS nodes with server-based membership."""
+class Cluster:
+    """A group of GCS nodes with server-based membership on one fabric."""
 
     def __init__(
         self,
+        fabric: Fabric,
         *,
-        delay: float = 0.0,
         forwarding: Optional[ForwardingStrategy] = None,
-        record_trace: bool = True,
         servers: int = 1,
         settle_timeout: Optional[float] = None,
-        faults: Optional[FaultInjector] = None,
         fastpath: Optional[bool] = None,
     ) -> None:
-        del record_trace  # accepted for compatibility; tracing is unconditional
-        self.hub = AsyncHub(delay=delay, faults=faults)
-        self.nodes: Dict[ProcessId, AsyncGcsNode] = {}
+        self.fabric = fabric
+        self.nodes: Dict[ProcessId, GcsNode] = {}
         self.trace: GcsTrace = GcsTrace()
         self._forwarding = forwarding
         self._fastpath = fastpath
@@ -79,9 +91,9 @@ class AsyncCluster:
             env_settle_timeout(10.0) if settle_timeout is None else settle_timeout
         )
         self.tier = MembershipTier(
-            HubTierLink(self.hub),
+            fabric,
             servers=servers,
-            links=self.hub.core,
+            links=fabric.core,
             trace=self.trace,
             clock=time.monotonic,
         )
@@ -89,44 +101,33 @@ class AsyncCluster:
         self._progress = asyncio.Event()
 
     @property
-    def views_formed(self) -> List[View]:
-        return self.tier.views_formed
-
-    @property
-    def links(self):
-        """The hub's unified :class:`~repro.links.LinkCore`."""
-        return self.hub.core
-
-    def totals(self) -> Dict[str, int]:
-        """Per-kind wire-message counters (uniform across substrates)."""
-        return self.hub.core.totals()
-
-    def reset_counters(self) -> None:
-        self.hub.core.reset_counters()
+    def links(self) -> LinkCore:
+        """The fabric's unified :class:`~repro.links.LinkCore`."""
+        return self.fabric.core
 
     # ------------------------------------------------------------------
     # topology management
     # ------------------------------------------------------------------
 
-    def add_node(self, pid: ProcessId) -> AsyncGcsNode:
-        node = AsyncGcsNode(
-            pid,
-            self.hub,
-            forwarding=self._forwarding,
-            trace=self.trace,
-            on_view_installed=self._view_installed,
-            fastpath=self._fastpath,
-        )
-        self.nodes[pid] = node
-        self.tier.add_client(pid)
-        return node
-
-    def add_nodes(self, pids: Iterable[ProcessId]) -> List[AsyncGcsNode]:
-        return [self.add_node(pid) for pid in pids]
-
-    def _view_installed(self, node: AsyncGcsNode, view: View) -> None:
-        del node, view
-        self._progress.set()
+    async def add_nodes(self, pids: Iterable[ProcessId]) -> List[GcsNode]:
+        """Create and attach one node per pid (before or after ``start``)."""
+        created = []
+        for pid in pids:
+            if pid in self.nodes:
+                raise ValueError(f"duplicate node {pid!r}")
+            node = GcsNode(
+                pid,
+                self.fabric,
+                forwarding=self._forwarding,
+                trace=self.trace,
+                on_view_installed=self._progress.set,
+                fastpath=self._fastpath,
+            )
+            await node.attach()
+            self.nodes[pid] = node
+            self.tier.add_client(pid)
+            created.append(node)
+        return created
 
     async def start(self) -> View:
         """Activate the membership tier; wait for the all-nodes view."""
@@ -136,7 +137,7 @@ class AsyncCluster:
     async def reconfigure(self, members: Iterable[ProcessId]) -> View:
         """Drive the membership to ``members`` and wait for the view.
 
-        The tier's servers run their agreement round(s) over the hub;
+        The tier's servers run their agreement round(s) over the fabric;
         this returns once every member's end-point has installed one
         common view with exactly ``members``.
         """
@@ -185,24 +186,16 @@ class AsyncCluster:
         )
         return self.nodes[members[0]].current_view
 
-    async def await_view(self, view: View, timeout: float = 10.0) -> None:
-        """Wait until every member of ``view`` has installed it."""
-        await await_settled(
-            lambda: all(self.nodes[pid].current_view == view for pid in view.members),
-            self._progress,
-            timeout=timeout,
-            describe=lambda: describe_views({p: self.nodes[p] for p in view.members}),
-        )
-
     async def quiesce(self) -> None:
-        await self.hub.quiesce()
+        """Wait until the fabric carries no more traffic."""
+        await self.fabric.quiesce()
 
     # ------------------------------------------------------------------
     # fault injection
     # ------------------------------------------------------------------
 
     async def partition(self, groups: Iterable[Iterable[ProcessId]]) -> List[View]:
-        """Split the hub into components; one view forms per group.
+        """Split the fabric into components; one view forms per group.
 
         Each group gets its own membership server (grown on demand), cut
         off - together with its clients - from the rest of the world,
@@ -219,7 +212,7 @@ class AsyncCluster:
             )
         )
         plan = self.tier.plan_partition(groups)
-        # The tier cuts the hub's link core along plan.components itself.
+        # The tier cuts the fabric's link core along plan.components itself.
         self.tier.apply_partition(plan)
         views = []
         for group in groups:
@@ -228,7 +221,7 @@ class AsyncCluster:
 
     async def heal(self) -> View:
         """Reconnect everyone; wait for the merged view."""
-        self.tier.heal()  # heals the hub's link core too
+        self.tier.heal()  # heals the fabric's link core too
         return await self.await_members(self.tier.active_members())
 
     async def crash(self, pid: ProcessId) -> Optional[View]:
@@ -279,17 +272,65 @@ class AsyncCluster:
         return views
 
     async def close(self) -> None:
-        await self.hub.close()
+        await self.fabric.close()
 
     # ------------------------------------------------------------------
     # convenience
     # ------------------------------------------------------------------
 
-    def node(self, pid: ProcessId) -> AsyncGcsNode:
+    def node(self, pid: ProcessId) -> GcsNode:
         return self.nodes[pid]
 
-    async def __aenter__(self) -> "AsyncCluster":
+    async def __aenter__(self) -> "Cluster":
         return self
 
     async def __aexit__(self, *exc_info: Any) -> None:
         await self.close()
+
+
+class AsyncCluster(Cluster):
+    """A cluster on the in-process :class:`AsyncHub`."""
+
+    def __init__(
+        self,
+        *,
+        delay: float = 0.0,
+        forwarding: Optional[ForwardingStrategy] = None,
+        servers: int = 1,
+        settle_timeout: Optional[float] = None,
+        faults: Optional[FaultInjector] = None,
+        fastpath: Optional[bool] = None,
+    ) -> None:
+        super().__init__(
+            AsyncHub(delay=delay, faults=faults),
+            forwarding=forwarding,
+            servers=servers,
+            settle_timeout=settle_timeout,
+            fastpath=fastpath,
+        )
+
+
+class TcpCluster(Cluster):
+    """A cluster on loopback sockets (:class:`TcpFabric`): every wire
+    message and every membership notice crosses the kernel's TCP stack,
+    the closest analogue to the paper's C++ deployment offered here.
+
+    TCP supplies CO_RFIFO's per-connection gap-free FIFO; a broken
+    connection is a lost suffix, after which the membership must
+    reconfigure - the assumption the paper makes of its substrate [36].
+    """
+
+    def __init__(
+        self,
+        *,
+        servers: int = 1,
+        settle_timeout: Optional[float] = None,
+        faults: Optional[FaultInjector] = None,
+        fastpath: Optional[bool] = None,
+    ) -> None:
+        super().__init__(
+            TcpFabric(faults=faults),
+            servers=servers,
+            settle_timeout=settle_timeout,
+            fastpath=fastpath,
+        )

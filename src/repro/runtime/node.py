@@ -1,11 +1,16 @@
-"""An asyncio GCS node: the end-point automaton behind an async API.
+"""A runtime GCS node: the end-point automaton behind an async API.
 
-``AsyncGcsNode`` is the deployment face of the library: applications
+``GcsNode`` is the deployment face of the library: applications
 ``await node.send(payload)`` and consume deliveries and views from
-``node.events()``.  The blocking contract of Figure 12 is enforced for
-the application automatically: while the end-point has requested a block,
-``send`` waits; the node acknowledges the block (``block_ok``) once the
-application has no send in flight.
+``node.events_queue``.  The blocking contract of Figure 12 is enforced
+for the application automatically: while the end-point has requested a
+block, ``send`` waits; the node acknowledges the block (``block_ok``)
+once the application has no send in flight.
+
+A node knows nothing about its substrate beyond the *fabric* it is
+attached to (:class:`~repro.runtime.cluster.Fabric`): wire messages
+leave through ``fabric.send`` and arrive at :meth:`GcsNode._on_wire`,
+whether the fabric is the in-process hub or loopback sockets.
 """
 
 from __future__ import annotations
@@ -13,15 +18,18 @@ from __future__ import annotations
 import asyncio
 import time
 from dataclasses import dataclass
-from typing import Any, AsyncIterator, Callable, FrozenSet, Iterable, List, Optional, Tuple
+from functools import partial
+from typing import TYPE_CHECKING, Any, Callable, FrozenSet, List, Optional, Tuple
 
 from repro.checking.events import GcsTrace
 from repro.core.forwarding import ForwardingStrategy
 from repro.core.gcs_endpoint import GcsEndpoint
 from repro.core.runner import EndpointRunner
 from repro.membership.protocol import StartChangeNotice, ViewNotice
-from repro.runtime.transport import AsyncHub
-from repro.types import ProcessId, StartChangeId, View
+from repro.types import ProcessId, View
+
+if TYPE_CHECKING:  # pragma: no cover - annotation only
+    from repro.runtime.cluster import Fabric
 
 
 @dataclass(frozen=True)
@@ -40,28 +48,26 @@ class ViewChange:
     transitional: FrozenSet[ProcessId]
 
 
-class AsyncGcsNode:
-    """One group member running over an :class:`AsyncHub`."""
+class GcsNode:
+    """One group member: end-point + runner + event queue on a fabric."""
 
     def __init__(
         self,
         pid: ProcessId,
-        hub: AsyncHub,
+        fabric: "Fabric",
         *,
         forwarding: Optional[ForwardingStrategy] = None,
         trace: Optional[GcsTrace] = None,
-        queue_views: bool = True,
-        on_view_installed: Optional[Callable[["AsyncGcsNode", View], None]] = None,
+        on_view_installed: Optional[Callable[[], None]] = None,
         fastpath: Optional[bool] = None,
     ) -> None:
         self.pid = pid
-        self.hub = hub
+        self.fabric = fabric
         kwargs = {"gc_views": True}
         if forwarding is not None:
             kwargs["forwarding"] = forwarding
         self.endpoint = GcsEndpoint(pid, **kwargs)
         self.events_queue: asyncio.Queue = asyncio.Queue()
-        self.queue_views = queue_views
         self.delivered: List[Tuple[ProcessId, Any]] = []
         self.views: List[View] = []
         self._on_view_installed = on_view_installed
@@ -69,17 +75,22 @@ class AsyncGcsNode:
         self._unblocked.set()
         self.runner = EndpointRunner(
             self.endpoint,
-            send_wire=lambda targets, m: hub.send(pid, targets, m),
-            set_reliable=lambda targets: None,  # hub is lossless in-process
+            # Fire-and-forget: the hub enqueues, the socket fabric hands
+            # the message to this pid's outbox pump.
+            send_wire=partial(fabric.send, pid),
+            set_reliable=lambda targets: None,  # fabrics reconnect on demand
             on_deliver=self._on_deliver,
             on_view=self._on_view,
-            on_block=self._on_block,
+            on_block=self._unblocked.clear,
             auto_block_ok=True,
             clock=time.monotonic,
             trace=trace,
             fastpath=fastpath,
         )
-        hub.register(pid, self._on_wire)
+
+    async def attach(self) -> None:
+        """Plug into the fabric; from here on wire traffic reaches the end-point."""
+        await self.fabric.attach(self.pid, self._on_wire)
 
     # ------------------------------------------------------------------
     # application API
@@ -90,13 +101,10 @@ class AsyncGcsNode:
         while self.runner.blocked:
             await self._unblocked.wait()
         self.runner.app_send(payload)
-        await asyncio.sleep(0)  # let inbox pumps make progress
-
-    def events(self) -> asyncio.Queue:
-        """Queue of :class:`Delivery` and :class:`ViewChange` events."""
-        return self.events_queue
+        await asyncio.sleep(0)  # let the fabric's pumps make progress
 
     async def next_event(self, timeout: Optional[float] = None) -> Any:
+        """The next :class:`Delivery` or :class:`ViewChange`."""
         if timeout is None:
             return await self.events_queue.get()
         return await asyncio.wait_for(self.events_queue.get(), timeout)
@@ -144,27 +152,13 @@ class AsyncGcsNode:
         if not self.runner.blocked:
             self._unblocked.set()
 
-    def membership_start_change(self, cid: StartChangeId, members: Iterable[ProcessId]) -> None:
-        self.runner.membership_start_change(cid, frozenset(members))
-        if self.runner.blocked:
-            self._unblocked.clear()
-
-    def membership_view(self, view: View) -> None:
-        self.runner.membership_view(view)
-        if not self.runner.blocked:
-            self._unblocked.set()
-
     def _on_deliver(self, sender: ProcessId, payload: Any) -> None:
         self.delivered.append((sender, payload))
         self.events_queue.put_nowait(Delivery(sender, payload))
 
     def _on_view(self, view: View, transitional: FrozenSet[ProcessId]) -> None:
         self.views.append(view)
-        if self.queue_views:
-            self.events_queue.put_nowait(ViewChange(view, transitional))
+        self.events_queue.put_nowait(ViewChange(view, transitional))
         self._unblocked.set()
         if self._on_view_installed is not None:
-            self._on_view_installed(self, view)
-
-    def _on_block(self) -> None:
-        self._unblocked.clear()
+            self._on_view_installed()

@@ -14,10 +14,9 @@ from __future__ import annotations
 
 import asyncio
 import os
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 from repro.errors import SettleTimeoutError
-from repro.types import View
 
 DEFAULT_TIMEOUT = 5.0
 
@@ -88,15 +87,6 @@ async def await_settled(
             pass  # fall through to the deadline check / final predicate try
 
 
-def uniform_view(views: Iterable[Optional[View]], members: frozenset) -> bool:
-    """True when every given view exists, is shared, and has ``members``."""
-    views = list(views)
-    if not views or any(v is None for v in views):
-        return False
-    first = views[0]
-    return first.members == members and all(v == first for v in views[1:])
-
-
 def describe_views(nodes: dict) -> str:
     """Render ``pid -> current view`` for settle-timeout diagnostics."""
     parts = []
@@ -115,5 +105,4 @@ __all__ = [
     "await_settled",
     "describe_views",
     "settle_timeout",
-    "uniform_view",
 ]

@@ -4,17 +4,20 @@
 :class:`~repro.links.LinkCore`: it gives a GCS node a real network face
 - it listens on a local endpoint, opens connections to peers lazily,
 and frames pickled wire messages with a 4-byte big-endian length prefix
-- while all link semantics (the partition/reachability matrix behind
-:meth:`restrict`, fault application, receiver-side deduplication,
-message counters) live in the core.  TCP supplies the FIFO, gap-free
+- while all link semantics (the partition/reachability matrix, fault
+application, receiver-side deduplication, message counters) live in
+the core.  TCP supplies the FIFO, gap-free
 delivery CO_RFIFO requires per connection; a broken connection
 corresponds to CO_RFIFO losing a suffix, after which the membership
 service is expected to reconfigure - the same assumption the paper
 makes of its datagram substrate [36].
 
-A cluster passes one shared ``core`` to every transport, so a single
-partition matrix (and a single counter set) covers the whole
-deployment; a standalone transport creates its own.
+``TcpFabric`` is the socket :class:`~repro.runtime.cluster.Fabric`: it
+owns the address book and, per attached process, one transport plus an
+outbox whose pump task serialises the process's sends onto the sockets.
+Every transport of a fabric shares its ``core``, so a single partition
+matrix (and a single counter set) covers the whole deployment; a
+standalone transport creates its own.
 
 Security note: frames are deserialised with :mod:`pickle`, so this
 transport must only be used among mutually trusted processes (it is meant
@@ -29,8 +32,9 @@ import struct
 from typing import Any, Callable, Dict, Iterable, Optional, Tuple
 
 from repro.chaos.faults import FaultInjector
-from repro.errors import TransportError
+from repro.errors import SettleTimeoutError, TransportError
 from repro.links import BatchAccumulator, LinkCore, MessageBatch
+from repro.runtime.settle import settle_timeout as env_settle_timeout
 from repro.types import ProcessId
 
 Handler = Callable[[ProcessId, Any], None]
@@ -96,10 +100,6 @@ class TcpTransport:
         self._reader_tasks: list = []
         self._closed = False
 
-    @property
-    def faults(self) -> Optional[FaultInjector]:
-        return self.core.faults
-
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
@@ -115,16 +115,6 @@ class TcpTransport:
     def set_peers(self, peers: Dict[ProcessId, Tuple[str, int]]) -> None:
         """Address book: where each peer process listens."""
         self.peers = dict(peers)
-
-    def restrict(self, allowed: Optional[Iterable[ProcessId]]) -> None:
-        """Limit traffic to ``allowed`` peers (``None`` lifts the limit).
-
-        The per-endpoint face of the core's partition matrix, used to
-        emulate a network partition on loopback: outgoing frames to, and
-        incoming frames from, processes outside the set are dropped,
-        mirroring the simulator's drop-across-the-cut semantics.
-        """
-        self.core.restrict(self.pid, allowed)
 
     async def close(self) -> None:
         self._closed = True
@@ -236,3 +226,108 @@ class TcpTransport:
             pass  # shutdown cancels pending reads; nothing to report
         finally:
             writer.close()
+
+
+class TcpFabric:
+    """Every attached process behind a loopback socket of its own.
+
+    Clients and membership servers are the same kind of thing here: a
+    handler, a listening :class:`TcpTransport`, and an outbox.  Sends
+    are produced synchronously (by end-point runners, by servers) but
+    must be awaited on sockets, so :meth:`send` only enqueues and one
+    pump task per process writes the backlog out in order.
+    """
+
+    def __init__(self, *, faults: Optional[FaultInjector] = None) -> None:
+        # One link core shared by every transport of the fabric: one
+        # partition matrix, one fault pipeline, one counter set.
+        self.core = LinkCore(faults=faults)
+        # The address book; every transport dials from this one dict.
+        self.addresses: Dict[ProcessId, Tuple[str, int]] = {}
+        self._transports: Dict[ProcessId, TcpTransport] = {}
+        self._outboxes: Dict[ProcessId, asyncio.Queue] = {}
+        self._pumps: Dict[ProcessId, asyncio.Task] = {}
+
+    async def attach(self, pid: ProcessId, handler: Handler) -> None:
+        if pid in self._transports:
+            raise ValueError(f"duplicate process {pid!r}")
+        transport = TcpTransport(pid, handler, core=self.core)
+        transport.peers = self.addresses
+        self._transports[pid] = transport
+        self._outboxes[pid] = asyncio.Queue()
+        self.addresses[pid] = await transport.start()
+        self._pumps[pid] = asyncio.get_event_loop().create_task(self._pump(pid))
+
+    def send(self, src: ProcessId, targets: Iterable[ProcessId], message: Any) -> None:
+        self._outboxes[src].put_nowait((targets, message))
+
+    async def _pump(self, pid: ProcessId) -> None:
+        outbox = self._outboxes[pid]
+        transport = self._transports[pid]
+        while True:
+            targets, message = await outbox.get()
+            run = [message]
+            # Coalesce the backlog: consecutive outbox entries towards the
+            # same target set leave as one batched frame per destination
+            # (send_many), instead of one pickle+write per message.  Queue
+            # order is preserved, so per-connection FIFO is untouched.
+            while True:
+                try:
+                    next_targets, next_message = outbox.get_nowait()
+                except asyncio.QueueEmpty:
+                    break
+                if next_targets == targets:
+                    run.append(next_message)
+                    continue
+                await transport.send_many(targets, run)
+                targets, run = next_targets, [next_message]
+            await transport.send_many(targets, run)
+
+    async def quiesce(self, timeout: Optional[float] = None) -> None:
+        """Wait until the fabric stops making progress.
+
+        Sockets give no global in-flight counter, so quiescence is a
+        bounded stability window: no wire copy sent or delivered and
+        empty outboxes for 80 ms.  Raises
+        :class:`SettleTimeoutError` when the window never closes within
+        ``timeout`` (default: the ``$REPRO_SETTLE_TIMEOUT``-scaled settle
+        deadline).
+        """
+        if timeout is None:
+            timeout = env_settle_timeout(10.0)
+        idle = 0.08
+        loop = asyncio.get_event_loop()
+        deadline = loop.time() + timeout
+        stats = self.core.stats
+
+        def activity() -> Tuple[int, int, int]:
+            return (
+                sum(stats.sent.values()),
+                sum(stats.delivered.values()),
+                sum(outbox.qsize() for outbox in self._outboxes.values()),
+            )
+
+        last = activity()
+        last_change = loop.time()
+        while True:
+            await asyncio.sleep(idle / 4)
+            current = activity()
+            if current != last:
+                last, last_change = current, loop.time()
+            elif current[2] == 0 and loop.time() - last_change >= idle:
+                return
+            if loop.time() >= deadline:
+                raise SettleTimeoutError(
+                    f"TCP fabric still active after {timeout:.1f}s "
+                    f"(sent={current[0]}, delivered={current[1]}, "
+                    f"outboxes={current[2]}); {stats.describe_tier_links()}; "
+                    f"busiest links: {stats.describe_links()}"
+                )
+
+    async def close(self) -> None:
+        for task in self._pumps.values():
+            task.cancel()
+        await asyncio.gather(*self._pumps.values(), return_exceptions=True)
+        self._pumps.clear()
+        for transport in self._transports.values():
+            await transport.close()

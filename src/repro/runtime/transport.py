@@ -1,7 +1,8 @@
 """In-process asyncio transport hub.
 
 ``AsyncHub`` is the asyncio *driver* over the unified
-:class:`~repro.links.LinkCore`: per-ordered-pair FIFO delivery through
+:class:`~repro.links.LinkCore` and the in-process
+:class:`~repro.runtime.cluster.Fabric`: per-ordered-pair FIFO delivery through
 per-process inbox queues and pump tasks, with all link semantics -
 partition matrix, fault application, receiver-side deduplication,
 message counters - delegated to the core.  In-process delivery is
@@ -71,10 +72,6 @@ class AsyncHub:
         self._idle = asyncio.Event()
         self._idle.set()
 
-    @property
-    def faults(self) -> Optional[FaultInjector]:
-        return self.core.faults
-
     def register(self, pid: ProcessId, handler: Handler) -> None:
         if pid in self._handlers:
             raise ValueError(f"duplicate process {pid!r}")
@@ -83,24 +80,13 @@ class AsyncHub:
         self.core.ensure(pid)
         self._pumps[pid] = asyncio.get_event_loop().create_task(self._pump(pid))
 
-    # ------------------------------------------------------------------
-    # topology and statistics (delegated to the link core)
-    # ------------------------------------------------------------------
+    # The fabric contract's spelling of the same thing.  Registration
+    # needs no awaiting here, so a membership tier may also grow its own
+    # capacity mid-plan through ``attach_sync``.
+    attach_sync = register
 
-    def connected(self, p: ProcessId, q: ProcessId) -> bool:
-        return self.core.connected(p, q)
-
-    def partition(self, groups: Iterable[Iterable[ProcessId]]) -> None:
-        self.core.partition(groups)
-
-    def heal(self) -> None:
-        self.core.heal()
-
-    def totals(self) -> Dict[str, int]:
-        return self.core.totals()
-
-    def reset_counters(self) -> None:
-        self.core.reset_counters()
+    async def attach(self, pid: ProcessId, handler: Handler) -> None:
+        self.register(pid, handler)
 
     # ------------------------------------------------------------------
     # transmission
@@ -188,29 +174,17 @@ class AsyncHub:
                 return
             remaining = deadline - loop.time()
             if remaining <= 0:
-                from repro.membership.protocol import SERVER_PREFIX
-
                 pending = {
                     pid: queue.qsize()
                     for pid, queue in self._queues.items()
                     if queue.qsize()
                 }
                 # Tier traffic rides the same hub as data; a stall caused
-                # by membership messages should say so, per server.
-                tier = {
-                    pid: depth
-                    for pid, depth in pending.items()
-                    if str(pid).startswith(SERVER_PREFIX)
-                }
-                tier_note = (
-                    f"pending tier messages: {tier}"
-                    if tier
-                    else "no pending tier messages"
-                )
+                # by membership messages should say so.
                 raise SettleTimeoutError(
                     f"hub still has {self._inflight} message(s) in flight "
                     f"after {timeout:.1f}s; pending inboxes: {pending}; "
-                    f"{tier_note}; "
+                    f"{self.core.stats.describe_tier_links()}; "
                     f"busiest links: {self.core.stats.describe_links()}"
                 )
             try:

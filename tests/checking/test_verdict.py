@@ -202,37 +202,46 @@ class TestDeterminism:
         )
 
 
+def _verdict_under_hash_seeds(*args, expect):
+    """``python -m repro verdict *args`` under hash seeds 0 and 1."""
+    import repro
+
+    src = str(Path(repro.__file__).resolve().parents[1])
+    outputs = []
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+        result = subprocess.run(
+            [sys.executable, "-m", "repro", "verdict", "--backend", "sim", *args],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert result.returncode == expect, result.stderr
+        outputs.append(result.stdout)
+    return outputs
+
+
 class TestCrossProcessDeterminism:
     def test_forged_verdict_is_hash_seed_independent(self):
         """Two interpreters with different hash seeds must emit the same
         verdict bytes: trace order (wire fan-out) and message text (set
         reprs) may not leak the hash seed."""
-        import repro
+        outputs = _verdict_under_hash_seeds(
+            "--seed", "7", "--mutate", "VS-MONO", expect=1
+        )
+        assert outputs[0] == outputs[1]
 
-        src = str(Path(repro.__file__).resolve().parents[1])
-        outputs = []
-        for hash_seed in ("0", "1"):
-            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
-            result = subprocess.run(
-                [
-                    sys.executable,
-                    "-m",
-                    "repro",
-                    "verdict",
-                    "--seed",
-                    "7",
-                    "--backend",
-                    "sim",
-                    "--mutate",
-                    "VS-MONO",
-                ],
-                capture_output=True,
-                text=True,
-                env=env,
-                timeout=120,
-            )
-            assert result.returncode == 1, result.stderr
-            outputs.append(result.stdout)
+    def test_server_chaos_verdict_is_hash_seed_independent(self, tmp_path):
+        """The same with a three-server tier under server faults: the
+        servers' proposal fan-out and the transports' pump order feed the
+        fault injector's RNG stream, so a hash-ordered loop in either
+        changes the whole episode (event count, even the verdict)."""
+        from repro.chaos import ChaosPlan
+
+        plan_file = tmp_path / "plan.json"
+        plan_file.write_text(json.dumps(ChaosPlan.generate(5, servers=3).to_dict()))
+        outputs = _verdict_under_hash_seeds("--plan", str(plan_file), expect=0)
         assert outputs[0] == outputs[1]
 
 

@@ -135,8 +135,8 @@ class TestEndToEnd:
         self.scenario(compact=True)
 
     def test_compact_syncs_reduce_volume_not_count(self):
-        plain = self.scenario(compact=False).network
-        compact = self.scenario(compact=True).network
+        plain = self.scenario(compact=False).network.core.stats
+        compact = self.scenario(compact=True).network.core.stats
         assert compact.sent["SyncMsg"] == plain.sent["SyncMsg"]
         assert compact.volume["SyncMsg"] < plain.volume["SyncMsg"]
 

@@ -25,12 +25,12 @@ from repro.types import VID_ZERO
 
 
 class LoopbackLink:
-    """A buffering TierLink: ``transmit`` is fire-and-forget, as the
+    """A buffering TierLink: ``send`` is fire-and-forget, as the
     protocol demands, and messages are delivered FIFO on ``drain()`` -
     after the tier has finished its control step, the way every real
     substrate's event loop does.  (Delivering synchronously inside
-    ``transmit`` would let
-    a proposal reach a peer whose reachable-set update is still pending
+    ``send`` would let a
+    proposal reach a peer whose reachable-set update is still pending
     in the same tier operation, which no asynchronous transport does.)
 
     Server-to-server messages go into the destination handler; client-
@@ -46,8 +46,8 @@ class LoopbackLink:
     async def attach(self, sid, handler):
         self.handlers[sid] = handler
 
-    def transmit(self, src, dst, message):
-        self.queue.append((src, dst, message))
+    def send(self, src, targets, message):
+        self.queue.extend((src, dst, message) for dst in targets)
 
     def drain(self):
         while self.queue:

@@ -70,6 +70,27 @@ def test_fifo_survives_delay_and_reorder_faults(driver_factory):
     run_contract(driver_factory, scenario, model)
 
 
+def test_sim_fifo_survives_jitter_across_send_instants():
+    """Sends from many virtual instants whose jittered arrivals the clamp
+    pins onto an earlier carrier's: a scheduler that rebuilds the
+    absolute arrival as ``now + (arrival - now)`` lands some of them one
+    ulp early, overtaking the carrier they were clamped to."""
+    from tests.links.conftest import SimContractDriver
+
+    model = FaultModel(delay=1.0, reorder=1.0, jitter=3.0, seed=1)
+
+    async def scenario(d):
+        await d.start(["a", "b"])
+        expected = [f"m{i:03d}" for i in range(300)]
+        for i, message in enumerate(expected):
+            # Irrational spacing: every send sees a different `now`.
+            d.clock.schedule(i * 0.0137 * 2 ** 0.5, lambda m=message: d.net.send("a", "b", m))
+        await d.drain()
+        assert payloads(d.received["b"]) == expected
+
+    run_contract(SimContractDriver, scenario, model)
+
+
 # ----------------------------------------------------------------------
 # the fault pipeline: masked drops, deduplicated duplicates
 # ----------------------------------------------------------------------

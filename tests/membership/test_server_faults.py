@@ -22,7 +22,7 @@ from repro.membership.state import (
 
 
 class LoopbackLink:
-    """Buffering TierLink: fire-and-forget transmit, FIFO drain."""
+    """Buffering TierLink: fire-and-forget send, FIFO drain."""
 
     def __init__(self):
         self.handlers = {}
@@ -35,8 +35,8 @@ class LoopbackLink:
     def attach_sync(self, sid, handler):
         self.handlers[sid] = handler
 
-    def transmit(self, src, dst, message):
-        self.queue.append((src, dst, message))
+    def send(self, src, targets, message):
+        self.queue.extend((src, dst, message) for dst in targets)
 
     def drain(self):
         while self.queue:

@@ -4,7 +4,7 @@ import pytest
 
 from repro.checking import check_all_safety, check_liveness
 from repro.net import ConstantLatency, SimWorld
-from repro.net.hierarchy import TwoTierOverlay, balanced_groups
+from repro.scale import TwoTierOverlay, balanced_groups
 
 
 def make_world(n=8, leaders=2, **kwargs):
@@ -17,7 +17,12 @@ def make_world(n=8, leaders=2, **kwargs):
     )
     pids = [f"p{i:02d}" for i in range(n)]
     nodes = world.add_nodes(pids)
-    overlay = TwoTierOverlay(world, balanced_groups(pids, leaders))
+    overlay = TwoTierOverlay(
+        {node.pid: node.runner for node in nodes},
+        world.clock.schedule,
+        balanced_groups(pids, leaders),
+        connected=world.network.connected,
+    )
     world.start()
     world.run()
     return world, nodes, overlay

@@ -97,8 +97,8 @@ def test_message_kind_counters():
     net.send("a", "b", "text")
     net.send("a", "c", 42)
     clock.run()
-    assert net.sent == {"str": 1, "int": 1}
-    assert net.delivered == {"str": 1, "int": 1}
+    assert net.core.stats.sent == {"str": 1, "int": 1}
+    assert net.core.stats.delivered == {"str": 1, "int": 1}
     net.reset_counters()
     assert net.totals() == {}
 
@@ -107,7 +107,7 @@ def test_bounce_counter():
     _clock, net, _boxes = make_net()
     net.send("a", "b", "m")
     net.partition([["a"], ["b"]])
-    assert net.bounced == {"str": 1}
+    assert net.core.stats.bounced == {"str": 1}
 
 
 def test_unmentioned_processes_join_group_zero():

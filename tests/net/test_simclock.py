@@ -85,6 +85,26 @@ def test_schedule_at_absolute_time():
     assert clock.now == 2.0
 
 
+def test_schedule_at_is_exact_whatever_now_is():
+    """Two events for one absolute instant, scheduled from different
+    ``now``s, fire at that instant in scheduling order.  Rebuilding the
+    time as ``now + (t - now)`` puts the second one ulp *before* the
+    first here (3.697943322009309 vs ...094), so it would overtake."""
+    clock = EventScheduler()
+    instant = 3.697943322009309
+    fired = []
+
+    def at(now, label):
+        clock.schedule_at(now, lambda: clock.schedule_at(
+            instant, lambda: fired.append((label, clock.now))
+        ))
+
+    at(1.3856305324007578, "first")
+    at(2.4006471237002183, "second")
+    clock.run()
+    assert fired == [("first", instant), ("second", instant)]
+
+
 def test_executed_counter():
     clock = EventScheduler()
     clock.schedule(1.0, lambda: None)

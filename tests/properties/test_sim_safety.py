@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from repro.checking import check_all_safety
 from repro.core import MinCopiesStrategy, SimpleStrategy
 from repro.net import ConstantLatency, SimWorld, UniformLatency
-from repro.net.hierarchy import TwoTierOverlay, balanced_groups
+from repro.scale import TwoTierOverlay, balanced_groups
 
 PIDS = [f"p{i}" for i in range(5)]
 
@@ -102,8 +102,13 @@ class TestSimulatedFaultSchedules:
     @given(steps=fault_steps)
     def test_two_tier_overlay_safety(self, steps):
         world = SimWorld(latency=ConstantLatency(1.0), membership="oracle", round_duration=2.0)
-        world.add_nodes(PIDS)
-        TwoTierOverlay(world, balanced_groups(PIDS, 2))
+        nodes = world.add_nodes(PIDS)
+        TwoTierOverlay(
+            {node.pid: node.runner for node in nodes},
+            world.clock.schedule,
+            balanced_groups(PIDS, 2),
+            connected=world.network.connected,
+        )
         world.start()
         world.run()
         # the overlay assumes stable leaders: restrict faults to non-leaders

@@ -1,0 +1,44 @@
+"""Fabric harness: one cluster suite over the hub and over sockets.
+
+Every cluster test states its scenario once, as a coroutine taking the
+cluster constructor, and hands it to the ``on_fabrics`` fixture, which
+runs it on each runtime fabric (cf. the ``driver_factory`` fixture of
+``tests/links/conftest.py``).  The scenarios loop inside one test item -
+not ``[hub]``/``[tcp]`` items - so the test ids the earlier, per-substrate
+files established stay the ids of the same behaviours.
+"""
+
+from __future__ import annotations
+
+import asyncio
+
+import pytest
+
+from repro.runtime import AsyncCluster, Delivery, TcpCluster
+
+FABRICS = {"hub": AsyncCluster, "tcp": TcpCluster}
+
+
+@pytest.fixture
+def on_fabrics():
+    """``on_fabrics(scenario)`` runs ``scenario(make_cluster)`` per fabric."""
+
+    def run(scenario) -> None:
+        for name in sorted(FABRICS):
+            print(f"[fabric: {name}]")  # names the fabric in a failure's captured output
+            asyncio.run(scenario(FABRICS[name]))
+
+    return run
+
+
+def drain_events(node):
+    """Everything queued at ``node`` so far (deliveries and view changes)."""
+    events = []
+    while not node.events_queue.empty():
+        events.append(node.events_queue.get_nowait())
+    return events
+
+
+def payloads(node):
+    """The payloads delivered to ``node`` so far, in order."""
+    return [e.payload for e in drain_events(node) if isinstance(e, Delivery)]

@@ -1,28 +1,20 @@
-"""Partition and heal on the asyncio cluster."""
+"""Partition, heal and the Figure 12 block on the runtime cluster -
+on the hub and on sockets."""
 
 import asyncio
 
-import pytest
-
+from repro._collections import frozendict
 from repro.checking import check_all_safety
-from repro.runtime import AsyncCluster, Delivery
+from repro.membership import StartChangeNotice, ViewNotice
+from repro.types import View, ViewId
+
+from tests.runtime.conftest import payloads
 
 
-def run(coro):
-    return asyncio.run(coro)
-
-
-def drain(node):
-    events = []
-    while not node.events_queue.empty():
-        events.append(node.events_queue.get_nowait())
-    return events
-
-
-def test_partition_isolates_islands():
-    async def scenario():
-        async with AsyncCluster(record_trace=True) as cluster:
-            a, b, c, d = cluster.add_nodes(["a", "b", "c", "d"])
+def test_partition_isolates_islands(on_fabrics):
+    async def scenario(make_cluster):
+        async with make_cluster() as cluster:
+            a, b, c, d = await cluster.add_nodes(["a", "b", "c", "d"])
             await cluster.start()
             views = await cluster.partition([["a", "b"], ["c", "d"]])
             assert views[0].members == {"a", "b"}
@@ -30,19 +22,18 @@ def test_partition_isolates_islands():
             await a.send("left only")
             await c.send("right only")
             await cluster.quiesce()
-            left = [e.payload for e in drain(b) if isinstance(e, Delivery)]
-            right = [e.payload for e in drain(d) if isinstance(e, Delivery)]
+            left, right = payloads(b), payloads(d)
             assert "left only" in left and "right only" not in left
             assert "right only" in right and "left only" not in right
             check_all_safety(cluster.trace, list(cluster.nodes))
 
-    run(scenario())
+    on_fabrics(scenario)
 
 
-def test_heal_restores_full_group():
-    async def scenario():
-        async with AsyncCluster(record_trace=True) as cluster:
-            nodes = cluster.add_nodes(["a", "b", "c", "d"])
+def test_heal_restores_full_group(on_fabrics):
+    async def scenario(make_cluster):
+        async with make_cluster() as cluster:
+            nodes = await cluster.add_nodes(["a", "b", "c", "d"])
             await cluster.start()
             await cluster.partition([["a", "b"], ["c", "d"]])
             merged = await cluster.heal()
@@ -50,49 +41,52 @@ def test_heal_restores_full_group():
             await nodes[0].send("back together")
             await cluster.quiesce()
             for node in nodes[1:]:
-                payloads = [e.payload for e in drain(node) if isinstance(e, Delivery)]
-                assert "back together" in payloads
+                assert "back together" in payloads(node)
             check_all_safety(cluster.trace, list(cluster.nodes))
 
-    run(scenario())
+    on_fabrics(scenario)
 
 
-def test_transitional_sets_reflect_partition_history():
-    async def scenario():
-        async with AsyncCluster() as cluster:
-            a, b, c, d = cluster.add_nodes(["a", "b", "c", "d"])
+def test_transitional_sets_reflect_partition_history(on_fabrics):
+    async def scenario(make_cluster):
+        async with make_cluster() as cluster:
+            a, b, c, d = await cluster.add_nodes(["a", "b", "c", "d"])
             await cluster.start()
             await cluster.partition([["a", "b"], ["c", "d"]])
             merged = await cluster.heal()
             change = await a.wait_for_view(lambda v: v == merged, timeout=5.0)
             assert change.transitional == {"a", "b"}
 
-    run(scenario())
+    on_fabrics(scenario)
 
 
-def test_send_waits_while_blocked():
-    async def scenario():
-        async with AsyncCluster() as cluster:
-            a, b = cluster.add_nodes(["a", "b"])
+def test_send_waits_while_blocked(on_fabrics):
+    async def scenario(make_cluster):
+        async with make_cluster() as cluster:
+            a, b = await cluster.add_nodes(["a", "b"])
             await cluster.start()
-            # begin a change but withhold the view, so a is blocked
+            (server,) = cluster.tier.servers
+
+            async def until(condition):
+                while not condition():
+                    await asyncio.sleep(0.005)
+
+            # Begin a change over the wire, as the members' own server,
+            # but withhold the view: a stays blocked.
             cids = {"a": 901, "b": 902}
             for pid, cid in cids.items():
-                cluster.nodes[pid].membership_start_change(cid, {"a", "b"})
-            await asyncio.sleep(0.02)
-            assert a.runner.blocked
+                cluster.fabric.send(
+                    server, [pid], StartChangeNotice(pid, cid, frozenset(cids))
+                )
+            await asyncio.wait_for(until(lambda: a.runner.blocked), 2.0)
             send_task = asyncio.create_task(a.send("queued until view"))
             await asyncio.sleep(0.02)
             assert not send_task.done()  # waiting, per the Figure 12 contract
-            from repro._collections import frozendict
-            from repro.types import View, ViewId
-
-            view = View(ViewId(50), frozenset({"a", "b"}), frozendict(cids))
-            for pid in ("a", "b"):
-                cluster.nodes[pid].membership_view(view)
+            view = View(ViewId(50), frozenset(cids), frozendict(cids))
+            for pid in cids:
+                cluster.fabric.send(server, [pid], ViewNotice(pid, view))
             await asyncio.wait_for(send_task, 2.0)
             await cluster.quiesce()
-            payloads = [e.payload for e in drain(b) if isinstance(e, Delivery)]
-            assert "queued until view" in payloads
+            assert "queued until view" in payloads(b)
 
-    run(scenario())
+    on_fabrics(scenario)

@@ -1,12 +1,11 @@
-"""End-to-end GCS over real loopback TCP sockets."""
+"""End-to-end GCS over real loopback TCP sockets, consumed event by
+event through ``next_event`` (the fabric-generic suite in
+``test_async_runtime`` / ``test_cluster_faults`` drains queues instead)."""
 
 import asyncio
 
-import pytest
-
 from repro.checking import check_all_safety
-from repro.runtime.node import Delivery, ViewChange
-from repro.runtime.tcp_cluster import TcpCluster
+from repro.runtime import Delivery, TcpCluster, ViewChange
 
 
 def run(coro):
@@ -24,7 +23,7 @@ async def collect_deliveries(node, count, timeout=5.0):
 
 def test_view_and_multicast_over_sockets():
     async def scenario():
-        async with TcpCluster(record_trace=True) as cluster:
+        async with TcpCluster() as cluster:
             a, b, c = await cluster.add_nodes(["a", "b", "c"])
             view = await cluster.start()
             assert view.members == {"a", "b", "c"}
@@ -51,7 +50,7 @@ def test_fifo_order_over_sockets():
 
 def test_reconfiguration_over_sockets():
     async def scenario():
-        async with TcpCluster(record_trace=True) as cluster:
+        async with TcpCluster() as cluster:
             a, b, c = await cluster.add_nodes(["a", "b", "c"])
             await cluster.start()
             await a.send("before")
@@ -70,7 +69,7 @@ def test_view_change_event_over_sockets():
         async with TcpCluster() as cluster:
             (a,) = await cluster.add_nodes(["a"])
             view = await cluster.start()
-            event = await a.next_event()
+            event = await a.next_event(timeout=5.0)
             assert isinstance(event, ViewChange)
             assert event.view == view
             assert event.transitional == {"a"}

@@ -175,7 +175,7 @@ class _GrowableLink:
     def attach_sync(self, sid, handler):
         self.handlers[sid] = handler
 
-    def transmit(self, src, dst, message):
+    def send(self, src, targets, message):
         pass
 
 
@@ -188,7 +188,7 @@ class _SocketishLink:
     async def attach(self, sid, handler):
         self.handlers[sid] = handler
 
-    def transmit(self, src, dst, message):
+    def send(self, src, targets, message):
         pass
 
 
