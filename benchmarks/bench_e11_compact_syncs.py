@@ -7,8 +7,6 @@ the sync volume drops substantially, with identical message counts and
 identical outcomes.
 """
 
-import pytest
-
 from repro.experiments import format_table, measure_compact_syncs
 
 GROUP_SIZES = (6, 10, 16)

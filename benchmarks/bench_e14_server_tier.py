@@ -6,8 +6,6 @@ reconfiguration cheap; adding servers costs one proposal exchange
 while the common case remains a single server round.
 """
 
-import pytest
-
 from repro.experiments.servers import measure_server_tier
 from repro.experiments import format_table
 

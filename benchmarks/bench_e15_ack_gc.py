@@ -9,8 +9,6 @@ group size regardless of how long the view lives; without it, residency
 grows linearly with traffic.
 """
 
-import pytest
-
 from repro.experiments import format_table
 from repro.net import ConstantLatency, SimWorld
 

@@ -9,7 +9,7 @@ and identifier-pre-agreement designs (e.g. [7, 22]) pay +2.
 import pytest
 
 from repro.experiments import ALGORITHMS, format_table, measure_reconfiguration
-from repro.net import ConstantLatency, LognormalLatency
+from repro.net import LognormalLatency
 
 GROUP_SIZES = (4, 8, 16, 32)
 EXPECTED_EXTRA_ROUNDS = {

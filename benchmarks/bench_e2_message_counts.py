@@ -6,8 +6,6 @@ two-round baseline additionally pays the coordinator's n-1
 identifier-proposal messages.
 """
 
-import pytest
-
 from repro.experiments import ALGORITHMS, format_table, measure_reconfiguration
 
 GROUP_SIZES = (4, 8, 16)

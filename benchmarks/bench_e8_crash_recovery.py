@@ -7,8 +7,6 @@ benchmark measures the reconfiguration and reintegration times and
 asserts the recovery guarantees across group sizes.
 """
 
-import pytest
-
 from repro.experiments import format_table, measure_crash_recovery
 
 GROUP_SIZES = (3, 5, 9)

@@ -22,9 +22,6 @@ class SimDeployment(Deployment):
     name = "sim"
 
     def __init__(self, **world_kwargs: Any) -> None:
-        world_kwargs.setdefault("membership", "oracle")
-        if world_kwargs["membership"] == "servers":
-            raise ValueError("SimDeployment supports 'oracle' or 'tier' membership")
         self.world = SimWorld(**world_kwargs)
 
     @property

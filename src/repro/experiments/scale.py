@@ -13,7 +13,7 @@ measures both:
   substrate through :mod:`repro.deploy` (the overlay is
   substrate-agnostic); the n=1000 point runs on the simulator.
 * **group axis** (:func:`measure_scale_groups`): g groups over n shared
-  processes on a :class:`~repro.scale.world.ScaleWorld` with a
+  processes on a :class:`~repro.groups.MultiGroupWorld` with a
   group-sharded membership tier; measures settle latency and - the
   client-server selling point - how few groups one process crash
   actually reconfigures.
@@ -28,14 +28,15 @@ from __future__ import annotations
 import asyncio
 import time
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 from repro.checking.events import MbrshpViewEvent, ViewEvent
 from repro.checking.properties import check_all_safety
+from repro.groups import MultiGroupWorld
 from repro.net import ConstantLatency, SimWorld
 from repro.scale import install_overlay
 from repro.scale.overlay import TwoTierOverlay, auto_leaders, balanced_groups
-from repro.scale.world import ScaleWorld, auto_shards
+from repro.scale.sharding import auto_shards
 
 _SYNC_KINDS = ("SyncMsg", "UpSync", "AggregatedSync")
 
@@ -199,7 +200,7 @@ def measure_scale_groups(
     """
     started = time.perf_counter()
     shard_count = shards or auto_shards(groups)
-    world = ScaleWorld(round_duration=round_duration, shards=shard_count)
+    world = MultiGroupWorld(round_duration=round_duration, shards=shard_count)
     pids = [f"p{i:04d}" for i in range(processes)]
     world.add_processes(pids)
     size = min(group_size, processes)

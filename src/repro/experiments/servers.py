@@ -30,17 +30,11 @@ def measure_server_tier(
     *,
     clients: int = 8,
     servers: int = 2,
-    detection_delay: float = 0.0,
     latency: Optional[LatencyModel] = None,
     check: bool = False,
 ) -> ServerTierResult:
     latency = latency or ConstantLatency(1.0)
-    world = SimWorld(
-        latency=latency,
-        membership="servers",
-        servers=servers,
-        detection_delay=detection_delay,
-    )
+    world = SimWorld(latency=latency, membership="tier", servers=servers)
     pids = [f"p{i:02d}" for i in range(clients)]
     nodes = world.add_nodes(pids)
     world.start()

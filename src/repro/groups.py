@@ -6,28 +6,30 @@ the number of groups": membership servers track many groups, while a
 client process runs a GCS end-point *per group it joins* over one shared
 transport.  This module realises that: a
 :class:`MultiGroupProcess` hosts one end-point automaton per joined
-group, wire messages travel in :class:`GroupEnvelope` wrappers, and each
-group has its own membership management - so reconfiguring one group
-never touches the others (experiment E13).
+group, wire messages travel in :class:`GroupEnvelope` wrappers, and
+membership comes from one
+:class:`~repro.scale.sharding.ShardedMembershipTier` keyed by group: a
+small tier serving a number of groups far exceeding its own size, where
+reconfiguring one group never touches the others (experiment E13) and a
+process crash reconfigures only the shards owning one of its groups
+(E19's group axis runs this world at g=1000 over n=1000 processes).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.checking.events import GcsTrace
 from repro.core.gcs_endpoint import GcsEndpoint
 from repro.core.messages import WireMessage
 from repro.core.runner import EndpointRunner
-from repro.membership.oracle import OracleMembership
 from repro.net.latency import LatencyModel
 from repro.net.network import SimNetwork
 from repro.net.simclock import EventScheduler
 from repro.net.transport import SimTransport
+from repro.scale.sharding import GroupName, ShardedMembershipTier
 from repro.types import ProcessId, View
-
-GroupName = str
 
 
 @dataclass(frozen=True)
@@ -110,7 +112,14 @@ class MultiGroupProcess:
         if runner is not None:
             runner.receive(src, message.message)
 
-    # membership notice entry points, called by the world's per-group oracle
+    def crash(self) -> None:
+        """Crash every group's end-point, and the shared transport once."""
+        for runner in self._runners.values():
+            if not runner.endpoint.crashed:
+                runner.crash()
+        self.transport.crash()
+
+    # membership notice entry points, called by the world's tier
     def _membership_start_change(self, group: GroupName, cid: int, members) -> None:
         self._runner_for(group).membership_start_change(cid, members)
 
@@ -126,14 +135,16 @@ class MultiGroupWorld:
         *,
         latency: Optional[LatencyModel] = None,
         round_duration: float = 1.0,
+        shards: int = 1,
     ) -> None:
         self.clock = EventScheduler()
         self.network = SimNetwork(self.clock, latency)
         self.trace = GcsTrace()
         self.round_duration = round_duration
+        self.tier = ShardedMembershipTier(
+            self.clock, shards=shards, round_duration=round_duration
+        )
         self.processes: Dict[ProcessId, MultiGroupProcess] = {}
-        self._oracles: Dict[GroupName, OracleMembership] = {}
-        self._members: Dict[GroupName, Set[ProcessId]] = {}
 
     # ------------------------------------------------------------------
     # construction and membership
@@ -146,45 +157,58 @@ class MultiGroupWorld:
         self.processes[pid] = process
         return process
 
-    def _oracle_for(self, group: GroupName) -> OracleMembership:
-        oracle = self._oracles.get(group)
-        if oracle is None:
-            oracle = OracleMembership(self.clock, round_duration=self.round_duration)
-            self._oracles[group] = oracle
-            self._members[group] = set()
-        return oracle
+    def add_processes(self, pids: Iterable[ProcessId]) -> List[MultiGroupProcess]:
+        return [self.add_process(pid) for pid in pids]
+
+    def _attach(self, group: GroupName, pid: ProcessId) -> None:
+        process = self.processes[pid]
+        if group in process._runners:
+            return  # a runner exists only once its sinks are attached
+        process._runner_for(group)
+        self.tier.attach_client(
+            group,
+            pid,
+            on_start_change=lambda cid, members, g=group, pr=process:
+                pr._membership_start_change(g, cid, members),
+            on_view=lambda view, g=group, pr=process:
+                pr._membership_view(g, view),
+        )
 
     def join(self, pid: ProcessId, group: GroupName) -> None:
         """Add ``pid`` to ``group`` and reconfigure that group only."""
-        oracle = self._oracle_for(group)
-        process = self.processes[pid]
-        process._runner_for(group)
-        if pid not in {p for p in self._members[group]}:
-            oracle.attach_client(
-                pid,
-                on_start_change=lambda cid, members, g=group, pr=process:
-                    pr._membership_start_change(g, cid, members),
-                on_view=lambda view, g=group, pr=process:
-                    pr._membership_view(g, view),
-            )
-        self._members[group].add(pid)
-        oracle.reconfigure([sorted(self._members[group])])
+        self._attach(group, pid)
+        self.tier.join(group, pid)
 
     def leave(self, pid: ProcessId, group: GroupName) -> None:
         """Remove ``pid`` from ``group`` and reconfigure that group only."""
-        members = self._members.get(group, set())
-        members.discard(pid)
-        if members:
-            self._oracles[group].reconfigure([sorted(members)])
+        self.tier.leave(group, pid)
+
+    def set_group(self, group: GroupName, members: Iterable[ProcessId]) -> Optional[View]:
+        """Drive ``group`` to exactly ``members`` with a single round."""
+        members = list(members)
+        for pid in members:
+            self._attach(group, pid)
+        return self.tier.set_group(group, members)
 
     def members(self, group: GroupName) -> FrozenSet[ProcessId]:
-        return frozenset(self._members.get(group, set()))
+        return self.tier.members(group)
 
     def group_view(self, group: GroupName) -> Optional[View]:
-        oracle = self._oracles.get(group)
-        if oracle is None or not oracle.views_formed:
-            return None
-        return oracle.views_formed[-1]
+        return self.tier.group_view(group)
+
+    # ------------------------------------------------------------------
+    # faults
+    # ------------------------------------------------------------------
+
+    def crash(self, pid: ProcessId) -> int:
+        """Crash ``pid`` in every group it joined.
+
+        Returns the number of groups reconfigured - by construction only
+        the crashed process's own groups, on only the shards owning
+        them.
+        """
+        self.processes[pid].crash()
+        return len(self.tier.client_crashed(pid))
 
     # ------------------------------------------------------------------
     # driving
@@ -193,10 +217,17 @@ class MultiGroupWorld:
     def run(self, max_events: Optional[int] = None) -> int:
         return self.clock.run(max_events)
 
+    def now(self) -> float:
+        return self.clock.now
+
     def settled(self, group: GroupName) -> bool:
+        """Every member of ``group``'s latest view has installed it."""
         view = self.group_view(group)
         if view is None:
             return False
         return all(
             self.processes[pid].current_view(group) == view for pid in view.members
         )
+
+    def __repr__(self) -> str:
+        return f"<MultiGroupWorld processes={len(self.processes)} tier={self.tier!r}>"

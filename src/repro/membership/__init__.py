@@ -2,15 +2,17 @@
 
 Two implementations of the Figure 2 interface:
 
-* :class:`~repro.membership.server.MembershipServer` - dedicated
-  membership servers in the client-server architecture of [27], with a
-  one-round (common case) inter-server agreement and a topology-driven
-  failure detector;
-* :class:`~repro.membership.oracle.OracleMembership` - a centralized
-  oracle with scripted timing, for controlled experiments.
+* :class:`~repro.membership.oracle.OracleMembership` - scripted timing:
+  a centralized oracle for controlled experiments, and (scoped by group)
+  the notice issuer of every :class:`~repro.scale.sharding.MembershipShard`;
+* :class:`~repro.membership.server.MembershipServer` - real agreement:
+  dedicated membership servers in the client-server architecture of
+  [27], with a one-round (common case) inter-server agreement, assembled
+  over any transport by :class:`~repro.membership.tier.MembershipTier`,
+  which also feeds them reachability when the deployment partitions,
+  heals or crashes a server.
 """
 
-from repro.membership.failure_detector import TopologyFailureDetector
 from repro.membership.oracle import OracleMembership
 from repro.membership.protocol import (
     SERVER_PREFIX,
@@ -31,7 +33,6 @@ __all__ = [
     "ServerProposal",
     "StartChangeNotice",
     "TierLink",
-    "TopologyFailureDetector",
     "ViewNotice",
     "server_id",
 ]

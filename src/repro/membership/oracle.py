@@ -1,4 +1,4 @@
-"""A centralized membership oracle.
+"""A centralized membership oracle: the scripted-timing Figure 2 issuer.
 
 For controlled experiments (and as the degenerate single-server case of
 the client-server architecture), ``OracleMembership`` plays the external
@@ -8,17 +8,35 @@ the agreed ``view`` after a further ``round_duration`` - the knob the
 parallelism experiments (E1/E3) sweep to model membership rounds of
 different lengths.
 
-It maintains the Figure 2 discipline per client (fresh increasing cids, a
-start_change before every view, startId read off the latest cids), and it
-cancels a pending view delivery for a client whenever a newer
-start_change supersedes it - which is how the service, like the paper's,
-never delivers views it already knows to be out of date.
+It maintains the Figure 2 discipline per end-point (fresh increasing
+cids, a start_change before every view, startId read off the latest
+cids), and it cancels a pending view delivery for an end-point whenever
+a newer start_change supersedes it - which is how the service, like the
+paper's, never delivers views it already knows to be out of date.
+
+An end-point is a process within a *scope*: :class:`~repro.net.world.SimWorld`
+serves one group and files everything under the pid alone (scope
+``None``); a :class:`~repro.scale.sharding.MembershipShard` serves many
+groups and passes the group name, so sinks and pending notices are kept
+per ``(group, pid)``.  A crash is a fact about the process, whatever the
+scope.  This is the only place that schedules scripted notices.
 """
 
 from __future__ import annotations
 
-import itertools
-from typing import TYPE_CHECKING, Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Dict,
+    FrozenSet,
+    Hashable,
+    Iterable,
+    List,
+    Optional,
+    Set,
+    Tuple,
+)
 
 from repro._collections import frozendict
 from repro.types import ProcessId, StartChangeId, View, ViewId
@@ -40,19 +58,24 @@ class OracleMembership:
         *,
         detection_delay: float = 0.0,
         round_duration: float = 1.0,
+        crashed: Optional[Set[ProcessId]] = None,
+        origin: str = "",
     ) -> None:
         self.clock = clock
         self.detection_delay = detection_delay
         self.round_duration = round_duration
-        self._start_change_sinks: Dict[ProcessId, StartChangeSink] = {}
-        self._view_sinks: Dict[ProcessId, ViewSink] = {}
-        self._cid = itertools.count(start=1)
-        self._counter = itertools.count(start=1)
-        self._last_cid: Dict[ProcessId, StartChangeId] = {}
-        self._crashed: set = set()
-        # Pending scheduled notifications per client, cancellable when a
-        # newer reconfiguration supersedes them.
-        self._pending: Dict[ProcessId, List[ScheduledEvent]] = {}
+        # Provenance only: ordering is carried by the counter alone.
+        self.origin = origin
+        # A sharded tier hands every shard's issuer one shared set: a
+        # crash is visible wherever one of the process's groups lives.
+        self._crashed: Set[ProcessId] = set() if crashed is None else crashed
+        # Last cid / view counter issued; :meth:`seed` raises them.
+        self._cid = 0
+        self._counter = 0
+        self._sinks: Dict[Hashable, Dict[ProcessId, Tuple[StartChangeSink, ViewSink]]] = {}
+        # Scheduled notices per end-point, cancellable when a newer
+        # reconfiguration supersedes them.
+        self._pending: Dict[Hashable, Dict[ProcessId, List[ScheduledEvent]]] = {}
         self.views_formed: List[View] = []
 
     # ------------------------------------------------------------------
@@ -64,9 +87,17 @@ class OracleMembership:
         pid: ProcessId,
         on_start_change: StartChangeSink,
         on_view: ViewSink,
+        *,
+        scope: Hashable = None,
     ) -> None:
-        self._start_change_sinks[pid] = on_start_change
-        self._view_sinks[pid] = on_view
+        self._sinks.setdefault(scope, {})[pid] = (on_start_change, on_view)
+
+    def forget(self, scope: Hashable) -> None:
+        """Drop ``scope``: its sinks go and its pending notices never fire."""
+        self._sinks.pop(scope, None)
+        for events in self._pending.pop(scope, {}).values():
+            for event in events:
+                event.cancel()
 
     def client_crashed(self, pid: ProcessId) -> None:
         self._crashed.add(pid)
@@ -75,18 +106,28 @@ class OracleMembership:
         self._crashed.discard(pid)
 
     # ------------------------------------------------------------------
-    # reconfiguration
+    # counters
     # ------------------------------------------------------------------
 
-    def _cancel_pending(self, pid: ProcessId) -> None:
-        for event in self._pending.pop(pid, []):
-            event.cancel()
+    def seed(self, cid_floor: int, counter_floor: int) -> None:
+        """Ensure every future cid / view counter exceeds the floors."""
+        self._cid = max(self._cid, cid_floor)
+        self._counter = max(self._counter, counter_floor)
+
+    def watermarks(self) -> Tuple[int, int]:
+        """The last ``(cid, view counter)`` issued."""
+        return (self._cid, self._counter)
+
+    # ------------------------------------------------------------------
+    # reconfiguration
+    # ------------------------------------------------------------------
 
     def reconfigure(
         self,
         groups: Iterable[Iterable[ProcessId]],
         *,
         extra_changes: int = 0,
+        scope: Hashable = None,
     ) -> List[View]:
         """Form one view per group; return them (delivery is scheduled).
 
@@ -97,53 +138,47 @@ class OracleMembership:
         views: List[View] = []
         for group in groups:
             members = frozenset(group) - self._crashed
-            if not members:
-                continue
-            views.append(self._reconfigure_group(members, extra_changes))
+            if members:
+                views.append(self._form_view(scope, members, extra_changes))
         return views
 
-    def _reconfigure_group(self, members: FrozenSet[ProcessId], extra_changes: int) -> View:
+    def _form_view(
+        self, scope: Hashable, members: FrozenSet[ProcessId], extra_changes: int
+    ) -> View:
         detect = self.detection_delay
-        round_end = detect + self.round_duration
-        spacing = self.round_duration / (extra_changes + 1) if extra_changes else 0.0
-
-        for pid in members:
-            self._cancel_pending(pid)
+        spacing = self.round_duration / (extra_changes + 1)
+        ordered = sorted(members)
+        pending = self._pending.setdefault(scope, {})
+        for pid in ordered:
+            for event in pending.pop(pid, ()):
+                event.cancel()
 
         final_cids: Dict[ProcessId, StartChangeId] = {}
         for round_index in range(extra_changes + 1):
             at = detect + round_index * spacing
-            for pid in sorted(members):
-                cid = next(self._cid)
-                final_cids[pid] = cid
-                self._schedule_start_change(pid, at, cid, members)
-        view = View(ViewId(next(self._counter)), members, frozendict(final_cids))
+            for pid in ordered:
+                self._cid += 1
+                final_cids[pid] = self._cid
+                self._schedule(scope, pid, at, 0, self._cid, members)
+        self._counter += 1
+        view = View(ViewId(self._counter, self.origin), members, frozendict(final_cids))
         self.views_formed.append(view)
-        for pid in sorted(members):
-            self._schedule_view(pid, round_end, view)
+        for pid in ordered:
+            self._schedule(scope, pid, detect + self.round_duration, 1, view)
         return view
 
-    def _schedule_start_change(
-        self, pid: ProcessId, delay: float, cid: StartChangeId, members: FrozenSet[ProcessId]
+    def _schedule(
+        self, scope: Hashable, pid: ProcessId, delay: float, sink: int, *notice: Any
     ) -> None:
+        """Hand ``notice`` to the end-point's start_change (0) or view (1)
+        sink after ``delay``, unless it crashed or was superseded first."""
+
         def fire() -> None:
             if pid in self._crashed:
                 return
-            self._last_cid[pid] = cid
-            sink = self._start_change_sinks.get(pid)
-            if sink is not None:
-                sink(cid, members)
+            sinks = self._sinks.get(scope, {}).get(pid)
+            if sinks is not None:
+                sinks[sink](*notice)
 
         event = self.clock.schedule(delay, fire)
-        self._pending.setdefault(pid, []).append(event)
-
-    def _schedule_view(self, pid: ProcessId, delay: float, view: View) -> None:
-        def fire() -> None:
-            if pid in self._crashed:
-                return
-            sink = self._view_sinks.get(pid)
-            if sink is not None:
-                sink(view)
-
-        event = self.clock.schedule(delay, fire)
-        self._pending.setdefault(pid, []).append(event)
+        self._pending[scope].setdefault(pid, []).append(event)

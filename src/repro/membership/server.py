@@ -104,7 +104,7 @@ class MembershipServer:
         self._formed_round = -1
         self.views_delivered = 0
         self.rounds_started = 0
-        # Until activated (failure-detector bootstrap), configuration
+        # Until activated (the tier's first reachability report), configuration
         # triggers accumulate silently instead of starting rounds, so
         # initial client registration costs a single round.
         self.active = False

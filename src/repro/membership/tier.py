@@ -18,8 +18,8 @@ hands the tier its fabric; the simulator adapts ``SimNetwork`` with the
 three-line :class:`~repro.net.world.SimTierLink`.
 
 Topology input (who can reach whom among servers) is injected by the
-deployment when it partitions or heals its transport - the tier-side
-analogue of the simulator's topology failure detector.
+deployment when it partitions or heals its transport or crashes a
+server: the tier is each server's failure detector, on every substrate.
 """
 
 from __future__ import annotations

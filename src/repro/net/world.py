@@ -9,9 +9,11 @@
   over a :class:`~repro.net.transport.SimTransport`;
 * a membership service: either the centralized
   :class:`~repro.membership.oracle.OracleMembership` (scripted timing,
-  for controlled experiments) or a tier of
-  :class:`~repro.membership.server.MembershipServer` processes with a
-  topology failure detector (the full client-server architecture).
+  for controlled experiments) or a
+  :class:`~repro.membership.tier.MembershipTier` of crashable
+  :class:`~repro.membership.server.MembershipServer` processes running
+  real agreement over the simulated network (the full client-server
+  architecture, the same tier the asyncio and TCP clusters run).
 
 All externally observable behaviour lands in a single time-stamped
 :class:`~repro.checking.events.GcsTrace`, so the property checkers of
@@ -20,7 +22,6 @@ All externally observable behaviour lands in a single time-stamped
 
 from __future__ import annotations
 
-import zlib
 from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple, Type
 
 from repro.chaos.faults import FaultInjector
@@ -29,15 +30,14 @@ from repro.core.forwarding import ForwardingStrategy
 from repro.core.gcs_endpoint import GcsEndpoint
 from repro.core.messages import WireMessage
 from repro.core.runner import EndpointRunner
-from repro.errors import SettleTimeoutError, TransportError
-from repro.membership.failure_detector import TopologyFailureDetector
+from repro.errors import SettleTimeoutError
 from repro.membership.oracle import OracleMembership
-from repro.membership.protocol import StartChangeNotice, ViewNotice, server_id
-from repro.membership.server import MembershipServer
+from repro.membership.protocol import StartChangeNotice, ViewNotice
 from repro.membership.tier import MembershipTier
 from repro.net.latency import LatencyModel
 from repro.net.network import SimNetwork
 from repro.net.simclock import EventScheduler
+from repro.net.transport import SimTransport
 from repro.types import ProcessId, View
 
 
@@ -87,9 +87,6 @@ class SimNode:
         # repro.scale): return True to consume the send/receive.
         self.wire_interceptor: Optional[Callable[[FrozenSet[ProcessId], Any], bool]] = None
         self.receive_interceptor: Optional[Callable[[ProcessId, Any], bool]] = None
-        self.transport = world.network and None  # replaced below
-        from repro.net.transport import SimTransport  # local import: no cycle
-
         self.transport = SimTransport(pid, world.network, self._on_wire_message)
         self.runner = EndpointRunner(
             endpoint,
@@ -199,15 +196,7 @@ class SimWorld:
             self._endpoint_kwargs["compact_syncs"] = True
         if ack_gc_interval is not None:
             self._endpoint_kwargs["ack_gc_interval"] = ack_gc_interval
-        self.membership_mode = membership
-        self.servers: Dict[ProcessId, MembershipServer] = {}
-        # sorted(self.servers) cache behind a version counter: client
-        # placement consults the server list per add_node, which at
-        # n=1000 clients must not re-sort per call.
-        self._servers_version = 0
-        self._sorted_servers: Tuple[int, List[ProcessId]] = (-1, [])
         self.oracle: Optional[OracleMembership] = None
-        self.failure_detector: Optional[TopologyFailureDetector] = None
         self.tier: Optional[MembershipTier] = None
         if membership == "oracle":
             self.oracle = OracleMembership(
@@ -215,12 +204,6 @@ class SimWorld:
                 detection_delay=detection_delay,
                 round_duration=round_duration,
             )
-        elif membership == "servers":
-            self.failure_detector = TopologyFailureDetector(
-                self.clock, self.network, detection_delay
-            )
-            for index in range(servers):
-                self._add_server(server_id(str(index)))
         elif membership == "tier":
             # The full substrate-neutral tier - the same MembershipTier
             # (durable watermark store, crashable servers) the asyncio
@@ -234,38 +217,20 @@ class SimWorld:
             )
         else:
             raise ValueError(
-                f"membership must be 'oracle', 'servers' or 'tier', got {membership!r}"
+                f"membership must be 'oracle' or 'tier', got {membership!r}"
             )
 
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------
 
-    def _add_server(self, sid: ProcessId) -> MembershipServer:
-        server = MembershipServer(sid, send=self._server_send(sid))
-        self.servers[sid] = server
-        self._servers_version += 1
-        self.network.register(sid, lambda src, msg, s=server: s.on_message(src, msg))
-        assert self.failure_detector is not None
-        self.failure_detector.attach(server)
-        return server
+    def add_node(self, pid: ProcessId) -> SimNode:
+        """Create a client process and introduce it to the membership service.
 
-    def sorted_servers(self) -> List[ProcessId]:
-        """The server ids in sorted order (cached; do not mutate)."""
-        version, cached = self._sorted_servers
-        if version != self._servers_version:
-            cached = sorted(self.servers)
-            self._sorted_servers = (self._servers_version, cached)
-        return cached
-
-    def _server_send(self, sid: ProcessId) -> Callable[[ProcessId, Any], None]:
-        def send(dst: ProcessId, message: Any) -> None:
-            self.network.send(sid, dst, message)
-
-        return send
-
-    def add_node(self, pid: ProcessId, server: Optional[ProcessId] = None) -> SimNode:
-        """Create a client process; in server mode, attach it to ``server``."""
+        The oracle includes it in the next scripted reconfiguration; the
+        tier homes it itself and registers it on :meth:`start` or
+        :meth:`set_members`.
+        """
         if pid in self.nodes:
             raise ValueError(f"duplicate process {pid!r}")
         endpoint = self._endpoint_cls(pid, **self._endpoint_kwargs)
@@ -277,21 +242,8 @@ class SimWorld:
                 on_start_change=node.runner.membership_start_change,
                 on_view=node.runner.membership_view,
             )
-        elif self.tier is not None:
-            if server is not None:
-                raise ValueError("tier mode assigns homes itself")
-            self.tier.add_client(pid)
         else:
-            sids = self.sorted_servers()
-            if not sids:
-                raise TransportError("no membership servers configured")
-            # crc32, not hash(): client placement must be stable across
-            # interpreter runs (PYTHONHASHSEED varies) for deterministic
-            # replay.
-            digest = zlib.crc32(str(pid).encode("utf-8"))
-            home = server or sids[digest % len(sids)]
-            self.servers[home].add_client(pid)
-            node.home_server = home  # type: ignore[attr-defined]
+            self.tier.add_client(pid)
         return node
 
     def add_nodes(self, pids: Iterable[ProcessId]) -> List[SimNode]:
@@ -305,11 +257,8 @@ class SimWorld:
         """Kick off the initial view formation for all registered clients."""
         if self.oracle is not None:
             self.oracle.reconfigure([list(self.nodes)])
-        elif self.tier is not None:
-            self.tier.start_sync()
         else:
-            assert self.failure_detector is not None
-            self.failure_detector.bootstrap()
+            self.tier.start_sync()
 
     def set_members(self, members: Iterable[ProcessId]) -> bool:
         """Drive the registered client set (tier mode only)."""
@@ -320,11 +269,7 @@ class SimWorld:
     @property
     def views_formed(self) -> List[View]:
         """Views the membership service has formed (oracle or tier mode)."""
-        if self.oracle is not None:
-            return self.oracle.views_formed
-        if self.tier is not None:
-            return self.tier.views_formed
-        raise ValueError("views_formed is tracked by the oracle or the tier")
+        return (self.oracle or self.tier).views_formed
 
     def run(self, max_events: Optional[int] = None) -> int:
         return self.clock.run(max_events)
@@ -364,11 +309,12 @@ class SimWorld:
     # ------------------------------------------------------------------
 
     def partition(self, groups: Iterable[Iterable[ProcessId]], *, reconfigure: bool = True) -> None:
-        """Split client (and, in server mode, server) processes into groups.
+        """Split the client processes into groups.
 
-        In server mode each listed group should contain the servers meant
-        to serve it; clients of a group are reported to those servers by
-        the failure detector.
+        The oracle scripts one view per group (unless ``reconfigure`` is
+        off); the tier assigns each group a server and forms the views
+        by agreement.  To split along the server tier instead, use
+        :meth:`server_partition`.
         """
         groups = [list(group) for group in groups]
         if self.tier is not None:
@@ -402,11 +348,8 @@ class SimWorld:
             self.oracle.client_crashed(pid)
             if reconfigure:
                 self.oracle.reconfigure([[p for p in self.nodes if p != pid]])
-        elif self.tier is not None:
-            self.tier.client_crashed(pid)
         else:
-            home = getattr(node, "home_server")
-            self.servers[home].client_crashed(pid)
+            self.tier.client_crashed(pid)
 
     def recover(self, pid: ProcessId, *, reconfigure: bool = True) -> None:
         node = self.nodes[pid]
@@ -415,11 +358,8 @@ class SimWorld:
             self.oracle.client_recovered(pid)
             if reconfigure:
                 self.oracle.reconfigure([list(self.nodes)])
-        elif self.tier is not None:
-            self.tier.client_recovered(pid)
         else:
-            home = getattr(node, "home_server")
-            self.servers[home].client_recovered(pid)
+            self.tier.client_recovered(pid)
 
     # -- server faults (tier mode) ------------------------------------------
 

@@ -3,17 +3,16 @@
 The paper motivates the client-server architecture with scalability "in
 the number of groups": a small tier of membership servers tracks many
 multicast groups.  :mod:`repro.groups` realises the client side (one
-end-point per joined group over a shared transport) but gave every group
-its own private oracle - O(groups) independent services.  This module
-supplies the server side at scale:
+end-point per joined group over a shared transport); this module
+supplies the server side:
 
 * :class:`GroupShardMap` - a consistent group -> shard mapping
   (highest-random-weight over ``crc32``, so it is a pure deterministic
   function of the group name and the shard count, stable under resizes);
-* :class:`MembershipShard` - one membership server serving many groups,
-  with the oracle's Figure 2 discipline (fresh increasing cids, a
-  start_change before every view, cancellation of superseded notices)
-  and *seedable* counters;
+* :class:`MembershipShard` - one membership server serving many groups:
+  group ownership over an
+  :class:`~repro.membership.oracle.OracleMembership` issuer, which keeps
+  the Figure 2 discipline per ``(group, pid)`` end-point;
 * :class:`ShardedMembershipTier` - the tier: routes every group
   operation to the owning shard only, fans a process crash out to
   exactly the shards owning one of its groups, and - when the tier is
@@ -25,17 +24,14 @@ supplies the server side at scale:
 
 from __future__ import annotations
 
+import math
 import zlib
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
-from repro._collections import frozendict
-from repro.types import ProcessId, StartChangeId, View, ViewId
+from repro.membership.oracle import OracleMembership, StartChangeSink, ViewSink
+from repro.types import ProcessId, View
 
 GroupName = str
-
-# Client-side hooks, per (group, process): (cid, members) and (view).
-StartChangeSink = Callable[[StartChangeId, FrozenSet[ProcessId]], None]
-ViewSink = Callable[[View], None]
 
 
 class GroupShardMap:
@@ -77,38 +73,20 @@ class GroupShardMap:
         return {group: self.shard_of(group) for group in groups}
 
 
-class _SeededCounter:
-    """A monotone counter whose floor can be raised (watermark seeding)."""
-
-    __slots__ = ("next_value",)
-
-    def __init__(self, start: int = 1) -> None:
-        self.next_value = start
-
-    def __next__(self) -> int:
-        value = self.next_value
-        self.next_value = value + 1
-        return value
-
-    def seed(self, floor: int) -> None:
-        """Ensure every future value exceeds ``floor``."""
-        if floor >= self.next_value:
-            self.next_value = floor + 1
-
-    @property
-    def last(self) -> int:
-        return self.next_value - 1
+def auto_shards(groups: int) -> int:
+    """Default shard count for ``groups`` groups: ~sqrt(g), capped at 32."""
+    return max(1, min(32, round(math.sqrt(max(groups, 1)))))
 
 
 class MembershipShard:
-    """One membership server of a sharded tier, serving many groups.
+    """One membership server of a sharded tier: which groups it owns.
 
-    Scheduling mirrors :class:`~repro.membership.oracle.OracleMembership`
-    (start_change after ``detection_delay``, view after a further
-    ``round_duration``, superseded notices cancelled), but all registries
-    are keyed per ``(group, pid)`` end-point and both counters are
-    :class:`_SeededCounter` instances, so a group arriving from another
-    shard can raise the floors above its old watermarks.
+    Everything Figure 2 - cids, view counters, the cancellable
+    start_change / view notices - is the shard's
+    :class:`~repro.membership.oracle.OracleMembership` ``issuer``, scoped
+    by group name; the shard adds only ownership: a group arriving from
+    another shard raises the issuer's floors above its old watermarks,
+    and a departing group takes its sinks and pending notices with it.
     """
 
     def __init__(
@@ -121,29 +99,27 @@ class MembershipShard:
         round_duration: float = 1.0,
     ) -> None:
         self.index = index
-        self.clock = clock
-        self.detection_delay = detection_delay
-        self.round_duration = round_duration
-        # Shared with the tier: a crash is a process-level fact, visible
-        # to every shard serving one of the process's groups.
-        self._crashed = crashed
-        self._cid = _SeededCounter()
-        self._counter = _SeededCounter()
-        self.groups: Set[GroupName] = set()
-        self._sinks: Dict[Tuple[GroupName, ProcessId], Tuple[StartChangeSink, ViewSink]] = {}
-        self._pending: Dict[Tuple[GroupName, ProcessId], List] = {}
-        self._group_views: Dict[GroupName, View] = {}
-        self.views_formed: List[View] = []
+        self.issuer = OracleMembership(
+            clock,
+            detection_delay=detection_delay,
+            round_duration=round_duration,
+            crashed=crashed,
+            origin=f"s{index}",
+        )
+        # The groups this shard owns, each with the latest view it formed.
+        self.groups: Dict[GroupName, Optional[View]] = {}
 
-    # ------------------------------------------------------------------
-    # group ownership
-    # ------------------------------------------------------------------
+    @property
+    def views_formed(self) -> List[View]:
+        return self.issuer.views_formed
+
+    def watermarks(self) -> Tuple[int, int]:
+        return self.issuer.watermarks()
 
     def adopt(self, group: GroupName, *, cid_floor: int = 0, counter_floor: int = 0) -> None:
         """Take ownership of ``group``, with its predecessor's watermarks."""
-        self.groups.add(group)
-        self._cid.seed(cid_floor)
-        self._counter.seed(counter_floor)
+        self.groups.setdefault(group, None)
+        self.issuer.seed(cid_floor, counter_floor)
 
     def release(self, group: GroupName) -> Tuple[int, int]:
         """Drop ``group``; return the ``(cid, counter)`` watermarks.
@@ -151,21 +127,9 @@ class MembershipShard:
         Pending notices for the group are cancelled - a shard must never
         speak for a group it no longer owns.
         """
-        self.groups.discard(group)
-        for key in [key for key in self._pending if key[0] == group]:
-            for event in self._pending.pop(key, []):
-                event.cancel()
-        for key in [key for key in self._sinks if key[0] == group]:
-            del self._sinks[key]
-        self._group_views.pop(group, None)
-        return (self._cid.last, self._counter.last)
-
-    def watermarks(self) -> Tuple[int, int]:
-        return (self._cid.last, self._counter.last)
-
-    # ------------------------------------------------------------------
-    # clients and reconfiguration
-    # ------------------------------------------------------------------
+        self.groups.pop(group, None)
+        self.issuer.forget(group)
+        return self.issuer.watermarks()
 
     def attach_client(
         self,
@@ -174,76 +138,20 @@ class MembershipShard:
         on_start_change: StartChangeSink,
         on_view: ViewSink,
     ) -> None:
-        self._sinks[(group, pid)] = (on_start_change, on_view)
+        self.issuer.attach_client(pid, on_start_change, on_view, scope=group)
 
     def group_view(self, group: GroupName) -> Optional[View]:
-        return self._group_views.get(group)
+        return self.groups.get(group)
 
     def reconfigure(self, group: GroupName, members: Iterable[ProcessId]) -> Optional[View]:
         """Form the next view of ``group``; notices are scheduled."""
         if group not in self.groups:
             raise ValueError(f"shard {self.index} does not own group {group!r}")
-        member_set = frozenset(members) - self._crashed
-        if not member_set:
+        views = self.issuer.reconfigure([members], scope=group)
+        if not views:
             return None
-        detect = self.detection_delay
-        round_end = detect + self.round_duration
-        for pid in member_set:
-            self._cancel_pending(group, pid)
-        cids: Dict[ProcessId, StartChangeId] = {}
-        for pid in sorted(member_set):
-            cids[pid] = next(self._cid)
-        # The origin component records provenance; ordering is carried by
-        # the counter alone (watermark seeding keeps it strictly
-        # increasing per group, even across shard moves).
-        view = View(
-            ViewId(next(self._counter), f"s{self.index}"),
-            member_set,
-            frozendict(cids),
-        )
-        self._group_views[group] = view
-        self.views_formed.append(view)
-        for pid in sorted(member_set):
-            self._schedule_start_change(group, pid, detect, cids[pid], member_set)
-            self._schedule_view(group, pid, round_end, view)
-        return view
-
-    # ------------------------------------------------------------------
-    # scheduling (the oracle's cancellable-notice discipline)
-    # ------------------------------------------------------------------
-
-    def _cancel_pending(self, group: GroupName, pid: ProcessId) -> None:
-        for event in self._pending.pop((group, pid), []):
-            event.cancel()
-
-    def _schedule_start_change(
-        self,
-        group: GroupName,
-        pid: ProcessId,
-        delay: float,
-        cid: StartChangeId,
-        members: FrozenSet[ProcessId],
-    ) -> None:
-        def fire() -> None:
-            if pid in self._crashed:
-                return
-            sink = self._sinks.get((group, pid))
-            if sink is not None:
-                sink[0](cid, members)
-
-        event = self.clock.schedule(delay, fire)
-        self._pending.setdefault((group, pid), []).append(event)
-
-    def _schedule_view(self, group: GroupName, pid: ProcessId, delay: float, view: View) -> None:
-        def fire() -> None:
-            if pid in self._crashed:
-                return
-            sink = self._sinks.get((group, pid))
-            if sink is not None:
-                sink[1](view)
-
-        event = self.clock.schedule(delay, fire)
-        self._pending.setdefault((group, pid), []).append(event)
+        self.groups[group] = views[0]
+        return views[0]
 
     def __repr__(self) -> str:
         return (
@@ -278,9 +186,9 @@ class ShardedMembershipTier:
         ]
         self._members: Dict[GroupName, Set[ProcessId]] = {}
         self._groups_of: Dict[ProcessId, Set[GroupName]] = {}
-        # Master sink registry, so a relocated group can be re-attached
-        # at its successor shard.
-        self._sinks: Dict[Tuple[GroupName, ProcessId], Tuple[StartChangeSink, ViewSink]] = {}
+        # Master sink registry by group, so a group's clients can be
+        # re-attached wherever the group is adopted next.
+        self._sinks: Dict[GroupName, Dict[ProcessId, Tuple[StartChangeSink, ViewSink]]] = {}
         # The durable half of the sharded service: per-group (cid,
         # counter) floors recorded at every view formation and every
         # relocation.  A shard rebuilt after losing its volatile state
@@ -303,11 +211,24 @@ class ShardedMembershipTier:
     # routing
     # ------------------------------------------------------------------
 
+    def _adopt(self, shard: MembershipShard, group: GroupName) -> None:
+        """Make ``shard`` the owner of ``group``: counters seeded from
+        the durable floors, every attached client's sinks re-attached."""
+        cid_floor, counter_floor = self.floors.get(group, (0, 0))
+        shard.adopt(group, cid_floor=cid_floor, counter_floor=counter_floor)
+        for pid, sinks in self._sinks.get(group, {}).items():
+            shard.attach_client(group, pid, *sinks)
+
+    def _raise_floors(self, group: GroupName, watermarks: Tuple[int, int]) -> Tuple[int, int]:
+        old = self.floors.get(group, (0, 0))
+        floors = (max(old[0], watermarks[0]), max(old[1], watermarks[1]))
+        self.floors[group] = floors
+        return floors
+
     def shard_of(self, group: GroupName) -> MembershipShard:
         shard = self.shards[self.map.shard_of(group)]
         if group not in shard.groups:
-            cid_floor, counter_floor = self.floors.get(group, (0, 0))
-            shard.adopt(group, cid_floor=cid_floor, counter_floor=counter_floor)
+            self._adopt(shard, group)
         return shard
 
     def _reconfigure(self, group: GroupName, members: Iterable[ProcessId]) -> Optional[View]:
@@ -315,13 +236,8 @@ class ShardedMembershipTier:
         shard = self.shard_of(group)
         view = shard.reconfigure(group, members)
         if view is not None:
-            self._observe(group, shard)
+            self._raise_floors(group, shard.watermarks())
         return view
-
-    def _observe(self, group: GroupName, shard: MembershipShard) -> None:
-        cid, counter = shard.watermarks()
-        old_cid, old_counter = self.floors.get(group, (0, 0))
-        self.floors[group] = (max(old_cid, cid), max(old_counter, counter))
 
     def members(self, group: GroupName) -> FrozenSet[ProcessId]:
         return frozenset(self._members.get(group, set()))
@@ -344,7 +260,7 @@ class ShardedMembershipTier:
         on_start_change: StartChangeSink,
         on_view: ViewSink,
     ) -> None:
-        self._sinks[(group, pid)] = (on_start_change, on_view)
+        self._sinks.setdefault(group, {})[pid] = (on_start_change, on_view)
         self.shard_of(group).attach_client(group, pid, on_start_change, on_view)
 
     def join(self, group: GroupName, pid: ProcessId) -> Optional[View]:
@@ -390,26 +306,18 @@ class ShardedMembershipTier:
     # process-level events (fan out to owning shards only)
     # ------------------------------------------------------------------
 
+    def _reconfigure_groups_of(self, pid: ProcessId) -> List[View]:
+        views = (self.reconfigure_group(g) for g in sorted(self._groups_of.get(pid, ())))
+        return [view for view in views if view is not None]
+
     def client_crashed(self, pid: ProcessId, *, reconfigure: bool = True) -> List[View]:
         """Mark ``pid`` crashed; reconfigure exactly its groups' shards."""
         self._crashed.add(pid)
-        views: List[View] = []
-        if reconfigure:
-            for group in sorted(self._groups_of.get(pid, ())):
-                view = self.reconfigure_group(group)
-                if view is not None:
-                    views.append(view)
-        return views
+        return self._reconfigure_groups_of(pid) if reconfigure else []
 
     def client_recovered(self, pid: ProcessId, *, reconfigure: bool = True) -> List[View]:
         self._crashed.discard(pid)
-        views: List[View] = []
-        if reconfigure:
-            for group in sorted(self._groups_of.get(pid, ())):
-                view = self.reconfigure_group(group)
-                if view is not None:
-                    views.append(view)
-        return views
+        return self._reconfigure_groups_of(pid) if reconfigure else []
 
     # ------------------------------------------------------------------
     # resizing (watermark-seeded moves)
@@ -425,27 +333,16 @@ class ShardedMembershipTier:
         Monotonicity holds across the move.  Returns the moved groups
         with the watermarks they carried.
         """
-        old_map = self.map
-        new_map = GroupShardMap(shards)
+        owners = {group: shard for shard in self.shards for group in shard.groups}
+        self.map = GroupShardMap(shards)
         while len(self.shards) < shards:
             self.shards.append(self._make_shard(len(self.shards)))
         moved: Dict[GroupName, Tuple[int, int]] = {}
-        for group in sorted(self._members):
-            old_index = old_map.shard_of(group)
-            new_index = new_map.shard_of(group)
-            if old_index == new_index:
-                continue
-            watermarks = self.shards[old_index].release(group)
-            stored = self.floors.get(group, (0, 0))
-            floors = (max(watermarks[0], stored[0]), max(watermarks[1], stored[1]))
-            self.floors[group] = floors
-            successor = self.shards[new_index]
-            successor.adopt(group, cid_floor=floors[0], counter_floor=floors[1])
-            for (sink_group, pid), sinks in self._sinks.items():
-                if sink_group == group:
-                    successor.attach_client(group, pid, *sinks)
-            moved[group] = floors
-        self.map = new_map
+        for group in sorted(owners):
+            successor = self.shards[self.map.shard_of(group)]
+            if successor is not owners[group]:
+                moved[group] = self._raise_floors(group, owners[group].release(group))
+                self._adopt(successor, group)
         return moved
 
     def rebuild_shard(self, index: int) -> MembershipShard:
@@ -465,11 +362,7 @@ class ShardedMembershipTier:
         fresh = self._make_shard(index)
         self.shards[index] = fresh
         for group in owned:
-            cid_floor, counter_floor = self.floors.get(group, (0, 0))
-            fresh.adopt(group, cid_floor=cid_floor, counter_floor=counter_floor)
-            for (sink_group, pid), sinks in self._sinks.items():
-                if sink_group == group:
-                    fresh.attach_client(group, pid, *sinks)
+            self._adopt(fresh, group)
         return fresh
 
     def __repr__(self) -> str:

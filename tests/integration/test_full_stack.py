@@ -44,8 +44,8 @@ class TestOrderingOverGroups:
         chat = [TotalOrderNode(GroupMember(world.processes[p], "chat")) for p in pids]
         audit = [TotalOrderNode(GroupMember(world.processes[p], "audit")) for p in pids]
         # re-deliver current views to the freshly attached layers
-        world._oracles["chat"].reconfigure([pids])
-        world._oracles["audit"].reconfigure([pids])
+        world.tier.reconfigure_group("chat")
+        world.tier.reconfigure_group("audit")
         world.run()
 
         for i in range(3):

@@ -159,7 +159,7 @@ class TestCascadingChanges:
 
 class TestServerMode:
     def test_two_tier_deployment_end_to_end(self):
-        world = SimWorld(latency=ConstantLatency(1.0), membership="servers", servers=2)
+        world = SimWorld(latency=ConstantLatency(1.0), membership="tier", servers=2)
         nodes = world.add_nodes([f"p{i}" for i in range(6)])
         world.start()
         world.run(max_events=200_000)
@@ -170,15 +170,11 @@ class TestServerMode:
         check_all_safety(world.trace, list(world.nodes))
 
     def test_server_partition_and_heal(self):
-        world = SimWorld(latency=ConstantLatency(1.0), membership="servers", servers=2)
+        world = SimWorld(latency=ConstantLatency(1.0), membership="tier", servers=2)
         nodes = world.add_nodes([f"p{i}" for i in range(4)])
         world.start()
         world.run(max_events=200_000)
-        by_server = {}
-        for node in nodes:
-            by_server.setdefault(node.home_server, []).append(node.pid)
-        groups = [[sid] + pids for sid, pids in by_server.items()]
-        world.partition(groups)
+        world.server_partition([[sid] for sid in world.tier.alive_servers()])
         world.run(max_events=200_000)
         world.heal()
         world.run(max_events=200_000)

@@ -6,8 +6,6 @@ completed-then-redone view. These tests exercise joins at awkward times
 in both membership modes.
 """
 
-import pytest
-
 from repro.checking import check_all_safety
 from repro.net import ConstantLatency, SimWorld
 
@@ -61,11 +59,12 @@ class TestOracleModeJoins:
 
 class TestServerModeJoins:
     def test_join_through_server(self):
-        world = SimWorld(latency=ConstantLatency(1.0), membership="servers", servers=2)
+        world = SimWorld(latency=ConstantLatency(1.0), membership="tier", servers=2)
         world.add_nodes(["a", "b", "c"])
         world.start()
         world.run(max_events=300_000)
-        late = world.add_node("late")
+        world.add_node("late")
+        world.set_members(list(world.nodes))
         world.run(max_events=300_000)
         views = {node.current_view for node in world.nodes.values()}
         assert len(views) == 1
@@ -73,12 +72,13 @@ class TestServerModeJoins:
         check_all_safety(world.trace, list(world.nodes))
 
     def test_multiple_staggered_joins(self):
-        world = SimWorld(latency=ConstantLatency(1.0), membership="servers", servers=2)
+        world = SimWorld(latency=ConstantLatency(1.0), membership="tier", servers=2)
         world.add_nodes(["a"])
         world.start()
         world.run(max_events=300_000)
         for name in ("b", "c", "d"):
             world.add_node(name)
+            world.set_members(list(world.nodes))
             world.run_until(world.now() + 1.0)
         world.run(max_events=500_000)
         views = {node.current_view for node in world.nodes.values()}

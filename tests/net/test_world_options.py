@@ -75,13 +75,16 @@ def test_set_app_hooks_fire_after_bookkeeping():
 
 
 def test_server_mode_requires_servers():
-    world = SimWorld(latency=ConstantLatency(1.0), membership="servers", servers=0)
-    with pytest.raises(Exception):
-        world.add_node("a")
+    with pytest.raises(ValueError, match="at least one server"):
+        SimWorld(latency=ConstantLatency(1.0), membership="tier", servers=0)
 
 
 def test_explicit_home_server_assignment():
-    world = SimWorld(latency=ConstantLatency(1.0), membership="servers", servers=2)
-    node = world.add_node("a", server="srv:1")
-    assert node.home_server == "srv:1"
-    assert "a" in world.servers["srv:1"].local_clients
+    world = SimWorld(latency=ConstantLatency(1.0), membership="tier", servers=2)
+    world.add_nodes(["a", "b", "c"])
+    world.start()
+    world.run()
+    # The tier homes clients itself: round-robin over the sorted pids.
+    assert world.tier.clients_of(["srv:0"]) == {"a", "c"}
+    assert world.tier.clients_of(["srv:1"]) == {"b"}
+    assert {"a", "c"} <= world.tier.servers["srv:0"].local_clients

@@ -46,11 +46,9 @@ def replay_against_spec(world):
         spec.apply(action)
 
 
-def server_groups(world):
-    by_server = {sid: [sid] for sid in SERVERS}
-    for pid, node in world.nodes.items():
-        by_server[node.home_server].append(pid)
-    return list(by_server.values())
+def split_tier(world):
+    """Cut the server tier apart; clients follow their home server."""
+    world.server_partition([[sid] for sid in SERVERS])
 
 
 class TestServerMembershipUnderChurn:
@@ -58,7 +56,7 @@ class TestServerMembershipUnderChurn:
     @given(schedule=events)
     def test_spec_compliance_and_convergence(self, schedule):
         world = SimWorld(
-            latency=ConstantLatency(1.0), membership="servers", servers=len(SERVERS)
+            latency=ConstantLatency(1.0), membership="tier", servers=len(SERVERS)
         )
         world.add_nodes(CLIENTS)
         world.start()
@@ -67,7 +65,7 @@ class TestServerMembershipUnderChurn:
         for kind, index, delay in schedule:
             victim = CLIENTS[index]
             if kind == "split":
-                world.partition(server_groups(world))
+                split_tier(world)
             elif kind == "heal":
                 world.heal()
             elif kind == "crash" and victim not in crashed:
@@ -93,7 +91,7 @@ class TestServerMembershipUnderChurn:
         from repro.checking import check_all_safety
 
         world = SimWorld(
-            latency=ConstantLatency(1.0), membership="servers", servers=len(SERVERS)
+            latency=ConstantLatency(1.0), membership="tier", servers=len(SERVERS)
         )
         world.add_nodes(CLIENTS)
         world.start()
@@ -102,7 +100,7 @@ class TestServerMembershipUnderChurn:
         for kind, index, delay in schedule:
             victim = CLIENTS[index]
             if kind == "split":
-                world.partition(server_groups(world))
+                split_tier(world)
             elif kind == "heal":
                 world.heal()
             elif kind == "crash" and victim not in crashed:

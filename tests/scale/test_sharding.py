@@ -4,7 +4,7 @@ Covers the consistent group->shard map (determinism, balance, minimal
 movement), the per-shard Figure-2 notice discipline, the watermark-seeded
 counters that keep Local Monotonicity alive across a resize, the crash
 fan-out locality claim, the tier's self-growing ``plan_partition``, and
-the :class:`~repro.scale.world.ScaleWorld` end-to-end.
+the sharded :class:`~repro.groups.MultiGroupWorld` end-to-end.
 """
 
 import asyncio
@@ -13,12 +13,13 @@ import pytest
 
 from repro.membership.tier import MembershipTier
 from repro.net.simclock import EventScheduler
+from repro.groups import MultiGroupWorld
 from repro.scale.sharding import (
     GroupShardMap,
     MembershipShard,
     ShardedMembershipTier,
+    auto_shards,
 )
-from repro.scale.world import ScaleWorld, auto_shards
 
 GROUPS = [f"g{i:04d}" for i in range(1000)]
 
@@ -97,7 +98,7 @@ class TestMembershipShard:
 
     def test_crashed_clients_get_nothing(self):
         clock, shard, notices, attach = _recording_shard()
-        shard._crashed.add("b")
+        shard.issuer.client_crashed("b")
         shard.adopt("g")
         for pid in ("a", "b"):
             attach("g", pid)
@@ -223,7 +224,7 @@ class TestPlanPartitionSelfGrow:
 
 class TestScaleWorld:
     def test_many_groups_end_to_end(self):
-        world = ScaleWorld(shards=auto_shards(6))
+        world = MultiGroupWorld(shards=auto_shards(6))
         pids = [f"p{i:02d}" for i in range(12)]
         world.add_processes(pids)
         names = [f"g{i}" for i in range(6)]

@@ -111,3 +111,23 @@ def test_many_groups_scale():
     world.run()
     for g in range(10):
         assert world.settled(f"group-{g}")
+
+
+def test_crash_takes_the_shared_transport_down_once():
+    world = make_world()
+    for pid in ("p0", "p1", "p2"):
+        world.join(pid, "chat")
+        world.join(pid, "audit")
+    world.run()
+    victim = world.processes["p2"]
+    assert world.crash("p2") == 2  # both of its groups reconfigure
+    # The process is gone, not just its end-points: the one transport all
+    # its groups share stops sending, buffering and handling inbound.
+    assert victim.transport.crashed
+    assert victim.transport.reliable_set == frozenset()
+    world.processes["p0"].send("chat", "after the crash")
+    world.run()
+    assert victim.delivered["chat"] == []
+    for group in ("chat", "audit"):
+        assert world.group_view(group).members == {"p0", "p1"}
+        assert world.settled(group)
