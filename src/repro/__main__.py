@@ -4,8 +4,10 @@ Commands:
 
 * ``demo`` - run a narrated simulated scenario (multicast, partition,
   heal, recovery) with the safety battery at the end;
-* ``experiments`` - run the headline experiments (E1, E4, E5, E10, E11)
-  at moderate scale and print their claim-versus-measured tables;
+* ``experiments [ID ...]`` - run registered experiments (all of them by
+  default, ``--list`` to enumerate), print their claim-versus-measured
+  tables and exit non-zero on a missed claim;
+* ``scale`` - E19 at any grid, ``--check`` enforcing its acceptance bounds;
 * ``simulate`` - run a parameterised reconfiguration and print its
   numbers (see ``--help`` for knobs);
 * ``chaos`` - run seeded adversarial episodes (E16) on any substrate,
@@ -32,18 +34,17 @@ import sys
 from typing import List, Optional
 
 from repro import __version__
-from repro.chaos import ChaosPlan, ChaosRunner
+from repro.chaos import ChaosPlan, ChaosRunner, shrink_plan
 from repro.checking import check_all_safety
-from repro.core import MinCopiesStrategy, SimpleStrategy
 from repro.experiments import (
     ALGORITHMS,
+    REGISTRY,
+    ClaimMissed,
+    experiment_ids,
     format_table,
-    measure_compact_syncs,
-    measure_forwarding,
-    measure_obsolete_views,
     measure_reconfiguration,
-    measure_two_tier,
 )
+from repro.experiments import scale as e19
 from repro.net import ConstantLatency, LognormalLatency, SimWorld
 
 
@@ -86,57 +87,25 @@ def _cmd_demo(_args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_experiments(_args: argparse.Namespace) -> int:
-    rows = []
-    for name, endpoint_cls in ALGORITHMS.items():
-        result = measure_reconfiguration(endpoint_cls, group_size=8, algorithm_name=name)
-        rows.append((name, result.extra_rounds, result.sync_messages, result.agreement_messages))
-    print(format_table(
-        ["algorithm", "extra rounds", "sync msgs", "agreement msgs"],
-        rows,
-        title="E1/E2 reconfiguration (n=8, one member leaves)",
-    ))
-    print()
-    rows = []
-    for strategy in (SimpleStrategy(), MinCopiesStrategy()):
-        result = measure_forwarding(strategy, group_size=6, backlog=4, holders=2)
-        rows.append((result.strategy, result.forwarded_copies, result.copies_per_missing))
-    print(format_table(
-        ["strategy", "forwarded copies", "copies/missing"],
-        rows,
-        title="E4 forwarding strategies (2 holders)",
-    ))
-    print()
-    rows = []
-    for mode in ("revise", "serialize"):
-        result = measure_obsolete_views(mode, churn=4)
-        rows.append((mode, result.app_views_per_process, result.total_time))
-    print(format_table(
-        ["mode", "app views/process", "settle time"],
-        rows,
-        title="E5 obsolete-view suppression (4 revisions)",
-    ))
-    print()
-    rows = []
-    for leaders in (0, 4):
-        result = measure_two_tier(group_size=16, leaders=leaders)
-        rows.append((leaders or "flat", result.sync_messages, result.extra_latency))
-    print(format_table(
-        ["leaders", "sync msgs", "extra latency"],
-        rows,
-        title="E10 two-tier hierarchy (n=16)",
-    ))
-    print()
-    rows = []
-    for compact in (False, True):
-        result = measure_compact_syncs(group_size=8, compact=compact)
-        rows.append(("compact" if compact else "full", result.sync_volume))
-    print(format_table(
-        ["variant", "sync volume"],
-        rows,
-        title="E11 compact syncs on a merge (n=8)",
-    ))
-    return 0
+def _cmd_experiments(args: argparse.Namespace) -> int:
+    if args.list:
+        for id in experiment_ids():
+            entry = REGISTRY[id]
+            print(f"{id:4s} {entry.title} [{entry.paper}]")
+        return 0
+    unknown = [id for id in args.ids if id not in REGISTRY]
+    if unknown:
+        print(f"unknown experiment id(s) {unknown}; choose from {experiment_ids()}",
+              file=sys.stderr)
+        return 2
+    missed = 0
+    for id in args.ids or experiment_ids():
+        try:
+            print("\n\n".join(REGISTRY[id].run()) + "\n")
+        except ClaimMissed as exc:
+            missed += 1
+            print(f"FAIL: {id} missed its claim - {exc}", file=sys.stderr)
+    return 1 if missed else 0
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -184,62 +153,41 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         print(result.finding_json())
         return 0
 
+    plan_options = dict(
+        intensity=args.intensity, overlay_leaders=args.overlay_leaders, servers=args.servers
+    )
     if args.episodes == 1:
-        plan = ChaosPlan.generate(
-            args.seed,
-            intensity=args.intensity,
-            overlay_leaders=args.overlay_leaders,
-            servers=args.servers,
-        )
+        plan = ChaosPlan.generate(args.seed, **plan_options)
         print(plan.describe())
         episode = ChaosRunner(args.backend).run(plan)
         print(episode.summary())
         if episode.ok:
             return 0
-        from repro.chaos import shrink_plan
-
-        shrunk = shrink_plan(ChaosRunner(args.backend), plan)
-        if shrunk is not None:
-            print(shrunk.summary(), file=sys.stderr)
-            print(shrunk.finding_json(), file=sys.stderr)
-        return 1
-
-    result = chaos_sweep(
-        args.backend,
-        episodes=args.episodes,
-        seed_base=args.seed,
-        intensity=args.intensity,
-        overlay_leaders=args.overlay_leaders,
-        servers=args.servers,
-    )
-    injected = {k: v for k, v in result.injected.items() if k != "messages"}
-    print(f"[{result.substrate}] {result.episodes} episodes "
-          f"(seeds {args.seed}..{args.seed + args.episodes - 1}, "
-          f"{result.por_skipped} POR-skipped), "
-          f"{result.ops} ops, injected faults {injected}: "
-          f"{result.violations} violation(s)")
-    if result.failures:
-        from repro.chaos import shrink_plan
-
+        first_bad = args.seed
+    else:
+        result = chaos_sweep(
+            args.backend, episodes=args.episodes, seed_base=args.seed, **plan_options
+        )
+        injected = {k: v for k, v in result.injected.items() if k != "messages"}
+        print(f"[{result.substrate}] {result.episodes} episodes "
+              f"(seeds {args.seed}..{args.seed + args.episodes - 1}, "
+              f"{result.por_skipped} POR-skipped), {result.ops} ops"
+              + (f" (executed server ops {result.server_ops})" if args.servers else "")
+              + f", injected faults {injected}: {result.violations} violation(s)")
+        if not result.failures:
+            return 0
         for failure in result.failures:
             print(failure, file=sys.stderr)
-        # Shrink the first failing seed to a replayable minimal schedule.
-        first_bad = int(result.failures[0].split("seed=")[1].split()[0])
-        shrunk = shrink_plan(
-            ChaosRunner(args.backend),
-            ChaosPlan.generate(
-                first_bad,
-                intensity=args.intensity,
-                overlay_leaders=args.overlay_leaders,
-                servers=args.servers,
-            ),
-        )
-        if shrunk is not None:
-            print(shrunk.summary(), file=sys.stderr)
-            print(shrunk.plan.describe(), file=sys.stderr)
-            print(shrunk.finding_json(), file=sys.stderr)
-        return 1
-    return 0
+        first_bad = result.failing_seeds[0]
+    # Shrink the (first) failing seed to a replayable minimal schedule.
+    shrunk = shrink_plan(
+        ChaosRunner(args.backend), ChaosPlan.generate(first_bad, **plan_options)
+    )
+    if shrunk is not None:
+        print(shrunk.summary(), file=sys.stderr)
+        print(shrunk.plan.describe(), file=sys.stderr)
+        print(shrunk.finding_json(), file=sys.stderr)
+    return 1
 
 
 def _cmd_soak(args: argparse.Namespace) -> int:
@@ -356,8 +304,6 @@ def _cmd_verdict(args: argparse.Namespace) -> int:
 
     # -- optional finding-preserving shrink ------------------------------
     if args.shrink and not verdict.ok and episode is not None:
-        from repro.chaos import shrink_plan
-
         mutator = as_mutator(forgery) if forgery is not None else None
         shrunk = shrink_plan(
             ChaosRunner(args.backend, mutate_trace=mutator), episode.plan
@@ -385,36 +331,17 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 
 def _cmd_scale(args: argparse.Namespace) -> int:
-    from repro.experiments.scale import measure_scale_endpoints, measure_scale_groups
-
-    rows = []
-    for n in args.n:
-        result = measure_scale_endpoints(n=n, substrate=args.substrate, check=n <= 64)
-        rows.append((
-            result.n, result.leaders, result.sync_messages, result.model_messages,
-            f"{result.model_ratio:.2f}", result.flat_messages,
-            f"{result.wall_seconds:.1f}s", result.converged,
-        ))
-    print(format_table(
-        ["n", "L", "sync msgs", "model", "ratio", "flat", "wall", "converged"],
-        rows,
-        title=f"E19 endpoint axis ({args.substrate}, member crash with two-tier overlay)",
-    ))
-    print()
-    rows = []
-    for g in args.g:
-        result = measure_scale_groups(processes=args.processes, groups=g)
-        rows.append((
-            result.groups, result.shards, result.views_formed,
-            f"{result.crash_groups_touched}/{result.groups}",
-            f"{result.wall_seconds:.1f}s", result.all_settled,
-        ))
-    print(format_table(
-        ["groups", "shards", "views", "crash touched", "wall", "settled"],
-        rows,
-        title=f"E19 group axis (sim, {args.processes} processes, sharded membership)",
-    ))
-    return 0
+    tables, violations = e19.run_scale(
+        args.n, args.g, args.processes, [s.strip() for s in args.substrates.split(",")]
+    )
+    print("\n\n".join(tables))
+    if not args.check:
+        return 0
+    for violation in violations:
+        print(f"FAIL: {violation}", file=sys.stderr)
+    if not violations:
+        print("all acceptance bounds hold")
+    return 1 if violations else 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -427,7 +354,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("demo", help="run a narrated simulated scenario")
-    sub.add_parser("experiments", help="run the headline experiments")
+    experiments = sub.add_parser(
+        "experiments",
+        help="run registered experiments and assert their claims",
+        description="Print the claim-versus-measured tables of the given "
+                    "experiment ids (default: every registered id) and "
+                    "exit 1 if any measured row misses its claim.",
+    )
+    experiments.add_argument("ids", nargs="*", metavar="ID",
+                             help="registry ids, e.g. E4 E13 (default: all)")
+    experiments.add_argument("--list", action="store_true",
+                             help="list the registered ids and exit")
 
     simulate = sub.add_parser("simulate", help="run one parameterised reconfiguration")
     simulate.add_argument("--algorithm", default="gcs-1round (paper)",
@@ -505,14 +442,19 @@ def build_parser() -> argparse.ArgumentParser:
                     "reconfiguration locality with g groups on the "
                     "group-sharded membership tier.",
     )
-    scale.add_argument("--n", type=int, nargs="*", default=[32, 200],
-                       help="endpoint-axis group sizes (default: 32 200)")
-    scale.add_argument("--g", type=int, nargs="*", default=[8, 64],
-                       help="group-axis group counts (default: 8 64)")
-    scale.add_argument("--processes", type=int, default=200,
-                       help="process pool for the group axis (default: 200)")
-    scale.add_argument("--substrate", default="sim", choices=["sim", "async", "tcp"],
-                       help="substrate for the endpoint axis (default: sim)")
+    scale.add_argument("--n", type=int, nargs="*", default=list(e19.DEFAULT_NS),
+                       help="endpoint-axis group sizes on the simulator "
+                            "(default: the registry's E19 grid)")
+    scale.add_argument("--g", type=int, nargs="*", default=list(e19.DEFAULT_GS),
+                       help="group-axis group counts (default: the E19 grid)")
+    scale.add_argument("--processes", type=int, default=e19.DEFAULT_PROCESSES,
+                       help="process pool for the group axis (default: the E19 grid)")
+    scale.add_argument("--substrates", default="sim",
+                       help="comma-separated endpoint-axis substrates; async "
+                            f"and tcp run at smoke scale (n={e19.REAL_SUBSTRATE_N})")
+    scale.add_argument("--check", action="store_true",
+                       help="exit 1 unless every row converged/settled with "
+                            "sync volume within 2x of the §9 model")
 
     verdict = sub.add_parser(
         "verdict",
@@ -525,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "runs over the same trace are byte-identical.",
     )
     verdict.add_argument("--scenario", default=None,
-                         help="audit a named E15 scenario run")
+                         help="audit a named scenario run (the E21 scripts)")
     verdict.add_argument("--plan", default=None, metavar="FILE",
                          help="audit a saved chaos plan (JSON from a finding)")
     verdict.add_argument("--seed", type=int, default=None,

@@ -134,7 +134,7 @@ REGISTRY: Dict[str, CodeInfo] = {
             "VS-SKEL",
             "golden",
             "Observed trace skeleton refines the recorded golden skeleton",
-            "substrate equivalence (E15)",
+            "substrate equivalence (E21)",
             "O(n)",
         ),
         CodeInfo(

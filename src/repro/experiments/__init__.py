@@ -1,13 +1,14 @@
-"""The evaluation harness (experiments E1-E9, see EXPERIMENTS.md).
+"""The evaluation harness (experiments E1-E21, see EXPERIMENTS.md).
 
 The paper contains no measurement tables - its figures are specifications
 and algorithms - so the reproduction turns each *quantitative claim* into
-an experiment: one-round reconfiguration (E1-E3), forwarding cost (E4),
-obsolete-view suppression (E5), steady-state multicast (E6), blocking
-windows (E7), crash recovery (E8).  Each experiment is a pure function of
-its parameters over the deterministic simulator, returning structured
-rows; the ``benchmarks/`` tree wraps them in pytest-benchmark and prints
-the claim-versus-measured tables.
+an experiment.  Each is stated exactly once: a ``measure_*`` function (a
+pure function of its parameters, returning a structured ``*Result``) and,
+beside it, a :mod:`~repro.experiments.registry` entry whose ``run()``
+owns the grid, the claimed values and the claim-versus-measured table.
+``python -m repro experiments [ID ...]`` prints the tables and fails on a
+missed claim; E16 and E20 (seeded sweeps and soaks) are driven by the
+``chaos`` and ``soak`` commands instead.
 """
 
 from repro.experiments.reconfig import (
@@ -16,7 +17,9 @@ from repro.experiments.reconfig import (
     measure_reconfiguration,
     reconfiguration_sweep,
 )
+from repro.experiments.ack_gc import AckGcResult, measure_ack_gc
 from repro.experiments.forwarding import ForwardingResult, measure_forwarding
+from repro.experiments.multigroup import GroupIsolationResult, measure_group_isolation
 from repro.experiments.obsolete import ObsoleteViewResult, measure_obsolete_views
 from repro.experiments.throughput import ThroughputResult, measure_throughput
 from repro.experiments.blocking import BlockingResult, measure_blocking_window
@@ -39,7 +42,6 @@ from repro.experiments.scale import (
     ScaleGroupsResult,
     measure_scale_endpoints,
     measure_scale_groups,
-    scale_sweep,
 )
 from repro.experiments.server_chaos import (
     ServerChaosResult,
@@ -53,17 +55,23 @@ from repro.experiments.substrates import (
     measure_substrate,
     substrate_matrix,
 )
+from repro.experiments.registry import REGISTRY, ClaimMissed, Experiment, experiment_ids
 from repro.experiments.tables import format_table
 
 __all__ = [
     "ALGORITHMS",
+    "AckGcResult",
     "BlockingResult",
     "ChaosSweepResult",
+    "ClaimMissed",
     "CompactSyncResult",
     "CrashRecoveryResult",
+    "Experiment",
     "ForwardingResult",
+    "GroupIsolationResult",
     "ObsoleteViewResult",
     "OrderingResult",
+    "REGISTRY",
     "ReconfigResult",
     "ScaleEndpointResult",
     "ScaleGroupsResult",
@@ -74,12 +82,15 @@ __all__ = [
     "TwoTierResult",
     "chaos_self_test",
     "chaos_sweep",
+    "experiment_ids",
     "format_table",
     "matrix_agrees",
+    "measure_ack_gc",
     "measure_blocking_window",
     "measure_compact_syncs",
     "measure_crash_recovery",
     "measure_forwarding",
+    "measure_group_isolation",
     "measure_obsolete_views",
     "measure_ordering_overhead",
     "measure_reconfiguration",
@@ -92,6 +103,5 @@ __all__ = [
     "measure_throughput",
     "measure_two_tier",
     "reconfiguration_sweep",
-    "scale_sweep",
     "substrate_matrix",
 ]

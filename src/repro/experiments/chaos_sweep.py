@@ -1,6 +1,6 @@
 """E16: seeded chaos sweeps - adversarial schedules as an experiment.
 
-The hand-written scenarios of E15 exercise a handful of stories; the
+The hand-written scenarios of E21 exercise a handful of stories; the
 chaos engine (:mod:`repro.chaos`) generates them from seeds.  This
 experiment quantifies a sweep: N seeded episodes per substrate, each a
 randomized schedule of multicasts, partitions, heals, crashes,
@@ -17,7 +17,8 @@ shrunk to a minimal schedule that replays from its seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.chaos import (
@@ -41,10 +42,19 @@ class ChaosSweepResult:
     injected: Dict[str, int]  # fault counters summed over the sweep
     failures: List[str]  # summaries of any violating episodes
     por_skipped: int = 0  # seeds skipped as POR-equivalent to a prior episode
+    # Evidence comes from the episodes that ran, never from regenerated
+    # plans: a POR-skipped seed contributes to neither field.
+    op_kinds: Dict[str, int] = field(default_factory=dict)  # executed ops by kind
+    failing_seeds: List[int] = field(default_factory=list)  # parallel to failures
 
     @property
     def ok(self) -> bool:
         return self.violations == 0
+
+    @property
+    def server_ops(self) -> Dict[str, int]:
+        """Executed ``server_*`` ops by kind: E20's evidence the tier was hit."""
+        return {k: n for k, n in sorted(self.op_kinds.items()) if k.startswith("server_")}
 
 
 def chaos_sweep(
@@ -72,9 +82,10 @@ def chaos_sweep(
     *covered*; ``por_skipped`` of them cost no episode.
     """
     runner = ChaosRunner(substrate)
-    ops = 0
     injected: Dict[str, int] = {}
     failures: List[str] = []
+    failing_seeds: List[int] = []
+    op_kinds: Counter = Counter()
     seen: set = set()
     por_skipped = 0
     for seed in range(seed_base, seed_base + episodes):
@@ -91,19 +102,22 @@ def chaos_sweep(
                 continue
             seen.add(key)
         episode = runner.run(plan)
-        ops += len(episode.plan.ops)
+        op_kinds.update(op.kind for op in episode.plan.ops)
         for key, count in episode.counters.items():
             injected[key] = injected.get(key, 0) + count
         if not episode.ok:
             failures.append(episode.summary())
+            failing_seeds.append(seed)
     return ChaosSweepResult(
         substrate=substrate,
         episodes=episodes,
         violations=len(failures),
-        ops=ops,
+        ops=sum(op_kinds.values()),
         injected=injected,
         failures=failures,
         por_skipped=por_skipped,
+        op_kinds=dict(op_kinds),
+        failing_seeds=failing_seeds,
     )
 
 
@@ -124,10 +138,3 @@ def chaos_self_test(
     runner = ChaosRunner(substrate, mutate_trace=forge_nonmonotonic_view)
     plan = ChaosPlan.generate(seed)
     return shrink_plan(runner, plan, max_runs=max_runs)
-
-
-__all__ = [
-    "ChaosSweepResult",
-    "chaos_self_test",
-    "chaos_sweep",
-]

@@ -12,10 +12,12 @@ storage because the membership service keeps the watermarks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import List, Optional
 
-from repro.checking.properties import check_all_safety
-from repro.net import ConstantLatency, LatencyModel, SimWorld
+from repro.experiments.registry import claim, experiment
+from repro.experiments.scenario import crash_last_member
+from repro.experiments.tables import format_table
+from repro.net import ConstantLatency, LatencyModel
 
 
 @dataclass
@@ -35,26 +37,15 @@ def measure_crash_recovery(
     latency: Optional[LatencyModel] = None,
     check: bool = False,
 ) -> CrashRecoveryResult:
-    latency = latency or ConstantLatency(1.0)
-    world = SimWorld(
-        latency=latency,
-        membership="oracle",
+    pids = [f"p{i}" for i in range(group_size)]
+    run = crash_last_member(
+        pids,
+        latency=latency or ConstantLatency(1.0),
         round_duration=round_duration,
         gc_views=False,
     )
-    pids = [f"p{i}" for i in range(group_size)]
-    nodes = world.add_nodes(pids)
-    world.start()
-    world.run()
-    for node in nodes:
-        node.send("pre-" + node.pid)
-    world.run()
-
-    victim = pids[-1]
-    t_crash = world.now()
-    world.crash(victim)
-    world.run()
-    reconfigured = world.now() - t_crash
+    world, victim = run.world, pids[-1]
+    reconfigured = world.now() - run.crashed_at
 
     t_recover = world.now()
     world.recover(victim)
@@ -62,10 +53,10 @@ def measure_crash_recovery(
     reintegrated = world.now() - t_recover
 
     final = world.oracle.views_formed[-1]
-    nodes[0].send("post-recovery")
+    world.nodes[pids[0]].send("post-recovery")
     world.run()
     if check:
-        check_all_safety(world.trace, list(world.nodes))
+        run.check()
     victim_views = [v for v, _t in world.nodes[victim].views]
     vids = [v.vid for v in victim_views]
     return CrashRecoveryResult(
@@ -73,6 +64,23 @@ def measure_crash_recovery(
         reconfigure_after_crash=reconfigured,
         reintegration_time=reintegrated,
         recovered_in_final_view=world.nodes[victim].current_view == final,
-        post_recovery_delivery_ok=("p0", "post-recovery") in world.nodes[victim].delivered,
+        post_recovery_delivery_ok=(pids[0], "post-recovery") in world.nodes[victim].delivered,
         monotone_view_ids=vids == sorted(vids) and len(set(vids)) == len(vids),
     )
+
+
+@experiment("E8", "Crash and recovery without stable storage", "Section 8")
+def run_e8() -> List[str]:
+    rows = []
+    for n in (3, 5, 9):
+        r = measure_crash_recovery(group_size=n, check=True)
+        claim(r.recovered_in_final_view, "recovered process rejoins the final view", r)
+        claim(r.post_recovery_delivery_ok, "recovered process gets post-recovery traffic", r)
+        claim(r.monotone_view_ids, "view identifiers monotone across the crash", r)
+        rows.append((r.group_size, r.reconfigure_after_crash, r.reintegration_time,
+                     r.recovered_in_final_view, r.monotone_view_ids))
+    return [format_table(
+        ["n", "reconfig after crash", "reintegration", "rejoined final view", "monotone ids"],
+        rows,
+        title="E8 crash/recovery without stable storage",
+    )]

@@ -12,13 +12,14 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
-from repro.checking.events import DeliverEvent, MbrshpViewEvent, SendEvent, ViewEvent
 from repro.checking.properties import check_all_safety
+from repro.experiments.registry import claim, close, experiment
+from repro.experiments.scenario import crash_last_member
+from repro.experiments.tables import format_table
 from repro.net import ConstantLatency, SimWorld
 from repro.order import CausalOrderNode, TotalOrderNode
-from repro.scale import TwoTierOverlay, balanced_groups
 
 
 @dataclass
@@ -38,45 +39,46 @@ def measure_two_tier(
     check: bool = False,
 ) -> TwoTierResult:
     """One member-crash reconfiguration, flat or with a leader hierarchy."""
-    world = SimWorld(
+    run = crash_last_member(
+        [f"p{i:02d}" for i in range(group_size)],
+        leaders=leaders,
         latency=ConstantLatency(1.0),
-        membership="oracle",
         round_duration=round_duration,
         gc_views=False,
     )
-    pids = [f"p{i:02d}" for i in range(group_size)]
-    nodes = world.add_nodes(pids)
-    if leaders:
-        TwoTierOverlay(
-            {node.pid: node.runner for node in nodes},
-            world.clock.schedule,
-            balanced_groups(pids, leaders),
-            connected=world.network.connected,
-        )
-    world.start()
-    world.run()
-    for node in nodes:
-        node.send("warm-" + node.pid)
-    world.run()
-    world.network.reset_counters()
-    world.crash(pids[-1])
-    world.run()
-    view = world.oracle.views_formed[-1]
-    membership_time = max(e.time for e in world.trace.of_type(MbrshpViewEvent) if e.view == view)
-    gcs_time = max(e.time for e in world.trace.of_type(ViewEvent) if e.view == view)
+    membership_time, gcs_time = run.view_times()
     if check:
-        check_all_safety(world.trace, list(world.nodes))
-    counts = world.network.totals()
-    sync_messages = sum(
-        counts.get(kind, 0) for kind in ("SyncMsg", "UpSync", "AggregatedSync")
-    )
+        run.check()
     return TwoTierResult(
         group_size=group_size,
         leaders=leaders,
-        sync_messages=sync_messages,
+        sync_messages=run.sync_messages(),
         extra_latency=gcs_time - membership_time,
-        converged=world.all_in_view(view),
+        converged=run.converged,
     )
+
+
+@experiment("E10", "Two-tier hierarchy (future work, implemented)", "Section 9")
+def run_e10() -> List[str]:
+    """Large sync-message savings at scale for a small bounded latency cost."""
+    rows, flat_msgs = [], {}
+    for group_size, leader_counts in ((16, (0, 2, 4)), (32, (0, 4, 8))):
+        for leaders in leader_counts:
+            r = measure_two_tier(group_size=group_size, leaders=leaders)
+            claim(r.converged, "survivors converge on the formed view", r)
+            if leaders == 0:
+                flat_msgs[group_size] = r.sync_messages
+                claim(close(r.extra_latency, 0.0), "flat sync hides in the membership round", r)
+            else:
+                claim(r.sync_messages < flat_msgs[group_size], "fewer sync messages than flat", r)
+                claim(r.extra_latency <= 2.0, "at most the two extra hops", r)
+            rows.append((r.group_size, r.leaders or "flat", r.sync_messages,
+                         f"{r.sync_messages / flat_msgs[group_size]:.2f}x", r.extra_latency))
+    return [format_table(
+        ["n", "leaders", "sync msgs", "vs flat", "extra latency"],
+        rows,
+        title="E10 two-tier sync aggregation (Section 9, implemented)",
+    )]
 
 
 @dataclass
@@ -126,6 +128,28 @@ def measure_compact_syncs(
         sync_volume=world.network.core.stats.volume.get("SyncMsg", 0),
         converged=world.all_in_view(view),
     )
+
+
+@experiment("E11", "Compact synchronization messages", "Section 5.2.4")
+def run_e11() -> List[str]:
+    """On merges the sync volume drops substantially, with identical
+    message counts and identical outcomes."""
+    rows, full = [], {}
+    for n in (6, 10, 16):
+        for compact in (False, True):
+            r = measure_compact_syncs(group_size=n, compact=compact)
+            claim(r.converged, "merge converges", r)
+            if compact:
+                claim(r.sync_volume < full[n], "compact syncs carry less volume", r)
+            else:
+                full[n] = r.sync_volume
+            rows.append((n, "compact" if compact else "full", r.sync_messages,
+                         r.sync_volume, f"{r.sync_volume / full[n]:.2f}x"))
+    return [format_table(
+        ["n", "variant", "sync msgs", "sync volume", "vs full"],
+        rows,
+        title="E11 compact syncs on a half/half partition merge (Section 5.2.4)",
+    )]
 
 
 @dataclass
@@ -193,3 +217,23 @@ def measure_ordering_overhead(
         mean_delivery_latency=sum(latencies) / len(latencies),
         agreed_order=agreed,
     )
+
+
+@experiment("E12", "Ordering layers over FIFO", "Section 4.1.1")
+def run_e12() -> List[str]:
+    """Causal order is free for concurrent traffic; total order roughly
+    doubles delivery latency and yields a single agreed sequence."""
+    results = {
+        layer: measure_ordering_overhead(layer, group_size=6, messages_per_sender=4)
+        for layer in ("fifo", "causal", "total")
+    }
+    fifo, causal, total = (r.mean_delivery_latency for r in results.values())
+    claim(close(causal, fifo, 0.05 * fifo), "causal is free for concurrent traffic", causal)
+    claim(1.5 * fifo <= total <= 3.0 * fifo, "total order pays the sequencing hop", total)
+    claim(results["total"].agreed_order, "one agreed delivery sequence")
+    return [format_table(
+        ["layer", "mean delivery latency", "vs fifo", "agreed total order"],
+        [(layer, r.mean_delivery_latency, f"{r.mean_delivery_latency / fifo:.2f}x",
+          r.agreed_order) for layer, r in results.items()],
+        title="E12 ordering layers over the FIFO service (n=6)",
+    )]

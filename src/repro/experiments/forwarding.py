@@ -16,10 +16,12 @@ missing message).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Optional
+from typing import FrozenSet, List
 
 from repro.checking.properties import check_all_safety
-from repro.core.forwarding import ForwardingStrategy
+from repro.core.forwarding import ForwardingStrategy, MinCopiesStrategy, SimpleStrategy
+from repro.experiments.registry import claim, close, experiment
+from repro.experiments.tables import format_table
 from repro.net import SimWorld
 from repro.net.latency import LatencyModel
 from repro.types import ProcessId
@@ -117,3 +119,23 @@ def measure_forwarding(
         converged=converged,
         agreed=agreed,
     )
+
+
+@experiment("E4", "Forwarding strategies", "Section 5.2.2")
+def run_e4() -> List[str]:
+    rows = []
+    for group_size, backlog, holders in ((5, 3, 1), (6, 4, 2), (8, 4, 3)):
+        for strategy in (SimpleStrategy(), MinCopiesStrategy()):
+            r = measure_forwarding(
+                strategy, group_size=group_size, backlog=backlog, holders=holders
+            )
+            claim(r.converged and r.agreed, "survivors converge and agree on the backlog", r)
+            claimed = float(holders) if isinstance(strategy, SimpleStrategy) else 1.0
+            claim(close(r.copies_per_missing, claimed), "copies per missing message", r)
+            rows.append((r.strategy, r.group_size, r.holders, r.missing_instances,
+                         r.forwarded_copies, r.copies_per_missing, claimed))
+    return [format_table(
+        ["strategy", "n", "holders", "missing", "copies", "copies/missing", "claimed"],
+        rows,
+        title="E4 forwarding cost: simple vs min-copies",
+    )]

@@ -21,9 +21,11 @@ counts application-visible views per process:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import List, Optional
 
 from repro.checking.properties import check_all_safety
+from repro.experiments.registry import claim, close, experiment
+from repro.experiments.tables import format_table
 from repro.net import ConstantLatency, LatencyModel, SimWorld
 
 
@@ -88,3 +90,20 @@ def measure_obsolete_views(
         total_time=total_time,
         converged=converged,
     )
+
+
+@experiment("E5", "Obsolete-view suppression", "Section 1")
+def run_e5() -> List[str]:
+    rows = []
+    for churn in (2, 4, 6):
+        for mode in ("revise", "serialize"):
+            r = measure_obsolete_views(mode, churn=churn)
+            claim(r.converged, "burst converges", r)
+            claimed = 1.0 if mode == "revise" else float(churn)
+            claim(close(r.app_views_per_process, claimed), "application-visible views", r)
+            rows.append((mode, churn, r.app_views_per_process, claimed, r.total_time))
+    return [format_table(
+        ["mode", "membership revisions", "app views/process", "claimed", "settle time"],
+        rows,
+        title="E5 obsolete-view suppression: revise-in-flight vs run-to-completion",
+    )]

@@ -18,9 +18,11 @@ measures both:
   client-server selling point - how few groups one process crash
   actually reconfigures.
 
-``benchmarks/bench_e19_scale.py`` runs the full sweep
-(n in {32, 200, 1000} x g in {8, 64, 1000}) and records
-``BENCH_E19.json``.
+:func:`run_scale` renders both axes and lists every violated
+acceptance bound; the registry's E19 entry runs it on the default grid
+and ``python -m repro scale`` on any other (the full sweep,
+n in {32, 200, 1000} x g in {8, 64, 1000} over 1000 processes, is
+recorded in EXPERIMENTS.md).
 """
 
 from __future__ import annotations
@@ -28,17 +30,15 @@ from __future__ import annotations
 import asyncio
 import time
 from dataclasses import dataclass
-from typing import List
+from typing import List, Sequence, Tuple
 
-from repro.checking.events import MbrshpViewEvent, ViewEvent
-from repro.checking.properties import check_all_safety
+from repro.experiments.registry import claim, experiment
+from repro.experiments.scenario import SYNC_KINDS, crash_last_member
+from repro.experiments.tables import format_table
 from repro.groups import MultiGroupWorld
-from repro.net import ConstantLatency, SimWorld
-from repro.scale import install_overlay
-from repro.scale.overlay import TwoTierOverlay, auto_leaders, balanced_groups
+from repro.net import ConstantLatency
+from repro.scale import auto_leaders, install_overlay
 from repro.scale.sharding import auto_shards
-
-_SYNC_KINDS = ("SyncMsg", "UpSync", "AggregatedSync")
 
 
 @dataclass
@@ -72,10 +72,6 @@ class ScaleGroupsResult:
     all_settled: bool
 
 
-def _cost_model(n: int, leaders: int) -> int:
-    return n + leaders * (leaders - 1) + n * leaders
-
-
 def measure_scale_endpoints(
     *,
     n: int = 32,
@@ -91,65 +87,54 @@ def measure_scale_endpoints(
     n=1000); other substrates go through :mod:`repro.deploy` - sized for
     smoke scale, their point is that the *same* overlay installs there.
     """
-    leader_count = leaders or auto_leaders(n)
-    if substrate == "sim":
-        return _measure_endpoints_sim(n, leader_count, round_duration, check)
-    return asyncio.run(_measure_endpoints_deploy(n, leader_count, substrate, check))
-
-
-def _measure_endpoints_sim(
-    n: int, leaders: int, round_duration: float, check: bool
-) -> ScaleEndpointResult:
+    leaders = leaders or auto_leaders(n)
     started = time.perf_counter()
-    world = SimWorld(
-        latency=ConstantLatency(1.0),
-        membership="oracle",
-        round_duration=round_duration,
-        gc_views=False,
-    )
-    pids = [f"p{i:04d}" for i in range(n)]
-    world.add_nodes(pids)
-    TwoTierOverlay(
-        {pid: node.runner for pid, node in world.nodes.items()},
-        world.clock.schedule,
-        balanced_groups(pids, leaders),
-        connected=world.network.connected,
-    )
-    world.start()
-    world.run()
-    world.network.reset_counters()
-    world.crash(pids[-1])
-    world.run()
-    view = world.oracle.views_formed[-1]
-    membership_time = max(
-        e.time for e in world.trace.of_type(MbrshpViewEvent) if e.view == view
-    )
-    gcs_time = max(e.time for e in world.trace.of_type(ViewEvent) if e.view == view)
-    if check:
-        check_all_safety(world.trace, list(world.nodes))
-    counts = world.network.totals()
-    sync = sum(counts.get(kind, 0) for kind in _SYNC_KINDS)
-    model = _cost_model(n, leaders)
+    if substrate == "sim":
+        sync, extra_latency, converged = _crash_on_sim(n, leaders, round_duration, check)
+    else:
+        sync, extra_latency, converged = asyncio.run(
+            _crash_on_deployment(n, leaders, substrate, check)
+        )
+    model = n + leaders * (leaders - 1) + n * leaders
     return ScaleEndpointResult(
-        substrate="sim",
+        substrate=substrate,
         n=n,
         leaders=leaders,
         sync_messages=sync,
         model_messages=model,
         flat_messages=n * (n - 1),
         model_ratio=sync / model,
-        extra_latency=gcs_time - membership_time,
+        extra_latency=extra_latency,
         wall_seconds=time.perf_counter() - started,
-        converged=world.all_in_view(view),
+        converged=converged,
     )
 
 
-async def _measure_endpoints_deploy(
+def _crash_on_sim(
+    n: int, leaders: int, round_duration: float, check: bool
+) -> Tuple[int, float, bool]:
+    """(sync-carrying messages, extra latency, converged) on the simulator."""
+    run = crash_last_member(
+        [f"p{i:04d}" for i in range(n)],
+        warm_rounds=0,
+        leaders=leaders,
+        latency=ConstantLatency(1.0),
+        round_duration=round_duration,
+        gc_views=False,
+    )
+    membership_time, gcs_time = run.view_times()
+    if check:
+        run.check()
+    return run.sync_messages(), gcs_time - membership_time, run.converged
+
+
+async def _crash_on_deployment(
     n: int, leaders: int, substrate: str, check: bool
-) -> ScaleEndpointResult:
+) -> Tuple[int, float, bool]:
+    """The same triple on a real substrate - which has no common virtual
+    clock, so the extra-latency figure is 0."""
     from repro.deploy import make_deployment
 
-    started = time.perf_counter()
     pids = [f"p{i:04d}" for i in range(n)]
     deployment = make_deployment(substrate)
     try:
@@ -168,20 +153,7 @@ async def _measure_endpoints_deploy(
         counts = deployment.link_totals()
     finally:
         await deployment.close()
-    sync = sum(counts.get(kind, 0) for kind in _SYNC_KINDS)
-    model = _cost_model(n, leaders)
-    return ScaleEndpointResult(
-        substrate=substrate,
-        n=n,
-        leaders=leaders,
-        sync_messages=sync,
-        model_messages=model,
-        flat_messages=n * (n - 1),
-        model_ratio=sync / model,
-        extra_latency=0.0,  # real substrates have no common virtual clock
-        wall_seconds=time.perf_counter() - started,
-        converged=converged,
-    )
+    return sum(counts.get(kind, 0) for kind in SYNC_KINDS), 0.0, converged
 
 
 def measure_scale_groups(
@@ -227,31 +199,67 @@ def measure_scale_groups(
     )
 
 
-def scale_sweep(
-    *,
-    ns: tuple = (32, 200, 1000),
-    gs: tuple = (8, 64, 1000),
-    group_processes: int = 1000,
-    check_small: bool = True,
-) -> tuple:
-    """The full E19 table: one endpoint-axis row per n, one group-axis
-    row per g.  Safety checking is confined to the small points (the
-    battery itself is O(trace^2)-ish and would dominate n=1000)."""
-    endpoint_rows: List[ScaleEndpointResult] = []
-    for n in ns:
-        endpoint_rows.append(
-            measure_scale_endpoints(n=n, check=check_small and n <= 64)
-        )
-    group_rows: List[ScaleGroupsResult] = []
+#: The registry's E19 grid - also the defaults of ``python -m repro scale``.
+DEFAULT_NS = (32, 200)
+DEFAULT_GS = (8, 64)
+DEFAULT_PROCESSES = 200
+#: Real substrates drive every node through an event loop (and, for tcp,
+#: a full socket mesh); they run at smoke scale - their row demonstrates
+#: the overlay installs there, not a scaling claim.
+REAL_SUBSTRATE_N = 12
+
+
+def run_scale(
+    ns: Sequence[int] = DEFAULT_NS,
+    gs: Sequence[int] = DEFAULT_GS,
+    processes: int = DEFAULT_PROCESSES,
+    substrates: Sequence[str] = ("sim",),
+) -> Tuple[List[str], List[str]]:
+    """Both E19 tables plus every violated acceptance bound.
+
+    Bounds: each endpoint row converged with sync volume within 2x of
+    n + L(L-1) + nL, each group row settled.  Safety checking is
+    confined to the small points (the battery is O(trace^2)-ish and
+    would dominate n=1000).
+    """
+    violations: List[str] = []
+    rows = []
+    for substrate in substrates:
+        for n in ns if substrate == "sim" else (REAL_SUBSTRATE_N,):
+            r = measure_scale_endpoints(n=n, substrate=substrate, check=n <= 64)
+            if not r.converged:
+                violations.append(f"endpoint n={n} ({substrate}) did not converge")
+            if r.model_ratio > 2.0:
+                violations.append(
+                    f"endpoint n={n} ({substrate}) sync volume "
+                    f"{r.model_ratio:.2f}x the cost model (bound: 2x)"
+                )
+            rows.append((substrate, r.n, r.leaders, r.sync_messages, r.model_messages,
+                         f"{r.model_ratio:.2f}", r.flat_messages,
+                         f"{r.wall_seconds:.1f}s", r.converged))
+    tables = [format_table(
+        ["substrate", "n", "L", "sync msgs", "model", "ratio", "flat", "wall", "converged"],
+        rows,
+        title="E19 endpoint axis (member crash with two-tier overlay)",
+    )]
+    rows = []
     for g in gs:
-        group_rows.append(measure_scale_groups(processes=group_processes, groups=g))
-    return endpoint_rows, group_rows
+        r = measure_scale_groups(processes=processes, groups=g)
+        if not r.all_settled:
+            violations.append(f"groups g={g} did not settle")
+        rows.append((r.groups, r.shards, r.views_formed,
+                     f"{r.crash_groups_touched}/{r.groups}",
+                     f"{r.wall_seconds:.1f}s", r.all_settled))
+    tables.append(format_table(
+        ["groups", "shards", "views", "crash touched", "wall", "settled"],
+        rows,
+        title=f"E19 group axis (sim, {processes} processes, sharded membership)",
+    ))
+    return tables, violations
 
 
-__all__ = [
-    "ScaleEndpointResult",
-    "ScaleGroupsResult",
-    "measure_scale_endpoints",
-    "measure_scale_groups",
-    "scale_sweep",
-]
+@experiment("E19", "Scale sweep: both axes", "Section 9")
+def run_e19() -> List[str]:
+    tables, violations = run_scale()
+    claim(not violations, "; ".join(violations))
+    return tables

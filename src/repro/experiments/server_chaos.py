@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict
 
-from repro.chaos import ChaosPlan, SoakReport, SoakRunner
+from repro.chaos import SoakReport, SoakRunner
 from repro.experiments.chaos_sweep import ChaosSweepResult, chaos_sweep
 
 
@@ -57,13 +57,8 @@ def measure_server_chaos(
         intensity=intensity,
         servers=servers,
     )
-    server_ops: Dict[str, int] = {}
-    for seed in range(seed_base, seed_base + episodes):
-        plan = ChaosPlan.generate(seed, intensity=intensity, servers=servers)
-        for op in plan.ops:
-            if op.kind.startswith("server_"):
-                server_ops[op.kind] = server_ops.get(op.kind, 0) + 1
-    return ServerChaosResult(sweep=sweep, servers=servers, server_ops=server_ops)
+    # Only ops of episodes the sweep executed count as evidence.
+    return ServerChaosResult(sweep=sweep, servers=servers, server_ops=sweep.server_ops)
 
 
 def measure_server_soak(
@@ -83,10 +78,3 @@ def measure_server_soak(
     return SoakRunner(substrate).soak(
         seed, duration=duration, servers=servers, audit_every=audit_every
     )
-
-
-__all__ = [
-    "ServerChaosResult",
-    "measure_server_chaos",
-    "measure_server_soak",
-]

@@ -10,10 +10,12 @@ of the [27]-style service tunes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import List, Optional
 
-from repro.checking.properties import check_all_safety
-from repro.net import ConstantLatency, LatencyModel, SimWorld
+from repro.experiments.registry import claim, experiment
+from repro.experiments.scenario import crash_last_member
+from repro.experiments.tables import format_table
+from repro.net import ConstantLatency, LatencyModel
 
 
 @dataclass
@@ -33,31 +35,40 @@ def measure_server_tier(
     latency: Optional[LatencyModel] = None,
     check: bool = False,
 ) -> ServerTierResult:
-    latency = latency or ConstantLatency(1.0)
-    world = SimWorld(latency=latency, membership="tier", servers=servers)
-    pids = [f"p{i:02d}" for i in range(clients)]
-    nodes = world.add_nodes(pids)
-    world.start()
-    world.run(max_events=1_000_000)
-    bootstrap_time = world.now()
-    first_view = nodes[0].current_view
-    converged_bootstrap = all(n.current_view == first_view for n in nodes)
-
-    world.network.reset_counters()
-    start = world.now()
-    world.crash(pids[-1])
-    world.run(max_events=1_000_000)
-    reconfig_time = world.now() - start
-    survivors = [world.nodes[p] for p in pids[:-1]]
-    final = survivors[0].current_view
-    converged = converged_bootstrap and all(n.current_view == final for n in survivors)
+    run = crash_last_member(
+        [f"p{i:02d}" for i in range(clients)],
+        warm_rounds=0,
+        latency=latency or ConstantLatency(1.0),
+        membership="tier",
+        servers=servers,
+    )
+    bootstrapped = len(set(run.settled_views.values())) == 1
     if check:
-        check_all_safety(world.trace, list(world.nodes))
+        run.check()
     return ServerTierResult(
         clients=clients,
         servers=servers,
-        bootstrap_time=bootstrap_time,
-        reconfig_time=reconfig_time,
-        proposal_messages=world.network.totals().get("ServerProposal", 0),
-        converged=converged,
+        bootstrap_time=run.settled_at,
+        reconfig_time=run.world.now() - run.crashed_at,
+        proposal_messages=run.messages().get("ServerProposal", 0),
+        converged=bootstrapped and run.converged,
     )
+
+
+@experiment("E14", "The membership-server tier", "Section 1, client-server architecture")
+def run_e14() -> List[str]:
+    """The dedicated-server design keeps client reconfiguration cheap:
+    adding servers costs one proposal exchange, quadratic only in the
+    small server count, while the common case stays one server round."""
+    results = [measure_server_tier(clients=8, servers=servers) for servers in (1, 2, 4)]
+    for r in results:
+        claim(r.converged, "bootstrap and reconfiguration converge", r)
+        claim(r.proposal_messages == r.servers * (r.servers - 1),
+              "proposals are L(L-1), quadratic in the server tier only", r)
+    multi = {r.reconfig_time for r in results if r.servers > 1}
+    claim(len(multi) == 1, "reconfiguration latency flat beyond one server", multi)
+    return [format_table(
+        ["servers", "bootstrap time", "reconfig time", "server-server proposals"],
+        [(r.servers, r.bootstrap_time, r.reconfig_time, r.proposal_messages) for r in results],
+        title="E14 membership-server tier (8 clients, one crash reconfiguration)",
+    )]

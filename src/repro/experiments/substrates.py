@@ -1,4 +1,4 @@
-"""E15: the same workload measured across execution substrates.
+"""E21: the same workload measured across execution substrates.
 
 The deployment layer's promise is that one scenario runs unchanged over
 the simulator, the asyncio runtime and real TCP sockets.  This
@@ -12,10 +12,12 @@ could hardly differ more.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List
 
 from repro.checking.events import DeliverEvent, SendEvent, ViewEvent
 from repro.deploy import SUBSTRATES, Deployment, run_scenario
+from repro.experiments.registry import claim, experiment
+from repro.experiments.tables import format_table
 
 
 @dataclass
@@ -64,28 +66,29 @@ def measure_substrate(
 def substrate_matrix(
     *, nodes: int = 3, rounds: int = 2, check: bool = True
 ) -> List[SubstrateResult]:
-    """The E15 table: one row per substrate, identical workload."""
+    """The E21 rows: one per substrate, identical workload."""
     return [
         measure_substrate(substrate, nodes=nodes, rounds=rounds, check=check)
         for substrate in SUBSTRATES
     ]
 
 
-def behaviour_fingerprint(result: SubstrateResult) -> Tuple[int, int]:
-    """The substrate-independent part of a result: (sends, deliveries)."""
-    return (result.sends, result.deliveries)
-
-
 def matrix_agrees(results: List[SubstrateResult]) -> bool:
-    """True when all substrates produced the same observable workload."""
-    fingerprints = {behaviour_fingerprint(r) for r in results}
-    return len(fingerprints) == 1
+    """True when all substrates produced the same observable workload:
+    (sends, deliveries) is the substrate-independent part of a result."""
+    return len({(r.sends, r.deliveries) for r in results}) == 1
 
 
-__all__ = [
-    "SubstrateResult",
-    "behaviour_fingerprint",
-    "matrix_agrees",
-    "measure_substrate",
-    "substrate_matrix",
-]
+@experiment("E21", "Substrate equivalence", "none - the deployment layer's own claim")
+def run_e21() -> List[str]:
+    results = substrate_matrix(nodes=3, rounds=2)
+    claim(matrix_agrees(results), "same sends and deliveries on every substrate", results)
+    for r in results:
+        claim(r.deliveries == r.sends * r.nodes, "every member delivers every multicast", r)
+        claim(r.view_events == r.nodes, "one view per end-point", r)
+    return [format_table(
+        ["substrate", "nodes", "sends", "deliveries", "views", "battery passed"],
+        [(r.substrate, r.nodes, r.sends, r.deliveries, r.view_events, r.checked)
+         for r in results],
+        title="E21 one workload on every substrate (3 nodes x 2 rounds of multicasts)",
+    )]

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.checking.events import DeliverEvent, SendEvent
+from repro.experiments.registry import claim, close, experiment
+from repro.experiments.tables import format_table
 from repro.net import ConstantLatency, LatencyModel, SimWorld
 
 
@@ -77,3 +79,24 @@ def measure_throughput(
         latency_p99=_percentile(latencies, 0.99),
         wire_messages=sum(world.network.totals().values()),
     )
+
+
+@experiment("E6", "Steady-state within-view multicast", "Section 5.1")
+def run_e6() -> List[str]:
+    """Between reconfigurations the service is a plain reliable FIFO
+    multicast: every message costs n-1 wire messages and one network
+    latency end-to-end, whatever the group size."""
+    rows = []
+    for n in (4, 8, 16, 32):
+        r = measure_throughput(group_size=n, messages_per_sender=10)
+        sent = n * r.messages_per_sender
+        claim(r.total_deliveries == sent * n, "everyone delivers everything", r)
+        claim(close(r.latency_p50, 1.0), "one network hop end-to-end", r)
+        claim(r.wire_messages == sent * (n - 1), "n-1 wire messages per multicast", r)
+        rows.append((n, r.total_deliveries, r.deliveries_per_time_unit,
+                     r.latency_p50, r.latency_p99, r.wire_messages))
+    return [format_table(
+        ["n", "deliveries", "deliveries/time", "latency p50", "latency p99", "wire msgs"],
+        rows,
+        title="E6 steady-state multicast (10 messages/sender, constant latency 1.0)",
+    )]

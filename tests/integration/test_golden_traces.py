@@ -1,6 +1,6 @@
 """Golden-trace conformance: sim-recorded skeletons bind the substrates.
 
-The E15 claim made mechanical: record a scenario's time-free trace
+The E21 claim made mechanical: record a scenario's time-free trace
 skeleton (per-process view segments with their sends and per-sender
 delivery orders) on the simulator, then require the asyncio and TCP
 runs of the *same scenario script* to refine it exactly - same

@@ -1,9 +1,13 @@
-"""Smoke tests for the experiments harness (small, fast configurations).
+"""Tests for the experiments harness.
 
-The benchmarks assert the paper-claim shapes at full size; these tests
-pin the harness API and the shapes at miniature scale so refactors are
-caught in the regular suite.
+``TestRegistry`` runs every registered experiment at full size - its
+``run()`` raises when a measured row misses the claimed shape - and
+holds EXPERIMENTS.md to the registry.  The remaining classes pin the
+``measure_*`` API and the shapes at miniature scale.
 """
+
+import re
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +15,9 @@ from repro.baselines import SequentialVsEndpoint, TwoRoundVsEndpoint
 from repro.core import GcsEndpoint, MinCopiesStrategy, SimpleStrategy
 from repro.experiments import (
     ALGORITHMS,
+    REGISTRY,
+    ClaimMissed,
+    experiment_ids,
     format_table,
     measure_blocking_window,
     measure_compact_syncs,
@@ -26,6 +33,66 @@ from repro.experiments import (
     reconfiguration_sweep,
     substrate_matrix,
 )
+
+
+EXPERIMENTS_MD = Path(__file__).resolve().parent.parent / "EXPERIMENTS.md"
+
+#: Sections whose tables come from another command than ``experiments``;
+#: the section must name that command.
+DRIVEN_BY_CLI = {
+    "E9": ["python3 -m bench --trace 1"],
+    "E16": ["python -m repro chaos"],
+    "E20": ["python -m repro chaos", "python -m repro soak"],
+}
+
+
+class TestRegistry:
+    @pytest.mark.parametrize("id", experiment_ids())
+    def test_claims_hold(self, id):
+        tables = REGISTRY[id].run()  # raises ClaimMissed on a missed claim
+        assert tables and all(table.startswith(id) for table in tables)
+
+    def test_ids_are_unique_and_well_formed(self):
+        ids = experiment_ids()
+        assert len(ids) == len(set(ids)) == len(REGISTRY)
+        assert all(re.fullmatch(r"E[1-9][0-9]*", id) for id in ids)
+        assert all(entry.id == id for id, entry in REGISTRY.items())
+
+    def test_double_registration_is_rejected(self):
+        from repro.experiments.registry import experiment
+
+        with pytest.raises(ValueError, match="registered twice"):
+            experiment("E1", "impostor", "nowhere")(lambda: [])
+
+    def test_every_documented_experiment_has_a_producer(self):
+        sections = re.split(r"^## ", EXPERIMENTS_MD.read_text(), flags=re.MULTILINE)[1:]
+        documented = {}
+        for section in sections:
+            heading = re.match(r"(E[0-9]+) ", section)
+            if heading:
+                documented[heading.group(1)] = section
+        assert set(REGISTRY) <= set(documented)  # no undocumented experiment
+        for id, section in documented.items():
+            if id in REGISTRY:
+                assert f"`python -m repro experiments {id}`" in section, id
+            else:
+                assert id in DRIVEN_BY_CLI, f"{id} has no registry entry and no CLI"
+                for command in DRIVEN_BY_CLI[id]:
+                    assert command in section, (id, command)
+
+    def test_missed_claim_raises(self, monkeypatch):
+        from repro.experiments import servers
+
+        honest = servers.measure_server_tier
+
+        def one_proposal_too_many(**kwargs):
+            result = honest(**kwargs)
+            result.proposal_messages += 1
+            return result
+
+        monkeypatch.setattr(servers, "measure_server_tier", one_proposal_too_many)
+        with pytest.raises(ClaimMissed, match="quadratic in the server tier"):
+            REGISTRY["E14"].run()
 
 
 class TestReconfig:
@@ -156,6 +223,32 @@ class TestServerChaos:
         assert result.sweep.violations == 0
         assert sum(result.server_ops.values()) > 0
         assert result.ok
+
+    def test_por_skipped_server_ops_are_not_evidence(self, monkeypatch):
+        """A sweep whose only server-op plan is POR-skipped ran no server
+        op: the evidence column must say zero, not count the plan."""
+        import importlib
+
+        from repro.chaos import ChaosOp, ChaosPlan
+        from repro.experiments import measure_server_chaos
+
+        calm = ChaosPlan.generate(1, intensity=0.0).with_ops((ChaosOp(kind="settle"),))
+        stormy = calm.with_ops((ChaosOp(kind="server_crash"), ChaosOp(kind="settle")))
+        sweep_mod = importlib.import_module("repro.experiments.chaos_sweep")
+
+        class _StubPlans:
+            @staticmethod
+            def generate(seed, **_options):
+                return stormy if seed == 1 else calm
+
+        monkeypatch.setattr(sweep_mod, "ChaosPlan", _StubPlans)
+        # Make the two plans POR-equivalent so the server-op plan is skipped.
+        monkeypatch.setattr(sweep_mod, "schedule_key", lambda plan: "one-class")
+        result = measure_server_chaos("sim", episodes=2, seed_base=0, servers=3)
+        assert result.sweep.por_skipped == 1
+        assert result.server_ops == {}
+        assert result.sweep.op_kinds == {"settle": 1}
+        assert not result.ok
 
     def test_sweep_without_server_ops_is_not_ok(self):
         from repro.experiments import measure_server_chaos
