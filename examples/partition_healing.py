@@ -11,7 +11,7 @@ Run with:  python examples/partition_healing.py
 
 from __future__ import annotations
 
-from repro import MinCopiesStrategy, SimWorld, check_all_safety
+from repro import SAFETY_CODES, MinCopiesStrategy, SimWorld, run_verdict
 from repro.net.latency import LatencyModel
 
 
@@ -71,7 +71,7 @@ def main() -> None:
         t = dict(node.views)[final]
         print(f"  {node.pid}: transitional set {sorted(t)}")
 
-    check_all_safety(world.trace, list(world.nodes))
+    run_verdict(world.trace, list(world.nodes), include=SAFETY_CODES).raise_for()
     print("\nsafety battery passed "
           "(virtual synchrony held through partition, recovery, and merge)")
 

@@ -55,8 +55,8 @@ async def main() -> None:
         print(f"\nbob got: {event.payload!r} from {event.sender}")
 
         # The recorded trace passes the paper's full safety battery.
-        from repro import check_all_safety
-        check_all_safety(cluster.trace, list(cluster.nodes))
+        from repro import SAFETY_CODES, run_verdict
+        run_verdict(cluster.trace, list(cluster.nodes), include=SAFETY_CODES).raise_for()
         print("\nall safety properties verified on the recorded trace")
 
 

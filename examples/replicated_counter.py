@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List
 
-from repro import ConstantLatency, SimWorld, View, check_all_safety
+from repro import SAFETY_CODES, ConstantLatency, SimWorld, View, run_verdict
 from repro.net import SimNode
 
 
@@ -93,7 +93,7 @@ def main() -> None:
     show(replicas, "after heal + state transfer")
     assert len({(r.value, r.applied) for r in replicas.values()}) == 1
 
-    check_all_safety(world.trace, list(world.nodes))
+    run_verdict(world.trace, list(world.nodes), include=SAFETY_CODES).raise_for()
     print("\nsafety battery passed; event log of r3:")
     for line in replicas["r3"].log:
         print("  ", line)

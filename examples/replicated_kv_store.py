@@ -14,7 +14,7 @@ Run with:  python examples/replicated_kv_store.py
 from __future__ import annotations
 
 from repro import ConstantLatency, NotPrimaryError, ReplicatedStateMachine, SimWorld
-from repro.checking import check_all_safety
+from repro.checking import SAFETY_CODES, run_verdict
 
 
 def apply_op(state: dict, operation) -> dict:
@@ -62,7 +62,7 @@ def main() -> None:
     assert len({tuple(sorted(v.items())) for v in values.values()}) == 1
     print("all replicas converged to:", stores["kv4"].state)
 
-    check_all_safety(world.trace, list(world.nodes))
+    run_verdict(world.trace, list(world.nodes), include=SAFETY_CODES).raise_for()
     print("\nsafety battery passed")
 
 

@@ -10,7 +10,7 @@ Run with:  python examples/tcp_sockets.py
 
 import asyncio
 
-from repro.checking import check_all_safety
+from repro.checking import SAFETY_CODES, run_verdict
 from repro.runtime import Delivery, TcpCluster, ViewChange
 
 
@@ -41,7 +41,7 @@ async def main() -> None:
         await nodes[0].send("just two capitals now")
         await asyncio.sleep(0.2)
 
-        check_all_safety(cluster.trace, list(cluster.nodes))
+        run_verdict(cluster.trace, list(cluster.nodes), include=SAFETY_CODES).raise_for()
         print("safety battery passed over real sockets")
 
 

@@ -38,7 +38,7 @@ Quickstart (asyncio)::
 
 from repro.apps import NotPrimaryError, ReplicatedStateMachine
 from repro.baselines import SequentialVsEndpoint, TwoRoundVsEndpoint
-from repro.checking import GcsTrace, check_all_safety, check_liveness
+from repro.checking import SAFETY_CODES, GcsTrace, run_verdict
 from repro.core import (
     GcsEndpoint,
     MinCopiesStrategy,
@@ -105,6 +105,7 @@ __all__ = [
     "RefinementViolation",
     "ReplicatedStateMachine",
     "ReproError",
+    "SAFETY_CODES",
     "SUBSTRATES",
     "SequentialVsEndpoint",
     "SimWorld",
@@ -121,11 +122,10 @@ __all__ = [
     "ViewId",
     "VsRfifoTsEndpoint",
     "WvRfifoEndpoint",
-    "check_all_safety",
-    "check_liveness",
     "initial_view",
     "make_deployment",
     "make_view",
     "run_scenario",
+    "run_verdict",
     "strategy_by_name",
 ]

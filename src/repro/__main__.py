@@ -35,7 +35,7 @@ from typing import List, Optional
 
 from repro import __version__
 from repro.chaos import ChaosPlan, ChaosRunner, shrink_plan
-from repro.checking import check_all_safety
+from repro.checking import SAFETY_CODES, run_verdict
 from repro.experiments import (
     ALGORITHMS,
     REGISTRY,
@@ -82,7 +82,7 @@ def _cmd_demo(_args: argparse.Namespace) -> int:
     print(f"[t={world.now():4.1f}] dave crashed, recovered, rejoined: "
           f"{sorted(world.nodes['dave'].current_view.members)}")
 
-    check_all_safety(world.trace, list(world.nodes))
+    run_verdict(world.trace, list(world.nodes), include=SAFETY_CODES).raise_for()
     print("\nall safety properties verified on the recorded trace")
     return 0
 
@@ -214,7 +214,6 @@ def _cmd_verdict(args: argparse.Namespace) -> int:
     from repro.checking.codes import REGISTRY
     from repro.checking.forge import FORGERIES, as_mutator
     from repro.checking.refinement import TraceSkeleton, extract_skeleton
-    from repro.checking.verdict import SOUNDNESS, run_verdict
 
     if args.codes:
         registry = {code: info.to_dict() for code, info in sorted(REGISTRY.items())}
@@ -257,22 +256,8 @@ def _cmd_verdict(args: argparse.Namespace) -> int:
             plan = ChaosPlan.generate(args.seed, intensity=args.intensity)
             source.update(kind="seed", seed=args.seed, intensity=args.intensity)
         episode = ChaosRunner(args.backend).run(plan)
-        if episode.trace is None:  # stalled: no trace to audit
-            output = {
-                "source": source,
-                "verdict": {
-                    "status": "FAIL",
-                    "events": episode.events,
-                    "rules": [],
-                    "soundness": SOUNDNESS,
-                    "violations": [{
-                        "code": "RUN-STALL",
-                        "witness_index": None,
-                        "message": episode.violation,
-                    }],
-                },
-            }
-            _emit_verdict(output, args.output)
+        if episode.trace is None:  # stalled: the episode's verdict is the whole audit
+            _emit_verdict({"source": source, "verdict": episode.verdict.to_dict()}, args.output)
             return 1
         trace, procs = episode.trace, list(plan.processes)
 

@@ -15,8 +15,8 @@ Quickstart::
 
     from repro.chaos import ChaosPlan, ChaosRunner, shrink_plan
 
-    episode = ChaosRunner("sim").run_seed(7)
-    assert episode.ok, episode.violation
+    episode = ChaosRunner("sim").run(ChaosPlan.generate(7))
+    assert episode.ok, episode.summary()
 
 Dependency note: the substrates import :mod:`repro.chaos.faults` for the
 fault hooks, so nothing in this package may import :mod:`repro.deploy`,
@@ -31,13 +31,7 @@ from repro.chaos.faults import (
     FaultModel,
 )
 from repro.chaos.plan import OP_KINDS, ChaosOp, ChaosPlan, sanitise_ops
-from repro.chaos.runner import (
-    STALL_CODE,
-    TIME_SCALES,
-    ChaosRunner,
-    Episode,
-    forge_nonmonotonic_view,
-)
+from repro.chaos.runner import TIME_SCALES, ChaosRunner, Episode
 from repro.chaos.por import (
     canonical_ops,
     ops_commute,
@@ -55,7 +49,6 @@ from repro.chaos.soak import (
 
 __all__ = [
     "OP_KINDS",
-    "STALL_CODE",
     "TIME_SCALES",
     "ChaosOp",
     "ChaosPlan",
@@ -71,7 +64,6 @@ __all__ = [
     "SoakRunner",
     "canonical_ops",
     "default_resident_limit",
-    "forge_nonmonotonic_view",
     "ops_commute",
     "sanitise_ops",
     "schedule_key",

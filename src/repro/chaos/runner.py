@@ -15,26 +15,23 @@ schedule for diagnosis.
 
 The ``mutate_trace`` hook applies a transformation to the trace before
 checking.  Its production use is the self-test: inject a known-bad
-mutation (:func:`forge_nonmonotonic_view`) and confirm the pipeline
-catches it and shrinks it - proof that a green chaos sweep is green
-because the protocol is correct, not because the checkers are asleep.
+mutation (a registered forgery of :mod:`repro.checking.forge`) and
+confirm the pipeline catches it and shrinks it - proof that a green
+chaos sweep is green because the protocol is correct, not because the
+checkers are asleep.
 """
 
 from __future__ import annotations
 
 import asyncio
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, Optional
 
 from repro.chaos.faults import FaultInjector
 from repro.chaos.plan import ChaosOp, ChaosPlan
-from repro.checking.events import GcsTrace, ViewEvent
+from repro.checking.events import GcsTrace
 from repro.checking.verdict import Verdict, run_verdict
 from repro.errors import SettleTimeoutError
-
-#: The violation code of a stalled episode (settle timeout) - a runtime
-#: finding, not a trace rule; see :data:`repro.checking.codes.REGISTRY`.
-STALL_CODE = "RUN-STALL"
 
 # One latency unit of the fault model, in each substrate's own time.
 # The simulator's virtual clock ticks in model units; the asyncio and TCP
@@ -45,20 +42,22 @@ TIME_SCALES: Dict[str, float] = {"sim": 1.0, "async": 0.003, "tcp": 0.003}
 TraceMutator = Callable[[GcsTrace], GcsTrace]
 
 
-def forge_nonmonotonic_view(trace: GcsTrace) -> GcsTrace:
-    """The canonical known-bad mutation: re-deliver the last view.
+def stall_verdict(exc: SettleTimeoutError) -> Verdict:
+    """A settle timeout as a finding: one ``RUN-STALL`` violation."""
+    return Verdict.runtime("RUN-STALL", f"settle timeout: {exc}")
 
-    Appending a copy of the final :class:`ViewEvent` makes the view
-    identifiers at that process non-increasing, which Local Monotonicity
-    (Section 3.1) must reject on every schedule - so this mutation is
-    catchable regardless of what the episode otherwise did.
+
+def deploy_for(backend: str, injector: FaultInjector, servers: int, **options: Any) -> Any:
+    """A fresh deployment for a chaos run under ``injector``.
+
+    ``servers`` > 0 targets the server fault domain: every substrate
+    then deploys a crashable membership tier of that size.
     """
-    views = trace.of_type(ViewEvent)
-    if not views:
-        return trace
-    mutated = GcsTrace(trace)
-    mutated.append(views[-1])
-    return mutated
+    from repro.deploy import make_deployment  # local import: no cycle
+
+    if servers:
+        options["servers"] = servers
+    return make_deployment(backend, faults=injector, **options)
 
 
 @dataclass
@@ -67,39 +66,31 @@ class Episode:
 
     plan: ChaosPlan
     backend: str
-    violation: Optional[str] = None  # None == the full battery passed
+    verdict: Verdict  # the trace audit, or one RUN-STALL finding
     counters: Dict[str, int] = field(default_factory=dict)  # injected faults
-    events: int = 0  # trace length
-    trace: Optional[GcsTrace] = None
+    trace: Optional[GcsTrace] = None  # absent when the episode stalled
     link_totals: Dict[str, int] = field(default_factory=dict)  # per-kind wire counters
-    verdict: Optional[Verdict] = None  # absent when the episode stalled
 
     @property
     def ok(self) -> bool:
-        return self.violation is None
+        return self.verdict.ok
 
     @property
     def code(self) -> Optional[str]:
         """The stable violation code of the primary finding, if any."""
-        if self.violation is None:
-            return None
-        if self.verdict is not None and not self.verdict.ok:
-            return self.verdict.primary.code
-        return STALL_CODE
+        return self.verdict.code
 
     @property
     def witness_index(self) -> Optional[int]:
         """Earliest violating event index; None for ok or stalled runs."""
-        if self.verdict is not None and not self.verdict.ok:
-            return self.verdict.primary.witness_index
-        return None
+        return self.verdict.witness_index
 
     def summary(self) -> str:
-        status = "ok" if self.ok else f"VIOLATION: {self.violation}"
+        status = "ok" if self.ok else f"VIOLATION: {self.verdict.primary.describe()}"
         injected = {k: v for k, v in self.counters.items() if k != "messages"}
         return (
             f"[{self.backend}] seed={self.plan.seed} ops={len(self.plan.ops)} "
-            f"events={self.events} faults={injected} -> {status}"
+            f"events={self.verdict.events} faults={injected} -> {status}"
         )
 
 
@@ -131,72 +122,25 @@ class ChaosRunner:
         try:
             deployment = asyncio.run(self._execute(plan, injector))
         except SettleTimeoutError as exc:
-            return Episode(
-                plan=plan,
-                backend=self.backend,
-                violation=f"settle timeout: {exc}",
-                counters=injector.snapshot(),
-            )
+            return Episode(plan, self.backend, stall_verdict(exc), injector.snapshot())
         trace = deployment.trace
         if self.mutate_trace is not None:
             trace = self.mutate_trace(trace)
-        verdict = run_verdict(trace, list(plan.processes))
-        violation: Optional[str] = None
-        if not verdict.ok:
-            primary = verdict.primary
-            violation = (
-                f"{primary.code} @ event {primary.witness_index}: {primary.message}"
-            )
         return Episode(
-            plan=plan,
-            backend=self.backend,
-            violation=violation,
-            counters=injector.snapshot(),
-            events=len(trace),
-            trace=trace,
-            link_totals=deployment.link_totals(),
-            verdict=verdict,
+            plan,
+            self.backend,
+            run_verdict(trace, list(plan.processes)),
+            injector.snapshot(),
+            trace,
+            deployment.link_totals(),
         )
-
-    def run_seed(self, seed: int, *, intensity: float = 1.0, **generate_kwargs: Any) -> Episode:
-        """Generate the plan for ``seed`` and run it."""
-        plan = ChaosPlan.generate(seed, intensity=intensity, **generate_kwargs)
-        return self.run(plan)
-
-    def sweep(
-        self,
-        seeds: List[int],
-        *,
-        intensity: float = 1.0,
-        on_episode: Optional[Callable[[Episode], None]] = None,
-        **generate_kwargs: Any,
-    ) -> List[Episode]:
-        """Run one episode per seed; collect every outcome."""
-        episodes = []
-        for seed in seeds:
-            episode = self.run_seed(seed, intensity=intensity, **generate_kwargs)
-            episodes.append(episode)
-            if on_episode is not None:
-                on_episode(episode)
-        return episodes
 
     # ------------------------------------------------------------------
     # plan execution
     # ------------------------------------------------------------------
 
     async def _execute(self, plan: ChaosPlan, injector: FaultInjector) -> Any:
-        from repro.deploy import make_deployment  # local import: no cycle
-
-        kwargs: Dict[str, Any] = {"faults": injector}
-        if plan.servers:
-            # The episode targets the server fault domain: deploy a
-            # crashable membership tier of the plan's size (the runtime
-            # backends always run a tier; the simulator needs opting out
-            # of its default oracle).
-            kwargs["servers"] = plan.servers
-            if self.backend == "sim":
-                kwargs["membership"] = "tier"
-        deployment = make_deployment(self.backend, **kwargs)
+        deployment = deploy_for(self.backend, injector, plan.servers)
         try:
             await deployment.setup(list(plan.processes))
             if plan.overlay_leaders:
@@ -259,9 +203,9 @@ class ChaosRunner:
 
 
 __all__ = [
-    "STALL_CODE",
     "TIME_SCALES",
     "ChaosRunner",
     "Episode",
-    "forge_nonmonotonic_view",
+    "deploy_for",
+    "stall_verdict",
 ]

@@ -42,6 +42,7 @@ from typing import Any, Dict, Optional, Set
 from repro.chaos.plan import ChaosPlan
 from repro.chaos.por import schedule_key
 from repro.chaos.runner import ChaosRunner, Episode
+from repro.checking.verdict import Violation
 
 
 @dataclass
@@ -49,13 +50,19 @@ class ShrinkResult:
     """A minimised failing plan plus the evidence trail."""
 
     plan: ChaosPlan  # the smallest schedule still failing
-    violation: str  # the violation it produces
+    violation: Violation  # the finding it produces (code preserved while shrinking)
     original: ChaosPlan  # what we started from
     runs: int  # episodes executed, confirmation included
-    code: str = ""  # stable violation code (preserved while shrinking)
-    witness_index: Optional[int] = None  # earliest violating event index
     candidates: int = 0  # candidate schedules considered (run or skipped)
     deduped: int = 0  # candidates skipped as POR-equivalent to a prior run
+
+    @property
+    def code(self) -> str:
+        return self.violation.code
+
+    @property
+    def witness_index(self) -> Optional[int]:
+        return self.violation.witness_index
 
     def finding(self) -> Dict[str, Any]:
         """The replayable finding: seed, code, witness, minimal schedule."""
@@ -79,7 +86,7 @@ class ShrinkResult:
             f"[{self.plan.faults.describe()}] in {self.runs} runs "
             f"({self.candidates} candidates, {self.deduped} POR-deduped); "
             f"code={self.code} witness={self.witness_index}; "
-            f"violation: {self.violation}"
+            f"violation: {self.violation.describe()}"
         )
 
 
@@ -114,11 +121,9 @@ def shrink_plan(
             break
     return ShrinkResult(
         plan=state.best,
-        violation=state.violation,
+        violation=state.finding,
         original=plan,
         runs=state.runs,
-        code=state.code,
-        witness_index=state.witness,
         candidates=state.candidates,
         deduped=state.deduped,
     )
@@ -135,9 +140,7 @@ class _Shrinker:
         self.progressed = False
         self.seen: Set[str] = set()
         self.best: ChaosPlan = None  # type: ignore[assignment]
-        self.violation: str = ""
-        self.code: str = ""
-        self.witness: Optional[int] = None
+        self.finding: Violation = None  # type: ignore[assignment]
 
     def attempt(self, candidate: ChaosPlan) -> Optional[Episode]:
         if self.runs >= self.max_runs:
@@ -147,9 +150,7 @@ class _Shrinker:
 
     def adopt(self, plan: ChaosPlan, episode: Episode) -> None:
         self.best = plan
-        self.violation = episode.violation or ""
-        self.code = episode.code or ""
-        self.witness = episode.witness_index
+        self.finding = episode.verdict.primary
         self.progressed = True
 
     def remember(self, plan: ChaosPlan) -> None:
@@ -179,10 +180,11 @@ class _Shrinker:
         episode = self.attempt(candidate)
         if episode is None or episode.ok:
             return False
-        if episode.code != self.code:
+        if episode.code != self.finding.code:
             return False
-        if self.witness is not None and (
-            episode.witness_index is None or episode.witness_index > self.witness
+        witness = self.finding.witness_index
+        if witness is not None and (
+            episode.witness_index is None or episode.witness_index > witness
         ):
             return False
         self.adopt(candidate, episode)

@@ -33,7 +33,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.chaos.faults import FaultInjector
 from repro.chaos.plan import ChaosPlan, _ScheduleState
-from repro.chaos.runner import TIME_SCALES, ChaosRunner
+from repro.chaos.runner import TIME_SCALES, ChaosRunner, deploy_for, stall_verdict
 from repro.checking.verdict import Verdict, run_verdict
 from repro.errors import SettleTimeoutError
 from repro.types import ProcessId
@@ -58,15 +58,21 @@ class SoakReport:
     max_resident: int = 0  # peak buffered messages at any clean audit
     resident_limit: Optional[int] = None  # enforced bound (None: observed only)
     counters: Dict[str, int] = field(default_factory=dict)  # injected faults
-    violation: Optional[str] = None
+    # The latest audit: a trace verdict, or one RUN-STALL / RUN-RESIDENCY
+    # finding - whichever stopped the soak.
     verdict: Optional[Verdict] = None
 
     @property
     def ok(self) -> bool:
-        return self.violation is None
+        return self.verdict is None or self.verdict.ok
+
+    @property
+    def code(self) -> Optional[str]:
+        """The stable code of the finding that stopped the soak, if any."""
+        return self.verdict.code if self.verdict is not None else None
 
     def summary(self) -> str:
-        status = "ok" if self.ok else f"VIOLATION: {self.violation}"
+        status = "ok" if self.ok else f"VIOLATION: {self.verdict.primary.describe()}"
         return (
             f"[{self.backend}] soak seed={self.seed} servers={self.servers} "
             f"elapsed={self.elapsed:.1f}/{self.duration:.1f} ops={self.ops} "
@@ -91,7 +97,8 @@ class SoakReport:
             "resident_limit": self.resident_limit,
             "counters": dict(self.counters),
             "ok": self.ok,
-            "violation": self.violation,
+            "code": self.code,
+            "violation": None if self.ok else self.verdict.primary.describe(),
             "verdict": self.verdict.to_dict() if self.verdict is not None else None,
         }
 
@@ -170,27 +177,13 @@ class SoakRunner:
                 )
             )
         except SettleTimeoutError as exc:
-            report.violation = f"settle timeout: {exc}"
+            report.verdict = stall_verdict(exc)
         report.counters = injector.snapshot()
         return report
 
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-
-    def _make_deployment(self, injector: FaultInjector, servers: int) -> Any:
-        from repro.deploy import make_deployment  # local import: no cycle
-
-        kwargs: Dict[str, Any] = {"faults": injector}
-        if servers:
-            kwargs["servers"] = servers
-            if self.backend == "sim":
-                kwargs["membership"] = "tier"
-        if self.backend == "sim":
-            # The E15 ack-GC machinery: without it a simulated hour of
-            # traffic would be measured against unbounded retention.
-            kwargs["ack_gc_interval"] = SOAK_ACK_GC_INTERVAL
-        return make_deployment(self.backend, **kwargs)
 
     def _clock(self, deployment: Any):
         if self.backend == "sim":
@@ -214,7 +207,10 @@ class SoakRunner:
         audit_every: int,
         max_ops: Optional[int],
     ) -> None:
-        deployment = self._make_deployment(injector, report.servers)
+        # The E15 ack-GC machinery: without it a simulated hour of
+        # traffic would be measured against unbounded retention.
+        options = {"ack_gc_interval": SOAK_ACK_GC_INTERVAL} if self.backend == "sim" else {}
+        deployment = deploy_for(self.backend, injector, report.servers, **options)
         try:
             await deployment.setup(list(procs))
             clock = self._clock(deployment)
@@ -261,13 +257,8 @@ class SoakRunner:
         report.audits += 1
         trace = deployment.trace
         report.events = len(trace)
-        verdict = run_verdict(trace, list(procs))
-        report.verdict = verdict
-        if not verdict.ok:
-            primary = verdict.primary
-            report.violation = (
-                f"{primary.code} @ event {primary.witness_index}: {primary.message}"
-            )
+        report.verdict = run_verdict(trace, list(procs))
+        if not report.verdict.ok:
             return False
         clean = (
             not state.partitioned
@@ -279,9 +270,10 @@ class SoakRunner:
             resident = self._resident(deployment)
             report.max_resident = max(report.max_resident, resident)
             if report.resident_limit is not None and resident > report.resident_limit:
-                report.violation = (
+                report.verdict = Verdict.runtime(
+                    "RUN-RESIDENCY",
                     f"memory residency: {resident} buffered messages at "
-                    f"op {report.ops} exceed the limit {report.resident_limit}"
+                    f"op {report.ops} exceed the limit {report.resident_limit}",
                 )
                 return False
         return True

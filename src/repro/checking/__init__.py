@@ -1,8 +1,10 @@
 """Executable verification of the paper's properties and proofs.
 
 * :mod:`repro.checking.events` - the canonical observable-event trace.
-* :mod:`repro.checking.properties` - black-box trace checkers for every
-  specified property (Sections 3.1, 4.1, 4.2).
+* :mod:`repro.checking.verdict` - the verdict engine: one black-box
+  trace rule per specified property (Sections 3.1, 4.1, 4.2), run in a
+  single pass to a coded :class:`Verdict` (``.raise_for()`` to raise).
+* :mod:`repro.checking.codes` - the stable violation-code registry.
 * :mod:`repro.checking.invariants` - the invariants of Sections 6-7 as
   state predicates (hookable after every scheduler step).
 * :mod:`repro.checking.refinement` - the refinement mappings R, R', TS
@@ -35,20 +37,6 @@ from repro.checking.codes import (
     REGISTRY,
     SAFETY_CODES,
     CodeInfo,
-)
-from repro.checking.properties import (
-    check_all_safety,
-    check_deployment_trace,
-    check_golden_skeleton,
-    check_liveness,
-    check_local_monotonicity,
-    check_mbrshp_conformance,
-    check_safety_spec,
-    check_self_delivery,
-    check_self_inclusion,
-    check_transitional_sets,
-    check_virtual_synchrony,
-    replay_into_spec,
 )
 from repro.checking.refinement import (
     SafetyRefinementChecker,
@@ -91,20 +79,8 @@ __all__ = [
     "Violation",
     "WorldView",
     "attach_refinement_checkers",
-    "check_all_safety",
-    "check_deployment_trace",
-    "check_golden_skeleton",
     "check_invariants",
-    "check_liveness",
-    "check_local_monotonicity",
-    "check_mbrshp_conformance",
-    "check_safety_spec",
-    "check_self_delivery",
-    "check_self_inclusion",
-    "check_transitional_sets",
-    "check_virtual_synchrony",
     "extract_skeleton",
     "invariant_hook",
-    "replay_into_spec",
     "run_verdict",
 ]

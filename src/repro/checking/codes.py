@@ -152,6 +152,14 @@ REGISTRY: Dict[str, CodeInfo] = {
             "n/a (runtime finding, not a trace rule)",
             trace_rule=False,
         ),
+        CodeInfo(
+            "RUN-RESIDENCY",
+            "runtime",
+            "Buffered messages at a clean soak audit exceed the residency limit",
+            "Section 5.1 (acknowledgement GC; soak mode, E20)",
+            "n/a (runtime finding, not a trace rule)",
+            trace_rule=False,
+        ),
     )
 }
 
@@ -168,7 +176,7 @@ DEFAULT_CODES: Tuple[str, ...] = (
     "MBRSHP-SRV-MONO",
 )
 
-#: The safety subset (``check_all_safety``): no membership conformance.
+#: The safety subset: every GCS property, no membership conformance.
 SAFETY_CODES: Tuple[str, ...] = (
     "VS-SELF-INCL",
     "VS-MONO",

@@ -3,8 +3,8 @@
 Every execution substrate in this package - the IOA schedulers, the
 discrete-event simulator, the asyncio runtime - emits its externally
 observable behaviour as a :class:`GcsTrace` of the event types below, so
-a single set of property checkers (:mod:`repro.checking.properties`)
-applies to all of them.
+a single set of trace rules (:mod:`repro.checking.verdict`) applies to
+all of them.
 """
 
 from __future__ import annotations

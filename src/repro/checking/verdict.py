@@ -49,7 +49,7 @@ from repro.checking.events import (
     ViewEvent,
 )
 from repro.checking.refinement import SkeletonBuilder, TraceSkeleton, skeleton_divergence
-from repro.errors import ActionNotEnabled
+from repro.errors import ActionNotEnabled, SpecificationViolation
 from repro.ioa import Action
 from repro.spec.mbrshp import MbrshpSpec
 from repro.spec.vs_rfifo import FullSafetySpec
@@ -65,11 +65,21 @@ SOUNDNESS = (
 
 @dataclass(frozen=True)
 class Violation:
-    """One violated rule: stable code, earliest witness, human message."""
+    """One finding: stable code, earliest witness, human message.
+
+    ``witness_index`` is None for a runtime finding (``RUN-*``): a stall
+    or a residency breach is a fact about the run, not about an event.
+    """
 
     code: str
-    witness_index: int
+    witness_index: Optional[int]
     message: str
+
+    def describe(self) -> str:
+        """The one line every summary, report and exception prints."""
+        if self.witness_index is None:
+            return f"{self.code}: {self.message}"
+        return f"{self.code} @ event {self.witness_index}: {self.message}"
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -81,12 +91,24 @@ class Violation:
 
 @dataclass(frozen=True)
 class Verdict:
-    """The structured outcome of one verdict-engine pass over a trace."""
+    """The structured outcome of one audit: a verdict-engine pass over a
+    trace, or (:meth:`runtime`) one finding the run itself produced."""
 
     status: str  # "PASS" | "FAIL"
     events: int  # trace length
     rules: Tuple[str, ...]  # codes that ran, sorted
     violations: Tuple[Violation, ...]  # deterministically ordered
+
+    @classmethod
+    def runtime(cls, code: str, message: str) -> "Verdict":
+        """A FAIL verdict holding one runtime (``RUN-*``) finding.
+
+        No trace was audited, so no rule ran and nothing witnesses it:
+        ``events`` is 0, ``rules`` empty, ``witness_index`` None.
+        """
+        if REGISTRY[code].trace_rule:
+            raise ValueError(f"{code} is a trace rule, not a runtime finding")
+        return cls("FAIL", 0, (), (Violation(code, None, message),))
 
     @property
     def ok(self) -> bool:
@@ -98,8 +120,19 @@ class Verdict:
         return self.violations[0] if self.violations else None
 
     @property
+    def code(self) -> Optional[str]:
+        return self.primary.code if self.primary else None
+
+    @property
     def witness_index(self) -> Optional[int]:
         return self.primary.witness_index if self.primary else None
+
+    def raise_for(self) -> None:
+        """Raise the primary violation, code and witness attached; a
+        PASS verdict returns quietly."""
+        primary = self.primary
+        if primary is not None:
+            raise SpecificationViolation(primary.describe(), violation=primary)
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -528,7 +561,7 @@ class GoldenSkeletonRule(TraceRule):
 
 
 # ----------------------------------------------------------------------
-# Spec-replay helpers (shared with repro.checking.properties)
+# Spec-replay helpers of SpecRefinementRule
 # ----------------------------------------------------------------------
 
 
@@ -566,15 +599,6 @@ def infer_set_cut(spec: Any, event: ViewEvent) -> None:
 # ----------------------------------------------------------------------
 # The engine
 # ----------------------------------------------------------------------
-
-
-def first_violation(trace: GcsTrace, rule: TraceRule) -> Optional[Violation]:
-    """Run one rule alone over ``trace``; its earliest violation or None."""
-    for index, event in enumerate(trace):
-        violation = rule.feed(index, event)
-        if violation is not None:
-            return violation
-    return rule.finish(len(trace))
 
 
 def _build_rules(
@@ -695,9 +719,5 @@ __all__ = [
     "Verdict",
     "VirtualSynchronyRule",
     "Violation",
-    "first_violation",
-    "infer_set_cut",
-    "mbrshp_processes",
-    "reset_recovered_process",
     "run_verdict",
 ]

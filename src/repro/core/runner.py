@@ -37,27 +37,6 @@ from repro.ioa import Action
 from repro.spec.client import BlockStatus
 from repro.types import ProcessId, StartChangeId, View
 
-# Drain priority: smaller runs first.  Reliable-set updates unlock sync
-# sends; deliveries must reach the agreed cut before the view can go out.
-# The default when an endpoint class declares no ORDERING of its own;
-# WvRfifoEndpoint's ORDERING (which the whole stack inherits and the R5
-# interference lint checks against) states the same barrier.
-_PRIORITY = {
-    "co_rfifo.reliable": 0,
-    "block": 1,
-    "co_rfifo.send": 2,
-    "deliver": 3,
-    "view": 4,
-}
-
-
-def _priority_map(endpoint: GcsEndpoint) -> dict:
-    """The drain barrier: the endpoint's declared ORDERING, else _PRIORITY."""
-    ordering = getattr(type(endpoint), "ORDERING", ())
-    if ordering:
-        return {name: rank for rank, name in enumerate(ordering)}
-    return _PRIORITY
-
 
 class EndpointRunner:
     """Drives one :class:`~repro.core.gcs_endpoint.GcsEndpoint` reactively."""
@@ -108,8 +87,15 @@ class EndpointRunner:
             fastpath = fastpath_default()
         lane = FastLane(self) if fastpath else None
         self.fast_lane = lane if lane is not None and lane.structural_ok else None
-        priorities = _priority_map(endpoint)
-        self._priority_key = lambda action: priorities.get(action.name, 9)
+        # Drain by the endpoint class's declared ORDERING barrier (earlier
+        # first) - the tuple the R5 interference lint checks against.
+        ordering = type(endpoint).ORDERING
+        if not ordering:
+            raise ValueError(
+                f"{type(endpoint).__name__} declares no ORDERING barrier to drain by"
+            )
+        priorities = {name: rank for rank, name in enumerate(ordering)}
+        self._priority_key = lambda action: priorities.get(action.name, len(ordering))
 
     # ------------------------------------------------------------------
     # environment inputs

@@ -21,7 +21,6 @@ from abc import ABC, abstractmethod
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.checking.events import GcsTrace
-from repro.checking.properties import check_deployment_trace
 from repro.checking.refinement import TraceSkeleton, extract_skeleton
 from repro.checking.verdict import Verdict, run_verdict
 from repro.links import LinkCore
@@ -162,11 +161,11 @@ class Deployment(ABC):
         With ``final_view`` given (a stabilised run), liveness
         (Property 4.2) is checked against it too; with a ``golden``
         skeleton (recorded on another substrate via :meth:`skeleton`),
-        the run must also reproduce that execution structure.
+        the run must also reproduce that execution structure.  Raises
+        :class:`~repro.errors.SpecificationViolation` carrying the
+        primary violation's code and witness index.
         """
-        check_deployment_trace(
-            self.trace, self.processes(), final_view=final_view, golden=golden
-        )
+        self.verdict(final_view=final_view, golden=golden).raise_for()
 
     def verdict(
         self,
@@ -174,7 +173,7 @@ class Deployment(ABC):
         final_view: Optional[View] = None,
         golden: Optional[TraceSkeleton] = None,
     ) -> Verdict:
-        """The same audit as :meth:`check`, as a structured verdict."""
+        """The audit behind :meth:`check`, as a structured verdict."""
         return run_verdict(
             self.trace, self.processes(), final_view=final_view, golden=golden
         )

@@ -7,6 +7,11 @@ still distinguishing the broad failure classes below.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING, Optional
+
+if TYPE_CHECKING:
+    from repro.checking.verdict import Violation
+
 
 class ReproError(Exception):
     """Base class of all errors raised by the repro package."""
@@ -15,9 +20,17 @@ class ReproError(Exception):
 class SpecificationViolation(ReproError):
     """A trace or a step violates one of the paper's specifications.
 
-    Raised by the checkers in :mod:`repro.checking` and by specification
-    automata in :mod:`repro.spec` when asked to take a disabled step.
+    Raised by :meth:`repro.checking.verdict.Verdict.raise_for` - then
+    ``violation`` is the verdict's primary
+    :class:`~repro.checking.verdict.Violation` (stable code, earliest
+    witness index) and the message is its ``describe()`` line - and by
+    the invariant and refinement checkers, which have no trace witness
+    and leave ``violation`` None.
     """
+
+    def __init__(self, message: str = "", *, violation: Optional["Violation"] = None) -> None:
+        super().__init__(message)
+        self.violation = violation
 
 
 class InvariantViolation(SpecificationViolation):

@@ -21,14 +21,9 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.chaos import (
-    ChaosPlan,
-    ChaosRunner,
-    ShrinkResult,
-    forge_nonmonotonic_view,
-    shrink_plan,
-)
+from repro.chaos import ChaosPlan, ChaosRunner, ShrinkResult, shrink_plan
 from repro.chaos.por import schedule_key
+from repro.checking.forge import FORGERIES, as_mutator
 
 
 @dataclass
@@ -129,12 +124,12 @@ def chaos_self_test(
 ) -> Optional[ShrinkResult]:
     """Prove the pipeline catches and shrinks a known-bad episode.
 
-    Runs one episode with the forge-nonmonotonic-view mutation applied to
+    Runs one episode with the registered ``VS-MONO`` forgery applied to
     its trace before checking; the checkers must reject it, and the
     shrinker must reduce the schedule.  Returns the :class:`ShrinkResult`
     (``None`` means the mutation was *not* caught - the checkers are
     broken, and the caller should fail loudly).
     """
-    runner = ChaosRunner(substrate, mutate_trace=forge_nonmonotonic_view)
+    runner = ChaosRunner(substrate, mutate_trace=as_mutator(FORGERIES["VS-MONO"]))
     plan = ChaosPlan.generate(seed)
     return shrink_plan(runner, plan, max_runs=max_runs)

@@ -14,7 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List
 
-from repro.checking.properties import check_all_safety
+from repro.checking.codes import SAFETY_CODES
+from repro.checking.verdict import run_verdict
 from repro.experiments.registry import claim, close, experiment
 from repro.experiments.scenario import crash_last_member
 from repro.experiments.tables import format_table
@@ -120,7 +121,7 @@ def measure_compact_syncs(
     world.run()
     view = world.oracle.views_formed[-1]
     if check:
-        check_all_safety(world.trace, list(world.nodes))
+        run_verdict(world.trace, list(world.nodes), include=SAFETY_CODES).raise_for()
     return CompactSyncResult(
         group_size=group_size,
         compact=compact,

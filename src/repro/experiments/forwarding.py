@@ -18,7 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import FrozenSet, List
 
-from repro.checking.properties import check_all_safety
+from repro.checking.codes import SAFETY_CODES
+from repro.checking.verdict import run_verdict
 from repro.core.forwarding import ForwardingStrategy, MinCopiesStrategy, SimpleStrategy
 from repro.experiments.registry import claim, close, experiment
 from repro.experiments.tables import format_table
@@ -99,7 +100,7 @@ def measure_forwarding(
                  if v.members == frozenset(survivors))
     converged = world.all_in_view(final)
     if check:
-        check_all_safety(world.trace, list(world.nodes))
+        run_verdict(world.trace, list(world.nodes), include=SAFETY_CODES).raise_for()
     copies = world.network.totals().get("FwdMsg", 0)
     prefixes = {
         p: tuple(m for s, m in world.nodes[p].delivered if s == sender)

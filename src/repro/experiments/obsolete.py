@@ -23,7 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-from repro.checking.properties import check_all_safety
+from repro.checking.codes import SAFETY_CODES
+from repro.checking.verdict import run_verdict
 from repro.experiments.registry import claim, close, experiment
 from repro.experiments.tables import format_table
 from repro.net import ConstantLatency, LatencyModel, SimWorld
@@ -80,7 +81,7 @@ def measure_obsolete_views(
     final = world.oracle.views_formed[-1]
     converged = world.all_in_view(final)
     if check:
-        check_all_safety(world.trace, list(world.nodes))
+        run_verdict(world.trace, list(world.nodes), include=SAFETY_CODES).raise_for()
     app_views = [len(world.nodes[pid].views) - settled[pid] for pid in pids]
     return ObsoleteViewResult(
         mode=mode,

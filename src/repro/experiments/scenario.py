@@ -12,8 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Sequence, Tuple
 
+from repro.checking.codes import SAFETY_CODES
 from repro.checking.events import MbrshpViewEvent, ViewEvent
-from repro.checking.properties import check_all_safety
+from repro.checking.verdict import run_verdict
 from repro.net import SimWorld
 from repro.scale import TwoTierOverlay, balanced_groups
 from repro.types import ProcessId, View
@@ -56,7 +57,7 @@ class CrashRun:
         return sum(counts.get(kind, 0) for kind in SYNC_KINDS)
 
     def check(self) -> None:
-        check_all_safety(self.world.trace, list(self.world.nodes))
+        run_verdict(self.world.trace, list(self.world.nodes), include=SAFETY_CODES).raise_for()
 
 
 def crash_last_member(

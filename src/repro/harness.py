@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Type
 
+from repro.checking.codes import SAFETY_CODES
 from repro.checking.events import (
     BlockEvent,
     BlockOkEvent,
@@ -29,8 +30,8 @@ from repro.checking.events import (
     ViewEvent,
 )
 from repro.checking.invariants import WorldView, check_invariants, invariant_hook
-from repro.checking.properties import check_all_safety, check_mbrshp_conformance
 from repro.checking.refinement import attach_refinement_checkers
+from repro.checking.verdict import run_verdict
 from repro.core.forwarding import ForwardingStrategy
 from repro.core.gcs_endpoint import GcsEndpoint
 from repro.ioa import Action, Composition, FairScheduler, RandomScheduler, Trace
@@ -176,7 +177,7 @@ class ModelHarness:
         return ioa_trace_to_gcs_trace(self.system.trace)
 
     def check_safety(self) -> None:
-        check_all_safety(self.gcs_trace(), self.processes)
+        run_verdict(self.gcs_trace(), self.processes, include=SAFETY_CODES).raise_for()
 
     def check_mbrshp(self) -> None:
         """Replay the membership notices through a fresh Figure 2 spec.
@@ -186,7 +187,7 @@ class ModelHarness:
         deployments (and a guard against projection bugs in
         :func:`ioa_trace_to_gcs_trace`).
         """
-        check_mbrshp_conformance(self.gcs_trace(), self.processes)
+        run_verdict(self.gcs_trace(), self.processes, include=["MBRSHP-CONF"]).raise_for()
 
     def check_invariants(self) -> None:
         check_invariants(self.world)

@@ -124,8 +124,8 @@ class Automaton:
     # same-batch actions in this tuple's order (earlier first), which
     # serialises otherwise-concurrent interfering actions.  The static
     # interference rule (R5 in repro.analysis) exempts action pairs that
-    # both appear here; most-derived declaration wins, empty means the
-    # driver's default order.
+    # both appear here; most-derived declaration wins, and the runner
+    # refuses to drive a class that declares none.
     ORDERING: Tuple[str, ...] = ()
 
     def __init__(self, name: str, *, strict: bool = False) -> None:

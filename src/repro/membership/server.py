@@ -149,13 +149,17 @@ class MembershipServer:
         The tier persists the snapshot in its durable
         :class:`~repro.membership.state.WatermarkStore` - everything
         else (proposals in flight, announced estimates) is volatile and
-        genuinely lost.
+        genuinely lost.  A dead server serves nobody: its clients leave
+        with the snapshot, for the tier to rehome
+        (:meth:`inherit_clients` at the survivors).
         """
         state = self.snapshot()
         self.crashed = True
         self.active = False
         self._proposals.clear()
         self._announced_estimate = None
+        self.local_clients = set()
+        self._crashed_clients = set()
         return state
 
     def restore(
@@ -264,6 +268,28 @@ class MembershipServer:
                 changed = True
         if changed and trigger:
             self._trigger()
+        return changed
+
+    def inherit_clients(
+        self,
+        clients: Iterable[ProcessId],
+        *,
+        counter_floor: int,
+        crashed: Iterable[ProcessId] = (),
+    ) -> bool:
+        """Take over clients another server served; starts no round.
+
+        ``counter_floor`` is the tier watermark at the move: a server
+        inheriting clients must issue counters above anything they may
+        have seen.  Those of ``clients`` listed in ``crashed`` stay
+        crashed here - moving a client must not resurrect it.  Returns
+        whether the registry changed.
+        """
+        clients = tuple(clients)
+        if clients:
+            self.max_counter = max(self.max_counter, counter_floor)
+        changed = self.update_clients(add=clients, trigger=False)
+        self._crashed_clients.update(set(clients).intersection(crashed))
         return changed
 
     def client_crashed(self, client: ProcessId) -> None:

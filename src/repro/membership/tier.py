@@ -342,33 +342,25 @@ class MembershipTier:
             raise ValueError(f"server {sid} is already crashed")
         if len(alive) < 2:
             raise ValueError("the last alive server cannot crash")
-        self.store.persist(server.crash())
+        final = server.crash()
+        self.store.persist(final)
         if self.links is not None:
             self.links.restrict(sid, [])
         survivors = frozenset(self.alive_servers())
-        moved = sorted(server.local_clients)
-        crashed_clients = set(server._crashed_clients)
-        server.local_clients = set()
-        server._crashed_clients = set()
         floor = self.watermark()
         targets = sorted(survivors)
         loads = {t: len(self.servers[t].local_clients) for t in targets}
         adds: Dict[ProcessId, List[ProcessId]] = {}
-        for pid in moved:
+        for pid in final.local_clients:
             home = min(targets, key=lambda t: (loads[t], t))
             loads[home] += 1
             self._home[pid] = home
             adds.setdefault(home, []).append(pid)
+        crashed = self._crashed.union(final.crashed_clients)
         for tsid in targets:
-            inheritor = self.servers[tsid]
-            if adds.get(tsid):
-                # Inheriting clients from the dead server: never issue a
-                # counter below what they may have seen.
-                inheritor.max_counter = max(inheritor.max_counter, floor)
-            inheritor.update_clients(add=adds.get(tsid, ()), trigger=False)
-            for pid in adds.get(tsid, ()):
-                if pid in crashed_clients or pid in self._crashed:
-                    inheritor._crashed_clients.add(pid)
+            self.servers[tsid].inherit_clients(
+                adds.get(tsid, ()), counter_floor=floor, crashed=crashed
+            )
         for tsid in targets:
             survivor = self.servers[tsid]
             before = survivor.reachable
@@ -513,17 +505,10 @@ class MembershipTier:
             removes.setdefault(self._home[pid], []).append(pid)
         for sid in sorted(self.servers):
             server = self.servers[sid]
-            if adds.get(sid):
-                # A server inheriting clients from elsewhere must issue
-                # counters above anything those clients may have seen.
-                server.max_counter = max(server.max_counter, snapshot)
-            changed = server.update_clients(
-                add=adds.get(sid, ()), remove=removes.get(sid, ()), trigger=False
+            changed = server.update_clients(remove=removes.get(sid, ()), trigger=False)
+            changed |= server.inherit_clients(
+                adds.get(sid, ()), counter_floor=snapshot, crashed=self._crashed
             )
-            for pid in adds.get(sid, ()):
-                if pid in self._crashed:
-                    # Moving a crashed client must not resurrect it.
-                    server._crashed_clients.add(pid)
             component = frozenset({sid})
             if not server.active:
                 server.activate(component)

@@ -28,7 +28,6 @@ from repro.chaos.faults import FaultInjector
 from repro.checking.events import GcsTrace
 from repro.core.forwarding import ForwardingStrategy
 from repro.core.gcs_endpoint import GcsEndpoint
-from repro.core.messages import WireMessage
 from repro.core.runner import EndpointRunner
 from repro.errors import SettleTimeoutError
 from repro.membership.oracle import OracleMembership
@@ -83,14 +82,10 @@ class SimNode:
         # bookkeeping; see :meth:`set_app`.
         self._app_on_deliver: Optional[Callable[[ProcessId, Any], None]] = None
         self._app_on_view: Optional[Callable[[View, FrozenSet[ProcessId]], None]] = None
-        # Optional overlay interceptors (e.g. the two-tier hierarchy of
-        # repro.scale): return True to consume the send/receive.
-        self.wire_interceptor: Optional[Callable[[FrozenSet[ProcessId], Any], bool]] = None
-        self.receive_interceptor: Optional[Callable[[ProcessId, Any], bool]] = None
         self.transport = SimTransport(pid, world.network, self._on_wire_message)
         self.runner = EndpointRunner(
             endpoint,
-            send_wire=self._send_wire,
+            send_wire=self.transport.send,
             set_reliable=self.transport.set_reliable,
             on_deliver=self._record_delivery,
             on_view=self._record_view,
@@ -102,11 +97,6 @@ class SimNode:
 
     # -- outbound ---------------------------------------------------------
 
-    def _send_wire(self, targets: FrozenSet[ProcessId], message: WireMessage) -> None:
-        if self.wire_interceptor is not None and self.wire_interceptor(targets, message):
-            return
-        self.transport.send(targets, message)
-
     def send(self, payload: Any) -> None:
         """Application-level multicast to the current view."""
         self.runner.app_send(payload)
@@ -114,8 +104,6 @@ class SimNode:
     # -- inbound ----------------------------------------------------------
 
     def _on_wire_message(self, src: ProcessId, message: Any) -> None:
-        if self.receive_interceptor is not None and self.receive_interceptor(src, message):
-            return
         if isinstance(message, StartChangeNotice):
             self.runner.membership_start_change(message.cid, message.members)
         elif isinstance(message, ViewNotice):
@@ -167,10 +155,10 @@ class SimWorld:
         self,
         *,
         latency: Optional[LatencyModel] = None,
-        membership: str = "oracle",
+        membership: Optional[str] = None,
         detection_delay: float = 0.0,
         round_duration: float = 1.0,
-        servers: int = 1,
+        servers: Optional[int] = None,
         forwarding: Optional[ForwardingStrategy] = None,
         endpoint_cls: Type[GcsEndpoint] = GcsEndpoint,
         gc_views: bool = True,
@@ -198,7 +186,15 @@ class SimWorld:
             self._endpoint_kwargs["ack_gc_interval"] = ack_gc_interval
         self.oracle: Optional[OracleMembership] = None
         self.tier: Optional[MembershipTier] = None
+        if membership is None:
+            # Asking for servers is asking for the tier that runs them.
+            membership = "oracle" if servers is None else "tier"
         if membership == "oracle":
+            if servers is not None:
+                raise ValueError(
+                    "membership='oracle' runs no servers; drop servers= "
+                    "or use membership='tier'"
+                )
             self.oracle = OracleMembership(
                 self.clock,
                 detection_delay=detection_delay,
@@ -210,7 +206,7 @@ class SimWorld:
             # and TCP clusters run, over the simulated network.
             self.tier = MembershipTier(
                 SimTierLink(self.network),
-                servers=servers,
+                servers=1 if servers is None else servers,
                 links=self.network.core,
                 trace=self.trace,
                 clock=lambda: self.clock.now,

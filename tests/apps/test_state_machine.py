@@ -3,7 +3,7 @@
 import pytest
 
 from repro.apps import NotPrimaryError, ReplicatedStateMachine
-from repro.checking import check_all_safety
+from repro.checking import SAFETY_CODES, run_verdict
 from repro.net import ConstantLatency, SimWorld, UniformLatency
 
 
@@ -87,7 +87,7 @@ class TestMerges:
         final = set(states(replicas).values())
         assert len(final) == 1, final  # everyone adopted one winner
         assert final.pop()[0] in (101, 778)
-        check_all_safety(world.trace, list(world.nodes))
+        run_verdict(world.trace, list(world.nodes), include=SAFETY_CODES).raise_for()
 
     def test_commands_during_merge_apply_on_top_of_winner(self):
         world, replicas = make_replicas()

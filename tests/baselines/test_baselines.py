@@ -3,7 +3,7 @@
 import pytest
 
 from repro.baselines import SequentialVsEndpoint, TwoRoundVsEndpoint
-from repro.checking import check_all_safety, check_liveness
+from repro.checking import SAFETY_CODES, run_verdict
 from repro.checking.events import MbrshpViewEvent, ViewEvent
 from repro.core import GcsEndpoint
 from repro.net import ConstantLatency, SimWorld
@@ -43,8 +43,9 @@ def test_baseline_safety(endpoint_cls):
     for node in nodes[:-1]:
         node.send(f"post-{node.pid}")
     world.run()
-    check_all_safety(world.trace, list(world.nodes))
-    check_liveness(world.trace, view)
+    run_verdict(
+        world.trace, list(world.nodes), final_view=view, include=SAFETY_CODES
+    ).raise_for()
 
 
 def test_sequential_costs_one_extra_round():

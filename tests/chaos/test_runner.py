@@ -9,12 +9,9 @@ import json
 
 import pytest
 
-from repro.chaos import (
-    ChaosPlan,
-    ChaosRunner,
-    forge_nonmonotonic_view,
-    shrink_plan,
-)
+from repro.chaos import ChaosPlan, ChaosRunner, shrink_plan
+from repro.checking.forge import FORGERIES, as_mutator
+from repro.experiments import chaos_sweep
 
 
 class TestRunner:
@@ -23,9 +20,9 @@ class TestRunner:
             ChaosRunner("carrier-pigeon")
 
     def test_sim_episode_passes_with_faults_injected(self):
-        episode = ChaosRunner("sim").run_seed(3)
+        episode = ChaosRunner("sim").run(ChaosPlan.generate(3))
         assert episode.ok, episode.summary()
-        assert episode.events > 0
+        assert episode.verdict.events > 0
         assert episode.counters["messages"] > 0
         # The generated fault model has nonzero rates for every class;
         # an episode's traffic is enough for each to actually fire.
@@ -37,7 +34,7 @@ class TestRunner:
         assert 0 < episode.counters["suppressed"] <= episode.counters["duplicated"]
 
     def test_summary_mentions_seed_and_status(self):
-        episode = ChaosRunner("sim").run_seed(4)
+        episode = ChaosRunner("sim").run(ChaosPlan.generate(4))
         assert f"seed={episode.plan.seed}" in episode.summary()
         assert episode.summary().endswith("ok")
 
@@ -68,11 +65,11 @@ class TestShrinking:
 
     def test_known_bad_mutation_is_caught_and_shrunk(self):
         """The self-test loop: forge a violation, catch it, minimise it."""
-        runner = ChaosRunner("sim", mutate_trace=forge_nonmonotonic_view)
+        runner = ChaosRunner("sim", mutate_trace=as_mutator(FORGERIES["VS-MONO"]))
         original = ChaosPlan.generate(7)
         result = shrink_plan(runner, original, max_runs=40)
         assert result is not None, "checkers missed the forged violation"
-        assert "Local Monotonicity" in result.violation
+        assert "Local Monotonicity" in result.violation.message
         # The forged violation survives any schedule, so shrinking must
         # reach the floor: minimal ops, 2 processes, no message faults.
         assert len(result.plan.ops) < len(original.ops)
@@ -82,7 +79,49 @@ class TestShrinking:
         replayed = ChaosPlan.from_dict(json.loads(json.dumps(result.plan.to_dict())))
         episode = runner.run(replayed)
         assert not episode.ok
-        assert episode.violation == result.violation
+        assert episode.verdict.primary == result.violation
+
+
+@pytest.fixture
+def stalled_settle(monkeypatch):
+    """Make every simulator episode stall at its first ``settle`` op."""
+    from repro.deploy import SimDeployment
+    from repro.errors import SettleTimeoutError
+
+    async def settle(self):
+        raise SettleTimeoutError("forced stall")
+
+    monkeypatch.setattr(SimDeployment, "settle", settle)
+
+
+class TestStall:
+    """A stall is an ordinary finding: one coded RUN-STALL violation."""
+
+    def test_stalled_episode_holds_a_run_stall_verdict(self, stalled_settle):
+        episode = ChaosRunner("sim").run(ChaosPlan.generate(3))
+        assert not episode.ok and episode.trace is None
+        primary = episode.verdict.primary
+        assert primary.code == episode.code == "RUN-STALL"
+        assert primary.witness_index is None
+        assert "forced stall" in primary.message
+        assert "pending fault schedule" in primary.message
+        assert (episode.verdict.events, episode.verdict.rules) == (0, ())
+        assert "VIOLATION: RUN-STALL: settle timeout" in episode.summary()
+
+    def test_verdict_cli_prints_the_episode_verdict(self, stalled_settle, capsys):
+        from repro.__main__ import main
+
+        assert main(["verdict", "--seed", "3"]) == 1
+        printed = json.loads(capsys.readouterr().out)
+        episode = ChaosRunner("sim").run(ChaosPlan.generate(3))
+        assert printed["verdict"] == episode.verdict.to_dict()
+        assert printed["verdict"]["violations"][0]["code"] == "RUN-STALL"
+
+    def test_stall_shrinks_by_code_alone(self, stalled_settle):
+        result = shrink_plan(ChaosRunner("sim"), ChaosPlan.generate(3), max_runs=6)
+        assert result is not None
+        assert result.code == "RUN-STALL" and result.witness_index is None
+        assert json.loads(result.finding_json())["witness_index"] is None
 
 
 @pytest.mark.slow
@@ -90,16 +129,13 @@ class TestSweeps:
     """Multi-seed sweeps per substrate - the chaos-smoke CI battery."""
 
     def test_sim_sweep_clean(self):
-        episodes = ChaosRunner("sim").sweep(list(range(25)))
-        bad = [e.summary() for e in episodes if not e.ok]
-        assert not bad, "\n".join(bad)
+        result = chaos_sweep("sim", episodes=25)
+        assert result.ok, "\n".join(result.failures)
 
     def test_async_sweep_clean(self):
-        episodes = ChaosRunner("async").sweep(list(range(100, 110)))
-        bad = [e.summary() for e in episodes if not e.ok]
-        assert not bad, "\n".join(bad)
+        result = chaos_sweep("async", episodes=10, seed_base=100)
+        assert result.ok, "\n".join(result.failures)
 
     def test_tcp_sweep_clean(self):
-        episodes = ChaosRunner("tcp").sweep(list(range(200, 210)))
-        bad = [e.summary() for e in episodes if not e.ok]
-        assert not bad, "\n".join(bad)
+        result = chaos_sweep("tcp", episodes=10, seed_base=200)
+        assert result.ok, "\n".join(result.failures)

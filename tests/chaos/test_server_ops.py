@@ -2,14 +2,10 @@
 
 import pytest
 
-from repro.chaos import (
-    ChaosPlan,
-    ChaosRunner,
-    forge_nonmonotonic_view,
-    sanitise_ops,
-    shrink_plan,
-)
+from repro.chaos import ChaosPlan, ChaosRunner, sanitise_ops, shrink_plan
 from repro.chaos.plan import ChaosOp, _ScheduleState
+from repro.checking.forge import FORGERIES, as_mutator
+from repro.experiments import chaos_sweep
 
 PROCS = ("a", "b", "c", "d")
 
@@ -136,7 +132,7 @@ class TestShrink:
     def test_shrinker_drops_an_idle_tier(self):
         # The forged violation is substrate-independent, so the shrinker
         # should strip the server ops and then the tier itself.
-        runner = ChaosRunner("sim", mutate_trace=forge_nonmonotonic_view)
+        runner = ChaosRunner("sim", mutate_trace=as_mutator(FORGERIES["VS-MONO"]))
         plan = ChaosPlan.generate(3, servers=3)
         result = shrink_plan(runner, plan, max_runs=60)
         assert result is not None
@@ -174,14 +170,6 @@ class TestServerSweeps:
 
     @pytest.mark.parametrize("backend", ["sim", "async", "tcp"])
     def test_server_fault_sweep_is_green(self, backend):
-        runner = ChaosRunner(backend)
-        episodes = runner.sweep(list(range(25)), servers=3)
-        bad = [e.summary() for e in episodes if not e.ok]
-        assert not bad, "\n".join(bad)
-        server_ops = sum(
-            1
-            for e in episodes
-            for op in e.plan.ops
-            if op.kind.startswith("server_")
-        )
-        assert server_ops > 0  # the sweep actually exercised the tier
+        result = chaos_sweep(backend, episodes=25, servers=3)
+        assert result.ok, "\n".join(result.failures)
+        assert result.server_ops  # the sweep actually exercised the tier

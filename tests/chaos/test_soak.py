@@ -52,6 +52,7 @@ class TestShortSoaks:
         assert data["backend"] == "sim"
         assert data["seed"] == 3
         assert data["ok"] is True
+        assert data["code"] is None and data["violation"] is None
         assert data["verdict"]["status"] == "PASS"
         assert data["counters"]["messages"] > 0
         assert "soak seed=3" in report.summary()
@@ -64,7 +65,28 @@ class TestShortSoaks:
             resident_limit=-1,
         )
         assert not report.ok
-        assert "memory residency" in report.violation
+        assert report.code == "RUN-RESIDENCY"
+        assert "memory residency" in report.verdict.primary.message
+
+    def test_residency_breach_is_coded_in_the_artifact(self):
+        report = SoakRunner("sim").soak(
+            11, duration=1e9, max_ops=40, audit_every=10, servers=0,
+            resident_limit=0,
+        )
+        data = json.loads(json.dumps(report.to_dict()))
+        assert data["ok"] is False
+        assert data["code"] == "RUN-RESIDENCY"
+        assert data["violation"].startswith("RUN-RESIDENCY: memory residency")
+        (violation,) = data["verdict"]["violations"]
+        assert violation["code"] == "RUN-RESIDENCY"
+        assert violation["witness_index"] is None
+        assert "RUN-RESIDENCY" in report.summary()
+        # every key the artifact had before the code was added
+        assert set(data) >= {
+            "backend", "seed", "servers", "duration", "elapsed", "ops", "audits",
+            "events", "max_resident", "resident_limit", "counters", "ok",
+            "violation", "verdict",
+        }
 
     def test_runtimes_observe_residency_without_enforcing(self):
         report = SoakReport(backend="async", seed=1, servers=0, duration=1.0)

@@ -26,12 +26,6 @@ from repro.checking import (
     GcsTrace,
     MbrshpViewEvent,
     ViewEvent,
-    check_deployment_trace,
-    check_local_monotonicity,
-    check_mbrshp_conformance,
-    check_safety_spec,
-    check_self_delivery,
-    check_self_inclusion,
     extract_skeleton,
     run_verdict,
 )
@@ -68,7 +62,7 @@ def good_trace():
 
 
 def test_the_unmutated_trace_passes(good_trace):
-    check_deployment_trace(good_trace, list(PROCS))
+    run_verdict(good_trace, list(PROCS)).raise_for()
 
 
 def test_dropped_self_delivery_is_caught(good_trace):
@@ -80,7 +74,7 @@ def test_dropped_self_delivery_is_caught(good_trace):
     )
     mutated = GcsTrace(e for e in good_trace if e is not victim)
     with pytest.raises(SpecificationViolation, match="Self Delivery"):
-        check_self_delivery(mutated)
+        run_verdict(mutated, include=["VS-SELF-DLV"]).raise_for()
 
 
 def test_reordered_fifo_pair_is_caught(good_trace):
@@ -96,7 +90,7 @@ def test_reordered_fifo_pair_is_caught(good_trace):
     i, j = events.index(first), events.index(second)
     events[i], events[j] = events[j], events[i]
     with pytest.raises(SpecificationViolation, match="not accepted"):
-        check_safety_spec(GcsTrace(events), PROCS)
+        run_verdict(GcsTrace(events), PROCS, include=["VS-SPEC-REFINE"]).raise_for()
 
 
 def test_nonmonotonic_view_is_caught(good_trace):
@@ -104,7 +98,7 @@ def test_nonmonotonic_view_is_caught(good_trace):
     mutated = GcsTrace(good_trace)
     mutated.append(good_trace.of_type(ViewEvent)[-1])
     with pytest.raises(SpecificationViolation, match="Local Monotonicity"):
-        check_local_monotonicity(mutated)
+        run_verdict(mutated, include=["VS-MONO"]).raise_for()
 
 
 def test_view_without_self_is_caught(good_trace):
@@ -116,7 +110,7 @@ def test_view_without_self_is_caught(good_trace):
     forged = replace(victim, view=forged_view)
     mutated = GcsTrace(forged if e is victim else e for e in good_trace)
     with pytest.raises(SpecificationViolation, match="Self Inclusion"):
-        check_self_inclusion(mutated)
+        run_verdict(mutated, include=["VS-SELF-INCL"]).raise_for()
 
 
 def test_duplicated_membership_notice_is_caught(good_trace):
@@ -124,7 +118,7 @@ def test_duplicated_membership_notice_is_caught(good_trace):
     mutated = GcsTrace(good_trace)
     mutated.append(good_trace.of_type(MbrshpViewEvent)[-1])
     with pytest.raises(SpecificationViolation, match="MBRSHP conformance"):
-        check_mbrshp_conformance(mutated, PROCS)
+        run_verdict(mutated, PROCS, include=["MBRSHP-CONF"]).raise_for()
 
 
 # ----------------------------------------------------------------------
@@ -171,3 +165,38 @@ def test_forged_verdicts_are_byte_identical_across_runs(code, good_trace):
         for _ in range(2)
     ]
     assert runs[0] == runs[1]
+
+
+# ----------------------------------------------------------------------
+# raise_for: the raised exception carries the coded finding
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("code", sorted(FORGERIES))
+def test_raise_for_carries_code_and_witness(code, good_trace):
+    """Raising keeps what the verdict knew: the forged code, the
+    forgery's witness index, and both spelled out in the message."""
+    forgery = FORGERIES[code]
+    golden = extract_skeleton(good_trace) if forgery.needs_golden else None
+    forged = forgery.apply(good_trace)
+    verdict = run_verdict(
+        forged.trace,
+        list(PROCS),
+        final_view=forged.final_view if forgery.needs_final_view else None,
+        golden=golden,
+    )
+    with pytest.raises(SpecificationViolation) as raised:
+        verdict.raise_for()
+    violation = raised.value.violation
+    assert violation is verdict.primary
+    assert violation.code == code
+    assert violation.witness_index == forged.expected_index
+    assert str(raised.value) == violation.describe()
+    assert code in str(raised.value)
+    assert f"@ event {forged.expected_index}: " in str(raised.value)
+
+
+def test_raise_for_is_quiet_on_pass(good_trace):
+    verdict = run_verdict(good_trace, list(PROCS))
+    assert verdict.ok and verdict.code is None
+    assert verdict.raise_for() is None

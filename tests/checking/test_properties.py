@@ -7,22 +7,13 @@ checkers themselves).
 
 import pytest
 
+from repro.checking.codes import SAFETY_CODES
 from repro.checking.events import (
     GcsTrace,
     MbrshpStartChangeEvent,
     MbrshpViewEvent,
 )
-from repro.checking.properties import (
-    check_all_safety,
-    check_liveness,
-    check_mbrshp_conformance,
-    check_local_monotonicity,
-    check_safety_spec,
-    check_self_delivery,
-    check_self_inclusion,
-    check_transitional_sets,
-    check_virtual_synchrony,
-)
+from repro.checking.verdict import run_verdict
 from repro.errors import SpecificationViolation
 from repro.types import make_view
 
@@ -36,29 +27,29 @@ V2_SOLO = make_view(2, ["a"], {"a": 2})
 class TestSelfInclusion:
     def test_accepts_inclusive_views(self):
         trace = trace_of(("view", "a", V1, {"a"}))
-        check_self_inclusion(trace)
+        run_verdict(trace, include=["VS-SELF-INCL"]).raise_for()
 
     def test_rejects_exclusive_view(self):
         alien = make_view(1, ["b"], {"b": 1})
         trace = trace_of(("view", "a", alien, {"a"}))
         with pytest.raises(SpecificationViolation):
-            check_self_inclusion(trace)
+            run_verdict(trace, include=["VS-SELF-INCL"]).raise_for()
 
 
 class TestLocalMonotonicity:
     def test_accepts_increasing(self):
         trace = trace_of(("view", "a", V1, {"a"}), ("view", "a", V2, {"a"}))
-        check_local_monotonicity(trace)
+        run_verdict(trace, include=["VS-MONO"]).raise_for()
 
     def test_rejects_decreasing(self):
         trace = trace_of(("view", "a", V2, {"a"}), ("view", "a", V1, {"a"}))
         with pytest.raises(SpecificationViolation):
-            check_local_monotonicity(trace)
+            run_verdict(trace, include=["VS-MONO"]).raise_for()
 
     def test_rejects_duplicate_view(self):
         trace = trace_of(("view", "a", V1, {"a"}), ("view", "a", V1, {"a"}))
         with pytest.raises(SpecificationViolation):
-            check_local_monotonicity(trace)
+            run_verdict(trace, include=["VS-MONO"]).raise_for()
 
 
 class TestSafetySpecReplay:
@@ -73,7 +64,7 @@ class TestSafetySpecReplay:
             ("dlv", "a", "a", "m1"),
             ("dlv", "a", "a", "m2"),
         )
-        check_safety_spec(trace, ["a", "b"])
+        run_verdict(trace, ["a", "b"], include=["VS-SPEC-REFINE"]).raise_for()
 
     def test_rejects_out_of_order_delivery(self):
         trace = trace_of(
@@ -84,18 +75,18 @@ class TestSafetySpecReplay:
             ("dlv", "b", "a", "m2"),
         )
         with pytest.raises(SpecificationViolation):
-            check_safety_spec(trace, ["a", "b"])
+            run_verdict(trace, ["a", "b"], include=["VS-SPEC-REFINE"]).raise_for()
 
     def test_rejects_phantom_delivery(self):
         trace = trace_of(("view", "b", V1, {"b"}), ("dlv", "b", "a", "ghost"))
         with pytest.raises(SpecificationViolation):
-            check_safety_spec(trace, ["a", "b"])
+            run_verdict(trace, ["a", "b"], include=["VS-SPEC-REFINE"]).raise_for()
 
     def test_rejects_cross_view_delivery(self):
         # a sends in V1; b delivers it while still in its initial view.
         trace = trace_of(("view", "a", V1, {"a"}), ("send", "a", "m"), ("dlv", "b", "a", "m"))
         with pytest.raises(SpecificationViolation):
-            check_safety_spec(trace, ["a", "b"])
+            run_verdict(trace, ["a", "b"], include=["VS-SPEC-REFINE"]).raise_for()
 
     def test_rejects_virtual_synchrony_violation_via_cut(self):
         # both move V1 -> V2, but a delivered m and b did not.
@@ -108,7 +99,7 @@ class TestSafetySpecReplay:
             ("view", "b", V2, {"a", "b"}),
         )
         with pytest.raises(SpecificationViolation):
-            check_safety_spec(trace, ["a", "b"])
+            run_verdict(trace, ["a", "b"], include=["VS-SPEC-REFINE"]).raise_for()
 
     def test_rejects_self_delivery_violation(self):
         trace = trace_of(
@@ -117,7 +108,7 @@ class TestSafetySpecReplay:
             ("view", "a", V2, {"a"}),
         )
         with pytest.raises(SpecificationViolation):
-            check_safety_spec(trace, ["a", "b"])
+            run_verdict(trace, ["a", "b"], include=["VS-SPEC-REFINE"]).raise_for()
 
 
 class TestVirtualSynchronyDirect:
@@ -131,7 +122,7 @@ class TestVirtualSynchronyDirect:
             ("view", "a", V2, {"a", "b"}),
             ("view", "b", V2, {"a", "b"}),
         )
-        check_virtual_synchrony(trace)
+        run_verdict(trace, include=["VS-VSYNC"]).raise_for()
 
     def test_rejects_mismatched_counts(self):
         trace = trace_of(
@@ -143,7 +134,7 @@ class TestVirtualSynchronyDirect:
             ("view", "b", V2, {"a", "b"}),
         )
         with pytest.raises(SpecificationViolation):
-            check_virtual_synchrony(trace)
+            run_verdict(trace, include=["VS-VSYNC"]).raise_for()
 
     def test_different_previous_views_not_compared(self):
         # b reaches V2 from its initial view, a from V1: no constraint.
@@ -154,19 +145,19 @@ class TestVirtualSynchronyDirect:
             ("view", "a", V2, {"a"}),
             ("view", "b", V2, {"b"}),
         )
-        check_virtual_synchrony(trace)
+        run_verdict(trace, include=["VS-VSYNC"]).raise_for()
 
 
 class TestTransitionalSets:
     def test_rejects_self_missing_from_t(self):
         trace = trace_of(("view", "a", V1, set()))
         with pytest.raises(SpecificationViolation):
-            check_transitional_sets(trace)
+            run_verdict(trace, include=["VS-TRANS-SET"]).raise_for()
 
     def test_rejects_t_outside_intersection(self):
         trace = trace_of(("view", "a", V1, {"a", "b"}))  # b not in a's old view
         with pytest.raises(SpecificationViolation):
-            check_transitional_sets(trace)
+            run_verdict(trace, include=["VS-TRANS-SET"]).raise_for()
 
     def test_rejects_wrong_co_mover_classification(self):
         # both reach V2 from V1... but a's T omits b.
@@ -178,7 +169,7 @@ class TestTransitionalSets:
             ("view", "b", V2, {"a", "b"}),
         )
         with pytest.raises(SpecificationViolation):
-            check_transitional_sets(trace)
+            run_verdict(trace, include=["VS-TRANS-SET"]).raise_for()
 
     def test_accepts_correct_sets(self):
         shared = make_view(1, ["a", "b"], {"a": 1, "b": 1})
@@ -188,14 +179,14 @@ class TestTransitionalSets:
             ("view", "a", V2, {"a", "b"}),
             ("view", "b", V2, {"a", "b"}),
         )
-        check_transitional_sets(trace)
+        run_verdict(trace, include=["VS-TRANS-SET"]).raise_for()
 
 
 class TestSelfDeliveryDirect:
     def test_rejects_undelivered_own_message(self):
         trace = trace_of(("send", "a", "m"), ("view", "a", V1, {"a"}))
         with pytest.raises(SpecificationViolation):
-            check_self_delivery(trace)
+            run_verdict(trace, include=["VS-SELF-DLV"]).raise_for()
 
     def test_accepts_delivered_own_messages(self):
         trace = trace_of(
@@ -203,14 +194,14 @@ class TestSelfDeliveryDirect:
             ("dlv", "a", "a", "m"),
             ("view", "a", V1, {"a"}),
         )
-        check_self_delivery(trace)
+        run_verdict(trace, include=["VS-SELF-DLV"]).raise_for()
 
 
 class TestLiveness:
     def test_rejects_member_missing_final_view(self):
         trace = trace_of(("view", "a", V1, {"a"}))
         with pytest.raises(SpecificationViolation):
-            check_liveness(trace, V1)
+            run_verdict(trace, final_view=V1, include=["VS-LIVE"]).raise_for()
 
     def test_rejects_undelivered_message(self):
         trace = trace_of(
@@ -220,7 +211,7 @@ class TestLiveness:
             ("dlv", "a", "a", "m"),
         )
         with pytest.raises(SpecificationViolation):
-            check_liveness(trace, V1)
+            run_verdict(trace, final_view=V1, include=["VS-LIVE"]).raise_for()
 
     def test_accepts_complete_stable_run(self):
         trace = trace_of(
@@ -230,17 +221,17 @@ class TestLiveness:
             ("dlv", "a", "a", "m"),
             ("dlv", "b", "a", "m"),
         )
-        check_liveness(trace, V1)
+        run_verdict(trace, final_view=V1, include=["VS-LIVE"]).raise_for()
 
 
 def test_check_all_safety_bundles_everything():
     bad = trace_of(("view", "a", V2, {"a"}), ("view", "a", V1, {"a"}))
     with pytest.raises(SpecificationViolation):
-        check_all_safety(bad, ["a", "b"])
+        run_verdict(bad, ["a", "b"], include=SAFETY_CODES).raise_for()
 
 
 class TestMbrshpConformance:
-    """check_mbrshp_conformance replays notices through Figure 2."""
+    """The MBRSHP-CONF rule replays notices through Figure 2."""
 
     def mb_trace(self, *events):
         trace = GcsTrace()
@@ -265,12 +256,12 @@ class TestMbrshpConformance:
             ("mv", "a", V1),
             ("mv", "b", V1),
         )
-        check_mbrshp_conformance(trace)
+        run_verdict(trace, include=["MBRSHP-CONF"]).raise_for()
 
     def test_rejects_view_without_start_change(self):
         trace = self.mb_trace(("mv", "a", V1))
         with pytest.raises(SpecificationViolation, match="MBRSHP conformance"):
-            check_mbrshp_conformance(trace)
+            run_verdict(trace, include=["MBRSHP-CONF"]).raise_for()
 
     def test_rejects_non_increasing_cid(self):
         trace = self.mb_trace(
@@ -278,7 +269,7 @@ class TestMbrshpConformance:
             ("sc", "a", 2, {"a"}),
         )
         with pytest.raises(SpecificationViolation, match="MBRSHP conformance"):
-            check_mbrshp_conformance(trace)
+            run_verdict(trace, include=["MBRSHP-CONF"]).raise_for()
 
     def test_rejects_members_outside_suggested_set(self):
         trace = self.mb_trace(
@@ -286,7 +277,7 @@ class TestMbrshpConformance:
             ("mv", "a", V1),  # V1 has members {a, b}, announced only {a}
         )
         with pytest.raises(SpecificationViolation, match="MBRSHP conformance"):
-            check_mbrshp_conformance(trace)
+            run_verdict(trace, include=["MBRSHP-CONF"]).raise_for()
 
     def test_rejects_stale_start_id(self):
         trace = self.mb_trace(
@@ -294,7 +285,7 @@ class TestMbrshpConformance:
             ("mv", "a", V1),  # V1 binds startId(a) = 1, but cid 5 was announced
         )
         with pytest.raises(SpecificationViolation, match="MBRSHP conformance"):
-            check_mbrshp_conformance(trace)
+            run_verdict(trace, include=["MBRSHP-CONF"]).raise_for()
 
     def test_empty_trace_passes(self):
-        check_mbrshp_conformance(GcsTrace())
+        run_verdict(GcsTrace(), include=["MBRSHP-CONF"]).raise_for()

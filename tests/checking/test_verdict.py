@@ -24,16 +24,12 @@ from repro.checking import (
     REGISTRY,
     SAFETY_CODES,
     SOUNDNESS,
+    Verdict,
     extract_skeleton,
     run_verdict,
 )
 from repro.checking.codes import class_rank, violation_sort_key
 from repro.checking.events import SendEvent
-from repro.checking.verdict import (
-    MonotonicityRule,
-    TransSetRule,
-    first_violation,
-)
 from repro.types import make_view
 
 from tests.conftest import trace_of
@@ -116,7 +112,7 @@ class TestEarliestWitness:
             ("view", "b", V2, {"b"}),
             ("view", "b", V1, {"b"}),
         )
-        violation = first_violation(trace, MonotonicityRule())
+        violation = run_verdict(trace, include=["VS-MONO"]).primary
         assert violation.witness_index == 1
         verdict = run_verdict(trace, ["a", "b"])
         mono = [v for v in verdict.violations if v.code == "VS-MONO"]
@@ -156,7 +152,7 @@ class TestTransSetRegression:
         )
 
     def test_disagreement_is_witnessed_at_the_second_arrival(self):
-        violation = first_violation(self.two_violation_trace(), TransSetRule())
+        violation = run_verdict(self.two_violation_trace(), include=["VS-TRANS-SET"]).primary
         assert violation is not None
         assert violation.code == "VS-TRANS-SET"
         assert violation.witness_index == 4
@@ -175,7 +171,7 @@ class TestTransSetRegression:
             ("view", "a", self.NEXT, {"a"}),
             ("view", "b", self.NEXT, {"a", "b"}),
         )
-        violation = first_violation(trace, TransSetRule())
+        violation = run_verdict(trace, include=["VS-TRANS-SET"]).primary
         assert violation is not None
         assert violation.witness_index == 3
 
@@ -272,6 +268,15 @@ class TestParameterValidation:
     def test_runtime_findings_are_not_trace_rules(self):
         with pytest.raises(ValueError, match="runtime finding"):
             run_verdict(good_trace(), ["a", "b"], include=["RUN-STALL"])
+        # ... and the other way round: a trace rule is not a runtime finding.
+        with pytest.raises(ValueError, match="trace rule"):
+            Verdict.runtime("VS-MONO", "not a run-level fact")
+        stall = Verdict.runtime("RUN-STALL", "settle timeout")
+        assert not stall.ok and (stall.events, stall.rules) == (0, ())
+        assert stall.primary.describe() == "RUN-STALL: settle timeout"
+        assert stall.to_dict()["violations"] == [
+            {"code": "RUN-STALL", "witness_index": None, "message": "settle timeout"}
+        ]
 
     def test_live_code_requires_a_final_view(self):
         with pytest.raises(ValueError, match="final_view"):

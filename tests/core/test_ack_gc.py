@@ -8,7 +8,7 @@ truncates buffers at the all-members floor.
 import pytest
 
 from repro._collections import MessageLog
-from repro.checking import check_all_safety
+from repro.checking import SAFETY_CODES, run_verdict
 from repro.core.gcs_endpoint import GcsEndpoint
 from repro.net import ConstantLatency, SimWorld
 
@@ -109,7 +109,7 @@ class TestEndToEnd:
     def test_all_messages_still_delivered(self):
         world, nodes = self.run_world(ack_interval=4)
         assert all(len(n.delivered) == 4 * 12 for n in nodes)
-        check_all_safety(world.trace, list(world.nodes))
+        run_verdict(world.trace, list(world.nodes), include=SAFETY_CODES).raise_for()
 
     def test_view_change_after_gc_is_safe(self):
         world, nodes = self.run_world(ack_interval=4)
@@ -118,7 +118,7 @@ class TestEndToEnd:
         for node in nodes[:3]:
             node.send("after change")
         world.run()
-        check_all_safety(world.trace, list(world.nodes))
+        run_verdict(world.trace, list(world.nodes), include=SAFETY_CODES).raise_for()
 
     def test_ack_messages_on_the_wire(self):
         world, _nodes = self.run_world(ack_interval=4)

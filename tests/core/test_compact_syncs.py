@@ -7,7 +7,7 @@ only says "I am not in your transitional set".
 
 import pytest
 
-from repro.checking import check_all_safety, check_liveness
+from repro.checking import SAFETY_CODES, run_verdict
 from repro.core.gcs_endpoint import GcsEndpoint
 from repro.core.messages import SyncMsg
 from repro.ioa import Action
@@ -127,8 +127,9 @@ class TestEndToEnd:
         world.run()
         final = world.oracle.views_formed[-1]
         assert world.all_in_view(final)
-        check_all_safety(world.trace, list(world.nodes))
-        check_liveness(world.trace, final)
+        run_verdict(
+            world.trace, list(world.nodes), final_view=final, include=SAFETY_CODES
+        ).raise_for()
         return world
 
     def test_merge_safe_and_live_with_compact_syncs(self):

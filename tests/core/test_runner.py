@@ -128,3 +128,17 @@ def test_drain_reentrancy_guard(rec):
     runner._draining = True
     assert runner.drain() == 0
     runner._draining = False
+
+
+def test_endpoint_class_without_ordering_is_rejected():
+    """The drain order is the class's declared barrier, never a silent
+    default: a class that declares none cannot be driven."""
+
+    class Unordered(GcsEndpoint):
+        ORDERING = ()
+
+    with pytest.raises(ValueError, match="declares no ORDERING"):
+        EndpointRunner(
+            Unordered("a"), send_wire=lambda *_: None, set_reliable=lambda *_: None
+        )
+

@@ -16,12 +16,13 @@ from repro.deploy import (
     make_deployment,
     run_scenario,
 )
+from repro.errors import SpecificationViolation
 from repro.membership import (
     MembershipTier,
     StartChangeNotice,
     ViewNotice,
 )
-from repro.types import VID_ZERO
+from repro.types import VID_ZERO, make_view
 
 
 class LoopbackLink:
@@ -223,3 +224,17 @@ class TestDeploymentContract:
             assert deployment.views(pid)[-1] == deployment.current_view(pid)
         assert len(deployment.trace) > 0
         deployment.check()
+
+    @pytest.mark.parametrize("substrate", SUBSTRATES)
+    def test_failing_check_raises_the_coded_violation(self, substrate):
+        async def scenario(deployment):
+            await deployment.setup(["a", "b"])
+
+        deployment = run_scenario(substrate, scenario)
+        never = make_view(99, ["a", "b"], {"a": 99, "b": 99})
+        with pytest.raises(SpecificationViolation, match="Liveness") as raised:
+            deployment.check(final_view=never)
+        violation = raised.value.violation
+        assert violation == deployment.verdict(final_view=never).primary
+        assert violation.code == "VS-LIVE"
+        assert violation.witness_index == len(deployment.trace)

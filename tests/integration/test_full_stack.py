@@ -8,7 +8,7 @@ outcome and the GCS safety battery.
 import pytest
 
 from repro.apps import ReplicatedStateMachine
-from repro.checking import check_all_safety
+from repro.checking import SAFETY_CODES, run_verdict
 from repro.groups import MultiGroupWorld
 from repro.net import ConstantLatency, SimWorld, UniformLatency
 from repro.order import CausalOrderNode, TotalOrderNode
@@ -94,7 +94,7 @@ class TestStateMachineUnderJitter:
         final = dict(states.pop())
         assert final["bob"] == 50
         assert final["alice"] in (70, 170 - 130, 0, 70 - 0)  # deterministic per order
-        check_all_safety(world.trace, list(world.nodes))
+        run_verdict(world.trace, list(world.nodes), include=SAFETY_CODES).raise_for()
 
     def test_crash_mid_commands_keeps_survivors_consistent(self):
         def apply_op(state, operation):
@@ -113,4 +113,4 @@ class TestStateMachineUnderJitter:
         world.run()
         assert replicas[0].state == replicas[1].state
         assert replicas[0].state[-1] == "op-2"
-        check_all_safety(world.trace, list(world.nodes))
+        run_verdict(world.trace, list(world.nodes), include=SAFETY_CODES).raise_for()

@@ -8,7 +8,7 @@ and assert the conclusion.
 
 import pytest
 
-from repro.checking import check_liveness
+from repro.checking import run_verdict
 from repro.harness import ModelHarness
 from repro.net import ConstantLatency, SimWorld
 
@@ -23,7 +23,7 @@ class TestModelLiveness:
         view = harness.form_view("abcd")
         scheduler.run(max_steps=60_000)
         assert harness.system.quiescent()
-        check_liveness(harness.gcs_trace(), view)
+        run_verdict(harness.gcs_trace(), final_view=view, include=["VS-LIVE"]).raise_for()
 
     def test_liveness_after_turbulence(self):
         # Chaotic prefix, then stabilisation: the final view must land.
@@ -38,14 +38,14 @@ class TestModelLiveness:
             harness.clients[p].queue(f"{p}-final")
         scheduler.run(max_steps=80_000)
         assert harness.system.quiescent()
-        check_liveness(harness.gcs_trace(), final)
+        run_verdict(harness.gcs_trace(), final_view=final, include=["VS-LIVE"]).raise_for()
 
     def test_blocked_clients_do_not_deadlock(self):
         harness = ModelHarness("ab", seed=4, scripts={"a": ["m"] * 5, "b": []})
         scheduler = harness.scheduler("fair")
         view = harness.form_view("ab")
         scheduler.run(max_steps=40_000)
-        check_liveness(harness.gcs_trace(), view)
+        run_verdict(harness.gcs_trace(), final_view=view, include=["VS-LIVE"]).raise_for()
 
 
 class TestSimLiveness:
@@ -74,4 +74,4 @@ class TestSimLiveness:
         for node in nodes:
             node.send("stable-" + node.pid)
         world.run()
-        check_liveness(world.trace, view)
+        run_verdict(world.trace, final_view=view, include=["VS-LIVE"]).raise_for()

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.checking import check_all_safety, check_liveness
+from repro.checking import SAFETY_CODES, run_verdict
 from repro.core import GcsEndpoint
 from repro.experiments import measure_reconfiguration
 from repro.net import ConstantLatency, SimWorld
@@ -31,8 +31,9 @@ def test_large_group_traffic_and_merge():
     world.run()
     final = world.oracle.views_formed[-1]
     assert world.all_in_view(final)
-    check_all_safety(world.trace, list(world.nodes))
-    check_liveness(world.trace, final)
+    run_verdict(
+        world.trace, list(world.nodes), final_view=final, include=SAFETY_CODES
+    ).raise_for()
 
 
 def test_many_small_views_churn():
@@ -50,4 +51,4 @@ def test_many_small_views_churn():
     final = world.oracle.views_formed[-1]
     assert final.members == set(pids)
     assert world.all_in_view(final)
-    check_all_safety(world.trace, list(world.nodes))
+    run_verdict(world.trace, list(world.nodes), include=SAFETY_CODES).raise_for()

@@ -10,7 +10,7 @@ TCP sockets - holding every trace to the same checkers.
 
 import pytest
 
-from repro.checking import check_all_safety, check_liveness
+from repro.checking import SAFETY_CODES, run_verdict
 from repro.checking.events import MbrshpViewEvent, ViewEvent
 from repro.core import MinCopiesStrategy, SimpleStrategy
 from repro.deploy import (
@@ -44,7 +44,7 @@ class TestSteadyState:
         world.run()
         for node in nodes:
             assert len(node.delivered) == 50
-        check_all_safety(world.trace, list(world.nodes))
+        run_verdict(world.trace, list(world.nodes), include=SAFETY_CODES).raise_for()
 
     def test_fifo_per_sender_under_jitter(self):
         world, nodes = settled_world(latency=UniformLatency(0.1, 3.0, seed=7))
@@ -54,14 +54,14 @@ class TestSteadyState:
         for node in nodes:
             from_p0 = [m for s, m in node.delivered if s == "p0"]
             assert from_p0 == list(range(15))
-        check_all_safety(world.trace, list(world.nodes))
+        run_verdict(world.trace, list(world.nodes), include=SAFETY_CODES).raise_for()
 
     def test_wan_latency_profile(self):
         world, nodes = settled_world(latency=LognormalLatency(1.0, 0.6, seed=9))
         for node in nodes:
             node.send("wan-" + node.pid)
         world.run()
-        check_all_safety(world.trace, list(world.nodes))
+        run_verdict(world.trace, list(world.nodes), include=SAFETY_CODES).raise_for()
         assert all(len(node.delivered) == 5 for node in nodes)
 
 
@@ -81,8 +81,9 @@ class TestPartitionsAndMerges:
         world.run()
         final = world.oracle.views_formed[-1]
         assert world.all_in_view(final)
-        check_all_safety(world.trace, list(world.nodes))
-        check_liveness(world.trace, final)
+        run_verdict(
+            world.trace, list(world.nodes), final_view=final, include=SAFETY_CODES
+        ).raise_for()
 
     def test_nested_partitions(self):
         world, nodes = settled_world()
@@ -94,7 +95,7 @@ class TestPartitionsAndMerges:
         assert views["p4"] == {"p4"}
         world.heal()
         world.run()
-        check_all_safety(world.trace, list(world.nodes))
+        run_verdict(world.trace, list(world.nodes), include=SAFETY_CODES).raise_for()
 
     def test_transitional_sets_across_merge(self):
         world, nodes = settled_world(n=4)
@@ -114,7 +115,7 @@ class TestPartitionsAndMerges:
         nodes[0].send("secret")
         world.run()
         assert all("secret" not in [m for _s, m in node.delivered] for node in nodes[2:])
-        check_all_safety(world.trace, list(world.nodes))
+        run_verdict(world.trace, list(world.nodes), include=SAFETY_CODES).raise_for()
 
 
 class TestCascadingChanges:
@@ -133,7 +134,7 @@ class TestCascadingChanges:
         # what the membership actually delivered:
         assert set(delivered_views) <= mb_views
         assert world.all_in_view(final)
-        check_all_safety(world.trace, list(world.nodes))
+        run_verdict(world.trace, list(world.nodes), include=SAFETY_CODES).raise_for()
 
     def test_repeated_start_changes_before_view(self):
         world, nodes = settled_world(round_duration=3.0)
@@ -141,7 +142,7 @@ class TestCascadingChanges:
         world.run()
         final = world.oracle.views_formed[-1]
         assert world.all_in_view(final)
-        check_all_safety(world.trace, list(world.nodes))
+        run_verdict(world.trace, list(world.nodes), include=SAFETY_CODES).raise_for()
 
     def test_churn_sequence(self):
         world, nodes = settled_world()
@@ -154,7 +155,7 @@ class TestCascadingChanges:
         final = world.oracle.views_formed[-1]
         assert final.members == set(world.nodes)
         assert world.all_in_view(final)
-        check_all_safety(world.trace, list(world.nodes))
+        run_verdict(world.trace, list(world.nodes), include=SAFETY_CODES).raise_for()
 
 
 class TestServerMode:
@@ -167,7 +168,7 @@ class TestServerMode:
             node.send("tier-" + node.pid)
         world.run(max_events=200_000)
         assert all(len(node.delivered) == 6 for node in nodes)
-        check_all_safety(world.trace, list(world.nodes))
+        run_verdict(world.trace, list(world.nodes), include=SAFETY_CODES).raise_for()
 
     def test_server_partition_and_heal(self):
         world = SimWorld(latency=ConstantLatency(1.0), membership="tier", servers=2)
@@ -180,7 +181,7 @@ class TestServerMode:
         world.run(max_events=200_000)
         vids = {str(n.current_view.vid) for n in nodes}
         assert len(vids) == 1
-        check_all_safety(world.trace, list(world.nodes))
+        run_verdict(world.trace, list(world.nodes), include=SAFETY_CODES).raise_for()
 
 
 class TestCrashRecovery:
@@ -195,7 +196,7 @@ class TestCrashRecovery:
         final = world.oracle.views_formed[-1]
         assert "p2" in final.members
         assert world.nodes["p2"].current_view == final
-        check_all_safety(world.trace, list(world.nodes))
+        run_verdict(world.trace, list(world.nodes), include=SAFETY_CODES).raise_for()
 
     def test_messages_resume_after_recovery(self):
         world, nodes = settled_world(n=3)
@@ -216,7 +217,7 @@ class TestCrashRecovery:
         final = world.oracle.views_formed[-1]
         assert "p3" not in final.members
         assert all(world.nodes[p].current_view == final for p in final.members)
-        check_all_safety(world.trace, list(world.nodes))
+        run_verdict(world.trace, list(world.nodes), include=SAFETY_CODES).raise_for()
 
 
 @pytest.mark.parametrize("substrate", SUBSTRATES)

@@ -6,7 +6,7 @@ completed-then-redone view. These tests exercise joins at awkward times
 in both membership modes.
 """
 
-from repro.checking import check_all_safety
+from repro.checking import SAFETY_CODES, run_verdict
 from repro.net import ConstantLatency, SimWorld
 
 
@@ -22,7 +22,7 @@ class TestOracleModeJoins:
         final = world.oracle.views_formed[-1]
         assert "late" in final.members
         assert world.all_in_view(final)
-        check_all_safety(world.trace, list(world.nodes))
+        run_verdict(world.trace, list(world.nodes), include=SAFETY_CODES).raise_for()
 
     def test_join_mid_reconfiguration_supersedes_cleanly(self):
         world = SimWorld(latency=ConstantLatency(1.0), membership="oracle", round_duration=4.0)
@@ -42,7 +42,7 @@ class TestOracleModeJoins:
         # the superseded 3-member attempt never reached any application
         delivered = [v for node in nodes for v, _t in node.views]
         assert world.oracle.views_formed[-2] not in delivered
-        check_all_safety(world.trace, list(world.nodes))
+        run_verdict(world.trace, list(world.nodes), include=SAFETY_CODES).raise_for()
 
     def test_joiner_receives_traffic_immediately(self):
         world = SimWorld(latency=ConstantLatency(1.0), membership="oracle", round_duration=1.0)
@@ -69,7 +69,7 @@ class TestServerModeJoins:
         views = {node.current_view for node in world.nodes.values()}
         assert len(views) == 1
         assert next(iter(views)).members == {"a", "b", "c", "late"}
-        check_all_safety(world.trace, list(world.nodes))
+        run_verdict(world.trace, list(world.nodes), include=SAFETY_CODES).raise_for()
 
     def test_multiple_staggered_joins(self):
         world = SimWorld(latency=ConstantLatency(1.0), membership="tier", servers=2)
@@ -84,4 +84,4 @@ class TestServerModeJoins:
         views = {node.current_view for node in world.nodes.values()}
         assert len(views) == 1
         assert next(iter(views)).members == {"a", "b", "c", "d"}
-        check_all_safety(world.trace, list(world.nodes))
+        run_verdict(world.trace, list(world.nodes), include=SAFETY_CODES).raise_for()

@@ -183,3 +183,22 @@ def test_inactive_server_defers_rounds():
     server.add_client("a")
     server.add_client("b")
     assert server.rounds_started == 0
+
+
+def test_crash_hands_clients_over_in_the_snapshot():
+    server = MembershipServer("srv:0", send=lambda dst, m: None, clients=("a", "b"))
+    server.client_crashed("b")
+    final = server.crash()
+    assert (final.local_clients, final.crashed_clients) == (("a", "b"), ("b",))
+    assert server.crashed and not server.local_clients and not server.active_clients()
+
+
+def test_inherited_clients_keep_counter_floor_and_crashed_flags():
+    server = MembershipServer("srv:1", send=lambda dst, m: None, initial_counter=2)
+    assert not server.inherit_clients((), counter_floor=9)
+    assert server.max_counter == 2  # nothing inherited: no floor to honour
+    assert server.inherit_clients(("a", "b"), counter_floor=9, crashed={"b", "z"})
+    assert server.max_counter == 9
+    assert server.local_clients == {"a", "b"}
+    assert server.active_clients() == {"a"}  # moving b did not resurrect it
+    assert server.rounds_started == 0  # the caller changes topology next

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.checking import check_all_safety, check_liveness
+from repro.checking import SAFETY_CODES, run_verdict
 from repro.net import ConstantLatency, SimWorld
 from repro.scale import TwoTierOverlay, balanced_groups
 
@@ -60,8 +60,9 @@ class TestCorrectness:
         world.run()
         final = world.oracle.views_formed[-1]
         assert world.all_in_view(final)
-        check_all_safety(world.trace, list(world.nodes))
-        check_liveness(world.trace, final)
+        run_verdict(
+            world.trace, list(world.nodes), final_view=final, include=SAFETY_CODES
+        ).raise_for()
 
     def test_transitional_sets_unchanged_by_overlay(self):
         world, nodes, _overlay = make_world(n=6, leaders=2)
@@ -81,7 +82,7 @@ class TestCorrectness:
         world.run()
         assert nodes[0].current_view.members == set(left)
         assert nodes[4].current_view.members == set(right)
-        check_all_safety(world.trace, list(world.nodes))
+        run_verdict(world.trace, list(world.nodes), include=SAFETY_CODES).raise_for()
 
 
 class TestEfficiency:

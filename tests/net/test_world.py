@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.checking import check_all_safety
+from repro.checking import SAFETY_CODES, run_verdict
 from repro.checking.events import MbrshpViewEvent, ViewEvent
 from repro.net import ConstantLatency, SimWorld
 
@@ -72,7 +72,7 @@ def test_partition_then_heal_safety():
     world.run()
     final = world.oracle.views_formed[-1]
     assert world.all_in_view(final)
-    check_all_safety(world.trace, list(world.nodes))
+    run_verdict(world.trace, list(world.nodes), include=SAFETY_CODES).raise_for()
 
 
 def test_message_counts_by_kind():

@@ -88,3 +88,35 @@ def test_explicit_home_server_assignment():
     assert world.tier.clients_of(["srv:0"]) == {"a", "c"}
     assert world.tier.clients_of(["srv:1"]) == {"b"}
     assert {"a", "c"} <= world.tier.servers["srv:0"].local_clients
+
+
+def test_servers_alone_selects_the_tier():
+    world = SimWorld(latency=ConstantLatency(1.0), servers=2)
+    world.add_nodes(["a", "b", "c"])
+    world.start()
+    world.run()
+    assert world.oracle is None
+    assert sorted(world.tier.servers) == ["srv:0", "srv:1"]
+    assert world.all_in_view(world.views_formed[-1])
+    assert SimWorld().tier is None  # neither argument: the scripted oracle
+    assert SimWorld(membership="tier").tier._initial_servers == 1
+
+
+def test_oracle_with_servers_is_rejected():
+    # It used to be silently ignored: a run that asked for crashable
+    # servers got none.
+    with pytest.raises(ValueError, match="runs no servers"):
+        SimWorld(membership="oracle", servers=2)
+
+
+def test_sim_deployment_servers_are_crashable():
+    import asyncio
+
+    from repro.deploy import make_deployment
+
+    async def scenario():
+        deployment = make_deployment("sim", servers=3)
+        await deployment.setup(["a", "b", "c"])
+        return deployment.server_ids()
+
+    assert asyncio.run(scenario()) == ["srv:0", "srv:1", "srv:2"]

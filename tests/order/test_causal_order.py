@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.checking import check_all_safety
+from repro.checking import SAFETY_CODES, run_verdict
 from repro.net import ConstantLatency, SimWorld, UniformLatency
 from repro.order import CausalOrderNode
 
@@ -54,7 +54,7 @@ class TestCausality:
         world.run()
         for app in apps:
             assert position(app.node, "question") < position(app.node, "answer")
-        check_all_safety(world.trace, list(world.nodes))
+        run_verdict(world.trace, list(world.nodes), include=SAFETY_CODES).raise_for()
 
     def test_transitive_chain(self):
         world = SimWorld(latency=UniformLatency(0.2, 4.0, seed=9),

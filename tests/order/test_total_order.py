@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.checking import check_all_safety
+from repro.checking import SAFETY_CODES, run_verdict
 from repro.net import ConstantLatency, SimWorld, UniformLatency
 from repro.order import TotalOrderNode
 
@@ -72,7 +72,7 @@ class TestViewChanges:
         world.run()
         sequences = [node.total_order() for node in survivors]
         assert all(seq == sequences[0] for seq in sequences)
-        check_all_safety(world.trace, list(world.nodes))
+        run_verdict(world.trace, list(world.nodes), include=SAFETY_CODES).raise_for()
 
     def test_sequencer_handover_on_sequencer_crash(self):
         world, ordered = make_group()

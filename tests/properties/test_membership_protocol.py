@@ -88,7 +88,7 @@ class TestServerMembershipUnderChurn:
     @MEMBERSHIP_SETTINGS
     @given(schedule=events)
     def test_gcs_safety_over_server_membership(self, schedule):
-        from repro.checking import check_all_safety
+        from repro.checking import SAFETY_CODES, run_verdict
 
         world = SimWorld(
             latency=ConstantLatency(1.0), membership="tier", servers=len(SERVERS)
@@ -117,4 +117,4 @@ class TestServerMembershipUnderChurn:
         for victim in sorted(crashed):
             world.recover(victim)
         world.run(max_events=500_000)
-        check_all_safety(world.trace, list(world.nodes))
+        run_verdict(world.trace, list(world.nodes), include=SAFETY_CODES).raise_for()

@@ -11,7 +11,7 @@ deployment test would produce.
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.checking.properties import check_liveness
+from repro.checking import run_verdict
 from repro.checking.refinement import attach_refinement_checkers
 from repro.harness import ModelHarness
 
@@ -79,7 +79,7 @@ class TestAdversarialSafety:
         scheduler.run(max_steps=120_000)
         assert harness.system.quiescent()
         harness.check_safety()
-        check_liveness(harness.gcs_trace(), final)
+        run_verdict(harness.gcs_trace(), final_view=final, include=["VS-LIVE"]).raise_for()
 
     @MODEL_SETTINGS
     @given(seed=st.integers(min_value=0, max_value=2**16))

@@ -9,7 +9,7 @@ the compact-sync and two-tier options.
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.checking import check_all_safety
+from repro.checking import SAFETY_CODES, run_verdict
 from repro.core import MinCopiesStrategy, SimpleStrategy
 from repro.net import ConstantLatency, SimWorld, UniformLatency
 from repro.scale import TwoTierOverlay, balanced_groups
@@ -81,7 +81,7 @@ class TestSimulatedFaultSchedules:
         drive(world, steps)
         final = world.oracle.views_formed[-1]
         assert world.all_in_view(final)
-        check_all_safety(world.trace, list(world.nodes))
+        run_verdict(world.trace, list(world.nodes), include=SAFETY_CODES).raise_for()
 
     @SIM_SETTINGS
     @given(steps=fault_steps, strategy=st.sampled_from([SimpleStrategy(), MinCopiesStrategy()]))
@@ -96,7 +96,7 @@ class TestSimulatedFaultSchedules:
         world.start()
         world.run()
         drive(world, steps)
-        check_all_safety(world.trace, list(world.nodes))
+        run_verdict(world.trace, list(world.nodes), include=SAFETY_CODES).raise_for()
 
     @SIM_SETTINGS
     @given(steps=fault_steps)
@@ -120,7 +120,7 @@ class TestSimulatedFaultSchedules:
             if not (kind in ("crash", "recover") and set(group) <= leaders)
         ]
         drive(world, safe_steps)
-        check_all_safety(world.trace, list(world.nodes))
+        run_verdict(world.trace, list(world.nodes), include=SAFETY_CODES).raise_for()
 
 
 class TestOrderingUnderFaults:

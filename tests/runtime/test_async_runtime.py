@@ -4,7 +4,7 @@ import asyncio
 
 import pytest
 
-from repro.checking import check_all_safety
+from repro.checking import SAFETY_CODES, run_verdict
 from repro.runtime import AsyncCluster, Delivery, ViewChange
 
 from tests.runtime.conftest import drain_events, payloads
@@ -20,7 +20,7 @@ def test_cluster_initial_view_and_multicast(on_fabrics):
             await cluster.quiesce()
             for node in nodes:
                 assert Delivery("a", "hello") in drain_events(node)
-            check_all_safety(cluster.trace, list(cluster.nodes))
+            run_verdict(cluster.trace, list(cluster.nodes), include=SAFETY_CODES).raise_for()
 
     on_fabrics(scenario)
 
@@ -61,7 +61,7 @@ def test_reconfigure_blocks_and_unblocks_senders(on_fabrics):
             assert v2.members == {"a", "b"}
             await nodes[0].send("after")
             await cluster.quiesce()
-            check_all_safety(cluster.trace, list(cluster.nodes))
+            run_verdict(cluster.trace, list(cluster.nodes), include=SAFETY_CODES).raise_for()
             assert payloads(nodes[1]) == ["before", "after"]
             assert payloads(nodes[2]) == ["before"]
 
@@ -78,7 +78,7 @@ def test_join_after_start(on_fabrics):
             assert "late" in view.members
             await late.send("i made it")
             await cluster.quiesce()
-            check_all_safety(cluster.trace, list(cluster.nodes))
+            run_verdict(cluster.trace, list(cluster.nodes), include=SAFETY_CODES).raise_for()
             assert "i made it" in payloads(cluster.node("a"))
 
     on_fabrics(scenario)
@@ -95,7 +95,7 @@ def test_delayed_hub_still_safe():
             await cluster.quiesce()
             await cluster.reconfigure(["a", "c"])
             await cluster.quiesce()
-            check_all_safety(cluster.trace, list(cluster.nodes))
+            run_verdict(cluster.trace, list(cluster.nodes), include=SAFETY_CODES).raise_for()
 
     asyncio.run(scenario())
 

@@ -4,7 +4,7 @@ on the hub and on sockets."""
 import asyncio
 
 from repro._collections import frozendict
-from repro.checking import check_all_safety
+from repro.checking import SAFETY_CODES, run_verdict
 from repro.membership import StartChangeNotice, ViewNotice
 from repro.types import View, ViewId
 
@@ -25,7 +25,7 @@ def test_partition_isolates_islands(on_fabrics):
             left, right = payloads(b), payloads(d)
             assert "left only" in left and "right only" not in left
             assert "right only" in right and "left only" not in right
-            check_all_safety(cluster.trace, list(cluster.nodes))
+            run_verdict(cluster.trace, list(cluster.nodes), include=SAFETY_CODES).raise_for()
 
     on_fabrics(scenario)
 
@@ -42,7 +42,7 @@ def test_heal_restores_full_group(on_fabrics):
             await cluster.quiesce()
             for node in nodes[1:]:
                 assert "back together" in payloads(node)
-            check_all_safety(cluster.trace, list(cluster.nodes))
+            run_verdict(cluster.trace, list(cluster.nodes), include=SAFETY_CODES).raise_for()
 
     on_fabrics(scenario)
 

@@ -4,7 +4,7 @@ event through ``next_event`` (the fabric-generic suite in
 
 import asyncio
 
-from repro.checking import check_all_safety
+from repro.checking import SAFETY_CODES, run_verdict
 from repro.runtime import Delivery, TcpCluster, ViewChange
 
 
@@ -30,7 +30,7 @@ def test_view_and_multicast_over_sockets():
             await a.send("over real sockets")
             deliveries = await collect_deliveries(b, 1)
             assert deliveries[0] == Delivery("a", "over real sockets")
-            check_all_safety(cluster.trace, list(cluster.nodes))
+            run_verdict(cluster.trace, list(cluster.nodes), include=SAFETY_CODES).raise_for()
 
     run(scenario())
 
@@ -59,7 +59,7 @@ def test_reconfiguration_over_sockets():
             await a.send("after")
             deliveries = await collect_deliveries(b, 2)
             assert [d.payload for d in deliveries] == ["before", "after"]
-            check_all_safety(cluster.trace, list(cluster.nodes))
+            run_verdict(cluster.trace, list(cluster.nodes), include=SAFETY_CODES).raise_for()
 
     run(scenario())
 

@@ -15,7 +15,7 @@ from collections import defaultdict
 
 import pytest
 
-from repro.checking import check_all_safety
+from repro.checking import SAFETY_CODES, run_verdict
 from repro.checking.events import DeliverEvent, ViewEvent
 from repro.deploy import SUBSTRATES, make_deployment
 from repro.net import ConstantLatency, SimWorld
@@ -99,8 +99,8 @@ class TestDifferentialEquivalence:
         assert _observables(flat_world, flat_nodes) == _observables(
             two_world, two_nodes
         )
-        check_all_safety(flat_world.trace, list(flat_world.nodes))
-        check_all_safety(two_world.trace, list(two_world.nodes))
+        run_verdict(flat_world.trace, list(flat_world.nodes), include=SAFETY_CODES).raise_for()
+        run_verdict(two_world.trace, list(two_world.nodes), include=SAFETY_CODES).raise_for()
 
     def test_overlay_removes_direct_syncs(self):
         _world, _nodes, overlay = _churn_scenario(leaders=2)
@@ -159,7 +159,7 @@ class TestLeaderCrash:
         final = world.oracle.views_formed[-1]
         assert world.all_in_view(final)
         assert world.network.totals().get("SyncMsg", 0) == 0
-        check_all_safety(world.trace, list(world.nodes))
+        run_verdict(world.trace, list(world.nodes), include=SAFETY_CODES).raise_for()
 
     def test_leader_crash_mid_reconfiguration(self):
         """The acceptance scenario: the leader dies *during* the sync
@@ -173,4 +173,4 @@ class TestLeaderCrash:
         final = world.oracle.views_formed[-1]
         assert final.members == frozenset(pids[1:-1])
         assert world.all_in_view(final)
-        check_all_safety(world.trace, list(world.nodes))
+        run_verdict(world.trace, list(world.nodes), include=SAFETY_CODES).raise_for()

@@ -131,9 +131,10 @@ def test_chaos_sweep_shrinks_the_first_failing_seed(monkeypatch, capsys):
     import importlib
 
     import repro.__main__ as cli
-    from repro.chaos import ChaosRunner, forge_nonmonotonic_view
+    from repro.chaos import ChaosRunner
+    from repro.checking.forge import FORGERIES, as_mutator
 
-    forging = functools.partial(ChaosRunner, mutate_trace=forge_nonmonotonic_view)
+    forging = functools.partial(ChaosRunner, mutate_trace=as_mutator(FORGERIES["VS-MONO"]))
     monkeypatch.setattr(cli, "ChaosRunner", forging)
     sweep_mod = importlib.import_module("repro.experiments.chaos_sweep")
     monkeypatch.setattr(sweep_mod, "ChaosRunner", forging)

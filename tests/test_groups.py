@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.checking import check_all_safety
+from repro.checking import SAFETY_CODES, run_verdict
 from repro.groups import MultiGroupWorld
 from repro.net import ConstantLatency
 
@@ -83,7 +83,7 @@ def test_per_group_traces_satisfy_safety():
     world.run()
     # the shared trace mixes groups; per-group safety holds on the whole
     # trace because payload streams are disjoint per group here
-    check_all_safety(world.trace, ["p0", "p1", "p2"])
+    run_verdict(world.trace, ["p0", "p1", "p2"], include=SAFETY_CODES).raise_for()
 
 
 def test_join_creates_runner_lazily():
