@@ -11,7 +11,7 @@ Two data structures recur throughout the paper's pseudo-code:
 
 from __future__ import annotations
 
-from typing import Any, Iterator, Mapping, Optional, TypeVar
+from typing import Any, ItemsView, Iterator, KeysView, Mapping, Optional, TypeVar, ValuesView
 
 K = TypeVar("K")
 V = TypeVar("V")
@@ -39,6 +39,32 @@ class frozendict(Mapping[K, V]):
 
     def __len__(self) -> int:
         return len(self._data)
+
+    # Reads delegate to the dict: the inherited ``Mapping`` mix-ins are
+    # pure Python, and cuts and ``startId`` maps are read on every
+    # reconfiguration step.
+
+    def __contains__(self, key: object) -> bool:
+        return key in self._data
+
+    def get(self, key: K, default: Any = None) -> Any:
+        return self._data.get(key, default)
+
+    def keys(self) -> KeysView[K]:
+        return self._data.keys()
+
+    def values(self) -> ValuesView[V]:
+        return self._data.values()
+
+    def items(self) -> ItemsView[K, V]:
+        return self._data.items()
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, frozendict):
+            return self._data == other._data
+        if isinstance(other, Mapping):
+            return self._data == other
+        return NotImplemented
 
     def __hash__(self) -> int:
         if self._hash is None:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, FrozenSet, Hashable, Iterable, List, Optional, Tuple
 
 from repro._collections import frozendict
-from repro.core.forwarding import ForwardingStrategy, SimpleStrategy
+from repro.core.forwarding import ForwardingStrategy, SimpleStrategy, cut_gaps
 from repro.core.messages import SyncMsg, WireMessage
 from repro.core.wv_endpoint import WvRfifoEndpoint
 from repro.ioa import ActionKind
@@ -110,6 +110,13 @@ class SequentialVsEndpoint(WvRfifoEndpoint):
             if in_view:
                 result.append((q, in_view[-1]))
         return result
+
+    def lagging_peers(self) -> List[Tuple[ProcessId, Dict[ProcessId, int]]]:
+        """Who misses what of the own cut - rescanned on every call: the
+        ablation baseline keeps no reconfiguration index."""
+        own = self.own_sync_msg()
+        gaps = ((q, cut_gaps(own.cut, m.cut)) for q, m in self.latest_sync_msgs_in_view(own.view))
+        return [(q, missing) for q, missing in gaps if missing]
 
     def holds_message(self, origin: ProcessId, view: View, index: int) -> bool:
         log = self.peek_buffer(origin, view)

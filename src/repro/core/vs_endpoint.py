@@ -15,14 +15,23 @@ a global identifier.
 
 from __future__ import annotations
 
-from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Any, Dict, FrozenSet, Iterable, List, Mapping, Optional, Set, Tuple
 
 from repro._collections import frozendict
-from repro.core.forwarding import ForwardingStrategy, SimpleStrategy
+from repro.core.forwarding import ForwardingStrategy, SimpleStrategy, cut_gaps
 from repro.core.messages import AckMsg, FwdMsg, SyncMsg, WireMessage
 from repro.core.wv_endpoint import WvRfifoEndpoint
 from repro.ioa import ActionKind
 from repro.types import Cut, ProcessId, StartChange, StartChangeId, View
+
+
+def _raised(agreed: Dict[ProcessId, int], cut: Cut) -> Dict[ProcessId, int]:
+    """``agreed``, raised in place to the pointwise max of itself and ``cut``."""
+    if cut != agreed:  # settled load: every cut of T is the same
+        for origin, committed in cut.items():
+            if committed > agreed.get(origin, 0):
+                agreed[origin] = committed
+    return agreed
 
 
 class VsRfifoTsEndpoint(WvRfifoEndpoint):
@@ -79,6 +88,20 @@ class VsRfifoTsEndpoint(WvRfifoEndpoint):
         # acked[member][sender] = highest index member acknowledged.
         self.acked: Dict[ProcessId, Dict[ProcessId, int]] = {}
         self.deliveries_since_ack = 0
+        # The reconfiguration index: what the preconditions would otherwise
+        # rescan sync_msg for on every evaluation; written only by this
+        # class's effects.  view_syncs[q]: q's latest sync sent in
+        # current_view.  lagging[q][origin]: the first index of the own
+        # cut's messages that sync shows missing and that was not yet
+        # forwarded - only peers and origins behind the own cut.
+        self.view_syncs: Dict[ProcessId, SyncMsg] = {}
+        self.lagging: Dict[ProcessId, Dict[ProcessId, int]] = {}
+        # For the move from current_view to mbrshp_view: the members of T
+        # heard from, the pointwise max of their cuts, and how many syncs
+        # the view names are still missing (initially the own one).
+        self.transitional: List[ProcessId] = []
+        self.agreed_cut: Dict[ProcessId, int] = {}
+        self.syncs_missing = 1
 
     # -- state helpers ------------------------------------------------------
 
@@ -92,7 +115,8 @@ class VsRfifoTsEndpoint(WvRfifoEndpoint):
         return self.sync_msg_for(self.pid, self.start_change.cid)
 
     def latest_sync_msgs_in_view(self, view: View) -> List[Tuple[ProcessId, SyncMsg]]:
-        """Per peer, the latest (highest-cid) sync message sent in ``view``."""
+        """Per peer, the latest (highest-cid) sync message sent in ``view``
+        (the rescan ``view_syncs`` caches for the current view)."""
         result = []
         for q, by_cid in self.sync_msg.items():
             in_view = [(cid, m) for cid, m in by_cid.items() if m.view == view]
@@ -139,15 +163,11 @@ class VsRfifoTsEndpoint(WvRfifoEndpoint):
 
     def transitional_set_for(self, v: View) -> Optional[FrozenSet[ProcessId]]:
         """T for moving into ``v``, or None while sync messages are missing."""
-        intersection = v.members & self.current_view.members
-        members = []
-        for q in intersection:
-            sync = self.sync_msg_for(q, v.start_id(q))
-            if sync is None:
-                return None
-            if sync.view == self.current_view:
-                members.append(q)
-        return frozenset(members)
+        if v == self.mbrshp_view:  # the indexed view: read the answer
+            transitional, missing = self.transitional, self.syncs_missing
+        else:
+            transitional, _agreed, missing = self._scan_syncs(v, self.current_view)
+        return None if missing else frozenset(transitional)
 
     # ------------------------------------------------------------------
     # INPUT mbrshp.start_change_p(id, set)
@@ -155,6 +175,61 @@ class VsRfifoTsEndpoint(WvRfifoEndpoint):
 
     def _eff_mbrshp_start_change(self, p: ProcessId, cid: StartChangeId, members: FrozenSet[ProcessId]) -> None:
         self.start_change = StartChange(cid, frozenset(members))
+        self._index_lagging()  # nobody lags behind a cut not yet sent
+
+    # ------------------------------------------------------------------
+    # INPUT mbrshp.view_p(v), and the index the effects maintain
+    # ------------------------------------------------------------------
+
+    def _eff_mbrshp_view(self, p: ProcessId, v: View) -> None:
+        self.transitional, self.agreed_cut, self.syncs_missing = self._scan_syncs(v, self.current_view)
+
+    def lagging_peers(self) -> Iterable[Tuple[ProcessId, Dict[ProcessId, int]]]:
+        """``lagging`` by first sync arrival (the order of ``sync_msg``)."""
+        lagging = self.lagging
+        return [(q, lagging[q]) for q in self.sync_msg if q in lagging] if lagging else ()
+
+    def _index_lagging(self, peers: Optional[Tuple[ProcessId, ...]] = None) -> None:
+        """Re-derive ``lagging`` for ``peers`` whose sync changed - or for
+        everyone, when the own sync (hence the own cut) did."""
+        own = self.own_sync_msg()
+        if peers is None:
+            self.lagging, peers = {}, tuple(self.view_syncs)
+        for q in peers:
+            gaps = cut_gaps(own.cut, self.view_syncs[q].cut) if own is not None else None
+            if gaps:
+                self.lagging[q] = gaps
+            else:
+                self.lagging.pop(q, None)
+
+    def _index_sync(self, q: ProcessId, m: SyncMsg) -> None:
+        """Fold the sync just stored for ``q`` into the index."""
+        current, v = self.current_view, self.mbrshp_view
+        in_view = m.view == current
+        latest = self.view_syncs.get(q)
+        if in_view and (latest is None or latest.cid < m.cid):
+            self.view_syncs[q] = m
+            self._index_lagging(None if q == self.pid else (q,))
+        if q in v.members and q in current.members and v.start_id(q) == m.cid:
+            self.syncs_missing -= 1  # one of the syncs mbrshp_view names
+            if in_view:
+                self.transitional.append(q)
+                self.agreed_cut = _raised(self.agreed_cut, m.cut)
+
+    def _scan_syncs(self, v: View, current: View) -> Tuple[List[ProcessId], Dict[ProcessId, int], int]:
+        """What the syncs ``v`` names say about the move out of ``current``:
+        (members of T heard from, pointwise max of their cuts, syncs missing)."""
+        transitional: List[ProcessId] = []
+        agreed: Dict[ProcessId, int] = {}
+        missing = 0
+        for q in v.members & current.members:
+            sync = self.sync_msg_for(q, v.start_id(q))
+            if sync is None:
+                missing += 1
+            elif sync.view == current:
+                transitional.append(q)
+                agreed = _raised(agreed, sync.cut)
+        return transitional, agreed, missing
 
     # ------------------------------------------------------------------
     # OUTPUT co_rfifo.reliable_p(set) - restriction
@@ -251,13 +326,26 @@ class VsRfifoTsEndpoint(WvRfifoEndpoint):
                 self.compact_sync_sent.add(m.cid)
             else:
                 self.sync_msg.setdefault(self.pid, {})[m.cid] = m
+                self._index_sync(self.pid, m)
         elif isinstance(m, FwdMsg):
             for q in targets:
                 self.forwarded_set.add((q, m.origin, m.view, m.index))
+                self._index_forwarded(q, m)
         elif isinstance(m, AckMsg):
             self.deliveries_since_ack = 0
             self.acked[self.pid] = dict(m.delivered)
             self._run_ack_gc()
+
+    def _index_forwarded(self, q: ProcessId, m: FwdMsg) -> None:
+        """Advance ``lagging[q]`` past the message just forwarded to ``q``."""
+        gaps = self.lagging.get(q)
+        if gaps is not None and gaps.get(m.origin) == m.index:
+            if m.index < self.own_sync_msg().cut[m.origin]:
+                gaps[m.origin] = m.index + 1
+            else:
+                del gaps[m.origin]
+                if not gaps:
+                    del self.lagging[q]
 
     def _ack_ready(self) -> bool:
         return (
@@ -267,10 +355,8 @@ class VsRfifoTsEndpoint(WvRfifoEndpoint):
         )
 
     def _make_ack(self) -> AckMsg:
-        from repro._collections import frozendict as _frozendict
-
         delivered = {q: self.dlvrd(q) for q in self.current_view.members}
-        return AckMsg(self.current_view.vid, _frozendict(delivered))
+        return AckMsg(self.current_view.vid, frozendict(delivered))
 
     def _candidates_co_rfifo_send(self) -> Iterable[Tuple[ProcessId, FrozenSet[ProcessId], WireMessage]]:
         yield from super()._candidates_co_rfifo_send()
@@ -305,6 +391,7 @@ class VsRfifoTsEndpoint(WvRfifoEndpoint):
     def _eff_co_rfifo_deliver(self, q: ProcessId, p: ProcessId, m: WireMessage) -> None:
         if isinstance(m, SyncMsg):
             self.sync_msg.setdefault(q, {})[m.cid] = m
+            self._index_sync(q, m)
         elif isinstance(m, AckMsg):
             if m.view_id == self.current_view.vid:
                 self.acked[q] = dict(m.delivered)
@@ -314,8 +401,8 @@ class VsRfifoTsEndpoint(WvRfifoEndpoint):
     # OUTPUT deliver_p(q, m) - restriction to agreed cuts
     # ------------------------------------------------------------------
 
-    def _delivery_limit(self, q: ProcessId) -> Optional[int]:
-        """Max index deliverable from ``q`` right now, or None if unbounded.
+    def _delivery_cut(self) -> Optional[Mapping[ProcessId, int]]:
+        """The cut that bounds deliveries right now, or None if unbounded.
 
         Unbounded while no view change is in progress or before this
         end-point has committed to its own cut; bounded by the own cut
@@ -328,15 +415,14 @@ class VsRfifoTsEndpoint(WvRfifoEndpoint):
         own = self.sync_msg_for(self.pid, change.cid)
         if own is None:
             return None
-        new_view = self.mbrshp_view
-        if new_view.start_ids.get(self.pid) != change.cid:
-            return own.cut.get(q, 0)
-        limit = 0
-        for r in new_view.members & self.current_view.members:
-            sync = self.sync_msg_for(r, new_view.start_id(r))
-            if sync is not None and sync.view == self.current_view:
-                limit = max(limit, sync.cut.get(q, 0))
-        return limit
+        if self.mbrshp_view.start_ids.get(self.pid) != change.cid:
+            return own.cut
+        return self.agreed_cut
+
+    def _delivery_limit(self, q: ProcessId) -> Optional[int]:
+        """Max index deliverable from ``q`` right now, or None if unbounded."""
+        cut = self._delivery_cut()
+        return None if cut is None else cut.get(q, 0)
 
     def _pre_deliver(self, p: ProcessId, q: ProcessId, m: Any) -> bool:
         limit = self._delivery_limit(q)
@@ -347,10 +433,9 @@ class VsRfifoTsEndpoint(WvRfifoEndpoint):
             self.deliveries_since_ack += 1
 
     def _candidates_deliver(self) -> Iterable[Tuple[ProcessId, ProcessId, Any]]:
+        cut = self._delivery_cut()  # one answer for the whole scan
         for candidate in super()._candidates_deliver():
-            _p, q, _m = candidate
-            limit = self._delivery_limit(q)
-            if limit is None or self.dlvrd(q) + 1 <= limit:
+            if cut is None or self.dlvrd(candidate[1]) + 1 <= cut.get(candidate[1], 0):
                 yield candidate
 
     # ------------------------------------------------------------------
@@ -362,18 +447,14 @@ class VsRfifoTsEndpoint(WvRfifoEndpoint):
         # "to prevent delivery of obsolete views"
         if change is None or v.start_ids.get(self.pid) != change.cid:
             return False
-        expected = self.transitional_set_for(v)
-        if expected is None or frozenset(T) != expected:
+        # The parent's conjunct demands v == mbrshp_view: the view whose
+        # transitional set and agreed cut (the pointwise max over T's
+        # sync cuts) the index holds, built once as the syncs arrived.
+        if v != self.mbrshp_view or self.syncs_missing:
             return False
-        # Agreed cut: the pointwise max over the transitional set's sync
-        # cuts.  Built by iterating the (sparse) cut entries rather than
-        # taking a per-member max over all cuts, so the scan is
-        # O(members + nonzero entries), not O(members x cuts).
-        agreed: Dict[ProcessId, int] = {}
-        for r in expected:
-            for q, committed in self.sync_msg_for(r, v.start_id(r)).cut.items():
-                if committed > agreed.get(q, 0):
-                    agreed[q] = committed
+        if frozenset(T) != frozenset(self.transitional):
+            return False
+        agreed = self.agreed_cut
         for q in self.current_view.members:
             if self.dlvrd(q) != agreed.get(q, 0):
                 return False
@@ -385,6 +466,9 @@ class VsRfifoTsEndpoint(WvRfifoEndpoint):
         self.deliveries_since_ack = 0
         if self.gc_views:
             self._collect_garbage(v)
+        self.view_syncs = dict(self.latest_sync_msgs_in_view(v))
+        self._index_lagging()
+        self.transitional, self.agreed_cut, self.syncs_missing = self._scan_syncs(v, v)
 
     def _candidates_view(self) -> Iterable[Tuple[ProcessId, View, FrozenSet[ProcessId]]]:
         v = self.mbrshp_view

@@ -65,8 +65,10 @@ class WvRfifoEndpoint(ProcessAutomaton):
         return self.msgs.get(q, {}).get(v)
 
     def view_msg_of(self, q: ProcessId) -> View:
-        """Latest ``view_msg`` received from ``q`` (initially ``v_q``)."""
-        return self.view_msg.get(q, initial_view(q))
+        """Latest ``view_msg`` received from ``q`` (initially ``v_q``, built
+        only when nothing was received: this runs on every drain)."""
+        view = self.view_msg.get(q)
+        return view if view is not None else initial_view(q)
 
     def dlvrd(self, q: ProcessId) -> int:
         return self.last_dlvrd.get(q, 0)
@@ -130,13 +132,14 @@ class WvRfifoEndpoint(ProcessAutomaton):
         # this same method, so compiled and reflective enumerations agree.)
         view = self.current_view
         members = view.members
+        delivered = self.last_dlvrd
         for q, buffers in self.msgs.items():
             if q not in members:
                 continue
             log = buffers.get(view)
             if log is None:
                 continue
-            index = self.dlvrd(q) + 1
+            index = delivered.get(q, 0) + 1
             if log.has(index):
                 yield (self.pid, q, log.get(index))
 

@@ -1,4 +1,4 @@
-"""The evaluation harness (experiments E1-E21, see EXPERIMENTS.md).
+"""The evaluation harness (experiments E1-E22, see EXPERIMENTS.md).
 
 The paper contains no measurement tables - its figures are specifications
 and algorithms - so the reproduction turns each *quantitative claim* into
@@ -11,6 +11,7 @@ missed claim; E16 and E20 (seeded sweeps and soaks) are driven by the
 ``chaos`` and ``soak`` commands instead.
 """
 
+from repro.experiments import reconfig_cost  # noqa: F401 - registers E22
 from repro.experiments.reconfig import (
     ALGORITHMS,
     ReconfigResult,

@@ -12,38 +12,29 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
-from typing import Any, Callable, List, Optional, Tuple
-
-
-@dataclass(order=True)
-class _Entry:
-    time: float
-    seq: int
-    callback: Callable[[], None] = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
+from typing import Callable, List, Optional, Tuple
 
 
 class ScheduledEvent:
-    """Handle returned by :meth:`EventScheduler.schedule`; cancellable."""
+    """Handle returned by :meth:`EventScheduler.schedule`; cancellable.
 
-    def __init__(self, entry: _Entry, scheduler: "Optional[EventScheduler]" = None) -> None:
-        self._entry = entry
+    The heap holds ``(time, seq, event)`` tuples, so ordering is decided
+    by C tuple comparison (``seq`` is unique: the event itself is never
+    compared) instead of a generated ``__lt__`` per sift step.
+    """
+
+    __slots__ = ("time", "callback", "cancelled", "_scheduler")
+
+    def __init__(self, time: float, callback: Callable[[], None], scheduler: "EventScheduler") -> None:
+        self.time = time
+        self.callback = callback
+        self.cancelled = False
         self._scheduler = scheduler
 
-    @property
-    def time(self) -> float:
-        return self._entry.time
-
     def cancel(self) -> None:
-        if not self._entry.cancelled:
-            self._entry.cancelled = True
-            if self._scheduler is not None:
-                self._scheduler.note_cancelled()
-
-    @property
-    def cancelled(self) -> bool:
-        return self._entry.cancelled
+        if not self.cancelled:
+            self.cancelled = True
+            self._scheduler.note_cancelled()
 
 
 class EventScheduler:
@@ -51,7 +42,7 @@ class EventScheduler:
 
     def __init__(self) -> None:
         self.now = 0.0
-        self._heap: List[_Entry] = []
+        self._heap: List[Tuple[float, int, ScheduledEvent]] = []
         self._seq = itertools.count()
         self.executed = 0
         self._cancelled = 0  # cancelled entries still parked in the heap
@@ -60,9 +51,7 @@ class EventScheduler:
         """Run ``callback`` at ``now + delay`` (delay must be >= 0)."""
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
-        entry = _Entry(self.now + delay, next(self._seq), callback)
-        heapq.heappush(self._heap, entry)
-        return ScheduledEvent(entry, self)
+        return self._push(self.now + delay, callback)
 
     def schedule_at(self, time: float, callback: Callable[[], None]) -> ScheduledEvent:
         """Run ``callback`` at exactly ``time`` (or now, if that is past).
@@ -71,9 +60,12 @@ class EventScheduler:
         not ``time`` in floating point, and an arrival the link core
         clamped to an earlier carrier's must not land one ulp before it.
         """
-        entry = _Entry(max(time, self.now), next(self._seq), callback)
-        heapq.heappush(self._heap, entry)
-        return ScheduledEvent(entry, self)
+        return self._push(max(time, self.now), callback)
+
+    def _push(self, time: float, callback: Callable[[], None]) -> ScheduledEvent:
+        event = ScheduledEvent(time, callback, self)
+        heapq.heappush(self._heap, (time, next(self._seq), event))
+        return event
 
     def note_cancelled(self) -> None:
         """Account one cancelled-in-place entry; compact when they dominate.
@@ -85,23 +77,23 @@ class EventScheduler:
         """
         self._cancelled += 1
         if self._cancelled > 64 and self._cancelled * 2 > len(self._heap):
-            self._heap = [e for e in self._heap if not e.cancelled]
+            self._heap = [item for item in self._heap if not item[2].cancelled]
             heapq.heapify(self._heap)
             self._cancelled = 0
 
     def pending(self) -> int:
-        return sum(1 for entry in self._heap if not entry.cancelled)
+        return sum(1 for _time, _seq, event in self._heap if not event.cancelled)
 
     def step(self) -> bool:
         """Execute the next event; return False when the queue is empty."""
         heap = self._heap
         while heap:
-            entry = heapq.heappop(heap)
-            if entry.cancelled:
+            time, _seq, event = heapq.heappop(heap)
+            if event.cancelled:
                 self._cancelled -= 1
                 continue
-            self.now = entry.time
-            entry.callback()
+            self.now = time
+            event.callback()
             self.executed += 1
             return True
         return False
@@ -125,12 +117,12 @@ class EventScheduler:
             heap = self._heap  # re-read: compaction may swap the list
             if not heap:
                 break
-            entry = pop(heap)
-            if entry.cancelled:
+            time, _seq, event = pop(heap)
+            if event.cancelled:
                 self._cancelled -= 1
                 continue
-            self.now = entry.time
-            entry.callback()
+            self.now = time
+            event.callback()
             count += 1
         self.executed += count
         return count
@@ -139,12 +131,12 @@ class EventScheduler:
         """Run events with timestamps <= ``time``; advance the clock to it."""
         count = 0
         while self._heap:
-            entry = self._heap[0]
-            if entry.cancelled:
+            due, _seq, event = self._heap[0]
+            if event.cancelled:
                 heapq.heappop(self._heap)
                 self._cancelled -= 1
                 continue
-            if entry.time > time:
+            if due > time:
                 break
             self.step()
             count += 1

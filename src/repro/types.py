@@ -93,6 +93,17 @@ class View:
     def __contains__(self, process: ProcessId) -> bool:
         return process in self.members
 
+    def __hash__(self) -> int:
+        # A view is the key of msgs[q][view], looked up on every delivery
+        # scan: hash the triple once per instance.  The cache is no field
+        # and stays out of __reduce__, so equality, pickles and the
+        # strict-mode fingerprint do not see it.
+        try:
+            return self._hash
+        except AttributeError:
+            object.__setattr__(self, "_hash", hash((self.vid, self.members, self.start_ids)))
+            return self._hash
+
     def __reduce__(self):
         return (View, (self.vid, self.members, self.start_ids))
 

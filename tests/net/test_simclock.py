@@ -111,3 +111,38 @@ def test_executed_counter():
     clock.schedule(2.0, lambda: None)
     clock.run()
     assert clock.executed == 2
+
+
+def test_equal_timestamps_stay_fifo_across_schedule_and_schedule_at():
+    """The heap orders (time, seq, event) tuples: among equal times the
+    insertion sequence decides, whichever call queued the event - and the
+    events themselves (not comparable) are never compared."""
+    clock = EventScheduler()
+    order = []
+    for index in range(200):  # a view install queues n(n-1) arrivals at one instant
+        if index % 2:
+            clock.schedule(5.0, lambda i=index: order.append(i))
+        else:
+            clock.schedule_at(5.0, lambda i=index: order.append(i))
+    clock.schedule(1.0, lambda: order.append("early"))
+    clock.run()
+    assert order == ["early"] + list(range(200))
+    assert clock.now == 5.0
+
+
+def test_cancelled_events_are_compacted_and_never_fire():
+    clock = EventScheduler()
+    fired = []
+    events = [clock.schedule(1.0 + i % 3, lambda i=i: fired.append(i)) for i in range(300)]
+    for event in events[:200]:
+        event.cancel()
+        event.cancel()  # idempotent: counted once
+    assert all(event.cancelled for event in events[:200])
+    assert clock.pending() == 100
+    assert len(clock._heap) < 300  # dead weight was compacted, not just skipped
+    late = clock.schedule(9.0, lambda: fired.append("late"))
+    assert late.time == 9.0
+    clock.run()
+    survivors = sorted(range(200, 300), key=lambda i: (1.0 + i % 3, i))
+    assert fired == survivors + ["late"]
+    assert clock.pending() == 0 and clock.executed == 101

@@ -50,6 +50,38 @@ class TestFrozendict:
     def test_repr_round_trippable_shape(self):
         assert "frozendict" in repr(frozendict({"a": 1}))
 
+    def test_reads_delegate_to_the_dict(self):
+        d = frozendict({"a": 1, "b": 2})
+        assert d.get("a", 9) == 1 and d.get("zz", 9) == 9
+        assert "a" in d and "zz" not in d
+        assert list(d.keys()) == ["a", "b"] and list(d.values()) == [1, 2]
+        assert list(d.items()) == [("a", 1), ("b", 2)]
+        assert d.items() & {("a", 1), ("c", 3)} == {("a", 1)}  # still set-like views
+
+    def test_equality_of_distinct_objects_and_other_mappings(self):
+        import collections
+
+        d = frozendict({"a": 1, "b": 2})
+        twin = frozendict([("b", 2), ("a", 1)])
+        assert d is not twin and d == twin and not d != twin
+        assert d == {"b": 2, "a": 1} and {"b": 2, "a": 1} == d
+        assert d == collections.ChainMap({"a": 1}, {"b": 2})
+        assert d != {"a": 1} and d != frozendict({"a": 1, "b": 3})
+        assert d.__eq__([("a", 1), ("b", 2)]) is NotImplemented
+        assert d != [("a", 1), ("b", 2)] and d != 3
+
+    def test_hash_and_bytes_survive_a_pickle_round_trip(self):
+        import pickle
+
+        d = frozendict({"a": 1, "b": 2})
+        fresh = pickle.dumps(d)
+        hash(d)  # the cached hash is not part of the pickle
+        assert pickle.dumps(d) == fresh
+        copy = pickle.loads(fresh)
+        assert copy == d and hash(copy) == hash(d) and copy is not d
+        with pytest.raises(AttributeError):
+            copy.extra = 1  # still slotted, still immutable
+
 
 class TestMessageLog:
     def test_empty(self):

@@ -85,6 +85,39 @@ class TestView:
             make_view(1, ["a", "b"], {"a": 1})
 
 
+class TestViewValueSemantics:
+    """The cached hash is invisible: to equality, pickles and fingerprints."""
+
+    def views(self):
+        a = make_view(3, ["a", "b"], {"a": 1, "b": 2})
+        b = View(ViewId(3), frozenset({"b", "a"}), frozendict({"b": 2, "a": 1}))
+        return a, b
+
+    def test_equal_but_distinct_views_share_a_hash_and_a_dict_slot(self):
+        a, b = self.views()
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert {a: "log"}[b] == "log"
+        assert hash(a) == hash((a.vid, a.members, a.start_ids))  # the dataclass value
+        assert a != make_view(3, ["a", "b"], {"a": 1, "b": 3})
+
+    def test_cached_hash_is_absent_from_the_pickle(self):
+        import pickle
+
+        a, _b = self.views()
+        fresh = pickle.dumps(a)
+        assert "_hash" not in vars(a)
+        hash(a)
+        assert "_hash" in vars(a)
+        assert pickle.dumps(a) == fresh  # strict-mode fingerprints do not move
+        copy = pickle.loads(fresh)
+        assert "_hash" not in vars(copy) and copy == a and hash(copy) == hash(a)
+
+    def test_start_ids_equal_a_plain_dict(self):
+        a, _b = self.views()
+        assert a.start_ids == {"a": 1, "b": 2}
+        assert a == View(a.vid, a.members, {"a": 1, "b": 2})  # coerced on construction
+
+
 class TestCuts:
     def test_make_cut(self):
         cut = make_cut({"a": 3, "b": 0})
