@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import asyncio
 import random
-import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -185,18 +184,6 @@ class SoakRunner:
     # internals
     # ------------------------------------------------------------------
 
-    def _clock(self, deployment: Any):
-        if self.backend == "sim":
-            return lambda: deployment.world.clock.now
-        return time.monotonic
-
-    @staticmethod
-    def _resident(deployment: Any) -> int:
-        host = getattr(deployment, "world", None) or deployment.cluster
-        return sum(
-            node.endpoint.buffered_messages() for node in host.nodes.values()
-        )
-
     async def _soak(
         self,
         report: SoakReport,
@@ -213,7 +200,7 @@ class SoakRunner:
         deployment = deploy_for(self.backend, injector, report.servers, **options)
         try:
             await deployment.setup(list(procs))
-            clock = self._clock(deployment)
+            clock = deployment.now
             started = clock()
             state = _ScheduleState(procs, 0, report.servers)
             sent = 0
@@ -267,7 +254,9 @@ class SoakRunner:
             and not state.crashed_servers
         )
         if clean:
-            resident = self._resident(deployment)
+            resident = sum(
+                node.endpoint.buffered_messages() for node in deployment.nodes.values()
+            )
             report.max_resident = max(report.max_resident, resident)
             if report.resident_limit is not None and resident > report.resident_limit:
                 report.verdict = Verdict.runtime(

@@ -53,7 +53,6 @@ composition enabled-set caches honest if the general engine resumes.
 
 from __future__ import annotations
 
-import os
 from typing import TYPE_CHECKING, Any, Dict, FrozenSet, Optional, Tuple
 
 from repro._collections import MessageLog
@@ -84,11 +83,6 @@ REPLAYED_ACTIONS: Dict[str, Tuple[str, ...]] = {
     "try_send": ("send", "co_rfifo.send", "deliver"),
     "try_receive": ("co_rfifo.deliver", "deliver"),
 }
-
-
-def fastpath_default() -> bool:
-    """The process-wide default: on, unless ``REPRO_FASTPATH=0``."""
-    return os.environ.get("REPRO_FASTPATH", "1") != "0"
 
 
 class FastLane:
@@ -253,4 +247,4 @@ class FastLane:
         return f"<FastLane {self.pid} {'engaged' if engaged else 'idle'}>"
 
 
-__all__ = ["FastLane", "REPLAYED_ACTIONS", "fastpath_default"]
+__all__ = ["FastLane", "REPLAYED_ACTIONS"]

@@ -29,7 +29,7 @@ from repro.checking.events import (
     SendEvent,
     ViewEvent,
 )
-from repro.core.fastpath import FastLane, fastpath_default
+from repro.core.fastpath import FastLane
 from repro.core.gcs_endpoint import GcsEndpoint
 from repro.core.messages import WireMessage
 from repro.errors import ClientMisuseError, CrashedError
@@ -53,7 +53,7 @@ class EndpointRunner:
         auto_block_ok: bool = True,
         clock: Callable[[], float] = lambda: 0.0,
         trace: Optional[GcsTrace] = None,
-        fastpath: Optional[bool] = None,
+        fastpath: bool = True,
     ) -> None:
         self.endpoint = endpoint
         self.pid = endpoint.pid
@@ -79,12 +79,10 @@ class EndpointRunner:
         self.trace = trace if trace is not None else GcsTrace()
         self._draining = False
         # The steady-state direct-dispatch lane (repro.core.fastpath):
-        # None when disabled (fastpath=False, $REPRO_FASTPATH=0) or when
-        # the endpoint's shape disqualifies it (subclass, strict mode,
-        # ack GC, custom forwarding) - then every input takes the
-        # general drain below, which remains the differential oracle.
-        if fastpath is None:
-            fastpath = fastpath_default()
+        # None when disabled (fastpath=False) or when the endpoint's
+        # shape disqualifies it (subclass, strict mode, ack GC, custom
+        # forwarding) - then every input takes the general drain below,
+        # which remains the differential oracle.
         lane = FastLane(self) if fastpath else None
         self.fast_lane = lane if lane is not None and lane.structural_ok else None
         # Drain by the endpoint class's declared ORDERING barrier (earlier

@@ -18,8 +18,9 @@ runs on it unchanged.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
+from repro.chaos.runner import TIME_SCALES
 from repro.checking.events import GcsTrace
 from repro.checking.refinement import TraceSkeleton, extract_skeleton
 from repro.checking.verdict import Verdict, run_verdict
@@ -33,6 +34,12 @@ class Deployment(ABC):
     #: Short substrate name ("sim", "async", "tcp"), for display and
     #: parametrized test ids.
     name: str = "abstract"
+
+    @property
+    def time_scale(self) -> float:
+        """One model time unit in this substrate's own clock - the table
+        chaos scales fault latencies by, so timers and faults agree."""
+        return TIME_SCALES[self.name]
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -130,17 +137,35 @@ class Deployment(ABC):
         """Per-kind wire-message counters (uniform across substrates)."""
         return self.links.totals()
 
+    # The seam cross-substrate tools (overlay, soak, experiments) work
+    # through: the hosts, a timer, a clock.
+
+    @property
     @abstractmethod
+    def nodes(self) -> Mapping[ProcessId, Any]:
+        """pid -> host; every substrate's host has ``.runner``,
+        ``.endpoint``, ``.current_view`` and ``.delivered``."""
+
+    @abstractmethod
+    def schedule(self, delay: float, callback: Callable[[], None]) -> object:
+        """Run ``callback`` ``delay`` model time units from now."""
+
+    @abstractmethod
+    def now(self) -> float:
+        """The substrate's clock: virtual time on the simulator,
+        monotonic wall seconds on the runtimes."""
+
     def processes(self) -> List[ProcessId]:
         """All end-point ids, sorted."""
+        return sorted(self.nodes)
 
-    @abstractmethod
     def current_view(self, pid: ProcessId) -> View:
         """The view currently installed at ``pid``."""
+        return self.nodes[pid].current_view
 
-    @abstractmethod
     def delivered(self, pid: ProcessId) -> List[Tuple[ProcessId, Any]]:
         """Everything delivered to ``pid``'s application, in order."""
+        return list(self.nodes[pid].delivered)
 
     @abstractmethod
     def views(self, pid: ProcessId) -> List[View]:

@@ -8,7 +8,9 @@ constructor picks.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, List, Optional, Tuple
+import asyncio
+import time
+from typing import Any, Callable, Iterable, List, Optional
 
 from repro.checking.events import GcsTrace
 from repro.deploy.base import Deployment
@@ -76,14 +78,15 @@ class ClusterDeployment(Deployment):
     def links(self) -> LinkCore:
         return self.cluster.links
 
-    def processes(self) -> List[ProcessId]:
-        return sorted(self.cluster.nodes)
+    @property
+    def nodes(self):
+        return self.cluster.nodes
 
-    def current_view(self, pid: ProcessId) -> View:
-        return self.cluster.node(pid).current_view
+    def schedule(self, delay: float, callback: Callable[[], None]) -> object:
+        return asyncio.get_event_loop().call_later(delay * self.time_scale, callback)
 
-    def delivered(self, pid: ProcessId) -> List[Tuple[ProcessId, Any]]:
-        return list(self.cluster.node(pid).delivered)
+    def now(self) -> float:
+        return time.monotonic()
 
     def views(self, pid: ProcessId) -> List[View]:
         return list(self.cluster.node(pid).views)

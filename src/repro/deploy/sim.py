@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any, Iterable, List, Tuple
+from typing import Any, Callable, Iterable, List
 
 from repro.checking.events import GcsTrace
 from repro.deploy.base import Deployment
@@ -150,14 +150,15 @@ class SimDeployment(Deployment):
     def links(self):
         return self.world.links
 
-    def processes(self) -> List[ProcessId]:
-        return sorted(self.world.nodes)
+    @property
+    def nodes(self):
+        return self.world.nodes
 
-    def current_view(self, pid: ProcessId) -> View:
-        return self.world.node(pid).current_view
+    def schedule(self, delay: float, callback: Callable[[], None]) -> object:
+        return self.world.clock.schedule(delay, callback)
 
-    def delivered(self, pid: ProcessId) -> List[Tuple[ProcessId, Any]]:
-        return list(self.world.node(pid).delivered)
+    def now(self) -> float:
+        return self.world.clock.now
 
     def views(self, pid: ProcessId) -> List[View]:
         return [view for view, _transitional in self.world.node(pid).views]

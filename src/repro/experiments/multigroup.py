@@ -4,8 +4,8 @@ The client-server architecture "allows the service to be scalable in
 the topology it spans, in the number of groups, and in the number of
 clients."  The shape to reproduce: reconfiguring one group costs the
 same regardless of how many *other* groups the same processes
-participate in - group changes are isolated.  Runs on the one
-multi-group world, :class:`~repro.groups.MultiGroupWorld`, on a
+participate in - group changes are isolated.  Runs on named groups of
+the one simulated world, :class:`~repro.net.world.SimWorld`, on a
 one-shard tier (E19's group axis runs the same class on ~sqrt(g)).
 """
 
@@ -16,8 +16,7 @@ from typing import List
 
 from repro.experiments.registry import claim, close, experiment
 from repro.experiments.tables import format_table
-from repro.groups import MultiGroupWorld
-from repro.net import ConstantLatency
+from repro.net import ConstantLatency, SimWorld
 
 
 @dataclass
@@ -31,7 +30,7 @@ class GroupIsolationResult:
 
 def measure_group_isolation(*, groups: int = 4, processes: int = 6) -> GroupIsolationResult:
     """All ``processes`` join ``groups`` groups; one then leaves group-0."""
-    world = MultiGroupWorld(latency=ConstantLatency(1.0), round_duration=1.0)
+    world = SimWorld(latency=ConstantLatency(1.0), round_duration=1.0)
     pids = [f"p{i}" for i in range(processes)]
     world.add_processes(pids)
     for g in range(groups):
@@ -41,7 +40,7 @@ def measure_group_isolation(*, groups: int = 4, processes: int = 6) -> GroupIsol
 
     def other_group_views() -> int:
         return sum(
-            len(world.processes[pid].views[f"group-{g}"])
+            len(world.node(pid, f"group-{g}").views)
             for g in range(1, groups)
             for pid in pids
         )

@@ -41,7 +41,7 @@ async def measure_reconfiguration_cost(n: int, overlay: bool, loads: Sequence[st
     if overlay:
         install_overlay(deployment, leaders=leaders)
     evaluations = [0]
-    for node in deployment.world.nodes.values():
+    for node in deployment.nodes.values():
         def counted(evaluate=node.endpoint.enabled_actions):
             evaluations[0] += 1
             return evaluate()

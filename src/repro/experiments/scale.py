@@ -13,8 +13,8 @@ measures both:
   substrate through :mod:`repro.deploy` (the overlay is
   substrate-agnostic); the n=1000 point runs on the simulator.
 * **group axis** (:func:`measure_scale_groups`): g groups over n shared
-  processes on a :class:`~repro.groups.MultiGroupWorld` with a
-  group-sharded membership tier; measures settle latency and - the
+  processes as named groups of a :class:`~repro.net.world.SimWorld` with
+  a group-sharded membership tier; measures settle latency and - the
   client-server selling point - how few groups one process crash
   actually reconfigures.
 
@@ -35,8 +35,7 @@ from typing import List, Sequence, Tuple
 from repro.experiments.registry import claim, experiment
 from repro.experiments.scenario import SYNC_KINDS, crash_last_member
 from repro.experiments.tables import format_table
-from repro.groups import MultiGroupWorld
-from repro.net import ConstantLatency
+from repro.net import ConstantLatency, SimWorld
 from repro.scale import auto_leaders, install_overlay
 from repro.scale.sharding import auto_shards
 
@@ -172,7 +171,7 @@ def measure_scale_groups(
     """
     started = time.perf_counter()
     shard_count = shards or auto_shards(groups)
-    world = MultiGroupWorld(round_duration=round_duration, shards=shard_count)
+    world = SimWorld(round_duration=round_duration, shards=shard_count)
     pids = [f"p{i:04d}" for i in range(processes)]
     world.add_processes(pids)
     size = min(group_size, processes)
@@ -183,7 +182,7 @@ def measure_scale_groups(
     settle_time = world.now()
     # Crash the anchor of the middle group - a process that is a member
     # of several (but far from all) groups.
-    touched = world.crash(pids[(groups // 2) % processes])
+    touched = len(world.crash(pids[(groups // 2) % processes]))
     world.run()
     all_settled = all(world.settled(name) for name in names)
     return ScaleGroupsResult(
@@ -191,7 +190,7 @@ def measure_scale_groups(
         groups=groups,
         group_size=size,
         shards=shard_count,
-        views_formed=world.tier.views_formed(),
+        views_formed=world.groups.views_formed(),
         settle_time=settle_time,
         crash_groups_touched=touched,
         wall_seconds=time.perf_counter() - started,

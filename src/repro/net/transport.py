@@ -14,17 +14,34 @@ bounced back by the network when a partition cut the link; they precede
 everything) and ``pending`` (messages that could not even be handed to
 the network).  The pump drains retransmit-then-pending whenever the link
 is up, preserving per-destination FIFO without gaps.
+
+A process owns one transport however many groups it joins (paper
+Section 1).  The default group uses it bare; a named group reaches it
+through :meth:`SimTransport.channel`, which tags every message with a
+:class:`GroupEnvelope`, hands inbound envelopes to the group's own
+handler, and keeps the transport reliable to the union of what its
+groups ask for - being more reliable than one group asks is the safe
+direction of the CO_RFIFO contract.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Deque, Dict, FrozenSet, Iterable, Optional
+from dataclasses import dataclass
+from typing import Any, Callable, Deque, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from repro.net.network import SimNetwork
 from repro.types import ProcessId
 
 ReceiveHandler = Callable[[ProcessId, Any], None]
+
+
+@dataclass(frozen=True)
+class GroupEnvelope:
+    """A group-tagged wire message on the shared transport."""
+
+    group: str
+    message: Any
 
 
 class SimTransport:
@@ -40,6 +57,10 @@ class SimTransport:
         self.network = network
         self.on_receive = on_receive
         self.reliable_set: FrozenSet[ProcessId] = frozenset({pid})
+        # What each group asked to keep reliable (None: the default
+        # group) and the inbound handler of each named group.
+        self._shares: Dict[Optional[str], FrozenSet[ProcessId]] = {}
+        self._channels: Dict[str, ReceiveHandler] = {}
         self._retransmit: Dict[ProcessId, Deque[Any]] = {}
         self._pending: Dict[ProcessId, Deque[Any]] = {}
         self.crashed = False
@@ -71,15 +92,37 @@ class SimTransport:
             # else: destination is neither reliable nor connected - the
             # suffix is lost (CO_RFIFO.lose).
 
-    def set_reliable(self, targets: Iterable[ProcessId]) -> None:
-        """Declare the reliable set; may drop suffixes to dropped peers."""
-        self.reliable_set = frozenset(targets)
+    def set_reliable(
+        self, targets: Iterable[ProcessId], group: Optional[str] = None
+    ) -> None:
+        """Declare ``group``'s reliable set; may drop suffixes to peers
+        no group keeps reliable any more."""
+        self._shares[group] = frozenset(targets)
+        self.reliable_set = frozenset().union(*self._shares.values())
         for dst in list(self._pending):
             if dst not in self.reliable_set and not self.network.connected(self.pid, dst):
                 del self._pending[dst]
         for dst in list(self._retransmit):
             if dst not in self.reliable_set and not self.network.connected(self.pid, dst):
                 del self._retransmit[dst]
+
+    def channel(
+        self, group: str, on_receive: ReceiveHandler
+    ) -> Tuple[Callable[..., None], Callable[..., None]]:
+        """The ``(send, set_reliable)`` pair of the named ``group``.
+
+        Inbound envelopes tagged ``group`` go to ``on_receive``; one for
+        a group this process never opened a channel for is dropped.
+        """
+        self._channels[group] = on_receive
+        return (
+            lambda targets, message: self.send(targets, GroupEnvelope(group, message)),
+            lambda targets: self.set_reliable(targets, group),
+        )
+
+    def groups(self) -> List[str]:
+        """The named groups with a channel here, sorted."""
+        return sorted(self._channels)
 
     # ------------------------------------------------------------------
     # crash / recovery (Section 8)
@@ -88,6 +131,7 @@ class SimTransport:
     def crash(self) -> None:
         self.crashed = True
         self.reliable_set = frozenset()
+        self._shares.clear()
         self._pending.clear()
         self._retransmit.clear()
 
@@ -105,7 +149,11 @@ class SimTransport:
     def _handle_delivery(self, src: ProcessId, message: Any) -> None:
         if self.crashed:
             return
-        if self.on_receive is not None:
+        if self._channels and isinstance(message, GroupEnvelope):
+            handler = self._channels.get(message.group)
+            if handler is not None:
+                handler(src, message.message)
+        elif self.on_receive is not None:
             self.on_receive(src, message)
 
     def _handle_bounce(self, dst: ProcessId, message: Any) -> None:

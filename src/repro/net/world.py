@@ -18,10 +18,19 @@
 All externally observable behaviour lands in a single time-stamped
 :class:`~repro.checking.events.GcsTrace`, so the property checkers of
 :mod:`repro.checking` apply to simulated runs unchanged.
+
+A group is a dimension of this world, not a second one (paper Section 1:
+scalable "in the number of groups").  Everything above is the *default*
+group; a process may also :meth:`~SimWorld.join` any number of *named*
+groups, each one more :class:`SimNode` over the process's one transport
+(a :meth:`~repro.net.transport.SimTransport.channel`), with membership
+from a :class:`~repro.scale.sharding.ShardedMembershipTier` and a trace
+of its own (:meth:`~SimWorld.trace_of`), so every group audits alone.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple, Type
 
 from repro.chaos.faults import FaultInjector
@@ -37,6 +46,7 @@ from repro.net.latency import LatencyModel
 from repro.net.network import SimNetwork
 from repro.net.simclock import EventScheduler
 from repro.net.transport import SimTransport
+from repro.scale.sharding import GroupName, ShardedMembershipTier
 from repro.types import ProcessId, View
 
 
@@ -65,13 +75,17 @@ class SimTierLink:
 
 
 class SimNode:
-    """One client process: endpoint + runner + transport, wired up."""
+    """One end-point of a client process: endpoint + runner, wired to
+    the process's transport - bare for the default group (``group``
+    None), through a group channel and into the group's own trace for a
+    named one."""
 
     def __init__(
         self,
         pid: ProcessId,
         world: "SimWorld",
         endpoint: GcsEndpoint,
+        group: Optional[GroupName] = None,
     ) -> None:
         self.pid = pid
         self.world = world
@@ -82,16 +96,23 @@ class SimNode:
         # bookkeeping; see :meth:`set_app`.
         self._app_on_deliver: Optional[Callable[[ProcessId, Any], None]] = None
         self._app_on_view: Optional[Callable[[View, FrozenSet[ProcessId]], None]] = None
-        self.transport = SimTransport(pid, world.network, self._on_wire_message)
+        self.transport = transport = world.transports[pid]
+        if group is None:
+            transport.on_receive = self._on_wire_message
+            send_wire, set_reliable = transport.send, transport.set_reliable
+        else:
+            send_wire, set_reliable = transport.channel(
+                group, lambda src, message: self.runner.receive(src, message)
+            )
         self.runner = EndpointRunner(
             endpoint,
-            send_wire=self.transport.send,
-            set_reliable=self.transport.set_reliable,
+            send_wire=send_wire,
+            set_reliable=set_reliable,
             on_deliver=self._record_delivery,
             on_view=self._record_view,
             auto_block_ok=True,
             clock=lambda: world.clock.now,
-            trace=world.trace,
+            trace=world.trace_of(group),
             fastpath=world.fastpath,
         )
 
@@ -156,9 +177,9 @@ class SimWorld:
         *,
         latency: Optional[LatencyModel] = None,
         membership: Optional[str] = None,
-        detection_delay: float = 0.0,
         round_duration: float = 1.0,
         servers: Optional[int] = None,
+        shards: int = 1,
         forwarding: Optional[ForwardingStrategy] = None,
         endpoint_cls: Type[GcsEndpoint] = GcsEndpoint,
         gc_views: bool = True,
@@ -166,16 +187,19 @@ class SimWorld:
         compact_syncs: bool = False,
         ack_gc_interval: Optional[int] = None,
         faults: Optional[FaultInjector] = None,
-        fastpath: Optional[bool] = None,
+        fastpath: bool = True,
     ) -> None:
         self.clock = EventScheduler()
         self.network = SimNetwork(self.clock, latency, faults)
-        # None defers to $REPRO_FASTPATH (default on); False forces every
-        # node through the general engine - the differential tests run
-        # both and compare traces.
+        # False forces every node through the general engine - the
+        # differential tests run both and compare traces.
         self.fastpath = fastpath
-        self.trace = GcsTrace()
-        self.nodes: Dict[ProcessId, SimNode] = {}
+        # One trace per group; the default group's (None) is .trace.
+        self._traces: Dict[Optional[GroupName], GcsTrace] = defaultdict(GcsTrace)
+        self.trace = self._traces[None]
+        self.transports: Dict[ProcessId, SimTransport] = {}
+        self.nodes: Dict[ProcessId, SimNode] = {}  # the default group's
+        self.group_nodes: Dict[GroupName, Dict[ProcessId, SimNode]] = {}
         self._endpoint_cls = endpoint_cls
         self._endpoint_kwargs: Dict[str, Any] = {"gc_views": gc_views, "strict": strict}
         if forwarding is not None:
@@ -186,6 +210,8 @@ class SimWorld:
             self._endpoint_kwargs["ack_gc_interval"] = ack_gc_interval
         self.oracle: Optional[OracleMembership] = None
         self.tier: Optional[MembershipTier] = None
+        # Named-group membership (oracle mode): one service keyed by group.
+        self.groups: Optional[ShardedMembershipTier] = None
         if membership is None:
             # Asking for servers is asking for the tier that runs them.
             membership = "oracle" if servers is None else "tier"
@@ -197,8 +223,10 @@ class SimWorld:
                 )
             self.oracle = OracleMembership(
                 self.clock,
-                detection_delay=detection_delay,
                 round_duration=round_duration,
+            )
+            self.groups = ShardedMembershipTier(
+                self.clock, shards=shards, round_duration=round_duration
             )
         elif membership == "tier":
             # The full substrate-neutral tier - the same MembershipTier
@@ -220,30 +248,88 @@ class SimWorld:
     # construction
     # ------------------------------------------------------------------
 
+    def add_process(self, pid: ProcessId) -> SimTransport:
+        """Create a client process: its one transport, no end-point yet."""
+        if pid in self.transports:
+            raise ValueError(f"duplicate process {pid!r}")
+        transport = self.transports[pid] = SimTransport(pid, self.network)
+        return transport
+
+    def add_processes(self, pids: Iterable[ProcessId]) -> List[SimTransport]:
+        return [self.add_process(pid) for pid in pids]
+
+    def _host(self, pid: ProcessId, group: Optional[GroupName] = None) -> SimNode:
+        """One more end-point of ``pid``, introduced to its group's
+        membership service."""
+        endpoint = self._endpoint_cls(pid, **self._endpoint_kwargs)
+        node = SimNode(pid, self, endpoint, group)
+        sinks = (node.runner.membership_start_change, node.runner.membership_view)
+        if group is not None:
+            self.groups.attach_client(group, pid, *sinks)
+        elif self.oracle is not None:
+            self.oracle.attach_client(pid, *sinks)
+        else:
+            self.tier.add_client(pid)
+        return node
+
     def add_node(self, pid: ProcessId) -> SimNode:
-        """Create a client process and introduce it to the membership service.
+        """Create a client process with a default-group end-point.
 
         The oracle includes it in the next scripted reconfiguration; the
         tier homes it itself and registers it on :meth:`start` or
         :meth:`set_members`.
         """
-        if pid in self.nodes:
-            raise ValueError(f"duplicate process {pid!r}")
-        endpoint = self._endpoint_cls(pid, **self._endpoint_kwargs)
-        node = SimNode(pid, self, endpoint)
-        self.nodes[pid] = node
-        if self.oracle is not None:
-            self.oracle.attach_client(
-                pid,
-                on_start_change=node.runner.membership_start_change,
-                on_view=node.runner.membership_view,
-            )
-        else:
-            self.tier.add_client(pid)
+        self.add_process(pid)
+        node = self.nodes[pid] = self._host(pid)
         return node
 
     def add_nodes(self, pids: Iterable[ProcessId]) -> List[SimNode]:
         return [self.add_node(pid) for pid in pids]
+
+    # ------------------------------------------------------------------
+    # named groups (oracle mode): join / leave reconfigure that group only
+    # ------------------------------------------------------------------
+
+    def _attach(self, group: GroupName, pid: ProcessId) -> None:
+        """Give ``pid`` an end-point in ``group`` (once)."""
+        if self.groups is None:
+            raise ValueError(
+                "named groups run on the sharded oracle tier; "
+                "membership='tier' serves the default group only"
+            )
+        nodes = self.group_nodes.setdefault(group, {})
+        if pid not in nodes:
+            nodes[pid] = self._host(pid, group)
+
+    def join(self, pid: ProcessId, group: GroupName) -> None:
+        self._attach(group, pid)
+        self.groups.join(group, pid)
+
+    def leave(self, pid: ProcessId, group: GroupName) -> None:
+        self.groups.leave(group, pid)
+
+    def set_group(self, group: GroupName, members: Iterable[ProcessId]) -> Optional[View]:
+        """Drive ``group`` to exactly ``members`` with a single round."""
+        members = list(members)
+        for pid in members:
+            self._attach(group, pid)
+        return self.groups.set_group(group, members)
+
+    def group_view(self, group: GroupName) -> Optional[View]:
+        return self.groups.group_view(group)
+
+    def groups_of(self, pid: ProcessId) -> List[GroupName]:
+        """The named groups ``pid`` has an end-point in, sorted."""
+        return self.transports[pid].groups()
+
+    def trace_of(self, group: Optional[GroupName]) -> GcsTrace:
+        """``group``'s own trace (``None``: the default group's)."""
+        return self._traces[group]
+
+    def settled(self, group: GroupName) -> bool:
+        """Every member of ``group``'s latest view has installed it."""
+        view = self.group_view(group)
+        return view is not None and self.all_in_view(view, group)
 
     # ------------------------------------------------------------------
     # driving
@@ -337,15 +423,24 @@ class SimWorld:
         if reconfigure and self.oracle is not None:
             self.oracle.reconfigure([list(self.nodes)])
 
-    def crash(self, pid: ProcessId, *, reconfigure: bool = True) -> None:
-        node = self.nodes[pid]
-        node.crash()
-        if self.oracle is not None:
+    def crash(self, pid: ProcessId, *, reconfigure: bool = True) -> List[View]:
+        """Crash the process: every group's end-point, the transport once.
+
+        Returns the views its named groups re-form - only the crashed
+        process's own groups, on only the shards owning them.
+        """
+        default = [self.nodes[pid]] if pid in self.nodes else []
+        for node in default + [self.group_nodes[g][pid] for g in self.groups_of(pid)]:
+            node.runner.crash()
+        self.transports[pid].crash()
+        if self.tier is not None:
+            self.tier.client_crashed(pid)
+            return []
+        if default:
             self.oracle.client_crashed(pid)
             if reconfigure:
                 self.oracle.reconfigure([[p for p in self.nodes if p != pid]])
-        else:
-            self.tier.client_crashed(pid)
+        return self.groups.client_crashed(pid, reconfigure=reconfigure)
 
     def recover(self, pid: ProcessId, *, reconfigure: bool = True) -> None:
         node = self.nodes[pid]
@@ -381,16 +476,14 @@ class SimWorld:
     # observation
     # ------------------------------------------------------------------
 
-    def node(self, pid: ProcessId) -> SimNode:
-        return self.nodes[pid]
+    def node(self, pid: ProcessId, group: Optional[GroupName] = None) -> SimNode:
+        return (self.nodes if group is None else self.group_nodes[group])[pid]
 
     def current_views(self) -> Dict[ProcessId, View]:
         return {pid: node.endpoint.current_view for pid, node in self.nodes.items()}
 
-    def all_in_view(self, view: View) -> bool:
-        return all(
-            self.nodes[pid].endpoint.current_view == view for pid in view.members
-        )
+    def all_in_view(self, view: View, group: Optional[GroupName] = None) -> bool:
+        return all(self.node(pid, group).current_view == view for pid in view.members)
 
     def message_counts(self) -> Dict[str, int]:
         return self.network.totals()

@@ -80,7 +80,7 @@ class Cluster:
         forwarding: Optional[ForwardingStrategy] = None,
         servers: int = 1,
         settle_timeout: Optional[float] = None,
-        fastpath: Optional[bool] = None,
+        fastpath: bool = True,
     ) -> None:
         self.fabric = fabric
         self.nodes: Dict[ProcessId, GcsNode] = {}
@@ -299,7 +299,7 @@ class AsyncCluster(Cluster):
         servers: int = 1,
         settle_timeout: Optional[float] = None,
         faults: Optional[FaultInjector] = None,
-        fastpath: Optional[bool] = None,
+        fastpath: bool = True,
     ) -> None:
         super().__init__(
             AsyncHub(delay=delay, faults=faults),
@@ -326,7 +326,7 @@ class TcpCluster(Cluster):
         servers: int = 1,
         settle_timeout: Optional[float] = None,
         faults: Optional[FaultInjector] = None,
-        fastpath: Optional[bool] = None,
+        fastpath: bool = True,
     ) -> None:
         super().__init__(
             TcpFabric(faults=faults),

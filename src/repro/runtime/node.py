@@ -59,7 +59,7 @@ class GcsNode:
         forwarding: Optional[ForwardingStrategy] = None,
         trace: Optional[GcsTrace] = None,
         on_view_installed: Optional[Callable[[], None]] = None,
-        fastpath: Optional[bool] = None,
+        fastpath: bool = True,
     ) -> None:
         self.pid = pid
         self.fabric = fabric

@@ -18,11 +18,8 @@ seams.
 
 from __future__ import annotations
 
-import asyncio
-from typing import Callable, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Optional
 
-from repro.core.runner import EndpointRunner
-from repro.deploy.base import Deployment
 from repro.scale.overlay import (
     AggregatedSync,
     GroupsLike,
@@ -31,46 +28,9 @@ from repro.scale.overlay import (
     auto_leaders,
     balanced_groups,
 )
-from repro.types import ProcessId
 
-# Real-time substrates (asyncio hub, TCP) run the overlay's batching
-# timer on the event loop; one simulated time unit maps to this many
-# wall-clock seconds (matching repro.chaos.runner's TIME_SCALES).
-REALTIME_SCALE = 0.003
-
-
-def _overlay_seams(
-    deployment: Deployment,
-) -> Tuple[
-    Dict[ProcessId, EndpointRunner],
-    Callable[[float, Callable[[], None]], object],
-    Callable[[ProcessId, ProcessId], bool],
-]:
-    """(runners, timer, connectivity) of a deployment, any substrate.
-
-    The simulator schedules flushes on its virtual clock; the asyncio
-    and TCP backends use ``loop.call_later`` scaled by
-    :data:`REALTIME_SCALE`.  Connectivity always comes from the
-    deployment's unified :class:`~repro.links.LinkCore`.
-    """
-    world = getattr(deployment, "world", None)
-    if world is not None:
-        runners = {pid: node.runner for pid, node in world.nodes.items()}
-        return runners, world.clock.schedule, deployment.links.connected
-    cluster = getattr(deployment, "cluster", None)
-    if cluster is not None:
-        runners = {pid: node.runner for pid, node in cluster.nodes.items()}
-
-        def schedule(delay: float, callback: Callable[[], None]) -> object:
-            return asyncio.get_event_loop().call_later(
-                delay * REALTIME_SCALE, callback
-            )
-
-        return runners, schedule, deployment.links.connected
-    raise TypeError(
-        f"cannot find overlay seams on {type(deployment).__name__}; "
-        "expected a .world (sim) or .cluster (async/tcp) attribute"
-    )
+if TYPE_CHECKING:  # annotation only: repro.deploy imports repro.net.world,
+    from repro.deploy.base import Deployment  # which imports this package
 
 
 def install_overlay(
@@ -78,28 +38,28 @@ def install_overlay(
     *,
     leaders: Optional[int] = None,
     groups: Optional[GroupsLike] = None,
-    flush_delay: float = 1.0,
 ) -> TwoTierOverlay:
     """Install the two-tier sync overlay on any deployment.
 
     Call after ``setup()`` (the runners must exist).  With neither
     ``leaders`` nor ``groups`` given, the leader count defaults to
     :func:`auto_leaders` (~sqrt(n)) over all processes, split into
-    contiguous balanced groups.
+    contiguous balanced groups.  Flush timers run on the deployment's
+    own ``schedule`` (model time units on every substrate);
+    connectivity comes from its unified :class:`~repro.links.LinkCore`.
     """
-    runners, schedule, connected = _overlay_seams(deployment)
+    runners = {pid: node.runner for pid, node in deployment.nodes.items()}
     if groups is None:
         pids = sorted(runners)
         count = leaders if leaders is not None else auto_leaders(len(pids))
         groups = balanced_groups(pids, max(1, min(count, len(pids))))
     return TwoTierOverlay(
-        runners, schedule, groups, flush_delay=flush_delay, connected=connected
+        runners, deployment.schedule, groups, connected=deployment.links.connected
     )
 
 
 __all__ = [
     "AggregatedSync",
-    "REALTIME_SCALE",
     "TwoTierOverlay",
     "UpSync",
     "auto_leaders",

@@ -65,6 +65,10 @@ from repro.core.runner import EndpointRunner
 from repro.links import MessageBatch
 from repro.types import ProcessId
 
+#: How long an aggregator waits for stragglers before flushing a partial
+#: batch, in model time units (one network hop).
+FLUSH_DELAY = 1.0
+
 
 @dataclass(frozen=True)
 class UpSync:
@@ -138,12 +142,10 @@ class TwoTierOverlay:
         schedule: Callable[[float, Callable[[], None]], object],
         groups: GroupsLike,
         *,
-        flush_delay: float = 1.0,
         connected: Optional[Callable[[ProcessId, ProcessId], bool]] = None,
     ) -> None:
         self.runners = runners
         self.schedule = schedule
-        self.flush_delay = flush_delay
         self._connected = connected if connected is not None else (lambda p, q: True)
         if isinstance(groups, Mapping):
             raw_groups = [set(members) | {leader} for leader, members in groups.items()]
@@ -287,16 +289,16 @@ class TwoTierOverlay:
     def _arm_timer(self, aggregator: ProcessId) -> None:
         """Arm the straggler-flush backstop for ``aggregator``.
 
-        The timer fires in two hops - ``flush_delay`` later, then once
+        The timer fires in two hops - ``FLUSH_DELAY`` later, then once
         more at zero delay - so that on a discrete-event substrate every
         message *arriving at the same instant* is processed first: a
-        batch whose last sync lands exactly ``flush_delay`` after the
+        batch whose last sync lands exactly ``FLUSH_DELAY`` after the
         first is completed and flushed once, not split in two.
         """
         self._flush_scheduled.add(aggregator)
         snapshot = self._accepts.get(aggregator, 0)
         self.schedule(
-            self.flush_delay,
+            FLUSH_DELAY,
             lambda: self.schedule(0.0, lambda: self._timer_flush(aggregator, snapshot)),
         )
 

@@ -2,9 +2,9 @@
 
 The paper motivates the client-server architecture with scalability "in
 the number of groups": a small tier of membership servers tracks many
-multicast groups.  :mod:`repro.groups` realises the client side (one
-end-point per joined group over a shared transport); this module
-supplies the server side:
+multicast groups.  :class:`~repro.net.world.SimWorld` realises the client
+side (one end-point per joined group over a shared transport); this
+module supplies the server side:
 
 * :class:`GroupShardMap` - a consistent group -> shard mapping
   (highest-random-weight over ``crc32``, so it is a pure deterministic
@@ -95,13 +95,11 @@ class MembershipShard:
         clock,
         crashed: Set[ProcessId],
         *,
-        detection_delay: float = 0.0,
         round_duration: float = 1.0,
     ) -> None:
         self.index = index
         self.issuer = OracleMembership(
             clock,
-            detection_delay=detection_delay,
             round_duration=round_duration,
             crashed=crashed,
             origin=f"s{index}",
@@ -173,11 +171,9 @@ class ShardedMembershipTier:
         clock,
         *,
         shards: int = 1,
-        detection_delay: float = 0.0,
         round_duration: float = 1.0,
     ) -> None:
         self.clock = clock
-        self.detection_delay = detection_delay
         self.round_duration = round_duration
         self._crashed: Set[ProcessId] = set()
         self.map = GroupShardMap(shards)
@@ -203,7 +199,6 @@ class ShardedMembershipTier:
             index,
             self.clock,
             self._crashed,
-            detection_delay=self.detection_delay,
             round_duration=self.round_duration,
         )
 

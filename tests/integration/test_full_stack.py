@@ -9,43 +9,26 @@ import pytest
 
 from repro.apps import ReplicatedStateMachine
 from repro.checking import SAFETY_CODES, run_verdict
-from repro.groups import MultiGroupWorld
 from repro.net import ConstantLatency, SimWorld, UniformLatency
 from repro.order import CausalOrderNode, TotalOrderNode
 
 
 class TestOrderingOverGroups:
     def test_total_order_per_group(self):
-        world = MultiGroupWorld(latency=ConstantLatency(1.0), round_duration=1.0)
+        world = SimWorld(latency=ConstantLatency(1.0), round_duration=1.0)
         pids = ["p0", "p1", "p2"]
-        for pid in pids:
-            world.add_process(pid)
+        world.add_processes(pids)
         for pid in pids:
             world.join(pid, "chat")
             world.join(pid, "audit")
         world.run()
 
-        class GroupMember:
-            """Adapts one group of a MultiGroupProcess to the member API."""
-
-            def __init__(self, process, group):
-                self.process = process
-                self.group = group
-                self.pid = process.pid
-
-            def send(self, payload):
-                self.process.send(self.group, payload)
-
-            def set_app(self, on_deliver=None, on_view=None):
-                runner = self.process._runner_for(self.group)
-                runner._on_deliver = on_deliver
-                runner._on_view = on_view
-
-        chat = [TotalOrderNode(GroupMember(world.processes[p], "chat")) for p in pids]
-        audit = [TotalOrderNode(GroupMember(world.processes[p], "audit")) for p in pids]
+        # A named group's node is the member the layers expect: no adapter.
+        chat = [TotalOrderNode(world.node(p, "chat")) for p in pids]
+        audit = [TotalOrderNode(world.node(p, "audit")) for p in pids]
         # re-deliver current views to the freshly attached layers
-        world.tier.reconfigure_group("chat")
-        world.tier.reconfigure_group("audit")
+        world.groups.reconfigure_group("chat")
+        world.groups.reconfigure_group("audit")
         world.run()
 
         for i in range(3):
@@ -58,6 +41,8 @@ class TestOrderingOverGroups:
         assert len(audit_orders) == 1
         assert {p for _s, p in chat_orders.pop()} == {"c0", "c1", "c2"}
         assert {p for _s, p in audit_orders.pop()} == {"a0", "a1", "a2"}
+        for group in ("chat", "audit"):
+            run_verdict(world.trace_of(group), pids, include=SAFETY_CODES).raise_for()
 
 
 class TestStateMachineUnderJitter:

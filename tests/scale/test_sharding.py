@@ -4,16 +4,21 @@ Covers the consistent group->shard map (determinism, balance, minimal
 movement), the per-shard Figure-2 notice discipline, the watermark-seeded
 counters that keep Local Monotonicity alive across a resize, the crash
 fan-out locality claim, the tier's self-growing ``plan_partition``, and
-the sharded :class:`~repro.groups.MultiGroupWorld` end-to-end.
+named groups of the sharded :class:`~repro.net.world.SimWorld` end-to-end.
 """
 
 import asyncio
+import os
+import subprocess
+import sys
 
 import pytest
 
+import repro
+
 from repro.membership.tier import MembershipTier
+from repro.net import SimWorld
 from repro.net.simclock import EventScheduler
-from repro.groups import MultiGroupWorld
 from repro.scale.sharding import (
     GroupShardMap,
     MembershipShard,
@@ -224,7 +229,7 @@ class TestPlanPartitionSelfGrow:
 
 class TestScaleWorld:
     def test_many_groups_end_to_end(self):
-        world = MultiGroupWorld(shards=auto_shards(6))
+        world = SimWorld(shards=auto_shards(6))
         pids = [f"p{i:02d}" for i in range(12)]
         world.add_processes(pids)
         names = [f"g{i}" for i in range(6)]
@@ -233,11 +238,27 @@ class TestScaleWorld:
         world.run()
         assert all(world.settled(name) for name in names)
         touched = world.crash("p01")  # member of g0 and g1 only
-        assert touched == 2
+        assert len(touched) == 2
         world.run()
         assert all(world.settled(name) for name in names)
         for name in ("g0", "g1"):
             assert "p01" not in world.group_view(name).members
+
+
+@pytest.mark.parametrize(
+    "first", ["repro.net.world", "repro.scale.sharding", "repro.deploy", "repro.scale"]
+)
+def test_no_package_import_cycle(first):
+    """``net.world`` needs ``scale.sharding`` and ``deploy`` needs
+    ``net.world``: each must import first in a fresh interpreter."""
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    completed = subprocess.run(
+        [sys.executable, "-c", f"import {first}, repro.deploy, repro.scale, repro.chaos"],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+    )
+    assert completed.returncode == 0, completed.stderr
 
 
 class TestShardMapSkew:

@@ -1,16 +1,18 @@
-"""Tests for multiple multicast groups over shared processes."""
+"""Named groups of :class:`SimWorld`: many groups over shared processes."""
 
 import pytest
 
-from repro.checking import SAFETY_CODES, run_verdict
-from repro.groups import MultiGroupWorld
-from repro.net import ConstantLatency
+from repro.chaos.faults import FaultInjector, FaultModel
+from repro.checking import extract_skeleton, run_verdict
+from repro.core.messages import AppMsg
+from repro.net import ConstantLatency, SimWorld
+from repro.net.transport import GroupEnvelope
+from repro.scale import TwoTierOverlay, balanced_groups
 
 
-def make_world():
-    world = MultiGroupWorld(latency=ConstantLatency(1.0), round_duration=1.0)
-    for pid in ("p0", "p1", "p2", "p3"):
-        world.add_process(pid)
+def make_world(**options):
+    world = SimWorld(latency=ConstantLatency(1.0), round_duration=1.0, **options)
+    world.add_processes(["p0", "p1", "p2", "p3"])
     return world
 
 
@@ -31,10 +33,9 @@ def test_overlapping_membership():
     for pid in ("p1", "p2", "p3"):
         world.join(pid, "metrics")
     world.run()
-    p1 = world.processes["p1"]
-    assert set(p1.groups()) == {"chat", "metrics"}
-    assert p1.current_view("chat").members == {"p0", "p1", "p2"}
-    assert p1.current_view("metrics").members == {"p1", "p2", "p3"}
+    assert world.groups_of("p1") == ["chat", "metrics"]
+    assert world.node("p1", "chat").current_view.members == {"p0", "p1", "p2"}
+    assert world.node("p1", "metrics").current_view.members == {"p1", "p2", "p3"}
 
 
 def test_messages_stay_within_their_group():
@@ -44,15 +45,14 @@ def test_messages_stay_within_their_group():
     for pid in ("p1", "p2", "p3"):
         world.join(pid, "metrics")
     world.run()
-    world.processes["p0"].send("chat", "hello")
-    world.processes["p3"].send("metrics", "cpu=1")
+    world.node("p0", "chat").send("hello")
+    world.node("p3", "metrics").send("cpu=1")
     world.run()
-    p1 = world.processes["p1"]
-    assert ("p0", "hello") in p1.delivered["chat"]
-    assert ("p3", "cpu=1") in p1.delivered["metrics"]
-    assert p1.delivered["chat"] != p1.delivered["metrics"]
-    # p3 is not in chat: nothing leaked
-    assert "chat" not in world.processes["p3"].delivered
+    assert world.node("p1", "chat").delivered == [("p0", "hello")]
+    assert world.node("p1", "metrics").delivered == [("p3", "cpu=1")]
+    # p3 is not in chat: nothing leaked, it never even got an end-point
+    assert world.groups_of("p3") == ["metrics"]
+    assert "p3" not in world.group_nodes["chat"]
 
 
 def test_reconfiguring_one_group_leaves_others_untouched():
@@ -62,49 +62,62 @@ def test_reconfiguring_one_group_leaves_others_untouched():
         world.join(pid, "metrics")
     world.run()
     metrics_views = {
-        pid: len(world.processes[pid].views["metrics"]) for pid in ("p0", "p1", "p2")
+        pid: len(world.node(pid, "metrics").views) for pid in ("p0", "p1", "p2")
     }
     world.leave("p0", "chat")
     world.run()
     assert world.group_view("chat").members == {"p1", "p2"}
     for pid in ("p0", "p1", "p2"):
-        assert len(world.processes[pid].views["metrics"]) == metrics_views[pid]
+        assert len(world.node(pid, "metrics").views) == metrics_views[pid]
 
 
 def test_per_group_traces_satisfy_safety():
+    """Two overlapping groups send *the same payloads*; one then loses a
+    member.  Each group audits alone - the full battery, MBRSHP
+    conformance and liveness included - because each records into its
+    own trace (one shared trace fails MBRSHP-CONF spuriously)."""
     world = make_world()
-    for pid in ("p0", "p1", "p2"):
-        world.join(pid, "g")
+    groups = {"chat": ["p0", "p1", "p2"], "metrics": ["p1", "p2", "p3"]}
+    for group, members in groups.items():
+        for pid in members:
+            world.join(pid, group)
     world.run()
-    for pid in ("p0", "p1"):
-        world.processes[pid].send("g", "m-" + pid)
+    for group, members in groups.items():
+        for pid in members:
+            world.node(pid, group).send("same payload")
     world.run()
-    world.leave("p2", "g")
+    world.leave("p2", "chat")
     world.run()
-    # the shared trace mixes groups; per-group safety holds on the whole
-    # trace because payload streams are disjoint per group here
-    run_verdict(world.trace, ["p0", "p1", "p2"], include=SAFETY_CODES).raise_for()
+    world.node("p1", "chat").send("same payload")
+    world.run()
+    for group, members in groups.items():
+        verdict = run_verdict(
+            world.trace_of(group), members, final_view=world.group_view(group)
+        )
+        assert verdict.ok, (group, verdict.primary.describe())
+        assert {"MBRSHP-CONF", "VS-LIVE"} <= set(verdict.rules)
+    assert len(world.trace) == 0  # the default group was never used
 
 
 def test_join_creates_runner_lazily():
     world = make_world()
-    process = world.processes["p0"]
-    assert process.groups() == []
+    assert world.groups_of("p0") == []
     world.join("p0", "late")
-    assert process.groups() == ["late"]
+    assert world.groups_of("p0") == ["late"]
 
 
 def test_duplicate_process_rejected():
     world = make_world()
     with pytest.raises(ValueError):
         world.add_process("p0")
+    with pytest.raises(ValueError):
+        world.add_node("p0")
 
 
 def test_many_groups_scale():
-    world = MultiGroupWorld(latency=ConstantLatency(1.0), round_duration=1.0)
+    world = SimWorld(latency=ConstantLatency(1.0), round_duration=1.0)
     pids = [f"p{i}" for i in range(6)]
-    for pid in pids:
-        world.add_process(pid)
+    world.add_processes(pids)
     for g in range(10):
         for pid in pids[g % 3:]:
             world.join(pid, f"group-{g}")
@@ -119,15 +132,143 @@ def test_crash_takes_the_shared_transport_down_once():
         world.join(pid, "chat")
         world.join(pid, "audit")
     world.run()
-    victim = world.processes["p2"]
-    assert world.crash("p2") == 2  # both of its groups reconfigure
+    transport = world.transports["p2"]
+    crashes = []
+    transport.crash = lambda crash=transport.crash: (crashes.append(1), crash())
+    assert len(world.crash("p2")) == 2  # both of its groups reconfigure
     # The process is gone, not just its end-points: the one transport all
     # its groups share stops sending, buffering and handling inbound.
-    assert victim.transport.crashed
-    assert victim.transport.reliable_set == frozenset()
-    world.processes["p0"].send("chat", "after the crash")
+    assert crashes == [1]
+    assert transport.crashed
+    assert transport.reliable_set == frozenset()
+    assert all(world.node("p2", g).endpoint.crashed for g in ("chat", "audit"))
+    world.node("p0", "chat").send("after the crash")
     world.run()
-    assert victim.delivered["chat"] == []
+    assert world.node("p2", "chat").delivered == []
     for group in ("chat", "audit"):
         assert world.group_view(group).members == {"p0", "p1"}
         assert world.settled(group)
+
+
+# ----------------------------------------------------------------------
+# the group dimension is neutral: same engine, same tools, no new code
+# ----------------------------------------------------------------------
+
+
+def test_default_and_named_group_run_the_same_execution():
+    """One script on the default group and on a single named group:
+    identical golden skeletons - the group is only a name."""
+    pids = ["p0", "p1", "p2", "p3"]
+
+    def script(world, group):
+        def burst(tag, members):
+            for pid in members:
+                world.node(pid, group).send(f"{tag}/{pid}")
+            world.settle()
+
+        def reconfigure(members):
+            if group is None:
+                world.oracle.reconfigure([members])
+            else:
+                world.set_group(group, members)
+            world.settle()
+
+        reconfigure(pids)
+        burst("formed", pids)
+        reconfigure(pids[:-1])
+        burst("left", pids[:-1])
+        reconfigure(pids)
+        burst("rejoined", pids)
+        return extract_skeleton(world.trace_of(group))
+
+    default = SimWorld(latency=ConstantLatency(1.0))
+    default.add_nodes(pids)
+    named = make_world()
+    assert script(default, None) == script(named, "chat")
+    assert len(named.trace) == 0
+
+
+def test_overlay_and_faults_apply_to_a_named_group():
+    """A named group of 12 under duplicate/delay/reorder faults with the
+    two-tier overlay on *its* runners settles a leave and passes its
+    verdict; an overlay-less group on the same processes is undisturbed."""
+    faults = FaultInjector(FaultModel(duplicate=0.2, delay=0.2, reorder=0.2, seed=5))
+    world = SimWorld(latency=ConstantLatency(1.0), faults=faults)
+    pids = [f"p{i:02d}" for i in range(12)]
+    world.add_processes(pids)
+    world.set_group("big", pids)
+    world.set_group("plain", pids[:4])
+    world.settle()
+    runners = {pid: node.runner for pid, node in world.group_nodes["big"].items()}
+    overlay = TwoTierOverlay(
+        runners, world.clock.schedule, balanced_groups(pids, 3),
+        connected=world.links.connected,
+    )
+    for pid in pids:
+        world.node(pid, "big").send(f"m/{pid}")
+    for pid in pids[:4]:
+        world.node(pid, "plain").send(f"m/{pid}")
+    plain_views = [len(world.node(pid, "plain").views) for pid in pids[:4]]
+    world.leave(pids[-1], "big")
+    world.settle()
+    assert world.settled("big") and overlay.aggregates_sent > 0
+    assert faults.snapshot()["duplicated"] > 0
+    run_verdict(
+        world.trace_of("big"), pids, final_view=world.group_view("big")
+    ).raise_for()
+    run_verdict(
+        world.trace_of("plain"), pids[:4], final_view=world.group_view("plain")
+    ).raise_for()
+    assert [len(world.node(pid, "plain").views) for pid in pids[:4]] == plain_views
+    assert all(len(world.node(pid, "plain").delivered) == 4 for pid in pids[:4])
+
+
+def test_shared_transport_contract():
+    world = make_world()
+    world.add_nodes(["q0", "q1"])  # default group, plus "side" on the same two
+    world.start()
+    world.set_group("side", ["q0", "q1", "p0"])
+    world.settle()
+    q0 = world.node("q0")
+    transport = q0.transport
+    assert transport is world.node("q0", "side").transport is world.transports["q0"]
+    # reliable to the union of what the default and the named group ask for
+    assert transport.reliable_set == {"q0", "q1", "p0"}
+    assert q0.endpoint.current_view.members == {"q0", "q1"}
+    # the default group is wired to the bare transport: the network sees
+    # its AppMsg unwrapped, a named group's inside an envelope
+    assert q0.runner._send_wire == transport.send
+    sent = []
+    send = world.network.send
+    world.network.send = lambda src, dst, m: (sent.append(m), send(src, dst, m))[1]
+    q0.send("bare")
+    world.node("q0", "side").send("wrapped")
+    world.settle()
+    assert [type(m) for m in sent if not isinstance(m, GroupEnvelope)] == [AppMsg]
+    assert {(type(m.message), m.group) for m in sent if isinstance(m, GroupEnvelope)} == {
+        (AppMsg, "side")
+    }
+    # an envelope for a group the receiver never joined is dropped
+    # (p1 joined nothing, q1 joined only "side")
+    world.network.send = send
+    for dst in ("p1", "q1"):
+        world.network.send("q0", dst, GroupEnvelope("nowhere", sent[0]))
+    world.settle()
+    assert world.node("q1").delivered == [("q0", "bare")]
+    assert world.node("q1", "side").delivered == [("q0", "wrapped")]
+    # one crash: both end-points, the transport, every group's share
+    assert [view.members for view in world.crash("q0")] == [{"q1", "p0"}]
+    world.settle()
+    assert q0.endpoint.crashed and world.node("q0", "side").endpoint.crashed
+    assert transport.crashed and transport.reliable_set == frozenset()
+    assert world.settled("side") and world.node("q1").current_view.members == {"q1"}
+
+
+def test_named_groups_need_the_oracle_tier():
+    world = SimWorld(servers=2)
+    world.add_process("p0")
+    with pytest.raises(ValueError, match="named groups"):
+        world.join("p0", "chat")
+    with pytest.raises(ValueError, match="named groups"):
+        world.set_group("chat", ["p0"])
+    assert world.groups_of("p0") == []
