@@ -420,12 +420,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     scale = sub.add_parser(
         "scale",
-        help="run the E19 scale sweep (two-tier overlay + sharded membership)",
+        help="run the E19 scale sweep (two-tier overlay + many groups on the server tier)",
         description="Measure both scalability axes: sync traffic of a "
                     "crash reconfiguration at group size n with the "
                     "two-tier overlay (vs the §9 cost model), and "
-                    "reconfiguration locality with g groups on the "
-                    "group-sharded membership tier.",
+                    "reconfiguration locality with g groups placed over "
+                    "~sqrt(g) membership servers.",
     )
     scale.add_argument("--n", type=int, nargs="*", default=list(e19.DEFAULT_NS),
                        help="endpoint-axis group sizes on the simulator "

@@ -5,8 +5,9 @@ the topology it spans, in the number of groups, and in the number of
 clients."  The shape to reproduce: reconfiguring one group costs the
 same regardless of how many *other* groups the same processes
 participate in - group changes are isolated.  Runs on named groups of
-the one simulated world, :class:`~repro.net.world.SimWorld`, on a
-one-shard tier (E19's group axis runs the same class on ~sqrt(g)).
+the one simulated world, :class:`~repro.net.world.SimWorld`, on a tier
+of one membership server (E19's group axis runs the same tier on
+~sqrt(g) servers); the group's notices are wire messages like any other.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ class GroupIsolationResult:
 
 def measure_group_isolation(*, groups: int = 4, processes: int = 6) -> GroupIsolationResult:
     """All ``processes`` join ``groups`` groups; one then leaves group-0."""
-    world = SimWorld(latency=ConstantLatency(1.0), round_duration=1.0)
+    world = SimWorld(latency=ConstantLatency(1.0), servers=1)
     pids = [f"p{i}" for i in range(processes)]
     world.add_processes(pids)
     for g in range(groups):

@@ -13,8 +13,8 @@ measures both:
   substrate through :mod:`repro.deploy` (the overlay is
   substrate-agnostic); the n=1000 point runs on the simulator.
 * **group axis** (:func:`measure_scale_groups`): g groups over n shared
-  processes as named groups of a :class:`~repro.net.world.SimWorld` with
-  a group-sharded membership tier; measures settle latency and - the
+  processes as named groups of a :class:`~repro.net.world.SimWorld` on
+  ~sqrt(g) membership servers; measures settle latency and - the
   client-server selling point - how few groups one process crash
   actually reconfigures.
 
@@ -63,7 +63,7 @@ class ScaleGroupsResult:
     processes: int
     groups: int
     group_size: int
-    shards: int
+    servers: int
     views_formed: int
     settle_time: float  # virtual time to settle all groups initially
     crash_groups_touched: int  # groups reconfigured by one process crash
@@ -160,18 +160,18 @@ def measure_scale_groups(
     processes: int = 50,
     groups: int = 8,
     group_size: int = 4,
-    shards: int = 0,
-    round_duration: float = 1.0,
+    servers: int = 0,
 ) -> ScaleGroupsResult:
-    """g groups over n processes on the sharded membership tier.
+    """g groups over n processes on a tier of membership servers.
 
     Groups are overlapping windows over the process ring (group i holds
     processes i .. i+size-1 mod n), so one crash lands in several groups
-    but never in most - the locality the sharded tier preserves.
+    but never in most - the locality the tier preserves: each group is
+    one round machine at its owning server.
     """
     started = time.perf_counter()
-    shard_count = shards or auto_shards(groups)
-    world = SimWorld(round_duration=round_duration, shards=shard_count)
+    servers = servers or auto_shards(groups)
+    world = SimWorld(servers=servers)
     pids = [f"p{i:04d}" for i in range(processes)]
     world.add_processes(pids)
     size = min(group_size, processes)
@@ -189,8 +189,8 @@ def measure_scale_groups(
         processes=processes,
         groups=groups,
         group_size=size,
-        shards=shard_count,
-        views_formed=world.groups.views_formed(),
+        servers=servers,
+        views_formed=sum(len(world.tier.group_views(name)) for name in names),
         settle_time=settle_time,
         crash_groups_touched=touched,
         wall_seconds=time.perf_counter() - started,
@@ -246,13 +246,13 @@ def run_scale(
         r = measure_scale_groups(processes=processes, groups=g)
         if not r.all_settled:
             violations.append(f"groups g={g} did not settle")
-        rows.append((r.groups, r.shards, r.views_formed,
+        rows.append((r.groups, r.servers, r.views_formed,
                      f"{r.crash_groups_touched}/{r.groups}",
                      f"{r.wall_seconds:.1f}s", r.all_settled))
     tables.append(format_table(
-        ["groups", "shards", "views", "crash touched", "wall", "settled"],
+        ["groups", "servers", "views", "crash touched", "wall", "settled"],
         rows,
-        title=f"E19 group axis (sim, {processes} processes, sharded membership)",
+        title=f"E19 group axis (sim, {processes} processes, membership servers)",
     ))
     return tables, violations
 

@@ -14,12 +14,10 @@ cids), and it cancels a pending view delivery for an end-point whenever
 a newer start_change supersedes it - which is how the service, like the
 paper's, never delivers views it already knows to be out of date.
 
-An end-point is a process within a *scope*: :class:`~repro.net.world.SimWorld`
-serves one group and files everything under the pid alone (scope
-``None``); a :class:`~repro.scale.sharding.MembershipShard` serves many
-groups and passes the group name, so sinks and pending notices are kept
-per ``(group, pid)``.  A crash is a fact about the process, whatever the
-scope.  This is the only place that schedules scripted notices.
+It serves one group - :class:`~repro.net.world.SimWorld`'s default one;
+named groups run on the real tier
+(:class:`~repro.membership.tier.MembershipTier`).  This is the only
+place that schedules scripted notices.
 """
 
 from __future__ import annotations
@@ -30,10 +28,8 @@ from typing import (
     Callable,
     Dict,
     FrozenSet,
-    Hashable,
     Iterable,
     List,
-    Optional,
     Set,
     Tuple,
 )
@@ -58,24 +54,18 @@ class OracleMembership:
         *,
         detection_delay: float = 0.0,
         round_duration: float = 1.0,
-        crashed: Optional[Set[ProcessId]] = None,
-        origin: str = "",
     ) -> None:
         self.clock = clock
         self.detection_delay = detection_delay
         self.round_duration = round_duration
-        # Provenance only: ordering is carried by the counter alone.
-        self.origin = origin
-        # A sharded tier hands every shard's issuer one shared set: a
-        # crash is visible wherever one of the process's groups lives.
-        self._crashed: Set[ProcessId] = set() if crashed is None else crashed
-        # Last cid / view counter issued; :meth:`seed` raises them.
+        self._crashed: Set[ProcessId] = set()
+        # Last cid / view counter issued.
         self._cid = 0
         self._counter = 0
-        self._sinks: Dict[Hashable, Dict[ProcessId, Tuple[StartChangeSink, ViewSink]]] = {}
+        self._sinks: Dict[ProcessId, Tuple[StartChangeSink, ViewSink]] = {}
         # Scheduled notices per end-point, cancellable when a newer
         # reconfiguration supersedes them.
-        self._pending: Dict[Hashable, Dict[ProcessId, List[ScheduledEvent]]] = {}
+        self._pending: Dict[ProcessId, List[ScheduledEvent]] = {}
         self.views_formed: List[View] = []
 
     # ------------------------------------------------------------------
@@ -87,36 +77,14 @@ class OracleMembership:
         pid: ProcessId,
         on_start_change: StartChangeSink,
         on_view: ViewSink,
-        *,
-        scope: Hashable = None,
     ) -> None:
-        self._sinks.setdefault(scope, {})[pid] = (on_start_change, on_view)
-
-    def forget(self, scope: Hashable) -> None:
-        """Drop ``scope``: its sinks go and its pending notices never fire."""
-        self._sinks.pop(scope, None)
-        for events in self._pending.pop(scope, {}).values():
-            for event in events:
-                event.cancel()
+        self._sinks[pid] = (on_start_change, on_view)
 
     def client_crashed(self, pid: ProcessId) -> None:
         self._crashed.add(pid)
 
     def client_recovered(self, pid: ProcessId) -> None:
         self._crashed.discard(pid)
-
-    # ------------------------------------------------------------------
-    # counters
-    # ------------------------------------------------------------------
-
-    def seed(self, cid_floor: int, counter_floor: int) -> None:
-        """Ensure every future cid / view counter exceeds the floors."""
-        self._cid = max(self._cid, cid_floor)
-        self._counter = max(self._counter, counter_floor)
-
-    def watermarks(self) -> Tuple[int, int]:
-        """The last ``(cid, view counter)`` issued."""
-        return (self._cid, self._counter)
 
     # ------------------------------------------------------------------
     # reconfiguration
@@ -127,7 +95,6 @@ class OracleMembership:
         groups: Iterable[Iterable[ProcessId]],
         *,
         extra_changes: int = 0,
-        scope: Hashable = None,
     ) -> List[View]:
         """Form one view per group; return them (delivery is scheduled).
 
@@ -139,18 +106,15 @@ class OracleMembership:
         for group in groups:
             members = frozenset(group) - self._crashed
             if members:
-                views.append(self._form_view(scope, members, extra_changes))
+                views.append(self._form_view(members, extra_changes))
         return views
 
-    def _form_view(
-        self, scope: Hashable, members: FrozenSet[ProcessId], extra_changes: int
-    ) -> View:
+    def _form_view(self, members: FrozenSet[ProcessId], extra_changes: int) -> View:
         detect = self.detection_delay
         spacing = self.round_duration / (extra_changes + 1)
         ordered = sorted(members)
-        pending = self._pending.setdefault(scope, {})
         for pid in ordered:
-            for event in pending.pop(pid, ()):
+            for event in self._pending.pop(pid, ()):
                 event.cancel()
 
         final_cids: Dict[ProcessId, StartChangeId] = {}
@@ -159,26 +123,24 @@ class OracleMembership:
             for pid in ordered:
                 self._cid += 1
                 final_cids[pid] = self._cid
-                self._schedule(scope, pid, at, 0, self._cid, members)
+                self._schedule(pid, at, 0, self._cid, members)
         self._counter += 1
-        view = View(ViewId(self._counter, self.origin), members, frozendict(final_cids))
+        view = View(ViewId(self._counter), members, frozendict(final_cids))
         self.views_formed.append(view)
         for pid in ordered:
-            self._schedule(scope, pid, detect + self.round_duration, 1, view)
+            self._schedule(pid, detect + self.round_duration, 1, view)
         return view
 
-    def _schedule(
-        self, scope: Hashable, pid: ProcessId, delay: float, sink: int, *notice: Any
-    ) -> None:
+    def _schedule(self, pid: ProcessId, delay: float, sink: int, *notice: Any) -> None:
         """Hand ``notice`` to the end-point's start_change (0) or view (1)
         sink after ``delay``, unless it crashed or was superseded first."""
 
         def fire() -> None:
             if pid in self._crashed:
                 return
-            sinks = self._sinks.get(scope, {}).get(pid)
+            sinks = self._sinks.get(pid)
             if sinks is not None:
                 sinks[sink](*notice)
 
         event = self.clock.schedule(delay, fire)
-        self._pending[scope].setdefault(pid, []).append(event)
+        self._pending.setdefault(pid, []).append(event)

@@ -11,7 +11,7 @@ set of servers it believes reachable).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet
+from typing import Any, FrozenSet
 
 from repro._collections import frozendict
 from repro.types import ProcessId, StartChangeId, View
@@ -40,6 +40,15 @@ class ViewNotice:
 
     client: ProcessId
     view: View
+
+
+@dataclass(frozen=True)
+class GroupEnvelope:
+    """A group-tagged wire message: a named group's traffic on a
+    process's one transport, and its notices on its owning server's link."""
+
+    group: str
+    message: Any
 
 
 @dataclass(frozen=True)

@@ -102,13 +102,17 @@ class WatermarkStore:
     its snapshot and is floored by both, so its first new round exceeds
     every pre-crash round (peers adopt it - a rejoin, not a fork) and
     every counter it issues exceeds every counter a client may have seen
-    (Local Monotonicity survives the crash).
+    (Local Monotonicity survives the crash).  A named group counts views
+    on its own, so it has a counter floor of its own: bumped at each of
+    its formations, read when its round machine is re-created at a new
+    owner.
     """
 
     def __init__(self) -> None:
         self._states: Dict[ProcessId, ServerState] = {}
         self._round = 0
         self._counter = 0
+        self._groups: Dict[str, int] = {}
 
     def observe(self, round_no: int, counter: int) -> None:
         """Cheap floor bump: called on every tier send."""
@@ -128,13 +132,19 @@ class WatermarkStore:
     def round_floor(self) -> int:
         return self._round
 
-    def counter_floor(self) -> int:
-        return self._counter
+    def counter_floor(self, group: Optional[str] = None) -> int:
+        """The default group's counter floor, or a named ``group``'s."""
+        return self._counter if group is None else self._groups.get(group, 0)
+
+    def observe_group(self, group: str, counter: int) -> None:
+        if counter > self._groups.get(group, 0):
+            self._groups[group] = counter
 
     def to_dict(self) -> Dict[str, Any]:
         return {
             "round": self._round,
             "counter": self._counter,
+            "groups": dict(sorted(self._groups.items())),
             "states": {str(sid): s.to_dict() for sid, s in sorted(self._states.items())},
         }
 
@@ -143,6 +153,7 @@ class WatermarkStore:
         store = cls()
         store._round = int(data.get("round", 0))
         store._counter = int(data.get("counter", 0))
+        store._groups = {g: int(c) for g, c in data.get("groups", {}).items()}
         for state in data.get("states", {}).values():
             restored = ServerState.from_dict(state)
             store._states[restored.sid] = restored

@@ -20,6 +20,15 @@ three-line :class:`~repro.net.world.SimTierLink`.
 Topology input (who can reach whom among servers) is injected by the
 deployment when it partitions or heals its transport or crashes a
 server: the tier is each server's failure detector, on every substrate.
+
+The tier serves many groups (paper Section 1) by composition, not by
+re-keying the protocol: everything above is the *default* group, and a
+*named* group is one more :class:`MembershipServer` round machine placed
+at the group's **owning server** - its configuration the owner alone, so
+a round completes with no proposal exchange - with a cid registry and a
+durable counter floor of its own, its notices wrapped in a
+:class:`~repro.membership.protocol.GroupEnvelope` on the owner's link.
+A group moves only when its owner crashes (see :meth:`MembershipTier.crash_server`).
 """
 
 from __future__ import annotations
@@ -35,13 +44,15 @@ from typing import (
     Optional,
     Protocol,
     Set,
+    Union,
 )
 
 from repro.checking.events import GcsTrace, MbrshpFormEvent
 from repro.links import LinkCore
-from repro.membership.protocol import server_id
+from repro.membership.protocol import GroupEnvelope, server_id
 from repro.membership.server import MembershipServer
-from repro.membership.state import ServerState, WatermarkStore
+from repro.membership.state import WatermarkStore
+from repro.scale.sharding import GroupName, GroupShardMap
 from repro.types import ProcessId, StartChangeId, View
 
 
@@ -89,6 +100,16 @@ class PartitionPlan:
     components: List[List[ProcessId]]
 
 
+class _Group:
+    """A named group at the tier: its round machine at the owning server,
+    and the registry that outlives the owner."""
+
+    def __init__(self) -> None:
+        self.machine: Optional[MembershipServer] = None  # MembershipTier._place
+        self.cids: Dict[ProcessId, StartChangeId] = {}
+        self.views: List[View] = []
+
+
 class MembershipTier:
     """A tier of membership servers over a :class:`TierLink`."""
 
@@ -99,7 +120,7 @@ class MembershipTier:
         servers: int = 1,
         links: Optional[LinkCore] = None,
         counter_bound: Optional[int] = None,
-        trace: Optional[GcsTrace] = None,
+        trace: Union[GcsTrace, Callable[[Optional[GroupName]], GcsTrace], None] = None,
         clock: Optional[Callable[[], float]] = None,
     ) -> None:
         if servers < 1:
@@ -107,8 +128,11 @@ class MembershipTier:
         self.link = link
         # When given, every view formation is recorded as an
         # MbrshpFormEvent at the forming server - the raw material of the
-        # MBRSHP-SRV-MONO / MBRSHP-SRV-FORK trace rules.
-        self._trace = trace
+        # MBRSHP-SRV-MONO / MBRSHP-SRV-FORK trace rules.  One trace is
+        # the default group's; a ``group -> trace`` callable (None: the
+        # default group) lets every named group audit on its own.
+        self._trace_of = trace if callable(trace) else {None: trace}.get
+        self._trace = self._trace_of(None)
         self._clock = clock if clock is not None else (lambda: 0.0)
         # The substrate's unified link core.  When given, the tier cuts
         # and heals the transport itself (one API for every substrate)
@@ -130,8 +154,10 @@ class MembershipTier:
         # a heal brings exactly these back.
         self._detached: Set[ProcessId] = set()
         self._crashed: Set[ProcessId] = set()
-        self.views_formed: List[View] = []
+        self.views_formed: List[View] = []  # the default group's
         self._seen_views: Set[View] = set()
+        self._groups: Dict[GroupName, _Group] = {}
+        self._groups_of: Dict[ProcessId, Set[GroupName]] = {}
         self.started = False
 
     # ------------------------------------------------------------------
@@ -305,17 +331,117 @@ class MembershipTier:
             )
         return changed
 
-    def client_crashed(self, pid: ProcessId) -> None:
+    def client_crashed(self, pid: ProcessId) -> List[View]:
+        """Returns the views the process's named groups re-form."""
         self._crashed.add(pid)
         if pid in self._registered:
             self.servers[self._home[pid]].client_crashed(pid)
+        return self._fan_out(pid, MembershipServer.client_crashed)
 
-    def client_recovered(self, pid: ProcessId) -> None:
+    def client_recovered(self, pid: ProcessId) -> List[View]:
+        """Returns the views re-admitting the process to its named groups."""
         self._crashed.discard(pid)
         if pid in self._registered:
             self.servers[self._home[pid]].client_recovered(pid)
-        else:
+        elif pid in self._known:
             self._register(pid)
+        return self._fan_out(pid, MembershipServer.client_recovered)
+
+    # ------------------------------------------------------------------
+    # named groups: one round machine each, at the owning server
+    # ------------------------------------------------------------------
+
+    def _place(self, group: GroupName, clients: Iterable[ProcessId] = ()) -> _Group:
+        """(Re-)create ``group``'s round machine at its owner: the alive
+        server of highest weight, counters above the group's durable floor."""
+        if not self.servers and not self._grow_sync(self._initial_servers):
+            raise TypeError("link has no attach_sync; await start() or ensure_capacity() first")
+        sids = list(self.servers)
+        alive = [index for index, sid in enumerate(sids) if not self.servers[sid].crashed]
+        owner = sids[GroupShardMap(len(sids)).shard_of(group, among=alive)]
+        state = self._groups.setdefault(group, _Group())
+
+        def send(dst: ProcessId, message: Any) -> None:
+            if not self.servers[owner].crashed:  # a dead server says nothing
+                self.link.send(owner, (dst,), GroupEnvelope(group, message))
+
+        def formed(view: View) -> None:
+            self.store.observe_group(group, view.vid.counter)
+            state.views.append(view)
+            trace = self._trace_of(group)
+            if trace is not None:
+                trace.append(MbrshpFormEvent(self._clock(), owner, view))
+
+        state.machine = MembershipServer(
+            owner,
+            send,
+            cid_registry=state.cids,
+            initial_counter=self.store.counter_floor(group),
+        )
+        state.machine.on_view_formed = formed
+        self._admit(group, clients)
+        return state
+
+    def _admit(self, group: GroupName, clients: Iterable[ProcessId]) -> bool:
+        """Register ``clients`` at ``group``'s machine; the crashed stay crashed."""
+        return self._groups[group].machine.inherit_clients(
+            clients, counter_floor=self.store.counter_floor(group), crashed=self._crashed
+        )
+
+    def set_group(self, group: GroupName, members: Iterable[ProcessId]) -> Optional[View]:
+        """Drive ``group`` to exactly ``members`` with a single round at
+        its owner; returns the view formed (a round with one server in
+        its configuration forms synchronously), if any."""
+        state = self._groups.get(group) or self._place(group)
+        machine = state.machine
+        target = frozenset(members)
+        gone, new = sorted(machine.local_clients - target), sorted(target - machine.local_clients)
+        for pid in gone:
+            self._groups_of[pid].discard(group)
+        for pid in new:
+            self._groups_of.setdefault(pid, set()).add(group)
+        formed = len(state.views)
+        changed = machine.update_clients(remove=gone, trigger=False)
+        changed |= self._admit(group, new)
+        self._report(machine, machine.reachable, changed)
+        return state.views[-1] if len(state.views) > formed else None
+
+    def join(self, group: GroupName, pid: ProcessId) -> Optional[View]:
+        return self.set_group(group, self.group_members(group) | {pid})
+
+    def leave(self, group: GroupName, pid: ProcessId) -> Optional[View]:
+        return self.set_group(group, self.group_members(group) - {pid})
+
+    def group_members(self, group: GroupName) -> FrozenSet[ProcessId]:
+        """The registered clients of ``group`` (crashed ones included)."""
+        state = self._groups.get(group)
+        return frozenset(state.machine.local_clients) if state else frozenset()
+
+    def group_views(self, group: GroupName) -> List[View]:
+        """Every view formed for ``group``, oldest first."""
+        state = self._groups.get(group)
+        return state.views if state else []
+
+    def group_view(self, group: GroupName) -> Optional[View]:
+        views = self.group_views(group)
+        return views[-1] if views else None
+
+    def owner_of(self, group: GroupName) -> Optional[ProcessId]:
+        state = self._groups.get(group)
+        return state.machine.sid if state else None
+
+    def _fan_out(
+        self, pid: ProcessId, event: Callable[[MembershipServer, ProcessId], None]
+    ) -> List[View]:
+        """A process-level event reaches exactly the machines of the
+        process's groups - never the whole tier; returns what they form."""
+        views: List[View] = []
+        for group in sorted(self._groups_of.get(pid, ())):
+            state = self._groups[group]
+            formed = len(state.views)
+            event(state.machine, pid)
+            views.extend(state.views[formed:])
+        return views
 
     # ------------------------------------------------------------------
     # the server fault domain
@@ -329,8 +455,11 @@ class MembershipTier:
         cut from the fabric when a link core is attached), and its
         clients are rehomed to the surviving servers - floored by the
         tier watermark so no survivor can issue a counter the moved
-        clients may already have seen.  Returns the crashed server id
-        (default: the highest-numbered alive server).
+        clients may already have seen.  Each named group it owned moves
+        the same way: its machine is re-created at the survivor of
+        highest weight, from the group's durable counter floor and the
+        tier's cid registry.  Returns the crashed server id (default:
+        the highest-numbered alive server).
         """
         alive = self.alive_servers()
         if sid is None:
@@ -362,14 +491,25 @@ class MembershipTier:
                 adds.get(tsid, ()), counter_floor=floor, crashed=crashed
             )
         for tsid in targets:
-            survivor = self.servers[tsid]
-            before = survivor.reachable
-            survivor.set_reachable(survivors)
-            if before == survivors and adds.get(tsid):
-                # Reachability did not change (the dead server was already
-                # cut off): the inherited clients still need a round.
-                survivor.begin_round(survivor.round + 1)
+            self._report(self.servers[tsid], survivors, bool(adds.get(tsid)))
+        for group in sorted(g for g, s in self._groups.items() if s.machine.sid == sid):
+            final = self._groups[group].machine.crash()
+            self._place(group, final.local_clients).machine.activate(())
         return sid
+
+    @staticmethod
+    def _report(server: MembershipServer, reachable: FrozenSet[ProcessId], changed: bool) -> None:
+        """Failure-detector report to ``server`` such that one round
+        covers it: if reachability did not change (the server already
+        stood alone, the dead peer was already cut off) but the client
+        registry did, the new clients still need their round."""
+        if not server.active:
+            server.activate(reachable)
+            return
+        before = server.reachable
+        server.set_reachable(reachable)
+        if before == server.reachable and changed:
+            server.begin_round(server.round + 1)
 
     def recover_server(self, sid: ProcessId) -> None:
         """Recover a crashed server from the durable store.
@@ -378,7 +518,10 @@ class MembershipTier:
         store's round and counter watermarks, so the first round it
         starts exceeds every pre-crash round - the peers *adopt* it (a
         rejoin) instead of racing a forked server with forgotten state.
-        Its former clients stay where they failed over to.
+        Its former clients stay where they failed over to, and so do
+        its former named groups: moving a group off a *live* server would
+        let the old owner's in-flight view notice overtake the new
+        owner's start_change (a network cannot cancel what is on the wire).
         """
         server = self.servers.get(sid)
         if server is None:
@@ -509,14 +652,7 @@ class MembershipTier:
             changed |= server.inherit_clients(
                 adds.get(sid, ()), counter_floor=snapshot, crashed=self._crashed
             )
-            component = frozenset({sid})
-            if not server.active:
-                server.activate(component)
-            else:
-                before = server.reachable
-                server.set_reachable(component)
-                if before == component and changed:
-                    server.begin_round(server.round + 1)
+            self._report(server, frozenset({sid}), changed)
 
     def heal(self) -> None:
         """Reunite the tier: all servers reachable, cut-off clients back.
@@ -540,13 +676,7 @@ class MembershipTier:
         for sid in sorted(everyone):
             server = self.servers[sid]
             changed = server.update_clients(add=adds.get(sid, ()), trigger=False)
-            if not server.active:
-                server.activate(everyone)
-            else:
-                before = server.reachable
-                server.set_reachable(everyone)
-                if before == everyone and changed:
-                    server.begin_round(server.round + 1)
+            self._report(server, everyone, changed)
 
     def __repr__(self) -> str:
         return (

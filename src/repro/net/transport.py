@@ -27,21 +27,13 @@ direction of the CO_RFIFO contract.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Any, Callable, Deque, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
+from repro.membership.protocol import GroupEnvelope
 from repro.net.network import SimNetwork
 from repro.types import ProcessId
 
 ReceiveHandler = Callable[[ProcessId, Any], None]
-
-
-@dataclass(frozen=True)
-class GroupEnvelope:
-    """A group-tagged wire message on the shared transport."""
-
-    group: str
-    message: Any
 
 
 class SimTransport:

@@ -24,8 +24,9 @@ scalable "in the number of groups").  Everything above is the *default*
 group; a process may also :meth:`~SimWorld.join` any number of *named*
 groups, each one more :class:`SimNode` over the process's one transport
 (a :meth:`~repro.net.transport.SimTransport.channel`), with membership
-from a :class:`~repro.scale.sharding.ShardedMembershipTier` and a trace
-of its own (:meth:`~SimWorld.trace_of`), so every group audits alone.
+from the same tier - one more round machine at the group's owning
+server - and a trace of its own (:meth:`~SimWorld.trace_of`), so every
+group audits alone.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from repro.net.latency import LatencyModel
 from repro.net.network import SimNetwork
 from repro.net.simclock import EventScheduler
 from repro.net.transport import SimTransport
-from repro.scale.sharding import GroupName, ShardedMembershipTier
+from repro.scale.sharding import GroupName
 from repro.types import ProcessId, View
 
 
@@ -101,9 +102,7 @@ class SimNode:
             transport.on_receive = self._on_wire_message
             send_wire, set_reliable = transport.send, transport.set_reliable
         else:
-            send_wire, set_reliable = transport.channel(
-                group, lambda src, message: self.runner.receive(src, message)
-            )
+            send_wire, set_reliable = transport.channel(group, self._on_wire_message)
         self.runner = EndpointRunner(
             endpoint,
             send_wire=send_wire,
@@ -157,10 +156,6 @@ class SimNode:
         self.runner.crash()
         self.transport.crash()
 
-    def recover(self) -> None:
-        self.transport.recover()
-        self.runner.recover()
-
     @property
     def current_view(self) -> View:
         return self.endpoint.current_view
@@ -179,7 +174,6 @@ class SimWorld:
         membership: Optional[str] = None,
         round_duration: float = 1.0,
         servers: Optional[int] = None,
-        shards: int = 1,
         forwarding: Optional[ForwardingStrategy] = None,
         endpoint_cls: Type[GcsEndpoint] = GcsEndpoint,
         gc_views: bool = True,
@@ -210,8 +204,6 @@ class SimWorld:
             self._endpoint_kwargs["ack_gc_interval"] = ack_gc_interval
         self.oracle: Optional[OracleMembership] = None
         self.tier: Optional[MembershipTier] = None
-        # Named-group membership (oracle mode): one service keyed by group.
-        self.groups: Optional[ShardedMembershipTier] = None
         if membership is None:
             # Asking for servers is asking for the tier that runs them.
             membership = "oracle" if servers is None else "tier"
@@ -225,18 +217,16 @@ class SimWorld:
                 self.clock,
                 round_duration=round_duration,
             )
-            self.groups = ShardedMembershipTier(
-                self.clock, shards=shards, round_duration=round_duration
-            )
         elif membership == "tier":
             # The full substrate-neutral tier - the same MembershipTier
             # (durable watermark store, crashable servers) the asyncio
-            # and TCP clusters run, over the simulated network.
+            # and TCP clusters run, over the simulated network; the
+            # servers are also what named groups are placed on.
             self.tier = MembershipTier(
                 SimTierLink(self.network),
                 servers=1 if servers is None else servers,
                 links=self.network.core,
-                trace=self.trace,
+                trace=self.trace_of,
                 clock=lambda: self.clock.now,
             )
         else:
@@ -259,18 +249,8 @@ class SimWorld:
         return [self.add_process(pid) for pid in pids]
 
     def _host(self, pid: ProcessId, group: Optional[GroupName] = None) -> SimNode:
-        """One more end-point of ``pid``, introduced to its group's
-        membership service."""
-        endpoint = self._endpoint_cls(pid, **self._endpoint_kwargs)
-        node = SimNode(pid, self, endpoint, group)
-        sinks = (node.runner.membership_start_change, node.runner.membership_view)
-        if group is not None:
-            self.groups.attach_client(group, pid, *sinks)
-        elif self.oracle is not None:
-            self.oracle.attach_client(pid, *sinks)
-        else:
-            self.tier.add_client(pid)
-        return node
+        """One more end-point of ``pid``, in ``group``."""
+        return SimNode(pid, self, self._endpoint_cls(pid, **self._endpoint_kwargs), group)
 
     def add_node(self, pid: ProcessId) -> SimNode:
         """Create a client process with a default-group end-point.
@@ -281,21 +261,28 @@ class SimWorld:
         """
         self.add_process(pid)
         node = self.nodes[pid] = self._host(pid)
+        if self.oracle is not None:
+            self.oracle.attach_client(
+                pid, node.runner.membership_start_change, node.runner.membership_view
+            )
+        else:
+            self.tier.add_client(pid)
         return node
 
     def add_nodes(self, pids: Iterable[ProcessId]) -> List[SimNode]:
         return [self.add_node(pid) for pid in pids]
 
     # ------------------------------------------------------------------
-    # named groups (oracle mode): join / leave reconfigure that group only
+    # named groups (tier mode): join / leave reconfigure that group only,
+    # at the one server owning it
     # ------------------------------------------------------------------
 
     def _attach(self, group: GroupName, pid: ProcessId) -> None:
         """Give ``pid`` an end-point in ``group`` (once)."""
-        if self.groups is None:
+        if self.tier is None:
             raise ValueError(
-                "named groups run on the sharded oracle tier; "
-                "membership='tier' serves the default group only"
+                "named groups run on the membership-server tier "
+                "(SimWorld(servers=N)); the oracle serves the default group only"
             )
         nodes = self.group_nodes.setdefault(group, {})
         if pid not in nodes:
@@ -303,20 +290,20 @@ class SimWorld:
 
     def join(self, pid: ProcessId, group: GroupName) -> None:
         self._attach(group, pid)
-        self.groups.join(group, pid)
+        self.tier.join(group, pid)
 
     def leave(self, pid: ProcessId, group: GroupName) -> None:
-        self.groups.leave(group, pid)
+        self.tier.leave(group, pid)
 
     def set_group(self, group: GroupName, members: Iterable[ProcessId]) -> Optional[View]:
         """Drive ``group`` to exactly ``members`` with a single round."""
         members = list(members)
         for pid in members:
             self._attach(group, pid)
-        return self.groups.set_group(group, members)
+        return self.tier.set_group(group, members)
 
     def group_view(self, group: GroupName) -> Optional[View]:
-        return self.groups.group_view(group)
+        return self.tier.group_view(group)
 
     def groups_of(self, pid: ProcessId) -> List[GroupName]:
         """The named groups ``pid`` has an end-point in, sorted."""
@@ -427,30 +414,35 @@ class SimWorld:
         """Crash the process: every group's end-point, the transport once.
 
         Returns the views its named groups re-form - only the crashed
-        process's own groups, on only the shards owning them.
+        process's own groups, at only the servers owning them.
         """
-        default = [self.nodes[pid]] if pid in self.nodes else []
-        for node in default + [self.group_nodes[g][pid] for g in self.groups_of(pid)]:
+        for node in self._nodes_of(pid):
             node.runner.crash()
         self.transports[pid].crash()
         if self.tier is not None:
-            self.tier.client_crashed(pid)
-            return []
-        if default:
-            self.oracle.client_crashed(pid)
-            if reconfigure:
-                self.oracle.reconfigure([[p for p in self.nodes if p != pid]])
-        return self.groups.client_crashed(pid, reconfigure=reconfigure)
+            return self.tier.client_crashed(pid)
+        self.oracle.client_crashed(pid)
+        if reconfigure:
+            self.oracle.reconfigure([[p for p in self.nodes if p != pid]])
+        return []
 
     def recover(self, pid: ProcessId, *, reconfigure: bool = True) -> None:
-        node = self.nodes[pid]
-        node.recover()
-        if self.oracle is not None:
-            self.oracle.client_recovered(pid)
-            if reconfigure:
-                self.oracle.reconfigure([list(self.nodes)])
-        else:
+        """Recover the process: the transport once, every group's
+        end-point; each group's service forms the re-admitting view."""
+        self.transports[pid].recover()
+        for node in self._nodes_of(pid):
+            node.runner.recover()
+        if self.tier is not None:
             self.tier.client_recovered(pid)
+            return
+        self.oracle.client_recovered(pid)
+        if reconfigure:
+            self.oracle.reconfigure([list(self.nodes)])
+
+    def _nodes_of(self, pid: ProcessId) -> List[SimNode]:
+        """Every end-point of ``pid``: the default group's, then its named groups'."""
+        default = [self.nodes[pid]] if pid in self.nodes else []
+        return default + [self.group_nodes[g][pid] for g in self.groups_of(pid)]
 
     # -- server faults (tier mode) ------------------------------------------
 

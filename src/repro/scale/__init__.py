@@ -9,8 +9,9 @@ rather than change what it computes:
   deployment), with computed leadership that survives leader crashes;
 * :func:`install_overlay` - one call to put the overlay on a
   :class:`~repro.deploy.base.Deployment`, whatever the substrate;
-* :mod:`repro.scale.sharding` - group-sharded membership for the
-  many-groups regime (see :class:`ShardedMembershipTier`).
+* :mod:`repro.scale.sharding` - group placement for the many-groups
+  regime: the consistent group -> server map
+  :class:`~repro.membership.tier.MembershipTier` places named groups by.
 
 See ``docs/ARCHITECTURE.md`` ("Scale tier") for the cost model and the
 seams.

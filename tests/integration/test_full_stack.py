@@ -15,20 +15,17 @@ from repro.order import CausalOrderNode, TotalOrderNode
 
 class TestOrderingOverGroups:
     def test_total_order_per_group(self):
-        world = SimWorld(latency=ConstantLatency(1.0), round_duration=1.0)
+        world = SimWorld(latency=ConstantLatency(1.0), servers=2)
         pids = ["p0", "p1", "p2"]
         world.add_processes(pids)
         for pid in pids:
             world.join(pid, "chat")
             world.join(pid, "audit")
-        world.run()
 
         # A named group's node is the member the layers expect: no adapter.
+        # (Attached before the notices land, so the layers see the views.)
         chat = [TotalOrderNode(world.node(p, "chat")) for p in pids]
         audit = [TotalOrderNode(world.node(p, "audit")) for p in pids]
-        # re-deliver current views to the freshly attached layers
-        world.groups.reconfigure_group("chat")
-        world.groups.reconfigure_group("audit")
         world.run()
 
         for i in range(3):

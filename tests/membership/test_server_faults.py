@@ -98,9 +98,16 @@ def test_watermark_store_dict_roundtrip():
     store.persist(
         ServerState("srv:1", (), (), 5, 0, 11, None, (), ())
     )
+    store.observe_group("chat", 4)
+    store.observe_group("chat", 2)  # floors only rise
+    store.observe_group("audit", 7)
     clone = WatermarkStore.from_dict(store.to_dict())
     assert clone.round_floor() == store.round_floor() == 5
     assert clone.counter_floor() == store.counter_floor() == 11
+    # per-group floors: independent of the default group's and of each other
+    assert clone.counter_floor("chat") == store.counter_floor("chat") == 4
+    assert clone.counter_floor("audit") == 7 and clone.counter_floor("nobody") == 0
+    assert WatermarkStore.from_dict({"round": 1, "counter": 2}).counter_floor("chat") == 0
     assert clone.load("srv:1") == store.load("srv:1")
     assert clone.load("srv:404") is None
 

@@ -2,18 +2,18 @@
 
 Each client's notice stream is replayed through the ``MbrshpSpec``
 acceptor: any disabled step is a violation of the Figure 2 contract.
-The sharded tier is one MBRSHP service per group, so each group's
+The tier is one MBRSHP service per group, so each named group's
 ``(group, pid)`` streams are replayed through an acceptor of their own.
 """
 
+import asyncio
+
 import pytest
 
+from repro.chaos.faults import FaultInjector, FaultModel
 from repro.checking.events import MbrshpStartChangeEvent, MbrshpViewEvent
 from repro.ioa import Action
-from repro.membership.oracle import OracleMembership
 from repro.net import ConstantLatency, SimWorld
-from repro.net.simclock import EventScheduler
-from repro.scale.sharding import GroupShardMap, ShardedMembershipTier
 from repro.spec.mbrshp import MbrshpSpec
 
 
@@ -29,16 +29,6 @@ def replay_membership_events(trace, processes):
         assert spec.is_enabled(action), f"MBRSHP spec violated by {action!r}"
         spec.apply(action)
     return spec
-
-
-def recording_sinks(events, clock, pid):
-    """Membership sinks logging ``pid``'s notices as replayable events."""
-    return (
-        lambda cid, members: events.append(
-            MbrshpStartChangeEvent(clock.now, pid, cid, members)
-        ),
-        lambda view: events.append(MbrshpViewEvent(clock.now, pid, view)),
-    )
 
 
 @pytest.mark.parametrize("servers", [1, 2, 3])
@@ -88,96 +78,70 @@ PIDS = ["a", "b", "c", "d"]
 
 
 def test_sharded_tier_satisfies_spec_across_resize_and_rebuild():
-    clock = EventScheduler()
-    tier = ShardedMembershipTier(clock, shards=2, round_duration=2.0)
-    small, large = GroupShardMap(2), GroupShardMap(5)
+    """Twelve overlapping groups on three servers, the network delaying,
+    duplicating and reordering, through every way a group's stream can
+    be disturbed: join, leave, client crash + recovery, an owner crash
+    (the move), the owner's recovery (no move back) and tier growth."""
+    faults = FaultInjector(FaultModel(delay=0.2, duplicate=0.2, reorder=0.2, seed=11))
+    world = SimWorld(latency=ConstantLatency(1.0), servers=3, faults=faults)
+    world.add_processes(PIDS)
     names = [f"g{i:02d}" for i in range(12)]
-    assert any(small.shard_of(g) != large.shard_of(g) for g in names)
-    streams = {group: [] for group in names}
     for group in names:
-        for pid in PIDS:
-            tier.attach_client(group, pid, *recording_sinks(streams[group], clock, pid))
-        tier.set_group(group, PIDS[:3])
-    clock.run()
+        world.set_group(group, PIDS[:3])
+    world.settle()
+    owners = {group: world.tier.owner_of(group) for group in names}
+    assert set(owners.values()) == {"srv:0", "srv:1", "srv:2"}
     for group in names:
-        tier.join(group, "d")
-    clock.run_until(clock.now + 1.0)  # a round is in flight at every shard...
-    tier.resize(5)  # ...when a move cancels some of them,
+        world.join("d", group)
+    world.run_until(world.now() + 0.5)  # a round is in flight at every owner...
+    world.server_crash("srv:2")  # ...when a crash kills some of them,
     for group in names:
-        tier.leave(group, "a")
-    clock.run()
-    tier.client_crashed("b")
-    clock.run_until(clock.now + 1.0)
-    for index in range(len(tier.shards)):
-        tier.rebuild_shard(index)  # and total amnesia the rest
-    tier.client_recovered("b")
-    tier.resize(3)
+        world.leave("a", group)
+    world.settle()
+    world.crash("b")
+    world.run_until(world.now() + 0.5)
+    world.server_recover("srv:2")  # comes back empty: nothing moves back
+    world.recover("b")
+    world.server_crash("srv:0")  # and a second move compounds the first
+    world.settle()
+    world.server_recover("srv:0")
+    asyncio.run(world.tier.ensure_capacity(5))  # growth moves nothing either
+    moved = {group: world.tier.owner_of(group) for group in names}
+    late = [f"late{i:02d}" for i in range(12)]
+    for group in names + late:
+        world.set_group(group, PIDS)
+    world.settle()
     for group in names:
-        tier.set_group(group, PIDS)
-    clock.run()
-    for group in names:
-        spec = replay_membership_events(streams[group], PIDS)
-        assert spec.current_view("a") == tier.group_view(group)
+        if owners[group] == "srv:1":
+            assert moved[group] == "srv:1"  # its owner never crashed: it never moved
+        assert moved[group] != "srv:0"  # a recovered server gets nothing back
+        assert world.tier.owner_of(group) == moved[group]  # sticky through growth
+    assert {world.tier.owner_of(g) for g in late} & {"srv:3", "srv:4"}
+    snapshot = faults.snapshot()
+    assert min(snapshot[k] for k in ("delayed", "duplicated", "reordered")) > 0
+    for group in names + late:
+        spec = replay_membership_events(world.trace_of(group), PIDS)
+        assert spec.current_view("a") == world.group_view(group)
         assert len({spec.current_view(pid) for pid in PIDS}) == 1
 
 
 def test_client_attached_before_resize_to_memberless_group_hears_its_view():
-    clock = EventScheduler()
-    tier = ShardedMembershipTier(clock, shards=2)
-    small, large = GroupShardMap(2), GroupShardMap(4)
-    group = next(
-        g for g in (f"g{i}" for i in range(100))
-        if small.shard_of(g) != large.shard_of(g)
-    )
-    events = []
-    tier.attach_client(group, "a", *recording_sinks(events, clock, "a"))
-    tier.resize(4)  # the group has sinks but no members yet; it still moves
-    view = tier.join(group, "a")
-    clock.run()
+    world = SimWorld(latency=ConstantLatency(1.0), servers=3)
+    world.add_process("a")
+    world.set_group("g", ["a"])
+    world.settle()
+    world.leave("a", "g")  # "a" keeps its end-point; the group has no members
+    world.settle()
+    heard = len(world.trace_of("g"))
+    world.server_crash(world.tier.owner_of("g"))  # it still moves
+    world.settle()
+    assert len(world.trace_of("g")) == heard  # silently: nobody to tell
+    world.join("a", "g")
+    world.settle()
+    events = [
+        e for e in world.trace_of("g").events[heard:]
+        if isinstance(e, (MbrshpStartChangeEvent, MbrshpViewEvent))
+    ]
     assert [type(e) for e in events] == [MbrshpStartChangeEvent, MbrshpViewEvent]
-    assert events[-1].view == view
-
-
-def test_one_shard_tier_issues_what_a_bare_oracle_issues():
-    """The same script through both: identical cids, counters, startIds."""
-
-    def script(attach, reconfigure, clock):
-        events = []
-        for pid in PIDS:
-            attach(pid, *recording_sinks(events, clock, pid))
-        reconfigure(PIDS[:3], 0)
-        clock.run()
-        reconfigure(PIDS, 2)  # the service changes its mind twice
-        clock.run_until(clock.now + 0.5)
-        reconfigure(PIDS[1:], 0)  # supersedes the round in flight
-        clock.run()
-        reconfigure(PIDS, 1)
-        clock.run()
-        replay_membership_events(events, PIDS)
-        return [
-            (e.time, e.proc, e.cid, e.members)
-            if isinstance(e, MbrshpStartChangeEvent)
-            else (e.time, e.proc, e.view.vid.counter, e.view.members, dict(e.view.start_ids))
-            for e in events
-        ]
-
-    clock = EventScheduler()
-    oracle = OracleMembership(clock, round_duration=2.0)
-    bare = script(
-        oracle.attach_client,
-        lambda members, extra: oracle.reconfigure([members], extra_changes=extra),
-        clock,
-    )
-
-    clock = EventScheduler()
-    tier = ShardedMembershipTier(clock, shards=1, round_duration=2.0)
-    issuer = tier.shard_of("g").issuer
-    sharded = script(
-        lambda pid, *sinks: tier.attach_client("g", pid, *sinks),
-        lambda members, extra: issuer.reconfigure([members], extra_changes=extra, scope="g"),
-        clock,
-    )
-    assert sharded == bare
-    heard = {(entry[1], entry[2]) for entry in bare if len(entry) == 5}
-    # view 2 was superseded at b, c and d but not at a, whom round 3 left out
-    assert ("a", 2) in heard and ("b", 2) not in heard
+    assert events[-1].view == world.group_view("g")
+    replay_membership_events(world.trace_of("g"), ["a"])

@@ -1,10 +1,13 @@
-"""Group-sharded membership tier (ISSUE 7, S3).
+"""Many groups on the membership-server tier (ISSUE 7 S3, ISSUE 22).
 
-Covers the consistent group->shard map (determinism, balance, minimal
-movement), the per-shard Figure-2 notice discipline, the watermark-seeded
-counters that keep Local Monotonicity alive across a resize, the crash
-fan-out locality claim, the tier's self-growing ``plan_partition``, and
-named groups of the sharded :class:`~repro.net.world.SimWorld` end-to-end.
+Covers the consistent group->server map (determinism, balance, minimal
+movement), the per-group Figure-2 notice discipline of a group's round
+machine at its owning server, the durable floors that keep Local
+Monotonicity alive when an owner crash moves a group (where a test name
+says *resize* or *rebuild*, the move it exercises is an owner crash),
+the crash fan-out locality claim, the tier's self-growing
+``plan_partition``, and named groups of :class:`~repro.net.world.SimWorld`
+end-to-end.
 """
 
 import asyncio
@@ -16,15 +19,13 @@ import pytest
 
 import repro
 
+from repro.checking import run_verdict
+from repro.checking.events import MbrshpStartChangeEvent, MbrshpViewEvent
+from repro.membership.protocol import GroupEnvelope, StartChangeNotice, ViewNotice
+from repro.membership.state import WatermarkStore
 from repro.membership.tier import MembershipTier
-from repro.net import SimWorld
-from repro.net.simclock import EventScheduler
-from repro.scale.sharding import (
-    GroupShardMap,
-    MembershipShard,
-    ShardedMembershipTier,
-    auto_shards,
-)
+from repro.net import ConstantLatency, SimWorld
+from repro.scale.sharding import GroupShardMap, auto_shards
 
 GROUPS = [f"g{i:04d}" for i in range(1000)]
 
@@ -56,117 +57,182 @@ class TestGroupShardMap:
             GroupShardMap(0)
 
 
-def _recording_shard(**kwargs):
-    clock = EventScheduler()
-    shard = MembershipShard(0, clock, set(), **kwargs)
+def _world(pids, servers=3, **options):
+    world = SimWorld(latency=ConstantLatency(1.0), servers=servers, **options)
+    world.add_processes(pids)
+    return world
+
+
+def _notices(world, group, pid=None):
+    """The membership notices delivered in ``group`` (at ``pid``), in order."""
     notices = []
+    for event in world.trace_of(group):
+        if pid is not None and event.proc != pid:
+            continue
+        if isinstance(event, MbrshpStartChangeEvent):
+            notices.append(("sc", event.proc, event.cid, event.members))
+        elif isinstance(event, MbrshpViewEvent):
+            notices.append(("view", event.proc, event.view))
+    return notices
 
-    def attach(group, pid):
-        shard.attach_client(
-            group,
-            pid,
-            lambda cid, members, p=pid: notices.append(("sc", p, cid, members)),
-            lambda view, p=pid: notices.append(("view", p, view)),
-        )
 
-    return clock, shard, notices, attach
+def _tap(world):
+    """Record ``(src, dst, group, notice)`` for every named-group notice
+    the network *delivers* from here on."""
+    heard = []
+    for pid, transport in world.transports.items():
+        def handle(src, message, pid=pid, deliver=transport._handle_delivery):
+            if isinstance(message, GroupEnvelope) and isinstance(
+                message.message, (StartChangeNotice, ViewNotice)
+            ):
+                heard.append((src, pid, message.group, message.message))
+            deliver(src, message)
+
+        world.network.register(pid, handle)
+    return heard
 
 
 class TestMembershipShard:
+    """One group's round machine at its owning server (what a
+    ``MembershipShard`` was, on the real protocol)."""
+
     def test_notice_discipline(self):
-        clock, shard, notices, attach = _recording_shard()
-        shard.adopt("g")
+        world = _world(["a", "b"], servers=1)
+        view = world.set_group("g", ["a", "b"])
+        world.settle()
+        # start_change precedes the view at every client, and the view
+        # carries the cids the clients were handed.
         for pid in ("a", "b"):
-            attach("g", pid)
-        view = shard.reconfigure("g", ["a", "b"])
-        clock.run()
-        # start_change precedes the view at every client, cids are
-        # distinct, and the view carries them.
-        assert [kind for kind, *_ in notices] == ["sc", "sc", "view", "view"]
-        cids = {pid: cid for kind, pid, cid, _ in notices[:2]}
+            assert [kind for kind, *_ in _notices(world, "g", pid)] == ["sc", "view"]
+        cids = {pid: cid for kind, pid, cid, *_ in _notices(world, "g") if kind == "sc"}
         assert cids == dict(view.start_ids)
-        assert len(set(cids.values())) == 2
+        assert world.group_view("g") == view and world.settled("g")
 
     def test_superseded_notices_cancelled(self):
-        clock, shard, notices, attach = _recording_shard()
-        shard.adopt("g")
-        for pid in ("a", "b", "c"):
-            attach("g", pid)
-        shard.reconfigure("g", ["a", "b", "c"])
-        final = shard.reconfigure("g", ["a", "b"])  # before anything fired
-        clock.run()
-        # Only the latest reconfiguration speaks for a and b; c (dropped)
-        # still sees the first round's notices - it was never superseded
-        # *at c*.
-        views = [n[2] for n in notices if n[0] == "view" and n[1] != "c"]
-        assert views == [final, final]
+        world = _world(["a", "b", "c"])
+        world.set_group("g", ["a", "b", "c"])
+        world.settle()
+        superseded = world.set_group("g", ["a", "b"])  # on the wire...
+        world.server_crash(world.tier.owner_of("g"))  # ...when its sender dies
+        world.settle()
+        final = world.group_view("g")
+        # A network has no cancel: the one way a notice is superseded is
+        # that it dies on the wire with its sender.  Only the successor
+        # speaks for a and b.
+        assert final.vid > superseded.vid and final.members == {"a", "b"}
+        for pid in ("a", "b"):
+            views = [n[2] for n in _notices(world, "g", pid) if n[0] == "view"]
+            assert superseded not in views and views[-1] == final
 
     def test_crashed_clients_get_nothing(self):
-        clock, shard, notices, attach = _recording_shard()
-        shard.issuer.client_crashed("b")
-        shard.adopt("g")
-        for pid in ("a", "b"):
-            attach("g", pid)
-        view = shard.reconfigure("g", ["a", "b"])
-        clock.run()
+        world = _world(["a", "b"], servers=1)
+        world.crash("b")
+        view = world.set_group("g", ["a", "b"])
+        world.settle()
         assert view.members == frozenset({"a"})
-        assert all(pid == "a" for _, pid, *rest in notices)
+        assert all(pid == "a" for _, pid, *rest in _notices(world, "g"))
 
     def test_reconfigure_requires_ownership(self):
-        clock, shard, _notices, _attach = _recording_shard()
-        with pytest.raises(ValueError):
-            shard.reconfigure("nobody", ["a"])
+        """Only a group's owner ever speaks for it."""
+        pids = [f"p{i}" for i in range(4)]
+        world = _world(pids)
+        heard = _tap(world)
+        names = [f"g{i}" for i in range(9)]
+
+        def owners_speak():
+            world.settle()
+            assert heard
+            for src, _dst, group, _notice in heard:
+                assert src == world.tier.owner_of(group)
+            heard.clear()
+
+        for name in names:
+            world.set_group(name, pids[:3])
+        owners_speak()
+        for name in names:
+            world.join(pids[3], name)
+        owners_speak()
+        world.server_crash("srv:1")
+        owners_speak()
+        world.server_recover("srv:1")
+        world.crash(pids[0])
+        owners_speak()
+        assert "srv:1" not in {world.tier.owner_of(name) for name in names}
 
 
 class TestShardedTier:
-    def _tier(self, shards=3):
-        clock = EventScheduler()
-        return clock, ShardedMembershipTier(clock, shards=shards)
+    def _ring(self, servers=3):
+        """Group gN = {pN, pN+1, pN+2} on a ring of nine processes."""
+        pids = [f"p{i}" for i in range(9)]
+        world = _world(pids, servers=servers)
+        for i in range(9):
+            world.set_group(f"g{i}", [pids[(i + k) % 9] for k in range(3)])
+        world.settle()
+        return world
 
     def test_crash_fans_out_to_own_groups_only(self):
-        clock, tier = self._tier()
-        pids = [f"p{i}" for i in range(9)]
-        for i in range(9):  # group gN = {pN, pN+1, pN+2} on a ring
-            tier.set_group(f"g{i}", [pids[(i + k) % 9] for k in range(3)])
-        clock.run()
-        views = tier.client_crashed("p4")
+        world = self._ring()
+        before = {f"g{i}": len(world.trace_of(f"g{i}")) for i in range(9)}
+        views = world.crash("p4")
+        world.settle()
         # p4 is in g2, g3, g4 and nothing else.
         assert len(views) == 3
         assert all("p4" not in view.members for view in views)
+        for i in range(9):
+            touched = len(world.trace_of(f"g{i}")) > before[f"g{i}"]
+            assert touched == (i in (2, 3, 4)), i
+
+    def test_server_crash_reforms_exactly_the_groups_it_owned(self):
+        world = self._ring()
+        world.add_nodes(["q0", "q1"])
+        world.start()
+        world.settle()
+        owners = {f"g{i}": world.tier.owner_of(f"g{i}") for i in range(9)}
+        assert set(owners.values()) == {"srv:0", "srv:1", "srv:2"}
+        formed = {g: len(world.tier.group_views(g)) for g in owners}
+        default_views = len(world.views_formed)
+        heard = _tap(world)
+        world.server_crash("srv:2")
+        world.settle()
+        for group, owner in owners.items():
+            moved = owner == "srv:2"
+            assert len(world.tier.group_views(group)) == formed[group] + moved
+            assert (world.tier.owner_of(group) != owner) == moved
+        # a group on a surviving server sees no notice at all
+        assert {g for _s, _d, g, _n in heard} == {g for g, o in owners.items() if o == "srv:2"}
+        # ...and the default group re-forms, as it always did
+        assert len(world.views_formed) == default_views + 1
+        assert all(world.settled(g) for g in owners)
 
     def test_resize_preserves_local_monotonicity(self):
-        clock, tier = self._tier(shards=2)
-        small, large = GroupShardMap(2), GroupShardMap(3)
-        group = next(g for g in GROUPS if small.shard_of(g) != large.shard_of(g))
-        tier.set_group(group, ["a", "b", "c"])
-        clock.run()
-        old = tier.group_view(group)
-        moved = tier.resize(3)
-        assert group in moved
-        tier.set_group(group, ["a", "b"])
-        clock.run()
-        new = tier.group_view(group)
-        # The successor shard seeded its counters with the predecessor's
-        # watermarks: the vid and every cid issued after the move are
-        # strictly greater than anything issued before it.
+        world = _world(["a", "b", "c"])
+        world.set_group("g", ["a", "b", "c"])
+        world.settle()
+        old = world.group_view("g")
+        world.server_crash(world.tier.owner_of("g"))
+        world.settle()
+        world.set_group("g", ["a", "b"])
+        world.settle()
+        new = world.group_view("g")
+        # The successor re-created the machine from the group's durable
+        # counter floor and the tier's cid registry: the vid and every
+        # cid issued after the move are strictly greater than anything
+        # issued before it.
         assert new.vid > old.vid
         assert min(new.start_ids.values()) > max(old.start_ids.values())
         assert new.vid.origin != old.vid.origin  # it really moved
 
     def test_resize_reattaches_sinks(self):
-        clock, tier = self._tier(shards=2)
-        small, large = GroupShardMap(2), GroupShardMap(3)
-        group = next(g for g in GROUPS if small.shard_of(g) != large.shard_of(g))
-        views = []
-        tier.attach_client(group, "a", lambda cid, m: None, views.append)
-        tier.set_group(group, ["a"])
-        clock.run()  # first view lands before the move (release cancels
-        # anything still pending - a shard never speaks for a group it
-        # no longer owns)
-        tier.resize(3)
-        tier.reconfigure_group(group)
-        clock.run()
-        assert len(views) == 2  # one view from each side of the move
+        world = _world(["a"])
+        world.set_group("g", ["a"])
+        world.settle()
+        first = world.group_view("g")
+        world.server_crash(world.tier.owner_of("g"))
+        world.settle()
+        views = [n[2] for n in _notices(world, "g", "a") if n[0] == "view"]
+        # one view from each side of the move: the successor reaches the
+        # group's clients over its own link
+        assert views == [first, world.group_view("g")] and len(set(views)) == 2
 
 
 class _GrowableLink:
@@ -229,7 +295,7 @@ class TestPlanPartitionSelfGrow:
 
 class TestScaleWorld:
     def test_many_groups_end_to_end(self):
-        world = SimWorld(shards=auto_shards(6))
+        world = SimWorld(servers=auto_shards(6))
         pids = [f"p{i:02d}" for i in range(12)]
         world.add_processes(pids)
         names = [f"g{i}" for i in range(6)]
@@ -246,10 +312,18 @@ class TestScaleWorld:
 
 
 @pytest.mark.parametrize(
-    "first", ["repro.net.world", "repro.scale.sharding", "repro.deploy", "repro.scale"]
+    "first",
+    [
+        "repro.membership.tier",
+        "repro.net.world",
+        "repro.scale.sharding",
+        "repro.deploy",
+        "repro.scale",
+    ],
 )
 def test_no_package_import_cycle(first):
-    """``net.world`` needs ``scale.sharding`` and ``deploy`` needs
+    """``membership.tier`` and ``net.world`` need ``scale.sharding``,
+    ``net.transport`` needs ``membership.protocol`` and ``deploy`` needs
     ``net.world``: each must import first in a fresh interpreter."""
     src = os.path.dirname(os.path.dirname(repro.__file__))
     completed = subprocess.run(
@@ -278,91 +352,127 @@ class TestShardMapSkew:
 
 
 class TestConsecutiveResizes:
-    """Watermark carry-over must compound across *consecutive* resizes,
-    not just survive one (the single-resize test above)."""
+    """Floors must compound across *consecutive* owner crashes, not just
+    survive one (the single-move test above)."""
 
-    def _watermark_history(self, sizes):
-        clock = EventScheduler()
-        tier = ShardedMembershipTier(clock, shards=sizes[0])
+    def _watermark_history(self, crashes):
+        """40 groups on three servers; crash the listed servers in turn
+        (recovering each before the next goes, so two always survive)."""
+        pids = ["a", "b", "c"]
+        world = _world(pids)
         for group in GROUPS[:40]:
-            tier.set_group(group, ["a", "b", "c"])
-        clock.run()
-        history = {g: [tier.group_view(g)] for g in GROUPS[:40]}
-        for size in sizes[1:]:
-            tier.resize(size)
+            world.set_group(group, pids)
+        world.settle()
+        owners = {g: [world.tier.owner_of(g)] for g in GROUPS[:40]}
+        for sid in crashes:
+            world.server_crash(sid)
+            world.settle()
+            world.server_recover(sid)
+            world.settle()
             for group in GROUPS[:40]:
-                tier.reconfigure_group(group)
-            clock.run()
-            for group in GROUPS[:40]:
-                history[group].append(tier.group_view(group))
-        return tier, history
+                owners[group].append(world.tier.owner_of(group))
+        for group in GROUPS[:40]:
+            run_verdict(
+                world.trace_of(group), pids, final_view=world.group_view(group)
+            ).raise_for()
+        return world, owners
 
     def test_counters_rise_through_grow_shrink_grow(self):
-        tier, history = self._watermark_history([2, 3, 2, 5])
-        bounced = 0
-        for group, views in history.items():
+        world, owners = self._watermark_history(["srv:2", "srv:1", "srv:0", "srv:2"])
+        moved_twice = 0
+        for group, path in owners.items():
+            views = world.tier.group_views(group)
+            moves = sum(1 for before, after in zip(path, path[1:]) if before != after)
+            assert len(views) == 1 + moves  # re-formed by each move and nothing else
             counters = [v.vid.counter for v in views]
             assert counters == sorted(set(counters)), (group, counters)
-            cids = [max(v.start_ids.values()) for v in views]
-            assert cids == sorted(set(cids)), (group, cids)
-            if len({v.vid.origin for v in views}) > 1:
-                bounced += 1
-        # The sequence must actually have exercised relocation (and for
-        # some group more than once), or the test proves nothing.
-        assert bounced > 0
-        moved_twice = [
-            g for g, views in history.items()
-            if len({v.vid.origin for v in views}) >= 3
-        ]
-        assert moved_twice, "no group relocated on consecutive resizes"
+            for pid in ("a", "b", "c"):
+                # per (group, pid): the successor's first cid strictly
+                # exceeds the predecessor's last
+                cids = [v.start_ids[pid] for v in views]
+                assert cids == sorted(set(cids)), (group, pid, cids)
+            assert [v.vid.origin for v in views] == [
+                owner for i, owner in enumerate(path) if i == 0 or owner != path[i - 1]
+            ]
+            moved_twice += moves >= 2
+        # The sequence must actually have moved some group on two
+        # *successive* owner crashes, or the test proves nothing.
+        assert moved_twice, "no group relocated on consecutive owner crashes"
 
     def test_moved_floors_are_recorded_durably(self):
-        tier, history = self._watermark_history([2, 4])
-        for group, views in history.items():
-            cid_floor, counter_floor = tier.floors[group]
-            assert counter_floor >= views[-1].vid.counter
-            assert cid_floor >= max(views[-1].start_ids.values())
+        world, owners = self._watermark_history(["srv:2", "srv:0"])
+        store = WatermarkStore.from_dict(world.tier.store.to_dict())
+        assert any(len(set(path)) > 1 for path in owners.values())
+        for group in owners:
+            view = world.group_view(group)
+            assert store.counter_floor(group) == view.vid.counter
+        assert store.counter_floor("never-formed") == 0
+        # named groups count on their own: the default group's floor is
+        # what the default group formed (nothing, here)
+        assert store.counter_floor() == world.tier.watermark() == 0
 
 
 class TestShardRebuild:
     def test_rebuild_seeds_from_durable_floors(self):
-        clock = EventScheduler()
-        tier = ShardedMembershipTier(clock, shards=2)
-        views = {}
+        pids = ["a", "b"]
+        world = _world(pids, servers=2)
         for group in GROUPS[:10]:
-            tier.attach_client(
-                group, "a", lambda cid, m: None,
-                lambda view, g=group: views.setdefault(g, []).append(view),
-            )
-            tier.set_group(group, ["a", "b"])
-        clock.run()
-        index = next(
-            i for i, shard in enumerate(tier.shards) if shard.groups
-        )
-        owned = sorted(tier.shards[index].groups)
-        before = {g: tier.group_view(g) for g in owned}
-        fresh = tier.rebuild_shard(index)
-        # Total amnesia: the fresh shard never saw the old counters...
-        assert fresh.group_view(owned[0]) is None
+            world.set_group(group, pids)
+        world.settle()
+        dead = world.tier.owner_of(GROUPS[0])
+        owned = [g for g in GROUPS[:10] if world.tier.owner_of(g) == dead]
+        before = {g: world.group_view(g) for g in owned}
+        machines = {g: world.tier._groups[g].machine for g in owned}
+        world.server_crash(dead)
+        world.settle()
         for group in owned:
-            tier.reconfigure_group(group)
-        clock.run()
-        for group in owned:
-            after = tier.group_view(group)
+            # Total amnesia: the successor's machine is a fresh one...
+            machine = world.tier._groups[group].machine
+            assert machine is not machines[group] and machines[group].crashed
+            assert machine.rounds_started == 1
+            after = world.group_view(group)
             # ...yet every new view is strictly above the pre-crash one,
-            # because adoption was seeded from the tier's durable floors.
+            # because it was seeded from the tier's durable floors.
             assert after.vid.counter > before[group].vid.counter
             assert min(after.start_ids.values()) > max(before[group].start_ids.values())
-            assert views[group][-1] == after  # sinks were reattached
+            assert world.node("a", group).current_view == after  # and it was heard
 
     def test_dead_shard_pending_notices_are_cancelled(self):
-        clock = EventScheduler()
-        tier = ShardedMembershipTier(clock, shards=2, round_duration=5.0)
-        delivered = []
-        group = GROUPS[0]
-        tier.attach_client(group, "a", lambda cid, m: None, delivered.append)
-        tier.set_group(group, ["a"])
-        index = tier.map.shard_of(group)
-        tier.rebuild_shard(index)  # crash while the view notice is in flight
-        clock.run()
-        assert delivered == []  # a dead shard never speaks
+        world = _world(["a", "b"])
+        world.set_group("g", ["a"])
+        world.settle()
+        dead = world.tier.owner_of("g")
+        machine = world.tier._groups["g"].machine
+        heard = _tap(world)
+        in_flight = world.set_group("g", ["a", "b"])  # its notices are on the wire
+        world.server_crash(dead)  # crash while they are in flight
+        machine.begin_round(machine.round + 1)  # a dead machine starts nothing
+        machine.client_crashed("a")
+        world.settle()
+        # a dead owner never speaks: its in-flight round died with it and
+        # the successor's notices are the only ones delivered
+        assert heard and all(src != dead for src, *_ in heard)
+        assert in_flight not in [n.view for *_, n in heard if isinstance(n, ViewNotice)]
+        assert world.group_view("g").members == {"a", "b"} and world.settled("g")
+
+
+class TestGroupsBeforeStart:
+    """E19's group-axis world has no default-group node and never calls
+    ``start()``: the first named group grows the tier itself."""
+
+    def test_named_groups_grow_the_tier_through_attach_sync(self):
+        world = _world(["a", "b"], servers=3)
+        assert not world.tier.servers and not world.tier.started
+        world.set_group("g", ["a", "b"])
+        assert sorted(world.tier.servers) == ["srv:0", "srv:1", "srv:2"]
+        world.settle()
+        assert world.settled("g") and not world.tier.started
+        assert world.views_formed == [] and len(world.trace) == 0
+
+    def test_await_only_link_needs_capacity_first(self):
+        tier = MembershipTier(_SocketishLink(), servers=2)
+        with pytest.raises(TypeError, match="ensure_capacity"):
+            tier.set_group("g", ["a"])
+        asyncio.run(tier.ensure_capacity(2))
+        assert tier.set_group("g", ["a"]).members == {"a"}
+        assert tier.owner_of("g") in tier.servers

@@ -1,17 +1,21 @@
-"""Named groups of :class:`SimWorld`: many groups over shared processes."""
+"""Named groups of :class:`SimWorld`: many groups over shared processes,
+each one more round machine on the membership-server tier."""
 
 import pytest
 
 from repro.chaos.faults import FaultInjector, FaultModel
 from repro.checking import extract_skeleton, run_verdict
+from repro.checking.events import MbrshpFormEvent
 from repro.core.messages import AppMsg
+from repro.membership.protocol import StartChangeNotice, ViewNotice
 from repro.net import ConstantLatency, SimWorld
 from repro.net.transport import GroupEnvelope
 from repro.scale import TwoTierOverlay, balanced_groups
 
 
 def make_world(**options):
-    world = SimWorld(latency=ConstantLatency(1.0), round_duration=1.0, **options)
+    options.setdefault("servers", 2)
+    world = SimWorld(latency=ConstantLatency(1.0), **options)
     world.add_processes(["p0", "p1", "p2", "p3"])
     return world
 
@@ -115,7 +119,7 @@ def test_duplicate_process_rejected():
 
 
 def test_many_groups_scale():
-    world = SimWorld(latency=ConstantLatency(1.0), round_duration=1.0)
+    world = SimWorld(latency=ConstantLatency(1.0), servers=3)
     pids = [f"p{i}" for i in range(6)]
     world.add_processes(pids)
     for g in range(10):
@@ -156,8 +160,9 @@ def test_crash_takes_the_shared_transport_down_once():
 
 
 def test_default_and_named_group_run_the_same_execution():
-    """One script on the default group and on a single named group:
-    identical golden skeletons - the group is only a name."""
+    """One script on the default group and on a single named group of a
+    one-server tier: identical golden skeletons - the group is only a
+    name, its round machine the same ``MembershipServer``."""
     pids = ["p0", "p1", "p2", "p3"]
 
     def script(world, group):
@@ -167,10 +172,12 @@ def test_default_and_named_group_run_the_same_execution():
             world.settle()
 
         def reconfigure(members):
-            if group is None:
-                world.oracle.reconfigure([members])
-            else:
+            if group is not None:
                 world.set_group(group, members)
+            elif world.tier.started:
+                world.set_members(members)
+            else:
+                world.start()
             world.settle()
 
         reconfigure(pids)
@@ -181,9 +188,9 @@ def test_default_and_named_group_run_the_same_execution():
         burst("rejoined", pids)
         return extract_skeleton(world.trace_of(group))
 
-    default = SimWorld(latency=ConstantLatency(1.0))
+    default = SimWorld(latency=ConstantLatency(1.0), servers=1)
     default.add_nodes(pids)
-    named = make_world()
+    named = make_world(servers=1)
     assert script(default, None) == script(named, "chat")
     assert len(named.trace) == 0
 
@@ -193,7 +200,7 @@ def test_overlay_and_faults_apply_to_a_named_group():
     two-tier overlay on *its* runners settles a leave and passes its
     verdict; an overlay-less group on the same processes is undisturbed."""
     faults = FaultInjector(FaultModel(duplicate=0.2, delay=0.2, reorder=0.2, seed=5))
-    world = SimWorld(latency=ConstantLatency(1.0), faults=faults)
+    world = SimWorld(latency=ConstantLatency(1.0), servers=2, faults=faults)
     pids = [f"p{i:02d}" for i in range(12)]
     world.add_processes(pids)
     world.set_group("big", pids)
@@ -265,10 +272,134 @@ def test_shared_transport_contract():
 
 
 def test_named_groups_need_the_oracle_tier():
-    world = SimWorld(servers=2)
+    """The mirror image of what the name recorded: named groups run on
+    the server tier, and it is the oracle world that refuses them."""
+    world = SimWorld()
     world.add_process("p0")
     with pytest.raises(ValueError, match="named groups"):
         world.join("p0", "chat")
     with pytest.raises(ValueError, match="named groups"):
         world.set_group("chat", ["p0"])
     assert world.groups_of("p0") == []
+
+
+# ----------------------------------------------------------------------
+# named groups on the real tier: recovery, server faults, the default
+# group undisturbed
+# ----------------------------------------------------------------------
+
+
+def test_recover_readmits_a_process_to_its_named_groups():
+    """Regression: ``recover`` was a ``KeyError`` for a process with no
+    default-group end-point, and left named-group end-points crashed."""
+    world = make_world()
+    groups = {"chat": ["p0", "p1", "p2"], "audit": ["p1", "p2", "p3"]}
+    for group, members in groups.items():
+        world.set_group(group, members)
+    world.settle()
+    assert "p2" not in world.nodes
+    assert len(world.crash("p2")) == 2
+    world.settle()
+    world.recover("p2")
+    world.settle()
+    assert not world.transports["p2"].crashed
+    for group, members in groups.items():
+        assert not world.node("p2", group).endpoint.crashed
+        assert world.group_view(group).members == set(members)
+        assert world.settled(group)
+        for pid in members:
+            world.node(pid, group).send(f"back/{pid}")
+    world.settle()
+    for group, members in groups.items():
+        verdict = run_verdict(
+            world.trace_of(group), members, final_view=world.group_view(group)
+        )
+        assert verdict.ok, (group, verdict.primary.describe())
+        assert "VS-LIVE" in verdict.rules
+
+
+def test_views_formed_stays_the_default_groups():
+    """Deployments read ``views_formed[-1]`` as "the view just formed":
+    a named group's formation must never show up there."""
+    world = make_world()
+    world.set_group("early", ["p0", "p1"])
+    world.settle()
+    assert world.views_formed == []
+    world.add_nodes(["q0", "q1"])
+    world.start()
+    world.set_group("late", ["p2", "q0"])
+    world.settle()
+    assert [view.members for view in world.views_formed] == [{"q0", "q1"}]
+    assert world.views_formed[-1] == world.node("q0").current_view
+    # ...and recovering a process the default group never had does not
+    # register it there
+    world.crash("p0")
+    world.recover("p0")
+    world.settle()
+    assert [view.members for view in world.views_formed] == [{"q0", "q1"}]
+    assert world.tier.active_members() == {"q0", "q1"}
+    assert world.group_view("early").members == {"p0", "p1"}
+
+
+def test_overlapping_groups_survive_process_and_owner_faults():
+    """Eight processes x twelve overlapping groups on three servers,
+    through a process crash + recovery and an owner-server crash +
+    recovery: every group passes the full battery on its own trace, the
+    server fault-domain rules included."""
+    world = SimWorld(latency=ConstantLatency(1.0), servers=3)
+    pids = [f"p{i}" for i in range(8)]
+    world.add_processes(pids)
+    groups = {f"g{i:02d}": [pids[(i + k) % 8] for k in range(4)] for i in range(12)}
+
+    def burst(tag):
+        for group, members in groups.items():
+            for pid in members:
+                world.node(pid, group).send(f"{tag}/{pid}")
+        world.settle()
+
+    for group, members in groups.items():
+        world.set_group(group, members)
+    world.settle()
+    burst("formed")
+    assert len(world.crash("p3")) == 8  # p3's eight groups, nothing else
+    world.settle()
+    world.recover("p3")
+    burst("recovered")
+    owned = [g for g in groups if world.tier.owner_of(g) == "srv:2"]
+    formed = {g: len(world.tier.group_views(g)) for g in groups}
+    world.server_crash("srv:2")
+    burst("failed over")
+    assert owned and all(
+        len(world.tier.group_views(g)) == formed[g] + (g in owned) for g in groups
+    )
+    world.server_recover("srv:2")
+    burst("server back")
+    assert all(world.tier.owner_of(g) != "srv:2" for g in groups)
+    for group, members in groups.items():
+        verdict = run_verdict(
+            world.trace_of(group), members, final_view=world.group_view(group)
+        )
+        assert verdict.ok, (group, verdict.primary.describe())
+        assert {"MBRSHP-SRV-FORK", "MBRSHP-SRV-MONO", "VS-LIVE"} <= set(verdict.rules)
+        assert world.trace_of(group).of_type(MbrshpFormEvent)
+    assert len(world.trace) == 0
+
+
+def test_default_group_notices_stay_bare():
+    """The default group pays nothing for named groups existing: its
+    notices cross the network unwrapped, its traffic too."""
+    world = make_world()
+    world.add_nodes(["q0", "q1"])
+    seen = []
+    send = world.network.send
+    world.network.send = lambda src, dst, m: (seen.append((dst, m)), send(src, dst, m))[1]
+    world.start()
+    world.set_group("side", ["p0", "p1"])
+    world.settle()
+    world.node("q0").send("bare")
+    world.crash("q1")
+    world.settle()
+    default = [m for dst, m in seen if dst in ("q0", "q1")]
+    assert {type(m) for m in default} >= {StartChangeNotice, ViewNotice}
+    assert not any(isinstance(m, GroupEnvelope) for m in default)
+    assert all(isinstance(m, GroupEnvelope) for dst, m in seen if dst in ("p0", "p1"))
