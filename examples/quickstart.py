@@ -9,11 +9,11 @@ Run with:  python examples/quickstart.py
 
 import asyncio
 
-from repro import AsyncCluster, Delivery, ViewChange
+from repro import AsyncDeployment, Delivery, ViewChange
 
 
 async def main() -> None:
-    async with AsyncCluster() as cluster:
+    async with AsyncDeployment() as cluster:
         alice, bob, carol = await cluster.add_nodes(["alice", "bob", "carol"])
 
         view = await cluster.start()
@@ -25,7 +25,7 @@ async def main() -> None:
         await alice.send("hello from alice")
         await bob.send("hi, this is bob")
         await carol.send("carol here")
-        await cluster.quiesce()
+        await cluster.settle()
 
         for node in (alice, bob, carol):
             print(f"\n{node.pid} observed:")
@@ -50,7 +50,7 @@ async def main() -> None:
                     print(f"  {node.pid}: transitional set {sorted(event.transitional)}")
 
         await alice.send("just the two of us now")
-        await cluster.quiesce()
+        await cluster.settle()
         event = await bob.next_event(timeout=1.0)
         print(f"\nbob got: {event.payload!r} from {event.sender}")
 

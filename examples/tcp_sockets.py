@@ -2,7 +2,7 @@
 
 Every wire message - view announcements, application payloads,
 synchronization messages - crosses an actual socket, framed and pickled,
-through :class:`~repro.runtime.cluster.TcpCluster`.  This is the
+through :class:`~repro.runtime.cluster.TcpDeployment`.  This is the
 closest analogue in this repository to the paper's C++ deployment.
 
 Run with:  python examples/tcp_sockets.py
@@ -11,11 +11,11 @@ Run with:  python examples/tcp_sockets.py
 import asyncio
 
 from repro.checking import SAFETY_CODES, run_verdict
-from repro.runtime import Delivery, TcpCluster, ViewChange
+from repro.runtime import Delivery, TcpDeployment, ViewChange
 
 
 async def main() -> None:
-    async with TcpCluster() as cluster:
+    async with TcpDeployment() as cluster:
         nodes = await cluster.add_nodes(["athens", "berlin", "cairo"])
         view = await cluster.start()
         # Members and the membership server alike listen on a socket.

@@ -24,10 +24,10 @@ Algorithms, and Proofs"* (ICDCS 2000):
 Quickstart (asyncio)::
 
     import asyncio
-    from repro import AsyncCluster
+    from repro import AsyncDeployment
 
     async def main():
-        async with AsyncCluster() as cluster:
+        async with AsyncDeployment() as cluster:
             a, b = await cluster.add_nodes(["a", "b"])
             await cluster.start()
             await a.send("hello group")
@@ -50,6 +50,7 @@ from repro.core import (
 )
 from repro.deploy import (
     SUBSTRATES,
+    AsyncDeployment,
     Deployment,
     make_deployment,
     run_scenario,
@@ -68,7 +69,7 @@ from repro.net import (
     UniformLatency,
 )
 from repro.order import CausalOrderNode, TotalOrderNode
-from repro.runtime import AsyncCluster, Delivery, GcsNode, ViewChange
+from repro.runtime import Delivery, GcsNode, ViewChange
 from repro.types import (
     CID_ZERO,
     VID_ZERO,
@@ -85,7 +86,7 @@ from repro.types import (
 __version__ = "1.0.0"
 
 __all__ = [
-    "AsyncCluster",
+    "AsyncDeployment",
     "CID_ZERO",
     "CausalOrderNode",
     "ConstantLatency",

@@ -140,8 +140,7 @@ class ChaosRunner:
     # ------------------------------------------------------------------
 
     async def _execute(self, plan: ChaosPlan, injector: FaultInjector) -> Any:
-        deployment = deploy_for(self.backend, injector, plan.servers)
-        try:
+        async with deploy_for(self.backend, injector, plan.servers) as deployment:
             await deployment.setup(list(plan.processes))
             if plan.overlay_leaders:
                 from repro.scale import install_overlay
@@ -155,8 +154,6 @@ class ChaosRunner:
                         f"chaos op {index} ({op.describe()}) stalled: {exc}",
                         schedule=self._pending_schedule(plan, index, injector),
                     ) from exc
-        finally:
-            await deployment.close()
         return deployment
 
     @staticmethod

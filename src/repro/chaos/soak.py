@@ -197,8 +197,7 @@ class SoakRunner:
         # The E15 ack-GC machinery: without it a simulated hour of
         # traffic would be measured against unbounded retention.
         options = {"ack_gc_interval": SOAK_ACK_GC_INTERVAL} if self.backend == "sim" else {}
-        deployment = deploy_for(self.backend, injector, report.servers, **options)
-        try:
+        async with deploy_for(self.backend, injector, report.servers, **options) as deployment:
             await deployment.setup(list(procs))
             clock = deployment.now
             started = clock()
@@ -229,8 +228,6 @@ class SoakRunner:
                 report.ops += 1
             report.elapsed = clock() - started
             await self._audit(report, deployment, state, procs)
-        finally:
-            await deployment.close()
 
     async def _audit(
         self,

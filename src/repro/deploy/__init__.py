@@ -21,7 +21,6 @@ import asyncio
 from typing import Any, Awaitable, Callable
 
 from repro.deploy.base import Deployment
-from repro.deploy.runtime import AsyncDeployment, TcpDeployment
 from repro.deploy.scenarios import (
     SCENARIOS,
     scenario_churn,
@@ -31,6 +30,10 @@ from repro.deploy.scenarios import (
     scenario_virtual_synchrony,
 )
 from repro.deploy.sim import SimDeployment
+
+# After .base, which runtime.cluster imports back (the cluster implements
+# it); ``repro/__init__`` imports this package before ``repro.runtime``.
+from repro.runtime.cluster import AsyncDeployment, TcpDeployment
 
 SUBSTRATES = ("sim", "async", "tcp")
 
@@ -70,11 +73,8 @@ def run_scenario(
     """
 
     async def main() -> Deployment:
-        deployment = make_deployment(substrate, **kwargs)
-        try:
+        async with make_deployment(substrate, **kwargs) as deployment:
             await scenario(deployment)
-        finally:
-            await deployment.close()
         return deployment
 
     return asyncio.run(main())

@@ -9,10 +9,12 @@ the discrete-event simulator, in-process asyncio queues, or real TCP
 sockets, and :meth:`check` audits any of them with the same property
 checkers.
 
-A new backend is one adapter: subclass, implement the abstract
-methods over your transport, and every scenario in
+A new backend is one subclass hosting each end-point in an
+:class:`~repro.core.host.EndpointHost`, and every scenario in
 :mod:`repro.deploy.scenarios` (and every parametrized integration test)
-runs on it unchanged.
+runs on it unchanged.  The runtime :class:`~repro.runtime.cluster.Cluster`
+is that subclass for every fabric; :class:`~repro.deploy.sim.SimDeployment`
+adapts the synchronous :class:`~repro.net.world.SimWorld`.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from repro.chaos.runner import TIME_SCALES
 from repro.checking.events import GcsTrace
 from repro.checking.refinement import TraceSkeleton, extract_skeleton
 from repro.checking.verdict import Verdict, run_verdict
+from repro.core.host import EndpointHost
 from repro.links import LinkCore
 from repro.types import ProcessId, View
 
@@ -34,6 +37,18 @@ class Deployment(ABC):
     #: Short substrate name ("sim", "async", "tcp"), for display and
     #: parametrized test ids.
     name: str = "abstract"
+
+    #: The unconditional trace of every observable event so far.
+    trace: GcsTrace
+
+    #: The substrate's unified :class:`~repro.links.LinkCore`: one
+    #: partition matrix, fault pipeline and counter set per deployment.
+    links: LinkCore
+
+    #: pid -> host, one shape on every substrate.  With :meth:`schedule`
+    #: and :meth:`now`, the seam cross-substrate tools (overlay, soak,
+    #: experiments) work through: the hosts, a timer, a clock.
+    nodes: Mapping[ProcessId, EndpointHost]
 
     @property
     def time_scale(self) -> float:
@@ -120,31 +135,9 @@ class Deployment(ABC):
     # observation
     # ------------------------------------------------------------------
 
-    @property
-    @abstractmethod
-    def trace(self) -> GcsTrace:
-        """The unconditional trace of every observable event so far."""
-
-    @property
-    @abstractmethod
-    def links(self) -> LinkCore:
-        """The substrate's unified :class:`~repro.links.LinkCore`.
-
-        One partition matrix, fault pipeline, and counter set per
-        deployment, whatever the substrate."""
-
     def link_totals(self) -> Dict[str, int]:
         """Per-kind wire-message counters (uniform across substrates)."""
         return self.links.totals()
-
-    # The seam cross-substrate tools (overlay, soak, experiments) work
-    # through: the hosts, a timer, a clock.
-
-    @property
-    @abstractmethod
-    def nodes(self) -> Mapping[ProcessId, Any]:
-        """pid -> host; every substrate's host has ``.runner``,
-        ``.endpoint``, ``.current_view`` and ``.delivered``."""
 
     @abstractmethod
     def schedule(self, delay: float, callback: Callable[[], None]) -> object:
@@ -167,9 +160,9 @@ class Deployment(ABC):
         """Everything delivered to ``pid``'s application, in order."""
         return list(self.nodes[pid].delivered)
 
-    @abstractmethod
     def views(self, pid: ProcessId) -> List[View]:
         """Every view installed at ``pid``, in order."""
+        return [view for view, _transitional in self.nodes[pid].views]
 
     # ------------------------------------------------------------------
     # verification

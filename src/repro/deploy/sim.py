@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from typing import Any, Callable, Iterable, List
 
-from repro.checking.events import GcsTrace
 from repro.deploy.base import Deployment
 from repro.errors import SettleTimeoutError
 from repro.net.world import SimWorld
@@ -23,10 +22,9 @@ class SimDeployment(Deployment):
 
     def __init__(self, **world_kwargs: Any) -> None:
         self.world = SimWorld(**world_kwargs)
-
-    @property
-    def _tier(self):
-        return self.world.tier
+        self.trace = self.world.trace
+        self.links = self.world.links
+        self.nodes = self.world.nodes
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -36,9 +34,7 @@ class SimDeployment(Deployment):
         self.world.add_nodes(list(pids))
         self.world.start()
         self.world.settle()
-        view = self.world.views_formed[-1]
-        self._verify_installed(view)
-        return view
+        return self._installed(self.world.views_formed[-1])
 
     async def close(self) -> None:
         pass  # nothing runs between calls; the world is plain objects
@@ -59,18 +55,11 @@ class SimDeployment(Deployment):
 
     async def reconfigure(self, members: Iterable[ProcessId]) -> View:
         members = list(members)
-        if self._tier is not None:
-            changed = self.world.set_members(members)
-            self.world.settle()
-            if not changed:
-                return self.world.node(members[0]).current_view
-            view = self.world.views_formed[-1]
-            self._verify_installed(view)
-            return view
-        views = self.world.oracle.reconfigure([members])
+        changed = self.world.set_members(members)
         self.world.settle()
-        self._verify_installed(views[0])
-        return views[0]
+        if not changed:
+            return self.world.node(members[0]).current_view
+        return self._installed(self.world.views_formed[-1])
 
     # ------------------------------------------------------------------
     # fault injection
@@ -82,31 +71,26 @@ class SimDeployment(Deployment):
         self.world.partition(groups)
         self.world.settle()
         formed = self.world.views_formed[before:]
-        if self._tier is not None:
-            # The tier forms views in round order, not group order; match
-            # each group to its view by membership.
-            views = []
-            for group in groups:
-                target = frozenset(group)
-                view = next((v for v in formed if v.members == target), None)
-                if view is None:
-                    raise SettleTimeoutError(
-                        f"no view formed for partition group {sorted(target)}; "
-                        f"formed: {formed}"
-                    )
-                views.append(view)
-        else:
-            views = formed
-        for view in views:
-            self._verify_installed(view)
+        # Views form in round order, not group order, and of live clients
+        # only: match each group to its view by membership.
+        nodes = self.nodes
+        views = []
+        for group in groups:
+            target = frozenset(p for p in group if p in nodes and not nodes[p].crashed)
+            if not target:
+                continue
+            view = next((v for v in formed if v.members == target), None)
+            if view is None:
+                raise SettleTimeoutError(
+                    f"no view formed for partition group {sorted(target)}; formed: {formed}"
+                )
+            views.append(self._installed(view))
         return views
 
     async def heal(self) -> View:
         self.world.heal()
         self.world.settle()
-        view = self.world.views_formed[-1]
-        self._verify_installed(view)
-        return view
+        return self._installed(self.world.views_formed[-1])
 
     async def crash(self, pid: ProcessId) -> None:
         self.world.crash(pid)
@@ -121,9 +105,8 @@ class SimDeployment(Deployment):
     # ------------------------------------------------------------------
 
     def server_ids(self) -> List[ProcessId]:
-        if self._tier is None:
-            return []
-        return sorted(self._tier.servers)
+        tier = self.world.tier
+        return [] if tier is None else sorted(tier.servers)
 
     async def server_crash(self, sid: ProcessId = None) -> ProcessId:
         sid = self.world.server_crash(sid)
@@ -142,34 +125,19 @@ class SimDeployment(Deployment):
     # observation
     # ------------------------------------------------------------------
 
-    @property
-    def trace(self) -> GcsTrace:
-        return self.world.trace
-
-    @property
-    def links(self):
-        return self.world.links
-
-    @property
-    def nodes(self):
-        return self.world.nodes
-
     def schedule(self, delay: float, callback: Callable[[], None]) -> object:
         return self.world.clock.schedule(delay, callback)
 
     def now(self) -> float:
         return self.world.clock.now
 
-    def views(self, pid: ProcessId) -> List[View]:
-        return [view for view, _transitional in self.world.node(pid).views]
-
     # ------------------------------------------------------------------
 
-    def _verify_installed(self, view: View) -> None:
+    def _installed(self, view: View) -> View:
+        """``view``, once every member has installed it."""
         if not self.world.all_in_view(view):
-            current = {
-                pid: self.world.node(pid).current_view for pid in sorted(view.members)
-            }
+            current = {pid: self.world.node(pid).current_view for pid in sorted(view.members)}
             raise SettleTimeoutError(
                 f"simulation quiescent but {view} not installed everywhere: {current}"
             )
+        return view

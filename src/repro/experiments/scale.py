@@ -135,8 +135,7 @@ async def _crash_on_deployment(
     from repro.deploy import make_deployment
 
     pids = [f"p{i:04d}" for i in range(n)]
-    deployment = make_deployment(substrate)
-    try:
+    async with make_deployment(substrate) as deployment:
         await deployment.setup(pids)
         install_overlay(deployment, leaders=leaders)
         await deployment.settle()
@@ -150,8 +149,6 @@ async def _crash_on_deployment(
         if check:
             deployment.check()
         counts = deployment.link_totals()
-    finally:
-        await deployment.close()
     return sum(counts.get(kind, 0) for kind in SYNC_KINDS), 0.0, converged
 
 

@@ -32,16 +32,15 @@ group audits alone.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple, Type
+from typing import Any, Callable, Dict, Iterable, List, Optional, Type
 
 from repro.chaos.faults import FaultInjector
 from repro.checking.events import GcsTrace
 from repro.core.forwarding import ForwardingStrategy
 from repro.core.gcs_endpoint import GcsEndpoint
-from repro.core.runner import EndpointRunner
+from repro.core.host import EndpointHost
 from repro.errors import SettleTimeoutError
 from repro.membership.oracle import OracleMembership
-from repro.membership.protocol import StartChangeNotice, ViewNotice
 from repro.membership.tier import MembershipTier
 from repro.net.latency import LatencyModel
 from repro.net.network import SimNetwork
@@ -75,11 +74,12 @@ class SimTierLink:
             self.network.send(src, dst, message)
 
 
-class SimNode:
-    """One end-point of a client process: endpoint + runner, wired to
-    the process's transport - bare for the default group (``group``
-    None), through a group channel and into the group's own trace for a
-    named one."""
+class SimNode(EndpointHost):
+    """One end-point of a client process, wired to the process's
+    transport - bare for the default group (``group`` None), through a
+    group channel and into the group's own trace for a named one.  The
+    transport is the process's, shared by all its groups: crashing it is
+    :meth:`SimWorld.crash`'s job, not one end-point's."""
 
     def __init__(
         self,
@@ -88,80 +88,21 @@ class SimNode:
         endpoint: GcsEndpoint,
         group: Optional[GroupName] = None,
     ) -> None:
-        self.pid = pid
         self.world = world
-        self.endpoint = endpoint
-        self.delivered: List[Tuple[ProcessId, Any]] = []
-        self.views: List[Tuple[View, FrozenSet[ProcessId]]] = []
-        # Optional application hooks, invoked after the node's own
-        # bookkeeping; see :meth:`set_app`.
-        self._app_on_deliver: Optional[Callable[[ProcessId, Any], None]] = None
-        self._app_on_view: Optional[Callable[[View, FrozenSet[ProcessId]], None]] = None
         self.transport = transport = world.transports[pid]
         if group is None:
-            transport.on_receive = self._on_wire_message
+            transport.on_receive = self.dispatch
             send_wire, set_reliable = transport.send, transport.set_reliable
         else:
-            send_wire, set_reliable = transport.channel(group, self._on_wire_message)
-        self.runner = EndpointRunner(
+            send_wire, set_reliable = transport.channel(group, self.dispatch)
+        super().__init__(
             endpoint,
             send_wire=send_wire,
             set_reliable=set_reliable,
-            on_deliver=self._record_delivery,
-            on_view=self._record_view,
-            auto_block_ok=True,
             clock=lambda: world.clock.now,
             trace=world.trace_of(group),
             fastpath=world.fastpath,
         )
-
-    # -- outbound ---------------------------------------------------------
-
-    def send(self, payload: Any) -> None:
-        """Application-level multicast to the current view."""
-        self.runner.app_send(payload)
-
-    # -- inbound ----------------------------------------------------------
-
-    def _on_wire_message(self, src: ProcessId, message: Any) -> None:
-        if isinstance(message, StartChangeNotice):
-            self.runner.membership_start_change(message.cid, message.members)
-        elif isinstance(message, ViewNotice):
-            self.runner.membership_view(message.view)
-        else:
-            self.runner.receive(src, message)
-
-    def set_app(
-        self,
-        on_deliver: Optional[Callable[[ProcessId, Any], None]] = None,
-        on_view: Optional[Callable[[View, FrozenSet[ProcessId]], None]] = None,
-    ) -> None:
-        """Attach application callbacks for deliveries and view changes."""
-        self._app_on_deliver = on_deliver
-        self._app_on_view = on_view
-
-    def _record_delivery(self, sender: ProcessId, payload: Any) -> None:
-        self.delivered.append((sender, payload))
-        if self._app_on_deliver is not None:
-            self._app_on_deliver(sender, payload)
-
-    def _record_view(self, view: View, transitional: FrozenSet[ProcessId]) -> None:
-        self.views.append((view, transitional))
-        if self._app_on_view is not None:
-            self._app_on_view(view, transitional)
-
-    # -- fault injection ----------------------------------------------------
-
-    def crash(self) -> None:
-        self.runner.crash()
-        self.transport.crash()
-
-    @property
-    def current_view(self) -> View:
-        return self.endpoint.current_view
-
-    def __repr__(self) -> str:
-        return f"<SimNode {self.pid} view={self.endpoint.current_view.vid!r}>"
 
 
 class SimWorld:
@@ -185,6 +126,7 @@ class SimWorld:
     ) -> None:
         self.clock = EventScheduler()
         self.network = SimNetwork(self.clock, latency, faults)
+        self.links = self.network.core  # the unified LinkCore
         # False forces every node through the general engine - the
         # differential tests run both and compare traces.
         self.fastpath = fastpath
@@ -330,9 +272,9 @@ class SimWorld:
             self.tier.start_sync()
 
     def set_members(self, members: Iterable[ProcessId]) -> bool:
-        """Drive the registered client set (tier mode only)."""
+        """Drive the default group to ``members``; False if no view will form."""
         if self.tier is None:
-            raise ValueError("set_members requires membership='tier'")
+            return bool(self.oracle.reconfigure([members]))
         return self.tier.set_members(members)
 
     @property
@@ -362,11 +304,6 @@ class SimWorld:
             )
         return executed
 
-    @property
-    def links(self):
-        """The network's unified :class:`~repro.links.LinkCore`."""
-        return self.network.core
-
     def run_until(self, time: float) -> int:
         return self.clock.run_until(time)
 
@@ -386,21 +323,16 @@ class SimWorld:
         :meth:`server_partition`.
         """
         groups = [list(group) for group in groups]
+        clients = [[pid for pid in group if pid in self.nodes] for group in groups]
+        clients = [group for group in clients if group]
         if self.tier is not None:
             # The tier cuts the shared link core along its computed
             # components itself (clients plus their assigned server).
-            client_groups = [
-                [pid for pid in group if pid in self.nodes] for group in groups
-            ]
-            plan = self.tier.plan_partition([g for g in client_groups if g])
-            self.tier.apply_partition(plan)
+            self.tier.apply_partition(self.tier.plan_partition(clients))
             return
         self.network.partition(groups)
-        if reconfigure and self.oracle is not None:
-            client_groups = [
-                [pid for pid in group if pid in self.nodes] for group in groups
-            ]
-            self.oracle.reconfigure([g for g in client_groups if g])
+        if reconfigure:
+            self.oracle.reconfigure(clients)
 
     def heal(self, *, reconfigure: bool = True) -> None:
         if self.tier is not None:

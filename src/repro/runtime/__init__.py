@@ -3,30 +3,30 @@ C++ implementation).
 
 * :class:`GcsNode` - one group member with an async send/receive API;
 * :class:`Cluster` - nodes plus a membership tier running the real
-  one-round MBRSHP protocol, written once over the :class:`Fabric`
-  contract (``core``, ``attach``, fire-and-forget ``send``,
-  ``quiesce``, ``close``);
+  one-round MBRSHP protocol: the :class:`~repro.deploy.base.Deployment`
+  contract written once over the :class:`Fabric` contract (``core``,
+  ``attach``, fire-and-forget ``send``, ``quiesce``, ``close``);
 * :class:`AsyncHub` - the lossless in-process fabric, picked by
-  :class:`AsyncCluster`;
+  :class:`AsyncDeployment`;
 * :class:`TcpFabric` - one length-prefixed :class:`TcpTransport` socket
-  per process among trusted peers, picked by :class:`TcpCluster`;
+  per process among trusted peers, picked by :class:`TcpDeployment`;
 * :func:`await_settled` - event-driven settling.
 """
 
-from repro.runtime.cluster import AsyncCluster, Cluster, Fabric, TcpCluster
+from repro.runtime.cluster import AsyncDeployment, Cluster, Fabric, TcpDeployment
 from repro.runtime.node import Delivery, GcsNode, ViewChange
 from repro.runtime.settle import await_settled, describe_views
 from repro.runtime.tcp import TcpFabric, TcpTransport, encode_frame, read_frame
 from repro.runtime.transport import AsyncHub
 
 __all__ = [
-    "AsyncCluster",
+    "AsyncDeployment",
     "AsyncHub",
     "Cluster",
     "Delivery",
     "Fabric",
     "GcsNode",
-    "TcpCluster",
+    "TcpDeployment",
     "TcpFabric",
     "TcpTransport",
     "ViewChange",

@@ -8,11 +8,12 @@ clients are the same kind of thing on the fabric - a pid with a handler
 - so membership notices travel like any other traffic, and partitions
 cut clients off from their servers exactly as a WAN partition would.
 
-The cluster is written once; the substrate is whichever fabric it is
-given.  :class:`AsyncCluster` picks the in-process
-:class:`~repro.runtime.transport.AsyncHub`, :class:`TcpCluster` the
+The cluster *is* the :class:`~repro.deploy.base.Deployment`, written
+once; the substrate is whichever fabric it is given.
+:class:`AsyncDeployment` picks the in-process
+:class:`~repro.runtime.transport.AsyncHub`, :class:`TcpDeployment` the
 socket-backed :class:`~repro.runtime.tcp.TcpFabric`; a further substrate
-is one more class satisfying :class:`Fabric`.
+is one more :class:`Fabric` and one more subclass choosing it.
 
 All settling is event-driven: view installations wake the waiters, and a
 stuck protocol raises :class:`~repro.errors.SettleTimeoutError` instead
@@ -24,11 +25,12 @@ from __future__ import annotations
 
 import asyncio
 import time
-from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Protocol
+from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Protocol
 
 from repro.chaos.faults import FaultInjector
 from repro.checking.events import GcsTrace
 from repro.core.forwarding import ForwardingStrategy
+from repro.deploy.base import Deployment
 from repro.links import LinkCore
 from repro.membership.tier import MembershipTier, TierLink
 from repro.runtime.node import GcsNode
@@ -70,7 +72,7 @@ class Fabric(TierLink, Protocol):
         ...  # pragma: no cover - protocol
 
 
-class Cluster:
+class Cluster(Deployment):
     """A group of GCS nodes with server-based membership on one fabric."""
 
     def __init__(
@@ -83,6 +85,7 @@ class Cluster:
         fastpath: bool = True,
     ) -> None:
         self.fabric = fabric
+        self.links = fabric.core
         self.nodes: Dict[ProcessId, GcsNode] = {}
         self.trace: GcsTrace = GcsTrace()
         self._forwarding = forwarding
@@ -100,11 +103,6 @@ class Cluster:
         # Set whenever any node installs a view; wakes settling waiters.
         self._progress = asyncio.Event()
 
-    @property
-    def links(self) -> LinkCore:
-        """The fabric's unified :class:`~repro.links.LinkCore`."""
-        return self.fabric.core
-
     # ------------------------------------------------------------------
     # topology management
     # ------------------------------------------------------------------
@@ -118,9 +116,9 @@ class Cluster:
             node = GcsNode(
                 pid,
                 self.fabric,
+                self._progress.set,
                 forwarding=self._forwarding,
                 trace=self.trace,
-                on_view_installed=self._progress.set,
                 fastpath=self._fastpath,
             )
             await node.attach()
@@ -133,6 +131,13 @@ class Cluster:
         """Activate the membership tier; wait for the all-nodes view."""
         await self.tier.start()
         return await self.await_members(frozenset(self.nodes))
+
+    async def setup(self, pids: Iterable[ProcessId]) -> View:
+        await self.add_nodes(pids)
+        return await self.start()
+
+    async def send(self, pid: ProcessId, payload: Any) -> None:
+        await self.nodes[pid].send(payload)
 
     async def reconfigure(self, members: Iterable[ProcessId]) -> View:
         """Drive the membership to ``members`` and wait for the view.
@@ -153,7 +158,6 @@ class Cluster:
     async def await_members(
         self,
         member_set: FrozenSet[ProcessId],
-        timeout: Optional[float] = None,
         *,
         min_counter: int = 0,
     ) -> View:
@@ -180,13 +184,13 @@ class Cluster:
         await await_settled(
             predicate,
             self._progress,
-            timeout=self._settle_timeout if timeout is None else timeout,
+            timeout=self._settle_timeout,
             describe=lambda: "awaiting view %s; %s"
             % (members, describe_views({p: self.nodes[p] for p in members})),
         )
         return self.nodes[members[0]].current_view
 
-    async def quiesce(self) -> None:
+    async def settle(self) -> None:
         """Wait until the fabric carries no more traffic."""
         await self.fabric.quiesce()
 
@@ -206,18 +210,12 @@ class Cluster:
         # the groups with *alive* servers (the simulator grows its
         # tier synchronously; sockets need the explicit await here).
         await self.tier.ensure_capacity(
-            max(
-                len(groups) + len(self.tier.crashed_servers()),
-                len(self.tier.servers),
-            )
+            max(len(groups) + len(self.tier.crashed_servers()), len(self.tier.servers))
         )
         plan = self.tier.plan_partition(groups)
         # The tier cuts the fabric's link core along plan.components itself.
         self.tier.apply_partition(plan)
-        views = []
-        for group in groups:
-            views.append(await self.await_members(frozenset(group)))
-        return views
+        return [await self.await_members(frozenset(group)) for group in groups]
 
     async def heal(self) -> View:
         """Reconnect everyone; wait for the merged view."""
@@ -229,9 +227,7 @@ class Cluster:
         self.nodes[pid].crash()
         self.tier.client_crashed(pid)
         survivors = self.tier.active_members()
-        if not survivors:
-            return None
-        return await self.await_members(survivors)
+        return await self.await_members(survivors) if survivors else None
 
     async def recover(self, pid: ProcessId) -> View:
         """Recover ``pid``; wait for the view re-admitting it."""
@@ -242,6 +238,9 @@ class Cluster:
     # ------------------------------------------------------------------
     # the server fault domain
     # ------------------------------------------------------------------
+
+    def server_ids(self) -> List[ProcessId]:
+        return sorted(self.tier.servers)
 
     async def server_crash(self, sid: Optional[ProcessId] = None) -> ProcessId:
         """Crash a membership server; wait for the failover view."""
@@ -258,9 +257,7 @@ class Cluster:
         self.tier.recover_server(sid)
         return await self.await_members(self.tier.active_members(), min_counter=fresh)
 
-    async def server_partition(
-        self, groups: Iterable[Iterable[ProcessId]]
-    ) -> List[View]:
+    async def server_partition(self, groups: Iterable[Iterable[ProcessId]]) -> List[View]:
         """Partition the server tier; one view per non-empty component."""
         fresh = self.tier.watermark() + 1
         effective = self.tier.partition_servers(groups)
@@ -275,21 +272,29 @@ class Cluster:
         await self.fabric.close()
 
     # ------------------------------------------------------------------
-    # convenience
+    # the tool seam
     # ------------------------------------------------------------------
 
-    def node(self, pid: ProcessId) -> GcsNode:
-        return self.nodes[pid]
+    def schedule(self, delay: float, callback: Callable[[], None]) -> object:
+        return asyncio.get_running_loop().call_later(delay * self.time_scale, callback)
 
-    async def __aenter__(self) -> "Cluster":
-        return self
-
-    async def __aexit__(self, *exc_info: Any) -> None:
-        await self.close()
+    def now(self) -> float:
+        return time.monotonic()
 
 
-class AsyncCluster(Cluster):
+# Each backend re-exports the four operations the benchmark times: its
+# tracer (bench/tracing.py) wraps them per backend class, looking each up
+# in the class's own ``__dict__``.
+
+
+class AsyncDeployment(Cluster):
     """A cluster on the in-process :class:`AsyncHub`."""
+
+    name = "async"
+    setup = Cluster.setup
+    send = Cluster.send
+    settle = Cluster.settle
+    reconfigure = Cluster.reconfigure
 
     def __init__(
         self,
@@ -310,7 +315,7 @@ class AsyncCluster(Cluster):
         )
 
 
-class TcpCluster(Cluster):
+class TcpDeployment(Cluster):
     """A cluster on loopback sockets (:class:`TcpFabric`): every wire
     message and every membership notice crosses the kernel's TCP stack,
     the closest analogue to the paper's C++ deployment offered here.
@@ -319,6 +324,12 @@ class TcpCluster(Cluster):
     connection is a lost suffix, after which the membership must
     reconfigure - the assumption the paper makes of its substrate [36].
     """
+
+    name = "tcp"
+    setup = Cluster.setup
+    send = Cluster.send
+    settle = Cluster.settle
+    reconfigure = Cluster.reconfigure
 
     def __init__(
         self,

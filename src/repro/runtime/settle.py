@@ -14,9 +14,11 @@ from __future__ import annotations
 
 import asyncio
 import os
-from typing import Callable, Optional
+from typing import Callable, Mapping, Optional
 
+from repro.core.host import EndpointHost
 from repro.errors import SettleTimeoutError
+from repro.types import ProcessId
 
 DEFAULT_TIMEOUT = 5.0
 
@@ -69,7 +71,7 @@ async def await_settled(
     """
     if timeout is None:
         timeout = settle_timeout()
-    loop = asyncio.get_event_loop()
+    loop = asyncio.get_running_loop()
     deadline = loop.time() + timeout
     while True:
         event.clear()
@@ -87,16 +89,12 @@ async def await_settled(
             pass  # fall through to the deadline check / final predicate try
 
 
-def describe_views(nodes: dict) -> str:
+def describe_views(nodes: Mapping[ProcessId, EndpointHost]) -> str:
     """Render ``pid -> current view`` for settle-timeout diagnostics."""
-    parts = []
-    for pid in sorted(nodes):
-        node = nodes[pid]
-        view = getattr(node, "current_view", None)
-        blocked = getattr(getattr(node, "runner", None), "blocked", None)
-        tag = " blocked" if blocked else ""
-        parts.append(f"{pid}={view!r}{tag}")
-    return ", ".join(parts)
+    return ", ".join(
+        f"{pid}={node.current_view!r}{' blocked' if node.runner.blocked else ''}"
+        for pid, node in sorted(nodes.items())
+    )
 
 
 __all__ = [

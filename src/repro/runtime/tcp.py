@@ -256,7 +256,7 @@ class TcpFabric:
         self._transports[pid] = transport
         self._outboxes[pid] = asyncio.Queue()
         self.addresses[pid] = await transport.start()
-        self._pumps[pid] = asyncio.get_event_loop().create_task(self._pump(pid))
+        self._pumps[pid] = asyncio.get_running_loop().create_task(self._pump(pid))
 
     def send(self, src: ProcessId, targets: Iterable[ProcessId], message: Any) -> None:
         self._outboxes[src].put_nowait((targets, message))
@@ -296,7 +296,7 @@ class TcpFabric:
         if timeout is None:
             timeout = env_settle_timeout(10.0)
         idle = 0.08
-        loop = asyncio.get_event_loop()
+        loop = asyncio.get_running_loop()
         deadline = loop.time() + timeout
         stats = self.core.stats
 

@@ -78,7 +78,7 @@ class AsyncHub:
         self._handlers[pid] = handler
         self._queues[pid] = asyncio.Queue()
         self.core.ensure(pid)
-        self._pumps[pid] = asyncio.get_event_loop().create_task(self._pump(pid))
+        self._pumps[pid] = asyncio.get_running_loop().create_task(self._pump(pid))
 
     # The fabric contract's spelling of the same thing.  Registration
     # needs no awaiting here, so a membership tier may also grow its own
@@ -164,7 +164,7 @@ class AsyncHub:
         """
         if timeout is None:
             timeout = env_settle_timeout(10.0)
-        loop = asyncio.get_event_loop()
+        loop = asyncio.get_running_loop()
         deadline = loop.time() + timeout
         while True:
             # Yield once so a send scheduled in the current task's step

@@ -7,12 +7,16 @@ Deployment contract itself.
 """
 
 import asyncio
+import inspect
 
 import pytest
 
+from repro.core.host import EndpointHost
 from repro.deploy import (
     SUBSTRATES,
+    AsyncDeployment,
     SimDeployment,
+    TcpDeployment,
     make_deployment,
     run_scenario,
 )
@@ -238,3 +242,48 @@ class TestDeploymentContract:
         assert violation == deployment.verdict(final_view=never).primary
         assert violation.code == "VS-LIVE"
         assert violation.witness_index == len(deployment.trace)
+
+    @pytest.mark.parametrize("substrate", SUBSTRATES)
+    def test_every_substrate_hosts_end_points_the_same_way(self, substrate):
+        async def scenario(deployment):
+            await deployment.setup(["a", "b", "c"])
+            await deployment.send("a", "x")
+            await deployment.settle()
+            await deployment.crash("c")
+
+        deployment = run_scenario(substrate, scenario)
+        for pid, host in deployment.nodes.items():
+            assert isinstance(host, EndpointHost)
+            assert host.pid == pid and host.runner.endpoint is host.endpoint
+            assert [view for view, _transitional in host.views] == deployment.views(pid)
+            assert all(pid in transitional for _view, transitional in host.views)
+            assert host.delivered == deployment.delivered(pid)
+            assert host.current_view == deployment.current_view(pid)
+            assert host.crashed == (pid == "c")
+        assert deployment.current_view("a").members == {"a", "b"}
+
+
+class TestTracerContract:
+    """What ``bench/tracing.py`` patches, stated from this side: it looks
+    the four timed operations up in each backend class's *own*
+    ``__dict__`` (``pytest bench/tests`` is outside tier-1)."""
+
+    TRACED = ("setup", "send", "settle", "reconfigure")
+
+    @pytest.mark.parametrize("backend", [SimDeployment, AsyncDeployment, TcpDeployment])
+    def test_traced_operations_are_own_coroutine_functions(self, backend):
+        for name in self.TRACED:
+            assert inspect.iscoroutinefunction(backend.__dict__[name]), (backend, name)
+
+    def test_tracer_installs_and_restores(self):
+        from bench.tracing import Tracer, installed
+
+        def own():
+            backends = (SimDeployment, AsyncDeployment, TcpDeployment)
+            return [backend.__dict__[name] for backend in backends for name in self.TRACED]
+
+        before = own()
+        with installed(Tracer()):
+            during = own()
+        assert all(new is not old for new, old in zip(during, before))
+        assert all(new is old for new, old in zip(own(), before))

@@ -11,12 +11,14 @@ files established stay the ids of the same behaviours.
 from __future__ import annotations
 
 import asyncio
+import signal
+from contextlib import contextmanager
 
 import pytest
 
-from repro.runtime import AsyncCluster, Delivery, TcpCluster
+from repro.runtime import AsyncDeployment, Delivery, TcpDeployment
 
-FABRICS = {"hub": AsyncCluster, "tcp": TcpCluster}
+FABRICS = {"hub": AsyncDeployment, "tcp": TcpDeployment}
 
 
 @pytest.fixture
@@ -42,3 +44,20 @@ def drain_events(node):
 def payloads(node):
     """The payloads delivered to ``node`` so far, in order."""
     return [e.payload for e in drain_events(node) if isinstance(e, Delivery)]
+
+
+@contextmanager
+def fail_after(seconds: float):
+    """Fail, instead of hanging, a block that stops yielding to its event
+    loop - where ``asyncio.wait_for`` can never fire."""
+
+    def expired(signum, frame):
+        raise AssertionError(f"no progress after {seconds}s: the event loop never regained control")
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)

@@ -5,7 +5,7 @@ import asyncio
 import pytest
 
 from repro.checking import SAFETY_CODES, run_verdict
-from repro.runtime import AsyncCluster, Delivery, ViewChange
+from repro.runtime import AsyncDeployment, Delivery, ViewChange
 
 from tests.runtime.conftest import drain_events, payloads
 
@@ -17,7 +17,7 @@ def test_cluster_initial_view_and_multicast(on_fabrics):
             view = await cluster.start()
             assert view.members == {"a", "b", "c"}
             await nodes[0].send("hello")
-            await cluster.quiesce()
+            await cluster.settle()
             for node in nodes:
                 assert Delivery("a", "hello") in drain_events(node)
             run_verdict(cluster.trace, list(cluster.nodes), include=SAFETY_CODES).raise_for()
@@ -45,7 +45,7 @@ def test_fifo_order_preserved(on_fabrics):
             await cluster.start()
             for i in range(20):
                 await a.send(i)
-            await cluster.quiesce()
+            await cluster.settle()
             assert payloads(b) == list(range(20))
 
     on_fabrics(scenario)
@@ -60,7 +60,7 @@ def test_reconfigure_blocks_and_unblocks_senders(on_fabrics):
             v2 = await cluster.reconfigure(["a", "b"])
             assert v2.members == {"a", "b"}
             await nodes[0].send("after")
-            await cluster.quiesce()
+            await cluster.settle()
             run_verdict(cluster.trace, list(cluster.nodes), include=SAFETY_CODES).raise_for()
             assert payloads(nodes[1]) == ["before", "after"]
             assert payloads(nodes[2]) == ["before"]
@@ -77,9 +77,9 @@ def test_join_after_start(on_fabrics):
             view = await cluster.reconfigure(["a", "b", "late"])
             assert "late" in view.members
             await late.send("i made it")
-            await cluster.quiesce()
+            await cluster.settle()
             run_verdict(cluster.trace, list(cluster.nodes), include=SAFETY_CODES).raise_for()
-            assert "i made it" in payloads(cluster.node("a"))
+            assert "i made it" in payloads(cluster.nodes["a"])
 
     on_fabrics(scenario)
 
@@ -87,14 +87,14 @@ def test_join_after_start(on_fabrics):
 def test_delayed_hub_still_safe():
     # ``delay=`` is the hub's own knob; sockets bring their own latency.
     async def scenario():
-        async with AsyncCluster(delay=0.003) as cluster:
+        async with AsyncDeployment(delay=0.003) as cluster:
             nodes = await cluster.add_nodes(["a", "b", "c"])
             await cluster.start()
             for node in nodes:
                 await node.send(f"from {node.pid}")
-            await cluster.quiesce()
+            await cluster.settle()
             await cluster.reconfigure(["a", "c"])
-            await cluster.quiesce()
+            await cluster.settle()
             run_verdict(cluster.trace, list(cluster.nodes), include=SAFETY_CODES).raise_for()
 
     asyncio.run(scenario())

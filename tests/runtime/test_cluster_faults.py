@@ -3,12 +3,15 @@ on the hub and on sockets."""
 
 import asyncio
 
+import pytest
+
 from repro._collections import frozendict
 from repro.checking import SAFETY_CODES, run_verdict
+from repro.errors import CrashedError
 from repro.membership import StartChangeNotice, ViewNotice
 from repro.types import View, ViewId
 
-from tests.runtime.conftest import payloads
+from tests.runtime.conftest import fail_after, payloads
 
 
 def test_partition_isolates_islands(on_fabrics):
@@ -21,7 +24,7 @@ def test_partition_isolates_islands(on_fabrics):
             assert views[1].members == {"c", "d"}
             await a.send("left only")
             await c.send("right only")
-            await cluster.quiesce()
+            await cluster.settle()
             left, right = payloads(b), payloads(d)
             assert "left only" in left and "right only" not in left
             assert "right only" in right and "left only" not in right
@@ -39,7 +42,7 @@ def test_heal_restores_full_group(on_fabrics):
             merged = await cluster.heal()
             assert merged.members == {"a", "b", "c", "d"}
             await nodes[0].send("back together")
-            await cluster.quiesce()
+            await cluster.settle()
             for node in nodes[1:]:
                 assert "back together" in payloads(node)
             run_verdict(cluster.trace, list(cluster.nodes), include=SAFETY_CODES).raise_for()
@@ -86,7 +89,26 @@ def test_send_waits_while_blocked(on_fabrics):
             for pid in cids:
                 cluster.fabric.send(server, [pid], ViewNotice(pid, view))
             await asyncio.wait_for(send_task, 2.0)
-            await cluster.quiesce()
+            await cluster.settle()
             assert "queued until view" in payloads(b)
 
     on_fabrics(scenario)
+
+
+def test_crash_releases_a_sender_waiting_out_a_block(on_fabrics):
+    async def scenario(make_cluster):
+        async with make_cluster() as cluster:
+            a, _b = await cluster.add_nodes(["a", "b"])
+            await cluster.start()
+            a.runner.membership_start_change(901, frozenset({"a", "b"}))
+            assert a.runner.blocked
+            send_task = asyncio.ensure_future(a.send("never sent"))
+            await asyncio.sleep(0)
+            assert not send_task.done()  # waiting, per the Figure 12 contract
+            a.crash()
+            with pytest.raises(CrashedError):
+                await asyncio.wait_for(send_task, 2.0)
+            assert a.crashed and ("a", "never sent") not in a.delivered
+
+    with fail_after(10.0):
+        on_fabrics(scenario)

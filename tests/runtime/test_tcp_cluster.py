@@ -5,7 +5,7 @@ event through ``next_event`` (the fabric-generic suite in
 import asyncio
 
 from repro.checking import SAFETY_CODES, run_verdict
-from repro.runtime import Delivery, TcpCluster, ViewChange
+from repro.runtime import Delivery, TcpDeployment, ViewChange
 
 
 def run(coro):
@@ -23,7 +23,7 @@ async def collect_deliveries(node, count, timeout=5.0):
 
 def test_view_and_multicast_over_sockets():
     async def scenario():
-        async with TcpCluster() as cluster:
+        async with TcpDeployment() as cluster:
             a, b, c = await cluster.add_nodes(["a", "b", "c"])
             view = await cluster.start()
             assert view.members == {"a", "b", "c"}
@@ -37,7 +37,7 @@ def test_view_and_multicast_over_sockets():
 
 def test_fifo_order_over_sockets():
     async def scenario():
-        async with TcpCluster() as cluster:
+        async with TcpDeployment() as cluster:
             a, b = await cluster.add_nodes(["a", "b"])
             await cluster.start()
             for i in range(10):
@@ -50,7 +50,7 @@ def test_fifo_order_over_sockets():
 
 def test_reconfiguration_over_sockets():
     async def scenario():
-        async with TcpCluster() as cluster:
+        async with TcpDeployment() as cluster:
             a, b, c = await cluster.add_nodes(["a", "b", "c"])
             await cluster.start()
             await a.send("before")
@@ -66,7 +66,7 @@ def test_reconfiguration_over_sockets():
 
 def test_view_change_event_over_sockets():
     async def scenario():
-        async with TcpCluster() as cluster:
+        async with TcpDeployment() as cluster:
             (a,) = await cluster.add_nodes(["a"])
             view = await cluster.start()
             event = await a.next_event(timeout=5.0)

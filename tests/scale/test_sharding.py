@@ -319,12 +319,16 @@ class TestScaleWorld:
         "repro.scale.sharding",
         "repro.deploy",
         "repro.scale",
+        "repro.runtime",
+        "repro.runtime.cluster",
+        "repro.deploy.base",
     ],
 )
 def test_no_package_import_cycle(first):
     """``membership.tier`` and ``net.world`` need ``scale.sharding``,
-    ``net.transport`` needs ``membership.protocol`` and ``deploy`` needs
-    ``net.world``: each must import first in a fresh interpreter."""
+    ``net.transport`` needs ``membership.protocol``, ``deploy`` needs
+    ``net.world`` and ``runtime.cluster``, which needs ``deploy.base``
+    back: each must import first in a fresh interpreter."""
     src = os.path.dirname(os.path.dirname(repro.__file__))
     completed = subprocess.run(
         [sys.executable, "-c", f"import {first}, repro.deploy, repro.scale, repro.chaos"],
