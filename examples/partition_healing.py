@@ -31,7 +31,6 @@ class IslandLatency(LatencyModel):
 def main() -> None:
     world = SimWorld(
         latency=IslandLatency(),
-        membership="oracle",
         round_duration=2.0,
         forwarding=MinCopiesStrategy(),
     )

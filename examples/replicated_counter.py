@@ -65,7 +65,7 @@ class CounterReplica:
 
 
 def main() -> None:
-    world = SimWorld(latency=ConstantLatency(1.0), membership="oracle", round_duration=2.0)
+    world = SimWorld(latency=ConstantLatency(1.0), round_duration=2.0)
     replicas: Dict[str, CounterReplica] = {}
     for pid in ("r1", "r2", "r3"):
         node = world.add_node(pid)

@@ -30,7 +30,7 @@ def apply_op(state: dict, operation) -> dict:
 def main() -> None:
     pids = ["kv1", "kv2", "kv3", "kv4", "kv5"]
     universe = frozenset(pids)
-    world = SimWorld(latency=ConstantLatency(1.0), membership="oracle", round_duration=2.0)
+    world = SimWorld(latency=ConstantLatency(1.0), round_duration=2.0)
     stores = {}
     for pid in pids:
         node = world.add_node(pid)

@@ -50,7 +50,7 @@ from repro.net import ConstantLatency, LognormalLatency, SimWorld
 
 def _cmd_demo(_args: argparse.Namespace) -> int:
     print("== repro demo: virtually synchronous group multicast ==\n")
-    world = SimWorld(latency=ConstantLatency(1.0), membership="oracle", round_duration=2.0)
+    world = SimWorld(latency=ConstantLatency(1.0), round_duration=2.0)
     nodes = world.add_nodes(["alice", "bob", "carol", "dave"])
     world.start()
     world.run()

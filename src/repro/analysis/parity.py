@@ -187,7 +187,6 @@ def run_strict_parity(
         kwargs["endpoint_cls"] = endpoint_cls
     world = SimWorld(
         latency=ConstantLatency(1.0),
-        membership="oracle",
         strict=True,
         gc_views=False,
         **kwargs,

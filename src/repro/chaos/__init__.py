@@ -31,7 +31,7 @@ from repro.chaos.faults import (
     FaultModel,
 )
 from repro.chaos.plan import OP_KINDS, ChaosOp, ChaosPlan, sanitise_ops
-from repro.chaos.runner import TIME_SCALES, ChaosRunner, Episode
+from repro.chaos.runner import ChaosRunner, Episode
 from repro.chaos.por import (
     canonical_ops,
     ops_commute,
@@ -49,7 +49,6 @@ from repro.chaos.soak import (
 
 __all__ = [
     "OP_KINDS",
-    "TIME_SCALES",
     "ChaosOp",
     "ChaosPlan",
     "ChaosRunner",

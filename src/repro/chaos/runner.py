@@ -25,19 +25,13 @@ from __future__ import annotations
 
 import asyncio
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict, Optional, Type
 
 from repro.chaos.faults import FaultInjector
 from repro.chaos.plan import ChaosOp, ChaosPlan
 from repro.checking.events import GcsTrace
 from repro.checking.verdict import Verdict, run_verdict
 from repro.errors import SettleTimeoutError
-
-# One latency unit of the fault model, in each substrate's own time.
-# The simulator's virtual clock ticks in model units; the asyncio and TCP
-# runtimes run in real seconds, where a few milliseconds already reorder
-# traffic without stretching CI wall-clock.
-TIME_SCALES: Dict[str, float] = {"sim": 1.0, "async": 0.003, "tcp": 0.003}
 
 TraceMutator = Callable[[GcsTrace], GcsTrace]
 
@@ -47,17 +41,25 @@ def stall_verdict(exc: SettleTimeoutError) -> Verdict:
     return Verdict.runtime("RUN-STALL", f"settle timeout: {exc}")
 
 
+def backend_class(backend: str) -> Type[Any]:
+    """The deployment class registered as ``backend``; its ``time_scale``
+    is one latency unit of the fault model in that substrate's own time."""
+    from repro.deploy import BACKENDS  # local import: no cycle
+
+    if backend not in BACKENDS:
+        raise ValueError(f"unknown backend {backend!r}; expected one of {sorted(BACKENDS)}")
+    return BACKENDS[backend]
+
+
 def deploy_for(backend: str, injector: FaultInjector, servers: int, **options: Any) -> Any:
     """A fresh deployment for a chaos run under ``injector``.
 
     ``servers`` > 0 targets the server fault domain: every substrate
     then deploys a crashable membership tier of that size.
     """
-    from repro.deploy import make_deployment  # local import: no cycle
-
     if servers:
         options["servers"] = servers
-    return make_deployment(backend, faults=injector, **options)
+    return backend_class(backend)(faults=injector, **options)
 
 
 @dataclass
@@ -103,10 +105,7 @@ class ChaosRunner:
         *,
         mutate_trace: Optional[TraceMutator] = None,
     ) -> None:
-        if backend not in TIME_SCALES:
-            raise ValueError(
-                f"unknown backend {backend!r}; expected one of {sorted(TIME_SCALES)}"
-            )
+        self.time_scale = backend_class(backend).time_scale
         self.backend = backend
         self.mutate_trace = mutate_trace
 
@@ -116,9 +115,7 @@ class ChaosRunner:
 
     def run(self, plan: ChaosPlan) -> Episode:
         """Execute ``plan`` once; never raises on a violation, reports it."""
-        injector = FaultInjector(
-            plan.faults, time_scale=TIME_SCALES[self.backend]
-        )
+        injector = FaultInjector(plan.faults, time_scale=self.time_scale)
         try:
             deployment = asyncio.run(self._execute(plan, injector))
         except SettleTimeoutError as exc:
@@ -200,9 +197,9 @@ class ChaosRunner:
 
 
 __all__ = [
-    "TIME_SCALES",
     "ChaosRunner",
     "Episode",
+    "backend_class",
     "deploy_for",
     "stall_verdict",
 ]

@@ -32,7 +32,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.chaos.faults import FaultInjector
 from repro.chaos.plan import ChaosPlan, _ScheduleState
-from repro.chaos.runner import TIME_SCALES, ChaosRunner, deploy_for, stall_verdict
+from repro.chaos.runner import ChaosRunner, backend_class, deploy_for, stall_verdict
 from repro.checking.verdict import Verdict, run_verdict
 from repro.errors import SettleTimeoutError
 from repro.types import ProcessId
@@ -118,10 +118,7 @@ class SoakRunner:
     """Run open-ended seeded chaos streams on one backend."""
 
     def __init__(self, backend: str = "sim") -> None:
-        if backend not in TIME_SCALES:
-            raise ValueError(
-                f"unknown backend {backend!r}; expected one of {sorted(TIME_SCALES)}"
-            )
+        self.time_scale = backend_class(backend).time_scale
         self.backend = backend
 
     def soak(
@@ -163,7 +160,7 @@ class SoakRunner:
             duration=duration,
             resident_limit=resident_limit,
         )
-        injector = FaultInjector(faults, time_scale=TIME_SCALES[self.backend])
+        injector = FaultInjector(faults, time_scale=self.time_scale)
         try:
             asyncio.run(
                 self._soak(

@@ -35,13 +35,14 @@ from repro.deploy.sim import SimDeployment
 # it); ``repro/__init__`` imports this package before ``repro.runtime``.
 from repro.runtime.cluster import AsyncDeployment, TcpDeployment
 
-SUBSTRATES = ("sim", "async", "tcp")
-
-_BACKENDS = {
+#: The registry: substrate name -> backend class.
+BACKENDS = {
     "sim": SimDeployment,
     "async": AsyncDeployment,
     "tcp": TcpDeployment,
 }
+
+SUBSTRATES = tuple(BACKENDS)
 
 
 def make_deployment(substrate: str, **kwargs: Any) -> Deployment:
@@ -51,10 +52,10 @@ def make_deployment(substrate: str, **kwargs: Any) -> Deployment:
     inside :func:`run_scenario` this is taken care of.
     """
     try:
-        backend = _BACKENDS[substrate]
+        backend = BACKENDS[substrate]
     except KeyError:
         raise ValueError(
-            f"unknown substrate {substrate!r}; expected one of {sorted(_BACKENDS)}"
+            f"unknown substrate {substrate!r}; expected one of {sorted(BACKENDS)}"
         ) from None
     return backend(**kwargs)
 
@@ -81,6 +82,7 @@ def run_scenario(
 
 
 __all__ = [
+    "BACKENDS",
     "SCENARIOS",
     "SUBSTRATES",
     "AsyncDeployment",

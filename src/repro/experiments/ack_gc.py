@@ -36,7 +36,6 @@ def measure_ack_gc(
     """``waves`` rounds of one multicast per member inside one long view."""
     world = SimWorld(
         latency=ConstantLatency(1.0),
-        membership="oracle",
         round_duration=1.0,
         ack_gc_interval=ack_interval,
     )

@@ -101,7 +101,6 @@ def measure_compact_syncs(
     exceeds current views and the Section 5.2.4 optimization bites."""
     world = SimWorld(
         latency=ConstantLatency(1.0),
-        membership="oracle",
         round_duration=2.0,
         compact_syncs=compact,
         gc_views=False,
@@ -175,7 +174,7 @@ def measure_ordering_overhead(
     """
     if layer not in ("fifo", "causal", "total"):
         raise ValueError(f"layer must be fifo/causal/total, got {layer!r}")
-    world = SimWorld(latency=ConstantLatency(1.0), membership="oracle", round_duration=1.0)
+    world = SimWorld(latency=ConstantLatency(1.0), round_duration=1.0)
     nodes = world.add_nodes([f"p{i}" for i in range(group_size)])
 
     send_time: Dict = {}

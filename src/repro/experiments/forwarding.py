@@ -78,7 +78,6 @@ def measure_forwarding(
     latency = _AsymmetricLatency(sender, fast)
     world = SimWorld(
         latency=latency,
-        membership="oracle",
         round_duration=2.0,
         forwarding=strategy,
         gc_views=False,

@@ -54,7 +54,6 @@ def measure_obsolete_views(
     latency = latency or ConstantLatency(1.0)
     world = SimWorld(
         latency=latency,
-        membership="oracle",
         round_duration=round_duration,
         gc_views=False,
     )

@@ -39,7 +39,6 @@ def measure_server_tier(
         [f"p{i:02d}" for i in range(clients)],
         warm_rounds=0,
         latency=latency or ConstantLatency(1.0),
-        membership="tier",
         servers=servers,
     )
     bootstrapped = len(set(run.settled_views.values())) == 1

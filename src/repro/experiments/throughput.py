@@ -45,7 +45,7 @@ def measure_throughput(
     latency: Optional[LatencyModel] = None,
 ) -> ThroughputResult:
     latency = latency or ConstantLatency(1.0)
-    world = SimWorld(latency=latency, membership="oracle", round_duration=1.0)
+    world = SimWorld(latency=latency, round_duration=1.0)
     nodes = world.add_nodes([f"p{i:03d}" for i in range(group_size)])
     world.start()
     world.run()

@@ -2,11 +2,10 @@
 
 For controlled experiments (and as the degenerate single-server case of
 the client-server architecture), ``OracleMembership`` plays the external
-membership service with *configurable timing*: after a reconfiguration
-trigger it issues ``start_change`` notices ``detection_delay`` later and
-the agreed ``view`` after a further ``round_duration`` - the knob the
-parallelism experiments (E1/E3) sweep to model membership rounds of
-different lengths.
+membership service with *configurable timing*: a reconfiguration trigger
+issues ``start_change`` notices at once and the agreed ``view``
+``round_duration`` later - the knob the parallelism experiments (E1/E3)
+sweep to model membership rounds of different lengths.
 
 It maintains the Figure 2 discipline per end-point (fresh increasing
 cids, a start_change before every view, startId read off the latest
@@ -14,10 +13,20 @@ cids), and it cancels a pending view delivery for an end-point whenever
 a newer start_change supersedes it - which is how the service, like the
 paper's, never delivers views it already knows to be out of date.
 
+It is driven through the control surface of
+:class:`~repro.membership.tier.MembershipTier` - ``add_client`` /
+``start`` / ``set_members`` / ``plan_partition`` + ``apply_partition`` /
+``heal`` / ``client_crashed`` / ``client_recovered`` - and hands its
+notices over as the same :class:`~repro.membership.protocol.StartChangeNotice`
+/ :class:`~repro.membership.protocol.ViewNotice` objects, so a
+deployment holds *a membership service* and never asks which.  What
+stays its own: it runs no servers, every fault-triggered view is of
+*all* its live clients (there is no registry of who was configured out),
+and :meth:`reconfigure` scripts arbitrary view sequences directly.
+
 It serves one group - :class:`~repro.net.world.SimWorld`'s default one;
-named groups run on the real tier
-(:class:`~repro.membership.tier.MembershipTier`).  This is the only
-place that schedules scripted notices.
+named groups run on the real tier.  This is the only place that
+schedules scripted notices.
 """
 
 from __future__ import annotations
@@ -26,68 +35,102 @@ from typing import (
     TYPE_CHECKING,
     Any,
     Callable,
+    Collection,
     Dict,
     FrozenSet,
     Iterable,
     List,
     Set,
-    Tuple,
 )
 
 from repro._collections import frozendict
+from repro.membership.protocol import StartChangeNotice, ViewNotice
 from repro.types import ProcessId, StartChangeId, View, ViewId
 
 if TYPE_CHECKING:  # pragma: no cover - avoids the membership<->net cycle
+    from repro.links import LinkCore
     from repro.net.simclock import EventScheduler, ScheduledEvent
-
-# Client-side hooks: (cid, members) -> None and (view) -> None.
-StartChangeSink = Callable[[StartChangeId, FrozenSet[ProcessId]], None]
-ViewSink = Callable[[View], None]
 
 
 class OracleMembership:
     """Centralized MBRSHP implementation with scripted timing."""
 
+    #: No membership servers: the infallible service of the paper's Section 8.
+    servers: Collection[ProcessId] = ()
+
     def __init__(
         self,
         clock: EventScheduler,
+        deliver: Callable[[ProcessId, Any], None],
+        links: LinkCore,
         *,
-        detection_delay: float = 0.0,
         round_duration: float = 1.0,
     ) -> None:
         self.clock = clock
-        self.detection_delay = detection_delay
+        # (client, notice): hands a notice to the client's end-point host.
+        self._deliver = deliver
+        # The substrate's link core, cut and healed here as the tier does.
+        self.links = links
         self.round_duration = round_duration
+        self._clients: Set[ProcessId] = set()
         self._crashed: Set[ProcessId] = set()
         # Last cid / view counter issued.
         self._cid = 0
         self._counter = 0
-        self._sinks: Dict[ProcessId, Tuple[StartChangeSink, ViewSink]] = {}
         # Scheduled notices per end-point, cancellable when a newer
         # reconfiguration supersedes them.
         self._pending: Dict[ProcessId, List[ScheduledEvent]] = {}
         self.views_formed: List[View] = []
 
     # ------------------------------------------------------------------
-    # wiring
+    # the control surface (shared with MembershipTier)
     # ------------------------------------------------------------------
 
-    def attach_client(
-        self,
-        pid: ProcessId,
-        on_start_change: StartChangeSink,
-        on_view: ViewSink,
-    ) -> None:
-        self._sinks[pid] = (on_start_change, on_view)
+    def add_client(self, pid: ProcessId) -> None:
+        self._clients.add(pid)
 
-    def client_crashed(self, pid: ProcessId) -> None:
+    def active_members(self) -> FrozenSet[ProcessId]:
+        """Whom the next fault-triggered view will hold."""
+        return frozenset(self._clients - self._crashed)
+
+    def start(self) -> None:
+        """Form the view of every live client."""
+        self.reconfigure([self._clients])
+
+    def set_members(self, members: Iterable[ProcessId]) -> bool:
+        """Form the view of ``members``; False if no view will form."""
+        target = frozenset(members)
+        unknown = target - self._clients
+        if unknown:
+            raise ValueError(f"unknown clients {sorted(unknown)}; add_client them first")
+        return bool(self.reconfigure([target]))
+
+    def plan_partition(self, groups: Iterable[Iterable[ProcessId]]) -> List[FrozenSet[ProcessId]]:
+        """With no server to assign, the plan is the groups themselves."""
+        return [frozenset(group) for group in groups]
+
+    def apply_partition(self, plan: List[FrozenSet[ProcessId]]) -> None:
+        """Cut the transport along ``plan``; script one view per group."""
+        self.links.partition(plan)
+        self.reconfigure(plan)
+
+    def heal(self) -> None:
+        self.links.heal()
+        self.start()
+
+    def client_crashed(self, pid: ProcessId) -> List[View]:
+        """Returns the named-group views re-formed: none, it has no groups."""
         self._crashed.add(pid)
+        self.start()
+        return []
 
-    def client_recovered(self, pid: ProcessId) -> None:
+    def client_recovered(self, pid: ProcessId) -> List[View]:
         self._crashed.discard(pid)
+        self.start()
+        return []
 
     # ------------------------------------------------------------------
-    # reconfiguration
+    # scripted reconfiguration
     # ------------------------------------------------------------------
 
     def reconfigure(
@@ -110,7 +153,6 @@ class OracleMembership:
         return views
 
     def _form_view(self, members: FrozenSet[ProcessId], extra_changes: int) -> View:
-        detect = self.detection_delay
         spacing = self.round_duration / (extra_changes + 1)
         ordered = sorted(members)
         for pid in ordered:
@@ -119,28 +161,25 @@ class OracleMembership:
 
         final_cids: Dict[ProcessId, StartChangeId] = {}
         for round_index in range(extra_changes + 1):
-            at = detect + round_index * spacing
+            at = round_index * spacing
             for pid in ordered:
                 self._cid += 1
                 final_cids[pid] = self._cid
-                self._schedule(pid, at, 0, self._cid, members)
+                self._schedule(pid, at, StartChangeNotice(pid, self._cid, members))
         self._counter += 1
         view = View(ViewId(self._counter), members, frozendict(final_cids))
         self.views_formed.append(view)
         for pid in ordered:
-            self._schedule(pid, detect + self.round_duration, 1, view)
+            self._schedule(pid, self.round_duration, ViewNotice(pid, view))
         return view
 
-    def _schedule(self, pid: ProcessId, delay: float, sink: int, *notice: Any) -> None:
-        """Hand ``notice`` to the end-point's start_change (0) or view (1)
-        sink after ``delay``, unless it crashed or was superseded first."""
+    def _schedule(self, pid: ProcessId, delay: float, notice: Any) -> None:
+        """Deliver ``notice`` to client ``pid`` after ``delay``, unless it
+        crashed or was superseded first."""
 
         def fire() -> None:
-            if pid in self._crashed:
-                return
-            sinks = self._sinks.get(pid)
-            if sinks is not None:
-                sinks[sink](*notice)
+            if pid in self._clients and pid not in self._crashed:
+                self._deliver(pid, notice)
 
         event = self.clock.schedule(delay, fire)
         self._pending.setdefault(pid, []).append(event)

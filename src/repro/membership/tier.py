@@ -15,7 +15,7 @@ coordinator.  A runtime fabric (:class:`~repro.runtime.cluster.Fabric` -
 the asyncio hub, the socket fabric) *is* a ``TierLink``: servers attach
 to it exactly like group members do, so :class:`~repro.runtime.cluster.Cluster`
 hands the tier its fabric; the simulator adapts ``SimNetwork`` with the
-three-line :class:`~repro.net.world.SimTierLink`.
+two-method :class:`~repro.net.world.SimTierLink`.
 
 Topology input (who can reach whom among servers) is injected by the
 deployment when it partitions or heals its transport or crashes a
@@ -59,11 +59,13 @@ from repro.types import ProcessId, StartChangeId, View
 class TierLink(Protocol):
     """What a substrate must provide to host membership servers.
 
-    ``attach`` registers a server's inbox on the substrate (async because
-    real transports may need to open sockets); ``send`` carries one tier
-    message from a server to other processes - servers (proposals) or
-    clients (start_change / view notices) - and never blocks.  The pair
-    is the attach/send half of the runtime's
+    ``attach`` registers a server's inbox on the substrate, without
+    awaiting - a socket transport binds and listens at once and starts
+    accepting from its own task - so the tier grows itself wherever it
+    finds it is short of servers; ``send`` carries one tier message from
+    a server to other processes - servers (proposals) or clients
+    (start_change / view notices) - and never blocks.  The pair is the
+    attach/send half of the runtime's
     :class:`~repro.runtime.cluster.Fabric` contract, so any fabric hosts
     a tier as it is.
 
@@ -75,14 +77,9 @@ class TierLink(Protocol):
     clamp, and :class:`~repro.links.LinkStats` counters - which is what
     makes ``Deployment.link_totals()`` and the settle-timeout
     busiest-link diagnostics cover membership traffic too.
-
-    A link whose attach needs no awaiting (the asyncio hub, the
-    simulator) may additionally expose ``attach_sync`` with the same
-    signature; the tier then grows its own capacity on demand inside
-    synchronous entry points like :meth:`MembershipTier.plan_partition`.
     """
 
-    async def attach(self, sid: ProcessId, handler: Callable[[ProcessId, Any], None]) -> None:
+    def attach(self, sid: ProcessId, handler: Callable[[ProcessId, Any], None]) -> None:
         ...  # pragma: no cover - protocol
 
     def send(self, src: ProcessId, targets: Iterable[ProcessId], message: Any) -> None:
@@ -164,18 +161,20 @@ class MembershipTier:
     # construction
     # ------------------------------------------------------------------
 
-    def _make_server(self) -> MembershipServer:
-        sid = server_id(str(len(self.servers)))
-        server = MembershipServer(
-            sid,
-            send=self._sender(sid),
-            cid_registry=self._cid_registry,
-            initial_counter=self.watermark(),
-            counter_bound=self._counter_bound,
-        )
-        server.on_view_formed = lambda view, sid=sid: self._on_formed(sid, view)
-        self.servers[sid] = server
-        return server
+    def _grow(self, count: int) -> None:
+        """Create servers, each attached to the link, up to ``count``."""
+        while len(self.servers) < count:
+            sid = server_id(str(len(self.servers)))
+            server = MembershipServer(
+                sid,
+                send=self._sender(sid),
+                cid_registry=self._cid_registry,
+                initial_counter=self.watermark(),
+                counter_bound=self._counter_bound,
+            )
+            server.on_view_formed = lambda view, sid=sid: self._on_formed(sid, view)
+            self.servers[sid] = server
+            self.link.attach(sid, server.on_message)
 
     def _on_formed(self, sid: ProcessId, view: View) -> None:
         """A server's round completed: the tier's durability point.
@@ -191,31 +190,6 @@ class MembershipTier:
             self.views_formed.append(view)
         if self._trace is not None:
             self._trace.append(MbrshpFormEvent(self._clock(), sid, view))
-
-    async def _add_server(self) -> MembershipServer:
-        server = self._make_server()
-        await self.link.attach(server.sid, server.on_message)
-        return server
-
-    async def ensure_capacity(self, count: int) -> None:
-        """Create servers (with transport endpoints) up to ``count``."""
-        while len(self.servers) < count:
-            await self._add_server()
-
-    def _grow_sync(self, count: int) -> bool:
-        """Grow to ``count`` servers without awaiting, if the link allows.
-
-        Returns False when it cannot (the link has no ``attach_sync`` -
-        e.g. real sockets); callers then fall back to requiring an
-        explicit prior :meth:`ensure_capacity`.
-        """
-        attach_sync = getattr(self.link, "attach_sync", None)
-        if attach_sync is None:
-            return False
-        while len(self.servers) < count:
-            server = self._make_server()
-            attach_sync(server.sid, server.on_message)
-        return True
 
     def watermark(self) -> int:
         """The highest view counter any server of the tier has issued.
@@ -278,19 +252,9 @@ class MembershipTier:
     def active_members(self) -> FrozenSet[ProcessId]:
         return frozenset(self._registered - self._crashed)
 
-    async def start(self) -> None:
+    def start(self) -> None:
         """Create the initial servers, spread clients, run the first round."""
-        await self.ensure_capacity(self._initial_servers)
-        self._start_registered()
-
-    def start_sync(self) -> None:
-        """Synchronous :meth:`start` for links with ``attach_sync``
-        (the simulator's event-driven network, the asyncio hub)."""
-        if not self._grow_sync(self._initial_servers):
-            raise TypeError("link has no attach_sync; use the async start()")
-        self._start_registered()
-
-    def _start_registered(self) -> None:
+        self._grow(self._initial_servers)
         sids = sorted(self.servers)
         for index, pid in enumerate(sorted(self._known)):
             home = sids[index % len(sids)]
@@ -312,6 +276,8 @@ class MembershipTier:
         unknown = target - self._known
         if unknown:
             raise ValueError(f"unknown clients {sorted(unknown)}; add_client them first")
+        if not self.started:
+            self.start()
         adds: Dict[ProcessId, List[ProcessId]] = {}
         removes: Dict[ProcessId, List[ProcessId]] = {}
         for pid in sorted(target - self._registered):
@@ -354,8 +320,8 @@ class MembershipTier:
     def _place(self, group: GroupName, clients: Iterable[ProcessId] = ()) -> _Group:
         """(Re-)create ``group``'s round machine at its owner: the alive
         server of highest weight, counters above the group's durable floor."""
-        if not self.servers and not self._grow_sync(self._initial_servers):
-            raise TypeError("link has no attach_sync; await start() or ensure_capacity() first")
+        if not self.servers:
+            self._grow(self._initial_servers)
         sids = list(self.servers)
         alive = [index for index, sid in enumerate(sids) if not self.servers[sid].crashed]
         owner = sids[GroupShardMap(len(sids)).shard_of(group, among=alive)]
@@ -592,18 +558,13 @@ class MembershipTier:
     def plan_partition(self, groups: Iterable[Iterable[ProcessId]]) -> PartitionPlan:
         """Assign one server per group; compute the transport components.
 
-        When the tier is short of servers it grows itself, provided the
-        link supports synchronous attachment (``attach_sync``); over
-        links that must await socket setup (TCP), call
-        :meth:`ensure_capacity` for ``len(groups)`` first.  Clients in
-        no group are cut off entirely (singleton components).
+        When the tier is short of alive servers it grows itself (crashed
+        servers hold no partition group).  Clients in no group are cut
+        off entirely (singleton components).
         """
         group_sets = [frozenset(g) for g in groups]
-        if len(self.alive_servers()) < len(group_sets):
-            self._grow_sync(len(group_sets) + len(self.crashed_servers()))
+        self._grow(len(group_sets) + len(self.crashed_servers()))
         sids = self.alive_servers()
-        if len(sids) < len(group_sets):
-            raise ValueError("not enough servers; call ensure_capacity first")
         assignment = {sids[i]: group_sets[i] for i in range(len(group_sets))}
         components: List[List[ProcessId]] = [
             sorted(group) + [sids[i]] for i, group in enumerate(group_sets)

@@ -7,9 +7,9 @@
 * one :class:`SimNode` per client process - a GCS end-point automaton
   driven reactively by an :class:`~repro.core.runner.EndpointRunner`
   over a :class:`~repro.net.transport.SimTransport`;
-* a membership service: either the centralized
-  :class:`~repro.membership.oracle.OracleMembership` (scripted timing,
-  for controlled experiments) or a
+* a membership service behind one control surface: either the
+  centralized :class:`~repro.membership.oracle.OracleMembership`
+  (scripted timing, for controlled experiments) or, with ``servers=N``, a
   :class:`~repro.membership.tier.MembershipTier` of crashable
   :class:`~repro.membership.server.MembershipServer` processes running
   real agreement over the simulated network (the full client-server
@@ -63,10 +63,7 @@ class SimTierLink:
     def __init__(self, network: SimNetwork) -> None:
         self.network = network
 
-    async def attach(self, sid: ProcessId, handler: Callable[[ProcessId, Any], None]) -> None:
-        self.network.register(sid, handler)
-
-    def attach_sync(self, sid: ProcessId, handler: Callable[[ProcessId, Any], None]) -> None:
+    def attach(self, sid: ProcessId, handler: Callable[[ProcessId, Any], None]) -> None:
         self.network.register(sid, handler)
 
     def send(self, src: ProcessId, targets: Iterable[ProcessId], message: Any) -> None:
@@ -112,7 +109,6 @@ class SimWorld:
         self,
         *,
         latency: Optional[LatencyModel] = None,
-        membership: Optional[str] = None,
         round_duration: float = 1.0,
         servers: Optional[int] = None,
         forwarding: Optional[ForwardingStrategy] = None,
@@ -144,36 +140,28 @@ class SimWorld:
             self._endpoint_kwargs["compact_syncs"] = True
         if ack_gc_interval is not None:
             self._endpoint_kwargs["ack_gc_interval"] = ack_gc_interval
+        # One membership service, two issuers: the scripted oracle, or -
+        # asking for servers is asking for the tier that runs them - the
+        # same MembershipTier (durable watermark store, crashable servers)
+        # the asyncio and TCP clusters run, over the simulated network;
+        # the servers are also what named groups are placed on.
         self.oracle: Optional[OracleMembership] = None
         self.tier: Optional[MembershipTier] = None
-        if membership is None:
-            # Asking for servers is asking for the tier that runs them.
-            membership = "oracle" if servers is None else "tier"
-        if membership == "oracle":
-            if servers is not None:
-                raise ValueError(
-                    "membership='oracle' runs no servers; drop servers= "
-                    "or use membership='tier'"
-                )
-            self.oracle = OracleMembership(
+        if servers is None:
+            self.membership = self.oracle = OracleMembership(
                 self.clock,
+                # No network sender: the oracle is not a process.
+                lambda pid, notice: self.nodes[pid].dispatch(None, notice),
+                self.links,
                 round_duration=round_duration,
             )
-        elif membership == "tier":
-            # The full substrate-neutral tier - the same MembershipTier
-            # (durable watermark store, crashable servers) the asyncio
-            # and TCP clusters run, over the simulated network; the
-            # servers are also what named groups are placed on.
-            self.tier = MembershipTier(
+        else:
+            self.membership = self.tier = MembershipTier(
                 SimTierLink(self.network),
-                servers=1 if servers is None else servers,
-                links=self.network.core,
+                servers=servers,
+                links=self.links,
                 trace=self.trace_of,
                 clock=lambda: self.clock.now,
-            )
-        else:
-            raise ValueError(
-                f"membership must be 'oracle' or 'tier', got {membership!r}"
             )
 
     # ------------------------------------------------------------------
@@ -197,18 +185,12 @@ class SimWorld:
     def add_node(self, pid: ProcessId) -> SimNode:
         """Create a client process with a default-group end-point.
 
-        The oracle includes it in the next scripted reconfiguration; the
-        tier homes it itself and registers it on :meth:`start` or
-        :meth:`set_members`.
+        It joins views only once :meth:`start` or :meth:`set_members`
+        (or, on the oracle, any fault-triggered view) takes it in.
         """
         self.add_process(pid)
         node = self.nodes[pid] = self._host(pid)
-        if self.oracle is not None:
-            self.oracle.attach_client(
-                pid, node.runner.membership_start_change, node.runner.membership_view
-            )
-        else:
-            self.tier.add_client(pid)
+        self.membership.add_client(pid)
         return node
 
     def add_nodes(self, pids: Iterable[ProcessId]) -> List[SimNode]:
@@ -266,21 +248,16 @@ class SimWorld:
 
     def start(self) -> None:
         """Kick off the initial view formation for all registered clients."""
-        if self.oracle is not None:
-            self.oracle.reconfigure([list(self.nodes)])
-        else:
-            self.tier.start_sync()
+        self.membership.start()
 
     def set_members(self, members: Iterable[ProcessId]) -> bool:
         """Drive the default group to ``members``; False if no view will form."""
-        if self.tier is None:
-            return bool(self.oracle.reconfigure([members]))
-        return self.tier.set_members(members)
+        return self.membership.set_members(members)
 
     @property
     def views_formed(self) -> List[View]:
-        """Views the membership service has formed (oracle or tier mode)."""
-        return (self.oracle or self.tier).views_formed
+        """Views the membership service has formed for the default group."""
+        return self.membership.views_formed
 
     def run(self, max_events: Optional[int] = None) -> int:
         return self.clock.run(max_events)
@@ -314,87 +291,52 @@ class SimWorld:
     # fault injection
     # ------------------------------------------------------------------
 
-    def partition(self, groups: Iterable[Iterable[ProcessId]], *, reconfigure: bool = True) -> None:
-        """Split the client processes into groups.
+    def partition(self, groups: Iterable[Iterable[ProcessId]]) -> None:
+        """Split the client processes into groups, one view each.
 
-        The oracle scripts one view per group (unless ``reconfigure`` is
-        off); the tier assigns each group a server and forms the views
-        by agreement.  To split along the server tier instead, use
-        :meth:`server_partition`.
+        The membership service cuts the shared link core itself: the
+        oracle along the groups, the tier along its computed components
+        (each group plus the server it assigns).  To split along the
+        server tier instead, use ``tier.partition_servers``; to cut links
+        with no view formed, ``network.partition``.
         """
-        groups = [list(group) for group in groups]
         clients = [[pid for pid in group if pid in self.nodes] for group in groups]
-        clients = [group for group in clients if group]
-        if self.tier is not None:
-            # The tier cuts the shared link core along its computed
-            # components itself (clients plus their assigned server).
-            self.tier.apply_partition(self.tier.plan_partition(clients))
-            return
-        self.network.partition(groups)
-        if reconfigure:
-            self.oracle.reconfigure(clients)
+        plan = self.membership.plan_partition([group for group in clients if group])
+        self.membership.apply_partition(plan)
 
-    def heal(self, *, reconfigure: bool = True) -> None:
-        if self.tier is not None:
-            self.tier.heal()  # heals the network's link core too
-            return
-        self.network.heal()
-        if reconfigure and self.oracle is not None:
-            self.oracle.reconfigure([list(self.nodes)])
+    def heal(self) -> None:
+        self.membership.heal()  # heals the network's link core too
 
-    def crash(self, pid: ProcessId, *, reconfigure: bool = True) -> List[View]:
-        """Crash the process: every group's end-point, the transport once.
+    def crash_process(self, pid: ProcessId) -> None:
+        """The host half of a crash: every group's end-point, the transport once."""
+        for node in self._nodes_of(pid):
+            node.crash()
+        self.transports[pid].crash()
+
+    def recover_process(self, pid: ProcessId) -> None:
+        self.transports[pid].recover()
+        for node in self._nodes_of(pid):
+            node.recover()
+
+    def crash(self, pid: ProcessId) -> List[View]:
+        """Crash the process and tell the membership service.
 
         Returns the views its named groups re-form - only the crashed
         process's own groups, at only the servers owning them.
         """
-        for node in self._nodes_of(pid):
-            node.runner.crash()
-        self.transports[pid].crash()
-        if self.tier is not None:
-            return self.tier.client_crashed(pid)
-        self.oracle.client_crashed(pid)
-        if reconfigure:
-            self.oracle.reconfigure([[p for p in self.nodes if p != pid]])
-        return []
+        self.crash_process(pid)
+        return self.membership.client_crashed(pid)
 
-    def recover(self, pid: ProcessId, *, reconfigure: bool = True) -> None:
-        """Recover the process: the transport once, every group's
-        end-point; each group's service forms the re-admitting view."""
-        self.transports[pid].recover()
-        for node in self._nodes_of(pid):
-            node.runner.recover()
-        if self.tier is not None:
-            self.tier.client_recovered(pid)
-            return
-        self.oracle.client_recovered(pid)
-        if reconfigure:
-            self.oracle.reconfigure([list(self.nodes)])
+    def recover(self, pid: ProcessId) -> None:
+        """Recover the process; each group's service forms the
+        re-admitting view."""
+        self.recover_process(pid)
+        self.membership.client_recovered(pid)
 
     def _nodes_of(self, pid: ProcessId) -> List[SimNode]:
         """Every end-point of ``pid``: the default group's, then its named groups'."""
         default = [self.nodes[pid]] if pid in self.nodes else []
         return default + [self.group_nodes[g][pid] for g in self.groups_of(pid)]
-
-    # -- server faults (tier mode) ------------------------------------------
-
-    def server_crash(self, sid: Optional[ProcessId] = None) -> ProcessId:
-        """Crash a membership server (tier mode); clients fail over."""
-        if self.tier is None:
-            raise ValueError("server faults require membership='tier'")
-        return self.tier.crash_server(sid)
-
-    def server_recover(self, sid: ProcessId) -> None:
-        """Recover a crashed membership server from the durable store."""
-        if self.tier is None:
-            raise ValueError("server faults require membership='tier'")
-        self.tier.recover_server(sid)
-
-    def server_partition(self, groups: Iterable[Iterable[ProcessId]]):
-        """Partition the server tier; clients follow their home server."""
-        if self.tier is None:
-            raise ValueError("server faults require membership='tier'")
-        return self.tier.partition_servers(groups)
 
     # ------------------------------------------------------------------
     # observation

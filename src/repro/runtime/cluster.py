@@ -8,8 +8,10 @@ clients are the same kind of thing on the fabric - a pid with a handler
 - so membership notices travel like any other traffic, and partitions
 cut clients off from their servers exactly as a WAN partition would.
 
-The cluster *is* the :class:`~repro.deploy.base.Deployment`, written
-once; the substrate is whichever fabric it is given.
+The cluster *is* the :class:`~repro.deploy.base.Deployment` for every
+fabric: the membership and fault operations are the base class's, this
+module adds node management and the event-driven wait they end in; the
+substrate is whichever fabric it is given.
 :class:`AsyncDeployment` picks the in-process
 :class:`~repro.runtime.transport.AsyncHub`, :class:`TcpDeployment` the
 socket-backed :class:`~repro.runtime.tcp.TcpFabric`; a further substrate
@@ -38,7 +40,7 @@ from repro.runtime.settle import await_settled, describe_views
 from repro.runtime.settle import settle_timeout as env_settle_timeout
 from repro.runtime.tcp import TcpFabric
 from repro.runtime.transport import AsyncHub
-from repro.types import VID_ZERO, ProcessId, View
+from repro.types import ProcessId, View
 
 
 class Fabric(TierLink, Protocol):
@@ -75,6 +77,10 @@ class Fabric(TierLink, Protocol):
 class Cluster(Deployment):
     """A group of GCS nodes with server-based membership on one fabric."""
 
+    # The runtimes run in real seconds, where a few milliseconds already
+    # reorder traffic without stretching CI wall-clock.
+    time_scale = 0.003
+
     def __init__(
         self,
         fabric: Fabric,
@@ -93,7 +99,7 @@ class Cluster(Deployment):
         self._settle_timeout = (
             env_settle_timeout(10.0) if settle_timeout is None else settle_timeout
         )
-        self.tier = MembershipTier(
+        self.membership = self.tier = MembershipTier(
             fabric,
             servers=servers,
             links=fabric.core,
@@ -121,7 +127,6 @@ class Cluster(Deployment):
                 trace=self.trace,
                 fastpath=self._fastpath,
             )
-            await node.attach()
             self.nodes[pid] = node
             self.tier.add_client(pid)
             created.append(node)
@@ -129,7 +134,7 @@ class Cluster(Deployment):
 
     async def start(self) -> View:
         """Activate the membership tier; wait for the all-nodes view."""
-        await self.tier.start()
+        self.tier.start()
         return await self.await_members(frozenset(self.nodes))
 
     async def setup(self, pids: Iterable[ProcessId]) -> View:
@@ -139,134 +144,21 @@ class Cluster(Deployment):
     async def send(self, pid: ProcessId, payload: Any) -> None:
         await self.nodes[pid].send(payload)
 
-    async def reconfigure(self, members: Iterable[ProcessId]) -> View:
-        """Drive the membership to ``members`` and wait for the view.
-
-        The tier's servers run their agreement round(s) over the fabric;
-        this returns once every member's end-point has installed one
-        common view with exactly ``members``.
-        """
-        member_set = frozenset(members)
-        unknown = member_set - set(self.nodes)
-        if unknown:
-            raise ValueError(f"unknown nodes {sorted(unknown)}")
-        if not self.tier.started:
-            await self.tier.start()
-        self.tier.set_members(member_set)
-        return await self.await_members(member_set)
-
     async def await_members(
-        self,
-        member_set: FrozenSet[ProcessId],
-        *,
-        min_counter: int = 0,
+        self, members: FrozenSet[ProcessId], *, min_counter: int = 0
     ) -> View:
-        """Wait until ``member_set`` share one installed view of themselves.
-
-        ``min_counter`` waits for a *fresh* view (counter at least that
-        high) - server faults re-form a view of unchanged membership, so
-        matching members alone would accept the stale pre-fault view.
-        """
-        if not member_set:
-            raise ValueError("empty member set")
-        members = sorted(member_set)
-
-        def predicate() -> bool:
-            views = [self.nodes[pid].current_view for pid in members]
-            first = views[0]
-            return (
-                first.vid != VID_ZERO
-                and first.vid.counter >= min_counter
-                and first.members == member_set
-                and all(v == first for v in views[1:])
-            )
-
         await await_settled(
-            predicate,
+            lambda: self.common_view(members, min_counter) is not None,
             self._progress,
             timeout=self._settle_timeout,
             describe=lambda: "awaiting view %s; %s"
-            % (members, describe_views({p: self.nodes[p] for p in members})),
+            % (sorted(members), describe_views({p: self.nodes[p] for p in members})),
         )
-        return self.nodes[members[0]].current_view
+        return self.common_view(members, min_counter)
 
     async def settle(self) -> None:
         """Wait until the fabric carries no more traffic."""
         await self.fabric.quiesce()
-
-    # ------------------------------------------------------------------
-    # fault injection
-    # ------------------------------------------------------------------
-
-    async def partition(self, groups: Iterable[Iterable[ProcessId]]) -> List[View]:
-        """Split the fabric into components; one view forms per group.
-
-        Each group gets its own membership server (grown on demand), cut
-        off - together with its clients - from the rest of the world,
-        mirroring the simulator's drop-across-the-cut semantics.
-        """
-        groups = [list(group) for group in groups]
-        # Crashed servers hold no partition group: capacity must cover
-        # the groups with *alive* servers (the simulator grows its
-        # tier synchronously; sockets need the explicit await here).
-        await self.tier.ensure_capacity(
-            max(len(groups) + len(self.tier.crashed_servers()), len(self.tier.servers))
-        )
-        plan = self.tier.plan_partition(groups)
-        # The tier cuts the fabric's link core along plan.components itself.
-        self.tier.apply_partition(plan)
-        return [await self.await_members(frozenset(group)) for group in groups]
-
-    async def heal(self) -> View:
-        """Reconnect everyone; wait for the merged view."""
-        self.tier.heal()  # heals the fabric's link core too
-        return await self.await_members(self.tier.active_members())
-
-    async def crash(self, pid: ProcessId) -> Optional[View]:
-        """Crash ``pid``; wait for the survivors' view (if any survive)."""
-        self.nodes[pid].crash()
-        self.tier.client_crashed(pid)
-        survivors = self.tier.active_members()
-        return await self.await_members(survivors) if survivors else None
-
-    async def recover(self, pid: ProcessId) -> View:
-        """Recover ``pid``; wait for the view re-admitting it."""
-        self.nodes[pid].recover()
-        self.tier.client_recovered(pid)
-        return await self.await_members(self.tier.active_members())
-
-    # ------------------------------------------------------------------
-    # the server fault domain
-    # ------------------------------------------------------------------
-
-    def server_ids(self) -> List[ProcessId]:
-        return sorted(self.tier.servers)
-
-    async def server_crash(self, sid: Optional[ProcessId] = None) -> ProcessId:
-        """Crash a membership server; wait for the failover view."""
-        fresh = self.tier.watermark() + 1
-        sid = self.tier.crash_server(sid)
-        members = self.tier.active_members()
-        if members:
-            await self.await_members(members, min_counter=fresh)
-        return sid
-
-    async def server_recover(self, sid: ProcessId) -> View:
-        """Recover a crashed server; wait for its rejoin view."""
-        fresh = self.tier.watermark() + 1
-        self.tier.recover_server(sid)
-        return await self.await_members(self.tier.active_members(), min_counter=fresh)
-
-    async def server_partition(self, groups: Iterable[Iterable[ProcessId]]) -> List[View]:
-        """Partition the server tier; one view per non-empty component."""
-        fresh = self.tier.watermark() + 1
-        effective = self.tier.partition_servers(groups)
-        views = []
-        for group in effective:
-            members = self.tier.clients_of(group)
-            if members:
-                views.append(await self.await_members(members, min_counter=fresh))
-        return views
 
     async def close(self) -> None:
         await self.fabric.close()
@@ -294,7 +186,7 @@ class AsyncDeployment(Cluster):
     setup = Cluster.setup
     send = Cluster.send
     settle = Cluster.settle
-    reconfigure = Cluster.reconfigure
+    reconfigure = Deployment.reconfigure
 
     def __init__(
         self,
@@ -329,7 +221,7 @@ class TcpDeployment(Cluster):
     setup = Cluster.setup
     send = Cluster.send
     settle = Cluster.settle
-    reconfigure = Cluster.reconfigure
+    reconfigure = Deployment.reconfigure
 
     def __init__(
         self,

@@ -75,10 +75,8 @@ class GcsNode(EndpointHost):
             fastpath=fastpath,
             on_block=self._unblocked.clear,
         )
-
-    async def attach(self) -> None:
-        """Plug into the fabric; from here on wire traffic reaches the end-point."""
-        await self.fabric.attach(self.pid, self._on_wire)
+        # Plugged in: from here on wire traffic reaches the end-point.
+        fabric.attach(pid, self._on_wire)
 
     # -- application API ----------------------------------------------------
 

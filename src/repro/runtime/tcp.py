@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import asyncio
 import pickle
+import socket
 import struct
 from typing import Any, Callable, Dict, Iterable, Optional, Tuple
 
@@ -76,7 +77,13 @@ async def read_frame(reader: asyncio.StreamReader) -> Tuple[ProcessId, Any]:
 
 
 class TcpTransport:
-    """One process's TCP endpoint: listener plus lazy outbound connections."""
+    """One process's TCP endpoint: listener plus lazy outbound connections.
+
+    The socket is bound and listening as soon as the transport exists, so
+    its address is known - and peers may dial it - without awaiting
+    anything; a peer that connects before :meth:`start` runs the accept
+    loop waits in the kernel's backlog and is served from there.
+    """
 
     def __init__(
         self,
@@ -90,8 +97,8 @@ class TcpTransport:
     ) -> None:
         self.pid = pid
         self.handler = handler
-        self.host = host
-        self.port = port
+        self._socket = socket.create_server((host, port))
+        self.host, self.port = self._socket.getsockname()[:2]
         self.core = core if core is not None else LinkCore(faults=faults)
         self.core.ensure(pid)
         self.peers: Dict[ProcessId, Tuple[str, int]] = {}
@@ -105,11 +112,8 @@ class TcpTransport:
     # ------------------------------------------------------------------
 
     async def start(self) -> Tuple[str, int]:
-        self._server = await asyncio.start_server(
-            self._accept, host=self.host, port=self.port
-        )
-        sockname = self._server.sockets[0].getsockname()
-        self.host, self.port = sockname[0], sockname[1]
+        """Start accepting on the already-listening socket."""
+        self._server = await asyncio.start_server(self._accept, sock=self._socket)
         return self.host, self.port
 
     def set_peers(self, peers: Dict[ProcessId, Tuple[str, int]]) -> None:
@@ -128,6 +132,7 @@ class TcpTransport:
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
+        self._socket.close()  # a no-op once the server has closed it
 
     # ------------------------------------------------------------------
     # sending
@@ -235,7 +240,8 @@ class TcpFabric:
     handler, a listening :class:`TcpTransport`, and an outbox.  Sends
     are produced synchronously (by end-point runners, by servers) but
     must be awaited on sockets, so :meth:`send` only enqueues and one
-    pump task per process writes the backlog out in order.
+    pump task per process - which first starts the transport's accept
+    loop - writes the backlog out in order.
     """
 
     def __init__(self, *, faults: Optional[FaultInjector] = None) -> None:
@@ -248,14 +254,14 @@ class TcpFabric:
         self._outboxes: Dict[ProcessId, asyncio.Queue] = {}
         self._pumps: Dict[ProcessId, asyncio.Task] = {}
 
-    async def attach(self, pid: ProcessId, handler: Handler) -> None:
+    def attach(self, pid: ProcessId, handler: Handler) -> None:
         if pid in self._transports:
             raise ValueError(f"duplicate process {pid!r}")
         transport = TcpTransport(pid, handler, core=self.core)
         transport.peers = self.addresses
         self._transports[pid] = transport
         self._outboxes[pid] = asyncio.Queue()
-        self.addresses[pid] = await transport.start()
+        self.addresses[pid] = (transport.host, transport.port)
         self._pumps[pid] = asyncio.get_running_loop().create_task(self._pump(pid))
 
     def send(self, src: ProcessId, targets: Iterable[ProcessId], message: Any) -> None:
@@ -264,6 +270,7 @@ class TcpFabric:
     async def _pump(self, pid: ProcessId) -> None:
         outbox = self._outboxes[pid]
         transport = self._transports[pid]
+        await transport.start()
         while True:
             targets, message = await outbox.get()
             run = [message]

@@ -72,7 +72,7 @@ class AsyncHub:
         self._idle = asyncio.Event()
         self._idle.set()
 
-    def register(self, pid: ProcessId, handler: Handler) -> None:
+    def attach(self, pid: ProcessId, handler: Handler) -> None:
         if pid in self._handlers:
             raise ValueError(f"duplicate process {pid!r}")
         self._handlers[pid] = handler
@@ -80,13 +80,7 @@ class AsyncHub:
         self.core.ensure(pid)
         self._pumps[pid] = asyncio.get_running_loop().create_task(self._pump(pid))
 
-    # The fabric contract's spelling of the same thing.  Registration
-    # needs no awaiting here, so a membership tier may also grow its own
-    # capacity mid-plan through ``attach_sync``.
-    attach_sync = register
-
-    async def attach(self, pid: ProcessId, handler: Handler) -> None:
-        self.register(pid, handler)
+    register = attach  # the hub's own name for it, which its bare drivers use
 
     # ------------------------------------------------------------------
     # transmission

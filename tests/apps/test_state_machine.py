@@ -19,7 +19,6 @@ def apply_op(state, operation):
 def make_replicas(n=4, universe=None, latency=None):
     world = SimWorld(
         latency=latency or ConstantLatency(1.0),
-        membership="oracle",
         round_duration=2.0,
     )
     nodes = world.add_nodes([f"p{i}" for i in range(n)])
@@ -58,7 +57,7 @@ class TestReplication:
 
     def test_on_apply_hook(self):
         seen = []
-        world = SimWorld(latency=ConstantLatency(1.0), membership="oracle")
+        world = SimWorld(latency=ConstantLatency(1.0))
         node = world.add_node("solo")
         replica = ReplicatedStateMachine(
             node, 0, apply_op, on_apply=lambda state, op: seen.append((state, op))

@@ -12,7 +12,6 @@ from repro.net import ConstantLatency, SimWorld
 def run_world(endpoint_cls, n=4, round_duration=3.0):
     world = SimWorld(
         latency=ConstantLatency(1.0),
-        membership="oracle",
         round_duration=round_duration,
         endpoint_cls=endpoint_cls,
         gc_views=False,

@@ -125,7 +125,7 @@ def _recovery_run():
     """A full sim run: crash a membership server, recover it, keep going."""
 
     async def main():
-        d = make_deployment("sim", membership="tier", servers=3)
+        d = make_deployment("sim", servers=3)
         await d.setup(["a", "b", "c"])
         await d.send("a", "m1")
         sid = await d.server_crash()

@@ -18,7 +18,6 @@ from repro.net import ConstantLatency, SimWorld, UniformLatency
 def make_world(**kwargs):
     defaults = dict(
         latency=ConstantLatency(1.0),
-        membership="oracle",
         round_duration=2.0,
         gc_views=False,
     )

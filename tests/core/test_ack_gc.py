@@ -85,7 +85,6 @@ class TestEndToEnd:
     def run_world(self, ack_interval, waves=12):
         world = SimWorld(
             latency=ConstantLatency(1.0),
-            membership="oracle",
             round_duration=1.0,
             ack_gc_interval=ack_interval,
         )

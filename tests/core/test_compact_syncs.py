@@ -109,7 +109,6 @@ class TestEndToEnd:
     def scenario(self, compact):
         world = SimWorld(
             latency=ConstantLatency(1.0),
-            membership="oracle",
             round_duration=2.0,
             compact_syncs=compact,
             gc_views=False,

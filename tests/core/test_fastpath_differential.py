@@ -31,7 +31,7 @@ from repro.net import ConstantLatency, SimWorld, UniformLatency
 def sim_trace(fastpath, build, make_latency):
     """Run ``build`` on a fresh SimWorld; return its trace events."""
     world = SimWorld(
-        latency=make_latency(), membership="oracle", fastpath=fastpath
+        latency=make_latency(), fastpath=fastpath
     )
     build(world)
     return world.trace.events

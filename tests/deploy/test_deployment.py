@@ -6,7 +6,6 @@ the tier over a synchronous loopback link, the backend registry, and the
 Deployment contract itself.
 """
 
-import asyncio
 import inspect
 
 import pytest
@@ -48,7 +47,7 @@ class LoopbackLink:
         self.inboxes = {}
         self.queue = []
 
-    async def attach(self, sid, handler):
+    def attach(self, sid, handler):
         self.handlers[sid] = handler
 
     def send(self, src, targets, message):
@@ -71,7 +70,7 @@ class TierDriver:
         self.tier = MembershipTier(self.link, servers=servers)
         for pid in clients:
             self.tier.add_client(pid)
-        asyncio.run(self.tier.start())
+        self.tier.start()
         self.link.drain()
 
     def do(self, fn, *args, **kwargs):
@@ -137,8 +136,7 @@ class TestMembershipTier:
             assert cids == sorted(cids)
 
     def test_plan_partition_components(self):
-        driver, tier = started_tier(clients=("a", "b", "c", "d", "e"), servers=1)
-        asyncio.run(tier.ensure_capacity(3))
+        driver, tier = started_tier(clients=("a", "b", "c", "d", "e"), servers=3)
         plan = tier.plan_partition([["a", "b"], ["c", "d"]])
         # One component per group (clients + its server), a singleton for
         # the spare server, and a singleton for the stray client e.
@@ -168,7 +166,6 @@ class TestMembershipTier:
         # When a client's home server changes, the new server's counters
         # must exceed everything the client may have installed.
         driver, tier = started_tier(clients=("a", "b", "c", "d"), servers=1)
-        asyncio.run(tier.ensure_capacity(2))
         plan = tier.plan_partition([["a", "b"], ["c", "d"]])
         driver.do(tier.apply_partition, plan)
         driver.do(tier.heal)
@@ -181,7 +178,6 @@ class TestMembershipTier:
         driver, tier = started_tier(clients=("a", "b", "c"), servers=1)
         driver.do(tier.client_crashed, "c")
         assert tier.views_formed[-1].members == {"a", "b"}
-        asyncio.run(tier.ensure_capacity(2))
         plan = tier.plan_partition([["a", "c"], ["b"]])
         driver.do(tier.apply_partition, plan)
         # c moved homes while crashed; the views of the two components

@@ -56,7 +56,6 @@ class TestStateMachineUnderJitter:
 
         world = SimWorld(
             latency=UniformLatency(0.2, 2.5, seed=seed),
-            membership="oracle",
             round_duration=2.0,
         )
         pids = [f"bank{i}" for i in range(4)]
@@ -82,7 +81,7 @@ class TestStateMachineUnderJitter:
         def apply_op(state, operation):
             return state + [operation]
 
-        world = SimWorld(latency=ConstantLatency(1.0), membership="oracle", round_duration=2.0)
+        world = SimWorld(latency=ConstantLatency(1.0), round_duration=2.0)
         pids = ["r0", "r1", "r2"]
         replicas = [ReplicatedStateMachine(world.add_node(p), [], apply_op) for p in pids]
         world.start()

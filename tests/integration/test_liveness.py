@@ -52,7 +52,7 @@ class TestSimLiveness:
     def test_liveness_with_message_recovery_through_forwarding(self):
         # p3 partitions away after sending; survivors must still converge
         # and agree, recovering committed messages via forwarding.
-        world = SimWorld(latency=ConstantLatency(1.0), membership="oracle", round_duration=2.0)
+        world = SimWorld(latency=ConstantLatency(1.0), round_duration=2.0)
         nodes = world.add_nodes([f"p{i}" for i in range(4)])
         world.start()
         world.run()
@@ -66,7 +66,7 @@ class TestSimLiveness:
         assert len(set(map(tuple, counts.values()))) == 1  # agreement on p3's prefix
 
     def test_every_member_delivers_stable_view_and_traffic(self):
-        world = SimWorld(latency=ConstantLatency(1.0), membership="oracle", round_duration=1.0)
+        world = SimWorld(latency=ConstantLatency(1.0), round_duration=1.0)
         nodes = world.add_nodes([f"p{i}" for i in range(6)])
         world.start()
         world.run()

@@ -16,8 +16,7 @@ def test_one_round_claim_holds_at_48_members():
 
 
 def test_large_group_traffic_and_merge():
-    world = SimWorld(latency=ConstantLatency(1.0), membership="oracle",
-                     round_duration=2.0, ack_gc_interval=10)
+    world = SimWorld(latency=ConstantLatency(1.0), round_duration=2.0, ack_gc_interval=10)
     pids = [f"p{i:02d}" for i in range(24)]
     nodes = world.add_nodes(pids)
     world.start()
@@ -37,7 +36,7 @@ def test_large_group_traffic_and_merge():
 
 
 def test_many_small_views_churn():
-    world = SimWorld(latency=ConstantLatency(1.0), membership="oracle", round_duration=1.0)
+    world = SimWorld(latency=ConstantLatency(1.0), round_duration=1.0)
     pids = [f"p{i}" for i in range(8)]
     world.add_nodes(pids)
     world.start()

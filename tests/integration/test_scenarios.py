@@ -26,7 +26,7 @@ from repro.net import ConstantLatency, LognormalLatency, SimWorld, UniformLatenc
 
 
 def settled_world(n=5, **kwargs):
-    defaults = dict(latency=ConstantLatency(1.0), membership="oracle", round_duration=2.0)
+    defaults = dict(latency=ConstantLatency(1.0), round_duration=2.0)
     defaults.update(kwargs)
     world = SimWorld(**defaults)
     nodes = world.add_nodes([f"p{i}" for i in range(n)])
@@ -160,7 +160,7 @@ class TestCascadingChanges:
 
 class TestServerMode:
     def test_two_tier_deployment_end_to_end(self):
-        world = SimWorld(latency=ConstantLatency(1.0), membership="tier", servers=2)
+        world = SimWorld(latency=ConstantLatency(1.0), servers=2)
         nodes = world.add_nodes([f"p{i}" for i in range(6)])
         world.start()
         world.run(max_events=200_000)
@@ -171,11 +171,11 @@ class TestServerMode:
         run_verdict(world.trace, list(world.nodes), include=SAFETY_CODES).raise_for()
 
     def test_server_partition_and_heal(self):
-        world = SimWorld(latency=ConstantLatency(1.0), membership="tier", servers=2)
+        world = SimWorld(latency=ConstantLatency(1.0), servers=2)
         nodes = world.add_nodes([f"p{i}" for i in range(4)])
         world.start()
         world.run(max_events=200_000)
-        world.server_partition([[sid] for sid in world.tier.alive_servers()])
+        world.tier.partition_servers([[sid] for sid in world.tier.alive_servers()])
         world.run(max_events=200_000)
         world.heal()
         world.run(max_events=200_000)

@@ -261,7 +261,7 @@ def test_totals_and_per_link_counters_are_uniform(driver_factory):
 
 
 def test_sim_settle_timeout_reports_busiest_links():
-    world = SimWorld(membership="oracle")
+    world = SimWorld()
     world.add_nodes(["a", "b", "c"])
     world.start()
     with pytest.raises(SettleTimeoutError) as excinfo:

@@ -12,7 +12,7 @@ from repro.net import ConstantLatency, SimWorld
 
 class TestOracleModeJoins:
     def test_join_after_start(self):
-        world = SimWorld(latency=ConstantLatency(1.0), membership="oracle", round_duration=2.0)
+        world = SimWorld(latency=ConstantLatency(1.0), round_duration=2.0)
         world.add_nodes(["a", "b"])
         world.start()
         world.run()
@@ -25,7 +25,7 @@ class TestOracleModeJoins:
         run_verdict(world.trace, list(world.nodes), include=SAFETY_CODES).raise_for()
 
     def test_join_mid_reconfiguration_supersedes_cleanly(self):
-        world = SimWorld(latency=ConstantLatency(1.0), membership="oracle", round_duration=4.0)
+        world = SimWorld(latency=ConstantLatency(1.0), round_duration=4.0)
         nodes = world.add_nodes(["a", "b", "c"])
         world.start()
         world.run()
@@ -45,7 +45,7 @@ class TestOracleModeJoins:
         run_verdict(world.trace, list(world.nodes), include=SAFETY_CODES).raise_for()
 
     def test_joiner_receives_traffic_immediately(self):
-        world = SimWorld(latency=ConstantLatency(1.0), membership="oracle", round_duration=1.0)
+        world = SimWorld(latency=ConstantLatency(1.0), round_duration=1.0)
         nodes = world.add_nodes(["a", "b"])
         world.start()
         world.run()
@@ -59,7 +59,7 @@ class TestOracleModeJoins:
 
 class TestServerModeJoins:
     def test_join_through_server(self):
-        world = SimWorld(latency=ConstantLatency(1.0), membership="tier", servers=2)
+        world = SimWorld(latency=ConstantLatency(1.0), servers=2)
         world.add_nodes(["a", "b", "c"])
         world.start()
         world.run(max_events=300_000)
@@ -72,7 +72,7 @@ class TestServerModeJoins:
         run_verdict(world.trace, list(world.nodes), include=SAFETY_CODES).raise_for()
 
     def test_multiple_staggered_joins(self):
-        world = SimWorld(latency=ConstantLatency(1.0), membership="tier", servers=2)
+        world = SimWorld(latency=ConstantLatency(1.0), servers=2)
         world.add_nodes(["a"])
         world.start()
         world.run(max_events=300_000)

@@ -1,8 +1,12 @@
 """Unit tests for the centralized membership oracle."""
 
+from collections import defaultdict
+
 import pytest
 
+from repro.links import LinkCore
 from repro.membership.oracle import OracleMembership
+from repro.membership.protocol import StartChangeNotice
 from repro.net.simclock import EventScheduler
 
 
@@ -13,22 +17,25 @@ class Sink:
 
 
 def attach(oracle, pids):
-    sinks = {}
     for pid in pids:
-        sink = Sink()
-        oracle.attach_client(
-            pid,
-            on_start_change=lambda cid, members, s=sink: s.start_changes.append((cid, members)),
-            on_view=lambda view, s=sink: s.views.append(view),
-        )
-        sinks[pid] = sink
-    return sinks
+        oracle.add_client(pid)
+    return oracle.sinks
 
 
 @pytest.fixture
 def world():
+    sinks = defaultdict(Sink)
+
+    def deliver(pid, notice):
+        """The end-point host's dispatch, reduced to bookkeeping."""
+        if isinstance(notice, StartChangeNotice):
+            sinks[pid].start_changes.append((notice.cid, notice.members))
+        else:
+            sinks[pid].views.append(notice.view)
+
     clock = EventScheduler()
-    oracle = OracleMembership(clock, detection_delay=1.0, round_duration=3.0)
+    oracle = OracleMembership(clock, deliver, LinkCore(), round_duration=3.0)
+    oracle.sinks = sinks
     return clock, oracle
 
 
@@ -36,13 +43,12 @@ def test_timing_of_start_change_and_view(world):
     clock, oracle = world
     sinks = attach(oracle, ["a", "b"])
     oracle.reconfigure([["a", "b"]])
-    clock.run_until(0.5)
-    assert sinks["a"].start_changes == []
-    clock.run_until(1.0)
+    assert sinks["a"].start_changes == []  # scheduled, never re-entrant
+    clock.run_until(0.0)
     assert len(sinks["a"].start_changes) == 1
-    clock.run_until(3.9)
+    clock.run_until(2.9)
     assert sinks["a"].views == []
-    clock.run_until(4.0)
+    clock.run_until(3.0)
     assert len(sinks["a"].views) == 1
 
 
@@ -80,11 +86,12 @@ def test_new_reconfigure_cancels_pending_view(world):
 def test_crashed_clients_excluded(world):
     clock, oracle = world
     sinks = attach(oracle, ["a", "b"])
-    oracle.client_crashed("b")
+    oracle.client_crashed("b")  # forms the survivors' view itself
     oracle.reconfigure([["a", "b"]])
     clock.run()
     assert sinks["b"].views == []
-    assert sinks["a"].views[0].members == {"a"}
+    assert [view.members for view in sinks["a"].views] == [{"a"}]
+    assert [view.members for view in oracle.views_formed] == [{"a"}, {"a"}]
 
 
 def test_view_counters_increase_across_groups(world):
@@ -99,5 +106,5 @@ def test_view_counters_increase_across_groups(world):
 def test_empty_group_skipped(world):
     _clock, oracle = world
     attach(oracle, ["a"])
-    oracle.client_crashed("a")
+    assert oracle.client_crashed("a") == [] and oracle.views_formed == []
     assert oracle.reconfigure([["a"]]) == []

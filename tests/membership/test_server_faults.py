@@ -7,7 +7,6 @@ assumption - the explicit :class:`ServerState`, the tier-owned
 tier level, over a synchronous loopback link.
 """
 
-import asyncio
 
 import pytest
 
@@ -29,10 +28,7 @@ class LoopbackLink:
         self.inboxes = {}
         self.queue = []
 
-    async def attach(self, sid, handler):
-        self.handlers[sid] = handler
-
-    def attach_sync(self, sid, handler):
+    def attach(self, sid, handler):
         self.handlers[sid] = handler
 
     def send(self, src, targets, message):
@@ -53,7 +49,7 @@ class Driver:
         self.tier = MembershipTier(self.link, servers=servers, **tier_kwargs)
         for pid in clients:
             self.tier.add_client(pid)
-        asyncio.run(self.tier.start())
+        self.tier.start()
         self.link.drain()
 
     def do(self, fn, *args, **kwargs):

@@ -6,7 +6,6 @@ The tier is one MBRSHP service per group, so each named group's
 ``(group, pid)`` streams are replayed through an acceptor of their own.
 """
 
-import asyncio
 
 import pytest
 
@@ -33,7 +32,7 @@ def replay_membership_events(trace, processes):
 
 @pytest.mark.parametrize("servers", [1, 2, 3])
 def test_server_membership_satisfies_spec(servers):
-    world = SimWorld(latency=ConstantLatency(1.0), membership="tier", servers=servers)
+    world = SimWorld(latency=ConstantLatency(1.0), servers=servers)
     world.add_nodes([f"p{i}" for i in range(5)])
     world.start()
     world.run(max_events=100_000)
@@ -41,7 +40,7 @@ def test_server_membership_satisfies_spec(servers):
 
 
 def test_server_membership_spec_through_churn():
-    world = SimWorld(latency=ConstantLatency(1.0), membership="tier", servers=2)
+    world = SimWorld(latency=ConstantLatency(1.0), servers=2)
     nodes = world.add_nodes([f"p{i}" for i in range(4)])
     world.start()
     world.run(max_events=100_000)
@@ -53,7 +52,7 @@ def test_server_membership_spec_through_churn():
 
 
 def test_oracle_membership_satisfies_spec():
-    world = SimWorld(latency=ConstantLatency(1.0), membership="oracle", round_duration=2.0)
+    world = SimWorld(latency=ConstantLatency(1.0), round_duration=2.0)
     world.add_nodes([f"p{i}" for i in range(5)])
     world.start()
     world.run()
@@ -65,7 +64,7 @@ def test_oracle_membership_satisfies_spec():
 
 
 def test_oracle_with_repeated_changes_satisfies_spec():
-    world = SimWorld(latency=ConstantLatency(1.0), membership="oracle", round_duration=2.0)
+    world = SimWorld(latency=ConstantLatency(1.0), round_duration=2.0)
     world.add_nodes(["a", "b", "c"])
     world.start()
     world.run_until(0.5)
@@ -94,18 +93,18 @@ def test_sharded_tier_satisfies_spec_across_resize_and_rebuild():
     for group in names:
         world.join("d", group)
     world.run_until(world.now() + 0.5)  # a round is in flight at every owner...
-    world.server_crash("srv:2")  # ...when a crash kills some of them,
+    world.tier.crash_server("srv:2")  # ...when a crash kills some of them,
     for group in names:
         world.leave("a", group)
     world.settle()
     world.crash("b")
     world.run_until(world.now() + 0.5)
-    world.server_recover("srv:2")  # comes back empty: nothing moves back
+    world.tier.recover_server("srv:2")  # comes back empty: nothing moves back
     world.recover("b")
-    world.server_crash("srv:0")  # and a second move compounds the first
+    world.tier.crash_server("srv:0")  # and a second move compounds the first
     world.settle()
-    world.server_recover("srv:0")
-    asyncio.run(world.tier.ensure_capacity(5))  # growth moves nothing either
+    world.tier.recover_server("srv:0")
+    world.tier.plan_partition([[]] * 5)  # growth (planning five components) moves nothing either
     moved = {group: world.tier.owner_of(group) for group in names}
     late = [f"late{i:02d}" for i in range(12)]
     for group in names + late:
@@ -133,7 +132,7 @@ def test_client_attached_before_resize_to_memberless_group_hears_its_view():
     world.leave("a", "g")  # "a" keeps its end-point; the group has no members
     world.settle()
     heard = len(world.trace_of("g"))
-    world.server_crash(world.tier.owner_of("g"))  # it still moves
+    world.tier.crash_server(world.tier.owner_of("g"))  # it still moves
     world.settle()
     assert len(world.trace_of("g")) == heard  # silently: nobody to tell
     world.join("a", "g")

@@ -10,7 +10,6 @@ from repro.scale import TwoTierOverlay, balanced_groups
 def make_world(n=8, leaders=2, **kwargs):
     world = SimWorld(
         latency=ConstantLatency(1.0),
-        membership="oracle",
         round_duration=3.0,
         gc_views=False,
         **kwargs,
@@ -115,10 +114,9 @@ class TestEfficiency:
         world.run()
         # the other five still install the view the membership formed for
         # all six?  No - p01's sync is missing, so they wait; the timer
-        # flush only bounds the *leader's* batching.  Reconfigure without
-        # the silent node to converge:
+        # flush only bounds the *leader's* batching.  Tell the membership,
+        # which re-forms without the silent node, to converge:
         world.oracle.client_crashed(nodes[1].pid)
-        world.oracle.reconfigure([[n.pid for n in nodes if n.pid != nodes[1].pid]])
         world.run()
         final = world.oracle.views_formed[-1]
         assert world.all_in_view(final)

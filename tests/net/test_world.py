@@ -8,7 +8,7 @@ from repro.net import ConstantLatency, SimWorld
 
 
 def make_world(**kwargs):
-    defaults = dict(latency=ConstantLatency(1.0), membership="oracle", round_duration=2.0)
+    defaults = dict(latency=ConstantLatency(1.0), round_duration=2.0)
     defaults.update(kwargs)
     world = SimWorld(**defaults)
     nodes = world.add_nodes([f"p{i}" for i in range(4)])
@@ -86,8 +86,7 @@ def test_message_counts_by_kind():
 
 
 def test_strict_mode_runs_clean():
-    world = SimWorld(latency=ConstantLatency(1.0), membership="oracle",
-                     round_duration=1.0, strict=True, gc_views=False)
+    world = SimWorld(latency=ConstantLatency(1.0), round_duration=1.0, strict=True, gc_views=False)
     nodes = world.add_nodes(["a", "b"])
     world.start()
     world.run()

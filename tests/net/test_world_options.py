@@ -7,11 +7,6 @@ from repro.core import MinCopiesStrategy
 from repro.net import ConstantLatency, SimWorld
 
 
-def test_unknown_membership_mode_rejected():
-    with pytest.raises(ValueError):
-        SimWorld(membership="telepathy")
-
-
 def test_endpoint_options_forwarded():
     world = SimWorld(
         latency=ConstantLatency(1.0),
@@ -33,31 +28,19 @@ def test_endpoint_cls_override():
     assert isinstance(node.endpoint, SequentialVsEndpoint)
 
 
-def test_oracle_crash_without_reconfigure():
-    world = SimWorld(latency=ConstantLatency(1.0), membership="oracle", round_duration=1.0)
-    nodes = world.add_nodes(["a", "b", "c"])
-    world.start()
-    world.run()
-    views_before = len(world.oracle.views_formed)
-    world.crash("c", reconfigure=False)
-    world.run()
-    assert len(world.oracle.views_formed) == views_before  # nothing formed
-    assert nodes[0].current_view.members == {"a", "b", "c"}  # stale but legal
-
-
 def test_partition_without_reconfigure_just_cuts_links():
-    world = SimWorld(latency=ConstantLatency(1.0), membership="oracle", round_duration=1.0)
+    world = SimWorld(latency=ConstantLatency(1.0), round_duration=1.0)
     nodes = world.add_nodes(["a", "b"])
     world.start()
     world.run()
-    world.partition([["a"], ["b"]], reconfigure=False)
+    world.network.partition([["a"], ["b"]])
     nodes[0].send("into the void")
     world.run()
     assert nodes[1].delivered == []  # cut, and no new view was formed
 
 
 def test_set_app_hooks_fire_after_bookkeeping():
-    world = SimWorld(latency=ConstantLatency(1.0), membership="oracle", round_duration=1.0)
+    world = SimWorld(latency=ConstantLatency(1.0), round_duration=1.0)
     node = world.add_node("a")
     world.add_node("b")
     seen = []
@@ -76,11 +59,11 @@ def test_set_app_hooks_fire_after_bookkeeping():
 
 def test_server_mode_requires_servers():
     with pytest.raises(ValueError, match="at least one server"):
-        SimWorld(latency=ConstantLatency(1.0), membership="tier", servers=0)
+        SimWorld(latency=ConstantLatency(1.0), servers=0)
 
 
 def test_explicit_home_server_assignment():
-    world = SimWorld(latency=ConstantLatency(1.0), membership="tier", servers=2)
+    world = SimWorld(latency=ConstantLatency(1.0), servers=2)
     world.add_nodes(["a", "b", "c"])
     world.start()
     world.run()
@@ -98,15 +81,7 @@ def test_servers_alone_selects_the_tier():
     assert world.oracle is None
     assert sorted(world.tier.servers) == ["srv:0", "srv:1"]
     assert world.all_in_view(world.views_formed[-1])
-    assert SimWorld().tier is None  # neither argument: the scripted oracle
-    assert SimWorld(membership="tier").tier._initial_servers == 1
-
-
-def test_oracle_with_servers_is_rejected():
-    # It used to be silently ignored: a run that asked for crashable
-    # servers got none.
-    with pytest.raises(ValueError, match="runs no servers"):
-        SimWorld(membership="oracle", servers=2)
+    assert SimWorld().tier is None  # no servers asked for: the scripted oracle
 
 
 def test_sim_deployment_servers_are_crashable():

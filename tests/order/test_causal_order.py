@@ -24,7 +24,6 @@ class Chatty:
 def make_group(n=4, latency=None):
     world = SimWorld(
         latency=latency or ConstantLatency(1.0),
-        membership="oracle",
         round_duration=2.0,
     )
     nodes = world.add_nodes([f"p{i}" for i in range(n)])
@@ -44,7 +43,7 @@ class TestCausality:
         # p1's reply is sent after delivering p0's question; every member
         # must deliver question before reply, even with big jitter.
         world = SimWorld(latency=UniformLatency(0.2, 4.0, seed=3),
-                         membership="oracle", round_duration=2.0)
+                         round_duration=2.0)
         nodes = world.add_nodes(["p0", "p1", "p2"])
         apps = [Chatty(node) for node in nodes]
         apps[1].replies["question"] = "answer"
@@ -58,7 +57,7 @@ class TestCausality:
 
     def test_transitive_chain(self):
         world = SimWorld(latency=UniformLatency(0.2, 4.0, seed=9),
-                         membership="oracle", round_duration=2.0)
+                         round_duration=2.0)
         nodes = world.add_nodes(["p0", "p1", "p2", "p3"])
         apps = [Chatty(node) for node in nodes]
         apps[1].replies["a"] = "b"

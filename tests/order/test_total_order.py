@@ -10,7 +10,6 @@ from repro.order import TotalOrderNode
 def make_group(n=4, latency=None, **world_kwargs):
     world = SimWorld(
         latency=latency or ConstantLatency(1.0),
-        membership="oracle",
         round_duration=2.0,
         **world_kwargs,
     )

@@ -48,7 +48,7 @@ def replay_against_spec(world):
 
 def split_tier(world):
     """Cut the server tier apart; clients follow their home server."""
-    world.server_partition([[sid] for sid in SERVERS])
+    world.tier.partition_servers([[sid] for sid in SERVERS])
 
 
 class TestServerMembershipUnderChurn:
@@ -56,7 +56,7 @@ class TestServerMembershipUnderChurn:
     @given(schedule=events)
     def test_spec_compliance_and_convergence(self, schedule):
         world = SimWorld(
-            latency=ConstantLatency(1.0), membership="tier", servers=len(SERVERS)
+            latency=ConstantLatency(1.0), servers=len(SERVERS)
         )
         world.add_nodes(CLIENTS)
         world.start()
@@ -91,7 +91,7 @@ class TestServerMembershipUnderChurn:
         from repro.checking import SAFETY_CODES, run_verdict
 
         world = SimWorld(
-            latency=ConstantLatency(1.0), membership="tier", servers=len(SERVERS)
+            latency=ConstantLatency(1.0), servers=len(SERVERS)
         )
         world.add_nodes(CLIENTS)
         world.start()

@@ -71,7 +71,6 @@ class TestSimulatedFaultSchedules:
         latency = UniformLatency(0.2, 2.0, seed=1) if jitter else ConstantLatency(1.0)
         world = SimWorld(
             latency=latency,
-            membership="oracle",
             round_duration=2.0,
             compact_syncs=compact,
         )
@@ -88,7 +87,6 @@ class TestSimulatedFaultSchedules:
     def test_forwarding_strategies_safety(self, steps, strategy):
         world = SimWorld(
             latency=UniformLatency(0.3, 1.5, seed=7),
-            membership="oracle",
             round_duration=2.0,
             forwarding=strategy,
         )
@@ -101,7 +99,7 @@ class TestSimulatedFaultSchedules:
     @SIM_SETTINGS
     @given(steps=fault_steps)
     def test_two_tier_overlay_safety(self, steps):
-        world = SimWorld(latency=ConstantLatency(1.0), membership="oracle", round_duration=2.0)
+        world = SimWorld(latency=ConstantLatency(1.0), round_duration=2.0)
         nodes = world.add_nodes(PIDS)
         TwoTierOverlay(
             {node.pid: node.runner for node in nodes},
@@ -131,7 +129,6 @@ class TestOrderingUnderFaults:
 
         world = SimWorld(
             latency=UniformLatency(0.2, 2.0, seed=seed),
-            membership="oracle",
             round_duration=2.0,
         )
         nodes = world.add_nodes(PIDS)

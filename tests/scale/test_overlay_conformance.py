@@ -25,7 +25,6 @@ from repro.scale import TwoTierOverlay, balanced_groups, install_overlay
 def _make_world(n=8, leaders=0):
     world = SimWorld(
         latency=ConstantLatency(1.0),
-        membership="oracle",
         round_duration=3.0,
         gc_views=False,
     )

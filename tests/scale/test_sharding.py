@@ -10,8 +10,8 @@ the crash fan-out locality claim, the tier's self-growing
 end-to-end.
 """
 
-import asyncio
 import os
+import socket
 import subprocess
 import sys
 
@@ -113,7 +113,7 @@ class TestMembershipShard:
         world.set_group("g", ["a", "b", "c"])
         world.settle()
         superseded = world.set_group("g", ["a", "b"])  # on the wire...
-        world.server_crash(world.tier.owner_of("g"))  # ...when its sender dies
+        world.tier.crash_server(world.tier.owner_of("g"))  # ...when its sender dies
         world.settle()
         final = world.group_view("g")
         # A network has no cancel: the one way a notice is superseded is
@@ -152,9 +152,9 @@ class TestMembershipShard:
         for name in names:
             world.join(pids[3], name)
         owners_speak()
-        world.server_crash("srv:1")
+        world.tier.crash_server("srv:1")
         owners_speak()
-        world.server_recover("srv:1")
+        world.tier.recover_server("srv:1")
         world.crash(pids[0])
         owners_speak()
         assert "srv:1" not in {world.tier.owner_of(name) for name in names}
@@ -192,7 +192,7 @@ class TestShardedTier:
         formed = {g: len(world.tier.group_views(g)) for g in owners}
         default_views = len(world.views_formed)
         heard = _tap(world)
-        world.server_crash("srv:2")
+        world.tier.crash_server("srv:2")
         world.settle()
         for group, owner in owners.items():
             moved = owner == "srv:2"
@@ -209,7 +209,7 @@ class TestShardedTier:
         world.set_group("g", ["a", "b", "c"])
         world.settle()
         old = world.group_view("g")
-        world.server_crash(world.tier.owner_of("g"))
+        world.tier.crash_server(world.tier.owner_of("g"))
         world.settle()
         world.set_group("g", ["a", "b"])
         world.settle()
@@ -227,7 +227,7 @@ class TestShardedTier:
         world.set_group("g", ["a"])
         world.settle()
         first = world.group_view("g")
-        world.server_crash(world.tier.owner_of("g"))
+        world.tier.crash_server(world.tier.owner_of("g"))
         world.settle()
         views = [n[2] for n in _notices(world, "g", "a") if n[0] == "view"]
         # one view from each side of the move: the successor reaches the
@@ -236,61 +236,57 @@ class TestShardedTier:
 
 
 class _GrowableLink:
-    """A TierLink whose attach needs no awaiting (like the asyncio hub)."""
+    """A TierLink that records what attached (like the asyncio hub)."""
 
     def __init__(self):
         self.handlers = {}
 
-    async def attach(self, sid, handler):
-        self.attach_sync(sid, handler)
-
-    def attach_sync(self, sid, handler):
+    def attach(self, sid, handler):
         self.handlers[sid] = handler
 
     def send(self, src, targets, message):
         pass
 
 
-class _SocketishLink:
-    """A TierLink that must await attachment (like TCP): no attach_sync."""
+class _SocketLink(_GrowableLink):
+    """A TierLink whose ``attach`` opens a real listening socket, the way
+    ``TcpFabric.attach`` does: bound at once, no loop, nothing awaited."""
 
     def __init__(self):
-        self.handlers = {}
+        super().__init__()
+        self.sockets = []
 
-    async def attach(self, sid, handler):
-        self.handlers[sid] = handler
+    def attach(self, sid, handler):
+        super().attach(sid, handler)
+        self.sockets.append(socket.create_server(("127.0.0.1", 0)))
 
-    def send(self, src, targets, message):
-        pass
+    def close(self):
+        for sock in self.sockets:
+            sock.close()
 
 
 class TestPlanPartitionSelfGrow:
     def test_grows_over_sync_attachable_link(self):
         link = _GrowableLink()
         tier = MembershipTier(link, servers=1)
-        asyncio.run(tier.start())
+        tier.start()
         assert len(tier.servers) == 1
         plan = tier.plan_partition([["a"], ["b"], ["c"]])
         assert len(tier.servers) == 3
         assert len(plan.assignment) == 3
         assert set(plan.assignment) <= set(link.handlers)
 
-    def test_explicit_ensure_capacity_still_works(self):
-        link = _GrowableLink()
+    def test_grows_over_a_socket_link(self):
+        link = _SocketLink()
         tier = MembershipTier(link, servers=1)
-
-        async def grow():
-            await tier.start()
-            await tier.ensure_capacity(3)
-
-        asyncio.run(grow())
-        assert len(tier.plan_partition([["a"], ["b"], ["c"]]).assignment) == 3
-
-    def test_await_only_link_still_demands_capacity(self):
-        tier = MembershipTier(_SocketishLink(), servers=1)
-        asyncio.run(tier.start())
-        with pytest.raises(ValueError, match="ensure_capacity"):
-            tier.plan_partition([["a"], ["b"]])
+        tier.start()
+        try:
+            plan = tier.plan_partition([["a"], ["b"], ["c"]])
+            assert sorted(plan.assignment) == sorted(link.handlers) == sorted(tier.servers)
+            assert len(link.sockets) == 3
+            assert all(sock.getsockname()[1] for sock in link.sockets)  # bound
+        finally:
+            link.close()
 
 
 class TestScaleWorld:
@@ -315,6 +311,9 @@ class TestScaleWorld:
     "first",
     [
         "repro.membership.tier",
+        "repro.membership.oracle",
+        "repro.chaos.runner",
+        "repro.runtime.tcp",
         "repro.net.world",
         "repro.scale.sharding",
         "repro.deploy",
@@ -369,9 +368,9 @@ class TestConsecutiveResizes:
         world.settle()
         owners = {g: [world.tier.owner_of(g)] for g in GROUPS[:40]}
         for sid in crashes:
-            world.server_crash(sid)
+            world.tier.crash_server(sid)
             world.settle()
-            world.server_recover(sid)
+            world.tier.recover_server(sid)
             world.settle()
             for group in GROUPS[:40]:
                 owners[group].append(world.tier.owner_of(group))
@@ -427,7 +426,7 @@ class TestShardRebuild:
         owned = [g for g in GROUPS[:10] if world.tier.owner_of(g) == dead]
         before = {g: world.group_view(g) for g in owned}
         machines = {g: world.tier._groups[g].machine for g in owned}
-        world.server_crash(dead)
+        world.tier.crash_server(dead)
         world.settle()
         for group in owned:
             # Total amnesia: the successor's machine is a fresh one...
@@ -449,7 +448,7 @@ class TestShardRebuild:
         machine = world.tier._groups["g"].machine
         heard = _tap(world)
         in_flight = world.set_group("g", ["a", "b"])  # its notices are on the wire
-        world.server_crash(dead)  # crash while they are in flight
+        world.tier.crash_server(dead)  # crash while they are in flight
         machine.begin_round(machine.round + 1)  # a dead machine starts nothing
         machine.client_crashed("a")
         world.settle()
@@ -473,10 +472,12 @@ class TestGroupsBeforeStart:
         assert world.settled("g") and not world.tier.started
         assert world.views_formed == [] and len(world.trace) == 0
 
-    def test_await_only_link_needs_capacity_first(self):
-        tier = MembershipTier(_SocketishLink(), servers=2)
-        with pytest.raises(TypeError, match="ensure_capacity"):
-            tier.set_group("g", ["a"])
-        asyncio.run(tier.ensure_capacity(2))
-        assert tier.set_group("g", ["a"]).members == {"a"}
-        assert tier.owner_of("g") in tier.servers
+    def test_named_groups_grow_over_a_socket_link(self):
+        link = _SocketLink()
+        tier = MembershipTier(link, servers=2)
+        try:
+            assert tier.set_group("g", ["a"]).members == {"a"}  # _place before start
+            assert tier.owner_of("g") in tier.servers and not tier.started
+            assert len(link.sockets) == 2
+        finally:
+            link.close()

@@ -367,12 +367,12 @@ def test_overlapping_groups_survive_process_and_owner_faults():
     burst("recovered")
     owned = [g for g in groups if world.tier.owner_of(g) == "srv:2"]
     formed = {g: len(world.tier.group_views(g)) for g in groups}
-    world.server_crash("srv:2")
+    world.tier.crash_server("srv:2")
     burst("failed over")
     assert owned and all(
         len(world.tier.group_views(g)) == formed[g] + (g in owned) for g in groups
     )
-    world.server_recover("srv:2")
+    world.tier.recover_server("srv:2")
     burst("server back")
     assert all(world.tier.owner_of(g) != "srv:2" for g in groups)
     for group, members in groups.items():
