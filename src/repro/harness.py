@@ -30,7 +30,6 @@ from repro.checking.events import (
     ViewEvent,
 )
 from repro.checking.invariants import WorldView, check_invariants, invariant_hook
-from repro.checking.refinement import attach_refinement_checkers
 from repro.checking.verdict import run_verdict
 from repro.core.forwarding import ForwardingStrategy
 from repro.core.gcs_endpoint import GcsEndpoint
@@ -194,9 +193,6 @@ class ModelHarness:
 
     def invariant_hook(self):
         return invariant_hook(self.world)
-
-    def attach_refinements(self, scheduler) -> None:
-        attach_refinement_checkers(scheduler, self.world)
 
     def views_delivered(self, p: ProcessId) -> List[View]:
         return [e.view for e in self.gcs_trace().views_at(p)]

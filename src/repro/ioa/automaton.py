@@ -304,13 +304,6 @@ class Automaton:
         """
         self._version_observers.append(observer)
 
-    def unsubscribe_version(self, observer: Callable[[], None]) -> None:
-        """Remove a previously registered version observer (idempotent)."""
-        try:
-            self._version_observers.remove(observer)
-        except ValueError:
-            pass
-
     @property
     def state_version(self) -> int:
         """Monotone counter of state changes seen by the framework."""
@@ -331,10 +324,6 @@ class Automaton:
             )
             self._ancestor_attrs[klass] = attrs
         return attrs
-
-    def _ancestor_vars(self, klass: Type["Automaton"]) -> Dict[str, Any]:
-        """Variables owned by strict ancestors of ``klass``."""
-        return {attr: getattr(self, attr) for attr in self._ancestor_attr_names(klass)}
 
     # ------------------------------------------------------------------
     # transitions

@@ -133,15 +133,6 @@ class Composition:
     # execution
     # ------------------------------------------------------------------
 
-    def controllers(self, action: Action) -> List[Automaton]:
-        """Components for which ``action`` is a locally controlled action."""
-        return [
-            c
-            for c in self.components
-            if c._signature.get(action.name) in (ActionKind.OUTPUT, ActionKind.INTERNAL)
-            and c.is_enabled(action)
-        ]
-
     def _refreshed_enabled(self, index: int, component: Automaton, refresh: bool) -> List[Action]:
         """The cached enabled set of one component, recomputed if stale.
 

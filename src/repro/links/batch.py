@@ -135,10 +135,6 @@ class BatchAccumulator:
             return []
         return coalesce_copies(copies, self.limit)
 
-    def flush_all(self):
-        """``(dst, carriers)`` pairs for every destination with traffic."""
-        return [(dst, self.flush(dst)) for dst in list(self._pending)]
-
     def pending(self, dst) -> int:
         return len(self._pending.get(dst, ()))
 

@@ -19,13 +19,18 @@ A ``LinkCore`` owns, for one deployment's fabric:
   (drop = retransmission-penalty latency, duplicate = a real second
   :class:`~repro.chaos.faults.DuplicateCopy` on the channel, delay and
   reorder = jitter under the FIFO clamp);
-* **receiver-side deduplication** - :meth:`inbound` discards
+* **receiver-side deduplication** - :meth:`inbound_batch` discards
   ``DuplicateCopy`` markers, so no end-point ever sees a duplicate;
 * the **per-link FIFO clamp** - :meth:`fifo_arrival` keeps arrivals on
   one ordered link monotone even under jittered latencies;
 * uniform :class:`LinkStats` **counters** - per-kind and per-link, with
   ``totals()`` / ``reset_counters()`` on every substrate (previously the
-  simulator alone counted messages).
+  simulator alone counted messages);
+* the **in-flight ledger** - :attr:`LinkCore.in_flight` counts the wire
+  copies :meth:`outbound` admitted that no :meth:`inbound_batch`,
+  :meth:`bounced` or :meth:`lost` has resolved yet, so "nothing in
+  transit" is one exact number on every substrate; listeners registered
+  with :meth:`on_idle` hear each return to zero.
 
 The substrates keep only *scheduling and IO*: the simulator its event
 queue and bounce-on-cut flush, the hub its asyncio pumps, the TCP
@@ -46,6 +51,7 @@ from typing import (
     Iterable,
     List,
     Optional,
+    Sequence,
     Set,
     Tuple,
 )
@@ -88,9 +94,6 @@ class LinkStats:
         size = getattr(message, "estimated_size", None)
         if size is not None:
             self.volume[kind] += size()
-
-    def record_delivered(self, message: Any) -> None:
-        self.delivered[kind_of(message)] += 1
 
     def record_bounced(self, message: Any) -> None:
         self.bounced[kind_of(message)] += 1
@@ -170,6 +173,10 @@ class LinkCore:
         self._listeners: List[Callable[[], None]] = []
         # Last granted arrival per ordered link: the FIFO clamp.
         self._last_arrival: Dict[Link, float] = {}
+        # The ledger: admitted wire copies not yet resolved.  Not a
+        # statistic - reset_counters() leaves it alone.
+        self.in_flight = 0
+        self._idle_listeners: List[Callable[[], None]] = []
 
     # ------------------------------------------------------------------
     # registration
@@ -267,12 +274,14 @@ class LinkCore:
         *duplicated* one adds a real :class:`DuplicateCopy` to the
         channel (behind the original, preserving FIFO), *delay*/*reorder*
         add jitter the driver must pass through :meth:`fifo_arrival` or
-        its substrate's own per-link FIFO.  Every wire copy is counted.
+        its substrate's own per-link FIFO.  Every wire copy is counted,
+        and enters the in-flight ledger until the driver resolves it.
         """
         if not self.connected(src, dst):
             return None
         if self.faults is None:
             self.stats.record_sent(src, dst, message)
+            self.in_flight += 1
             return Transmission(((message, 0.0),))
         decision = None
         if not isinstance(message, DuplicateCopy):
@@ -282,6 +291,7 @@ class LinkCore:
             copies.append((DuplicateCopy(message), 0.0))
         for wire, _extra in copies:
             self.stats.record_sent(src, dst, wire)
+        self.in_flight += len(copies)
         return Transmission(tuple(copies), dropped=bool(decision and decision.dropped))
 
     def inbound(
@@ -292,48 +302,43 @@ class LinkCore:
         *,
         check_topology: bool = False,
     ) -> Optional[Any]:
-        """Filter one arriving wire copy; the payload to deliver, or ``None``.
-
-        ``check_topology=True`` (drivers whose wire can hold frames
-        across a cut, e.g. kernel socket buffers) drops arrivals whose
-        link the matrix has severed.  :class:`DuplicateCopy` markers die
-        here - receiver-side dedup, stated once for every substrate.
-        """
-        if check_topology and not self.connected(src, dst):
-            return None  # the frame crossed a partition cut: drop it
-        self.stats.record_delivered(message)
-        if isinstance(message, DuplicateCopy):
-            if self.faults is not None:
-                self.faults.suppressed_duplicate()
-            return None
-        return message
+        """Filter one arriving wire copy: :meth:`inbound_batch` of one."""
+        payloads = self.inbound_batch(src, dst, (message,), check_topology=check_topology)
+        return payloads[0] if payloads else None
 
     def inbound_batch(
         self,
         src: ProcessId,
         dst: ProcessId,
-        copies: Iterable[Any],
+        copies: Sequence[Any],
         *,
         check_topology: bool = False,
     ) -> List[Any]:
-        """Filter one arriving batched carrier; the payloads to deliver.
+        """Filter one arriving carrier of wire copies; the payloads to deliver.
 
-        The batched face of :meth:`inbound`: every copy is accounted and
-        deduplicated individually (counters count messages, not batches),
-        but the topology check is atomic - a carrier that crossed a
-        partition cut dies *whole*, each of its messages recorded as
-        bounced, so a cut can never split a batch into a delivered prefix
-        and a lost suffix.
+        Every copy is accounted and deduplicated individually (counters
+        count messages, not batches): :class:`DuplicateCopy` markers die
+        here - receiver-side dedup, stated once for every substrate.
+        ``check_topology=True`` (drivers whose wire can hold frames
+        across a cut, e.g. kernel socket buffers) drops a carrier whose
+        link the matrix has severed, and the check is atomic - the
+        carrier dies *whole*, each of its messages recorded as bounced,
+        so a cut can never split a batch into a delivered prefix and a
+        lost suffix.  Either way every copy leaves the in-flight ledger.
         """
         if check_topology and not self.connected(src, dst):
-            for wire in copies:
-                self.stats.record_bounced(wire)
+            self.lost(src, dst, copies)
             return []
+        delivered = self.stats.delivered
         payloads = []
         for wire in copies:
-            payload = self.inbound(src, dst, wire)
-            if payload is not None:
-                payloads.append(payload)
+            delivered[kind_of(wire)] += 1
+            if isinstance(wire, DuplicateCopy):
+                if self.faults is not None:
+                    self.faults.suppressed_duplicate()
+                continue
+            payloads.append(wire)
+        self._resolve(len(copies))
         return payloads
 
     def bounced(self, src: ProcessId, dst: ProcessId, message: Any) -> Optional[Any]:
@@ -346,7 +351,47 @@ class LinkCore:
         """
         del src, dst  # accounting is kind-based; kept for future per-link stats
         self.stats.record_bounced(message)
+        self._resolve(1)
         return None if isinstance(message, DuplicateCopy) else message
+
+    def lost(self, src: ProcessId, dst: ProcessId, copies: Sequence[Any]) -> None:
+        """Account admitted copies that die on the wire, unreturned.
+
+        A carrier dropped whole at a cut, or the unwritten rest of a run
+        a failed socket write threw away: CO_RFIFO's ``lose``, which the
+        membership service then repairs.  The copies are recorded as
+        bounced, with nobody to retransmit them, and leave the ledger.
+        """
+        del src, dst  # accounting is kind-based, as in bounced()
+        for wire in copies:
+            self.stats.record_bounced(wire)
+        self._resolve(len(copies))
+
+    # ------------------------------------------------------------------
+    # the in-flight ledger
+    # ------------------------------------------------------------------
+
+    def _resolve(self, count: int) -> None:
+        self.in_flight -= count
+        if not self.in_flight:
+            for listener in self._idle_listeners:
+                listener()
+
+    def on_idle(self, listener: Callable[[], None]) -> None:
+        """Call ``listener`` whenever :attr:`in_flight` returns to zero."""
+        self._idle_listeners.append(listener)
+
+    def describe_stall(self, backlog: int = 0) -> str:
+        """What a stalled settle reports, on every substrate: the ledger
+        (plus the ``backlog`` of sends a driver holds until it has
+        admitted them), then the busiest tier links and the busiest
+        links overall."""
+        held = f", backlog: {backlog}" if backlog else ""
+        return (
+            f"wire copies in flight: {self.in_flight}{held}; "
+            f"{self.stats.describe_tier_links()}; "
+            f"busiest links: {self.stats.describe_links()}"
+        )
 
     # ------------------------------------------------------------------
     # statistics
@@ -356,6 +401,7 @@ class LinkCore:
         return self.stats.totals()
 
     def reset_counters(self) -> None:
+        """Clear the statistics; the in-flight ledger is not one."""
         self.stats.reset_counters()
 
     def __repr__(self) -> str:

@@ -22,7 +22,7 @@ harness reads them to reproduce the paper's message-cost claims.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Deque, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Any, Callable, Deque, Dict, Iterable, Optional, Set, Tuple
 
 from repro.chaos.faults import FaultInjector
 from repro.links import BATCH_LIMIT, Link, LinkCore, kind_of
@@ -71,11 +71,6 @@ class SimNetwork:
         self.latency = latency or ConstantLatency(1.0)
         self.core = core if core is not None else LinkCore(faults=faults)
         self._handlers: Dict[ProcessId, DeliveryHandler] = {}
-        # processes() cache: sorting a thousand handlers per call turns
-        # every O(1) lookup into O(n log n); the version counter moves on
-        # registration only.
-        self._handlers_version = 0
-        self._sorted_handlers: Tuple[int, List[ProcessId]] = (-1, [])
         self._bounce: Dict[ProcessId, BounceHandler] = {}
         # Carriers on the wire, per link, in arrival order.
         self._in_flight: Dict[Link, Deque[Tuple[ScheduledEvent, _Carrier]]] = {}
@@ -99,19 +94,10 @@ class SimNetwork:
         handler: DeliveryHandler,
         bounce: Optional[BounceHandler] = None,
     ) -> None:
-        if pid not in self._handlers:
-            self._handlers_version += 1
         self._handlers[pid] = handler
         if bounce is not None:
             self._bounce[pid] = bounce
         self.core.ensure(pid)
-
-    def processes(self) -> List[ProcessId]:
-        version, cached = self._sorted_handlers
-        if version != self._handlers_version:
-            cached = sorted(self._handlers)
-            self._sorted_handlers = (self._handlers_version, cached)
-        return list(cached)
 
     def connected(self, p: ProcessId, q: ProcessId) -> bool:
         return self.core.connected(p, q)

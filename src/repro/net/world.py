@@ -268,7 +268,9 @@ class SimWorld:
         The discrete-event analogue of the runtime clusters' quiescence
         waits: raises :class:`SettleTimeoutError` if the event queue is
         still non-empty after ``max_events`` steps (a livelocked
-        protocol), instead of spinning forever.
+        protocol), instead of spinning forever.  An empty queue is the
+        settle condition here; the link core's in-flight ledger must
+        agree with it.
         """
         executed = self.clock.run(max_events)
         remaining = self.clock.pending()
@@ -276,9 +278,9 @@ class SimWorld:
             raise SettleTimeoutError(
                 f"simulation still has {remaining} pending event(s) "
                 f"after {executed} steps at t={self.clock.now:.3f}; "
-                f"busiest links: {self.network.core.stats.describe_links()}; "
-                f"{self.network.core.stats.describe_tier_links()}"
+                f"{self.links.describe_stall()}"
             )
+        assert self.links.in_flight == 0, self.links.describe_stall()
         return executed
 
     def run_until(self, time: float) -> int:

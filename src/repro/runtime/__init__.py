@@ -10,7 +10,8 @@ C++ implementation).
   :class:`AsyncDeployment`;
 * :class:`TcpFabric` - one length-prefixed :class:`TcpTransport` socket
   per process among trusted peers, picked by :class:`TcpDeployment`;
-* :func:`await_settled` - event-driven settling.
+* :func:`await_settled` - event-driven settling; both fabrics'
+  ``quiesce`` is one such wait on the link core's in-flight ledger.
 """
 
 from repro.runtime.cluster import AsyncDeployment, Cluster, Fabric, TcpDeployment

@@ -37,7 +37,6 @@ from repro.links import LinkCore
 from repro.membership.tier import MembershipTier, TierLink
 from repro.runtime.node import GcsNode
 from repro.runtime.settle import await_settled, describe_views
-from repro.runtime.settle import settle_timeout as env_settle_timeout
 from repro.runtime.tcp import TcpFabric
 from repro.runtime.transport import AsyncHub
 from repro.types import ProcessId, View
@@ -65,7 +64,8 @@ class Fabric(TierLink, Protocol):
     core: LinkCore
 
     async def quiesce(self) -> None:
-        """Return once no message is in flight; raise
+        """Return once ``core.in_flight`` - plus whatever the fabric holds
+        before admitting it - is zero; raise
         :class:`~repro.errors.SettleTimeoutError` if traffic never stops."""
         ...  # pragma: no cover - protocol
 
@@ -87,7 +87,6 @@ class Cluster(Deployment):
         *,
         forwarding: Optional[ForwardingStrategy] = None,
         servers: int = 1,
-        settle_timeout: Optional[float] = None,
         fastpath: bool = True,
     ) -> None:
         self.fabric = fabric
@@ -96,9 +95,6 @@ class Cluster(Deployment):
         self.trace: GcsTrace = GcsTrace()
         self._forwarding = forwarding
         self._fastpath = fastpath
-        self._settle_timeout = (
-            env_settle_timeout(10.0) if settle_timeout is None else settle_timeout
-        )
         self.membership = self.tier = MembershipTier(
             fabric,
             servers=servers,
@@ -150,7 +146,6 @@ class Cluster(Deployment):
         await await_settled(
             lambda: self.common_view(members, min_counter) is not None,
             self._progress,
-            timeout=self._settle_timeout,
             describe=lambda: "awaiting view %s; %s"
             % (sorted(members), describe_views({p: self.nodes[p] for p in members})),
         )
@@ -194,7 +189,6 @@ class AsyncDeployment(Cluster):
         delay: float = 0.0,
         forwarding: Optional[ForwardingStrategy] = None,
         servers: int = 1,
-        settle_timeout: Optional[float] = None,
         faults: Optional[FaultInjector] = None,
         fastpath: bool = True,
     ) -> None:
@@ -202,7 +196,6 @@ class AsyncDeployment(Cluster):
             AsyncHub(delay=delay, faults=faults),
             forwarding=forwarding,
             servers=servers,
-            settle_timeout=settle_timeout,
             fastpath=fastpath,
         )
 
@@ -227,13 +220,11 @@ class TcpDeployment(Cluster):
         self,
         *,
         servers: int = 1,
-        settle_timeout: Optional[float] = None,
         faults: Optional[FaultInjector] = None,
         fastpath: bool = True,
     ) -> None:
         super().__init__(
             TcpFabric(faults=faults),
             servers=servers,
-            settle_timeout=settle_timeout,
             fastpath=fastpath,
         )

@@ -7,7 +7,9 @@ when a protocol bug keeps it false.  :func:`await_settled` replaces all
 of those loops: callers hand in a *predicate* and an :class:`asyncio.Event`
 that progress-making code sets, and get either a prompt return or a
 :class:`~repro.errors.SettleTimeoutError` carrying a description of the
-stuck state.
+stuck state.  :func:`await_quiescent` is the one such wait for "no
+message in transit", shared by every runtime fabric: it reads the link
+core's in-flight ledger, so quiescence is counted, never timed.
 """
 
 from __future__ import annotations
@@ -18,9 +20,10 @@ from typing import Callable, Mapping, Optional
 
 from repro.core.host import EndpointHost
 from repro.errors import SettleTimeoutError
+from repro.links import LinkCore
 from repro.types import ProcessId
 
-DEFAULT_TIMEOUT = 5.0
+DEFAULT_TIMEOUT = 10.0
 
 # Environment override for every settling deadline in the runtime.  Chaos
 # schedules stretch convergence (retransmission penalties, jitter), and
@@ -89,6 +92,32 @@ async def await_settled(
             pass  # fall through to the deadline check / final predicate try
 
 
+async def await_quiescent(
+    core: LinkCore,
+    event: asyncio.Event,
+    backlog: Callable[[], int] = lambda: 0,
+    *,
+    timeout: Optional[float] = None,
+) -> None:
+    """Wait until ``core`` has no wire copy in flight and ``backlog()``
+    (sends a fabric holds until it has admitted them) is zero.
+
+    ``event`` must be registered with ``core.on_idle`` and set by the
+    fabric whenever its backlog drains.  Handlers run synchronously after
+    the copy they handle is resolved, so a reply is admitted (or held)
+    before any waiter can observe the zero.  Stalls raise
+    :class:`SettleTimeoutError` with :meth:`LinkCore.describe_stall`.
+    """
+    # Yield once: callbacks already due this loop turn may still send.
+    await asyncio.sleep(0)
+    await await_settled(
+        lambda: core.in_flight == 0 and backlog() == 0,
+        event,
+        timeout=timeout,
+        describe=lambda: core.describe_stall(backlog()),
+    )
+
+
 def describe_views(nodes: Mapping[ProcessId, EndpointHost]) -> str:
     """Render ``pid -> current view`` for settle-timeout diagnostics."""
     return ", ".join(
@@ -100,6 +129,7 @@ def describe_views(nodes: Mapping[ProcessId, EndpointHost]) -> str:
 __all__ = [
     "DEFAULT_TIMEOUT",
     "ENV_TIMEOUT",
+    "await_quiescent",
     "await_settled",
     "describe_views",
     "settle_timeout",

@@ -19,6 +19,14 @@ Every transport of a fabric shares its ``core``, so a single partition
 matrix (and a single counter set) covers the whole deployment; a
 standalone transport creates its own.
 
+Sockets report nothing about what is in transit, and they need not: a
+wire copy enters the core's in-flight ledger when ``send_many`` admits
+it and leaves it when the receiving transport's ``inbound_batch``
+resolves its frame (delivered, deduplicated, or dropped at a cut) or a
+failed write declares it ``lost``.  :meth:`TcpFabric.quiesce` waits for
+that ledger and the outbox backlog to reach zero together - counted,
+with no wall-clock window deciding that the fabric is idle.
+
 Security note: frames are deserialised with :mod:`pickle`, so this
 transport must only be used among mutually trusted processes (it is meant
 for the examples and tests of this reproduction, not a hostile WAN).
@@ -30,12 +38,12 @@ import asyncio
 import pickle
 import socket
 import struct
-from typing import Any, Callable, Dict, Iterable, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.chaos.faults import FaultInjector
-from repro.errors import SettleTimeoutError, TransportError
+from repro.errors import TransportError
 from repro.links import BatchAccumulator, LinkCore, MessageBatch
-from repro.runtime.settle import settle_timeout as env_settle_timeout
+from repro.runtime.settle import await_quiescent
 from repro.types import ProcessId
 
 Handler = Callable[[ProcessId, Any], None]
@@ -74,6 +82,11 @@ async def read_frame(reader: asyncio.StreamReader) -> Tuple[ProcessId, Any]:
         raise TransportError(f"frame of {length} bytes exceeds limit")
     body = await reader.readexactly(length)
     return pickle.loads(body)
+
+
+def _copies(wire: Any) -> Tuple[Any, ...]:
+    """The wire copies one carrier holds: a batch's run, or itself."""
+    return wire.copies if isinstance(wire, MessageBatch) else (wire,)
 
 
 class TcpTransport:
@@ -166,19 +179,21 @@ class TcpTransport:
             batch = BatchAccumulator(self.core, self.pid)
             for message in messages:
                 batch.add(dst, message)
+            carriers = batch.flush(dst)
+            written = 0
             try:
-                for wire, extra in batch.flush(dst):
+                for wire, extra in carriers:
                     if extra:
                         # Loss penalty / jitter: hold the frame back.  TCP's
                         # own FIFO keeps the per-connection order intact.
                         await asyncio.sleep(extra)
-                    if isinstance(wire, MessageBatch):
-                        writer.write(encode_batch(self.pid, wire.copies))
-                    else:
-                        writer.write(encode_frame(self.pid, wire))
+                    writer.write(encode_batch(self.pid, _copies(wire)))
+                    written += 1
                 await writer.drain()
             except (ConnectionError, OSError):
                 self._drop_writer(dst)
+                unwritten = [copy for wire, _ in carriers[written:] for copy in _copies(wire)]
+                self.core.lost(self.pid, dst, unwritten)
 
     async def _writer_to(self, dst: ProcessId) -> Optional[asyncio.StreamWriter]:
         writer = self._writers.get(dst)
@@ -210,21 +225,15 @@ class TcpTransport:
         try:
             while not self._closed:
                 src, wire = await read_frame(reader)
-                # The core drops frames that crossed a partition cut
-                # (kernel buffers can hold them past the split) and
-                # deduplicates wire copies.  A batched frame unpacks
-                # through the core too - per-message accounting, atomic
-                # topology check for the whole batch.
-                if isinstance(wire, MessageBatch):
-                    for payload in self.core.inbound_batch(
-                        src, self.pid, wire.copies, check_topology=True
-                    ):
-                        self.handler(src, payload)
-                    continue
-                payload = self.core.inbound(src, self.pid, wire, check_topology=True)
-                if payload is None:
-                    continue
-                self.handler(src, payload)
+                # Every frame is a carrier - a single copy is a batch of
+                # one.  The core drops a frame that crossed a partition
+                # cut whole (kernel buffers can hold it past the split),
+                # deduplicates wire copies, and resolves each in its
+                # ledger.
+                for payload in self.core.inbound_batch(
+                    src, self.pid, _copies(wire), check_topology=True
+                ):
+                    self.handler(src, payload)
         except (asyncio.IncompleteReadError, ConnectionError, OSError):
             pass  # peer went away: CO_RFIFO may lose the suffix
         except asyncio.CancelledError:
@@ -241,7 +250,9 @@ class TcpFabric:
     are produced synchronously (by end-point runners, by servers) but
     must be awaited on sockets, so :meth:`send` only enqueues and one
     pump task per process - which first starts the transport's accept
-    loop - writes the backlog out in order.
+    loop - writes the backlog out in order.  A message counts as backlog
+    from :meth:`send` until the ``send_many`` that admits it to the core
+    returns, so backlog plus ledger covers it the whole way.
     """
 
     def __init__(self, *, faults: Optional[FaultInjector] = None) -> None:
@@ -253,6 +264,9 @@ class TcpFabric:
         self._transports: Dict[ProcessId, TcpTransport] = {}
         self._outboxes: Dict[ProcessId, asyncio.Queue] = {}
         self._pumps: Dict[ProcessId, asyncio.Task] = {}
+        self._backlog = 0
+        self._quiet = asyncio.Event()
+        self.core.on_idle(self._quiet.set)
 
     def attach(self, pid: ProcessId, handler: Handler) -> None:
         if pid in self._transports:
@@ -265,6 +279,7 @@ class TcpFabric:
         self._pumps[pid] = asyncio.get_running_loop().create_task(self._pump(pid))
 
     def send(self, src: ProcessId, targets: Iterable[ProcessId], message: Any) -> None:
+        self._backlog += 1
         self._outboxes[src].put_nowait((targets, message))
 
     async def _pump(self, pid: ProcessId) -> None:
@@ -286,50 +301,31 @@ class TcpFabric:
                 if next_targets == targets:
                     run.append(next_message)
                     continue
-                await transport.send_many(targets, run)
+                await self._send_run(transport, targets, run)
                 targets, run = next_targets, [next_message]
+            await self._send_run(transport, targets, run)
+
+    async def _send_run(
+        self, transport: TcpTransport, targets: Iterable[ProcessId], run: List[Any]
+    ) -> None:
+        try:
             await transport.send_many(targets, run)
+        finally:
+            self._backlog -= len(run)
+            if not self._backlog:
+                self._quiet.set()
 
     async def quiesce(self, timeout: Optional[float] = None) -> None:
-        """Wait until the fabric stops making progress.
+        """Wait until no message is queued in an outbox or in flight.
 
-        Sockets give no global in-flight counter, so quiescence is a
-        bounded stability window: no wire copy sent or delivered and
-        empty outboxes for 80 ms.  Raises
-        :class:`SettleTimeoutError` when the window never closes within
-        ``timeout`` (default: the ``$REPRO_SETTLE_TIMEOUT``-scaled settle
-        deadline).
+        One predicate over the core's in-flight ledger plus the outbox
+        backlog - the hub's, with the backlog added.  Raises
+        :class:`~repro.errors.SettleTimeoutError` if traffic never stops
+        within ``timeout`` seconds (default: the settle deadline).
         """
-        if timeout is None:
-            timeout = env_settle_timeout(10.0)
-        idle = 0.08
-        loop = asyncio.get_running_loop()
-        deadline = loop.time() + timeout
-        stats = self.core.stats
-
-        def activity() -> Tuple[int, int, int]:
-            return (
-                sum(stats.sent.values()),
-                sum(stats.delivered.values()),
-                sum(outbox.qsize() for outbox in self._outboxes.values()),
-            )
-
-        last = activity()
-        last_change = loop.time()
-        while True:
-            await asyncio.sleep(idle / 4)
-            current = activity()
-            if current != last:
-                last, last_change = current, loop.time()
-            elif current[2] == 0 and loop.time() - last_change >= idle:
-                return
-            if loop.time() >= deadline:
-                raise SettleTimeoutError(
-                    f"TCP fabric still active after {timeout:.1f}s "
-                    f"(sent={current[0]}, delivered={current[1]}, "
-                    f"outboxes={current[2]}); {stats.describe_tier_links()}; "
-                    f"busiest links: {stats.describe_links()}"
-                )
+        await await_quiescent(
+            self.core, self._quiet, lambda: self._backlog, timeout=timeout
+        )
 
     async def close(self) -> None:
         for task in self._pumps.values():

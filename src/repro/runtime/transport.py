@@ -12,6 +12,11 @@ dropped, which the reliable-set semantics permit only for non-reliable
 peers - the paper's algorithm re-establishes reliability through the
 membership service, so tests pair partitions with reconfigurations, as
 a real WAN deployment would).
+
+The hub keeps no count of its own: a copy is in flight from the core's
+``outbound()`` until the pump hands it to ``inbound_batch()``, so
+:meth:`AsyncHub.quiesce` is the runtime's one wait on the core's
+in-flight ledger (:func:`~repro.runtime.settle.await_quiescent`).
 """
 
 from __future__ import annotations
@@ -20,9 +25,8 @@ import asyncio
 from typing import Any, Callable, Dict, Iterable, Optional
 
 from repro.chaos.faults import FaultInjector
-from repro.errors import SettleTimeoutError
 from repro.links import BATCH_LIMIT, LinkCore
-from repro.runtime.settle import settle_timeout as env_settle_timeout
+from repro.runtime.settle import await_quiescent
 from repro.types import ProcessId
 
 Handler = Callable[[ProcessId, Any], None]
@@ -65,12 +69,8 @@ class AsyncHub:
         self._tails: Dict[ProcessId, _InboxEntry] = {}
         self._pumps: Dict[ProcessId, asyncio.Task] = {}
         self._closed = False
-        # Messages enqueued but not yet fully handled.  ``_idle`` fires
-        # whenever the count returns to zero, so ``quiesce`` can wait on
-        # an event instead of sleep-polling the queues.
-        self._inflight = 0
-        self._idle = asyncio.Event()
-        self._idle.set()
+        self._quiet = asyncio.Event()
+        self.core.on_idle(self._quiet.set)
 
     def attach(self, pid: ProcessId, handler: Handler) -> None:
         if pid in self._handlers:
@@ -102,8 +102,6 @@ class AsyncHub:
                 self._enqueue(dst, src, wire, extra)
 
     def _enqueue(self, dst: ProcessId, src: ProcessId, wire: Any, extra: float) -> None:
-        self._inflight += 1
-        self._idle.clear()
         tail = self._tails.get(dst)
         if (
             tail is not None
@@ -131,13 +129,8 @@ class AsyncHub:
             entry.open = False
             if self.delay or entry.extra:
                 await asyncio.sleep(self.delay + entry.extra)
-            try:
-                for payload in self.core.inbound_batch(entry.src, pid, entry.copies):
-                    handler(entry.src, payload)
-            finally:
-                self._inflight -= len(entry.copies)
-                if self._inflight == 0:
-                    self._idle.set()
+            for payload in self.core.inbound_batch(entry.src, pid, entry.copies):
+                handler(entry.src, payload)
 
     async def close(self) -> None:
         self._closed = True
@@ -147,41 +140,12 @@ class AsyncHub:
         self._pumps.clear()
 
     async def quiesce(self, timeout: Optional[float] = None) -> None:
-        """Wait until no message is in flight anywhere on the hub.
+        """Wait until the core's ledger shows no message in flight.
 
-        Handlers may send further messages while handling one; the
-        in-flight counter covers those too, so when it hits zero the
-        fabric is genuinely quiescent.  Raises
-        :class:`SettleTimeoutError` instead of hanging if traffic never
-        stops within ``timeout`` seconds (default: the
-        ``$REPRO_SETTLE_TIMEOUT``-scaled settle deadline).
+        Handlers may send further messages while handling one; those are
+        admitted before the handled batch's pump step ends, so a zero
+        ledger means the hub is genuinely quiescent.  Raises
+        :class:`~repro.errors.SettleTimeoutError` if traffic never stops
+        within ``timeout`` seconds (default: the settle deadline).
         """
-        if timeout is None:
-            timeout = env_settle_timeout(10.0)
-        loop = asyncio.get_running_loop()
-        deadline = loop.time() + timeout
-        while True:
-            # Yield once so a send scheduled in the current task's step
-            # reaches the pumps before we sample the counter.
-            await asyncio.sleep(0)
-            if self._inflight == 0:
-                return
-            remaining = deadline - loop.time()
-            if remaining <= 0:
-                pending = {
-                    pid: queue.qsize()
-                    for pid, queue in self._queues.items()
-                    if queue.qsize()
-                }
-                # Tier traffic rides the same hub as data; a stall caused
-                # by membership messages should say so.
-                raise SettleTimeoutError(
-                    f"hub still has {self._inflight} message(s) in flight "
-                    f"after {timeout:.1f}s; pending inboxes: {pending}; "
-                    f"{self.core.stats.describe_tier_links()}; "
-                    f"busiest links: {self.core.stats.describe_links()}"
-                )
-            try:
-                await asyncio.wait_for(self._idle.wait(), remaining)
-            except asyncio.TimeoutError:
-                pass
+        await await_quiescent(self.core, self._quiet, timeout=timeout)

@@ -209,13 +209,6 @@ class TwoTierOverlay:
             runner.wire_interceptor = self._make_send_interceptor(pid)
             runner.receive_interceptor = self._make_receive_interceptor(pid)
 
-    def uninstall(self) -> None:
-        """Detach from every runner (syncs go direct again)."""
-        for pid, runner in self.runners.items():
-            if pid in self.group_of:
-                runner.wire_interceptor = None
-                runner.receive_interceptor = None
-
     def _make_send_interceptor(self, pid: ProcessId):
         def intercept(targets: FrozenSet[ProcessId], message: WireMessage) -> bool:
             if not isinstance(message, SyncMsg):

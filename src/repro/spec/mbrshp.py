@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from repro._collections import frozendict
 from repro.ioa import Action, ActionKind, Automaton
@@ -138,17 +138,6 @@ class MembershipDriver:
             cid = max(next(self._cid_counter), self.spec.last_cid(p) + 1)
             actions.append(Action("mbrshp.start_change", (p, cid, member_set)))
         return actions
-
-    def view_for_current_changes(self, members: Iterable[ProcessId]) -> View:
-        """Assemble a view deliverable to each member after start_changes.
-
-        The ``startId`` map is read off the members' latest start_changes,
-        exactly how a real membership service builds it.
-        """
-        member_set = frozenset(members)
-        start_ids = {p: self.spec.last_cid(p) for p in member_set}
-        counter = max(next(self._vid_counter), self.spec.max_view_counter() + 1)
-        return View(ViewId(counter), member_set, frozendict(start_ids))
 
     def view_actions(self, view: View, recipients: Optional[Iterable[ProcessId]] = None) -> List[Action]:
         targets = sorted(view.members if recipients is None else recipients)

@@ -9,7 +9,7 @@ realise before delivering the new view.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Optional, Tuple
+from typing import Any, Dict, Tuple
 
 from repro.ioa import ActionKind
 from repro.spec.self_delivery import SelfDeliverySpec
@@ -49,9 +49,6 @@ class VsRfifoSpec(WvRfifoSpec):
             return False
         cut = self.cut[key]
         return all(self.last_dlvrd[(q, p)] == cut.get(q, 0) for q in self.processes)
-
-    def cut_for(self, old: View, new: View) -> Optional[Cut]:
-        return self.cut.get((old, new))
 
 
 class FullSafetySpec(VsRfifoSpec, SelfDeliverySpec):

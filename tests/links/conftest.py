@@ -1,7 +1,8 @@
 """Differential harness: one link-contract API over all three substrates.
 
 Each driver wraps one substrate behind the same five operations
-(``start`` / ``send`` / ``drain`` / ``close`` plus the shared ``core``),
+(``start`` / ``send`` / ``drain`` / ``close`` plus the shared ``core``,
+whose in-flight ledger every predicate-free ``drain`` must leave at zero),
 so every test in ``test_contract.py`` states the CO_RFIFO link contract
 once and runs verbatim against the discrete-event simulator, the
 in-process asyncio hub, and real loopback TCP sockets.  Topology is
@@ -22,6 +23,7 @@ from repro.links import LinkCore
 from repro.net.latency import ConstantLatency
 from repro.net.network import SimNetwork
 from repro.net.simclock import EventScheduler
+from repro.runtime.settle import await_quiescent
 from repro.runtime.tcp import TcpTransport
 from repro.runtime.transport import AsyncHub
 from repro.types import ProcessId
@@ -33,8 +35,8 @@ class ContractDriver:
     """Uniform face of one substrate for the differential contract suite."""
 
     name = "abstract"
-    #: Fault latency units in this substrate's own time (mirrors
-    #: repro.chaos.runner.TIME_SCALES).
+    #: Fault latency units in this substrate's own time (mirrors each
+    #: deployment backend's ``time_scale``).
     time_scale = 1.0
 
     def __init__(self, model: Optional[FaultModel] = None) -> None:
@@ -65,7 +67,16 @@ class ContractDriver:
             await self.send(src, dst, message)
 
     async def drain(self, predicate: Optional[Callable[[], bool]] = None) -> None:
-        """Settle the substrate; with ``predicate``, wait until it holds."""
+        """Settle the substrate; with ``predicate``, wait until it holds.
+
+        Without one, settling must leave the core's in-flight ledger at
+        zero - the ledger is part of the contract every driver keeps.
+        """
+        await self._settle(predicate)
+        if predicate is None:
+            assert self.core.in_flight == 0, self.core.describe_stall()
+
+    async def _settle(self, predicate: Optional[Callable[[], bool]]) -> None:
         raise NotImplementedError
 
     async def close(self) -> None:
@@ -88,7 +99,7 @@ class SimContractDriver(ContractDriver):
     async def send(self, src: ProcessId, dst: ProcessId, message: Any) -> None:
         self.net.send(src, dst, message)
 
-    async def drain(self, predicate: Optional[Callable[[], bool]] = None) -> None:
+    async def _settle(self, predicate: Optional[Callable[[], bool]]) -> None:
         self.clock.run()
         # Deterministic substrate: after the queue empties the predicate
         # either holds or the contract is broken - no waiting involved.
@@ -114,7 +125,7 @@ class AsyncContractDriver(ContractDriver):
         assert self.hub is not None
         self.hub.send(src, [dst], message)
 
-    async def drain(self, predicate: Optional[Callable[[], bool]] = None) -> None:
+    async def _settle(self, predicate: Optional[Callable[[], bool]]) -> None:
         assert self.hub is not None
         await self.hub.quiesce(timeout=10.0)
 
@@ -130,6 +141,8 @@ class TcpContractDriver(ContractDriver):
     def __init__(self, model: Optional[FaultModel] = None) -> None:
         super().__init__(model)
         self.transports: Dict[ProcessId, TcpTransport] = {}
+        self._quiet = asyncio.Event()
+        self.core.on_idle(self._quiet.set)
 
     async def start(self, pids: Iterable[ProcessId]) -> None:
         addresses: Dict[ProcessId, Tuple[str, int]] = {}
@@ -146,7 +159,7 @@ class TcpContractDriver(ContractDriver):
     async def send_burst(self, src: ProcessId, dst: ProcessId, messages: Iterable[Any]) -> None:
         await self.transports[src].send_many([dst], messages)
 
-    async def drain(self, predicate: Optional[Callable[[], bool]] = None) -> None:
+    async def _settle(self, predicate: Optional[Callable[[], bool]]) -> None:
         loop = asyncio.get_event_loop()
         deadline = loop.time() + 5.0
         if predicate is not None:
@@ -155,14 +168,9 @@ class TcpContractDriver(ContractDriver):
                     raise AssertionError("tcp drain: predicate never held")
                 await asyncio.sleep(0.005)
             return
-        # No target state: wait for the wire-arrival counter to go quiet
-        # (sockets give no global in-flight count).
-        last, stable = -1, 0
-        while stable < 3 and loop.time() < deadline:
-            current = sum(self.core.stats.delivered.values())
-            stable = stable + 1 if current == last else 0
-            last = current
-            await asyncio.sleep(0.02)
+        # No target state: wait for the core's in-flight ledger - every
+        # send here is admitted before it returns, so there is no backlog.
+        await await_quiescent(self.core, self._quiet, timeout=5.0)
 
     async def close(self) -> None:
         for transport in self.transports.values():

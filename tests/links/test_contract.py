@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.chaos.faults import FaultModel
+from repro.chaos.faults import FaultInjector, FaultModel
 from repro.errors import SettleTimeoutError
 from repro.net.world import SimWorld
+from repro.runtime.tcp import TcpFabric
 from repro.runtime.transport import AsyncHub
 
 from tests.links.conftest import run_contract
@@ -230,6 +231,31 @@ def test_partition_then_heal_regression(driver_factory):
 
 
 # ----------------------------------------------------------------------
+# the in-flight ledger
+# ----------------------------------------------------------------------
+
+
+def test_ledger_balances_after_faults_and_a_cut(driver_factory):
+    """Every admitted copy is resolved once: delivered or bounced."""
+    model = FaultModel(duplicate=0.5, drop=0.3, delay=0.5, jitter=2.0, seed=9)
+
+    async def scenario(d):
+        await d.start(["a", "b", "c"])
+        for i in range(10):
+            await d.send("a", "b", f"m{i}")
+            await d.send("c", "b", i)
+        d.core.partition([["a"], ["b", "c"]])  # cuts copies still in transit
+        await d.send("c", "b", "after-cut")
+        await d.drain()
+        stats = d.core.stats
+        assert sum(stats.sent.values()) == (
+            sum(stats.delivered.values()) + sum(stats.bounced.values())
+        )
+
+    run_contract(driver_factory, scenario, model)
+
+
+# ----------------------------------------------------------------------
 # uniform counters
 # ----------------------------------------------------------------------
 
@@ -284,5 +310,29 @@ def test_async_quiesce_timeout_reports_busiest_links():
             assert "a->b: 1" in str(excinfo.value)
         finally:
             await hub.close()
+
+    asyncio.run(scenario())
+
+
+def test_tcp_quiesce_timeout_reports_busiest_links():
+    import asyncio
+
+    # A retransmission penalty of 0.3-0.9 s holds the frame on the socket
+    # fabric well past the deadline.
+    faults = FaultInjector(FaultModel(drop=1.0, penalty=200.0, seed=1), time_scale=0.003)
+
+    async def scenario():
+        fabric = TcpFabric(faults=faults)
+        fabric.attach("a", lambda src, m: None)
+        fabric.attach("b", lambda src, m: None)
+        fabric.send("a", ["b"], "slow")
+        try:
+            with pytest.raises(SettleTimeoutError) as excinfo:
+                await fabric.quiesce(timeout=0.2)
+            assert "wire copies in flight: 1" in str(excinfo.value)
+            assert "busiest links:" in str(excinfo.value)
+            assert "a->b: 1" in str(excinfo.value)
+        finally:
+            await fabric.close()
 
     asyncio.run(scenario())

@@ -151,11 +151,79 @@ def test_inbound_check_topology_drops_frames_across_a_cut():
     assert core.inbound("a", "b", "m", check_topology=True) == "m"
 
 
+def test_single_frame_dropped_at_a_cut_counts_as_bounced():
+    """A lone frame across a cut is accounted exactly like a batch of one."""
+    core = core_with("a", "b")
+    core.outbound("a", "b", "m")
+    core.partition([["a"], ["b"]])
+    assert core.inbound("a", "b", "m", check_topology=True) is None
+    assert core.stats.bounced == {"str": 1}
+    assert core.in_flight == 0
+
+
 def test_bounced_filters_duplicate_copies():
     core = core_with("a", "b")
     assert core.bounced("a", "b", "m") == "m"
     assert core.bounced("a", "b", DuplicateCopy("m")) is None
     assert core.stats.bounced == {"str": 1, "DuplicateCopy": 1}
+
+
+# ----------------------------------------------------------------------
+# the in-flight ledger
+# ----------------------------------------------------------------------
+
+
+def test_ledger_counts_admitted_copies_until_resolved():
+    core = LinkCore(faults=FaultInjector(FaultModel(duplicate=1.0, seed=1)))
+    core.ensure("a")
+    core.ensure("b")
+    core.outbound("a", "b", "m1")  # original + duplicate marker
+    core.outbound("a", "b", "m2")
+    core.outbound("a", "b", "m3")
+    core.outbound("a", "b", "m4")
+    assert core.in_flight == 8
+    assert core.inbound_batch("a", "b", ["m1", DuplicateCopy("m1")]) == ["m1"]
+    assert core.inbound("a", "b", "m2") == "m2"
+    assert core.inbound("a", "b", DuplicateCopy("m2")) is None
+    core.bounced("a", "b", "m3")
+    core.bounced("a", "b", DuplicateCopy("m3"))
+    assert core.in_flight == 2
+    core.lost("a", "b", ["m4", DuplicateCopy("m4")])
+    assert core.in_flight == 0
+    assert core.stats.bounced == {"str": 2, "DuplicateCopy": 2}
+
+
+def test_ledger_survives_reset_and_ignores_refused_sends():
+    core = core_with("a", "b")
+    core.outbound("a", "b", "m")
+    core.reset_counters()  # statistics only: the copy is still on the wire
+    assert core.in_flight == 1
+    core.partition([["a"], ["b"]])
+    assert core.outbound("a", "b", "cut") is None
+    assert core.in_flight == 1
+
+
+def test_idle_listeners_fire_each_time_the_ledger_returns_to_zero():
+    core = core_with("a", "b")
+    calls = []
+    core.on_idle(lambda: calls.append(core.in_flight))
+    core.outbound("a", "b", "m1")
+    core.outbound("a", "b", "m2")
+    core.inbound("a", "b", "m1")
+    assert calls == []
+    core.inbound("a", "b", "m2")
+    core.outbound("a", "b", "m3")
+    core.bounced("a", "b", "m3")
+    assert calls == [0, 0]
+
+
+def test_describe_stall_names_ledger_backlog_and_links():
+    core = core_with("a", "srv:0")
+    core.outbound("a", "srv:0", "m")
+    assert core.describe_stall() == (
+        "wire copies in flight: 1; tier links a->srv:0: 1; busiest links: a->srv:0: 1"
+    )
+    assert "backlog: 3" in core.describe_stall(3)
 
 
 # ----------------------------------------------------------------------

@@ -4,9 +4,10 @@ import asyncio
 
 import pytest
 
+from repro.chaos.faults import FaultInjector, FaultModel
 from repro.core.messages import AppMsg, ViewMsg
 from repro.errors import TransportError
-from repro.runtime.tcp import TcpTransport, encode_frame
+from repro.runtime.tcp import TcpFabric, TcpTransport, encode_frame
 from repro.types import make_view
 
 
@@ -62,6 +63,54 @@ def test_oversized_frame_rejected():
     big = "x" * (70 * 1024 * 1024)
     with pytest.raises(TransportError):
         encode_frame("a", big)
+
+
+def test_fabric_quiesce_waits_for_a_held_frame():
+    """A frame held back by a retransmission penalty (~120 ms at the
+    runtimes' time scale) is in flight until it arrives: quiescence is
+    counted on the core's ledger, not guessed from a quiet interval."""
+    faults = FaultInjector(FaultModel(drop=1.0, penalty=40.0, seed=1), time_scale=0.003)
+
+    async def scenario():
+        fabric = TcpFabric(faults=faults)
+        inbox = []
+        fabric.attach("a", lambda src, m: None)
+        fabric.attach("b", lambda src, m: inbox.append(m))
+        fabric.send("a", ["b"], "held")
+        try:
+            await fabric.quiesce()
+            assert inbox == ["held"]
+            assert fabric.core.in_flight == 0
+        finally:
+            await fabric.close()
+
+    run(scenario())
+
+
+def test_failed_write_resolves_the_unwritten_copies():
+    class BrokenWriter:
+        def is_closing(self):
+            return False
+
+        def write(self, data):
+            raise ConnectionResetError("peer went away")
+
+        async def drain(self):
+            pass
+
+        def close(self):
+            pass
+
+    async def scenario():
+        client = TcpTransport("a", lambda src, m: None)
+        client._writers["b"] = BrokenWriter()
+        await client.send_many(["b"], ["m1", "m2"])
+        assert client.core.in_flight == 0
+        assert client.core.stats.bounced == {"str": 2}
+        assert "b" not in client._writers
+        await client.close()
+
+    run(scenario())
 
 
 def test_multiple_receivers():
