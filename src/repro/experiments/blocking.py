@@ -18,7 +18,6 @@ from typing import Dict, List, Optional, Type
 
 from repro.checking.events import BlockEvent, ViewEvent
 from repro.core import GcsEndpoint
-from repro.core.wv_endpoint import WvRfifoEndpoint
 from repro.experiments.reconfig import ALGORITHMS, CLAIMED_EXTRA_ROUNDS, measure_reconfiguration
 from repro.experiments.registry import claim, close, experiment
 from repro.experiments.scenario import crash_last_member
@@ -35,7 +34,7 @@ class BlockingResult:
 
 
 def measure_blocking_window(
-    endpoint_cls: Type[WvRfifoEndpoint] = GcsEndpoint,
+    endpoint_cls: Type[GcsEndpoint] = GcsEndpoint,
     *,
     group_size: int = 6,
     round_duration: float = 3.0,

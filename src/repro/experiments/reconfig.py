@@ -23,13 +23,12 @@ from typing import Dict, Iterable, List, Optional, Type
 
 from repro.baselines import SequentialVsEndpoint, TwoRoundVsEndpoint
 from repro.core import GcsEndpoint
-from repro.core.wv_endpoint import WvRfifoEndpoint
 from repro.experiments.registry import claim, close, experiment
 from repro.experiments.scenario import crash_last_member
 from repro.experiments.tables import format_table
 from repro.net import ConstantLatency, LatencyModel, LognormalLatency
 
-ALGORITHMS: Dict[str, Type[WvRfifoEndpoint]] = {
+ALGORITHMS: Dict[str, Type[GcsEndpoint]] = {
     "gcs-1round (paper)": GcsEndpoint,
     "sequential-vs": SequentialVsEndpoint,
     "two-round-vs": TwoRoundVsEndpoint,
@@ -48,7 +47,7 @@ class ReconfigResult:
 
     @property
     def sync_messages(self) -> int:
-        return self.messages.get("SyncMsg", 0) + self.messages.get("BaselineSyncMsg", 0)
+        return self.messages.get("SyncMsg", 0)
 
     @property
     def agreement_messages(self) -> int:
@@ -56,7 +55,7 @@ class ReconfigResult:
 
 
 def measure_reconfiguration(
-    endpoint_cls: Type[WvRfifoEndpoint],
+    endpoint_cls: Type[GcsEndpoint],
     *,
     group_size: int = 8,
     latency: Optional[LatencyModel] = None,
