@@ -191,10 +191,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 
 
 def _cmd_soak(args: argparse.Namespace) -> int:
-    from repro.chaos import SoakRunner
-
-    runner = SoakRunner(args.backend)
-    report = runner.soak(
+    report = ChaosRunner(args.backend).soak(
         args.seed,
         duration=args.duration,
         servers=args.servers,

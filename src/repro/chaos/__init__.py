@@ -31,7 +31,13 @@ from repro.chaos.faults import (
     FaultModel,
 )
 from repro.chaos.plan import OP_KINDS, ChaosOp, ChaosPlan, sanitise_ops
-from repro.chaos.runner import ChaosRunner, Episode
+from repro.chaos.runner import (
+    SOAK_ACK_GC_INTERVAL,
+    ChaosRunner,
+    Episode,
+    SoakReport,
+    default_resident_limit,
+)
 from repro.chaos.por import (
     canonical_ops,
     ops_commute,
@@ -39,13 +45,6 @@ from repro.chaos.por import (
     sends_membership_neutral,
 )
 from repro.chaos.shrink import ShrinkResult, shrink_plan
-from repro.chaos.soak import (
-    SOAK_ACK_GC_INTERVAL,
-    SoakReport,
-    SoakRunner,
-    default_resident_limit,
-    soak_matrix,
-)
 
 __all__ = [
     "OP_KINDS",
@@ -60,7 +59,6 @@ __all__ = [
     "SOAK_ACK_GC_INTERVAL",
     "ShrinkResult",
     "SoakReport",
-    "SoakRunner",
     "canonical_ops",
     "default_resident_limit",
     "ops_commute",
@@ -68,5 +66,4 @@ __all__ = [
     "schedule_key",
     "sends_membership_neutral",
     "shrink_plan",
-    "soak_matrix",
 ]

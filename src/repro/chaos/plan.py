@@ -33,7 +33,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from itertools import islice
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.chaos.faults import FaultModel
 from repro.types import ProcessId
@@ -286,6 +287,17 @@ class _ScheduleState:
         elif op.kind == "server_partition":
             self.server_partitioned = True
 
+    def random_ops(self, rng: random.Random) -> Iterator[ChaosOp]:
+        """The seeded op stream: endless enabled ops, each applied to this
+        state as it is drawn - so draw only an op that will be run."""
+        sent = 0
+        while True:
+            op = ChaosPlan._random_op(rng, self, sent)
+            if op.kind == "send":
+                sent += 1
+            self.apply(op)
+            yield op
+
     def closing_ops(self) -> List[ChaosOp]:
         """The suffix that returns the deployment to a stable full view."""
         ops: List[ChaosOp] = []
@@ -395,14 +407,7 @@ class ChaosPlan:
         overlay_leaders = max(0, min(overlay_leaders, len(processes)))
         servers = max(0, servers)
         state = _ScheduleState(processes, overlay_leaders, servers)
-        ops: List[ChaosOp] = []
-        sent = 0
-        for _ in range(length):
-            op = cls._random_op(rng, state, sent)
-            if op.kind == "send":
-                sent += 1
-            state.apply(op)
-            ops.append(op)
+        ops = list(islice(state.random_ops(rng), length))
         ops.extend(state.closing_ops())
         return cls(
             seed=seed,
@@ -412,6 +417,10 @@ class ChaosPlan:
             overlay_leaders=overlay_leaders,
             servers=servers,
         )
+
+    def schedule_state(self) -> _ScheduleState:
+        """The schedule state machine at the start of this plan's ops."""
+        return _ScheduleState(self.processes, self.overlay_leaders, self.servers)
 
     @staticmethod
     def _random_op(rng: random.Random, state: _ScheduleState, sent: int) -> ChaosOp:

@@ -48,6 +48,7 @@ from repro.checking.refinement import (
 from repro.checking.verdict import (
     SOUNDNESS,
     Verdict,
+    VerdictMonitor,
     Violation,
     run_verdict,
 )
@@ -75,6 +76,7 @@ __all__ = [
     "TraceSkeleton",
     "TransSetRefinementChecker",
     "Verdict",
+    "VerdictMonitor",
     "ViewEvent",
     "Violation",
     "WorldView",

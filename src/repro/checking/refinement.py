@@ -54,11 +54,39 @@ from repro.ioa import Action, Automaton, Composition
 from repro.spec.trans_set import TransSetSpec
 from repro.spec.vs_rfifo import FullSafetySpec, VsRfifoSpec
 from repro.spec.wv_rfifo import WvRfifoSpec
-from repro.types import ProcessId, View
+from repro.types import ProcessId, View, initial_view
 
 
 def _fail(message: str) -> None:
     raise RefinementViolation(message)
+
+
+def infer_set_cut(spec: Any, proc: ProcessId, view: View) -> None:
+    """Choose the unique enabling ``set_cut`` for ``proc``'s move to ``view``.
+
+    The first process to move from view v to view v' fixes the cut to the
+    last-delivered vector it realised; every later mover must match it
+    (Corollary 6.1 made operational).
+    """
+    old = spec.current_view[proc]
+    if (old, view) in spec.cut:
+        return
+    vector = frozendict({q: spec.last_dlvrd[(q, proc)] for q in spec.processes})
+    spec.apply(Action("set_cut", (old, view, vector)))
+
+
+def reset_recovered_process(spec: Any, proc: ProcessId) -> None:
+    """Section 8: a recovered end-point restarts from its initial state.
+
+    The spec mirrors the algorithm's reset (current view, delivery
+    indices, the initial-view send queue).  The verdict engine's
+    ``MonotonicityRule`` deliberately does not reset: the membership
+    watermarks survive crashes.
+    """
+    spec.current_view[proc] = initial_view(proc)
+    for q in spec.processes:
+        spec.last_dlvrd[(q, proc)] = 0
+    spec.msgs[proc].pop(initial_view(proc), None)
 
 
 class SafetyRefinementChecker:
@@ -91,12 +119,7 @@ class SafetyRefinementChecker:
         elif action.name == "view":
             p, view = action.params[0], action.params[1]
             if self._check_cuts:
-                old = self.spec.current_view[p]
-                if (old, view) not in self.spec.cut:
-                    vector = frozendict(
-                        {q: self.spec.last_dlvrd[(q, p)] for q in self.spec.processes}
-                    )
-                    self.spec.apply(Action("set_cut", (old, view, vector)))
+                infer_set_cut(self.spec, p, view)
             self.spec.apply(Action("view", (p, view, None)))
         # All other algorithm actions simulate the empty spec step.
 
@@ -184,8 +207,6 @@ class TransSetRefinementChecker:
         and has since moved on; the declaration legally belongs at any
         point where the spec still had ``current_view[q] == declared_view``.
         """
-        from repro.types import initial_view
-
         index = None
         for position, action in enumerate(self._script):
             if (

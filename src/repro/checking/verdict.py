@@ -16,7 +16,10 @@ prefix violates them, only the completed run does.
 
 Each rule is an incremental object fed ``(index, event)`` pairs; a rule
 retires at its first violation, so its reported witness is minimal by
-construction.  Violations are ordered by the deterministic key of
+construction.  :class:`VerdictMonitor` holds the rules open with a read
+cursor, so a live run is audited in one pass however often it is asked;
+:func:`run_verdict` is one monitor advanced once over a finished trace.
+Violations are ordered by the deterministic key of
 :func:`repro.checking.codes.violation_sort_key` and the verdict
 serialises to canonical JSON - two runs over the same trace are
 byte-identical.
@@ -34,7 +37,6 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
-from repro._collections import frozendict
 from repro.checking.codes import DEFAULT_CODES, REGISTRY, violation_sort_key
 from repro.checking.events import (
     CrashEvent,
@@ -48,7 +50,13 @@ from repro.checking.events import (
     SendEvent,
     ViewEvent,
 )
-from repro.checking.refinement import SkeletonBuilder, TraceSkeleton, skeleton_divergence
+from repro.checking.refinement import (
+    SkeletonBuilder,
+    TraceSkeleton,
+    infer_set_cut,
+    reset_recovered_process,
+    skeleton_divergence,
+)
 from repro.errors import ActionNotEnabled, SpecificationViolation
 from repro.ioa import Action
 from repro.spec.mbrshp import MbrshpSpec
@@ -374,7 +382,7 @@ class SpecRefinementRule(TraceRule):
                     Action("deliver", (event.proc, event.sender, event.payload))
                 )
             elif isinstance(event, ViewEvent):
-                infer_set_cut(self._spec, event)
+                infer_set_cut(self._spec, event.proc, event.view)
                 self._spec.apply(
                     Action("view", (event.proc, event.view, event.transitional))
                 )
@@ -561,42 +569,6 @@ class GoldenSkeletonRule(TraceRule):
 
 
 # ----------------------------------------------------------------------
-# Spec-replay helpers of SpecRefinementRule
-# ----------------------------------------------------------------------
-
-
-def reset_recovered_process(spec: Any, proc: ProcessId) -> None:
-    """Section 8: a recovered end-point restarts from its initial state.
-
-    The spec mirrors the algorithm's reset (current view, delivery
-    indices, the initial-view send queue).  Local Monotonicity of the
-    views the recovered process subsequently *delivers* is checked
-    separately by :class:`MonotonicityRule`, which deliberately does not
-    reset - the membership watermarks survive crashes.
-    """
-    spec.current_view[proc] = initial_view(proc)
-    for q in spec.processes:
-        spec.last_dlvrd[(q, proc)] = 0
-    spec.msgs[proc].pop(initial_view(proc), None)
-
-
-def infer_set_cut(spec: Any, event: ViewEvent) -> None:
-    """Choose the unique enabling ``set_cut`` for a pending view step.
-
-    The first process to move from view v to view v' fixes the cut to the
-    last-delivered vector it realised; every later mover must match it
-    (Corollary 6.1 made operational).
-    """
-    old = spec.current_view[event.proc]
-    if (old, event.view) in spec.cut:
-        return
-    vector = frozendict(
-        {q: spec.last_dlvrd[(q, event.proc)] for q in spec.processes}
-    )
-    spec.apply(Action("set_cut", (old, event.view, vector)))
-
-
-# ----------------------------------------------------------------------
 # The engine
 # ----------------------------------------------------------------------
 
@@ -643,6 +615,80 @@ def mbrshp_processes(
     return frozenset(procs)
 
 
+class VerdictMonitor:
+    """The verdict engine held open over a growing trace: the rules and a
+    read cursor.  Auditing a live run costs once per event, not once per
+    audit, and the trace's writers pay nothing (the monitor pulls).
+
+    ``trace`` is read at construction only to infer the process universe
+    when ``processes`` is None; an online caller must pass it.
+    """
+
+    def __init__(
+        self,
+        trace: GcsTrace,
+        processes: Optional[Iterable[ProcessId]] = None,
+        *,
+        final_view: Optional[View] = None,
+        golden: Optional[TraceSkeleton] = None,
+        include: Optional[Iterable[str]] = None,
+    ) -> None:
+        codes = list(include) if include is not None else list(DEFAULT_CODES)
+        if final_view is not None and "VS-LIVE" not in codes:
+            codes.append("VS-LIVE")
+        if golden is not None and "VS-SKEL" not in codes:
+            codes.append("VS-SKEL")
+        for code in codes:
+            info = REGISTRY.get(code)
+            if info is None:
+                raise ValueError(f"unknown violation code {code!r}")
+            if not info.trace_rule:
+                raise ValueError(f"{code} is a runtime finding, not a trace rule")
+        if "VS-LIVE" in codes and final_view is None:
+            raise ValueError("VS-LIVE requires final_view")
+        if "VS-SKEL" in codes and golden is None:
+            raise ValueError("VS-SKEL requires a golden skeleton")
+        self._codes = tuple(sorted(codes))
+        self.cursor = 0  # events fed so far
+        self._active = _build_rules(tuple(codes), trace, processes, final_view, golden)
+        self._violations: List[Violation] = []
+
+    def advance(self, trace: GcsTrace) -> "VerdictMonitor":
+        """Feed every event past the cursor; a rule retires at its first
+        violation, so its witness is minimal.  Returns the monitor."""
+        start, self.cursor = self.cursor, len(trace)
+        active = self._active
+        for index, event in enumerate(trace.events[start:], start):
+            if not active:
+                break
+            survivors = []
+            for rule in active:
+                violation = rule.feed(index, event)
+                if violation is None:
+                    survivors.append(rule)
+                else:
+                    self._violations.append(violation)  # the rule retires
+            active = survivors
+        self._active = active
+        return self
+
+    def verdict(self) -> Verdict:
+        """The verdict on the events read so far (end-of-run rules judge
+        the prefix as a completed run); rule state is left untouched."""
+        violations = list(self._violations)
+        for rule in self._active:
+            violation = rule.finish(self.cursor)
+            if violation is not None:
+                violations.append(violation)
+        violations.sort(key=lambda v: violation_sort_key(v.code, v.witness_index))
+        return Verdict(
+            status="PASS" if not violations else "FAIL",
+            events=self.cursor,
+            rules=self._codes,
+            violations=tuple(violations),
+        )
+
+
 def run_verdict(
     trace: GcsTrace,
     processes: Optional[Iterable[ProcessId]] = None,
@@ -659,48 +705,10 @@ def run_verdict(
     result is deterministically ordered and byte-stable under
     :meth:`Verdict.to_json`.
     """
-    codes = list(include) if include is not None else list(DEFAULT_CODES)
-    if final_view is not None and "VS-LIVE" not in codes:
-        codes.append("VS-LIVE")
-    if golden is not None and "VS-SKEL" not in codes:
-        codes.append("VS-SKEL")
-    for code in codes:
-        info = REGISTRY.get(code)
-        if info is None:
-            raise ValueError(f"unknown violation code {code!r}")
-        if not info.trace_rule:
-            raise ValueError(f"{code} is a runtime finding, not a trace rule")
-    if "VS-LIVE" in codes and final_view is None:
-        raise ValueError("VS-LIVE requires final_view")
-    if "VS-SKEL" in codes and golden is None:
-        raise ValueError("VS-SKEL requires a golden skeleton")
-
-    rules = _build_rules(tuple(codes), trace, processes, final_view, golden)
-    violations: List[Violation] = []
-    active = list(rules)
-    for index, event in enumerate(trace):
-        if not active:
-            break
-        survivors = []
-        for rule in active:
-            violation = rule.feed(index, event)
-            if violation is None:
-                survivors.append(rule)
-            else:
-                violations.append(violation)  # the rule retires: witness is minimal
-        active = survivors
-    for rule in active:
-        violation = rule.finish(len(trace))
-        if violation is not None:
-            violations.append(violation)
-
-    violations.sort(key=lambda v: violation_sort_key(v.code, v.witness_index))
-    return Verdict(
-        status="PASS" if not violations else "FAIL",
-        events=len(trace),
-        rules=tuple(sorted(codes)),
-        violations=tuple(violations),
+    monitor = VerdictMonitor(
+        trace, processes, final_view=final_view, golden=golden, include=include
     )
+    return monitor.advance(trace).verdict()
 
 
 __all__ = [
@@ -717,6 +725,7 @@ __all__ = [
     "TraceRule",
     "TransSetRule",
     "Verdict",
+    "VerdictMonitor",
     "VirtualSynchronyRule",
     "Violation",
     "run_verdict",

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict
 
-from repro.chaos import SoakReport, SoakRunner
+from repro.chaos import ChaosRunner, SoakReport
 from repro.experiments.chaos_sweep import ChaosSweepResult, chaos_sweep
 
 
@@ -75,6 +75,6 @@ def measure_server_soak(
     costs seconds of wall clock; on the runtimes it is wall time and
     callers should shorten it.
     """
-    return SoakRunner(substrate).soak(
+    return ChaosRunner(substrate).soak(
         seed, duration=duration, servers=servers, audit_every=audit_every
     )

@@ -93,12 +93,16 @@ class GcsNode(EndpointHost):
         return await asyncio.wait_for(self.events_queue.get(), timeout)
 
     async def wait_for_view(self, predicate: Callable[[View], bool], timeout: float = 5.0) -> ViewChange:
-        """Consume events until a view satisfying ``predicate`` arrives."""
+        """Consume events until a view satisfying ``predicate`` arrives;
+        ``asyncio.TimeoutError`` once ``timeout`` has passed, however many
+        other events keep arriving."""
         clock = asyncio.get_running_loop().time
         deadline = clock() + timeout
         while True:
             remaining = deadline - clock()
-            event = await asyncio.wait_for(self.events_queue.get(), max(0.01, remaining))
+            if remaining <= 0:
+                raise asyncio.TimeoutError
+            event = await asyncio.wait_for(self.events_queue.get(), remaining)
             if isinstance(event, ViewChange) and predicate(event.view):
                 return event
 

@@ -4,21 +4,17 @@ import json
 
 import pytest
 
-from repro.chaos import (
-    SoakReport,
-    SoakRunner,
-    default_resident_limit,
-    soak_matrix,
-)
+from repro.chaos import ChaosRunner, SoakReport, default_resident_limit
+from repro.checking import VerdictMonitor
 
 
 class TestParameters:
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="unknown backend"):
-            SoakRunner("carrier-pigeon")
+            ChaosRunner("carrier-pigeon")
 
     def test_invalid_knobs_rejected(self):
-        runner = SoakRunner("sim")
+        runner = ChaosRunner("sim")
         with pytest.raises(ValueError, match="duration"):
             runner.soak(1, duration=0.0)
         with pytest.raises(ValueError, match="audit_every"):
@@ -34,7 +30,7 @@ class TestParameters:
 
 class TestShortSoaks:
     def test_bounded_sim_soak_is_green(self):
-        report = SoakRunner("sim").soak(
+        report = ChaosRunner("sim").soak(
             11, duration=1e9, max_ops=40, audit_every=10, servers=3
         )
         assert report.ok, report.summary()
@@ -45,7 +41,7 @@ class TestShortSoaks:
         assert report.max_resident <= report.resident_limit
 
     def test_report_round_trips_to_json(self):
-        report = SoakRunner("sim").soak(
+        report = ChaosRunner("sim").soak(
             3, duration=1e9, max_ops=15, audit_every=5, servers=2
         )
         data = json.loads(json.dumps(report.to_dict()))
@@ -60,7 +56,7 @@ class TestShortSoaks:
     def test_residency_violation_is_reported_not_raised(self):
         # An impossible limit trips the memory assertion at the first
         # clean audit - the report carries the finding, nothing raises.
-        report = SoakRunner("sim").soak(
+        report = ChaosRunner("sim").soak(
             11, duration=1e9, max_ops=40, audit_every=10, servers=0,
             resident_limit=-1,
         )
@@ -69,7 +65,7 @@ class TestShortSoaks:
         assert "memory residency" in report.verdict.primary.message
 
     def test_residency_breach_is_coded_in_the_artifact(self):
-        report = SoakRunner("sim").soak(
+        report = ChaosRunner("sim").soak(
             11, duration=1e9, max_ops=40, audit_every=10, servers=0,
             resident_limit=0,
         )
@@ -88,6 +84,29 @@ class TestShortSoaks:
             "violation", "verdict",
         }
 
+    def test_audits_feed_every_event_exactly_once(self, monkeypatch):
+        # The soak's one monitor reads each audit's new events only: the
+        # [cursor before, cursor after) intervals tile [0, events).
+        intervals = []
+        advance = VerdictMonitor.advance
+
+        def recording(monitor, trace):
+            before = monitor.cursor
+            advance(monitor, trace)
+            intervals.append((before, monitor.cursor))
+            return monitor
+
+        monkeypatch.setattr(VerdictMonitor, "advance", recording)
+        report = ChaosRunner("sim").soak(
+            11, duration=1e9, max_ops=40, audit_every=10, servers=3
+        )
+        assert report.ok, report.summary()
+        assert len(intervals) == report.audits >= 4
+        starts = [start for start, _end in intervals]
+        ends = [end for _start, end in intervals]
+        assert starts == [0] + ends[:-1]
+        assert ends[-1] == report.events > 0
+
     def test_runtimes_observe_residency_without_enforcing(self):
         report = SoakReport(backend="async", seed=1, servers=0, duration=1.0)
         assert report.resident_limit is None  # default: observe-only
@@ -100,7 +119,7 @@ class TestLongSoaks:
         # Acceptance: >= 1 simulated hour under server churn, green
         # verdicts throughout and bounded endpoint memory at every
         # clean audit point.
-        report = SoakRunner("sim").soak(42, duration=3600.0, servers=3)
+        report = ChaosRunner("sim").soak(42, duration=3600.0, servers=3)
         assert report.ok, report.summary()
         assert report.elapsed >= 3600.0
         assert report.audits >= 2
@@ -108,10 +127,7 @@ class TestLongSoaks:
 
     @pytest.mark.parametrize("backend", ["async", "tcp"])
     def test_runtime_soak_is_green(self, backend):
-        reports = soak_matrix(
-            [7], backends=(backend,), duration=5.0, servers=3, audit_every=20
-        )
-        (report,) = reports
+        report = ChaosRunner(backend).soak(7, duration=5.0, servers=3, audit_every=20)
         assert report.ok, report.summary()
         assert report.elapsed >= 5.0
         assert report.audits >= 1

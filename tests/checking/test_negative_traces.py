@@ -15,6 +15,7 @@ battery to the registry, so adding a code without a negative trace
 fails the suite.
 """
 
+import random
 from dataclasses import replace
 
 import pytest
@@ -25,6 +26,7 @@ from repro.checking import (
     DeliverEvent,
     GcsTrace,
     MbrshpViewEvent,
+    VerdictMonitor,
     ViewEvent,
     extract_skeleton,
     run_verdict,
@@ -165,6 +167,58 @@ def test_forged_verdicts_are_byte_identical_across_runs(code, good_trace):
         for _ in range(2)
     ]
     assert runs[0] == runs[1]
+
+
+# ----------------------------------------------------------------------
+# Online equals batch: the held-open monitor over the same battery
+# ----------------------------------------------------------------------
+
+
+def _forged_with_options(code, good_trace):
+    """The forged trace of ``code`` and the verdict options it needs."""
+    forgery = FORGERIES[code]
+    forged = forgery.apply(good_trace)
+    options = dict(
+        final_view=forged.final_view if forgery.needs_final_view else None,
+        golden=extract_skeleton(good_trace) if forgery.needs_golden else None,
+    )
+    return forged.trace, options
+
+
+@pytest.mark.parametrize("code", sorted(FORGERIES))
+def test_monitor_fed_in_random_chunks_equals_the_batch_verdict(code, good_trace):
+    """A monitor advanced over a growing trace in seeded random chunks -
+    empty ones included, a verdict read between chunks - ends
+    byte-identical to one batch pass."""
+    forged, options = _forged_with_options(code, good_trace)
+    rng = random.Random(code)
+    growing = GcsTrace()
+    monitor = VerdictMonitor(growing, list(PROCS), **options)
+    while len(growing) < len(forged):
+        start = len(growing)
+        for event in forged.events[start : start + rng.randint(0, 9)]:
+            growing.append(event)
+        monitor.advance(growing).verdict()
+        assert monitor.advance(growing).cursor == len(growing)  # an empty chunk
+    batch = run_verdict(forged, list(PROCS), **options)
+    assert monitor.verdict().to_json() == batch.to_json()
+
+
+@pytest.mark.parametrize("code", sorted(FORGERIES))
+def test_monitor_verdict_is_a_read(code, good_trace):
+    """Asking twice, or advancing after asking, changes no rule: the
+    prefix verdict is the prefix's batch verdict, the final the trace's."""
+    forged, options = _forged_with_options(code, good_trace)
+    prefix = GcsTrace(forged.events[: len(forged) // 2])
+    monitor = VerdictMonitor(prefix, list(PROCS), **options).advance(prefix)
+    partial = run_verdict(GcsTrace(prefix), list(PROCS), **options).to_json()
+    assert monitor.verdict().to_json() == partial
+    assert monitor.verdict().to_json() == partial
+    for event in forged.events[len(prefix) :]:
+        prefix.append(event)
+    batch = run_verdict(forged, list(PROCS), **options).to_json()
+    assert monitor.advance(prefix).verdict().to_json() == batch
+    assert monitor.verdict().to_json() == batch
 
 
 # ----------------------------------------------------------------------

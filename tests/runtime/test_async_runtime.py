@@ -7,7 +7,7 @@ import pytest
 from repro.checking import SAFETY_CODES, run_verdict
 from repro.runtime import AsyncDeployment, Delivery, ViewChange
 
-from tests.runtime.conftest import drain_events, payloads
+from tests.runtime.conftest import drain_events, fail_after, payloads
 
 
 def test_cluster_initial_view_and_multicast(on_fabrics):
@@ -110,6 +110,33 @@ def test_next_event_timeout(on_fabrics):
                 await a.next_event(timeout=0.05)
 
     on_fabrics(scenario)
+
+
+def test_wait_for_view_times_out_under_traffic(on_fabrics):
+    # Non-matching events keep arriving every 2 ms; the deadline must
+    # still hold instead of granting each event a fresh wait.
+    async def scenario(make_cluster):
+        async with make_cluster() as cluster:
+            a, _b = await cluster.add_nodes(["a", "b"])
+            await cluster.start()
+
+            async def chatter():
+                while True:
+                    a.events_queue.put_nowait(Delivery("b", "noise"))
+                    await asyncio.sleep(0.002)
+
+            clock = asyncio.get_running_loop().time
+            feeder = asyncio.ensure_future(chatter())
+            started = clock()
+            try:
+                with pytest.raises(asyncio.TimeoutError):
+                    await a.wait_for_view(lambda view: False, timeout=0.2)
+            finally:
+                feeder.cancel()
+            assert clock() - started < 2.0
+
+    with fail_after(10.0):
+        on_fabrics(scenario)
 
 
 def test_duplicate_node_rejected(on_fabrics):
