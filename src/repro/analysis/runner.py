@@ -25,6 +25,7 @@ DEFAULT_DET_SCOPE: Tuple[str, ...] = (
     "repro.scale",
     "repro.apps",
     "repro.checking.verdict",
+    "repro.wire",
 )
 
 # The fast-lane module rule R6 pins against its replay claims.

@@ -47,7 +47,7 @@ class DuplicateCopy:
     def __init__(self, message: Any) -> None:
         self.message = message
 
-    def __reduce__(self):  # picklable for the TCP framing path
+    def __reduce__(self):  # picklable like every wire type; sockets use repro.wire
         return (DuplicateCopy, (self.message,))
 
     def __repr__(self) -> str:

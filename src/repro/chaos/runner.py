@@ -11,7 +11,9 @@ episode is reported as a violation too - under a *masked* fault model
 protocol has no excuse to stall, so a stall is as much a finding as a
 broken property, and the raised
 :class:`~repro.errors.SettleTimeoutError` carries the pending fault
-schedule for diagnosis.
+schedule for diagnosis.  So is a frame the socket codec refused
+(``RUN-FRAME``): the link core counts it, and it is reported ahead of
+any stall it caused.
 
 An episode is a dozen operations and one final audit; the failure modes
 that need *time* (unbounded buffer growth, watermark drift after many
@@ -40,7 +42,7 @@ import asyncio
 import random
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Any, Awaitable, Callable, Dict, Optional, Tuple, Type
+from typing import Any, Awaitable, Callable, Dict, Mapping, Optional, Tuple, Type
 
 from repro.chaos.faults import FaultInjector
 from repro.chaos.plan import ChaosOp, ChaosPlan
@@ -59,6 +61,12 @@ SOAK_ACK_GC_INTERVAL = 16
 def stall_verdict(exc: SettleTimeoutError) -> Verdict:
     """A settle timeout as a finding: one ``RUN-STALL`` violation."""
     return Verdict.runtime("RUN-STALL", f"settle timeout: {exc}")
+
+
+def frame_verdict(frame_errors: Mapping[str, int]) -> Verdict:
+    """Frames the socket codec refused, as a finding: one ``RUN-FRAME``."""
+    counted = ", ".join(f"{reason}: {n}" for reason, n in sorted(frame_errors.items()))
+    return Verdict.runtime("RUN-FRAME", f"frame errors: {counted}")
 
 
 def backend_class(backend: str) -> Type[Any]:
@@ -100,9 +108,9 @@ class Episode:
 
     plan: ChaosPlan
     backend: str
-    verdict: Verdict  # the trace audit, or one RUN-STALL finding
+    verdict: Verdict  # the trace audit, or one RUN-STALL / RUN-FRAME finding
     counters: Dict[str, int] = field(default_factory=dict)  # injected faults
-    trace: Optional[GcsTrace] = None  # absent when the episode stalled
+    trace: Optional[GcsTrace] = None  # absent on a RUN-STALL / RUN-FRAME finding
     link_totals: Dict[str, int] = field(default_factory=dict)  # per-kind wire counters
 
     @property
@@ -143,8 +151,8 @@ class SoakReport:
     max_resident: int = 0  # peak buffered messages at any clean audit
     resident_limit: Optional[int] = None  # enforced bound (None: observed only)
     counters: Dict[str, int] = field(default_factory=dict)  # injected faults
-    # The latest audit: a trace verdict, or one RUN-STALL / RUN-RESIDENCY
-    # finding - whichever stopped the soak.
+    # The latest audit: a trace verdict, or one RUN-STALL / RUN-FRAME /
+    # RUN-RESIDENCY finding - whichever stopped the soak.
     verdict: Optional[Verdict] = None
 
     @property
@@ -208,9 +216,9 @@ class ChaosRunner:
 
     def run(self, plan: ChaosPlan) -> Episode:
         """Execute ``plan`` once; never raises on a violation, reports it."""
-        deployment, stall, counters = self._drive(plan, partial(self._execute, plan))
-        if stall is not None:
-            return Episode(plan, self.backend, stall, counters)
+        deployment, finding, counters = self._drive(plan, partial(self._execute, plan))
+        if finding is not None:
+            return Episode(plan, self.backend, finding, counters)
         trace = deployment.trace
         if self.mutate_trace is not None:
             trace = self.mutate_trace(trace)
@@ -270,9 +278,9 @@ class ChaosRunner:
         # traffic would be measured against unbounded retention.
         options = {"ack_gc_interval": SOAK_ACK_GC_INTERVAL} if self.backend == "sim" else {}
         body = partial(self._soak, report, plan, audit_every, max_ops)
-        _deployment, stall, report.counters = self._drive(plan, body, **options)
-        if stall is not None:
-            report.verdict = stall
+        _deployment, finding, report.counters = self._drive(plan, body, **options)
+        if finding is not None:
+            report.verdict = finding
         return report
 
     # ------------------------------------------------------------------
@@ -286,23 +294,29 @@ class ChaosRunner:
         **options: Any,
     ) -> Tuple[Any, Optional[Verdict], Dict[str, int]]:
         """Run ``body`` on a fresh deployment of ``plan``'s processes under
-        its fault model: ``(deployment, stall, injected-fault counters)``.
+        its fault model: ``(deployment, finding, injected-fault counters)``.
 
         A settle timeout anywhere ends the run as one ``RUN-STALL``
-        verdict, and the deployment is then None.
+        verdict, and a frame the socket codec refused (counted on the
+        link core) as one ``RUN-FRAME`` - ahead of any stall it caused;
+        with a finding the deployment is None.
         """
         injector = FaultInjector(plan.faults, time_scale=self.time_scale)
 
-        async def drive() -> Any:
+        async def drive() -> Tuple[Any, Optional[Verdict]]:
+            stall = None
             async with deploy_for(self.backend, injector, plan.servers, **options) as deployment:
-                await deployment.setup(list(plan.processes))
-                await body(deployment, injector)
-            return deployment
+                try:
+                    await deployment.setup(list(plan.processes))
+                    await body(deployment, injector)
+                except SettleTimeoutError as exc:
+                    stall = stall_verdict(exc)
+            if deployment.links.frame_errors:
+                return None, frame_verdict(deployment.links.frame_errors)
+            return (None, stall) if stall is not None else (deployment, None)
 
-        try:
-            return asyncio.run(drive()), None, injector.snapshot()
-        except SettleTimeoutError as exc:
-            return None, stall_verdict(exc), injector.snapshot()
+        deployment, finding = asyncio.run(drive())
+        return deployment, finding, injector.snapshot()
 
     async def _execute(self, plan: ChaosPlan, deployment: Any, injector: FaultInjector) -> None:
         if plan.overlay_leaders:
@@ -435,5 +449,6 @@ __all__ = [
     "backend_class",
     "default_resident_limit",
     "deploy_for",
+    "frame_verdict",
     "stall_verdict",
 ]

@@ -153,6 +153,14 @@ REGISTRY: Dict[str, CodeInfo] = {
             trace_rule=False,
         ),
         CodeInfo(
+            "RUN-FRAME",
+            "runtime",
+            "A socket frame could not be encoded or decoded (counted, connection closed)",
+            "Figure 3 (CO_RFIFO over a real byte stream)",
+            "n/a (runtime finding, not a trace rule)",
+            trace_rule=False,
+        ),
+        CodeInfo(
             "RUN-RESIDENCY",
             "runtime",
             "Buffered messages at a clean soak audit exceed the residency limit",

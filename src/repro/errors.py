@@ -77,6 +77,21 @@ class TransportError(ReproError):
     """A transport-layer failure in the runtime or simulator."""
 
 
+class FrameError(TransportError):
+    """Bytes that are not a frame of the wire format (:mod:`repro.wire`).
+
+    ``reason`` is one short stable word - ``truncated``, ``oversized``,
+    ``version``, ``hello``, ``tag``, ``intern``, ``utf8``, ``trailing``,
+    ``value`` or ``depth`` - which the link core counts a refused frame
+    by (``LinkCore.frame_errors``).  The encoder raises it for a frame
+    over the size limit; the decoder raises nothing else.
+    """
+
+    def __init__(self, reason: str, detail: str = "") -> None:
+        super().__init__(f"{reason}: {detail}" if detail else reason)
+        self.reason = reason
+
+
 class SettleTimeoutError(ReproError):
     """A deployment failed to reach the awaited state within its timeout.
 

@@ -3,7 +3,7 @@
 Real virtual-synchrony stacks get their steady-state throughput from
 coalescing: many small application messages travelling one ordered link
 at (nearly) the same moment share one carrier - one kernel syscall, one
-pickle, one scheduler event - instead of paying the per-message fixed
+encode, one scheduler event - instead of paying the per-message fixed
 cost each time.  :class:`MessageBatch` is that carrier, stated once so
 all three substrates ship the same object:
 
@@ -11,8 +11,9 @@ all three substrates ship the same object:
   link under a single scheduled event;
 * the asyncio hub appends to the open tail entry of a destination's
   inbox queue;
-* the TCP transport frames one batch as one length-prefixed pickle
-  (``encode_batch``/``read_frame`` in :mod:`repro.runtime.tcp`).
+* the TCP transport frames one batch as one length-prefixed
+  :mod:`repro.wire` record (``encode_batch``/``read_frame`` in
+  :mod:`repro.runtime.tcp`).
 
 Batching never changes link semantics: the copies inside a batch keep
 their channel order (per-link FIFO holds *across* batch boundaries),
@@ -55,8 +56,9 @@ class MessageBatch:
         return iter(self.copies)
 
     def __reduce__(self):
-        # Tuple-based pickling: one cheap constructor call on the TCP
-        # receive path instead of the generic slotted-class protocol.
+        # Tuple-based pickling: one constructor call instead of the
+        # generic slotted-class protocol.  Sockets frame a batch with
+        # repro.wire, not pickle.
         return (MessageBatch, (self.copies,))
 
     def __eq__(self, other: object) -> bool:

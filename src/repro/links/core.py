@@ -30,7 +30,10 @@ A ``LinkCore`` owns, for one deployment's fabric:
   copies :meth:`outbound` admitted that no :meth:`inbound_batch`,
   :meth:`bounced` or :meth:`lost` has resolved yet, so "nothing in
   transit" is one exact number on every substrate; listeners registered
-  with :meth:`on_idle` hear each return to zero.
+  with :meth:`on_idle` hear each return to zero;
+* the **frame-error count** - :attr:`LinkCore.frame_errors` tallies, by
+  reason, the frames a socket codec refused to encode or decode
+  (:mod:`repro.wire`), which a chaos run reports as ``RUN-FRAME``.
 
 The substrates keep only *scheduling and IO*: the simulator its event
 queue and bounce-on-cut flush, the hub its asyncio pumps, the TCP
@@ -177,6 +180,9 @@ class LinkCore:
         # statistic - reset_counters() leaves it alone.
         self.in_flight = 0
         self._idle_listeners: List[Callable[[], None]] = []
+        # Frames the socket codec refused, by FrameError reason: findings,
+        # not statistics - reset_counters() leaves them alone too.
+        self.frame_errors: Counter = Counter()
 
     # ------------------------------------------------------------------
     # registration
@@ -381,14 +387,20 @@ class LinkCore:
         """Call ``listener`` whenever :attr:`in_flight` returns to zero."""
         self._idle_listeners.append(listener)
 
+    def frame_error(self, reason: str) -> None:
+        """Count a frame the socket codec refused to encode or decode
+        (a :class:`~repro.errors.FrameError` reason, or ``unencodable``)."""
+        self.frame_errors[reason] += 1
+
     def describe_stall(self, backlog: int = 0) -> str:
         """What a stalled settle reports, on every substrate: the ledger
         (plus the ``backlog`` of sends a driver holds until it has
         admitted them), then the busiest tier links and the busiest
         links overall."""
         held = f", backlog: {backlog}" if backlog else ""
+        refused = f", frame errors: {dict(self.frame_errors)}" if self.frame_errors else ""
         return (
-            f"wire copies in flight: {self.in_flight}{held}; "
+            f"wire copies in flight: {self.in_flight}{held}{refused}; "
             f"{self.stats.describe_tier_links()}; "
             f"busiest links: {self.stats.describe_links()}"
         )

@@ -63,6 +63,11 @@ class Fabric(TierLink, Protocol):
 
     core: LinkCore
 
+    def check_payload(self, payload: Any) -> None:
+        """Raise ``TypeError`` (or ``ValueError``) for an application
+        payload this fabric cannot carry."""
+        ...  # pragma: no cover - protocol
+
     async def quiesce(self) -> None:
         """Return once ``core.in_flight`` - plus whatever the fabric holds
         before admitting it - is zero; raise

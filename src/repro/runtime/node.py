@@ -82,7 +82,11 @@ class GcsNode(EndpointHost):
 
     async def send(self, payload: Any) -> None:
         """Multicast ``payload`` to the current view (waits while blocked;
-        raises :class:`~repro.errors.CrashedError` if the node crashes)."""
+        raises :class:`~repro.errors.CrashedError` if the node crashes,
+        and ``TypeError`` for a payload the fabric cannot carry)."""
+        # Before the end-point delivers it to itself and indexes it: a
+        # payload the fabric fails to frame later would leave a gap.
+        self.fabric.check_payload(payload)
         while self.runner.blocked and not self.endpoint.crashed:
             await self._unblocked.wait()
         self.runner.app_send(payload)

@@ -3,8 +3,8 @@
 ``TcpTransport`` is the socket *driver* over the unified
 :class:`~repro.links.LinkCore`: it gives a GCS node a real network face
 - it listens on a local endpoint, opens connections to peers lazily,
-and frames pickled wire messages with a 4-byte big-endian length prefix
-- while all link semantics (the partition/reachability matrix, fault
+and frames wire messages in the :mod:`repro.wire` format - while all
+link semantics (the partition/reachability matrix, fault
 application, receiver-side deduplication, message counters) live in
 the core.  TCP supplies the FIFO, gap-free
 delivery CO_RFIFO requires per connection; a broken connection
@@ -27,61 +27,90 @@ failed write declares it ``lost``.  :meth:`TcpFabric.quiesce` waits for
 that ledger and the outbox backlog to reach zero together - counted,
 with no wall-clock window deciding that the fabric is idle.
 
-Security note: frames are deserialised with :mod:`pickle`, so this
-transport must only be used among mutually trusted processes (it is meant
-for the examples and tests of this reproduction, not a hostile WAN).
+Wire format: every frame is a 4-byte big-endian body length followed by
+one :mod:`repro.wire` record - a closed, versioned, struct-packed schema
+of the fabric's message types and plain values, decoded only into those
+types.  Each outbound connection owns one
+:class:`~repro.wire.FrameEncoder` and each accepted connection one
+:class:`~repro.wire.FrameDecoder`; the two keep the same tables, so the
+sender's pid and the format version travel once per connection and a
+view travels whole once, then as a two-byte id.  An application payload
+outside the wire value set is refused where it is sent
+(:meth:`TcpFabric.check_payload`, a ``TypeError`` to the caller),
+before its sender delivers and indexes it.  A message the encoder still
+cannot frame - one past the size limit - is counted on the core
+(``LinkCore.frame_errors``) and it and the rest of its run are
+``lost``; the connection carries on, and the sender's pump with it.
+Past the size limit a peer's stream therefore has a gap on a live link,
+which a chaos episode reports as ``RUN-FRAME``.  Bytes that are not a
+frame end in a counted :class:`~repro.errors.FrameError` and a closed
+connection, never in a traceback.  Between two transports of one build
+a decode failure would be a codec bug: the copies still on that
+connection cannot be accounted, so a settle then times out, and a chaos
+episode reports the frame error (``RUN-FRAME``) as its finding.
 """
 
 from __future__ import annotations
 
 import asyncio
-import pickle
 import socket
-import struct
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.chaos.faults import FaultInjector
-from repro.errors import TransportError
+from repro.errors import FrameError
 from repro.links import BatchAccumulator, LinkCore, MessageBatch
 from repro.runtime.settle import await_quiescent
 from repro.types import ProcessId
+from repro.wire import HEADER, FrameDecoder, FrameEncoder, body_length, check_payload
 
 Handler = Callable[[ProcessId, Any], None]
 
-_LENGTH = struct.Struct(">I")
-_MAX_FRAME = 64 * 1024 * 1024
+#: What a failed encode raises: a value outside the schema (``TypeError``
+#: / ``ValueError``) or a frame past the size limit (``FrameError``).
+_UNFRAMEABLE = (FrameError, TypeError, ValueError)
 
 
-def encode_frame(pid: ProcessId, message: Any) -> bytes:
-    body = pickle.dumps((pid, message), protocol=pickle.HIGHEST_PROTOCOL)
-    if len(body) > _MAX_FRAME:
-        raise TransportError(f"frame of {len(body)} bytes exceeds limit")
-    return _LENGTH.pack(len(body)) + body
+def encode_frame(pid: ProcessId, message: Any, encoder: Optional[FrameEncoder] = None) -> bytes:
+    """``message`` from ``pid`` as one length-prefixed frame.
+
+    With a connection's ``encoder`` the frame leans on what that
+    connection already carried; without one it is self-contained, and
+    :func:`read_frame` without a decoder reads it on its own.
+    """
+    if encoder is None:
+        encoder = FrameEncoder(pid)
+    return encoder.frame(message)
 
 
-def encode_batch(pid: ProcessId, copies: Iterable[Any]) -> bytes:
-    """Frame a run of wire copies as one length-prefixed pickle.
+def encode_batch(
+    pid: ProcessId, copies: Iterable[Any], encoder: Optional[FrameEncoder] = None
+) -> bytes:
+    """Frame a run of wire copies as one length-prefixed frame.
 
-    A batch is one frame - one ``pickle.dumps``, one socket write - and
-    therefore atomic on the wire: the receiver either reads the whole
-    run (and unpacks it through
-    :meth:`~repro.links.LinkCore.inbound_batch`) or none of it.  A
-    single-copy run degenerates to the plain :func:`encode_frame`
-    format, so mixed traffic needs no protocol negotiation.
+    A batch is one frame - one encode, one socket write - and therefore
+    atomic on the wire: the receiver either reads the whole run (and
+    unpacks it through :meth:`~repro.links.LinkCore.inbound_batch`) or
+    none of it.  A single-copy run degenerates to the plain
+    :func:`encode_frame` format, so mixed traffic needs no protocol
+    negotiation.
     """
     copies = tuple(copies)
     if len(copies) == 1:
-        return encode_frame(pid, copies[0])
-    return encode_frame(pid, MessageBatch(copies))
+        return encode_frame(pid, copies[0], encoder)
+    return encode_frame(pid, MessageBatch(copies), encoder)
 
 
-async def read_frame(reader: asyncio.StreamReader) -> Tuple[ProcessId, Any]:
-    header = await reader.readexactly(_LENGTH.size)
-    (length,) = _LENGTH.unpack(header)
-    if length > _MAX_FRAME:
-        raise TransportError(f"frame of {length} bytes exceeds limit")
-    body = await reader.readexactly(length)
-    return pickle.loads(body)
+async def read_frame(
+    reader: asyncio.StreamReader, decoder: Optional[FrameDecoder] = None
+) -> Tuple[ProcessId, Any]:
+    """The next ``(sender pid, wire)`` on a connection; :class:`FrameError`
+    for bytes that are not a frame.  Without the connection's ``decoder``
+    the frame must be self-contained."""
+    if decoder is None:
+        decoder = FrameDecoder()
+    header = await reader.readexactly(HEADER.size)
+    body = await reader.readexactly(body_length(header))
+    return decoder.decode(body)
 
 
 def _copies(wire: Any) -> Tuple[Any, ...]:
@@ -116,7 +145,9 @@ class TcpTransport:
         self.core.ensure(pid)
         self.peers: Dict[ProcessId, Tuple[str, int]] = {}
         self._server: Optional[asyncio.AbstractServer] = None
-        self._writers: Dict[ProcessId, asyncio.StreamWriter] = {}
+        # Per peer: the outbound socket and the encoder whose tables the
+        # peer's decoder for that socket mirrors.
+        self._connections: Dict[ProcessId, Tuple[asyncio.StreamWriter, FrameEncoder]] = {}
         self._reader_tasks: list = []
         self._closed = False
 
@@ -135,9 +166,9 @@ class TcpTransport:
 
     async def close(self) -> None:
         self._closed = True
-        for writer in self._writers.values():
+        for writer, _encoder in self._connections.values():
             writer.close()
-        self._writers.clear()
+        self._connections.clear()
         for task in self._reader_tasks:
             task.cancel()
         await asyncio.gather(*self._reader_tasks, return_exceptions=True)
@@ -160,8 +191,11 @@ class TcpTransport:
         Every message runs through the core's fault pipeline
         individually (drops, duplicates, and counters stay per-message),
         but consecutive zero-delay wire copies towards one destination
-        share one :func:`encode_batch` frame: one pickle, one syscall,
-        whatever the run length.
+        share one :func:`encode_batch` frame: one encode, one syscall,
+        whatever the run length.  A carrier the codec cannot frame is
+        counted as a frame error, and it and the rest of the run are
+        ``lost``; the connection carries on.  Only the encode is guarded
+        so: a transport call raising anything else is not a frame error.
         """
         messages = list(messages)
         if not messages:
@@ -173,9 +207,10 @@ class TcpTransport:
             # leak real connections across the emulated split.
             if dst == self.pid or not self.core.connected(self.pid, dst):
                 continue
-            writer = await self._writer_to(dst)
-            if writer is None:
+            connection = await self._connection_to(dst)
+            if connection is None:
                 continue  # unreachable: a suffix is lost, as CO_RFIFO allows
+            writer, encoder = connection
             batch = BatchAccumulator(self.core, self.pid)
             for message in messages:
                 batch.add(dst, message)
@@ -187,32 +222,43 @@ class TcpTransport:
                         # Loss penalty / jitter: hold the frame back.  TCP's
                         # own FIFO keeps the per-connection order intact.
                         await asyncio.sleep(extra)
-                    writer.write(encode_batch(self.pid, _copies(wire)))
+                    try:
+                        frame = encode_batch(self.pid, _copies(wire), encoder)
+                    except _UNFRAMEABLE as exc:
+                        self.core.frame_error(
+                            exc.reason if isinstance(exc, FrameError) else "unencodable"
+                        )
+                        break
+                    writer.write(frame)
                     written += 1
                 await writer.drain()
             except (ConnectionError, OSError):
-                self._drop_writer(dst)
-                unwritten = [copy for wire, _ in carriers[written:] for copy in _copies(wire)]
-                self.core.lost(self.pid, dst, unwritten)
+                self._drop_connection(dst)
+            if written < len(carriers):
+                # The copies that never reached the wire.
+                unwritten = carriers[written:]
+                self.core.lost(self.pid, dst, [c for wire, _ in unwritten for c in _copies(wire)])
 
-    async def _writer_to(self, dst: ProcessId) -> Optional[asyncio.StreamWriter]:
-        writer = self._writers.get(dst)
-        if writer is not None and not writer.is_closing():
-            return writer
+    async def _connection_to(
+        self, dst: ProcessId
+    ) -> Optional[Tuple[asyncio.StreamWriter, FrameEncoder]]:
+        connection = self._connections.get(dst)
+        if connection is not None and not connection[0].is_closing():
+            return connection
         address = self.peers.get(dst)
         if address is None:
             return None
         try:
-            reader, writer = await asyncio.open_connection(*address)
+            _reader, writer = await asyncio.open_connection(*address)
         except (ConnectionError, OSError):
             return None
-        self._writers[dst] = writer
-        return writer
+        connection = self._connections[dst] = (writer, FrameEncoder(self.pid))
+        return connection
 
-    def _drop_writer(self, dst: ProcessId) -> None:
-        writer = self._writers.pop(dst, None)
-        if writer is not None:
-            writer.close()
+    def _drop_connection(self, dst: ProcessId) -> None:
+        connection = self._connections.pop(dst, None)
+        if connection is not None:
+            connection[0].close()
 
     # ------------------------------------------------------------------
     # receiving
@@ -222,9 +268,10 @@ class TcpTransport:
         task = asyncio.current_task()
         if task is not None:
             self._reader_tasks.append(task)
+        decoder = FrameDecoder()
         try:
             while not self._closed:
-                src, wire = await read_frame(reader)
+                src, wire = await read_frame(reader, decoder)
                 # Every frame is a carrier - a single copy is a batch of
                 # one.  The core drops a frame that crossed a partition
                 # cut whole (kernel buffers can hold it past the split),
@@ -234,6 +281,10 @@ class TcpTransport:
                     src, self.pid, _copies(wire), check_topology=True
                 ):
                     self.handler(src, payload)
+        except FrameError as exc:
+            # Not a frame of this format: count it and hang up; the
+            # decoder's tables can no longer be trusted.
+            self.core.frame_error(exc.reason)
         except (asyncio.IncompleteReadError, ConnectionError, OSError):
             pass  # peer went away: CO_RFIFO may lose the suffix
         except asyncio.CancelledError:
@@ -278,6 +329,10 @@ class TcpFabric:
         self.addresses[pid] = (transport.host, transport.port)
         self._pumps[pid] = asyncio.get_running_loop().create_task(self._pump(pid))
 
+    # A payload outside the wire value set is a TypeError at the sender,
+    # before it is indexed, never a frame error after.
+    check_payload = staticmethod(check_payload)
+
     def send(self, src: ProcessId, targets: Iterable[ProcessId], message: Any) -> None:
         self._backlog += 1
         self._outboxes[src].put_nowait((targets, message))
@@ -291,7 +346,7 @@ class TcpFabric:
             run = [message]
             # Coalesce the backlog: consecutive outbox entries towards the
             # same target set leave as one batched frame per destination
-            # (send_many), instead of one pickle+write per message.  Queue
+            # (send_many), instead of one encode+write per message.  Queue
             # order is preserved, so per-connection FIFO is untouched.
             while True:
                 try:

@@ -82,6 +82,9 @@ class AsyncHub:
 
     register = attach  # the hub's own name for it, which its bare drivers use
 
+    def check_payload(self, payload: Any) -> None:
+        """Accept any payload: the hub passes objects and never frames them."""
+
     # ------------------------------------------------------------------
     # transmission
     # ------------------------------------------------------------------

@@ -13,6 +13,8 @@ def test_fastpath_is_in_determinism_scope():
     # it must stay under the R4 determinism rule like the engine itself.
     assert _in_scope("repro.core.fastpath", DEFAULT_DET_SCOPE)
     assert _in_scope("repro.links.batch", DEFAULT_DET_SCOPE)
+    # The wire codec decides the bytes every socket frame carries.
+    assert _in_scope("repro.wire", DEFAULT_DET_SCOPE)
 
 
 def test_repo_coverage(repo_report):

@@ -9,7 +9,7 @@ import json
 
 import pytest
 
-from repro.chaos import ChaosPlan, ChaosRunner, shrink_plan
+from repro.chaos import ChaosOp, ChaosPlan, ChaosRunner, FaultModel, shrink_plan
 from repro.checking.forge import FORGERIES, as_mutator
 from repro.experiments import chaos_sweep
 
@@ -122,6 +122,40 @@ class TestStall:
         assert result is not None
         assert result.code == "RUN-STALL" and result.witness_index is None
         assert json.loads(result.finding_json())["witness_index"] is None
+
+
+class TestFrameError:
+    """A frame the socket codec refused is a finding: one RUN-FRAME."""
+
+    def test_an_oversized_payload_on_tcp_holds_a_run_frame_verdict(self, monkeypatch):
+        from repro import wire
+
+        monkeypatch.setattr(wire, "MAX_FRAME", 1000)
+        plan = ChaosPlan(
+            seed=0,
+            processes=("a", "b"),
+            faults=FaultModel(),
+            ops=(ChaosOp("send", pid="a", payload="x" * 5000),),
+        )
+        episode = ChaosRunner("tcp").run(plan)
+        assert not episode.ok and episode.trace is None
+        primary = episode.verdict.primary
+        assert primary.code == episode.code == "RUN-FRAME"
+        assert primary.witness_index is None
+        assert primary.message == "frame errors: oversized: 1"
+
+    def test_a_frame_error_outranks_the_stall_it_caused(self, monkeypatch):
+        from repro.deploy import SimDeployment
+        from repro.errors import SettleTimeoutError
+
+        async def settle(self):
+            self.links.frame_error("truncated")
+            raise SettleTimeoutError("copies lost with the connection")
+
+        monkeypatch.setattr(SimDeployment, "settle", settle)
+        episode = ChaosRunner("sim").run(ChaosPlan.generate(3))
+        assert episode.code == "RUN-FRAME"
+        assert episode.verdict.primary.message == "frame errors: truncated: 1"
 
 
 @pytest.mark.slow

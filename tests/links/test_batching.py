@@ -19,6 +19,7 @@ they need no substrate.
 
 from __future__ import annotations
 
+import asyncio
 import pickle
 
 from tests.links.conftest import run_contract
@@ -31,7 +32,7 @@ from repro.links import (
     MessageBatch,
     coalesce_copies,
 )
-from repro.runtime.tcp import encode_batch, encode_frame
+from repro.runtime.tcp import encode_batch, encode_frame, read_frame
 
 
 def payloads(received):
@@ -218,8 +219,13 @@ def test_encode_batch_degenerates_to_plain_frame():
 
 def test_encode_batch_roundtrip():
     frame = encode_batch("a", ["x", "y", "z"])
-    # strip the 4-byte length prefix and unpickle the body directly
-    src, wire = pickle.loads(frame[4:])
+
+    async def read() -> tuple:
+        reader = asyncio.StreamReader()
+        reader.feed_data(frame)
+        return await read_frame(reader)
+
+    src, wire = asyncio.run(read())
     assert src == "a"
     assert isinstance(wire, MessageBatch)
     assert list(wire) == ["x", "y", "z"]

@@ -1,14 +1,17 @@
 """Tests for the TCP transport (loopback only)."""
 
 import asyncio
+import logging
 
 import pytest
 
+from repro import wire
 from repro.chaos.faults import FaultInjector, FaultModel
 from repro.core.messages import AppMsg, ViewMsg
 from repro.errors import TransportError
 from repro.runtime.tcp import TcpFabric, TcpTransport, encode_frame
 from repro.types import make_view
+from repro.wire import HEADER, FrameEncoder
 
 
 def run(coro):
@@ -103,14 +106,74 @@ def test_failed_write_resolves_the_unwritten_copies():
 
     async def scenario():
         client = TcpTransport("a", lambda src, m: None)
-        client._writers["b"] = BrokenWriter()
+        client._connections["b"] = (BrokenWriter(), FrameEncoder("a"))
         await client.send_many(["b"], ["m1", "m2"])
         assert client.core.in_flight == 0
         assert client.core.stats.bounced == {"str": 2}
-        assert "b" not in client._writers
+        assert "b" not in client._connections
         await client.close()
 
     run(scenario())
+
+
+def test_an_unframeable_message_does_not_stop_the_senders_pump(monkeypatch):
+    """A frame over the size limit, or a fabric message outside the
+    schema, is lost and counted; the pump carries on, so the next send is
+    delivered and the ledger settles.  (An application payload outside
+    the schema never gets here: ``GcsNode.send`` refuses it.)"""
+    monkeypatch.setattr(wire, "MAX_FRAME", 1000)
+
+    async def scenario():
+        fabric = TcpFabric()
+        inbox = []
+        fabric.attach("a", lambda src, m: None)
+        fabric.attach("b", lambda src, m: inbox.append(m))
+        try:
+            for message in ("x" * 5000, "small", ["no", "wire", "type"], "last"):
+                fabric.send("a", ["b"], message)
+                await fabric.quiesce(timeout=2)
+            assert inbox == ["small", "last"]
+            assert fabric.core.frame_errors == {"oversized": 1, "unencodable": 1}
+            assert fabric.core.stats.bounced == {"str": 1, "list": 1}
+            assert fabric.core.in_flight == 0
+            assert not fabric._pumps["a"].done()
+        finally:
+            await fabric.close()
+
+    run(scenario())
+
+
+def test_hostile_bytes_end_in_a_counted_close(caplog):
+    """Garbage and an oversized length header: each is counted by reason
+    and the connection is closed - no traceback reaches asyncio's log."""
+    unknown_tag = encode_frame("x", None)[HEADER.size:-1] + b"\xfe"
+    hostile = {
+        "hello": HEADER.pack(5) + b"junk!",
+        "oversized": HEADER.pack(1 << 31),
+        "tag": HEADER.pack(len(unknown_tag)) + unknown_tag,
+    }
+
+    async def scenario():
+        fabric = TcpFabric()
+        fabric.attach("b", lambda src, m: None)
+        try:
+            await fabric.quiesce(timeout=2)  # the pump has started the listener
+            for data in hostile.values():
+                reader, writer = await asyncio.open_connection(*fabric.addresses["b"])
+                writer.write(data)
+                await writer.drain()
+                try:
+                    assert await asyncio.wait_for(reader.read(), 2) == b""
+                except ConnectionResetError:
+                    pass  # closed with our bytes unread: also a hang-up
+                writer.close()
+            assert fabric.core.frame_errors == {reason: 1 for reason in hostile}
+        finally:
+            await fabric.close()
+
+    with caplog.at_level(logging.DEBUG, logger="asyncio"):
+        run(scenario())
+    assert [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING] == []
 
 
 def test_multiple_receivers():

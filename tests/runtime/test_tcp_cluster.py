@@ -4,6 +4,8 @@ event through ``next_event`` (the fabric-generic suite in
 
 import asyncio
 
+import pytest
+
 from repro.checking import SAFETY_CODES, run_verdict
 from repro.runtime import Delivery, TcpDeployment, ViewChange
 
@@ -59,6 +61,28 @@ def test_reconfiguration_over_sockets():
             await a.send("after")
             deliveries = await collect_deliveries(b, 2)
             assert [d.payload for d in deliveries] == ["before", "after"]
+            run_verdict(cluster.trace, list(cluster.nodes), include=SAFETY_CODES).raise_for()
+
+    run(scenario())
+
+
+def test_a_payload_outside_the_wire_set_is_refused_at_send():
+    """The sender raises before it delivers to itself or takes an index,
+    so the group's streams stay gap-free and nothing is a frame error."""
+
+    async def scenario():
+        async with TcpDeployment() as cluster:
+            a, b = await cluster.add_nodes(["a", "b"])
+            await cluster.start()
+            for payload in (["a", "list"], {"a": "dict"}, (1, {2})):
+                with pytest.raises(TypeError):
+                    await a.send(payload)
+            await a.send("next")
+            for node in (a, b):
+                deliveries = await collect_deliveries(node, 1)
+                assert deliveries == [Delivery("a", "next")]
+            await cluster.settle()
+            assert not cluster.links.frame_errors
             run_verdict(cluster.trace, list(cluster.nodes), include=SAFETY_CODES).raise_for()
 
     run(scenario())
