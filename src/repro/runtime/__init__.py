@@ -5,7 +5,7 @@ C++ implementation).
 * :class:`Cluster` - nodes plus a membership tier running the real
   one-round MBRSHP protocol: the :class:`~repro.deploy.base.Deployment`
   contract written once over the :class:`Fabric` contract (``core``,
-  ``attach``, fire-and-forget ``send``, ``quiesce``, ``close``);
+  ``attach``, fire-and-forget ``send``, ``pace``, ``quiesce``, ``close``);
 * :class:`AsyncHub` - the lossless in-process fabric, picked by
   :class:`AsyncDeployment`;
 * :class:`TcpFabric` - one length-prefixed :class:`TcpTransport` socket

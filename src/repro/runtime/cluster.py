@@ -68,6 +68,11 @@ class Fabric(TierLink, Protocol):
         payload this fabric cannot carry."""
         ...  # pragma: no cover - protocol
 
+    async def pace(self, src: ProcessId) -> None:
+        """Yield to the loop, or not, after an application send by ``src``:
+        the fabric decides how much of a burst its pumps see at once."""
+        ...  # pragma: no cover - protocol
+
     async def quiesce(self) -> None:
         """Return once ``core.in_flight`` - plus whatever the fabric holds
         before admitting it - is zero; raise

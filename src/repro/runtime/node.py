@@ -83,14 +83,20 @@ class GcsNode(EndpointHost):
     async def send(self, payload: Any) -> None:
         """Multicast ``payload`` to the current view (waits while blocked;
         raises :class:`~repro.errors.CrashedError` if the node crashes,
-        and ``TypeError`` for a payload the fabric cannot carry)."""
+        and ``TypeError`` for a payload the fabric cannot carry).
+
+        Whether the sender then yields to the loop is the fabric's call
+        (:meth:`~repro.runtime.cluster.Fabric.pace`): the hub yields after
+        every send, the socket fabric only once a full batch is queued,
+        so a burst of sends leaves as one frame per peer.
+        """
         # Before the end-point delivers it to itself and indexes it: a
         # payload the fabric fails to frame later would leave a gap.
         self.fabric.check_payload(payload)
         while self.runner.blocked and not self.endpoint.crashed:
             await self._unblocked.wait()
         self.runner.app_send(payload)
-        await asyncio.sleep(0)  # let the fabric's pumps make progress
+        await self.fabric.pace(self.pid)
 
     async def next_event(self, timeout: Optional[float] = None) -> Any:
         """The next :class:`Delivery` or :class:`ViewChange`."""

@@ -19,6 +19,14 @@ Every transport of a fabric shares its ``core``, so a single partition
 matrix (and a single counter set) covers the whole deployment; a
 standalone transport creates its own.
 
+The fabric paces application senders (:meth:`TcpFabric.pace`): a
+``GcsNode.send`` yields to the loop only once its outbox holds a full
+carrier (``BATCH_LIMIT`` messages), so a burst of sends is queued whole
+before the pump wakes and leaves as one batch frame per peer - one
+encode, one write and one read for the run instead of one per message.
+:meth:`TcpFabric.close` writes whatever the outboxes still hold before
+it stops the pumps, so a send that returned is never silently dropped.
+
 Sockets report nothing about what is in transit, and they need not: a
 wire copy enters the core's in-flight ledger when ``send_many`` admits
 it and leaves it when the receiving transport's ``inbound_batch``
@@ -37,10 +45,12 @@ sender's pid and the format version travel once per connection and a
 view travels whole once, then as a two-byte id.  An application payload
 outside the wire value set is refused where it is sent
 (:meth:`TcpFabric.check_payload`, a ``TypeError`` to the caller),
-before its sender delivers and indexes it.  A message the encoder still
-cannot frame - one past the size limit - is counted on the core
-(``LinkCore.frame_errors``) and it and the rest of its run are
-``lost``; the connection carries on, and the sender's pump with it.
+before its sender delivers and indexes it.  A batch the encoder refuses
+is framed in halves, so batching never fails a message that frames on
+its own.  A message the encoder still cannot frame - one past the size
+limit by itself - is counted on the core (``LinkCore.frame_errors``)
+and it and the rest of its run are ``lost``; the connection carries on,
+and the sender's pump with it.
 Past the size limit a peer's stream therefore has a gap on a live link,
 which a chaos episode reports as ``RUN-FRAME``.  Bytes that are not a
 frame end in a counted :class:`~repro.errors.FrameError` and a closed
@@ -54,12 +64,12 @@ from __future__ import annotations
 
 import asyncio
 import socket
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Generator, Iterable, List, Optional, Tuple
 
 from repro.chaos.faults import FaultInjector
-from repro.errors import FrameError
-from repro.links import BatchAccumulator, LinkCore, MessageBatch
-from repro.runtime.settle import await_quiescent
+from repro.errors import FrameError, SettleTimeoutError
+from repro.links import BATCH_LIMIT, BatchAccumulator, LinkCore, MessageBatch
+from repro.runtime.settle import await_quiescent, await_settled
 from repro.types import ProcessId
 from repro.wire import HEADER, FrameDecoder, FrameEncoder, body_length, check_payload
 
@@ -192,7 +202,8 @@ class TcpTransport:
         individually (drops, duplicates, and counters stay per-message),
         but consecutive zero-delay wire copies towards one destination
         share one :func:`encode_batch` frame: one encode, one syscall,
-        whatever the run length.  A carrier the codec cannot frame is
+        whatever the run length.  A carrier the codec refuses is framed
+        in halves instead (:meth:`_frames`); a single copy it refuses is
         counted as a frame error, and it and the rest of the run are
         ``lost``; the connection carries on.  Only the encode is guarded
         so: a transport call raising anything else is not a frame error.
@@ -215,29 +226,52 @@ class TcpTransport:
             for message in messages:
                 batch.add(dst, message)
             carriers = batch.flush(dst)
-            written = 0
+            copies = [c for wire, _ in carriers for c in _copies(wire)]
+            offered = written = 0  # copies given to the codec / to the socket
             try:
                 for wire, extra in carriers:
                     if extra:
                         # Loss penalty / jitter: hold the frame back.  TCP's
                         # own FIFO keeps the per-connection order intact.
                         await asyncio.sleep(extra)
-                    try:
-                        frame = encode_batch(self.pid, _copies(wire), encoder)
-                    except _UNFRAMEABLE as exc:
-                        self.core.frame_error(
-                            exc.reason if isinstance(exc, FrameError) else "unencodable"
-                        )
-                        break
-                    writer.write(frame)
-                    written += 1
+                    run = _copies(wire)
+                    offered += len(run)
+                    for frame, count in self._frames(run, encoder):
+                        writer.write(frame)
+                        written += count
+                    if written < offered:
+                        break  # a copy the codec refused
                 await writer.drain()
             except (ConnectionError, OSError):
                 self._drop_connection(dst)
-            if written < len(carriers):
+            if written < len(copies):
                 # The copies that never reached the wire.
-                unwritten = carriers[written:]
-                self.core.lost(self.pid, dst, [c for wire, _ in unwritten for c in _copies(wire)])
+                self.core.lost(self.pid, dst, copies[written:])
+
+    def _frames(
+        self, run: Tuple[Any, ...], encoder: FrameEncoder
+    ) -> Generator[Tuple[bytes, int], None, bool]:
+        """``(frame, copies in it)`` for a run: one frame, or - if the codec
+        refuses the whole run - its two halves', recursively, so copies
+        that frame one by one never fail for having been batched.
+
+        A copy the codec refuses on its own is counted as a frame error
+        and ends the run there (the generator returns False).  Each frame
+        is encoded only once the one before it has been written, so the
+        encoder's tables never run ahead of the socket.
+        """
+        try:
+            frame = encode_batch(self.pid, run, encoder)
+        except _UNFRAMEABLE as exc:
+            if len(run) == 1:
+                self.core.frame_error(exc.reason if isinstance(exc, FrameError) else "unencodable")
+                return False
+            half = len(run) // 2
+            return (yield from self._frames(run[:half], encoder)) and (
+                yield from self._frames(run[half:], encoder)
+            )
+        yield frame, len(run)
+        return True
 
     async def _connection_to(
         self, dst: ProcessId
@@ -337,6 +371,16 @@ class TcpFabric:
         self._backlog += 1
         self._outboxes[src].put_nowait((targets, message))
 
+    async def pace(self, src: ProcessId) -> None:
+        """Yield only once ``src``'s outbox holds a full carrier.
+
+        The pump then finds a whole burst queued and writes it as one
+        batch frame per peer; readers and other pumps still run at least
+        once per ``BATCH_LIMIT`` sends of a long sender loop.
+        """
+        if self._outboxes[src].qsize() >= BATCH_LIMIT:
+            await asyncio.sleep(0)
+
     async def _pump(self, pid: ProcessId) -> None:
         outbox = self._outboxes[pid]
         transport = self._transports[pid]
@@ -383,6 +427,19 @@ class TcpFabric:
         )
 
     async def close(self) -> None:
+        """Write the outbox backlog to the sockets, then release tasks
+        and sockets.
+
+        A send its caller has returned from may still sit in an outbox
+        (:meth:`pace` need not yield); it is framed - or counted as a
+        frame error - before its pump is cancelled.  The wait is on the
+        backlog count; only a pump that never drains (past the settle
+        deadline) has its backlog cancelled with it.
+        """
+        try:
+            await await_settled(lambda: not self._backlog, self._quiet)
+        except SettleTimeoutError:
+            pass  # close still releases everything; a settle names the stall
         for task in self._pumps.values():
             task.cancel()
         await asyncio.gather(*self._pumps.values(), return_exceptions=True)

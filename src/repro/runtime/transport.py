@@ -13,6 +13,9 @@ peers - the paper's algorithm re-establishes reliability through the
 membership service, so tests pair partitions with reconfigurations, as
 a real WAN deployment would).
 
+An application sender yields after every send (:meth:`AsyncHub.pace`),
+so the receivers handle a burst while it is being sent.
+
 The hub keeps no count of its own: a copy is in flight from the core's
 ``outbound()`` until the pump hands it to ``inbound_batch()``, so
 :meth:`AsyncHub.quiesce` is the runtime's one wait on the core's
@@ -84,6 +87,15 @@ class AsyncHub:
 
     def check_payload(self, payload: Any) -> None:
         """Accept any payload: the hub passes objects and never frames them."""
+
+    async def pace(self, src: ProcessId) -> None:
+        """Yield after every application send.
+
+        The receivers' pumps run on the sender's own loop, so a burst
+        left unyielded would drain inside whatever the sender awaits next
+        - a timed reconfiguration, say - rather than beside the sends.
+        """
+        await asyncio.sleep(0)
 
     # ------------------------------------------------------------------
     # transmission

@@ -100,6 +100,22 @@ def test_delayed_hub_still_safe():
     asyncio.run(scenario())
 
 
+def test_hub_sender_yields_after_every_send():
+    """The hub paces every send with one loop turn, in which the peer's
+    pump runs: the peer has handled a message by the time ``send``
+    returns, so a burst drains beside its sender, not after it."""
+
+    async def scenario():
+        async with AsyncDeployment() as cluster:
+            await cluster.setup(["a", "b"])
+            await cluster.settle()
+            for i in range(3):
+                await cluster.send("a", i)
+                assert cluster.delivered("b")[-1] == ("a", i)
+
+    asyncio.run(scenario())
+
+
 def test_next_event_timeout(on_fabrics):
     async def scenario(make_cluster):
         async with make_cluster() as cluster:

@@ -9,6 +9,8 @@ from repro import wire
 from repro.chaos.faults import FaultInjector, FaultModel
 from repro.core.messages import AppMsg, ViewMsg
 from repro.errors import TransportError
+from repro.links import BATCH_LIMIT, LinkCore
+from repro.runtime import Delivery, TcpDeployment, tcp
 from repro.runtime.tcp import TcpFabric, TcpTransport, encode_frame
 from repro.types import make_view
 from repro.wire import HEADER, FrameEncoder
@@ -191,5 +193,153 @@ def test_multiple_receivers():
         await client.close()
         for server in servers.values():
             await server.close()
+
+    run(scenario())
+
+
+# ----------------------------------------------------------------------
+# pacing: a burst of application sends leaves as one frame per peer
+# ----------------------------------------------------------------------
+
+
+@pytest.fixture
+def app_batches(monkeypatch):
+    """Every carrier of application messages a receiving core unpacks:
+    ``(src, dst, [payload, ...])`` in arrival order."""
+    seen = []
+    real = LinkCore.inbound_batch
+
+    def spy(self, src, dst, copies, **options):
+        apps = [c.payload for c in copies if isinstance(c, AppMsg)]
+        if apps:
+            seen.append((src, dst, apps))
+        return real(self, src, dst, copies, **options)
+
+    monkeypatch.setattr(LinkCore, "inbound_batch", spy)
+    return seen
+
+
+def test_a_burst_reaches_each_peer_as_one_batch(app_batches):
+    """Fewer than ``BATCH_LIMIT`` sends in a row never yield on the socket
+    fabric, so its pump finds the whole burst queued: one frame, one
+    ``inbound_batch`` of all of it, at every peer."""
+    burst = BATCH_LIMIT // 2
+
+    async def scenario():
+        async with TcpDeployment() as deployment:
+            await deployment.setup(["a", "b", "c"])
+            await deployment.settle()
+            for i in range(burst):
+                await deployment.send("a", i)
+            await deployment.settle()
+        assert app_batches == [("a", peer, list(range(burst))) for peer in ("b", "c")]
+
+    run(scenario())
+
+
+def test_interleaved_bursts_keep_per_sender_fifo(app_batches):
+    """Two senders taking turns past a full carrier each: every peer gets
+    each sender's run whole and in order, in a few batched frames."""
+    count = BATCH_LIMIT + 5
+
+    async def scenario():
+        async with TcpDeployment() as deployment:
+            pids = ["a", "b", "c"]
+            await deployment.setup(pids)
+            for i in range(count):
+                await deployment.send("a", ("a", i))
+                await deployment.send("b", ("b", i))
+            await deployment.settle()
+            for pid in pids:
+                for sender in ("a", "b"):
+                    got = [p[1] for s, p in deployment.delivered(pid) if s == sender]
+                    assert got == list(range(count)), (pid, sender)
+        links = {}
+        for src, dst, apps in app_batches:
+            links.setdefault((src, dst), []).append(apps)
+        assert sorted(links) == [("a", "b"), ("a", "c"), ("b", "a"), ("b", "c")]
+        for (src, _dst), carriers in links.items():
+            assert [p for apps in carriers for p in apps] == [(src, i) for i in range(count)]
+            assert len(carriers) < count // 4  # batched, not one frame per send
+
+    run(scenario())
+
+
+def test_a_long_sender_loop_lets_readers_run():
+    """Pacing yields once per full carrier: a peer's event consumer makes
+    progress while one sender is still looping."""
+    count = 8 * BATCH_LIMIT
+
+    async def scenario():
+        async with TcpDeployment() as deployment:
+            await deployment.setup(["a", "b"])
+            reader = deployment.nodes["b"]
+            consumed = []
+
+            async def consume():
+                while True:
+                    event = await reader.next_event()
+                    if isinstance(event, Delivery):
+                        consumed.append(event.payload)
+
+            consumer = asyncio.get_running_loop().create_task(consume())
+            for i in range(count):
+                await deployment.send("a", i)
+            during = len(consumed)
+            await deployment.settle()
+            await asyncio.sleep(0)
+            consumer.cancel()
+            await asyncio.gather(consumer, return_exceptions=True)
+            assert 0 < during < count
+            assert consumed == list(range(count))
+
+    run(scenario())
+
+
+def test_close_writes_a_send_still_in_the_outbox(monkeypatch):
+    """``send`` returns before its frame is written (pacing need not
+    yield), so ``close`` must hand the outbox to the sockets before it
+    stops the pumps."""
+    framed = []
+    real = tcp.encode_batch
+
+    def spy(pid, copies, encoder=None):
+        framed.extend((pid, c.payload) for c in copies if isinstance(c, AppMsg))
+        return real(pid, copies, encoder)
+
+    monkeypatch.setattr(tcp, "encode_batch", spy)
+
+    async def scenario():
+        deployment = TcpDeployment()
+        await deployment.setup(["a", "b", "c"])
+        await deployment.settle()
+        await deployment.send("a", "last")
+        assert framed == []  # still queued: the sender did not yield
+        await deployment.close()
+        assert framed == [("a", "last"), ("a", "last")]  # one frame per peer
+
+    run(scenario())
+
+
+def test_a_batch_past_the_frame_limit_is_split(monkeypatch):
+    """Copies that each fit in a frame but not together are framed in
+    smaller batches, never counted as a frame error."""
+    monkeypatch.setattr(wire, "MAX_FRAME", 1000)
+    messages = [letter * 300 for letter in "wxyz"]
+
+    async def scenario():
+        fabric = TcpFabric()
+        inbox = []
+        fabric.attach("a", lambda src, m: None)
+        fabric.attach("b", lambda src, m: inbox.append(m))
+        try:
+            for message in messages:
+                fabric.send("a", ["b"], message)  # one run for the pump
+            await fabric.quiesce(timeout=2)
+            assert inbox == messages
+            assert not fabric.core.frame_errors
+            assert not fabric.core.stats.bounced
+        finally:
+            await fabric.close()
 
     run(scenario())
