@@ -4,25 +4,29 @@ Real virtual-synchrony stacks get their steady-state throughput from
 coalescing: many small application messages travelling one ordered link
 at (nearly) the same moment share one carrier - one kernel syscall, one
 encode, one scheduler event - instead of paying the per-message fixed
-cost each time.  :class:`MessageBatch` is that carrier, stated once so
-all three substrates ship the same object:
+cost each time.  Every driver admits each wire copy through
+:meth:`LinkCore.outbound <repro.links.LinkCore.outbound>` when it is
+sent and adds it to an open :class:`Carrier` on its link, whose one
+joining rule is stated here for all three substrates:
 
-* the discrete-event simulator coalesces same-instant wire copies of one
-  link under a single scheduled event;
-* the asyncio hub appends to the open tail entry of a destination's
-  inbox queue;
-* the TCP transport frames one batch as one length-prefixed
-  :mod:`repro.wire` record (``encode_batch``/``read_frame`` in
+* the discrete-event simulator schedules one event per carrier of
+  same-instant, same-arrival copies;
+* the asyncio hub queues one inbox entry per carrier of one sender's
+  copies to a destination;
+* the TCP fabric queues one outbox entry per carrier of copies to a
+  peer, and its transport frames that carrier as one length-prefixed
+  :mod:`repro.wire` record, a :class:`MessageBatch` when it holds more
+  than one copy (``encode_batch``/``read_frame`` in
   :mod:`repro.runtime.tcp`).
 
-Batching never changes link semantics: the copies inside a batch keep
-their channel order (per-link FIFO holds *across* batch boundaries),
+Batching never changes link semantics: the copies inside a carrier keep
+their channel order (per-link FIFO holds *across* carrier boundaries),
 fault products such as :class:`~repro.chaos.faults.DuplicateCopy`
-markers ride inside the batch and die in the receiver-side dedup, and
+markers ride inside the carrier and die in the receiver-side dedup, and
 :class:`~repro.links.LinkStats` counts messages, never batches - see
 :meth:`LinkCore.inbound_batch <repro.links.LinkCore.inbound_batch>`.
-A batch is also *atomic* on the wire: a partition cut can bounce or drop
-it only as a whole, never deliver a prefix of it.
+A carrier is also *atomic* on the wire: a partition cut can bounce or
+drop it only as a whole, never deliver a prefix of it.
 """
 
 from __future__ import annotations
@@ -70,76 +74,37 @@ class MessageBatch:
         return f"MessageBatch({len(self.copies)} copies)"
 
 
-def coalesce_copies(copies, limit: int = BATCH_LIMIT):
-    """Coalesce a channel-ordered run of wire copies into carriers.
+class Carrier:
+    """One open run of wire copies on one link, as a driver queues it.
 
-    Consecutive copies with no extra (fault-injected) delay share one
-    :class:`MessageBatch` carrier, up to ``limit`` per batch; a delayed
-    copy travels alone (the driver must apply its delay individually,
-    which a shared carrier could not express).  Channel order - and
-    therefore per-link FIFO - is preserved exactly: the output is a list
-    of ``(wire, extra)`` pairs in the original copy order, where ``wire``
-    is either a single message or a batch.
-    """
-    out = []
-    run = []
-
-    def close_run() -> None:
-        if not run:
-            return
-        if len(run) == 1:
-            out.append((run[0], 0.0))
-        else:
-            out.append((MessageBatch(tuple(run)), 0.0))
-        run.clear()
-
-    for wire, extra in copies:
-        if extra:
-            close_run()
-            out.append((wire, extra))
-            continue
-        run.append(wire)
-        if len(run) >= limit:
-            close_run()
-    close_run()
-    return out
-
-
-class BatchAccumulator:
-    """Per-destination batch builder over one sender's ``LinkCore``.
-
-    A driver feeds it messages with :meth:`add` - each one runs through
-    the core's full fault pipeline (:meth:`LinkCore.outbound
-    <repro.links.LinkCore.outbound>`, so drops, duplicates, and per-link
-    counters apply per *message*, exactly as without batching) - and
-    :meth:`flush` hands back the accumulated wire copies coalesced into
-    carriers for the destination, in channel order.
+    A driver opens a carrier for a copy that cannot join the newest one
+    on its link and schedules it (a simulator event, a hub inbox entry, a
+    socket outbox entry); later copies then :meth:`join` it instead of
+    paying for a carrier of their own.  The rule is stated here once for
+    every driver: a copy joins only while the carrier is ``open`` (not
+    yet popped by the driver's delivery step), only with zero extra
+    delay (a fault-delayed copy opens a carrier of its own, which then
+    travels after its delay), only with the same ``stamp`` (what else
+    the driver requires to match - the sender on a shared inbox, the
+    clamped arrival on the simulator), and only while the carrier holds
+    fewer than ``BATCH_LIMIT`` copies.  Appending keeps channel order,
+    so per-link FIFO holds across carriers.
     """
 
-    def __init__(self, core, src, limit: int = BATCH_LIMIT) -> None:
-        self.core = core
-        self.src = src
-        self.limit = limit
-        self._pending = {}
+    __slots__ = ("copies", "extra", "stamp", "open")
 
-    def add(self, dst, message) -> bool:
-        """Admit ``message`` for ``dst``; False across a partition cut."""
-        transmission = self.core.outbound(self.src, dst, message)
-        if transmission is None:
-            return False
-        self._pending.setdefault(dst, []).extend(transmission.copies)
-        return True
+    def __init__(self, wire: Any, extra: float = 0.0, stamp: Any = None) -> None:
+        self.copies = [wire]
+        self.extra = extra
+        self.stamp = stamp
+        self.open = True
 
-    def flush(self, dst):
-        """The coalesced carriers pending for ``dst`` (and clear them)."""
-        copies = self._pending.pop(dst, None)
-        if not copies:
-            return []
-        return coalesce_copies(copies, self.limit)
-
-    def pending(self, dst) -> int:
-        return len(self._pending.get(dst, ()))
+    def join(self, wire: Any, extra: float = 0.0, stamp: Any = None) -> bool:
+        """Append ``wire`` if the rule lets it ride; False otherwise."""
+        if self.open and not extra and stamp == self.stamp and len(self.copies) < BATCH_LIMIT:
+            self.copies.append(wire)
+            return True
+        return False
 
 
-__all__ = ["BATCH_LIMIT", "BatchAccumulator", "MessageBatch", "coalesce_copies"]
-
+__all__ = ["BATCH_LIMIT", "Carrier", "MessageBatch"]

@@ -5,7 +5,7 @@ contract: per-link FIFO, no duplication, symmetric reachability.  Every
 substrate of this reproduction - the discrete-event
 :class:`~repro.net.network.SimNetwork`, the in-process asyncio
 :class:`~repro.runtime.transport.AsyncHub`, and the socket-backed
-:class:`~repro.runtime.tcp.TcpTransport` - must realise that same
+:class:`~repro.runtime.tcp.TcpFabric` - must realise that same
 contract; :class:`LinkCore` states it exactly once.
 
 A ``LinkCore`` owns, for one deployment's fabric:
@@ -28,16 +28,18 @@ A ``LinkCore`` owns, for one deployment's fabric:
   simulator alone counted messages);
 * the **in-flight ledger** - :attr:`LinkCore.in_flight` counts the wire
   copies :meth:`outbound` admitted that no :meth:`inbound_batch`,
-  :meth:`bounced` or :meth:`lost` has resolved yet, so "nothing in
-  transit" is one exact number on every substrate; listeners registered
-  with :meth:`on_idle` hear each return to zero;
+  :meth:`bounced` or :meth:`lost` has resolved yet; every driver admits
+  a copy when it is sent, so "nothing in transit" is this one exact
+  number on every substrate, and listeners registered with
+  :meth:`on_idle` hear each return to zero;
 * the **frame-error count** - :attr:`LinkCore.frame_errors` tallies, by
   reason, the frames a socket codec refused to encode or decode
   (:mod:`repro.wire`), which a chaos run reports as ``RUN-FRAME``.
 
 The substrates keep only *scheduling and IO*: the simulator its event
 queue and bounce-on-cut flush, the hub its asyncio pumps, the TCP
-transport its stream framing.  A fourth substrate (UDP, shared memory,
+fabric its outbox pumps and stream framing - each over the one
+:class:`~repro.links.Carrier` rule of :mod:`repro.links.batch`.  A fourth substrate (UDP, shared memory,
 multi-process) is one driver over this class - see the "Link layer"
 section of ``docs/ARCHITECTURE.md``.
 """
@@ -392,15 +394,12 @@ class LinkCore:
         (a :class:`~repro.errors.FrameError` reason, or ``unencodable``)."""
         self.frame_errors[reason] += 1
 
-    def describe_stall(self, backlog: int = 0) -> str:
-        """What a stalled settle reports, on every substrate: the ledger
-        (plus the ``backlog`` of sends a driver holds until it has
-        admitted them), then the busiest tier links and the busiest
-        links overall."""
-        held = f", backlog: {backlog}" if backlog else ""
+    def describe_stall(self) -> str:
+        """What a stalled settle reports, on every substrate: the ledger,
+        then the busiest tier links and the busiest links overall."""
         refused = f", frame errors: {dict(self.frame_errors)}" if self.frame_errors else ""
         return (
-            f"wire copies in flight: {self.in_flight}{held}{refused}; "
+            f"wire copies in flight: {self.in_flight}{refused}; "
             f"{self.stats.describe_tier_links()}; "
             f"busiest links: {self.stats.describe_links()}"
         )

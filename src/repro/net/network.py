@@ -25,7 +25,7 @@ from collections import deque
 from typing import Any, Callable, Deque, Dict, Iterable, Optional, Set, Tuple
 
 from repro.chaos.faults import FaultInjector
-from repro.links import BATCH_LIMIT, Link, LinkCore, kind_of
+from repro.links import Carrier, Link, LinkCore, kind_of
 from repro.net.latency import ConstantLatency, LatencyModel
 from repro.net.simclock import EventScheduler, ScheduledEvent
 from repro.types import ProcessId
@@ -34,27 +34,6 @@ from repro.types import ProcessId
 DeliveryHandler = Callable[[ProcessId, Any], None]
 # bounce callback: (dst, message) -> None, invoked on failed transmission
 BounceHandler = Callable[[ProcessId, Any], None]
-
-
-class _Carrier:
-    """One scheduled transmission on one link: a batch of wire copies.
-
-    Same-instant sends on one ordered link whose (FIFO-clamped) arrival
-    coincides share a carrier - one scheduler event for up to
-    ``BATCH_LIMIT`` copies - which is what makes a steady-state multicast
-    burst O(links) events instead of O(messages).  ``closed`` flips when
-    the carrier fires (or bounces): a later send at the same virtual
-    instant must then open a fresh carrier rather than append to one that
-    has already delivered.
-    """
-
-    __slots__ = ("copies", "arrival", "opened_at", "closed")
-
-    def __init__(self, wire: Any, arrival: float, opened_at: float) -> None:
-        self.copies = [wire]
-        self.arrival = arrival
-        self.opened_at = opened_at
-        self.closed = False
 
 
 class SimNetwork:
@@ -73,9 +52,13 @@ class SimNetwork:
         self._handlers: Dict[ProcessId, DeliveryHandler] = {}
         self._bounce: Dict[ProcessId, BounceHandler] = {}
         # Carriers on the wire, per link, in arrival order.
-        self._in_flight: Dict[Link, Deque[Tuple[ScheduledEvent, _Carrier]]] = {}
-        # The newest (possibly still joinable) carrier per link.
-        self._open: Dict[Link, _Carrier] = {}
+        self._in_flight: Dict[Link, Deque[Tuple[ScheduledEvent, Carrier]]] = {}
+        # The newest (possibly still joinable) carrier per link, and the
+        # instant it was opened at: a copy sent later never joins it, even
+        # with the same arrival.  Kept beside the carrier rather than in a
+        # per-copy stamp tuple, so a send allocates nothing to ask.
+        self._open: Dict[Link, Carrier] = {}
+        self._opened_at: Dict[Link, float] = {}
         # The flush must observe topology changes before any transport
         # pump does, so it is the core's first listener.
         self.core.on_topology_change(self._flush_cut_links)
@@ -130,7 +113,7 @@ class SimNetwork:
             while flight:
                 event, carrier = flight.popleft()
                 event.cancel()
-                carrier.closed = True
+                carrier.open = False
                 for wire in carrier.copies:
                     original = self.core.bounced(src, dst, wire)
                     if original is not None and bounce is not None:
@@ -161,23 +144,18 @@ class SimNetwork:
         arrival = self.core.fifo_arrival(
             src, dst, now + self.latency.sample(src, dst) + extra
         )
+        # Same instant, same (clamped) arrival, same link: the copy rides
+        # the already-scheduled carrier (one event for the run).
         carrier = self._open.get(link)
         if (
             carrier is not None
-            and not carrier.closed
-            and extra == 0.0
-            and carrier.opened_at == now
-            and carrier.arrival == arrival
-            and len(carrier.copies) < BATCH_LIMIT
+            and self._opened_at[link] == now
+            and carrier.join(wire, extra, arrival)
         ):
-            # Same instant, same (clamped) arrival, same link: the copy
-            # rides the already-scheduled carrier.  Channel order within
-            # the carrier is append order, so per-link FIFO is untouched.
-            carrier.copies.append(wire)
             return
         flight = self._in_flight.setdefault(link, deque())
-        carrier = _Carrier(wire, arrival, now)
-        self._open[link] = carrier
+        carrier = self._open[link] = Carrier(wire, extra, arrival)
+        self._opened_at[link] = now
 
         def deliver() -> None:
             # Retire exactly this carrier's entry, keyed by the scheduled
@@ -185,7 +163,7 @@ class SimNetwork:
             # transmission's entry when the same message object is on the
             # link twice, leaving a live event that a later partition
             # flush cannot cancel.
-            carrier.closed = True
+            carrier.open = False
             if flight and flight[0] is entry:
                 flight.popleft()
             else:

@@ -10,8 +10,9 @@ C++ implementation).
   :class:`AsyncDeployment`;
 * :class:`TcpFabric` - one length-prefixed :class:`TcpTransport` socket
   per process among trusted peers, picked by :class:`TcpDeployment`;
-* :func:`await_settled` - event-driven settling; both fabrics'
-  ``quiesce`` is one such wait on the link core's in-flight ledger.
+* :func:`await_settled` - event-driven settling; both fabrics admit
+  every copy when it is sent, so their ``quiesce`` is the same one wait
+  on the link core's in-flight ledger.
 """
 
 from repro.runtime.cluster import AsyncDeployment, Cluster, Fabric, TcpDeployment

@@ -56,7 +56,9 @@ class Fabric(TierLink, Protocol):
     The message-moving half is inherited: ``attach(pid, handler)``
     delivers every message for ``pid`` to ``handler(src, message)``, and
     ``send(src, targets, message)`` is a fire-and-forget FIFO multicast
-    that never blocks - the whole
+    that never blocks and admits every copy to ``core`` before it
+    returns, so the core's in-flight ledger covers it from then on - the
+    whole
     :class:`~repro.membership.tier.TierLink` protocol, which is why the
     tier is handed the fabric itself.
     """
@@ -74,8 +76,7 @@ class Fabric(TierLink, Protocol):
         ...  # pragma: no cover - protocol
 
     async def quiesce(self) -> None:
-        """Return once ``core.in_flight`` - plus whatever the fabric holds
-        before admitting it - is zero; raise
+        """Return once ``core.in_flight`` is zero; raise
         :class:`~repro.errors.SettleTimeoutError` if traffic never stops."""
         ...  # pragma: no cover - protocol
 

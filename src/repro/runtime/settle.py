@@ -8,8 +8,9 @@ of those loops: callers hand in a *predicate* and an :class:`asyncio.Event`
 that progress-making code sets, and get either a prompt return or a
 :class:`~repro.errors.SettleTimeoutError` carrying a description of the
 stuck state.  :func:`await_quiescent` is the one such wait for "no
-message in transit", shared by every runtime fabric: it reads the link
-core's in-flight ledger, so quiescence is counted, never timed.
+message in transit", shared by every runtime fabric: each admits a copy
+to the link core's in-flight ledger when it is sent, so the ledger alone
+decides, and quiescence is counted, never timed.
 """
 
 from __future__ import annotations
@@ -95,26 +96,24 @@ async def await_settled(
 async def await_quiescent(
     core: LinkCore,
     event: asyncio.Event,
-    backlog: Callable[[], int] = lambda: 0,
     *,
     timeout: Optional[float] = None,
 ) -> None:
-    """Wait until ``core`` has no wire copy in flight and ``backlog()``
-    (sends a fabric holds until it has admitted them) is zero.
+    """Wait until ``core`` has no wire copy in flight.
 
-    ``event`` must be registered with ``core.on_idle`` and set by the
-    fabric whenever its backlog drains.  Handlers run synchronously after
-    the copy they handle is resolved, so a reply is admitted (or held)
-    before any waiter can observe the zero.  Stalls raise
+    ``event`` must be registered with ``core.on_idle``.  Every fabric
+    admits a copy to the ledger when it is sent, and handlers run
+    synchronously after the copy they handle is resolved, so a reply is
+    admitted before any waiter can observe the zero.  Stalls raise
     :class:`SettleTimeoutError` with :meth:`LinkCore.describe_stall`.
     """
     # Yield once: callbacks already due this loop turn may still send.
     await asyncio.sleep(0)
     await await_settled(
-        lambda: core.in_flight == 0 and backlog() == 0,
+        lambda: core.in_flight == 0,
         event,
         timeout=timeout,
-        describe=lambda: core.describe_stall(backlog()),
+        describe=core.describe_stall,
     )
 
 

@@ -14,26 +14,31 @@ makes of its datagram substrate [36].
 
 ``TcpFabric`` is the socket :class:`~repro.runtime.cluster.Fabric`: it
 owns the address book and, per attached process, one transport plus an
-outbox whose pump task serialises the process's sends onto the sockets.
-Every transport of a fabric shares its ``core``, so a single partition
-matrix (and a single counter set) covers the whole deployment; a
-standalone transport creates its own.
+outbox whose pump task serialises the process's carriers onto the
+sockets.  Every transport of a fabric shares its ``core``, so a single
+partition matrix (and a single counter set) covers the whole
+deployment.  :meth:`TcpFabric.send` does what the hub's ``send`` does:
+it admits every copy through the core's ``outbound`` when it is sent and
+adds it to an open :class:`~repro.links.Carrier` queued on the sender's
+outbox; :meth:`TcpTransport.send_many` is the socket leg that frames and
+writes one such carrier to one peer.
 
 The fabric paces application senders (:meth:`TcpFabric.pace`): a
-``GcsNode.send`` yields to the loop only once its outbox holds a full
-carrier (``BATCH_LIMIT`` messages), so a burst of sends is queued whole
+``GcsNode.send`` yields to the loop only once one of its carriers is
+full (``BATCH_LIMIT`` copies), so a burst of sends is queued whole
 before the pump wakes and leaves as one batch frame per peer - one
 encode, one write and one read for the run instead of one per message.
-:meth:`TcpFabric.close` writes whatever the outboxes still hold before
-it stops the pumps, so a send that returned is never silently dropped.
+:meth:`TcpFabric.close` lets the admitted copies resolve before it stops
+the pumps, so a send that returned is never silently dropped.
 
 Sockets report nothing about what is in transit, and they need not: a
-wire copy enters the core's in-flight ledger when ``send_many`` admits
-it and leaves it when the receiving transport's ``inbound_batch``
-resolves its frame (delivered, deduplicated, or dropped at a cut) or a
-failed write declares it ``lost``.  :meth:`TcpFabric.quiesce` waits for
-that ledger and the outbox backlog to reach zero together - counted,
-with no wall-clock window deciding that the fabric is idle.
+wire copy enters the core's in-flight ledger when ``send`` admits it and
+leaves it when the receiving transport's ``inbound_batch`` resolves its
+frame (delivered, deduplicated, or dropped at a cut) or the sending
+transport declares it ``lost`` (a cut link, an unreachable peer, a
+failed write).  :meth:`TcpFabric.quiesce` waits for that ledger to reach
+zero - the hub's wait, counted, with no wall-clock window deciding that
+the fabric is idle.
 
 Wire format: every frame is a 4-byte big-endian body length followed by
 one :mod:`repro.wire` record - a closed, versioned, struct-packed schema
@@ -44,13 +49,13 @@ types.  Each outbound connection owns one
 sender's pid and the format version travel once per connection and a
 view travels whole once, then as a two-byte id.  An application payload
 outside the wire value set is refused where it is sent
-(:meth:`TcpFabric.check_payload`, a ``TypeError`` to the caller),
-before its sender delivers and indexes it.  A batch the encoder refuses
-is framed in halves, so batching never fails a message that frames on
-its own.  A message the encoder still cannot frame - one past the size
+(:meth:`TcpFabric.check_payload`, a ``TypeError`` or ``ValueError`` to
+the caller), before its sender delivers and indexes it.  A batch the
+encoder refuses is framed in halves, so batching never fails a message
+that frames on its own.  A message the encoder still cannot frame - one past the size
 limit by itself - is counted on the core (``LinkCore.frame_errors``)
-and it and the rest of its run are ``lost``; the connection carries on,
-and the sender's pump with it.
+and it and the rest of its carrier are ``lost``; the connection carries
+on, and the sender's pump with it.
 Past the size limit a peer's stream therefore has a gap on a live link,
 which a chaos episode reports as ``RUN-FRAME``.  Bytes that are not a
 frame end in a counted :class:`~repro.errors.FrameError` and a closed
@@ -64,12 +69,12 @@ from __future__ import annotations
 
 import asyncio
 import socket
-from typing import Any, Callable, Dict, Generator, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Generator, Iterable, List, Optional, Set, Tuple
 
 from repro.chaos.faults import FaultInjector
 from repro.errors import FrameError, SettleTimeoutError
-from repro.links import BATCH_LIMIT, BatchAccumulator, LinkCore, MessageBatch
-from repro.runtime.settle import await_quiescent, await_settled
+from repro.links import BATCH_LIMIT, Carrier, Link, LinkCore, MessageBatch
+from repro.runtime.settle import await_quiescent
 from repro.types import ProcessId
 from repro.wire import HEADER, FrameDecoder, FrameEncoder, body_length, check_payload
 
@@ -129,12 +134,15 @@ def _copies(wire: Any) -> Tuple[Any, ...]:
 
 
 class TcpTransport:
-    """One process's TCP endpoint: listener plus lazy outbound connections.
+    """One process's TCP endpoint on a fabric: listener plus lazy
+    outbound connections.
 
     The socket is bound and listening as soon as the transport exists, so
     its address is known - and peers may dial it - without awaiting
     anything; a peer that connects before :meth:`start` runs the accept
-    loop waits in the kernel's backlog and is served from there.
+    loop waits in the kernel's backlog and is served from there.  The
+    transport shares its fabric's ``core`` and dials from the fabric's
+    address book (``peers``).
     """
 
     def __init__(
@@ -142,16 +150,15 @@ class TcpTransport:
         pid: ProcessId,
         handler: Handler,
         *,
+        core: LinkCore,
         host: str = "127.0.0.1",
         port: int = 0,
-        faults: Optional[FaultInjector] = None,
-        core: Optional[LinkCore] = None,
     ) -> None:
         self.pid = pid
         self.handler = handler
         self._socket = socket.create_server((host, port))
         self.host, self.port = self._socket.getsockname()[:2]
-        self.core = core if core is not None else LinkCore(faults=faults)
+        self.core = core
         self.core.ensure(pid)
         self.peers: Dict[ProcessId, Tuple[str, int]] = {}
         self._server: Optional[asyncio.AbstractServer] = None
@@ -169,10 +176,6 @@ class TcpTransport:
         """Start accepting on the already-listening socket."""
         self._server = await asyncio.start_server(self._accept, sock=self._socket)
         return self.host, self.port
-
-    def set_peers(self, peers: Dict[ProcessId, Tuple[str, int]]) -> None:
-        """Address book: where each peer process listens."""
-        self.peers = dict(peers)
 
     async def close(self) -> None:
         self._closed = True
@@ -192,64 +195,37 @@ class TcpTransport:
     # sending
     # ------------------------------------------------------------------
 
-    async def send(self, targets: Iterable[ProcessId], message: Any) -> None:
-        await self.send_many(targets, (message,))
+    async def send_many(self, dst: ProcessId, copies: List[Any]) -> None:
+        """Frame and write one carrier of admitted wire copies to ``dst``.
 
-    async def send_many(self, targets: Iterable[ProcessId], messages: Iterable[Any]) -> None:
-        """FIFO-multicast a run of messages, batch-framed per destination.
-
-        Every message runs through the core's fault pipeline
-        individually (drops, duplicates, and counters stay per-message),
-        but consecutive zero-delay wire copies towards one destination
-        share one :func:`encode_batch` frame: one encode, one syscall,
-        whatever the run length.  A carrier the codec refuses is framed
-        in halves instead (:meth:`_frames`); a single copy it refuses is
-        counted as a frame error, and it and the rest of the run are
-        ``lost``; the connection carries on.  Only the encode is guarded
-        so: a transport call raising anything else is not a frame error.
+        The copies entered the core's ledger when the fabric admitted
+        them; here each one reaches the socket or is declared ``lost``.
+        A link the matrix has cut since is not dialled (a partition must
+        not leak real connections across the emulated split), and an
+        unreachable peer or a failed write loses the unwritten rest, as
+        CO_RFIFO allows.  A carrier the codec refuses is framed in halves
+        instead (:meth:`_frames`); a single copy it refuses is counted as
+        a frame error, and it and the rest of the carrier are ``lost``;
+        the connection carries on.  Only the encode is guarded so: a
+        transport call raising anything else is not a frame error.
         """
-        messages = list(messages)
-        if not messages:
-            return
-        # Sorted fan-out: hash-order frozenset iteration must not decide
-        # same-instant delivery order (traces replay byte-for-byte).
-        for dst in sorted(targets):
-            # Check the matrix before dialling: a partition cut must not
-            # leak real connections across the emulated split.
-            if dst == self.pid or not self.core.connected(self.pid, dst):
-                continue
+        written = 0
+        if self.core.connected(self.pid, dst):
             connection = await self._connection_to(dst)
-            if connection is None:
-                continue  # unreachable: a suffix is lost, as CO_RFIFO allows
-            writer, encoder = connection
-            batch = BatchAccumulator(self.core, self.pid)
-            for message in messages:
-                batch.add(dst, message)
-            carriers = batch.flush(dst)
-            copies = [c for wire, _ in carriers for c in _copies(wire)]
-            offered = written = 0  # copies given to the codec / to the socket
-            try:
-                for wire, extra in carriers:
-                    if extra:
-                        # Loss penalty / jitter: hold the frame back.  TCP's
-                        # own FIFO keeps the per-connection order intact.
-                        await asyncio.sleep(extra)
-                    run = _copies(wire)
-                    offered += len(run)
-                    for frame, count in self._frames(run, encoder):
+            if connection is not None:
+                writer, encoder = connection
+                try:
+                    for frame, count in self._frames(copies, encoder):
                         writer.write(frame)
                         written += count
-                    if written < offered:
-                        break  # a copy the codec refused
-                await writer.drain()
-            except (ConnectionError, OSError):
-                self._drop_connection(dst)
-            if written < len(copies):
-                # The copies that never reached the wire.
-                self.core.lost(self.pid, dst, copies[written:])
+                    await writer.drain()
+                except (ConnectionError, OSError):
+                    self._drop_connection(dst)
+        if written < len(copies):
+            self.core.lost(self.pid, dst, copies[written:])
 
     def _frames(
-        self, run: Tuple[Any, ...], encoder: FrameEncoder
+        self, run: List[Any], encoder: FrameEncoder
     ) -> Generator[Tuple[bytes, int], None, bool]:
         """``(frame, copies in it)`` for a run: one frame, or - if the codec
         refuses the whole run - its two halves', recursively, so copies
@@ -333,11 +309,12 @@ class TcpFabric:
     Clients and membership servers are the same kind of thing here: a
     handler, a listening :class:`TcpTransport`, and an outbox.  Sends
     are produced synchronously (by end-point runners, by servers) but
-    must be awaited on sockets, so :meth:`send` only enqueues and one
-    pump task per process - which first starts the transport's accept
-    loop - writes the backlog out in order.  A message counts as backlog
-    from :meth:`send` until the ``send_many`` that admits it to the core
-    returns, so backlog plus ledger covers it the whole way.
+    must be awaited on sockets, so :meth:`send` admits each copy to the
+    core and queues it on an open :class:`~repro.links.Carrier` in the
+    sender's outbox, and one pump task per process - which first starts
+    the transport's accept loop - hands the carriers to the transport in
+    order.  A copy is in the core's ledger from :meth:`send` on, so the
+    ledger alone says whether anything is still on its way.
     """
 
     def __init__(self, *, faults: Optional[FaultInjector] = None) -> None:
@@ -348,8 +325,11 @@ class TcpFabric:
         self.addresses: Dict[ProcessId, Tuple[str, int]] = {}
         self._transports: Dict[ProcessId, TcpTransport] = {}
         self._outboxes: Dict[ProcessId, asyncio.Queue] = {}
+        # Newest (possibly still open) carrier per link.
+        self._tails: Dict[Link, Carrier] = {}
+        # Senders one of whose carriers filled up since they last paced.
+        self._full: Set[ProcessId] = set()
         self._pumps: Dict[ProcessId, asyncio.Task] = {}
-        self._backlog = 0
         self._quiet = asyncio.Event()
         self.core.on_idle(self._quiet.set)
 
@@ -368,17 +348,33 @@ class TcpFabric:
     check_payload = staticmethod(check_payload)
 
     def send(self, src: ProcessId, targets: Iterable[ProcessId], message: Any) -> None:
-        self._backlog += 1
-        self._outboxes[src].put_nowait((targets, message))
+        outbox = self._outboxes[src]
+        # Sorted fan-out, as on the hub: hash order must not decide the
+        # order in which a multicast's copies are admitted.
+        for dst in sorted(targets):
+            if dst == src or dst not in self._outboxes:
+                continue
+            transmission = self.core.outbound(src, dst, message)
+            if transmission is None:
+                continue  # partitioned: the suffix is lost, as CO_RFIFO allows
+            link = (src, dst)
+            for wire, extra in transmission.copies:
+                tail = self._tails.get(link)
+                if tail is None or not tail.join(wire, extra):
+                    tail = self._tails[link] = Carrier(wire, extra)
+                    outbox.put_nowait((dst, tail))
+                elif len(tail.copies) == BATCH_LIMIT:
+                    self._full.add(src)
 
     async def pace(self, src: ProcessId) -> None:
-        """Yield only once ``src``'s outbox holds a full carrier.
+        """Yield only once one of ``src``'s carriers is full.
 
         The pump then finds a whole burst queued and writes it as one
         batch frame per peer; readers and other pumps still run at least
         once per ``BATCH_LIMIT`` sends of a long sender loop.
         """
-        if self._outboxes[src].qsize() >= BATCH_LIMIT:
+        if src in self._full:
+            self._full.discard(src)
             await asyncio.sleep(0)
 
     async def _pump(self, pid: ProcessId) -> None:
@@ -386,58 +382,36 @@ class TcpFabric:
         transport = self._transports[pid]
         await transport.start()
         while True:
-            targets, message = await outbox.get()
-            run = [message]
-            # Coalesce the backlog: consecutive outbox entries towards the
-            # same target set leave as one batched frame per destination
-            # (send_many), instead of one encode+write per message.  Queue
-            # order is preserved, so per-connection FIFO is untouched.
-            while True:
-                try:
-                    next_targets, next_message = outbox.get_nowait()
-                except asyncio.QueueEmpty:
-                    break
-                if next_targets == targets:
-                    run.append(next_message)
-                    continue
-                await self._send_run(transport, targets, run)
-                targets, run = next_targets, [next_message]
-            await self._send_run(transport, targets, run)
-
-    async def _send_run(
-        self, transport: TcpTransport, targets: Iterable[ProcessId], run: List[Any]
-    ) -> None:
-        try:
-            await transport.send_many(targets, run)
-        finally:
-            self._backlog -= len(run)
-            if not self._backlog:
-                self._quiet.set()
+            dst, carrier = await outbox.get()
+            carrier.open = False
+            if carrier.extra:
+                # Loss penalty / jitter: hold the carrier back.  The pump
+                # is the sender's one queue, so per-link FIFO holds.
+                await asyncio.sleep(carrier.extra)
+            await transport.send_many(dst, carrier.copies)
 
     async def quiesce(self, timeout: Optional[float] = None) -> None:
-        """Wait until no message is queued in an outbox or in flight.
+        """Wait until the core's ledger shows no message in flight.
 
-        One predicate over the core's in-flight ledger plus the outbox
-        backlog - the hub's, with the backlog added.  Raises
-        :class:`~repro.errors.SettleTimeoutError` if traffic never stops
-        within ``timeout`` seconds (default: the settle deadline).
+        The hub's wait: every copy is admitted in :meth:`send`, so the
+        ledger covers it from the outbox to the receiving handler.
+        Raises :class:`~repro.errors.SettleTimeoutError` if traffic
+        never stops within ``timeout`` seconds (default: the settle
+        deadline).
         """
-        await await_quiescent(
-            self.core, self._quiet, lambda: self._backlog, timeout=timeout
-        )
+        await await_quiescent(self.core, self._quiet, timeout=timeout)
 
     async def close(self) -> None:
-        """Write the outbox backlog to the sockets, then release tasks
-        and sockets.
+        """Let the admitted copies resolve, then release tasks and sockets.
 
         A send its caller has returned from may still sit in an outbox
         (:meth:`pace` need not yield); it is framed - or counted as a
         frame error - before its pump is cancelled.  The wait is on the
-        backlog count; only a pump that never drains (past the settle
-        deadline) has its backlog cancelled with it.
+        core's ledger; only traffic that never settles (past the settle
+        deadline) is cancelled with the pumps.
         """
         try:
-            await await_settled(lambda: not self._backlog, self._quiet)
+            await self.quiesce()
         except SettleTimeoutError:
             pass  # close still releases everything; a settle names the stall
         for task in self._pumps.values():

@@ -13,8 +13,12 @@ peers - the paper's algorithm re-establishes reliability through the
 membership service, so tests pair partitions with reconfigurations, as
 a real WAN deployment would).
 
-An application sender yields after every send (:meth:`AsyncHub.pace`),
-so the receivers handle a burst while it is being sent.
+:meth:`AsyncHub.send` admits each copy through the core's
+``outbound()`` when it is sent and adds it to the open
+:class:`~repro.links.Carrier` at the tail of the destination's inbox,
+so one pump wakeup delivers a sender's whole run.  An application
+sender yields after every send (:meth:`AsyncHub.pace`), so the
+receivers handle a burst while it is being sent.
 
 The hub keeps no count of its own: a copy is in flight from the core's
 ``outbound()`` until the pump hands it to ``inbound_batch()``, so
@@ -28,30 +32,11 @@ import asyncio
 from typing import Any, Callable, Dict, Iterable, Optional
 
 from repro.chaos.faults import FaultInjector
-from repro.links import BATCH_LIMIT, LinkCore
+from repro.links import Carrier, LinkCore
 from repro.runtime.settle import await_quiescent
 from repro.types import ProcessId
 
 Handler = Callable[[ProcessId, Any], None]
-
-
-class _InboxEntry:
-    """One inbox-queue entry: a batch of wire copies from one sender.
-
-    While the entry sits unpopped at the tail of a destination's queue
-    (``open``), further zero-delay copies from the same sender coalesce
-    onto it - one pump wakeup then handles the whole run.  The pump
-    closes the entry the moment it pops it, so a copy can never join a
-    batch that is already being delivered.
-    """
-
-    __slots__ = ("src", "copies", "extra", "open")
-
-    def __init__(self, src: ProcessId, wire: Any, extra: float) -> None:
-        self.src = src
-        self.copies = [wire]
-        self.extra = extra
-        self.open = True
 
 
 class AsyncHub:
@@ -68,8 +53,8 @@ class AsyncHub:
         self.core = core if core is not None else LinkCore(faults=faults)
         self._handlers: Dict[ProcessId, Handler] = {}
         self._queues: Dict[ProcessId, asyncio.Queue] = {}
-        # Newest (possibly still open) inbox entry per destination.
-        self._tails: Dict[ProcessId, _InboxEntry] = {}
+        # Newest (possibly still open) carrier per destination inbox.
+        self._tails: Dict[ProcessId, Carrier] = {}
         self._pumps: Dict[ProcessId, asyncio.Task] = {}
         self._closed = False
         self._quiet = asyncio.Event()
@@ -117,35 +102,27 @@ class AsyncHub:
                 self._enqueue(dst, src, wire, extra)
 
     def _enqueue(self, dst: ProcessId, src: ProcessId, wire: Any, extra: float) -> None:
+        # A zero-delay copy behind an undelivered run from the same sender
+        # rides the tail carrier instead of waking the pump once per
+        # message; the hub's own delay counts as extra delay.
+        extra += self.delay
         tail = self._tails.get(dst)
-        if (
-            tail is not None
-            and tail.open
-            and tail.src == src
-            and extra == 0.0
-            and self.delay == 0.0
-            and len(tail.copies) < BATCH_LIMIT
-        ):
-            # Zero-delay copy behind an undelivered run from the same
-            # sender: ride the open tail entry instead of waking the pump
-            # once per message.  Queue order per sender is unchanged, so
-            # per-link FIFO holds across batch boundaries.
-            tail.copies.append(wire)
+        if tail is not None and tail.join(wire, extra, src):
             return
-        entry = _InboxEntry(src, wire, extra)
-        self._tails[dst] = entry
-        self._queues[dst].put_nowait(entry)
+        carrier = self._tails[dst] = Carrier(wire, extra, src)
+        self._queues[dst].put_nowait(carrier)
 
     async def _pump(self, pid: ProcessId) -> None:
         queue = self._queues[pid]
         handler = self._handlers[pid]
         while not self._closed:
-            entry = await queue.get()
-            entry.open = False
-            if self.delay or entry.extra:
-                await asyncio.sleep(self.delay + entry.extra)
-            for payload in self.core.inbound_batch(entry.src, pid, entry.copies):
-                handler(entry.src, payload)
+            carrier = await queue.get()
+            carrier.open = False
+            if carrier.extra:
+                await asyncio.sleep(carrier.extra)
+            src = carrier.stamp
+            for payload in self.core.inbound_batch(src, pid, carrier.copies):
+                handler(src, payload)
 
     async def close(self) -> None:
         self._closed = True

@@ -59,22 +59,29 @@ Every field, and every bare payload, is a tagged value::
                 sorted) the start ids as a frozendict value
     0x0e View   (VIEW) table id:u16
 
+Tuples, frozensets and frozendicts nest at most :data:`MAX_DEPTH`
+deep; like the table bound this is a rule of the format, so the answer
+never depends on how deep the caller's stack already is.  The encoder
+refuses a value past it and a decoder refuses a frame that holds one
+(``FrameError("depth")``).
+
 Wire records are a tag and their fields as values, in constructor order
 (:data:`_RECORDS` is the schema).  A value of any other type is a
 ``TypeError`` naming it; a value of a listed type that cannot be
-represented (a lone surrogate, a counter past 64 bits, nesting past the
-interpreter's recursion limit) is a ``ValueError``.  An application
-payload meets the same errors earlier, from :func:`check_payload`, which
-the socket fabric runs when the application sends: before the sender
-delivers the message to itself and gives it an index, so no indexed
-message of a payload outside the set can leave a gap on a live link.
+represented (a lone surrogate, a counter past 64 bits, nesting past
+:data:`MAX_DEPTH`) is a ``ValueError``.  An application payload meets
+the same errors earlier, from :func:`check_payload`, which runs the same
+value encoders when the application sends on the socket fabric: before
+the sender delivers the message to itself and gives it an index, so no
+indexed message of a payload outside the set can leave a gap on a live
+link.
 """
 
 from __future__ import annotations
 
 import struct
 from operator import attrgetter
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, ClassVar, Dict, List, Optional, Tuple
 
 from repro._collections import frozendict
 from repro.chaos.faults import DuplicateCopy
@@ -98,6 +105,8 @@ HEADER = struct.Struct(">I")
 MAX_FRAME = 64 * 1024 * 1024
 #: Views a connection's table holds before its next frame resets it.
 INTERN_CAP = 64
+#: How deep tuple, frozenset and frozendict values may nest in a frame.
+MAX_DEPTH = 64
 
 # Value tags.
 T_NONE, T_FALSE, T_TRUE = 0x00, 0x01, 0x02
@@ -173,7 +182,11 @@ def body_length(header: bytes) -> int:
 class FrameEncoder:
     """The sending half of one connection: its tables and its frames."""
 
-    __slots__ = ("pid", "views", "_hello")
+    __slots__ = ("pid", "views", "depth", "_hello")
+
+    #: Encoders by exact type that this encoder's containers recurse
+    #: through: every value and record (set below, once they exist).
+    put: ClassVar[Dict[type, Callable[["FrameEncoder", Any, bytearray], None]]]
 
     def __init__(self, pid: ProcessId) -> None:
         self.pid = pid
@@ -181,6 +194,8 @@ class FrameEncoder:
         #: object: holding the view keeps its id unique, and a lookup
         #: never hashes a view.
         self.views: Dict[int, Tuple[int, View]] = {}
+        #: Containers open around the value being encoded.
+        self.depth = 0
         self._hello = False
 
     def frame(self, message: Any) -> bytes:
@@ -201,10 +216,7 @@ class FrameEncoder:
             out.append(T_RESET)
             self.views = {}
         try:
-            _PUT[type(message)](self, message, out)
-        except (RecursionError, struct.error) as exc:
-            self._rollback(views, mark)
-            raise ValueError(f"cannot frame {type(message).__name__}: {exc}") from None
+            self._encode(message, out)
         except BaseException:
             self._rollback(views, mark)
             raise
@@ -216,8 +228,16 @@ class FrameEncoder:
         self._hello = True
         return bytes(out)
 
+    def _encode(self, value: Any, out: bytearray) -> None:
+        """Append ``value`` to ``out`` through this encoder's :attr:`put`."""
+        try:
+            self.put[type(value)](self, value, out)
+        except (RecursionError, struct.error) as exc:
+            raise ValueError(f"cannot frame {type(value).__name__}: {exc}") from None
+
     def _rollback(self, views: Dict[int, Tuple[int, View]], mark: int) -> None:
         """Forget what a frame that never reached the wire defined."""
+        self.depth = 0
         if self.views is not views:
             self.views = views  # its reset never reached the wire either
             return
@@ -268,12 +288,22 @@ def _put_bytes(enc: FrameEncoder, value: bytes, out: bytearray) -> None:
 
 def _put_items(enc: FrameEncoder, tag: int, items: Any, out: bytearray) -> None:
     out += _TAG_LEN.pack(tag, len(items))
+    put = enc.put
     for item in items:
-        _PUT[type(item)](enc, item, out)
+        put[type(item)](enc, item, out)
+
+
+def _deeper(enc: FrameEncoder) -> None:
+    """Open one more container level, refusing one past :data:`MAX_DEPTH`."""
+    if enc.depth >= MAX_DEPTH:
+        raise ValueError(f"values nested more than {MAX_DEPTH} deep")
+    enc.depth += 1
 
 
 def _put_tuple(enc: FrameEncoder, value: tuple, out: bytearray) -> None:
+    _deeper(enc)
     _put_items(enc, T_TUPLE, value, out)
+    enc.depth -= 1
 
 
 def _put_frozenset(enc: FrameEncoder, value: frozenset, out: bytearray) -> None:
@@ -282,14 +312,19 @@ def _put_frozenset(enc: FrameEncoder, value: frozenset, out: bytearray) -> None:
         items = sorted(value)
     except TypeError:
         raise TypeError("frozenset elements must sort against each other") from None
+    _deeper(enc)
     _put_items(enc, T_FROZENSET, items, out)
+    enc.depth -= 1
 
 
 def _put_frozendict(enc: FrameEncoder, value: frozendict, out: bytearray) -> None:
+    _deeper(enc)
     out += _TAG_LEN.pack(T_FROZENDICT, len(value))
+    put = enc.put
     for key, item in value.items():
-        _PUT[type(key)](enc, key, out)
-        _PUT[type(item)](enc, item, out)
+        put[type(key)](enc, key, out)
+        put[type(item)](enc, item, out)
+    enc.depth -= 1
 
 
 def _put_viewid(enc: FrameEncoder, value: ViewId, out: bytearray) -> None:
@@ -353,7 +388,8 @@ def _record_put(tag: int, names: Tuple[str, ...]) -> Callable[[FrameEncoder, Any
     return put
 
 
-_PUT: Dict[type, Callable[[FrameEncoder, Any, bytearray], None]] = _Encoders({
+#: The value encoders: everything an application payload may be.
+_VALUES: Dict[type, Callable[[FrameEncoder, Any, bytearray], None]] = _Encoders({
     _NONE: _put_none,
     bool: _put_bool,
     int: _put_int,
@@ -365,8 +401,10 @@ _PUT: Dict[type, Callable[[FrameEncoder, Any, bytearray], None]] = _Encoders({
     frozendict: _put_frozendict,
     ViewId: _put_viewid,
     View: _put_view,
-    MessageBatch: _put_batch,
 })
+#: Every encoder: the values, the batch and the records.
+_PUT: Dict[type, Callable[[FrameEncoder, Any, bytearray], None]] = _Encoders(_VALUES)
+_PUT[MessageBatch] = _put_batch
 _PUT.update(
     (cls, _record_put(tag, tuple(name for name, _types in fields)))
     for tag, cls, fields in _RECORDS
@@ -385,49 +423,28 @@ def _put_sync(enc: FrameEncoder, value: SyncMsg, out: bytearray) -> None:
 _PUT[SyncMsg] = _put_sync
 
 
-#: Payload types with nothing inside to look at.  ``View`` and ``ViewId``
-#: are taken as the membership service builds them.
-_PLAIN = frozenset({_NONE, bool, int, float, bytes, ViewId, View})
+FrameEncoder.put = _PUT
+
+
+class _PayloadEncoder(FrameEncoder):
+    """A scratch encoder whose containers hold values only: a record or a
+    batch is a message of the fabric, not part of a payload."""
+
+    __slots__ = ()
+    put = _VALUES
 
 
 def check_payload(value: Any) -> None:
     """Refuse an application payload the format cannot carry.
 
-    A walk over the value set, not an encode: ``TypeError`` names a type
-    outside it (or says a frozenset's elements do not sort), and
-    ``ValueError`` is a ``str`` that is not valid text or nesting past
-    the recursion limit.  A payload that passes fails to frame only past
-    :data:`MAX_FRAME`, or nested so deep that the encoder (three calls a
-    level to this walk's one) meets the recursion limit first.
+    The value encoders run into a scratch buffer, so the answer is the
+    encoder's own: ``TypeError`` names a type outside the value set (or
+    says a frozenset's elements do not sort), and ``ValueError`` is a
+    value the format cannot represent - a ``str`` that is not valid
+    text, a counter past 64 bits, nesting past :data:`MAX_DEPTH`.  A
+    payload that passes fails to frame only past :data:`MAX_FRAME`.
     """
-    try:
-        _check(value)
-    except RecursionError:
-        raise ValueError("payload nested too deeply") from None
-
-
-def _check(value: Any) -> None:
-    cls = type(value)
-    if cls in _PLAIN:
-        return
-    if cls is str:
-        value.encode()  # a lone surrogate is a UnicodeEncodeError
-    elif cls is tuple:
-        for item in value:
-            _check(item)
-    elif cls is frozenset:
-        for item in value:
-            _check(item)
-        try:
-            sorted(value)
-        except TypeError:
-            raise TypeError("frozenset elements must sort against each other") from None
-    elif cls is frozendict:
-        for key, item in value.items():
-            _check(key)
-            _check(item)
-    else:
-        raise TypeError(f"{cls.__name__} is not a wire type")
+    _PayloadEncoder("")._encode(value, bytearray())
 
 
 # ----------------------------------------------------------------------
@@ -438,19 +455,22 @@ def _check(value: Any) -> None:
 class FrameDecoder:
     """The receiving half of one connection: its tables and its reads."""
 
-    __slots__ = ("pid", "views")
+    __slots__ = ("pid", "views", "depth")
 
     def __init__(self) -> None:
         #: The peer's process id, once its hello has arrived.
         self.pid: Optional[ProcessId] = None
         #: Table id -> View.
         self.views: List[View] = []
+        #: Containers open around the value being decoded.
+        self.depth = 0
 
     def decode(self, body: bytes) -> Tuple[ProcessId, Any]:
         """``(sender pid, message)`` of one frame body; :class:`FrameError`
         for anything that is not one."""
         try:
             pos = 0
+            self.depth = 0
             if body[0] == T_HELLO:
                 pos = self._hello(body)
             if body[pos] == T_RESET:
@@ -554,23 +574,36 @@ def _get_bytes(dec: FrameDecoder, body: bytes, pos: int) -> Tuple[Any, int]:
     return _counted(body, pos)
 
 
+def _inside(dec: FrameDecoder) -> None:
+    """Open one more container level, refusing one past :data:`MAX_DEPTH`."""
+    if dec.depth >= MAX_DEPTH:
+        raise FrameError("depth", f"values nested more than {MAX_DEPTH} deep")
+    dec.depth += 1
+
+
 def _get_tuple(dec: FrameDecoder, body: bytes, pos: int) -> Tuple[Any, int]:
+    _inside(dec)
     items, pos = _get_items(dec, body, pos)
+    dec.depth -= 1
     return tuple(items), pos
 
 
 def _get_frozenset(dec: FrameDecoder, body: bytes, pos: int) -> Tuple[Any, int]:
+    _inside(dec)
     items, pos = _get_items(dec, body, pos)
+    dec.depth -= 1
     return frozenset(items), pos
 
 
 def _get_frozendict(dec: FrameDecoder, body: bytes, pos: int) -> Tuple[Any, int]:
+    _inside(dec)
     _tag, count = _TAG_LEN.unpack_from(body, pos)
     pos += _TAG_LEN.size
     data = {}
     for _ in range(count):
         key, pos = _GET[body[pos]](dec, body, pos)
         data[key], pos = _GET[body[pos]](dec, body, pos)
+    dec.depth -= 1
     return frozendict(data), pos
 
 
@@ -676,6 +709,7 @@ __all__ = [
     "FrameEncoder",
     "HEADER",
     "INTERN_CAP",
+    "MAX_DEPTH",
     "MAX_FRAME",
     "VERSION",
     "body_length",

@@ -5,7 +5,8 @@ Each driver wraps one substrate behind the same five operations
 whose in-flight ledger every predicate-free ``drain`` must leave at zero),
 so every test in ``test_contract.py`` states the CO_RFIFO link contract
 once and runs verbatim against the discrete-event simulator, the
-in-process asyncio hub, and real loopback TCP sockets.  Topology is
+in-process asyncio hub, and real loopback TCP sockets (the
+:class:`~repro.runtime.tcp.TcpFabric` a ``TcpDeployment`` runs).  Topology is
 manipulated through ``driver.core`` directly - the unified
 :class:`~repro.links.LinkCore` API is itself part of the contract under
 test.
@@ -23,8 +24,7 @@ from repro.links import LinkCore
 from repro.net.latency import ConstantLatency
 from repro.net.network import SimNetwork
 from repro.net.simclock import EventScheduler
-from repro.runtime.settle import await_quiescent
-from repro.runtime.tcp import TcpTransport
+from repro.runtime.tcp import TcpFabric
 from repro.runtime.transport import AsyncHub
 from repro.types import ProcessId
 
@@ -57,26 +57,27 @@ class ContractDriver:
         raise NotImplementedError
 
     async def send_burst(self, src: ProcessId, dst: ProcessId, messages: Iterable[Any]) -> None:
-        """Send a back-to-back run of messages (the batching fast case).
-
-        On the simulator and the hub, consecutive sends coalesce into
-        batched carriers on their own; the TCP driver overrides this to
-        use the transport's explicit batch framing.
-        """
+        """Send a back-to-back run of messages (the batching fast case):
+        on every substrate consecutive sends coalesce into carriers."""
         for message in messages:
             await self.send(src, dst, message)
 
     async def drain(self, predicate: Optional[Callable[[], bool]] = None) -> None:
-        """Settle the substrate; with ``predicate``, wait until it holds.
+        """Settle the substrate; then ``predicate``, if given, must hold.
 
-        Without one, settling must leave the core's in-flight ledger at
-        zero - the ledger is part of the contract every driver keeps.
+        Every driver settles on the core's in-flight ledger, which each
+        substrate fills when a copy is sent, so a settled substrate has
+        delivered, bounced or lost everything.  Without a predicate,
+        settling must leave that ledger at zero - the ledger is part of
+        the contract every driver keeps.
         """
-        await self._settle(predicate)
+        await self._settle()
         if predicate is None:
             assert self.core.in_flight == 0, self.core.describe_stall()
+        else:
+            assert predicate(), f"{self.name} drain: predicate does not hold"
 
-    async def _settle(self, predicate: Optional[Callable[[], bool]]) -> None:
+    async def _settle(self) -> None:
         raise NotImplementedError
 
     async def close(self) -> None:
@@ -99,10 +100,8 @@ class SimContractDriver(ContractDriver):
     async def send(self, src: ProcessId, dst: ProcessId, message: Any) -> None:
         self.net.send(src, dst, message)
 
-    async def _settle(self, predicate: Optional[Callable[[], bool]]) -> None:
+    async def _settle(self) -> None:
         self.clock.run()
-        # Deterministic substrate: after the queue empties the predicate
-        # either holds or the contract is broken - no waiting involved.
 
     async def close(self) -> None:
         pass
@@ -125,7 +124,7 @@ class AsyncContractDriver(ContractDriver):
         assert self.hub is not None
         self.hub.send(src, [dst], message)
 
-    async def _settle(self, predicate: Optional[Callable[[], bool]]) -> None:
+    async def _settle(self) -> None:
         assert self.hub is not None
         await self.hub.quiesce(timeout=10.0)
 
@@ -140,41 +139,24 @@ class TcpContractDriver(ContractDriver):
 
     def __init__(self, model: Optional[FaultModel] = None) -> None:
         super().__init__(model)
-        self.transports: Dict[ProcessId, TcpTransport] = {}
-        self._quiet = asyncio.Event()
-        self.core.on_idle(self._quiet.set)
+        # The fabric every TcpDeployment runs - outbox, pump and pacing
+        # included - over its own core.
+        self.fabric = TcpFabric(faults=self.injector)
+        self.core = self.fabric.core
 
     async def start(self, pids: Iterable[ProcessId]) -> None:
-        addresses: Dict[ProcessId, Tuple[str, int]] = {}
         for pid in pids:
-            transport = TcpTransport(pid, self._record(pid), core=self.core)
-            addresses[pid] = await transport.start()
-            self.transports[pid] = transport
-        for transport in self.transports.values():
-            transport.set_peers(addresses)
+            self.fabric.attach(pid, self._record(pid))
 
     async def send(self, src: ProcessId, dst: ProcessId, message: Any) -> None:
-        await self.transports[src].send([dst], message)
+        self.fabric.send(src, [dst], message)
+        await self.fabric.pace(src)
 
-    async def send_burst(self, src: ProcessId, dst: ProcessId, messages: Iterable[Any]) -> None:
-        await self.transports[src].send_many([dst], messages)
-
-    async def _settle(self, predicate: Optional[Callable[[], bool]]) -> None:
-        loop = asyncio.get_event_loop()
-        deadline = loop.time() + 5.0
-        if predicate is not None:
-            while not predicate():
-                if loop.time() >= deadline:
-                    raise AssertionError("tcp drain: predicate never held")
-                await asyncio.sleep(0.005)
-            return
-        # No target state: wait for the core's in-flight ledger - every
-        # send here is admitted before it returns, so there is no backlog.
-        await await_quiescent(self.core, self._quiet, timeout=5.0)
+    async def _settle(self) -> None:
+        await self.fabric.quiesce(timeout=5.0)
 
     async def close(self) -> None:
-        for transport in self.transports.values():
-            await transport.close()
+        await self.fabric.close()
 
 
 DRIVERS = {

@@ -255,6 +255,32 @@ def test_ledger_balances_after_faults_and_a_cut(driver_factory):
     run_contract(driver_factory, scenario, model)
 
 
+@pytest.mark.parametrize("fabric", [AsyncHub, TcpFabric], ids=["hub", "tcp"])
+def test_a_fabric_admits_a_copy_when_it_is_sent(fabric):
+    """``send`` admits every copy to the ledger before it returns - no
+    outbox holds a copy the core does not know of - and admits nothing
+    across a cut."""
+    import asyncio
+
+    async def scenario():
+        f = fabric()
+        f.attach("a", lambda src, m: None)
+        f.attach("b", lambda src, m: None)
+        try:
+            f.send("a", ["b"], "m")
+            assert f.core.in_flight == 1  # no yield since the send
+            assert f.core.stats.sent == {"str": 1}
+            await f.quiesce(timeout=2)
+            f.core.partition([["a"], ["b"]])
+            f.send("a", ["b"], "cut")
+            assert f.core.in_flight == 0
+            assert f.core.stats.sent == {"str": 1}
+        finally:
+            await f.close()
+
+    asyncio.run(scenario())
+
+
 # ----------------------------------------------------------------------
 # uniform counters
 # ----------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Tests for the TCP transport (loopback only)."""
+"""Tests for the TCP fabric and its transport (loopback only)."""
 
 import asyncio
 import logging
@@ -11,7 +11,7 @@ from repro.core.messages import AppMsg, ViewMsg
 from repro.errors import TransportError
 from repro.links import BATCH_LIMIT, LinkCore
 from repro.runtime import Delivery, TcpDeployment, tcp
-from repro.runtime.tcp import TcpFabric, TcpTransport, encode_frame
+from repro.runtime.tcp import TcpFabric, encode_frame
 from repro.types import make_view
 from repro.wire import HEADER, FrameEncoder
 
@@ -23,29 +23,33 @@ def run(coro):
 def test_frame_roundtrip_via_sockets():
     async def scenario():
         received = asyncio.Queue()
-        server = TcpTransport("b", lambda src, m: received.put_nowait((src, m)))
-        await server.start()
-        client = TcpTransport("a", lambda src, m: None)
-        client.set_peers({"b": (server.host, server.port)})
+        fabric = TcpFabric()
+        fabric.attach("a", lambda src, m: None)
+        fabric.attach("b", lambda src, m: received.put_nowait((src, m)))
         view = make_view(1, ["a", "b"])
-        await client.send(["b"], ViewMsg(view))
-        await client.send(["b"], AppMsg("payload", view, 1))
-        first = await asyncio.wait_for(received.get(), 2)
-        second = await asyncio.wait_for(received.get(), 2)
-        assert first == ("a", ViewMsg(view))
-        assert second[1].payload == "payload"
-        await client.close()
-        await server.close()
+        try:
+            fabric.send("a", ["b"], ViewMsg(view))
+            fabric.send("a", ["b"], AppMsg("payload", view, 1))
+            first = await asyncio.wait_for(received.get(), 2)
+            second = await asyncio.wait_for(received.get(), 2)
+            assert first == ("a", ViewMsg(view))
+            assert second[1].payload == "payload"
+        finally:
+            await fabric.close()
 
     run(scenario())
 
 
 def test_send_to_unknown_peer_is_dropped():
     async def scenario():
-        client = TcpTransport("a", lambda src, m: None)
-        await client.start()
-        await client.send(["ghost"], "m")  # no address: suffix lost, no error
-        await client.close()
+        fabric = TcpFabric()
+        fabric.attach("a", lambda src, m: None)
+        try:
+            fabric.send("a", ["ghost"], "m")  # no address: nothing admitted, no error
+            assert fabric.core.in_flight == 0
+            await fabric.quiesce(timeout=2)
+        finally:
+            await fabric.close()
 
     run(scenario())
 
@@ -53,13 +57,16 @@ def test_send_to_unknown_peer_is_dropped():
 def test_send_to_self_skipped():
     async def scenario():
         inbox = []
-        node = TcpTransport("a", lambda src, m: inbox.append(m))
-        await node.start()
-        node.set_peers({"a": (node.host, node.port)})
-        await node.send(["a"], "loop")
-        await asyncio.sleep(0.05)
-        assert inbox == []
-        await node.close()
+        fabric = TcpFabric()
+        fabric.attach("a", lambda src, m: inbox.append(m))
+        try:
+            fabric.send("a", ["a"], "loop")
+            await fabric.quiesce(timeout=2)
+            await asyncio.sleep(0.05)
+            assert inbox == []
+            assert not fabric.core.stats.sent
+        finally:
+            await fabric.close()
 
     run(scenario())
 
@@ -107,13 +114,20 @@ def test_failed_write_resolves_the_unwritten_copies():
             pass
 
     async def scenario():
-        client = TcpTransport("a", lambda src, m: None)
-        client._connections["b"] = (BrokenWriter(), FrameEncoder("a"))
-        await client.send_many(["b"], ["m1", "m2"])
-        assert client.core.in_flight == 0
-        assert client.core.stats.bounced == {"str": 2}
-        assert "b" not in client._connections
-        await client.close()
+        fabric = TcpFabric()
+        fabric.attach("a", lambda src, m: None)
+        fabric.attach("b", lambda src, m: None)
+        transport = fabric._transports["a"]
+        transport._connections["b"] = (BrokenWriter(), FrameEncoder("a"))
+        try:
+            fabric.send("a", ["b"], "m1")
+            fabric.send("a", ["b"], "m2")
+            await fabric.quiesce(timeout=2)
+            assert fabric.core.in_flight == 0
+            assert fabric.core.stats.bounced == {"str": 2}
+            assert "b" not in transport._connections
+        finally:
+            await fabric.close()
 
     run(scenario())
 
@@ -181,18 +195,16 @@ def test_hostile_bytes_end_in_a_counted_close(caplog):
 def test_multiple_receivers():
     async def scenario():
         boxes = {"b": asyncio.Queue(), "c": asyncio.Queue()}
-        servers = {}
+        fabric = TcpFabric()
+        fabric.attach("a", lambda src, m: None)
         for pid, box in boxes.items():
-            servers[pid] = TcpTransport(pid, lambda src, m, q=box: q.put_nowait(m))
-            await servers[pid].start()
-        client = TcpTransport("a", lambda src, m: None)
-        client.set_peers({pid: (t.host, t.port) for pid, t in servers.items()})
-        await client.send(["b", "c"], "fanout")
-        for box in boxes.values():
-            assert await asyncio.wait_for(box.get(), 2) == "fanout"
-        await client.close()
-        for server in servers.values():
-            await server.close()
+            fabric.attach(pid, lambda src, m, q=box: q.put_nowait(m))
+        try:
+            fabric.send("a", ["b", "c"], "fanout")
+            for box in boxes.values():
+                assert await asyncio.wait_for(box.get(), 2) == "fanout"
+        finally:
+            await fabric.close()
 
     run(scenario())
 

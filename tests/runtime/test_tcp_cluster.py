@@ -8,6 +8,7 @@ import pytest
 
 from repro.checking import SAFETY_CODES, run_verdict
 from repro.runtime import Delivery, TcpDeployment, ViewChange
+from repro.wire import MAX_DEPTH
 
 
 def run(coro):
@@ -84,6 +85,33 @@ def test_a_payload_outside_the_wire_set_is_refused_at_send():
             await cluster.settle()
             assert not cluster.links.frame_errors
             run_verdict(cluster.trace, list(cluster.nodes), include=SAFETY_CODES).raise_for()
+
+    run(scenario())
+
+
+def test_nesting_past_the_format_rule_is_refused_at_send():
+    """The payload check and the encoder keep one nesting rule: a payload
+    one level past ``MAX_DEPTH`` is a ValueError before the sender
+    delivers it to itself, and one at the rule's depth round-trips."""
+
+    def nested(depth):
+        payload = ()
+        for _ in range(depth - 1):
+            payload = (payload,)
+        return payload
+
+    async def scenario():
+        async with TcpDeployment() as deployment:
+            await deployment.setup(["a", "b"])
+            with pytest.raises(ValueError):
+                await deployment.send("a", nested(MAX_DEPTH + 1))
+            await deployment.settle()
+            assert deployment.delivered("a") == []
+            await deployment.send("a", nested(MAX_DEPTH))
+            await deployment.settle()
+            for pid in ("a", "b"):
+                assert deployment.delivered(pid) == [("a", nested(MAX_DEPTH))]
+            assert not deployment.links.frame_errors
 
     run(scenario())
 

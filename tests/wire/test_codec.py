@@ -4,6 +4,7 @@ bounded tables, and failures that leave a connection usable."""
 from __future__ import annotations
 
 import asyncio
+import struct
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -20,7 +21,7 @@ from repro.links import MessageBatch
 from repro.membership.protocol import GroupEnvelope
 from repro.runtime.tcp import encode_batch, encode_frame, read_frame
 from repro.types import ViewId, make_view
-from repro.wire import HEADER, INTERN_CAP, FrameDecoder, FrameEncoder
+from repro.wire import HEADER, INTERN_CAP, MAX_DEPTH, FrameDecoder, FrameEncoder
 
 CODEC_SETTINGS = settings(
     max_examples=150,
@@ -244,6 +245,37 @@ def test_check_payload_refuses_deep_nesting_as_a_value_error():
         payload = (payload,)
     with pytest.raises(ValueError, match="deep"):
         wire.check_payload(payload)
+
+
+def test_check_payload_refuses_a_record_nested_in_a_payload():
+    """The payload check runs the value encoders alone, inside containers
+    too: a record frames as a message, never as part of a payload."""
+    with pytest.raises(TypeError, match="AppMsg"):
+        wire.check_payload((1, frozendict({"k": AppMsg(1)})))
+
+
+def test_nesting_is_a_rule_of_the_format():
+    """``MAX_DEPTH`` nested containers frame and decode; one more is
+    refused by the payload check, the encoder and the decoder alike."""
+    # Every container counts: a frozenset of a frozendict of a tuple is
+    # three levels, wrapped in tuples up to the rule.
+    deepest = frozenset({frozendict({1: ()})})
+    for _ in range(MAX_DEPTH - 3):
+        deepest = (deepest,)
+    wire.check_payload(deepest)
+    assert decode(FrameDecoder(), framed(AppMsg(deepest)))[1].payload == deepest
+    too_deep = (deepest,)
+    with pytest.raises(ValueError, match="deep"):
+        wire.check_payload(too_deep)
+    with pytest.raises(ValueError, match="deep"):
+        framed(too_deep)
+    # The same bytes a permissive encoder would write, one level deeper.
+    frame = bytearray(framed(deepest))
+    at = frame.index(wire.T_TUPLE, HEADER.size)
+    frame[at:at] = struct.pack(">BI", wire.T_TUPLE, 1)
+    with pytest.raises(FrameError) as refused:
+        FrameDecoder().decode(bytes(frame[HEADER.size:]))
+    assert refused.value.reason == "depth"
 
 
 @pytest.mark.parametrize(
