@@ -45,14 +45,14 @@ def main() -> None:
     nodes[5].send("last words 2")
     world.run_until(world.now() + 1.05)
     print("\n--- partition: {p0..p4} | {p5} ---")
-    world.network.reset_counters()
+    world.links.reset_counters()
     world.partition([pids[:5], [pids[5]]])
     world.run()
 
     for node in nodes[:5]:
         got = [m for s, m in node.delivered if s == "p5"]
         print(f"  {node.pid} delivered from p5: {got}")
-    copies = world.network.totals().get("FwdMsg", 0)
+    copies = world.links.totals().get("FwdMsg", 0)
     print(f"  forwarded copies on the wire: {copies} "
           f"(min-copies: one per missing message)")
 

@@ -8,11 +8,12 @@ is extra latency (the retransmission delay), a *duplicated* datagram is
 discarded by the receiving transport, and *reordering* shows up as
 cross-link permutation of arrivals (per-link FIFO is part of the
 contract).  :class:`FaultModel` and :class:`FaultInjector` encode exactly
-that masked-fault semantics, so they can be wired into any substrate -
+that masked-fault semantics, so they can be wired into the
+:class:`~repro.links.LinkCore` of any substrate (the
 :class:`~repro.net.network.SimNetwork`,
-:class:`~repro.runtime.transport.AsyncHub`,
-:class:`~repro.runtime.tcp.TcpTransport` - without voiding the CO_RFIFO
-assumptions the safety proofs rest on.  The injector's counters record
+:class:`~repro.runtime.transport.AsyncHub` and
+:class:`~repro.runtime.tcp.TcpFabric` drivers) without voiding the
+CO_RFIFO assumptions the safety proofs rest on.  The injector's counters record
 how much of each fault class was actually exercised, so a chaos episode
 can prove its run was adversarial and not a calm-weather pass.
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.core.messages import AppMsg, FwdMsg, SyncMsg, ViewMsg
+from repro.core.messages import AppMsg, FwdMsg, ViewMsg
 from repro.core.vs_endpoint import VsRfifoTsEndpoint
 from repro.core.wv_endpoint import WvRfifoEndpoint
 from repro.errors import InvariantViolation
@@ -78,37 +78,16 @@ class WorldView:
     def from_sim_world(cls, world: Any) -> "WorldView":
         """Build from a :class:`~repro.net.world.SimWorld`.
 
-        The CO_RFIFO "channel" from p to q is reconstructed as the
-        concatenation of p's transport backlog towards q (retransmit +
-        pending) and the network's in-flight messages on the (p, q) link -
-        exactly the unreceived FIFO suffix the centralized automaton
+        The CO_RFIFO "channel" from p to q is the network's: the copies in
+        flight on the (p, q) link, then the originals held for it across a
+        cut - exactly the unreceived FIFO suffix the centralized automaton
         models.
         """
         endpoints = {pid: node.endpoint for pid, node in world.nodes.items()}
-
-        def channel_of(p: ProcessId, q: ProcessId) -> List[Any]:
-            node = world.nodes.get(p)
-            if node is None:
-                return []
-            transport = node.transport
-            queued: List[Any] = []
-            queued.extend(transport._retransmit.get(q, ()))
-            queued.extend(transport._pending.get(q, ()))
-            flight = world.network._in_flight.get((p, q), ())
-            # Each in-flight entry is a carrier batching one or more wire
-            # copies; channel order is carrier order then copy order.
-            in_flight = [
-                wire
-                for event, carrier in flight
-                if not event.cancelled
-                for wire in carrier.copies
-            ]
-            return in_flight + queued
-
         return cls(
             endpoints,
-            channel_of=channel_of,
-            reliable_set_of=lambda p: world.nodes[p].transport.reliable_set,
+            channel_of=world.network.channel,
+            reliable_set_of=world.network.reliable_set,
             mbrshp=None,
             clients=None,
         )

@@ -60,7 +60,7 @@ def measure_ack_gc(
         waves=waves,
         peak_buffered=peak,
         final_buffered=resident(),
-        ack_messages=world.network.totals().get("AckMsg", 0),
+        ack_messages=world.links.totals().get("AckMsg", 0),
         all_delivered=all(len(node.delivered) == group_size * waves for node in nodes),
     )
 

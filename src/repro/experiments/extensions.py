@@ -115,7 +115,7 @@ def measure_compact_syncs(
     for node in nodes:
         node.send("island-" + node.pid)
     world.run()
-    world.network.reset_counters()
+    world.links.reset_counters()
     world.heal()
     world.run()
     view = world.oracle.views_formed[-1]
@@ -124,8 +124,8 @@ def measure_compact_syncs(
     return CompactSyncResult(
         group_size=group_size,
         compact=compact,
-        sync_messages=world.network.core.stats.sent.get("SyncMsg", 0),
-        sync_volume=world.network.core.stats.volume.get("SyncMsg", 0),
+        sync_messages=world.links.stats.sent.get("SyncMsg", 0),
+        sync_volume=world.links.stats.volume.get("SyncMsg", 0),
         converged=world.all_in_view(view),
     )
 

@@ -92,7 +92,7 @@ def measure_forwarding(
     world.run_until(world.now() + latency.base + 0.01)
     survivors = pids[:-1]
     world.partition([survivors, [sender]])
-    world.network.reset_counters()
+    world.links.reset_counters()
     world.run()
 
     final = next(v for v in reversed(world.oracle.views_formed)
@@ -100,7 +100,7 @@ def measure_forwarding(
     converged = world.all_in_view(final)
     if check:
         run_verdict(world.trace, list(world.nodes), include=SAFETY_CODES).raise_for()
-    copies = world.network.totals().get("FwdMsg", 0)
+    copies = world.links.totals().get("FwdMsg", 0)
     prefixes = {
         p: tuple(m for s, m in world.nodes[p].delivered if s == sender)
         for p in survivors

@@ -46,7 +46,7 @@ def measure_group_isolation(*, groups: int = 4, processes: int = 6) -> GroupIsol
             for pid in pids
         )
 
-    world.network.reset_counters()
+    world.links.reset_counters()
     before, start = other_group_views(), world.clock.now
     world.leave(pids[0], "group-0")
     world.run()
@@ -54,7 +54,7 @@ def measure_group_isolation(*, groups: int = 4, processes: int = 6) -> GroupIsol
         groups=groups,
         processes=processes,
         reconfig_latency=world.clock.now - start,
-        messages=sum(world.network.totals().values()),
+        messages=sum(world.links.totals().values()),
         other_groups_disturbed=other_group_views() - before,
     )
 

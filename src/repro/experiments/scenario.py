@@ -80,7 +80,7 @@ def crash_last_member(
             {node.pid: node.runner for node in nodes},
             world.clock.schedule,
             balanced_groups(pids, leaders),
-            connected=world.network.connected,
+            connected=world.links.connected,
         )
     world.start()
     world.run()
@@ -89,7 +89,7 @@ def crash_last_member(
         for node in nodes:
             node.send(f"warm-{node.pid}")
     world.run()
-    world.network.reset_counters()
+    world.links.reset_counters()
     crashed_at = world.now()
     world.crash(pids[-1])
     world.run()

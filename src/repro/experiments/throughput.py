@@ -49,7 +49,7 @@ def measure_throughput(
     nodes = world.add_nodes([f"p{i:03d}" for i in range(group_size)])
     world.start()
     world.run()
-    world.network.reset_counters()
+    world.links.reset_counters()
 
     start = world.now()
     for round_no in range(messages_per_sender):
@@ -77,7 +77,7 @@ def measure_throughput(
         deliveries_per_time_unit=deliveries / duration if duration else 0.0,
         latency_p50=_percentile(latencies, 0.50),
         latency_p99=_percentile(latencies, 0.99),
-        wire_messages=sum(world.network.totals().values()),
+        wire_messages=sum(world.links.totals().values()),
     )
 
 

@@ -27,8 +27,8 @@ A ``LinkCore`` owns, for one deployment's fabric:
   ``totals()`` / ``reset_counters()`` on every substrate (previously the
   simulator alone counted messages);
 * the **in-flight ledger** - :attr:`LinkCore.in_flight` counts the wire
-  copies :meth:`outbound` admitted that no :meth:`inbound_batch`,
-  :meth:`bounced` or :meth:`lost` has resolved yet; every driver admits
+  copies :meth:`outbound` admitted that no :meth:`inbound_batch` or
+  :meth:`lost` has resolved yet; every driver admits
   a copy when it is sent, so "nothing in transit" is this one exact
   number on every substrate, and listeners registered with
   :meth:`on_idle` hear each return to zero;
@@ -37,11 +37,12 @@ A ``LinkCore`` owns, for one deployment's fabric:
   (:mod:`repro.wire`), which a chaos run reports as ``RUN-FRAME``.
 
 The substrates keep only *scheduling and IO*: the simulator its event
-queue and bounce-on-cut flush, the hub its asyncio pumps, the TCP
-fabric its outbox pumps and stream framing - each over the one
-:class:`~repro.links.Carrier` rule of :mod:`repro.links.batch`.  A fourth substrate (UDP, shared memory,
-multi-process) is one driver over this class - see the "Link layer"
-section of ``docs/ARCHITECTURE.md``.
+queue and, as the simulator's one CO_RFIFO service, each process's
+reliable set and a held queue per link; the hub its asyncio pumps; the
+TCP fabric its outbox pumps and stream framing - each over the one
+:class:`~repro.links.Carrier` rule of :mod:`repro.links.batch`.  A
+fourth substrate (UDP, shared memory, multi-process) is one driver over
+this class - see the "Link layer" section of ``docs/ARCHITECTURE.md``.
 """
 
 from __future__ import annotations
@@ -73,6 +74,14 @@ WireCopy = Tuple[Any, float]
 def kind_of(message: Any) -> str:
     """The counter key of a wire message: its class name."""
     return type(message).__name__
+
+
+def _busiest(per_link: Counter, limit: int) -> str:
+    """``src->dst: count`` for the ``limit`` busiest links, busiest first."""
+    busiest = sorted(per_link.items(), key=lambda item: (-item[1], item[0]))
+    shown = ", ".join(f"{src}->{dst}: {count}" for (src, dst), count in busiest[:limit])
+    extra = len(busiest) - limit
+    return shown + (f" (+{extra} more)" if extra > 0 else "")
 
 
 @dataclass
@@ -116,13 +125,7 @@ class LinkStats:
 
     def describe_links(self, limit: int = 6) -> str:
         """The busiest links, for :class:`SettleTimeoutError` diagnostics."""
-        if not self.per_link:
-            return "no traffic"
-        busiest = sorted(self.per_link.items(), key=lambda item: (-item[1], item[0]))
-        shown = ", ".join(f"{src}->{dst}: {count}" for (src, dst), count in busiest[:limit])
-        extra = len(busiest) - limit
-        suffix = f" (+{extra} more)" if extra > 0 else ""
-        return shown + suffix
+        return _busiest(self.per_link, limit) if self.per_link else "no traffic"
 
     def describe_tier_links(self, limit: int = 6) -> str:
         """The busiest membership-tier links, for stall diagnostics.
@@ -137,13 +140,7 @@ class LinkStats:
             for link, count in self.per_link.items()
             if any(str(end).startswith("srv:") for end in link)
         })
-        if not tier:
-            return "no tier traffic"
-        busiest = sorted(tier.items(), key=lambda item: (-item[1], item[0]))
-        shown = ", ".join(f"{src}->{dst}: {count}" for (src, dst), count in busiest[:limit])
-        extra = len(busiest) - limit
-        suffix = f" (+{extra} more)" if extra > 0 else ""
-        return "tier links " + shown + suffix
+        return "tier links " + _busiest(tier, limit) if tier else "no tier traffic"
 
 
 @dataclass(frozen=True)
@@ -349,28 +346,17 @@ class LinkCore:
         self._resolve(len(copies))
         return payloads
 
-    def bounced(self, src: ProcessId, dst: ProcessId, message: Any) -> Optional[Any]:
-        """Account a failed transmission (partition cut the link mid-flight).
+    def lost(self, src: ProcessId, dst: ProcessId, copies: Sequence[Any]) -> None:
+        """Account admitted copies that die on the wire: the one way they do.
 
-        Returns the message the driver should hand back to the sending
-        transport for possible retransmission, or ``None`` when the wire
-        copy needs no retransmission (a :class:`DuplicateCopy` - the
-        original copy is bounced in its own right, the marker is moot).
+        A carrier cut whole at a partition, or the unwritten rest of a run
+        a failed socket write threw away.  The copies are recorded as
+        bounced and leave the ledger.  Whether their message is gone -
+        CO_RFIFO's ``lose``, which the membership service then repairs -
+        is the driver's call: the simulator holds the originals bound for
+        a reliable peer and sends them again on reconnect.
         """
         del src, dst  # accounting is kind-based; kept for future per-link stats
-        self.stats.record_bounced(message)
-        self._resolve(1)
-        return None if isinstance(message, DuplicateCopy) else message
-
-    def lost(self, src: ProcessId, dst: ProcessId, copies: Sequence[Any]) -> None:
-        """Account admitted copies that die on the wire, unreturned.
-
-        A carrier dropped whole at a cut, or the unwritten rest of a run
-        a failed socket write threw away: CO_RFIFO's ``lose``, which the
-        membership service then repairs.  The copies are recorded as
-        bounced, with nobody to retransmit them, and leave the ledger.
-        """
-        del src, dst  # accounting is kind-based, as in bounced()
         for wire in copies:
             self.stats.record_bounced(wire)
         self._resolve(len(copies))

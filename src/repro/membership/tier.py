@@ -14,8 +14,8 @@ membership algorithm as the simulator instead of an ad-hoc in-process
 coordinator.  A runtime fabric (:class:`~repro.runtime.cluster.Fabric` -
 the asyncio hub, the socket fabric) *is* a ``TierLink``: servers attach
 to it exactly like group members do, so :class:`~repro.runtime.cluster.Cluster`
-hands the tier its fabric; the simulator adapts ``SimNetwork`` with the
-two-method :class:`~repro.net.world.SimTierLink`.
+hands the tier its fabric; :class:`~repro.net.world.SimWorld` hands it
+its own ``attach`` / ``send``, the pair its end-points send through.
 
 Topology input (who can reach whom among servers) is injected by the
 deployment when it partitions or heals its transport or crashes a

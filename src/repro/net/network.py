@@ -1,18 +1,27 @@
-"""The simulated point-to-point network.
+"""The simulated network: the simulator's one CO_RFIFO service.
 
 ``SimNetwork`` is the discrete-event *driver* over the unified
 :class:`~repro.links.LinkCore`: the core owns link semantics (the
 partition/reachability matrix, the fault-application pipeline,
 receiver-side deduplication, the per-link FIFO clamp, message
 counters), while this class owns what is genuinely scheduling - the
-event queue that carries messages with per-link latency, and the
-*bounce* discipline: when a partition cuts a link, every message still
-in flight on it is bounced back to the sending transport at that
-instant (a failed transmission); the transport decides, based on its
-reliable set, whether to retransmit after the heal or to drop
-(realising CO_RFIFO's ``lose``).  Bouncing at partition time - rather
-than silently checking connectivity at arrival - keeps the per-link
-FIFO/no-gap discipline easy to preserve across flapping links.
+event queue that carries messages with per-link latency - and the one
+rule of the paper's CO_RFIFO service (Figure 3) the core leaves to its
+drivers: a suffix may be lost only towards a peer outside the sender's
+reliable set.
+
+Per registered process it keeps that reliable set (:meth:`set_reliable`)
+and whether the process is crashed, and per link one *held* queue.  When
+a partition cuts a link, every carrier in flight on it dies whole
+(:meth:`LinkCore.lost <repro.links.LinkCore.lost>`); if the peer is in
+the sender's reliable set, the carrier's originals (not its
+``DuplicateCopy`` markers) go to the link's held queue, which also takes
+everything sent while the link stays cut.  When the link reconnects the
+held queue is sent first, in order - senders in registration order,
+peers sorted - so per-link FIFO holds without gaps across flapping
+links.  Any other copy across a cut is CO_RFIFO's ``lose``.  A crashed
+process sends nothing, hears nothing and forgets its reliable set and
+held queues.
 
 The per-kind message counters live in the core's
 :class:`~repro.links.LinkStats` (``network.core.stats``); the benchmark
@@ -22,22 +31,20 @@ harness reads them to reproduce the paper's message-cost claims.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Deque, Dict, Iterable, Optional, Set, Tuple
+from typing import Any, Callable, Deque, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
-from repro.chaos.faults import FaultInjector
-from repro.links import Carrier, Link, LinkCore, kind_of
+from repro.chaos.faults import DuplicateCopy, FaultInjector
+from repro.links import Carrier, Link, LinkCore
 from repro.net.latency import ConstantLatency, LatencyModel
 from repro.net.simclock import EventScheduler, ScheduledEvent
 from repro.types import ProcessId
 
 # receiver callback: (src, message) -> None
 DeliveryHandler = Callable[[ProcessId, Any], None]
-# bounce callback: (dst, message) -> None, invoked on failed transmission
-BounceHandler = Callable[[ProcessId, Any], None]
 
 
 class SimNetwork:
-    """Latency-modelled, partitionable, per-link-FIFO message fabric."""
+    """Latency-modelled, partitionable CO_RFIFO service of simulated processes."""
 
     def __init__(
         self,
@@ -50,7 +57,10 @@ class SimNetwork:
         self.latency = latency or ConstantLatency(1.0)
         self.core = core if core is not None else LinkCore(faults=faults)
         self._handlers: Dict[ProcessId, DeliveryHandler] = {}
-        self._bounce: Dict[ProcessId, BounceHandler] = {}
+        self._reliable: Dict[ProcessId, FrozenSet[ProcessId]] = {}
+        self._crashed: Set[ProcessId] = set()
+        # Originals waiting, per link, for the link to reconnect.
+        self._held: Dict[Link, Deque[Any]] = {}
         # Carriers on the wire, per link, in arrival order.
         self._in_flight: Dict[Link, Deque[Tuple[ScheduledEvent, Carrier]]] = {}
         # The newest (possibly still joinable) carrier per link, and the
@@ -59,85 +69,109 @@ class SimNetwork:
         # per-copy stamp tuple, so a send allocates nothing to ask.
         self._open: Dict[Link, Carrier] = {}
         self._opened_at: Dict[Link, float] = {}
-        # The flush must observe topology changes before any transport
-        # pump does, so it is the core's first listener.
-        self.core.on_topology_change(self._flush_cut_links)
-
-    @property
-    def faults(self) -> Optional[FaultInjector]:
-        return self.core.faults
+        self.core.on_topology_change(self._on_topology_change)
 
     # ------------------------------------------------------------------
-    # registration and topology (delegated to the link core)
+    # the CO_RFIFO client interface
     # ------------------------------------------------------------------
 
-    def register(
-        self,
-        pid: ProcessId,
-        handler: DeliveryHandler,
-        bounce: Optional[BounceHandler] = None,
-    ) -> None:
+    def register(self, pid: ProcessId, handler: DeliveryHandler) -> None:
+        """Attach ``pid``'s inbox (again: replace its handler).  A new
+        process is reliable to itself alone."""
         self._handlers[pid] = handler
-        if bounce is not None:
-            self._bounce[pid] = bounce
+        self._reliable.setdefault(pid, frozenset({pid}))
         self.core.ensure(pid)
 
-    def connected(self, p: ProcessId, q: ProcessId) -> bool:
-        return self.core.connected(p, q)
+    def send(self, src: ProcessId, dst: ProcessId, message: Any) -> None:
+        """FIFO-send ``message`` from ``src`` to ``dst``: onto the wire,
+        held while the link is cut if ``dst`` is reliable to ``src``, or
+        lost."""
+        if src in self._crashed:
+            return
+        link = (src, dst)
+        if link in self._held:
+            self._held[link].append(message)
+            return
+        transmission = self.core.outbound(src, dst, message)
+        if transmission is None:
+            if dst in self._reliable.get(src, ()):
+                self._held[link] = deque((message,))
+            return
+        for wire, extra in transmission.copies:
+            self._schedule(link, wire, extra)
 
-    def reachable_from(self, p: ProcessId) -> Set[ProcessId]:
-        return self.core.reachable_from(p)
+    def set_reliable(self, pid: ProcessId, targets: Iterable[ProcessId]) -> None:
+        """Declare ``pid``'s reliable set; the held queues towards cut-off
+        peers outside it are dropped."""
+        reliable = self._reliable[pid] = frozenset(targets)
+        for link in [link for link in self._held if link[0] == pid and link[1] not in reliable]:
+            if not self.core.connected(*link):
+                del self._held[link]
 
-    def partition(self, groups: Iterable[Iterable[ProcessId]]) -> None:
-        """Split the network; unmentioned processes join group 0."""
-        self.core.partition(groups)
+    def reliable_set(self, pid: ProcessId) -> FrozenSet[ProcessId]:
+        return self._reliable[pid]
 
-    def heal(self) -> None:
-        """Merge all partitions back into one connected component."""
-        self.core.heal()
+    def crash(self, pid: ProcessId) -> None:
+        """``pid`` goes down: it sends and hears nothing, and forgets its
+        reliable set and with it its held queues (a held queue exists only
+        while its link is cut)."""
+        self._crashed.add(pid)
+        self.set_reliable(pid, ())
 
-    def on_topology_change(self, listener: Callable[[], None]) -> None:
-        self.core.on_topology_change(listener)
+    def recover(self, pid: ProcessId) -> None:
+        self._crashed.discard(pid)
+        self._reliable[pid] = frozenset({pid})
 
-    def _flush_cut_links(self) -> None:
-        """Bounce everything in flight on links the new topology cuts.
+    def channel(self, src: ProcessId, dst: ProcessId) -> List[Any]:
+        """What ``dst`` has yet to receive from ``src``, in channel order:
+        the copies in flight (carrier by carrier), then the held queue."""
+        flight = self._in_flight.get((src, dst), ())
+        copies = [
+            wire for event, carrier in flight if not event.cancelled for wire in carrier.copies
+        ]
+        return copies + list(self._held.get((src, dst), ()))
 
-        A carrier bounces *whole* - each of its copies accounted and
-        handed back in channel order - so a cut never splits a batch into
-        a delivered prefix and a bounced suffix.
+    # ------------------------------------------------------------------
+    # topology changes
+    # ------------------------------------------------------------------
+
+    def _on_topology_change(self) -> None:
+        """Cut carriers die whole; reconnected links send their held queues.
+
+        A carrier dies *whole* - each of its copies accounted lost in
+        channel order - so a cut never splits a batch into a delivered
+        prefix and a held suffix.
         """
-        for (src, dst), flight in self._in_flight.items():
-            if self.core.connected(src, dst):
+        for link, flight in self._in_flight.items():
+            if not flight or self.core.connected(*link):
                 continue
-            bounce = self._bounce.get(src)
+            src, dst = link
+            hold = dst in self._reliable.get(src, ())
             while flight:
                 event, carrier = flight.popleft()
                 event.cancel()
                 carrier.open = False
-                for wire in carrier.copies:
-                    original = self.core.bounced(src, dst, wire)
-                    if original is not None and bounce is not None:
-                        bounce(dst, original)
+                self.core.lost(src, dst, carrier.copies)
+                if hold:
+                    self._held.setdefault(link, deque()).extend(
+                        wire for wire in carrier.copies if not isinstance(wire, DuplicateCopy)
+                    )
+        if not self._held:
+            return
+        # Release order is send order, which feeds the fault injector's
+        # RNG: senders in registration order, peers sorted (no hash seed).
+        rank = {pid: index for index, pid in enumerate(self._handlers)}
+        for link in sorted(self._held, key=lambda link: (rank[link[0]], link[1])):
+            if self.core.connected(*link):
+                for message in self._held.pop(link):
+                    self.send(*link, message)
 
     # ------------------------------------------------------------------
     # transmission
     # ------------------------------------------------------------------
 
-    @staticmethod
-    def kind_of(message: Any) -> str:
-        return kind_of(message)
-
-    def send(self, src: ProcessId, dst: ProcessId, message: Any) -> bool:
-        """Put ``message`` on the wire; False if src and dst are partitioned."""
-        transmission = self.core.outbound(src, dst, message)
-        if transmission is None:
-            return False
-        for wire, extra in transmission.copies:
-            self._schedule(src, dst, wire, extra)
-        return True
-
-    def _schedule(self, src: ProcessId, dst: ProcessId, wire: Any, extra: float) -> None:
-        link = (src, dst)
+    def _schedule(self, link: Link, wire: Any, extra: float) -> None:
+        src, dst = link
         now = self.clock.now
         # The FIFO clamp must see every proposed arrival (it is stateful),
         # so sample and clamp before deciding whether to coalesce.
@@ -171,21 +205,12 @@ class SimNetwork:
                     flight.remove(entry)
                 except ValueError:
                     pass
+            payloads = self.core.inbound_batch(src, dst, carrier.copies)
             handler = self._handlers.get(dst)
-            for payload in self.core.inbound_batch(src, dst, carrier.copies):
-                if handler is not None:
+            if handler is not None and dst not in self._crashed:
+                for payload in payloads:
                     handler(src, payload)
 
         event = self.clock.schedule_at(arrival, deliver)
         entry = (event, carrier)
         flight.append(entry)
-
-    # ------------------------------------------------------------------
-    # statistics (the core's LinkStats)
-    # ------------------------------------------------------------------
-
-    def reset_counters(self) -> None:
-        self.core.reset_counters()
-
-    def totals(self) -> Dict[str, int]:
-        return self.core.totals()

@@ -6,14 +6,16 @@
   partition support;
 * one :class:`SimNode` per client process - a GCS end-point automaton
   driven reactively by an :class:`~repro.core.runner.EndpointRunner`
-  over a :class:`~repro.net.transport.SimTransport`;
+  over the network's CO_RFIFO service;
 * a membership service behind one control surface: either the
   centralized :class:`~repro.membership.oracle.OracleMembership`
   (scripted timing, for controlled experiments) or, with ``servers=N``, a
   :class:`~repro.membership.tier.MembershipTier` of crashable
   :class:`~repro.membership.server.MembershipServer` processes running
   real agreement over the simulated network (the full client-server
-  architecture, the same tier the asyncio and TCP clusters run).
+  architecture, the same tier the asyncio and TCP clusters run).  The
+  world hands the tier its own :meth:`~SimWorld.attach` /
+  :meth:`~SimWorld.send` pair, as a runtime cluster hands it its fabric.
 
 All externally observable behaviour lands in a single time-stamped
 :class:`~repro.checking.events.GcsTrace`, so the property checkers of
@@ -22,17 +24,19 @@ All externally observable behaviour lands in a single time-stamped
 A group is a dimension of this world, not a second one (paper Section 1:
 scalable "in the number of groups").  Everything above is the *default*
 group; a process may also :meth:`~SimWorld.join` any number of *named*
-groups, each one more :class:`SimNode` over the process's one transport
-(a :meth:`~repro.net.transport.SimTransport.channel`), with membership
-from the same tier - one more round machine at the group's owning
-server - and a trace of its own (:meth:`~SimWorld.trace_of`), so every
-group audits alone.
+groups, each one more :class:`SimNode` on the process's one network
+registration - its traffic inside a :class:`GroupEnvelope`, its reliable
+set a share of the process's (:meth:`~SimWorld.set_reliable`) - with
+membership from the same tier - one more round machine at the group's
+owning server - and a trace of its own (:meth:`~SimWorld.trace_of`), so
+every group audits alone.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Any, Callable, Dict, Iterable, List, Optional, Type
+from functools import partial
+from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Type
 
 from repro.chaos.faults import FaultInjector
 from repro.checking.events import GcsTrace
@@ -41,42 +45,21 @@ from repro.core.gcs_endpoint import GcsEndpoint
 from repro.core.host import EndpointHost
 from repro.errors import SettleTimeoutError
 from repro.membership.oracle import OracleMembership
+from repro.membership.protocol import GroupEnvelope
 from repro.membership.tier import MembershipTier
 from repro.net.latency import LatencyModel
 from repro.net.network import SimNetwork
 from repro.net.simclock import EventScheduler
-from repro.net.transport import SimTransport
 from repro.scale.sharding import GroupName
 from repro.types import ProcessId, View
 
 
-class SimTierLink:
-    """Hosts a :class:`~repro.membership.tier.MembershipTier` on the
-    simulated network: the tier's attach/send pair on ``SimNetwork``.
-
-    ``network.send`` admits every tier message through the shared
-    :class:`~repro.links.LinkCore`, so proposals and notices see the same
-    latency model, partition matrix, fault pipeline, dedup and counters
-    as data traffic.
-    """
-
-    def __init__(self, network: SimNetwork) -> None:
-        self.network = network
-
-    def attach(self, sid: ProcessId, handler: Callable[[ProcessId, Any], None]) -> None:
-        self.network.register(sid, handler)
-
-    def send(self, src: ProcessId, targets: Iterable[ProcessId], message: Any) -> None:
-        for dst in targets:
-            self.network.send(src, dst, message)
-
-
 class SimNode(EndpointHost):
-    """One end-point of a client process, wired to the process's
-    transport - bare for the default group (``group`` None), through a
-    group channel and into the group's own trace for a named one.  The
-    transport is the process's, shared by all its groups: crashing it is
-    :meth:`SimWorld.crash`'s job, not one end-point's."""
+    """One end-point of a client process: the default group's (``group``
+    None) sends bare, a named group's inside a :class:`GroupEnvelope` and
+    into the group's own trace.  The process is on the network once,
+    shared by all its groups: crashing it is :meth:`SimWorld.crash`'s
+    job, not one end-point's."""
 
     def __init__(
         self,
@@ -86,16 +69,16 @@ class SimNode(EndpointHost):
         group: Optional[GroupName] = None,
     ) -> None:
         self.world = world
-        self.transport = transport = world.transports[pid]
         if group is None:
-            transport.on_receive = self.dispatch
-            send_wire, set_reliable = transport.send, transport.set_reliable
+            send_wire = partial(world.send, pid)
         else:
-            send_wire, set_reliable = transport.channel(group, self.dispatch)
+            send_wire = lambda targets, message: world.send(
+                pid, targets, GroupEnvelope(group, message)
+            )
         super().__init__(
             endpoint,
             send_wire=send_wire,
-            set_reliable=set_reliable,
+            set_reliable=partial(world.set_reliable, pid, group=group),
             clock=lambda: world.clock.now,
             trace=world.trace_of(group),
             fastpath=world.fastpath,
@@ -129,7 +112,10 @@ class SimWorld:
         # One trace per group; the default group's (None) is .trace.
         self._traces: Dict[Optional[GroupName], GcsTrace] = defaultdict(GcsTrace)
         self.trace = self._traces[None]
-        self.transports: Dict[ProcessId, SimTransport] = {}
+        # What each client process's groups ask to keep reliable (None:
+        # the default group); the network keeps the process reliable to
+        # their union - the safe direction of the CO_RFIFO contract.
+        self._shares: Dict[ProcessId, Dict[Optional[GroupName], FrozenSet[ProcessId]]] = {}
         self.nodes: Dict[ProcessId, SimNode] = {}  # the default group's
         self.group_nodes: Dict[GroupName, Dict[ProcessId, SimNode]] = {}
         self._endpoint_cls = endpoint_cls
@@ -157,7 +143,7 @@ class SimWorld:
             )
         else:
             self.membership = self.tier = MembershipTier(
-                SimTierLink(self.network),
+                self,
                 servers=servers,
                 links=self.links,
                 trace=self.trace_of,
@@ -168,15 +154,16 @@ class SimWorld:
     # construction
     # ------------------------------------------------------------------
 
-    def add_process(self, pid: ProcessId) -> SimTransport:
-        """Create a client process: its one transport, no end-point yet."""
-        if pid in self.transports:
+    def add_process(self, pid: ProcessId) -> None:
+        """Create a client process on the network, no end-point yet."""
+        if pid in self._shares:
             raise ValueError(f"duplicate process {pid!r}")
-        transport = self.transports[pid] = SimTransport(pid, self.network)
-        return transport
+        self._shares[pid] = {}
+        self.network.register(pid, partial(self._deliver, pid))
 
-    def add_processes(self, pids: Iterable[ProcessId]) -> List[SimTransport]:
-        return [self.add_process(pid) for pid in pids]
+    def add_processes(self, pids: Iterable[ProcessId]) -> None:
+        for pid in pids:
+            self.add_process(pid)
 
     def _host(self, pid: ProcessId, group: Optional[GroupName] = None) -> SimNode:
         """One more end-point of ``pid``, in ``group``."""
@@ -201,7 +188,7 @@ class SimWorld:
     # at the one server owning it
     # ------------------------------------------------------------------
 
-    def _attach(self, group: GroupName, pid: ProcessId) -> None:
+    def _host_in(self, group: GroupName, pid: ProcessId) -> None:
         """Give ``pid`` an end-point in ``group`` (once)."""
         if self.tier is None:
             raise ValueError(
@@ -213,7 +200,7 @@ class SimWorld:
             nodes[pid] = self._host(pid, group)
 
     def join(self, pid: ProcessId, group: GroupName) -> None:
-        self._attach(group, pid)
+        self._host_in(group, pid)
         self.tier.join(group, pid)
 
     def leave(self, pid: ProcessId, group: GroupName) -> None:
@@ -223,7 +210,7 @@ class SimWorld:
         """Drive ``group`` to exactly ``members`` with a single round."""
         members = list(members)
         for pid in members:
-            self._attach(group, pid)
+            self._host_in(group, pid)
         return self.tier.set_group(group, members)
 
     def group_view(self, group: GroupName) -> Optional[View]:
@@ -231,7 +218,7 @@ class SimWorld:
 
     def groups_of(self, pid: ProcessId) -> List[GroupName]:
         """The named groups ``pid`` has an end-point in, sorted."""
-        return self.transports[pid].groups()
+        return sorted(group for group, nodes in self.group_nodes.items() if pid in nodes)
 
     def trace_of(self, group: Optional[GroupName]) -> GcsTrace:
         """``group``'s own trace (``None``: the default group's)."""
@@ -241,6 +228,50 @@ class SimWorld:
         """Every member of ``group``'s latest view has installed it."""
         view = self.group_view(group)
         return view is not None and self.all_in_view(view, group)
+
+    # ------------------------------------------------------------------
+    # the processes on the network: every end-point's and the tier's
+    # attach / send, and each process's reliable set
+    # ------------------------------------------------------------------
+
+    def attach(self, pid: ProcessId, handler: Callable[[ProcessId, Any], None]) -> None:
+        """Put ``pid`` on the network with ``handler`` as its inbox (how
+        the tier hosts a membership server)."""
+        self.network.register(pid, handler)
+
+    def send(self, src: ProcessId, targets: Iterable[ProcessId], message: Any) -> None:
+        """FIFO multicast ``message`` from ``src`` to every other process
+        in ``targets``.
+
+        Fan-out is in sorted order: ``targets`` is usually a frozenset,
+        and iterating it directly would make same-instant delivery order
+        depend on the interpreter's hash seed (traces must replay
+        byte-for-byte across processes).
+        """
+        for dst in sorted(targets):
+            if dst != src:
+                self.network.send(src, dst, message)
+
+    def set_reliable(
+        self, pid: ProcessId, targets: Iterable[ProcessId], group: Optional[GroupName] = None
+    ) -> None:
+        """Record ``group``'s reliable set at ``pid``; the network may then
+        drop the suffixes to peers no group of ``pid`` keeps reliable."""
+        shares = self._shares[pid]
+        shares[group] = frozenset(targets)
+        self.network.set_reliable(pid, frozenset().union(*shares.values()))
+
+    def _deliver(self, pid: ProcessId, src: ProcessId, message: Any) -> None:
+        """Hand an arrival to ``pid``'s end-point in its group; an envelope
+        for a group ``pid`` has no end-point in is dropped.  With no named
+        group anywhere, the default path pays no envelope test."""
+        if self.group_nodes and isinstance(message, GroupEnvelope):
+            node = self.group_nodes.get(message.group, {}).get(pid)
+            message = message.message
+        else:
+            node = self.nodes.get(pid)
+        if node is not None:
+            node.dispatch(src, message)
 
     # ------------------------------------------------------------------
     # driving
@@ -300,7 +331,7 @@ class SimWorld:
         oracle along the groups, the tier along its computed components
         (each group plus the server it assigns).  To split along the
         server tier instead, use ``tier.partition_servers``; to cut links
-        with no view formed, ``network.partition``.
+        with no view formed, ``links.partition``.
         """
         clients = [[pid for pid in group if pid in self.nodes] for group in groups]
         plan = self.membership.plan_partition([group for group in clients if group])
@@ -310,13 +341,15 @@ class SimWorld:
         self.membership.heal()  # heals the network's link core too
 
     def crash_process(self, pid: ProcessId) -> None:
-        """The host half of a crash: every group's end-point, the transport once."""
+        """The host half of a crash: every group's end-point, then the
+        process on the network once."""
         for node in self._nodes_of(pid):
             node.crash()
-        self.transports[pid].crash()
+        self._shares[pid].clear()
+        self.network.crash(pid)
 
     def recover_process(self, pid: ProcessId) -> None:
-        self.transports[pid].recover()
+        self.network.recover(pid)
         for node in self._nodes_of(pid):
             node.recover()
 
@@ -354,4 +387,4 @@ class SimWorld:
         return all(self.node(pid, group).current_view == view for pid in view.members)
 
     def message_counts(self) -> Dict[str, int]:
-        return self.network.totals()
+        return self.links.totals()

@@ -121,11 +121,11 @@ class TestEndToEnd:
 
     def test_ack_messages_on_the_wire(self):
         world, _nodes = self.run_world(ack_interval=4)
-        assert world.network.totals().get("AckMsg", 0) > 0
+        assert world.links.totals().get("AckMsg", 0) > 0
 
     def test_no_acks_when_disabled(self):
         world, _nodes = self.run_world(ack_interval=None)
-        assert world.network.totals().get("AckMsg", 0) == 0
+        assert world.links.totals().get("AckMsg", 0) == 0
 
     def test_stale_view_acks_ignored(self):
         world, nodes = self.run_world(ack_interval=4, waves=2)

@@ -121,7 +121,7 @@ class TestEndToEnd:
         for node in nodes:
             node.send("island-" + node.pid)
         world.run()
-        world.network.reset_counters()
+        world.links.reset_counters()
         world.heal()
         world.run()
         final = world.oracle.views_formed[-1]
@@ -135,8 +135,8 @@ class TestEndToEnd:
         self.scenario(compact=True)
 
     def test_compact_syncs_reduce_volume_not_count(self):
-        plain = self.scenario(compact=False).network.core.stats
-        compact = self.scenario(compact=True).network.core.stats
+        plain = self.scenario(compact=False).links.stats
+        compact = self.scenario(compact=True).links.stats
         assert compact.sent["SyncMsg"] == plain.sent["SyncMsg"]
         assert compact.volume["SyncMsg"] < plain.volume["SyncMsg"]
 

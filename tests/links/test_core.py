@@ -161,13 +161,6 @@ def test_single_frame_dropped_at_a_cut_counts_as_bounced():
     assert core.in_flight == 0
 
 
-def test_bounced_filters_duplicate_copies():
-    core = core_with("a", "b")
-    assert core.bounced("a", "b", "m") == "m"
-    assert core.bounced("a", "b", DuplicateCopy("m")) is None
-    assert core.stats.bounced == {"str": 1, "DuplicateCopy": 1}
-
-
 # ----------------------------------------------------------------------
 # the in-flight ledger
 # ----------------------------------------------------------------------
@@ -185,8 +178,8 @@ def test_ledger_counts_admitted_copies_until_resolved():
     assert core.inbound_batch("a", "b", ["m1", DuplicateCopy("m1")]) == ["m1"]
     assert core.inbound("a", "b", "m2") == "m2"
     assert core.inbound("a", "b", DuplicateCopy("m2")) is None
-    core.bounced("a", "b", "m3")
-    core.bounced("a", "b", DuplicateCopy("m3"))
+    core.lost("a", "b", ["m3"])
+    core.lost("a", "b", [DuplicateCopy("m3")])
     assert core.in_flight == 2
     core.lost("a", "b", ["m4", DuplicateCopy("m4")])
     assert core.in_flight == 0
@@ -213,7 +206,7 @@ def test_idle_listeners_fire_each_time_the_ledger_returns_to_zero():
     assert calls == []
     core.inbound("a", "b", "m2")
     core.outbound("a", "b", "m3")
-    core.bounced("a", "b", "m3")
+    core.lost("a", "b", ["m3"])
     assert calls == [0, 0]
 
 

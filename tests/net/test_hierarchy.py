@@ -20,7 +20,7 @@ def make_world(n=8, leaders=2, **kwargs):
         {node.pid: node.runner for node in nodes},
         world.clock.schedule,
         balanced_groups(pids, leaders),
-        connected=world.network.connected,
+        connected=world.links.connected,
     )
     world.start()
     world.run()
@@ -96,10 +96,10 @@ class TestEfficiency:
 
     def test_direct_syncs_fully_replaced(self):
         world, nodes, _overlay = make_world()
-        world.network.reset_counters()
+        world.links.reset_counters()
         world.crash(nodes[-1].pid)
         world.run()
-        counts = world.network.totals()
+        counts = world.links.totals()
         assert counts.get("SyncMsg", 0) == 0  # everything rode the overlay
         assert counts.get("UpSync", 0) > 0
         assert counts.get("AggregatedSync", 0) > 0

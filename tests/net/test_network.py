@@ -1,7 +1,5 @@
 """Unit tests for the simulated network fabric."""
 
-import pytest
-
 from repro.net.latency import ConstantLatency, UniformLatency
 from repro.net.network import SimNetwork
 from repro.net.simclock import EventScheduler
@@ -10,13 +8,9 @@ from repro.net.simclock import EventScheduler
 class Box:
     def __init__(self):
         self.received = []
-        self.bounced = []
 
     def handler(self, src, message):
         self.received.append((src, message))
-
-    def bounce(self, dst, message):
-        self.bounced.append((dst, message))
 
 
 def make_net(latency=None):
@@ -25,7 +19,7 @@ def make_net(latency=None):
     boxes = {}
     for pid in ("a", "b", "c"):
         box = Box()
-        net.register(pid, box.handler, box.bounce)
+        net.register(pid, box.handler)
         boxes[pid] = box
     return clock, net, boxes
 
@@ -50,45 +44,49 @@ def test_per_link_fifo_with_jitter():
 
 def test_partition_blocks_new_sends():
     clock, net, boxes = make_net()
-    net.partition([["a"], ["b", "c"]])
-    assert not net.send("a", "b", "m")
+    net.core.partition([["a"], ["b", "c"]])
+    net.send("a", "b", "m")
+    assert net.core.in_flight == 0 and net.channel("a", "b") == []
     clock.run()
     assert boxes["b"].received == []
 
 
 def test_partition_bounces_in_flight_messages():
     clock, net, boxes = make_net()
+    net.set_reliable("a", {"a", "b"})
     net.send("a", "b", "m1")
     net.send("a", "b", "m2")
-    net.partition([["a"], ["b"]])
-    assert boxes["a"].bounced == [("b", "m1"), ("b", "m2")]
+    net.core.partition([["a"], ["b"]])
+    # Accounted as bounced and held for the heal, in channel order.
+    assert net.core.stats.bounced == {"str": 2}
+    assert net.channel("a", "b") == ["m1", "m2"]
     clock.run()
     assert boxes["b"].received == []
 
 
 def test_heal_restores_connectivity():
     clock, net, boxes = make_net()
-    net.partition([["a"], ["b"]])
-    net.heal()
-    assert net.send("a", "b", "m")
+    net.core.partition([["a"], ["b"]])
+    net.core.heal()
+    net.send("a", "b", "m")
     clock.run()
     assert boxes["b"].received == [("a", "m")]
 
 
 def test_connectivity_queries():
     _clock, net, _boxes = make_net()
-    net.partition([["a", "b"], ["c"]])
-    assert net.connected("a", "b")
-    assert not net.connected("a", "c")
-    assert net.reachable_from("a") == {"a", "b"}
+    net.core.partition([["a", "b"], ["c"]])
+    assert net.core.connected("a", "b")
+    assert not net.core.connected("a", "c")
+    assert net.core.reachable_from("a") == {"a", "b"}
 
 
 def test_topology_listeners_notified():
     _clock, net, _boxes = make_net()
     calls = []
-    net.on_topology_change(lambda: calls.append(1))
-    net.partition([["a"], ["b", "c"]])
-    net.heal()
+    net.core.on_topology_change(lambda: calls.append(1))
+    net.core.partition([["a"], ["b", "c"]])
+    net.core.heal()
     assert len(calls) == 2
 
 
@@ -99,22 +97,22 @@ def test_message_kind_counters():
     clock.run()
     assert net.core.stats.sent == {"str": 1, "int": 1}
     assert net.core.stats.delivered == {"str": 1, "int": 1}
-    net.reset_counters()
-    assert net.totals() == {}
+    net.core.reset_counters()
+    assert net.core.totals() == {}
 
 
 def test_bounce_counter():
     _clock, net, _boxes = make_net()
     net.send("a", "b", "m")
-    net.partition([["a"], ["b"]])
+    net.core.partition([["a"], ["b"]])
     assert net.core.stats.bounced == {"str": 1}
 
 
 def test_unmentioned_processes_join_group_zero():
     _clock, net, _boxes = make_net()
-    net.partition([["a"]])
-    assert net.connected("b", "c")
-    assert not net.connected("a", "b")
+    net.core.partition([["a"]])
+    assert net.core.connected("b", "c")
+    assert not net.core.connected("a", "b")
 
 
 class _ScriptedLatency:
@@ -137,7 +135,7 @@ def test_inflight_entry_keyed_by_event_not_message_identity():
     message identity, that early delivery popped the *first* copy's
     entry; a partition struck next could then neither find nor cancel the
     first delivery event, letting the message cross the cut (and double
-    count: one bounce plus two deliveries from two sends).
+    count: one copy held plus two deliveries from two sends).
     """
     clock = EventScheduler()
     # Chosen so that 16.83604827991613 + (57.98945040232396 - 16.83604827991613)
@@ -146,13 +144,14 @@ def test_inflight_entry_keyed_by_event_not_message_identity():
     t_second = 16.83604827991613
     latency_first = 57.98945040232396
     net = SimNetwork(clock, _ScriptedLatency([latency_first, 1.0]))
-    received, bounced = [], []
-    net.register("a", lambda src, m: None, lambda dst, m: bounced.append(m))
+    received = []
+    net.register("a", lambda src, m: None)
+    net.set_reliable("a", {"a", "b"})
 
     def on_b(src, m):
         received.append(m)
         if len(received) == 1:  # partition the instant the first copy lands
-            net.partition([["a"], ["b"]])
+            net.core.partition([["a"], ["b"]])
 
     net.register("b", on_b)
     message = ("payload",)
@@ -160,7 +159,7 @@ def test_inflight_entry_keyed_by_event_not_message_identity():
     clock.schedule(t_second, lambda: net.send("a", "b", message))
     clock.run()
     # Exactly one copy is delivered (before the cut) and exactly one is
-    # bounced back by the partition; nothing crosses the cut afterwards.
+    # held by the partition; nothing crosses the cut afterwards.
     assert received == [message]
-    assert bounced == [message]
+    assert net.channel("a", "b") == [message]
     assert not any(net._in_flight.values())

@@ -33,7 +33,7 @@ def test_partition_without_reconfigure_just_cuts_links():
     nodes = world.add_nodes(["a", "b"])
     world.start()
     world.run()
-    world.network.partition([["a"], ["b"]])
+    world.links.partition([["a"], ["b"]])
     nodes[0].send("into the void")
     world.run()
     assert nodes[1].delivered == []  # cut, and no new view was formed

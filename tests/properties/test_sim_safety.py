@@ -105,7 +105,7 @@ class TestSimulatedFaultSchedules:
             {node.pid: node.runner for node in nodes},
             world.clock.schedule,
             balanced_groups(PIDS, 2),
-            connected=world.network.connected,
+            connected=world.links.connected,
         )
         world.start()
         world.run()

@@ -36,7 +36,7 @@ def _make_world(n=8, leaders=0):
             {pid: node.runner for pid, node in world.nodes.items()},
             world.clock.schedule,
             balanced_groups(pids, leaders),
-            connected=world.network.connected,
+            connected=world.links.connected,
         )
     world.start()
     world.run()
@@ -103,7 +103,7 @@ class TestDifferentialEquivalence:
 
     def test_overlay_removes_direct_syncs(self):
         _world, _nodes, overlay = _churn_scenario(leaders=2)
-        totals = _world.network.totals()
+        totals = _world.links.totals()
         assert totals.get("SyncMsg", 0) == 0
         assert totals.get("UpSync", 0) > 0
         assert totals.get("AggregatedSync", 0) > 0
@@ -151,13 +151,13 @@ class TestLeaderCrash:
         world, nodes, overlay = _make_world(n=8, leaders=2)
         pids = [node.pid for node in nodes]
         assert overlay.current_leaders() == {pids[0], pids[4]}
-        world.network.reset_counters()
+        world.links.reset_counters()
         world.crash(pids[0])
         world.run()
         assert overlay.current_leaders() == {pids[1], pids[4]}
         final = world.oracle.views_formed[-1]
         assert world.all_in_view(final)
-        assert world.network.totals().get("SyncMsg", 0) == 0
+        assert world.links.totals().get("SyncMsg", 0) == 0
         run_verdict(world.trace, list(world.nodes), include=SAFETY_CODES).raise_for()
 
     def test_leader_crash_mid_reconfiguration(self):

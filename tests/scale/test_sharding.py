@@ -80,8 +80,8 @@ def _tap(world):
     """Record ``(src, dst, group, notice)`` for every named-group notice
     the network *delivers* from here on."""
     heard = []
-    for pid, transport in world.transports.items():
-        def handle(src, message, pid=pid, deliver=transport._handle_delivery):
+    for pid, deliver in list(world.network._handlers.items()):
+        def handle(src, message, pid=pid, deliver=deliver):
             if isinstance(message, GroupEnvelope) and isinstance(
                 message.message, (StartChangeNotice, ViewNotice)
             ):
@@ -325,7 +325,7 @@ class TestScaleWorld:
 )
 def test_no_package_import_cycle(first):
     """``membership.tier`` and ``net.world`` need ``scale.sharding``,
-    ``net.transport`` needs ``membership.protocol``, ``deploy`` needs
+    ``net.world`` needs ``membership.protocol``, ``deploy`` needs
     ``net.world`` and ``runtime.cluster``, which needs ``deploy.base``
     back: each must import first in a fresh interpreter."""
     src = os.path.dirname(os.path.dirname(repro.__file__))

@@ -7,9 +7,8 @@ from repro.chaos.faults import FaultInjector, FaultModel
 from repro.checking import extract_skeleton, run_verdict
 from repro.checking.events import MbrshpFormEvent
 from repro.core.messages import AppMsg
-from repro.membership.protocol import StartChangeNotice, ViewNotice
+from repro.membership.protocol import GroupEnvelope, StartChangeNotice, ViewNotice
 from repro.net import ConstantLatency, SimWorld
-from repro.net.transport import GroupEnvelope
 from repro.scale import TwoTierOverlay, balanced_groups
 
 
@@ -136,15 +135,15 @@ def test_crash_takes_the_shared_transport_down_once():
         world.join(pid, "chat")
         world.join(pid, "audit")
     world.run()
-    transport = world.transports["p2"]
+    network = world.network
     crashes = []
-    transport.crash = lambda crash=transport.crash: (crashes.append(1), crash())
+    network.crash = lambda pid, crash=network.crash: (crashes.append(pid), crash(pid))
     assert len(world.crash("p2")) == 2  # both of its groups reconfigure
-    # The process is gone, not just its end-points: the one transport all
-    # its groups share stops sending, buffering and handling inbound.
-    assert crashes == [1]
-    assert transport.crashed
-    assert transport.reliable_set == frozenset()
+    # The process is gone, not just its end-points: the one network
+    # registration all its groups share stops sending, holding and
+    # handling inbound.
+    assert crashes == ["p2"]
+    assert network.reliable_set("p2") == frozenset()
     assert all(world.node("p2", g).endpoint.crashed for g in ("chat", "audit"))
     world.node("p0", "chat").send("after the crash")
     world.run()
@@ -237,14 +236,11 @@ def test_shared_transport_contract():
     world.set_group("side", ["q0", "q1", "p0"])
     world.settle()
     q0 = world.node("q0")
-    transport = q0.transport
-    assert transport is world.node("q0", "side").transport is world.transports["q0"]
     # reliable to the union of what the default and the named group ask for
-    assert transport.reliable_set == {"q0", "q1", "p0"}
+    assert world.network.reliable_set("q0") == {"q0", "q1", "p0"}
     assert q0.endpoint.current_view.members == {"q0", "q1"}
-    # the default group is wired to the bare transport: the network sees
-    # its AppMsg unwrapped, a named group's inside an envelope
-    assert q0.runner._send_wire == transport.send
+    # the default group sends bare: the network sees its AppMsg
+    # unwrapped, a named group's inside an envelope
     sent = []
     send = world.network.send
     world.network.send = lambda src, dst, m: (sent.append(m), send(src, dst, m))[1]
@@ -263,11 +259,11 @@ def test_shared_transport_contract():
     world.settle()
     assert world.node("q1").delivered == [("q0", "bare")]
     assert world.node("q1", "side").delivered == [("q0", "wrapped")]
-    # one crash: both end-points, the transport, every group's share
+    # one crash: both end-points, the process, every group's share
     assert [view.members for view in world.crash("q0")] == [{"q1", "p0"}]
     world.settle()
     assert q0.endpoint.crashed and world.node("q0", "side").endpoint.crashed
-    assert transport.crashed and transport.reliable_set == frozenset()
+    assert world.network.reliable_set("q0") == frozenset()
     assert world.settled("side") and world.node("q1").current_view.members == {"q1"}
 
 
@@ -302,7 +298,7 @@ def test_recover_readmits_a_process_to_its_named_groups():
     world.settle()
     world.recover("p2")
     world.settle()
-    assert not world.transports["p2"].crashed
+    assert world.network.reliable_set("p2") == {"p0", "p1", "p2", "p3"}  # both groups again
     for group, members in groups.items():
         assert not world.node("p2", group).endpoint.crashed
         assert world.group_view(group).members == set(members)
