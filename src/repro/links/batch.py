@@ -4,13 +4,14 @@ Real virtual-synchrony stacks get their steady-state throughput from
 coalescing: many small application messages travelling one ordered link
 at (nearly) the same moment share one carrier - one kernel syscall, one
 encode, one scheduler event - instead of paying the per-message fixed
-cost each time.  Every driver admits each wire copy through
-:meth:`LinkCore.outbound <repro.links.LinkCore.outbound>` when it is
-sent and adds it to an open :class:`Carrier` on its link, whose one
-joining rule is stated here for all three substrates:
+cost each time.  Every driver admits each multicast through one
+:meth:`LinkCore.admit <repro.links.LinkCore.admit>` call when it is
+sent and adds each admitted copy to an open :class:`Carrier` on its
+link, whose one joining rule is stated here for all three substrates:
 
-* the discrete-event simulator schedules one event per carrier of
-  same-instant, same-arrival copies;
+* the discrete-event simulator opens one carrier per link for
+  same-instant, same-arrival copies, and schedules one event for the
+  carriers one fan-out opens, one after another, at one arrival;
 * the asyncio hub queues one inbox entry per carrier of one sender's
   copies to a destination;
 * the TCP fabric queues one outbox entry per carrier of copies to a

@@ -14,6 +14,10 @@ A ``LinkCore`` owns, for one deployment's fabric:
   ``heal()`` (component-based cuts) and ``restrict(pid, allowed)``
   (per-endpoint frame filters, the former TCP-only emulation) are one
   API, and :meth:`connected` is its single symmetric query;
+* **fan-out admission** - :meth:`admit` takes one multicast, as the
+  paper's CO_RFIFO takes one ``send_p(set, m)``: with no fault injector
+  and no cut link it counts the fan-out once, and otherwise it runs
+  :meth:`outbound` per destination;
 * the **fault-application pipeline** - :meth:`outbound` turns a
   :class:`~repro.chaos.faults.FaultInjector` decision into wire copies
   (drop = retransmission-penalty latency, duplicate = a real second
@@ -27,9 +31,9 @@ A ``LinkCore`` owns, for one deployment's fabric:
   ``totals()`` / ``reset_counters()`` on every substrate (previously the
   simulator alone counted messages);
 * the **in-flight ledger** - :attr:`LinkCore.in_flight` counts the wire
-  copies :meth:`outbound` admitted that no :meth:`inbound_batch` or
-  :meth:`lost` has resolved yet; every driver admits
-  a copy when it is sent, so "nothing in transit" is this one exact
+  copies :meth:`admit` or :meth:`outbound` admitted that no
+  :meth:`inbound_batch` or :meth:`lost` has resolved yet; every driver
+  admits a copy when it is sent, so "nothing in transit" is this one exact
   number on every substrate, and listeners registered with
   :meth:`on_idle` hear each return to zero;
 * the **frame-error count** - :attr:`LinkCore.frame_errors` tallies, by
@@ -172,6 +176,9 @@ class LinkCore:
         # peers.  Connectivity requires *mutual* allowance, keeping the
         # reachability relation symmetric as the contract demands.
         self._allowed: Dict[ProcessId, FrozenSet[ProcessId]] = {}
+        # No partition or restriction cuts any link: admit() may then
+        # count a fan-out once instead of copy by copy.
+        self._whole = True
         self._listeners: List[Callable[[], None]] = []
         # Last granted arrival per ordered link: the FIFO clamp.
         self._last_arrival: Dict[Link, float] = {}
@@ -248,6 +255,7 @@ class LinkCore:
         self._listeners.append(listener)
 
     def _notify_topology(self) -> None:
+        self._whole = not self._allowed and not any(self._group.values())
         for listener in list(self._listeners):
             listener()
 
@@ -298,6 +306,37 @@ class LinkCore:
             self.stats.record_sent(src, dst, wire)
         self.in_flight += len(copies)
         return Transmission(tuple(copies), dropped=bool(decision and decision.dropped))
+
+    def admit(
+        self, src: ProcessId, dsts: Sequence[ProcessId], message: Any
+    ) -> List[Optional[Transmission]]:
+        """Admit one multicast: what :meth:`outbound` returns for each of
+        ``dsts`` (sorted, without ``src``), in that order.
+
+        The paper's CO_RFIFO takes one ``send_p(set, m)`` per multicast,
+        and so does this call.  With no fault injector and no link cut
+        anywhere every copy is the message itself, so the fan-out is
+        counted once - ``len(dsts)`` sends of one kind and volume, and
+        as many copies into the ledger - and every destination shares
+        one :class:`Transmission`.  Otherwise each destination runs
+        :meth:`outbound`, the one statement of the fault pipeline.
+        """
+        if self.faults is not None or not self._whole:
+            return [self.outbound(src, dst, message) for dst in dsts]
+        count = len(dsts)
+        if not count:
+            return []
+        stats = self.stats
+        kind = kind_of(message)
+        stats.sent[kind] += count
+        per_link = stats.per_link
+        for dst in dsts:
+            per_link[src, dst] += 1
+        size = getattr(message, "estimated_size", None)
+        if size is not None:
+            stats.volume[kind] += size() * count
+        self.in_flight += count
+        return [Transmission(((message, 0.0),))] * count
 
     def inbound(
         self,

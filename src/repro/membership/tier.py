@@ -71,7 +71,7 @@ class TierLink(Protocol):
 
     ``send`` is *not* a side-channel: it must route the message
     through the substrate's unified :class:`~repro.links.LinkCore`
-    (``outbound()`` on admission, ``inbound()``/``inbound_batch()`` on
+    (``admit()`` on admission, ``inbound()``/``inbound_batch()`` on
     arrival) exactly like data traffic, so tier messages see the same
     partition matrix, fault pipeline, receiver-side dedup, per-link FIFO
     clamp, and :class:`~repro.links.LinkStats` counters - which is what

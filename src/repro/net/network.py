@@ -23,6 +23,15 @@ links.  Any other copy across a cut is CO_RFIFO's ``lose``.  A crashed
 process sends nothing, hears nothing and forgets its reliable set and
 held queues.
 
+A multicast is one :meth:`~SimNetwork.multicast` call: the core admits
+it once (:meth:`LinkCore.admit <repro.links.LinkCore.admit>`), and the
+carriers it opens one after another, in destination order, at one
+clamped arrival share one scheduled event - the same execution as one
+event each, since those would take consecutive sequence numbers at one
+timestamp.  Each carrier keeps its own place in its link's in-flight
+queue, so a cut still kills exactly the cut links' carriers.
+Point-to-point :meth:`~SimNetwork.send` is a fan-out of one.
+
 The per-kind message counters live in the core's
 :class:`~repro.links.LinkStats` (``network.core.stats``); the benchmark
 harness reads them to reproduce the paper's message-cost claims.
@@ -31,10 +40,23 @@ harness reads them to reproduce the paper's message-cost claims.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Deque, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from functools import partial
+from typing import (
+    Any,
+    Callable,
+    Deque,
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.chaos.faults import DuplicateCopy, FaultInjector
-from repro.links import Carrier, Link, LinkCore
+from repro.links import Carrier, Link, LinkCore, Transmission
 from repro.net.latency import ConstantLatency, LatencyModel
 from repro.net.simclock import EventScheduler, ScheduledEvent
 from repro.types import ProcessId
@@ -61,8 +83,9 @@ class SimNetwork:
         self._crashed: Set[ProcessId] = set()
         # Originals waiting, per link, for the link to reconnect.
         self._held: Dict[Link, Deque[Any]] = {}
-        # Carriers on the wire, per link, in arrival order.
-        self._in_flight: Dict[Link, Deque[Tuple[ScheduledEvent, Carrier]]] = {}
+        # Carriers on the wire, per link, in arrival order, each beside
+        # the scheduled arrival it shares with its fan-out's others.
+        self._in_flight: Dict[Link, Deque[Tuple[_Arrival, Carrier]]] = {}
         # The newest (possibly still joinable) carrier per link, and the
         # instant it was opened at: a copy sent later never joins it, even
         # with the same arrival.  Kept beside the carrier rather than in a
@@ -83,22 +106,28 @@ class SimNetwork:
         self.core.ensure(pid)
 
     def send(self, src: ProcessId, dst: ProcessId, message: Any) -> None:
-        """FIFO-send ``message`` from ``src`` to ``dst``: onto the wire,
-        held while the link is cut if ``dst`` is reliable to ``src``, or
-        lost."""
+        """FIFO-send ``message`` from ``src`` to ``dst``: a fan-out of one."""
+        self.multicast(src, (dst,), message)
+
+    def multicast(self, src: ProcessId, dsts: Sequence[ProcessId], message: Any) -> None:
+        """FIFO-send ``message`` from ``src`` to each of ``dsts`` (sorted,
+        without ``src``): onto the wire, held while a link is cut if its
+        peer is reliable to ``src``, or lost.
+
+        The link core admits the fan-out once; the copies it admits are
+        then scheduled (:meth:`_schedule`)."""
         if src in self._crashed:
             return
-        link = (src, dst)
-        if link in self._held:
-            self._held[link].append(message)
-            return
-        transmission = self.core.outbound(src, dst, message)
-        if transmission is None:
-            if dst in self._reliable.get(src, ()):
-                self._held[link] = deque((message,))
-            return
-        for wire, extra in transmission.copies:
-            self._schedule(link, wire, extra)
+        if self._held:
+            free = []
+            for dst in dsts:
+                queue = self._held.get((src, dst))
+                if queue is None:
+                    free.append(dst)
+                else:
+                    queue.append(message)
+            dsts = free
+        self._schedule(src, dsts, self.core.admit(src, dsts, message), message)
 
     def set_reliable(self, pid: ProcessId, targets: Iterable[ProcessId]) -> None:
         """Declare ``pid``'s reliable set; the held queues towards cut-off
@@ -126,9 +155,7 @@ class SimNetwork:
         """What ``dst`` has yet to receive from ``src``, in channel order:
         the copies in flight (carrier by carrier), then the held queue."""
         flight = self._in_flight.get((src, dst), ())
-        copies = [
-            wire for event, carrier in flight if not event.cancelled for wire in carrier.copies
-        ]
+        copies = [wire for _arrival, carrier in flight for wire in carrier.copies]
         return copies + list(self._held.get((src, dst), ()))
 
     # ------------------------------------------------------------------
@@ -148,8 +175,11 @@ class SimNetwork:
             src, dst = link
             hold = dst in self._reliable.get(src, ())
             while flight:
-                event, carrier = flight.popleft()
-                event.cancel()
+                arrival, carrier = flight.popleft()
+                arrival.live -= 1
+                if not arrival.live and arrival.event is not None:
+                    arrival.event.cancel()
+                    arrival.event = None
                 carrier.open = False
                 self.core.lost(src, dst, carrier.copies)
                 if hold:
@@ -170,47 +200,86 @@ class SimNetwork:
     # transmission
     # ------------------------------------------------------------------
 
-    def _schedule(self, link: Link, wire: Any, extra: float) -> None:
-        src, dst = link
-        now = self.clock.now
-        # The FIFO clamp must see every proposed arrival (it is stateful),
-        # so sample and clamp before deciding whether to coalesce.
-        arrival = self.core.fifo_arrival(
-            src, dst, now + self.latency.sample(src, dst) + extra
-        )
-        # Same instant, same (clamped) arrival, same link: the copy rides
-        # the already-scheduled carrier (one event for the run).
-        carrier = self._open.get(link)
-        if (
-            carrier is not None
-            and self._opened_at[link] == now
-            and carrier.join(wire, extra, arrival)
-        ):
-            return
-        flight = self._in_flight.setdefault(link, deque())
-        carrier = self._open[link] = Carrier(wire, extra, arrival)
-        self._opened_at[link] = now
+    def _schedule(
+        self,
+        src: ProcessId,
+        dsts: Sequence[ProcessId],
+        transmissions: List[Optional[Transmission]],
+        message: Any,
+    ) -> None:
+        """Put one fan-out's admitted copies on the wire.
 
-        def deliver() -> None:
-            # Retire exactly this carrier's entry, keyed by the scheduled
-            # event: matching by message identity pops a different
-            # transmission's entry when the same message object is on the
-            # link twice, leaving a live event that a later partition
-            # flush cannot cancel.
+        Each copy rides the newest carrier on its link when it was opened
+        at this instant for the same clamped arrival (:class:`Carrier`),
+        or opens one.  Carriers opened here one after another, in
+        destination order, for one arrival share one scheduled event: one
+        event per carrier would take consecutive sequence numbers at one
+        timestamp, so nothing could run between them either way.
+        """
+        now = self.clock.now
+        sample = self.latency.sample
+        clamp = self.core.fifo_arrival
+        open_carriers, opened_at, in_flight = self._open, self._opened_at, self._in_flight
+        arrival: Optional[_Arrival] = None
+        for dst, transmission in zip(dsts, transmissions):
+            link = (src, dst)
+            if transmission is None:
+                if dst in self._reliable.get(src, ()):
+                    self._held[link] = deque((message,))
+                continue
+            for wire, extra in transmission.copies:
+                # The FIFO clamp must see every proposed arrival (it is
+                # stateful), so sample and clamp before trying to join.
+                at = clamp(src, dst, now + sample(src, dst) + extra)
+                carrier = open_carriers.get(link)
+                if carrier is not None and opened_at[link] == now and carrier.join(wire, extra, at):
+                    continue
+                carrier = open_carriers[link] = Carrier(wire, extra, at)
+                opened_at[link] = now
+                if arrival is None or arrival.at != at:
+                    arrival = _Arrival(at)
+                    arrival.event = self.clock.schedule_at(at, partial(self._deliver, src, arrival))
+                arrival.dsts.append(dst)
+                arrival.carriers.append(carrier)
+                arrival.live += 1
+                flight = in_flight.get(link)
+                if flight is None:
+                    flight = in_flight[link] = deque()
+                flight.append((arrival, carrier))
+
+    def _deliver(self, src: ProcessId, arrival: "_Arrival") -> None:
+        """One event: each carrier of ``arrival`` still on the wire, in order."""
+        # Delivering: a cut from a handler cancels nothing (and the event
+        # and this arrival no longer hold each other).
+        arrival.event = None
+        for dst, carrier in zip(arrival.dsts, arrival.carriers):
+            flight = self._in_flight[src, dst]
+            if not flight or flight[0][1] is not carrier:
+                continue  # died whole at a cut
+            flight.popleft()
             carrier.open = False
-            if flight and flight[0] is entry:
-                flight.popleft()
-            else:
-                try:
-                    flight.remove(entry)
-                except ValueError:
-                    pass
             payloads = self.core.inbound_batch(src, dst, carrier.copies)
             handler = self._handlers.get(dst)
             if handler is not None and dst not in self._crashed:
                 for payload in payloads:
                     handler(src, payload)
 
-        event = self.clock.schedule_at(arrival, deliver)
-        entry = (event, carrier)
-        flight.append(entry)
+
+class _Arrival:
+    """What one scheduled event delivers: the ``carriers`` one fan-out
+    opened, one after another in destination order (``dsts``), at clamped
+    arrival ``at``.
+
+    Each carrier also sits in its link's in-flight queue beside this
+    arrival; ``live`` counts those a cut has not killed, and the event is
+    cancelled when none is left.
+    """
+
+    __slots__ = ("at", "event", "dsts", "carriers", "live")
+
+    def __init__(self, at: float) -> None:
+        self.at = at
+        self.event: Optional[ScheduledEvent] = None
+        self.dsts: List[ProcessId] = []
+        self.carriers: List[Carrier] = []
+        self.live = 0

@@ -15,7 +15,10 @@
   real agreement over the simulated network (the full client-server
   architecture, the same tier the asyncio and TCP clusters run).  The
   world hands the tier its own :meth:`~SimWorld.attach` /
-  :meth:`~SimWorld.send` pair, as a runtime cluster hands it its fabric.
+  :meth:`~SimWorld.send` pair, as a runtime cluster hands it its fabric;
+  ``send`` is one :meth:`SimNetwork.multicast
+  <repro.net.network.SimNetwork.multicast>` per multicast - admitted
+  once, scheduled as one event per arrival instant.
 
 All externally observable behaviour lands in a single time-stamped
 :class:`~repro.checking.events.GcsTrace`, so the property checkers of
@@ -248,9 +251,7 @@ class SimWorld:
         depend on the interpreter's hash seed (traces must replay
         byte-for-byte across processes).
         """
-        for dst in sorted(targets):
-            if dst != src:
-                self.network.send(src, dst, message)
+        self.network.multicast(src, [dst for dst in sorted(targets) if dst != src], message)
 
     def set_reliable(
         self, pid: ProcessId, targets: Iterable[ProcessId], group: Optional[GroupName] = None

@@ -47,7 +47,7 @@ class Fabric(TierLink, Protocol):
 
     A fabric moves messages between attached processes - group members
     and membership servers alike - through its unified
-    :class:`~repro.links.LinkCore`: ``outbound()`` on admission,
+    :class:`~repro.links.LinkCore`: ``admit()`` on admission,
     ``inbound()``/``inbound_batch()`` on arrival, so every message sees
     the one partition matrix, fault pipeline, dedup and counter set of
     ``core``.  Per ordered pair of processes delivery is FIFO and

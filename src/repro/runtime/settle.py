@@ -98,6 +98,7 @@ async def await_quiescent(
     event: asyncio.Event,
     *,
     timeout: Optional[float] = None,
+    failure: Callable[[], Optional[Exception]] = lambda: None,
 ) -> None:
     """Wait until ``core`` has no wire copy in flight.
 
@@ -105,12 +106,21 @@ async def await_quiescent(
     admits a copy to the ledger when it is sent, and handlers run
     synchronously after the copy they handle is resolved, so a reply is
     admitted before any waiter can observe the zero.  Stalls raise
-    :class:`SettleTimeoutError` with :meth:`LinkCore.describe_stall`.
+    :class:`SettleTimeoutError` with :meth:`LinkCore.describe_stall`;
+    the exception ``failure()`` returns - the first one a handler raised,
+    which the fabric wakes ``event`` for - is raised instead.
     """
+
+    def quiet() -> bool:
+        exc = failure()
+        if exc is not None:
+            raise exc
+        return core.in_flight == 0
+
     # Yield once: callbacks already due this loop turn may still send.
     await asyncio.sleep(0)
     await await_settled(
-        lambda: core.in_flight == 0,
+        quiet,
         event,
         timeout=timeout,
         describe=core.describe_stall,

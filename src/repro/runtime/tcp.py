@@ -18,10 +18,11 @@ outbox whose pump task serialises the process's carriers onto the
 sockets.  Every transport of a fabric shares its ``core``, so a single
 partition matrix (and a single counter set) covers the whole
 deployment.  :meth:`TcpFabric.send` does what the hub's ``send`` does:
-it admits every copy through the core's ``outbound`` when it is sent and
-adds it to an open :class:`~repro.links.Carrier` queued on the sender's
-outbox; :meth:`TcpTransport.send_many` is the socket leg that frames and
-writes one such carrier to one peer.
+it admits each multicast through one ``admit`` call on the core when it
+is sent and adds each admitted copy to an open
+:class:`~repro.links.Carrier` queued on the sender's outbox;
+:meth:`TcpTransport.send_many` is the socket leg that frames and writes
+one such carrier to one peer.
 
 The fabric paces application senders (:meth:`TcpFabric.pace`): a
 ``GcsNode.send`` yields to the loop only once one of its carriers is
@@ -62,7 +63,10 @@ frame end in a counted :class:`~repro.errors.FrameError` and a closed
 connection, never in a traceback.  Between two transports of one build
 a decode failure would be a codec bug: the copies still on that
 connection cannot be accounted, so a settle then times out, and a chaos
-episode reports the frame error (``RUN-FRAME``) as its finding.
+episode reports the frame error (``RUN-FRAME``) as its finding.  An
+exception a handler raises is neither: the connection reads on, the
+fabric keeps the first one, :meth:`TcpFabric.quiesce` raises it at once
+and :meth:`TcpFabric.close` again after releasing tasks and sockets.
 """
 
 from __future__ import annotations
@@ -142,7 +146,8 @@ class TcpTransport:
     anything; a peer that connects before :meth:`start` runs the accept
     loop waits in the kernel's backlog and is served from there.  The
     transport shares its fabric's ``core`` and dials from the fabric's
-    address book (``peers``).
+    address book (``peers``); an exception ``handler`` raises goes to
+    ``on_error`` and the connection reads on.
     """
 
     def __init__(
@@ -151,11 +156,13 @@ class TcpTransport:
         handler: Handler,
         *,
         core: LinkCore,
+        on_error: Callable[[Exception], None],
         host: str = "127.0.0.1",
         port: int = 0,
     ) -> None:
         self.pid = pid
         self.handler = handler
+        self.on_error = on_error
         self._socket = socket.create_server((host, port))
         self.host, self.port = self._socket.getsockname()[:2]
         self.core = core
@@ -290,7 +297,10 @@ class TcpTransport:
                 for payload in self.core.inbound_batch(
                     src, self.pid, _copies(wire), check_topology=True
                 ):
-                    self.handler(src, payload)
+                    try:
+                        self.handler(src, payload)
+                    except Exception as exc:
+                        self.on_error(exc)
         except FrameError as exc:
             # Not a frame of this format: count it and hang up; the
             # decoder's tables can no longer be trusted.
@@ -330,13 +340,15 @@ class TcpFabric:
         # Senders one of whose carriers filled up since they last paced.
         self._full: Set[ProcessId] = set()
         self._pumps: Dict[ProcessId, asyncio.Task] = {}
+        # The first exception a handler raised (see quiesce / close).
+        self.failure: Optional[Exception] = None
         self._quiet = asyncio.Event()
         self.core.on_idle(self._quiet.set)
 
     def attach(self, pid: ProcessId, handler: Handler) -> None:
         if pid in self._transports:
             raise ValueError(f"duplicate process {pid!r}")
-        transport = TcpTransport(pid, handler, core=self.core)
+        transport = TcpTransport(pid, handler, core=self.core, on_error=self._handler_failed)
         transport.peers = self.addresses
         self._transports[pid] = transport
         self._outboxes[pid] = asyncio.Queue()
@@ -348,13 +360,12 @@ class TcpFabric:
     check_payload = staticmethod(check_payload)
 
     def send(self, src: ProcessId, targets: Iterable[ProcessId], message: Any) -> None:
-        outbox = self._outboxes[src]
+        outboxes = self._outboxes
+        outbox = outboxes[src]
         # Sorted fan-out, as on the hub: hash order must not decide the
         # order in which a multicast's copies are admitted.
-        for dst in sorted(targets):
-            if dst == src or dst not in self._outboxes:
-                continue
-            transmission = self.core.outbound(src, dst, message)
+        dsts = [dst for dst in sorted(targets) if dst != src and dst in outboxes]
+        for dst, transmission in zip(dsts, self.core.admit(src, dsts, message)):
             if transmission is None:
                 continue  # partitioned: the suffix is lost, as CO_RFIFO allows
             link = (src, dst)
@@ -397,12 +408,23 @@ class TcpFabric:
         ledger covers it from the outbox to the receiving handler.
         Raises :class:`~repro.errors.SettleTimeoutError` if traffic
         never stops within ``timeout`` seconds (default: the settle
-        deadline).
+        deadline), and the first exception a handler raised as soon as
+        there is one.
         """
-        await await_quiescent(self.core, self._quiet, timeout=timeout)
+        await await_quiescent(
+            self.core, self._quiet, timeout=timeout, failure=lambda: self.failure
+        )
+
+    def _handler_failed(self, exc: Exception) -> None:
+        """Keep the first exception a handler raised and wake the waiters:
+        the connection reads on, and :meth:`quiesce` raises it."""
+        if self.failure is None:
+            self.failure = exc
+            self._quiet.set()
 
     async def close(self) -> None:
-        """Let the admitted copies resolve, then release tasks and sockets.
+        """Let the admitted copies resolve, then release tasks and sockets,
+        then raise the first handler exception.
 
         A send its caller has returned from may still sit in an outbox
         (:meth:`pace` need not yield); it is framed - or counted as a
@@ -414,9 +436,15 @@ class TcpFabric:
             await self.quiesce()
         except SettleTimeoutError:
             pass  # close still releases everything; a settle names the stall
+        except Exception as exc:
+            # A handler's failure is raised once everything is released.
+            if exc is not self.failure:
+                raise
         for task in self._pumps.values():
             task.cancel()
         await asyncio.gather(*self._pumps.values(), return_exceptions=True)
         self._pumps.clear()
         for transport in self._transports.values():
             await transport.close()
+        if self.failure is not None:
+            raise self.failure

@@ -13,17 +13,21 @@ peers - the paper's algorithm re-establishes reliability through the
 membership service, so tests pair partitions with reconfigurations, as
 a real WAN deployment would).
 
-:meth:`AsyncHub.send` admits each copy through the core's
-``outbound()`` when it is sent and adds it to the open
-:class:`~repro.links.Carrier` at the tail of the destination's inbox,
-so one pump wakeup delivers a sender's whole run.  An application
-sender yields after every send (:meth:`AsyncHub.pace`), so the
-receivers handle a burst while it is being sent.
+:meth:`AsyncHub.send` admits each multicast through one
+:meth:`~repro.links.LinkCore.admit` call when it is sent and adds each
+admitted copy to the open :class:`~repro.links.Carrier` at the tail of
+its destination's inbox, so one pump wakeup delivers a sender's whole
+run.  An application sender yields after every send
+(:meth:`AsyncHub.pace`), so the receivers handle a burst while it is
+being sent.
 
 The hub keeps no count of its own: a copy is in flight from the core's
-``outbound()`` until the pump hands it to ``inbound_batch()``, so
+``admit()`` until the pump hands it to ``inbound_batch()``, so
 :meth:`AsyncHub.quiesce` is the runtime's one wait on the core's
-in-flight ledger (:func:`~repro.runtime.settle.await_quiescent`).
+in-flight ledger (:func:`~repro.runtime.settle.await_quiescent`).  A
+handler that raises does not stop its inbox: the hub keeps the first
+such exception, ``quiesce`` raises it at once instead of waiting out
+its deadline, and ``close`` raises it again once the pumps are gone.
 """
 
 from __future__ import annotations
@@ -57,6 +61,8 @@ class AsyncHub:
         self._tails: Dict[ProcessId, Carrier] = {}
         self._pumps: Dict[ProcessId, asyncio.Task] = {}
         self._closed = False
+        # The first exception a handler raised (see quiesce / close).
+        self.failure: Optional[Exception] = None
         self._quiet = asyncio.Event()
         self.core.on_idle(self._quiet.set)
 
@@ -90,10 +96,9 @@ class AsyncHub:
         # Sorted fan-out: targets is usually a frozenset, and hash-order
         # iteration would leak the interpreter's hash seed into
         # same-instant delivery order (traces must replay byte-for-byte).
-        for dst in sorted(targets):
-            if dst == src or dst not in self._queues:
-                continue
-            transmission = self.core.outbound(src, dst, message)
+        queues = self._queues
+        dsts = [dst for dst in sorted(targets) if dst != src and dst in queues]
+        for dst, transmission in zip(dsts, self.core.admit(src, dsts, message)):
             if transmission is None:
                 continue  # partitioned: the suffix is lost, as CO_RFIFO allows
             for wire, extra in transmission.copies:
@@ -122,14 +127,27 @@ class AsyncHub:
                 await asyncio.sleep(carrier.extra)
             src = carrier.stamp
             for payload in self.core.inbound_batch(src, pid, carrier.copies):
-                handler(src, payload)
+                try:
+                    handler(src, payload)
+                except Exception as exc:
+                    self._handler_failed(exc)
+
+    def _handler_failed(self, exc: Exception) -> None:
+        """Keep the first exception a handler raised and wake the waiters:
+        the pump delivers on, and :meth:`quiesce` raises it."""
+        if self.failure is None:
+            self.failure = exc
+            self._quiet.set()
 
     async def close(self) -> None:
+        """Release the pumps; then raise the first handler exception."""
         self._closed = True
         for task in self._pumps.values():
             task.cancel()
         await asyncio.gather(*self._pumps.values(), return_exceptions=True)
         self._pumps.clear()
+        if self.failure is not None:
+            raise self.failure
 
     async def quiesce(self, timeout: Optional[float] = None) -> None:
         """Wait until the core's ledger shows no message in flight.
@@ -138,6 +156,9 @@ class AsyncHub:
         admitted before the handled batch's pump step ends, so a zero
         ledger means the hub is genuinely quiescent.  Raises
         :class:`~repro.errors.SettleTimeoutError` if traffic never stops
-        within ``timeout`` seconds (default: the settle deadline).
+        within ``timeout`` seconds (default: the settle deadline), and the
+        first exception a handler raised as soon as there is one.
         """
-        await await_quiescent(self.core, self._quiet, timeout=timeout)
+        await await_quiescent(
+            self.core, self._quiet, timeout=timeout, failure=lambda: self.failure
+        )

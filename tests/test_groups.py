@@ -242,8 +242,10 @@ def test_shared_transport_contract():
     # the default group sends bare: the network sees its AppMsg
     # unwrapped, a named group's inside an envelope
     sent = []
-    send = world.network.send
-    world.network.send = lambda src, dst, m: (sent.append(m), send(src, dst, m))[1]
+    multicast = world.network.multicast
+    world.network.multicast = lambda src, dsts, m: (
+        sent.extend(m for _dst in dsts), multicast(src, dsts, m)
+    )[1]
     q0.send("bare")
     world.node("q0", "side").send("wrapped")
     world.settle()
@@ -253,7 +255,7 @@ def test_shared_transport_contract():
     }
     # an envelope for a group the receiver never joined is dropped
     # (p1 joined nothing, q1 joined only "side")
-    world.network.send = send
+    world.network.multicast = multicast
     for dst in ("p1", "q1"):
         world.network.send("q0", dst, GroupEnvelope("nowhere", sent[0]))
     world.settle()
@@ -387,8 +389,10 @@ def test_default_group_notices_stay_bare():
     world = make_world()
     world.add_nodes(["q0", "q1"])
     seen = []
-    send = world.network.send
-    world.network.send = lambda src, dst, m: (seen.append((dst, m)), send(src, dst, m))[1]
+    multicast = world.network.multicast
+    world.network.multicast = lambda src, dsts, m: (
+        seen.extend((dst, m) for dst in dsts), multicast(src, dsts, m)
+    )[1]
     world.start()
     world.set_group("side", ["p0", "p1"])
     world.settle()
