@@ -11,7 +11,7 @@ counters, one-round (two in the cold-registry case) view agreement.
 
 This is what lets the asyncio and TCP deployments run the *same*
 membership algorithm as the simulator instead of an ad-hoc in-process
-coordinator.  A runtime fabric (:class:`~repro.runtime.cluster.Fabric` -
+coordinator.  A runtime fabric (:class:`~repro.runtime.fabric.Fabric` -
 the asyncio hub, the socket fabric) *is* a ``TierLink``: servers attach
 to it exactly like group members do, so :class:`~repro.runtime.cluster.Cluster`
 hands the tier its fabric; :class:`~repro.net.world.SimWorld` hands it
@@ -66,8 +66,8 @@ class TierLink(Protocol):
     a server to other processes - servers (proposals) or clients
     (start_change / view notices) - and never blocks.  The pair is the
     attach/send half of the runtime's
-    :class:`~repro.runtime.cluster.Fabric` contract, so any fabric hosts
-    a tier as it is.
+    :class:`~repro.runtime.fabric.Fabric`, so any fabric hosts a tier
+    as it is.
 
     ``send`` is *not* a side-channel: it must route the message
     through the substrate's unified :class:`~repro.links.LinkCore`

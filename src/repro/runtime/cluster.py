@@ -1,6 +1,7 @@
 """The runtime cluster: GCS nodes plus a membership tier on one fabric.
 
-``Cluster`` bundles a *fabric* (the :class:`Fabric` contract below), a
+``Cluster`` bundles a *fabric* (a :class:`~repro.runtime.fabric.Fabric`
+leg, built by the subclass's ``fabric_cls``), a
 :class:`~repro.membership.tier.MembershipTier` of real membership
 servers (the same one-round client-server protocol the simulator runs -
 see :mod:`repro.membership.server`), and node management.  Servers and
@@ -11,11 +12,13 @@ cut clients off from their servers exactly as a WAN partition would.
 The cluster *is* the :class:`~repro.deploy.base.Deployment` for every
 fabric: the membership and fault operations are the base class's, this
 module adds node management and the event-driven wait they end in; the
-substrate is whichever fabric it is given.
+substrate is whichever fabric the subclass names, and every subclass
+takes the one option set of :class:`Cluster`.
 :class:`AsyncDeployment` picks the in-process
 :class:`~repro.runtime.transport.AsyncHub`, :class:`TcpDeployment` the
 socket-backed :class:`~repro.runtime.tcp.TcpFabric`; a further substrate
-is one more :class:`Fabric` and one more subclass choosing it.
+is one more :class:`~repro.runtime.fabric.Fabric` leg and one more
+subclass choosing it.
 
 All settling is event-driven: view installations wake the waiters, and a
 stuck protocol raises :class:`~repro.errors.SettleTimeoutError` instead
@@ -27,62 +30,19 @@ from __future__ import annotations
 
 import asyncio
 import time
-from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Protocol
+from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Type
 
 from repro.chaos.faults import FaultInjector
 from repro.checking.events import GcsTrace
 from repro.core.forwarding import ForwardingStrategy
 from repro.deploy.base import Deployment
-from repro.links import LinkCore
-from repro.membership.tier import MembershipTier, TierLink
+from repro.membership.tier import MembershipTier
+from repro.runtime.fabric import Fabric
 from repro.runtime.node import GcsNode
 from repro.runtime.settle import await_settled, describe_views
 from repro.runtime.tcp import TcpFabric
 from repro.runtime.transport import AsyncHub
 from repro.types import ProcessId, View
-
-
-class Fabric(TierLink, Protocol):
-    """What a substrate provides to carry a cluster.
-
-    A fabric moves messages between attached processes - group members
-    and membership servers alike - through its unified
-    :class:`~repro.links.LinkCore`: ``admit()`` on admission,
-    ``inbound()``/``inbound_batch()`` on arrival, so every message sees
-    the one partition matrix, fault pipeline, dedup and counter set of
-    ``core``.  Per ordered pair of processes delivery is FIFO and
-    gap-free while the pair stays connected (CO_RFIFO, Figure 3).
-
-    The message-moving half is inherited: ``attach(pid, handler)``
-    delivers every message for ``pid`` to ``handler(src, message)``, and
-    ``send(src, targets, message)`` is a fire-and-forget FIFO multicast
-    that never blocks and admits every copy to ``core`` before it
-    returns, so the core's in-flight ledger covers it from then on - the
-    whole
-    :class:`~repro.membership.tier.TierLink` protocol, which is why the
-    tier is handed the fabric itself.
-    """
-
-    core: LinkCore
-
-    def check_payload(self, payload: Any) -> None:
-        """Raise ``TypeError`` (or ``ValueError``) for an application
-        payload this fabric cannot carry."""
-        ...  # pragma: no cover - protocol
-
-    async def pace(self, src: ProcessId) -> None:
-        """Yield to the loop, or not, after an application send by ``src``:
-        the fabric decides how much of a burst its pumps see at once."""
-        ...  # pragma: no cover - protocol
-
-    async def quiesce(self) -> None:
-        """Return once ``core.in_flight`` is zero; raise
-        :class:`~repro.errors.SettleTimeoutError` if traffic never stops."""
-        ...  # pragma: no cover - protocol
-
-    async def close(self) -> None:
-        """Release tasks and sockets."""
-        ...  # pragma: no cover - protocol
 
 
 class Cluster(Deployment):
@@ -91,16 +51,17 @@ class Cluster(Deployment):
     # The runtimes run in real seconds, where a few milliseconds already
     # reorder traffic without stretching CI wall-clock.
     time_scale = 0.003
+    fabric_cls: Type[Fabric]  # the substrate; each subclass names its own
 
     def __init__(
         self,
-        fabric: Fabric,
         *,
         forwarding: Optional[ForwardingStrategy] = None,
         servers: int = 1,
+        faults: Optional[FaultInjector] = None,
         fastpath: bool = True,
     ) -> None:
-        self.fabric = fabric
+        self.fabric = fabric = self.fabric_cls(faults=faults)
         self.links = fabric.core
         self.nodes: Dict[ProcessId, GcsNode] = {}
         self.trace: GcsTrace = GcsTrace()
@@ -189,26 +150,11 @@ class AsyncDeployment(Cluster):
     """A cluster on the in-process :class:`AsyncHub`."""
 
     name = "async"
+    fabric_cls = AsyncHub
     setup = Cluster.setup
     send = Cluster.send
     settle = Cluster.settle
     reconfigure = Deployment.reconfigure
-
-    def __init__(
-        self,
-        *,
-        delay: float = 0.0,
-        forwarding: Optional[ForwardingStrategy] = None,
-        servers: int = 1,
-        faults: Optional[FaultInjector] = None,
-        fastpath: bool = True,
-    ) -> None:
-        super().__init__(
-            AsyncHub(delay=delay, faults=faults),
-            forwarding=forwarding,
-            servers=servers,
-            fastpath=fastpath,
-        )
 
 
 class TcpDeployment(Cluster):
@@ -222,20 +168,8 @@ class TcpDeployment(Cluster):
     """
 
     name = "tcp"
+    fabric_cls = TcpFabric
     setup = Cluster.setup
     send = Cluster.send
     settle = Cluster.settle
     reconfigure = Deployment.reconfigure
-
-    def __init__(
-        self,
-        *,
-        servers: int = 1,
-        faults: Optional[FaultInjector] = None,
-        fastpath: bool = True,
-    ) -> None:
-        super().__init__(
-            TcpFabric(faults=faults),
-            servers=servers,
-            fastpath=fastpath,
-        )

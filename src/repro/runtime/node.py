@@ -7,7 +7,7 @@ enforced for the application automatically: while the end-point has
 requested a block, ``send`` waits.
 
 A node knows nothing about its substrate beyond the *fabric* it is
-attached to (:class:`~repro.runtime.cluster.Fabric`): wire messages
+attached to (:class:`~repro.runtime.fabric.Fabric`): wire messages
 leave through ``fabric.send`` and arrive at :meth:`GcsNode._on_wire`.
 """
 
@@ -26,7 +26,7 @@ from repro.core.host import EndpointHost
 from repro.types import ProcessId, View
 
 if TYPE_CHECKING:  # pragma: no cover - annotation only
-    from repro.runtime.cluster import Fabric
+    from repro.runtime.fabric import Fabric
 
 
 @dataclass(frozen=True)
@@ -86,7 +86,7 @@ class GcsNode(EndpointHost):
         and ``TypeError`` for a payload the fabric cannot carry).
 
         Whether the sender then yields to the loop is the fabric's call
-        (:meth:`~repro.runtime.cluster.Fabric.pace`): the hub yields after
+        (:meth:`~repro.runtime.fabric.Fabric.pace`): the hub yields after
         every send, the socket fabric only once a full batch is queued,
         so a burst of sends leaves as one frame per peer.
         """

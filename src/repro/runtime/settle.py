@@ -7,10 +7,9 @@ when a protocol bug keeps it false.  :func:`await_settled` replaces all
 of those loops: callers hand in a *predicate* and an :class:`asyncio.Event`
 that progress-making code sets, and get either a prompt return or a
 :class:`~repro.errors.SettleTimeoutError` carrying a description of the
-stuck state.  :func:`await_quiescent` is the one such wait for "no
-message in transit", shared by every runtime fabric: each admits a copy
-to the link core's in-flight ledger when it is sent, so the ledger alone
-decides, and quiescence is counted, never timed.
+stuck state.  The one wait for "no message in transit",
+:meth:`repro.runtime.fabric.Fabric.quiesce`, is such a wait on the link
+core's in-flight ledger: quiescence is counted, never timed.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ from typing import Callable, Mapping, Optional
 
 from repro.core.host import EndpointHost
 from repro.errors import SettleTimeoutError
-from repro.links import LinkCore
 from repro.types import ProcessId
 
 DEFAULT_TIMEOUT = 10.0
@@ -93,40 +91,6 @@ async def await_settled(
             pass  # fall through to the deadline check / final predicate try
 
 
-async def await_quiescent(
-    core: LinkCore,
-    event: asyncio.Event,
-    *,
-    timeout: Optional[float] = None,
-    failure: Callable[[], Optional[Exception]] = lambda: None,
-) -> None:
-    """Wait until ``core`` has no wire copy in flight.
-
-    ``event`` must be registered with ``core.on_idle``.  Every fabric
-    admits a copy to the ledger when it is sent, and handlers run
-    synchronously after the copy they handle is resolved, so a reply is
-    admitted before any waiter can observe the zero.  Stalls raise
-    :class:`SettleTimeoutError` with :meth:`LinkCore.describe_stall`;
-    the exception ``failure()`` returns - the first one a handler raised,
-    which the fabric wakes ``event`` for - is raised instead.
-    """
-
-    def quiet() -> bool:
-        exc = failure()
-        if exc is not None:
-            raise exc
-        return core.in_flight == 0
-
-    # Yield once: callbacks already due this loop turn may still send.
-    await asyncio.sleep(0)
-    await await_settled(
-        quiet,
-        event,
-        timeout=timeout,
-        describe=core.describe_stall,
-    )
-
-
 def describe_views(nodes: Mapping[ProcessId, EndpointHost]) -> str:
     """Render ``pid -> current view`` for settle-timeout diagnostics."""
     return ", ".join(
@@ -138,7 +102,6 @@ def describe_views(nodes: Mapping[ProcessId, EndpointHost]) -> str:
 __all__ = [
     "DEFAULT_TIMEOUT",
     "ENV_TIMEOUT",
-    "await_quiescent",
     "await_settled",
     "describe_views",
     "settle_timeout",

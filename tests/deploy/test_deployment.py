@@ -10,6 +10,7 @@ import inspect
 
 import pytest
 
+from repro.core.forwarding import MinCopiesStrategy
 from repro.core.host import EndpointHost
 from repro.deploy import (
     SUBSTRATES,
@@ -257,6 +258,18 @@ class TestDeploymentContract:
             assert host.current_view == deployment.current_view(pid)
             assert host.crashed == (pid == "c")
         assert deployment.current_view("a").members == {"a", "b"}
+
+    @pytest.mark.parametrize("substrate", SUBSTRATES)
+    def test_every_substrate_takes_a_forwarding_strategy(self, substrate):
+        strategy = MinCopiesStrategy()
+
+        async def scenario(deployment):
+            await deployment.setup(["a", "b", "c"])
+
+        deployment = run_scenario(substrate, scenario, forwarding=strategy)
+        assert sorted(deployment.nodes) == ["a", "b", "c"]
+        for host in deployment.nodes.values():
+            assert host.endpoint.forwarding is strategy
 
 
 class TestTracerContract:

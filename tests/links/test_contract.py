@@ -10,6 +10,8 @@ implemented exactly once, in :class:`repro.links.LinkCore`.
 
 from __future__ import annotations
 
+import asyncio
+
 import pytest
 
 from repro.chaos.faults import FaultInjector, FaultModel
@@ -255,12 +257,15 @@ def test_ledger_balances_after_faults_and_a_cut(driver_factory):
     run_contract(driver_factory, scenario, model)
 
 
-@pytest.mark.parametrize("fabric", [AsyncHub, TcpFabric], ids=["hub", "tcp"])
+# The runtime fabric's own duties, stated once over both legs.
+on_both_legs = pytest.mark.parametrize("fabric", [AsyncHub, TcpFabric], ids=["hub", "tcp"])
+
+
+@on_both_legs
 def test_a_fabric_admits_a_copy_when_it_is_sent(fabric):
     """``send`` admits every copy to the ledger before it returns - no
     outbox holds a copy the core does not know of - and admits nothing
     across a cut."""
-    import asyncio
 
     async def scenario():
         f = fabric()
@@ -277,6 +282,53 @@ def test_a_fabric_admits_a_copy_when_it_is_sent(fabric):
             assert f.core.stats.sent == {"str": 1}
         finally:
             await f.close()
+
+    asyncio.run(scenario())
+
+
+@on_both_legs
+def test_a_fabric_admits_nothing_for_an_unattached_pid(fabric):
+    async def scenario():
+        f = fabric()
+        f.attach("a", lambda src, m: None)
+        try:
+            f.send("a", ["ghost"], "m")
+            assert f.core.in_flight == 0
+            assert f.core.stats.sent == {}
+        finally:
+            await f.close()
+
+    asyncio.run(scenario())
+
+
+@on_both_legs
+def test_a_fabric_refuses_a_second_attach_of_one_pid(fabric):
+    async def scenario():
+        f = fabric()
+        f.attach("a", lambda src, m: None)
+        try:
+            with pytest.raises(ValueError, match="duplicate process 'a'"):
+                f.attach("a", lambda src, m: None)
+        finally:
+            await f.close()
+
+    asyncio.run(scenario())
+
+
+@on_both_legs
+def test_close_delivers_a_send_that_returned(fabric):
+    """A send its caller has returned from is handed over before
+    ``close`` cancels the pumps: nothing admitted is dropped."""
+
+    async def scenario():
+        f = fabric()
+        received = []
+        f.attach("a", lambda src, m: None)
+        f.attach("b", lambda src, m: received.append((src, m)))
+        f.send("a", ["b"], "m")  # no yield before the close
+        await f.close()
+        assert received == [("a", "m")]
+        assert f.core.in_flight == 0
 
     asyncio.run(scenario())
 
@@ -322,10 +374,10 @@ def test_sim_settle_timeout_reports_busiest_links():
 
 
 def test_async_quiesce_timeout_reports_busiest_links():
-    import asyncio
-
     async def scenario():
-        hub = AsyncHub(delay=0.2)
+        # A retransmission penalty of 0.2-0.6 s holds the copy past the
+        # deadline.
+        hub = AsyncHub(faults=FaultInjector(FaultModel(drop=1.0, penalty=0.4)))
         hub.register("a", lambda src, m: None)
         hub.register("b", lambda src, m: None)
         hub.send("a", ["b"], "slow")
@@ -341,8 +393,6 @@ def test_async_quiesce_timeout_reports_busiest_links():
 
 
 def test_tcp_quiesce_timeout_reports_busiest_links():
-    import asyncio
-
     # A retransmission penalty of 0.3-0.9 s holds the frame on the socket
     # fabric well past the deadline.
     faults = FaultInjector(FaultModel(drop=1.0, penalty=200.0, seed=1), time_scale=0.003)

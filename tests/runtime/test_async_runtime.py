@@ -4,6 +4,7 @@ import asyncio
 
 import pytest
 
+from repro.chaos.faults import FaultInjector, FaultModel
 from repro.checking import SAFETY_CODES, run_verdict
 from repro.runtime import AsyncDeployment, Delivery, ViewChange
 
@@ -85,9 +86,12 @@ def test_join_after_start(on_fabrics):
 
 
 def test_delayed_hub_still_safe():
-    # ``delay=`` is the hub's own knob; sockets bring their own latency.
+    # Every hub delivery held back up to 3 ms by the fault pipeline, as a
+    # chaos run delays it; sockets bring their own latency.
+    faults = FaultInjector(FaultModel(delay=1.0, jitter=1.0), time_scale=0.003)
+
     async def scenario():
-        async with AsyncDeployment(delay=0.003) as cluster:
+        async with AsyncDeployment(faults=faults) as cluster:
             nodes = await cluster.add_nodes(["a", "b", "c"])
             await cluster.start()
             for node in nodes:
