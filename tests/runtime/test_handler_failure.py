@@ -1,6 +1,7 @@
 """A handler exception on a runtime fabric is reported, not a stall:
-``quiesce`` raises it at once, delivery goes on, and ``close`` raises it
-again once it has released everything."""
+``quiesce`` raises it at once, delivery goes on, and ``close`` still
+hands over the admitted copies, then raises it again once it has
+released everything."""
 
 from __future__ import annotations
 
@@ -26,8 +27,10 @@ def test_a_handler_exception_is_raised_by_quiesce_and_close(fabric_cls):
             if message == "first":
                 raise Broken("handler broke on its first copy")
             received.append(message)
+            if message == "third":
+                fabric.send("b", ["a"], "reply")
 
-        fabric.attach("a", lambda src, message: None)
+        fabric.attach("a", lambda src, message: received.append(message))
         fabric.attach("b", handler)
         fabric.send("a", ["b"], "first")
         fabric.send("a", ["b"], "second")
@@ -39,7 +42,12 @@ def test_a_handler_exception_is_raised_by_quiesce_and_close(fabric_cls):
             await asyncio.sleep(0.01)
         assert received == ["second"]  # the inbox is still served
         assert fabric.core.in_flight == 0
+        # close still hands over a copy sent after the failure, unyielded,
+        # and the reply its handler sends.
+        fabric.send("a", ["b"], "third")
         with pytest.raises(Broken):
             await fabric.close()
+        assert received == ["second", "third", "reply"]
+        assert fabric.core.in_flight == 0
 
     asyncio.run(scenario())
