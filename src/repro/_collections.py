@@ -60,6 +60,10 @@ class frozendict(Mapping[K, V]):
         return self._data.items()
 
     def __eq__(self, other: object) -> bool:
+        # A plain dict first: a sync fold compares each cut with its dict
+        # accumulator, and isinstance against these ABCs is the slow path.
+        if type(other) is dict:
+            return self._data == other
         if isinstance(other, frozendict):
             return self._data == other._data
         if isinstance(other, Mapping):

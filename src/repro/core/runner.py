@@ -179,24 +179,25 @@ class EndpointRunner:
         if self._draining:
             return 0
         self._draining = True
+        endpoint = self.endpoint
         executed = 0
         try:
             while True:
-                batch = self.endpoint.enabled_actions()
+                batch = endpoint.enabled_actions()
                 if not batch:
                     break
                 if len(batch) > 1:
                     batch.sort(key=self._priority_key)
-                progressed = False
-                for action in batch:
-                    if not self.endpoint.is_enabled(action):
-                        continue  # an earlier action of this batch disabled it
-                    self.endpoint.apply(action)
+                # Each precondition is checked once: the first action runs
+                # in the state it was just found enabled in, and each later
+                # one is re-checked, since an earlier action of the batch
+                # (or what routing it injected) may have disabled it.
+                for position, action in enumerate(batch):
+                    if position and not endpoint.is_enabled(action):
+                        continue
+                    endpoint.apply_enabled(action)
                     self._route(action)
-                    progressed = True
                     executed += 1
-                if not progressed:
-                    break
         finally:
             self._draining = False
         return executed

@@ -76,6 +76,9 @@ class VsRfifoTsEndpoint(WvRfifoEndpoint):
 
     def _state(self) -> None:
         self.start_change: Optional[StartChange] = None
+        # current_view.members | start_change.members, built once per
+        # start_change (None without one): the reliable set to widen to.
+        self.widened: Optional[FrozenSet[ProcessId]] = None
         # sync_msg[q][cid]: the (view, cut) q attached to start_change cid.
         self.sync_msg: Dict[ProcessId, Dict[StartChangeId, SyncMsg]] = {}
         # forwarded_set: (target, origin, view, index) quadruples already
@@ -175,6 +178,7 @@ class VsRfifoTsEndpoint(WvRfifoEndpoint):
 
     def _eff_mbrshp_start_change(self, p: ProcessId, cid: StartChangeId, members: FrozenSet[ProcessId]) -> None:
         self.start_change = StartChange(cid, frozenset(members))
+        self.widened = self.current_view.members | self.start_change.members
         self._index_lagging()  # nobody lags behind a cut not yet sent
 
     # ------------------------------------------------------------------
@@ -236,9 +240,8 @@ class VsRfifoTsEndpoint(WvRfifoEndpoint):
     # ------------------------------------------------------------------
 
     def _desired_reliable_set(self) -> FrozenSet[ProcessId]:
-        if self.start_change is None:
-            return frozenset(self.current_view.members)
-        return frozenset(self.current_view.members | self.start_change.members)
+        widened = self.widened
+        return frozenset(self.current_view.members) if widened is None else widened
 
     def _pre_co_rfifo_reliable(self, p: ProcessId, targets: FrozenSet[ProcessId]) -> bool:
         return frozenset(targets) == self._desired_reliable_set()
@@ -360,25 +363,28 @@ class VsRfifoTsEndpoint(WvRfifoEndpoint):
 
     def _candidates_co_rfifo_send(self) -> Iterable[Tuple[ProcessId, FrozenSet[ProcessId], WireMessage]]:
         yield from super()._candidates_co_rfifo_send()
-        if self._ack_ready():
+        # Each piece is skipped outright when its option is off or no
+        # change is in progress: most drains run with neither.
+        if self.ack_gc_interval is not None and self._ack_ready():
             yield (
                 self.pid,
                 frozenset(self.current_view.members - {self.pid}),
                 self._make_ack(),
             )
-        if self._sync_send_ready():
-            change = self.start_change
-            yield (
-                self.pid,
-                self._full_sync_targets(),
-                SyncMsg(change.cid, self.current_view, self.sync_cut()),
-            )
-        if self._compact_sync_ready():
-            yield (
-                self.pid,
-                self._compact_sync_targets(),
-                SyncMsg(self.start_change.cid, None, None),
-            )
+        change = self.start_change
+        if change is not None:
+            if self._sync_send_ready():
+                yield (
+                    self.pid,
+                    self._full_sync_targets(),
+                    SyncMsg(change.cid, self.current_view, self.sync_cut()),
+                )
+            if self.compact_syncs and self._compact_sync_ready():
+                yield (
+                    self.pid,
+                    self._compact_sync_targets(),
+                    SyncMsg(change.cid, None, None),
+                )
         for targets, origin, view, index in self.forwarding.candidates(self):
             log = self.peek_buffer(origin, view)
             if log is not None and log.has(index):
@@ -433,6 +439,8 @@ class VsRfifoTsEndpoint(WvRfifoEndpoint):
             self.deliveries_since_ack += 1
 
     def _candidates_deliver(self) -> Iterable[Tuple[ProcessId, ProcessId, Any]]:
+        if not self.deliverable:
+            return  # nothing ready: a quiet drain skips the cut as well
         cut = self._delivery_cut()  # one answer for the whole scan
         for candidate in super()._candidates_deliver():
             if cut is None or self.dlvrd(candidate[1]) + 1 <= cut.get(candidate[1], 0):
@@ -462,6 +470,7 @@ class VsRfifoTsEndpoint(WvRfifoEndpoint):
 
     def _eff_view(self, p: ProcessId, v: View, T: FrozenSet[ProcessId]) -> None:
         self.start_change = None
+        self.widened = None
         self.acked = {}
         self.deliveries_since_ack = 0
         if self.gc_views:
@@ -472,7 +481,7 @@ class VsRfifoTsEndpoint(WvRfifoEndpoint):
 
     def _candidates_view(self) -> Iterable[Tuple[ProcessId, View, FrozenSet[ProcessId]]]:
         v = self.mbrshp_view
-        if v.vid <= self.current_view.vid:
+        if v is self.current_view or v.vid <= self.current_view.vid:
             return
         expected = self.transitional_set_for(v)
         if expected is not None:

@@ -54,6 +54,11 @@ class WvRfifoEndpoint(ProcessAutomaton):
         self.mbrshp_view: View = initial_view(pid)
         self.view_msg: Dict[ProcessId, View] = {}
         self.reliable_set: FrozenSet[ProcessId] = frozenset({pid})
+        # The delivery index: the senders q of current_view whose
+        # msgs[q][current_view] holds index dlvrd(q) + 1 - what
+        # _candidates_deliver would otherwise rescan every buffer for.
+        # Written only by this class's effects (_index_deliverable).
+        self.deliverable: Set[ProcessId] = set()
 
     # -- state helpers ------------------------------------------------------
 
@@ -76,6 +81,21 @@ class WvRfifoEndpoint(ProcessAutomaton):
     def rcvd(self, q: ProcessId) -> int:
         return self.last_rcvd.get(q, 0)
 
+    def _index_deliverable(self, q: Optional[ProcessId] = None) -> None:
+        """Re-derive ``q``'s entry in ``deliverable`` after its buffer or
+        delivered count moved - or every entry, when ``current_view`` did."""
+        if q is None:
+            self.deliverable = set()
+            for sender in self.msgs:
+                self._index_deliverable(sender)
+            return
+        view = self.current_view
+        log = self.peek_buffer(q, view)
+        if log is not None and q in view.members and log.has(self.dlvrd(q) + 1):
+            self.deliverable.add(q)
+        else:
+            self.deliverable.discard(q)
+
     # ------------------------------------------------------------------
     # INPUT mbrshp.view_p(v)
     # ------------------------------------------------------------------
@@ -94,10 +114,14 @@ class WvRfifoEndpoint(ProcessAutomaton):
         self.current_view = v
         self.last_sent = 0
         self.last_dlvrd = {}
+        self._index_deliverable()
 
     def _candidates_view(self) -> Iterable[Tuple[ProcessId, View]]:
-        if self.mbrshp_view.vid > self.current_view.vid:
-            yield (self.pid, self.mbrshp_view)
+        # Identity first: after the view fires, current_view IS the
+        # mbrshp_view object it was found enabled with.
+        v = self.mbrshp_view
+        if v is not self.current_view and v.vid > self.current_view.vid:
+            yield (self.pid, v)
 
     # ------------------------------------------------------------------
     # INPUT send_p(m)
@@ -105,6 +129,7 @@ class WvRfifoEndpoint(ProcessAutomaton):
 
     def _eff_send(self, p: ProcessId, m: Any) -> None:
         self.buffer(self.pid, self.current_view).append(m)
+        self._index_deliverable(self.pid)
 
     # ------------------------------------------------------------------
     # OUTPUT deliver_p(q, m)
@@ -123,25 +148,22 @@ class WvRfifoEndpoint(ProcessAutomaton):
 
     def _eff_deliver(self, p: ProcessId, q: ProcessId, m: Any) -> None:
         self.last_dlvrd[q] = self.dlvrd(q) + 1
+        self._index_deliverable(q)
 
     def _candidates_deliver(self) -> Iterable[Tuple[ProcessId, ProcessId, Any]]:
-        # Iterate the buffer map, not the membership: only senders with a
-        # buffered log can have a deliverable message, so a quiet
-        # thousand-member view costs nothing per drain.  (Order follows
-        # buffer creation, which is deterministic; the naive oracle uses
-        # this same method, so compiled and reflective enumerations agree.)
+        # Read the delivery index, not the buffers: a drain with nothing
+        # deliverable (most drains of a view change) costs O(1), whatever
+        # the number of senders with a buffered log.  Yields in the order
+        # of msgs (buffer creation, deterministic), as the rescan
+        # naive_candidates_deliver does.
+        ready = self.deliverable
+        if not ready:
+            return
         view = self.current_view
-        members = view.members
         delivered = self.last_dlvrd
-        for q, buffers in self.msgs.items():
-            if q not in members:
-                continue
-            log = buffers.get(view)
-            if log is None:
-                continue
-            index = delivered.get(q, 0) + 1
-            if log.has(index):
-                yield (self.pid, q, log.get(index))
+        msgs = self.msgs
+        for q in ready if len(ready) == 1 else [q for q in msgs if q in ready]:
+            yield (self.pid, q, msgs[q][view].get(delivered.get(q, 0) + 1))
 
     # ------------------------------------------------------------------
     # OUTPUT co_rfifo.reliable_p(set)
@@ -207,7 +229,8 @@ class WvRfifoEndpoint(ProcessAutomaton):
         # and thereby enables self-delivery.  ``peers`` is built only on
         # the yielding paths: a quiet drain must not pay an O(members)
         # set difference just to find nothing to send.
-        if self.view_msg_of(self.pid) != self.current_view:
+        own = self.view_msg.get(self.pid)
+        if own is not self.current_view and self.view_msg_of(self.pid) != self.current_view:
             if self.current_view.members <= self.reliable_set:
                 peers = frozenset(self.current_view.members - {self.pid})
                 yield (self.pid, peers, ViewMsg(self.current_view))
@@ -234,5 +257,21 @@ class WvRfifoEndpoint(ProcessAutomaton):
             index = self.rcvd(q) + 1
             self.buffer(q, self.view_msg_of(q)).put(index, m.payload)
             self.last_rcvd[q] = index
+            self._index_deliverable(q)
         elif isinstance(m, FwdMsg):
             self.buffer(m.origin, m.view).put(m.index, m.payload)
+            self._index_deliverable(m.origin)
+
+
+def naive_candidates_deliver(ep: WvRfifoEndpoint) -> Iterable[Tuple[ProcessId, ProcessId, Any]]:
+    """Test-only oracle: the full buffer rescan ``deliverable`` replaced."""
+    view = ep.current_view
+    for q, buffers in ep.msgs.items():
+        if q not in view.members:
+            continue
+        log = buffers.get(view)
+        if log is None:
+            continue
+        index = ep.dlvrd(q) + 1
+        if log.has(index):
+            yield (ep.pid, q, log.get(index))

@@ -42,8 +42,9 @@ walks the MRO or builds method names.  The reflective walk survives as
 :meth:`Automaton.naive_enabled_actions`, the oracle the differential
 tests compare the compiled engine against.
 
-Every state change that goes through :meth:`apply`, :meth:`reset_state`
-or an explicit :meth:`touch` bumps ``_state_version``; compositions use
+Every state change that goes through :meth:`apply` (or
+:meth:`apply_enabled`, its twin for an action just found enabled),
+:meth:`reset_state` or an explicit :meth:`touch` bumps ``_state_version``; compositions use
 the counter to keep per-component enabled-set caches honest (see
 :class:`~repro.ioa.composition.Composition`).
 """
@@ -432,6 +433,20 @@ class Automaton:
         """Take a step with ``action``, executing its effects atomically."""
         kind = self.kind_of(action.name)
         if kind is not ActionKind.INPUT and not self.precondition(action):
+            raise ActionNotEnabled(f"{self.name}: {action!r} is not enabled")
+        self._run_effects(action)
+        self._state_version += 1
+        for observer in self._version_observers:
+            observer()
+
+    def apply_enabled(self, action: Action) -> None:
+        """:meth:`apply` for an action the caller found enabled in the
+        current state (a drain's just-enumerated candidate): the effects
+        and the version bump, without evaluating the precondition again.
+        Strict mode evaluates it anyway and raises if it fails.  (The
+        tail is not shared with :meth:`apply` through a helper: every
+        spec replay of the verdict engine steps through ``apply``.)"""
+        if self.strict and not self.precondition(action):
             raise ActionNotEnabled(f"{self.name}: {action!r} is not enabled")
         self._run_effects(action)
         self._state_version += 1

@@ -17,6 +17,10 @@ The mid-stream scenarios force view changes while application traffic
 is flowing, exercising the drain-back boundary: the lane must disengage
 on the first membership event and the general engine must take over
 without a single event reordered, duplicated, or lost.
+
+The lane writes no delivery index (``deliverable``): each operation it
+replays adds and then removes the same sender.  After every lane-on
+simulator run each end-point's index is held to its buffer rescan.
 """
 
 import random
@@ -24,6 +28,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.core.wv_endpoint import naive_candidates_deliver
 from repro.deploy import run_scenario
 from repro.net import ConstantLatency, SimWorld, UniformLatency
 
@@ -34,6 +39,10 @@ def sim_trace(fastpath, build, make_latency):
         latency=make_latency(), fastpath=fastpath
     )
     build(world)
+    if fastpath:
+        for node in world.nodes.values():
+            rescan = {q for _p, q, _m in naive_candidates_deliver(node.endpoint)}
+            assert node.endpoint.deliverable == rescan, node.pid
     return world.trace.events
 
 

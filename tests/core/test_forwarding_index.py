@@ -11,13 +11,18 @@ output that touches the index and, after every step, holds
 * ``strategy.allows`` to membership in that list,
 * the indexed transitional set / agreed cut / per-view latest syncs to
   rescans written out below, and
-* ``enabled_actions`` to ``naive_enabled_actions``.
+* ``enabled_actions`` to ``naive_enabled_actions``,
+* the delivery index (``deliverable``, on ``WvRfifoEndpoint``) to the
+  buffer rescan ``naive_candidates_deliver``, and the widened reliable
+  set to the union it caches.
 
-A work-count guard then shows on the simulator that a settled view
+Two work-count guards then show on the simulator that a settled view
 change touches O(n) peer cuts per end-point (the rescans touched
-O(evaluations x n x n)).  CI runs this module under PYTHONHASHSEED 0
-and 1.  The fuzzer draws over sets in sorted order, so the interleavings
-it reaches - and the coverage it asserts - do not depend on the hash seed.
+O(evaluations x n x n)), and that its delivery candidates read O(n)
+buffers per end-point (the rescan read O(evaluations x n)).  CI runs
+this module under PYTHONHASHSEED 0 and 1.  The fuzzer draws over sets
+in sorted order, so the interleavings it reaches - and the coverage it
+asserts - do not depend on the hash seed.
 """
 
 import random
@@ -25,11 +30,12 @@ from collections import Counter
 
 import pytest
 
-from repro._collections import frozendict
+from repro._collections import MessageLog, frozendict
 from repro.core.forwarding import MinCopiesStrategy, SimpleStrategy
 from repro.core.gcs_endpoint import GcsEndpoint
 from repro.core.messages import AppMsg, FwdMsg, SyncMsg, ViewMsg
 from repro.core.vs_endpoint import VsRfifoTsEndpoint
+from repro.core.wv_endpoint import WvRfifoEndpoint, naive_candidates_deliver
 from repro.ioa import Action
 from repro.net.latency import ConstantLatency
 from repro.net.world import SimWorld
@@ -76,6 +82,11 @@ def check_index(ep):
     if ep.crashed:
         return
     current = ep.current_view
+    naive_deliver = list(naive_candidates_deliver(ep))
+    assert ep.deliverable == {q for _p, q, _m in naive_deliver}
+    assert list(WvRfifoEndpoint._candidates_deliver(ep)) == naive_deliver  # order included
+    change = ep.start_change
+    assert ep.widened == (None if change is None else current.members | change.members)
     assert ep.view_syncs == dict(ep.latest_sync_msgs_in_view(current))
     expected_t, agreed = scanned_transitional(ep)
     assert ep.transitional_set_for(ep.mbrshp_view) == expected_t
@@ -405,3 +416,75 @@ def test_settled_view_change_touches_linearly_many_cuts(monkeypatch):
     assert max(CountingCut.reads.values()) <= 4 * n, CountingCut.reads.most_common(3)
     # The view precondition reads the agreed cut; it rebuilds none.
     assert pre_view_reads and max(pre_view_reads) == 0
+
+
+# ---------------------------------------------------------------------------
+# work-count guard: quiet drains examine no buffers
+# ---------------------------------------------------------------------------
+
+
+class CountingLog(MessageLog):
+    """A buffer that counts every examination made while a delivery
+    candidate scan of ``running`` is executing."""
+
+    __slots__ = ()
+    reads = Counter()
+    running = [None]
+
+    def _count(self):
+        if CountingLog.running[0] is not None:
+            CountingLog.reads[CountingLog.running[0]] += 1
+
+    def has(self, index):
+        self._count()
+        return super().has(index)
+
+    def get(self, index):
+        self._count()
+        return super().get(index)
+
+
+def test_settled_view_change_drains_examine_linearly_many_buffers(monkeypatch):
+    n = 64
+    evaluations = Counter()
+
+    def counted(scan):
+        # Count only inside the scan's own steps: the engine evaluates
+        # each yielded candidate's precondition between them.
+        def wrapper(self):
+            evaluations[self.pid] += 1
+            inner = scan(self)
+            while True:
+                CountingLog.running[0] = self.pid
+                try:
+                    candidate = next(inner, None)
+                finally:
+                    CountingLog.running[0] = None
+                if candidate is None:
+                    return
+                yield candidate
+        return wrapper
+
+    monkeypatch.setattr("repro.core.wv_endpoint.MessageLog", CountingLog)
+    scan = VsRfifoTsEndpoint._candidates_deliver  # the most-derived one: the whole scan
+    monkeypatch.setattr(VsRfifoTsEndpoint, "_candidates_deliver", counted(scan))
+    monkeypatch.setattr(GcsEndpoint, "_ioa_chains", {}, raising=False)  # recompile with the wrapper
+
+    world = SimWorld(latency=ConstantLatency(1.0), fastpath=False)
+    pids = [f"p{i:02d}" for i in range(n)]
+    nodes = world.add_nodes(pids)
+    world.start()
+    world.settle()
+    for node in nodes:  # settled load: every member holds a buffered log
+        node.send(f"m-{node.pid}")
+    world.settle()
+    CountingLog.reads.clear()
+    evaluations.clear()
+    world.oracle.reconfigure([pids[:-1]])  # one member leaves
+    world.settle()
+    assert all(node.current_view.members == frozenset(pids[:-1]) for node in nodes[:-1])
+    assert all(evaluations[pid] for pid in pids[:-1]), "some end-point never scanned"
+    # Per end-point: the delivery candidates of the whole change read only
+    # the buffers of ready senders - never every sender's buffer once per
+    # drain before the view, as the rescan did (4,224 reads at n = 64).
+    assert max(CountingLog.reads.values(), default=0) <= 4 * n, CountingLog.reads.most_common(3)

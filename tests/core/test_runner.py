@@ -7,7 +7,9 @@ from repro.checking.events import BlockEvent, DeliverEvent, SendEvent, ViewEvent
 from repro.core.gcs_endpoint import GcsEndpoint
 from repro.core.messages import SyncMsg, ViewMsg, AppMsg
 from repro.core.runner import EndpointRunner
-from repro.errors import ClientMisuseError
+from repro.errors import ActionNotEnabled, ClientMisuseError
+from repro.ioa import Action, ActionKind
+from repro.spec.client import BlockStatus
 from repro.types import initial_view, make_view
 
 V1 = make_view(1, ["a", "b"], {"a": 1, "b": 1})
@@ -142,3 +144,67 @@ def test_endpoint_class_without_ordering_is_rejected():
             Unordered("a"), send_wire=lambda *_: None, set_reliable=lambda *_: None
         )
 
+
+
+# ---------------------------------------------------------------------------
+# one precondition check per drained action
+# ---------------------------------------------------------------------------
+
+
+def test_apply_enabled_checks_again_only_under_strict():
+    block = Action("block", ("a",))  # disabled: no start_change
+    with pytest.raises(ActionNotEnabled):
+        GcsEndpoint("a", strict=True).apply_enabled(block)
+    endpoint = GcsEndpoint("a", strict=True)
+    endpoint.apply(Action("mbrshp.start_change", ("a", 1, frozenset("ab"))))
+    version = endpoint.state_version
+    endpoint.apply_enabled(block)
+    assert endpoint.block_status is BlockStatus.REQUESTED
+    assert endpoint.state_version == version + 1
+
+
+def test_drain_checks_each_drained_precondition_once():
+    checks = []
+
+    class Counting(GcsEndpoint):  # a subclass: the fast lane stays off
+        def _pre_deliver(self, p, q, m):
+            checks.append(q)
+            return True
+
+    runner = EndpointRunner(Counting("a"), send_wire=lambda *_: None, set_reliable=lambda *_: None)
+    runner.app_send("m")
+    assert [type(e).__name__ for e in runner.trace] == ["SendEvent", "DeliverEvent"]
+    # Once in the batch that sends (found not yet enabled), once in the
+    # batch that delivers - not again before and inside apply.
+    assert checks == ["a", "a"]
+
+
+def test_drain_still_skips_a_later_action_the_first_disabled():
+    """Routing ``block`` answers it with ``block_ok`` at once, which
+    disables ``note`` in the same batch: the drain must re-check it."""
+
+    class Noting(GcsEndpoint):
+        SIGNATURE = {"note": ActionKind.OUTPUT}
+        ORDERING = ("co_rfifo.reliable", "block", "note", "co_rfifo.send", "deliver", "view")
+
+        def _state(self):
+            self.notes = 0
+
+        def _pre_note(self, p):
+            return self.start_change is not None and self.block_status is not BlockStatus.BLOCKED
+
+        def _eff_note(self, p):
+            self.notes += 1
+
+        def _candidates_note(self):
+            if self.start_change is not None:
+                yield (self.pid,)
+
+    endpoint = Noting("a")
+    runner = EndpointRunner(endpoint, send_wire=lambda *_: None, set_reliable=lambda *_: None)
+    endpoint.apply(Action("mbrshp.start_change", ("a", 1, frozenset("ab"))))
+    batch = sorted(endpoint.enabled_actions(), key=runner._priority_key)
+    assert [action.name for action in batch] == ["co_rfifo.reliable", "block", "note"]
+    runner.drain()
+    assert endpoint.block_status is BlockStatus.BLOCKED
+    assert endpoint.notes == 0

@@ -70,6 +70,28 @@ class TestFrozendict:
         assert d.__eq__([("a", 1), ("b", 2)]) is NotImplemented
         assert d != [("a", 1), ("b", 2)] and d != 3
 
+    def test_equality_is_symmetric_against_every_operand_kind(self):
+        import collections
+        import types
+
+        d = frozendict({"a": 1, "b": 2})
+        cases = [
+            ({"a": 1, "b": 2}, True),  # the plain-dict fast path
+            ({"a": 1}, False),
+            (frozendict({"b": 2, "a": 1}), True),
+            (frozendict({"a": 1, "b": 3}), False),
+            (collections.OrderedDict([("b", 2), ("a", 1)]), True),  # a dict subclass
+            (collections.defaultdict(int, {"a": 1}), False),
+            (collections.ChainMap({"a": 1}, {"b": 2}), True),  # another Mapping
+            (types.MappingProxyType({"a": 1, "b": 3}), False),
+            ([("a", 1), ("b", 2)], False),  # not a mapping
+            (None, False),
+            (3, False),
+        ]
+        for other, equal in cases:
+            assert (d == other) is equal and (other == d) is equal, other
+            assert (d != other) is not equal and (other != d) is not equal, other
+
     def test_hash_and_bytes_survive_a_pickle_round_trip(self):
         import pickle
 
