@@ -11,6 +11,14 @@ Checks, without executing a single transition:
   PARAM_PROJECTIONS keys form a closed, unambiguous vocabulary.
 - **R4 determinism hygiene** - no unseeded randomness, wall clocks, or
   set-order iteration inside replay-critical packages.
+- **R5 interference** - concurrently enabled locally controlled actions
+  with conflicting read/write footprints need a declared ordering.
+- **R6 fast-lane conformance** - a ``FastLane`` replay body writes only
+  end-point state its claimed transition chains write.
+- **SUP suppression hygiene** - every ``allow[...]`` names a real rule.
+
+R1, R2, R5 and R6 share one footprint engine
+(:mod:`repro.analysis.writes`); R6 runs it with the end-point as owner.
 """
 
 from repro.analysis.discovery import AnalysisError, load_targets

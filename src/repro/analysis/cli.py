@@ -132,7 +132,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         prog="repro lint",
         description="Static verifier for the I/O-automaton DSL "
                     "(precondition purity, inheritance conformance, "
-                    "signature coherence, determinism hygiene).",
+                    "signature coherence, determinism hygiene, "
+                    "interference, fast-lane conformance, suppression "
+                    "hygiene).",
     )
     add_lint_arguments(parser)
     return run_lint(parser.parse_args(argv))

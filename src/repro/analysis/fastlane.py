@@ -11,10 +11,13 @@ counter included.  A write outside that union is **fastpath drift** -
 the class of bug the differential suite catches at test time - reported
 as ``R6.spurious-write`` at lint time.
 
-The checker resolves the lane's aliasing discipline statically:
+The write-sets come from the one footprint engine of
+:mod:`repro.analysis.writes` (the visitor behind R1, R2 and R5), run
+with the end-point instead of ``self`` as the owner of the state.  The
+lane subclass resolves the lane's aliasing discipline statically:
 
 * attribute loads ending in ``.endpoint`` (and locals bound from them,
-  the ``ep = self.endpoint`` idiom) are *endpoint handles*;
+  the ``ep = self.endpoint`` idiom) are the owner;
 * lane attributes assigned endpoint-rooted values are **aliases**
   (``self._last_rcvd = ep.last_rcvd`` - mutating the object mutates
   endpoint state), while lane containers that receive endpoint-rooted
@@ -42,11 +45,12 @@ from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 from repro.analysis.discovery import ModuleTarget
 from repro.analysis.findings import Finding, Location, Severity
 from repro.analysis.writes import (
-    ACCESSOR_METHODS,
     FRAMEWORK_MUTATORS,
-    MUTATOR_METHODS,
     VERSION_ATTR,
     ClassIndex,
+    MethodEffects,
+    _EffectsVisitor,
+    method_effects,
     methods_of,
 )
 
@@ -76,254 +80,104 @@ def _finding(
     )
 
 
+def _lane_attr(node: ast.expr) -> Optional[str]:
+    """``self.X`` -> ``X`` (a lane attribute), else None."""
+    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+            and node.value.id == "self":
+        return node.attr
+    return None
+
+
+class _LaneWrites(_EffectsVisitor):
+    """The footprint engine over lane code, with the end-point as owner.
+
+    Overrides only what differs from an automaton body: the owner test
+    (and binding ``ep = self.endpoint``), the root of a lane attribute or
+    of an end-point helper's return value, stores into a lane container,
+    and end-point helper calls.  Every assignment also harvests lane
+    attribute aliasing into the shared ``lane_map``.
+    """
+
+    def __init__(
+        self,
+        fn: ast.FunctionDef,
+        lane_map: Dict[str, Tuple[str, str]],
+        endpoint_cls: type,
+        index: ClassIndex,
+    ) -> None:
+        super().__init__(fn)
+        self.lane_map = lane_map
+        self.endpoint_cls = endpoint_cls
+        self.index = index
+        self.ep_locals: Set[str] = set()
+
+    def _owner(self, node: ast.expr) -> bool:
+        if isinstance(node, ast.Attribute) and node.attr == "endpoint":
+            return True
+        return isinstance(node, ast.Name) and node.id in self.ep_locals
+
+    def _root(self, node: ast.expr) -> Optional[str]:
+        lane = _lane_attr(node)
+        if lane is not None:
+            entry = self.lane_map.get(lane)
+            return entry[1] if entry is not None else None
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                and self._owner(node.func.value):
+            # ep.buffer(...) - what does the helper return?
+            return _helper_return_root(self.endpoint_cls, node.func.attr, self.index)
+        return super()._root(node)
+
+    def _written_root(self, target: ast.expr) -> Tuple[Optional[str], Optional[str]]:
+        lane = _lane_attr(target.value) if isinstance(target, ast.Subscript) else None
+        if lane in self.lane_map and self.lane_map[lane][0] == _CONTAINER:
+            return None, None  # self._src_logs[src] = ... is lane-private
+        return super()._written_root(target)
+
+    def _bind_aliases(self, target: ast.expr, value: ast.expr) -> None:
+        super()._bind_aliases(target, value)
+        if isinstance(target, ast.Name):
+            if self._owner(value):
+                self.ep_locals.add(target.id)
+            else:
+                self.ep_locals.discard(target.id)
+            return
+        root = self._root(value)
+        if root is None:
+            return
+        lane = _lane_attr(target)
+        if lane is not None and lane != "endpoint":
+            self.lane_map[lane] = (_ALIAS, root)
+        elif isinstance(target, ast.Subscript):
+            lane = _lane_attr(target.value)
+            if lane is not None:
+                self.lane_map.setdefault(lane, (_CONTAINER, root))
+
+    def _owner_call(self, name: str, line: int) -> None:
+        if name in FRAMEWORK_MUTATORS:
+            super()._owner_call(name, line)
+            return
+        # an end-point helper: its transitive writes land at the call site
+        writes, _eff = self.index.closure(self.endpoint_cls, name)
+        for write in writes:
+            self._record(write.attr, line, f"via endpoint helper {name}()")
+
+
 def _helper_return_root(cls: type, name: str, index: ClassIndex) -> Optional[str]:
-    """The endpoint state attribute ``cls.name(...)``'s return aliases."""
+    """The end-point state attribute ``cls.name(...)``'s return aliases."""
     for klass in cls.__mro__:
         fn = index.methods(klass).get(name)
         if fn is None:
             continue
+        engine = _EffectsVisitor(fn)
         roots: Set[str] = set()
         for node in ast.walk(fn):
             if isinstance(node, ast.Return) and node.value is not None:
-                root = _self_root(node.value)
+                root = engine._root(node.value)
                 if root is None:
                     return None  # a non-state return path: no alias claim
                 roots.add(root)
         return roots.pop() if len(roots) == 1 else None
     return None
-
-
-def _self_root(node: ast.expr) -> Optional[str]:
-    """``_root_attr`` against a literal ``self`` receiver, accessor-aware."""
-    while True:
-        if isinstance(node, ast.Attribute):
-            if isinstance(node.value, ast.Name) and node.value.id == "self":
-                return node.attr
-            node = node.value
-        elif isinstance(node, ast.Subscript):
-            node = node.value
-        elif isinstance(node, ast.Call):
-            func = node.func
-            if isinstance(func, ast.Attribute) and func.attr in ACCESSOR_METHODS:
-                node = func.value
-            else:
-                return None
-        else:
-            return None
-
-
-class _LaneMethodScan(ast.NodeVisitor):
-    """One ordered pass over a lane method.
-
-    Tracks endpoint-handle locals and endpoint-rooted local aliases, and
-    (when ``collect`` is set) records the endpoint state attributes the
-    body writes.
-    """
-
-    def __init__(
-        self,
-        lane_map: Dict[str, Tuple[str, str]],
-        endpoint_cls: type,
-        index: ClassIndex,
-        collect: bool,
-        build_map: bool = False,
-    ) -> None:
-        self.lane_map = lane_map
-        self.endpoint_cls = endpoint_cls
-        self.index = index
-        self.collect = collect
-        self.build_map = build_map
-        self.ep_locals: Set[str] = set()
-        self.local_roots: Dict[str, Optional[str]] = {}
-        self.writes: List[Tuple[str, int, str]] = []  # (attr, line, reason)
-
-    # -- endpoint-rooted expression resolution ---------------------------
-
-    def _is_endpoint(self, node: ast.expr) -> bool:
-        if isinstance(node, ast.Attribute) and node.attr == "endpoint":
-            return True
-        return isinstance(node, ast.Name) and node.id in self.ep_locals
-
-    def _lane_attr(self, node: ast.expr) -> Optional[str]:
-        """``self.X`` -> ``X`` (lane attribute name), else None."""
-        if (
-            isinstance(node, ast.Attribute)
-            and isinstance(node.value, ast.Name)
-            and node.value.id == "self"
-        ):
-            return node.attr
-        return None
-
-    def _endpoint_root(self, node: ast.expr) -> Optional[str]:
-        """The endpoint state attribute an expression's value aliases."""
-        while True:
-            if self._is_endpoint(node):
-                return None  # the endpoint itself, not one of its attrs
-            if isinstance(node, ast.Attribute):
-                if self._is_endpoint(node.value):
-                    return node.attr  # ep.last_rcvd
-                lane = self._lane_attr(node)
-                if lane is not None:
-                    kind_attr = self.lane_map.get(lane)
-                    return kind_attr[1] if kind_attr is not None else None
-                node = node.value
-            elif isinstance(node, ast.Subscript):
-                node = node.value  # container element aliases what it holds
-            elif isinstance(node, ast.Call):
-                func = node.func
-                if not isinstance(func, ast.Attribute):
-                    return None
-                if self._is_endpoint(func.value):
-                    # ep.buffer(...) - what does the helper return?
-                    return _helper_return_root(
-                        self.endpoint_cls, func.attr, self.index
-                    )
-                if func.attr in ACCESSOR_METHODS:
-                    node = func.value  # self._src_logs.get(src)
-                else:
-                    return None
-            elif isinstance(node, ast.Name):
-                return self.local_roots.get(node.id)
-            else:
-                return None
-
-    # -- write recording -------------------------------------------------
-
-    def _record(self, attr: Optional[str], line: int, reason: str) -> None:
-        if attr is not None and self.collect:
-            self.writes.append((attr, line, reason))
-
-    def _handle_store(self, target: ast.expr, line: int, reason: str) -> None:
-        if isinstance(target, (ast.Tuple, ast.List)):
-            for element in target.elts:
-                self._handle_store(element, line, reason)
-            return
-        if isinstance(target, ast.Attribute):
-            if self._is_endpoint(target.value):
-                self._record(target.attr, line, reason)  # ep.last_sent = ...
-            elif self._lane_attr(target) is None:
-                # foo.bar = ... through an endpoint-rooted local
-                self._record(self._endpoint_root(target.value), line, reason)
-            # self.X = ... rebinds the lane cache: not an endpoint write
-        elif isinstance(target, ast.Subscript):
-            base = target.value
-            lane = self._lane_attr(base)
-            if lane is not None:
-                kind_attr = self.lane_map.get(lane)
-                if kind_attr is not None and kind_attr[0] == _ALIAS:
-                    # self._last_dlvrd[pid] = ... writes the aliased dict
-                    self._record(kind_attr[1], line, reason)
-                # container stores (self._src_logs[src] = ...) are lane-private
-            else:
-                self._record(self._endpoint_root(base), line, reason)
-        elif isinstance(target, ast.Name):
-            self.local_roots[target.id] = None  # rebound below, in _bind
-
-    def _bind(self, target: ast.expr, value: ast.expr) -> None:
-        if isinstance(target, ast.Name):
-            if self._is_endpoint(value):
-                self.ep_locals.add(target.id)
-                self.local_roots.pop(target.id, None)
-            else:
-                self.ep_locals.discard(target.id)
-                self.local_roots[target.id] = self._endpoint_root(value)
-        elif isinstance(target, (ast.Tuple, ast.List)) and isinstance(
-            value, (ast.Tuple, ast.List)
-        ) and len(target.elts) == len(value.elts):
-            for element, element_value in zip(target.elts, value.elts):
-                self._bind(element, element_value)
-
-    # -- visitors --------------------------------------------------------
-
-    def _harvest(self, targets: Sequence[ast.expr], value: ast.expr) -> None:
-        """Record lane-attribute aliasing this assignment establishes."""
-        root = self._endpoint_root(value)
-        if root is None:
-            return
-        for target in targets:
-            lane = self._lane_attr(target)
-            if lane is not None and lane != "endpoint":
-                self.lane_map[lane] = (_ALIAS, root)
-            elif isinstance(target, ast.Subscript):
-                lane = self._lane_attr(target.value)
-                if lane is not None:
-                    self.lane_map.setdefault(lane, (_CONTAINER, root))
-
-    def visit_Assign(self, node: ast.Assign) -> None:
-        self.visit(node.value)
-        for target in node.targets:
-            self._handle_store(target, node.lineno, "assignment")
-        for target in node.targets:
-            self._bind(target, node.value)
-        if self.build_map:
-            self._harvest(node.targets, node.value)
-
-    def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
-        if node.value is not None:
-            self.visit(node.value)
-            self._handle_store(node.target, node.lineno, "assignment")
-            self._bind(node.target, node.value)
-            if self.build_map:
-                self._harvest([node.target], node.value)
-
-    def visit_AugAssign(self, node: ast.AugAssign) -> None:
-        self.visit(node.value)
-        self._handle_store(node.target, node.lineno, "augmented assignment")
-
-    def visit_Delete(self, node: ast.Delete) -> None:
-        for target in node.targets:
-            if isinstance(target, (ast.Attribute, ast.Subscript)):
-                self._handle_store(target, node.lineno, "del")
-
-    def visit_Call(self, node: ast.Call) -> None:
-        func = node.func
-        if isinstance(func, ast.Attribute):
-            receiver = func.value
-            if self._is_endpoint(receiver):
-                if func.attr in FRAMEWORK_MUTATORS:
-                    self._record(
-                        VERSION_ATTR, node.lineno, f"call to endpoint.{func.attr}()"
-                    )
-                elif func.attr not in ACCESSOR_METHODS:
-                    # an endpoint helper: fold its transitive writes
-                    _klass, effects = self.index.resolve(
-                        self.endpoint_cls, func.attr
-                    )
-                    if effects is not None and self.collect:
-                        closure_writes, _eff = self.index.closure(
-                            self.endpoint_cls, func.attr
-                        )
-                        for write in closure_writes:
-                            self._record(
-                                write.attr,
-                                node.lineno,
-                                f"via endpoint helper {func.attr}()",
-                            )
-            elif func.attr in MUTATOR_METHODS:
-                self._record(
-                    self._endpoint_root(receiver),
-                    node.lineno,
-                    f"call to mutator .{func.attr}()",
-                )
-        self.generic_visit(node)
-
-
-def _build_lane_map(
-    class_node: ast.ClassDef, endpoint_cls: type, index: ClassIndex
-) -> Dict[str, Tuple[str, str]]:
-    """lane attribute -> (alias kind, endpoint state attribute)."""
-    lane_map: Dict[str, Tuple[str, str]] = {}
-    methods = methods_of(class_node)
-    # Two passes: a lane attribute may be consumed in a method parsed
-    # before the one that establishes its aliasing.
-    for _pass in range(2):
-        for fn in methods.values():
-            scan = _LaneMethodScan(
-                lane_map, endpoint_cls, index, collect=False, build_map=True
-            )
-            for statement in fn.body:
-                scan.visit(statement)
-    return lane_map
 
 
 def check_r6(
@@ -374,7 +228,17 @@ def check_r6(
                 "entry; R6 cannot check it against any transition chain",
             )
 
-    lane_map = _build_lane_map(class_node, endpoint_cls, index)
+    # lane attribute -> (alias kind, end-point attribute).  Two passes: a
+    # lane attribute may be consumed in a method parsed before the one
+    # that establishes its aliasing.
+    lane_map: Dict[str, Tuple[str, str]] = {}
+
+    def scan(fn: ast.FunctionDef) -> MethodEffects:
+        return method_effects(fn, _LaneWrites(fn, lane_map, endpoint_cls, index))
+
+    for _pass in range(2):
+        for fn in methods.values():
+            scan(fn)
 
     for method_name in sorted(replays):
         fn = methods.get(method_name)
@@ -387,19 +251,16 @@ def check_r6(
                 endpoint_cls, f"_eff_{suffix}"
             )
             allowed.update(write.attr for write in chain_writes)
-        scan = _LaneMethodScan(lane_map, endpoint_cls, index, collect=True)
-        for statement in fn.body:
-            scan.visit(statement)
         reported: Set[Tuple[str, int]] = set()
         claimed = ", ".join(repr(a) for a in replays[method_name])
-        for attr, line, reason in scan.writes:
-            if attr in allowed or (attr, line) in reported:
+        for write in scan(fn).writes:
+            if write.attr in allowed or (write.attr, write.line) in reported:
                 continue
-            reported.add((attr, line))
+            reported.add((write.attr, write.line))
             emit(
-                "spurious-write", line, method_name,
+                "spurious-write", write.line, method_name,
                 f"replay body {method_name} writes endpoint state "
-                f"{attr!r} ({reason}), which none of the transition "
+                f"{write.attr!r} ({write.reason}), which none of the transition "
                 f"chains it claims to replay ({claimed}) writes - "
                 "fastpath drift",
                 fn.lineno,

@@ -27,15 +27,6 @@ from repro.analysis.findings import Finding, Location, Severity
 from repro.analysis.writes import ClassIndex
 
 
-def predicted_owners(cls: type, index: ClassIndex) -> Dict[str, type]:
-    """attr -> owning class, as the analyzer models _init_state_chain."""
-    owners: Dict[str, type] = {}
-    for klass in reversed(cls.__mro__):
-        for attr in index.state_writes(klass):
-            owners.setdefault(attr, klass)
-    return owners
-
-
 def _class_location(cls: type) -> Location:
     try:
         path = inspect.getsourcefile(cls) or ""
@@ -49,7 +40,7 @@ def diff_ownership(
     cls: type, runtime_owners: Dict[str, type], index: ClassIndex
 ) -> List[Finding]:
     """R2.parity findings for every static/runtime ownership mismatch."""
-    static = predicted_owners(cls, index)
+    static = index.owners(cls)
     location = _class_location(cls)
     findings: List[Finding] = []
 
@@ -121,7 +112,7 @@ def diff_read_fingerprints(
     """
     probe_cls = _make_read_probe(cls)
     instance = factory(probe_cls) if factory is not None else probe_cls("read-probe")
-    state_attrs = set(predicted_owners(cls, index))
+    state_attrs = set(index.owners(cls))
     location = _class_location(cls)
     findings: List[Finding] = []
     reported: Set[Tuple[str, Tuple[str, ...]]] = set()

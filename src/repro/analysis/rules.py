@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterable, List, Optional, Set, Tuple, Type
+import difflib
+from typing import Dict, Iterable, List, Set, Tuple
 
 from repro.ioa.action import ActionKind
 
 from repro.analysis.discovery import ClassTarget, ModuleTarget, TargetSet, class_def_for
 from repro.analysis.findings import Finding, Location, Severity
-from repro.analysis.writes import ClassIndex, Write
+from repro.analysis.writes import ClassIndex
 
 _LOCALLY_CONTROLLED = (ActionKind.OUTPUT, ActionKind.INTERNAL)
 _DSL_PREFIXES = ("_pre_", "_eff_", "_candidates_")
@@ -166,18 +167,9 @@ def check_r1(ctx: ClassContext) -> List[Finding]:
 # ---------------------------------------------------------------------------
 
 
-def _static_owners(ctx: ClassContext) -> Dict[str, type]:
-    """attr -> owning class, mirroring _init_state_chain (base-first)."""
-    owners: Dict[str, type] = {}
-    for klass in reversed(ctx.cls.__mro__):
-        for attr in ctx.index.state_writes(klass):
-            owners.setdefault(attr, klass)
-    return owners
-
-
 def check_r2(ctx: ClassContext) -> List[Finding]:
     findings: List[Finding] = []
-    owners = _static_owners(ctx)
+    owners = ctx.index.owners(ctx.cls)
     for name, fn in sorted(ctx.methods.items()):
         if not name.startswith("_eff_"):
             continue
@@ -264,8 +256,8 @@ def check_r3(ctx: ClassContext) -> List[Finding]:
                 continue
             suffix = name[len(prefix):]
             if suffix and suffix not in ctx.suffixes:
-                close = _closest(suffix, ctx.suffixes)
-                hint = f"; did you mean {close!r}?" if close else ""
+                close = difflib.get_close_matches(suffix, ctx.suffixes, n=1, cutoff=0.75)
+                hint = f"; did you mean {close[0]!r}?" if close else ""
                 findings.append(ctx.finding(
                     "R3.dangling-method",
                     fn.lineno,
@@ -308,29 +300,6 @@ def check_r3(ctx: ClassContext) -> List[Finding]:
             "silently (method_suffix raises AmbiguousActionName at runtime)",
         ))
     return findings
-
-
-def _closest(suffix: str, known: Dict[str, str]) -> Optional[str]:
-    """A near-miss suggestion for dangling methods (pure-python, tiny)."""
-    best: Optional[str] = None
-    best_score = 0.0
-    for candidate in known:
-        score = _similarity(suffix, candidate)
-        if score > best_score:
-            best, best_score = candidate, score
-    return best if best_score >= 0.75 else None
-
-
-def _similarity(a: str, b: str) -> float:
-    if a == b:
-        return 1.0
-    if len(a) != len(b):
-        # simple containment heuristic for insertions/deletions
-        shorter, longer = sorted((a, b), key=len)
-        return len(shorter) / len(longer) if shorter in longer else 0.0
-    same = sum(1 for x, y in zip(a, b) if x == y)
-    # transposition-tolerant: "veiw" vs "view" has 2 mismatches in 4
-    return max(same / len(a), 1.0 - (len(a) - same) / len(a) * 0.5)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""The analysis driver: load targets, run R1-R4, apply suppressions."""
+"""The analysis driver: load targets, run R1-R6 and SUP, apply suppressions."""
 
 from __future__ import annotations
 
@@ -117,8 +117,9 @@ def analyze(
     """Run the verifier over ``specs`` (dotted names or paths).
 
     ``det_scope`` limits R4 to modules under the given dotted prefixes
-    (defaults to :data:`DEFAULT_DET_SCOPE`); R1-R3 always run on every
-    discovered :class:`~repro.ioa.automaton.Automaton` subclass.
+    (defaults to :data:`DEFAULT_DET_SCOPE`); R1-R3 and R5 run on every
+    discovered :class:`~repro.ioa.automaton.Automaton` subclass, R6 on
+    the fast-lane module and SUP on every module.
     """
     start = time.perf_counter()
     scope = tuple(det_scope) if det_scope is not None else DEFAULT_DET_SCOPE

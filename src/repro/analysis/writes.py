@@ -9,9 +9,18 @@ through local aliases (``buffers = self.msgs[q]; del buffers[view]``
 counts as a write to ``msgs``), and *read* covers attribute loads and
 subscript loads rooted at ``self``.  Tuple-unpacking assignments alias
 pairwise (``bufs, log = self.msgs[q], self.log`` makes later mutations
-through either name visible).  Helper calls on ``self`` are resolved
-along the static MRO and folded in transitively, so a precondition that
-reaches a memoizing helper is still caught.
+through either name visible), and a chained assignment binds every
+target (``log = cache = self.msgs[q]``).  Helper calls on ``self`` are
+resolved along the static MRO and folded in transitively, so a
+precondition that reaches a memoizing helper is still caught.
+
+The visitor is one engine with two clients.  R1, R2, R5 and the chaos
+POR gate run it with ``self`` as the owner of the state; rule R6
+(:mod:`repro.analysis.fastlane`) subclasses it to scan fast-lane code,
+whose owner is the end-point the lane holds.  The subclass overrides
+only hooks - the owner test, the root lookup
+(:meth:`_EffectsVisitor._root`), the root a store writes, alias binding
+and owner calls; every statement handler is written here once.
 
 Subscript accesses are *key sensitive* where the key is statically
 classifiable: a key that is a method parameter records as ``p:<name>``,
@@ -23,17 +32,18 @@ is directly a ``self`` attribute - an aliased base may sit at a
 different nesting depth, so attaching its key would be unsound.
 
 Deliberately not modelled (documented analyzer limits): mutation through
-values returned by non-accessor method calls, ``setattr``/``getattr``
-indirection, and aliasing through containers.  The runtime strict-mode
-fingerprints (and the ``--strict-parity`` read-fingerprint probe) remain
-the backstop for those.
+values returned by non-accessor method calls of an automaton (R6's
+owner does resolve the end-point helpers the lane calls),
+``setattr``/``getattr`` indirection, and aliasing through containers.
+The runtime strict-mode fingerprints (and the ``--strict-parity``
+read-fingerprint probe) remain the backstop for those.
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple, Type
+from typing import Dict, List, Optional, Set, Tuple
 
 # Method names that mutate their receiver in place.
 MUTATOR_METHODS = frozenset(
@@ -144,35 +154,6 @@ def keys_may_alias(k1: Optional[str], k2: Optional[str]) -> bool:
     return True
 
 
-def _root_attr(node: ast.expr, aliases: Dict[str, Optional[str]]) -> Optional[str]:
-    """The ``self`` attribute an expression is rooted in, if any."""
-    while True:
-        if isinstance(node, ast.Attribute):
-            if isinstance(node.value, ast.Name) and node.value.id == "self":
-                return node.attr
-            node = node.value
-        elif isinstance(node, ast.Subscript):
-            node = node.value
-        elif isinstance(node, ast.Call):
-            func = node.func
-            if isinstance(func, ast.Attribute) and func.attr in ACCESSOR_METHODS:
-                node = func.value
-            else:
-                return None
-        elif isinstance(node, ast.Name):
-            return aliases.get(node.id)
-        else:
-            return None
-
-
-def _is_self_attribute(node: ast.expr) -> bool:
-    return (
-        isinstance(node, ast.Attribute)
-        and isinstance(node.value, ast.Name)
-        and node.value.id == "self"
-    )
-
-
 class _EffectsVisitor(ast.NodeVisitor):
     """Single pass over a method body collecting writes, reads and calls."""
 
@@ -182,7 +163,7 @@ class _EffectsVisitor(ast.NodeVisitor):
         self._def_line = fn.lineno
         self._params = self._param_names(fn)
         # AST nodes whose read was already recorded (or deliberately
-        # skipped: method-name attributes of self calls) at a more
+        # skipped: method-name attributes of owner calls) at a more
         # key-precise site; identity-keyed because nodes are visited once.
         self._consumed: Set[int] = set()
 
@@ -204,6 +185,30 @@ class _EffectsVisitor(ast.NodeVisitor):
             return f"k:{slice_node.value!r}"
         return None
 
+    # -- the owner and root lookup -------------------------------------------
+
+    def _owner(self, node: ast.expr) -> bool:
+        """Whether ``node`` is the object whose state attributes count."""
+        return isinstance(node, ast.Name) and node.id == "self"
+
+    def _owner_attribute(self, node: ast.expr) -> bool:
+        return isinstance(node, ast.Attribute) and self._owner(node.value)
+
+    def _root(self, node: ast.expr) -> Optional[str]:
+        """The owner's state attribute an expression's value is rooted in."""
+        if isinstance(node, ast.Attribute):
+            return node.attr if self._owner(node.value) else self._root(node.value)
+        if isinstance(node, ast.Subscript):
+            return self._root(node.value)
+        if isinstance(node, ast.Call):
+            func = node.func
+            if isinstance(func, ast.Attribute) and func.attr in ACCESSOR_METHODS:
+                return self._root(func.value)
+            return None
+        if isinstance(node, ast.Name):
+            return self.aliases.get(node.id)
+        return None
+
     # -- write recording ----------------------------------------------------
 
     def _record(
@@ -221,15 +226,13 @@ class _EffectsVisitor(ast.NodeVisitor):
     def _written_root(self, target: ast.expr) -> Tuple[Optional[str], Optional[str]]:
         """(root attribute, subscript key) a store-context target writes."""
         if isinstance(target, ast.Attribute):
-            if isinstance(target.value, ast.Name) and target.value.id == "self":
+            if self._owner(target.value):
                 return target.attr, None  # self.x = ...
-            return _root_attr(target.value, self.aliases), None  # self.a.b = / alias.b =
+            return self._root(target.value), None  # self.a.b = / alias.b =
         if isinstance(target, ast.Subscript):
-            root = _root_attr(target.value, self.aliases)  # self.a[k] = / alias[k] =
-            key = self._key_of(target.slice) if _is_self_attribute(target.value) else None
+            root = self._root(target.value)  # self.a[k] = / alias[k] =
+            key = self._key_of(target.slice) if self._owner_attribute(target.value) else None
             return root, key
-        if isinstance(target, (ast.Tuple, ast.List)):
-            return None, None  # elements handled by the caller
         return None, None
 
     def _handle_target(self, target: ast.expr, line: int, reason: str) -> None:
@@ -249,7 +252,7 @@ class _EffectsVisitor(ast.NodeVisitor):
     def _bind_aliases(self, target: ast.expr, value: ast.expr) -> None:
         """Alias targets to the state roots of ``value``, pairwise for unpacks."""
         if isinstance(target, ast.Name):
-            self.aliases[target.id] = _root_attr(value, self.aliases)
+            self.aliases[target.id] = self._root(value)
             return
         if isinstance(target, ast.Starred):
             self._bind_aliases(target.value, value)
@@ -265,19 +268,28 @@ class _EffectsVisitor(ast.NodeVisitor):
                     self._bind_aliases(element, element_value)
             else:
                 # a, b = self.pair - every name may alias the one root
-                root = _root_attr(value, self.aliases)
+                root = self._root(value)
                 for element in target.elts:
                     inner = element.value if isinstance(element, ast.Starred) else element
                     if isinstance(inner, ast.Name):
                         self.aliases[inner.id] = root
+
+    def _owner_call(self, name: str, line: int) -> None:
+        """A call of one of the owner's own methods (``self.m(...)``)."""
+        if name.startswith("_eff_"):
+            self.effects.eff_calls.append((name, line))
+        elif name in FRAMEWORK_MUTATORS:
+            self._record(VERSION_ATTR, line, f"call to self.{name}()")
+        else:
+            self.effects.helper_calls.add(name)
 
     # -- statements ---------------------------------------------------------
 
     def visit_Assign(self, node: ast.Assign) -> None:
         for target in node.targets:
             self._handle_target(target, node.lineno, "assignment")
-        if len(node.targets) == 1:
-            self._bind_aliases(node.targets[0], node.value)
+        for target in node.targets:
+            self._bind_aliases(target, node.value)  # a = b = value binds both
         self.visit(node.value)
 
     def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
@@ -300,53 +312,42 @@ class _EffectsVisitor(ast.NodeVisitor):
 
     def visit_Delete(self, node: ast.Delete) -> None:
         for target in node.targets:
-            if isinstance(target, ast.Attribute) and isinstance(target.value, ast.Name) \
-                    and target.value.id == "self":
-                self._record(target.attr, node.lineno, "del of attribute")
-            elif isinstance(target, (ast.Subscript, ast.Attribute)):
-                self._record(
-                    _root_attr(target.value, self.aliases), node.lineno, "del of item"
+            if isinstance(target, (ast.Subscript, ast.Attribute)):
+                root, _key = self._written_root(target)
+                reason = (
+                    "del of attribute" if self._owner_attribute(target) else "del of item"
                 )
+                self._record(root, node.lineno, reason)
 
     def visit_Call(self, node: ast.Call) -> None:
         func = node.func
         if isinstance(func, ast.Attribute):
             receiver = func.value
-            is_self_call = isinstance(receiver, ast.Name) and receiver.id == "self"
-            if is_self_call and func.attr.startswith("_eff_"):
-                self.effects.eff_calls.append((func.attr, node.lineno))
-            elif is_self_call and func.attr in FRAMEWORK_MUTATORS:
-                self.effects.writes.append(
-                    Write(VERSION_ATTR, node.lineno,
-                          f"call to self.{func.attr}()", self._def_line)
-                )
-            elif is_self_call:
-                self.effects.helper_calls.add(func.attr)
+            if self._owner(receiver):
+                self._owner_call(func.attr, node.lineno)
+                # the attribute is a method name, not a state read
+                self._consumed.add(id(func))
             elif func.attr in MUTATOR_METHODS:
                 key = (
                     self._key_of(receiver.slice)
                     if isinstance(receiver, ast.Subscript)
-                    and _is_self_attribute(receiver.value)
+                    and self._owner_attribute(receiver.value)
                     else None
                 )
                 self._record(
-                    _root_attr(receiver, self.aliases),
+                    self._root(receiver),
                     node.lineno,
                     f"call to mutator .{func.attr}()",
                     key,
                 )
             elif func.attr in MUTATOR_FUNCTIONS and node.args and \
-                    _root_attr(receiver, self.aliases) is None:
+                    self._root(receiver) is None:
                 # bisect.insort(self.log, x) - mutates its first argument
                 self._record(
-                    _root_attr(node.args[0], self.aliases),
+                    self._root(node.args[0]),
                     node.lineno,
                     f"call to mutator function {func.attr}()",
                 )
-            if is_self_call:
-                # self.helper - the attribute is a method name, not a
-                # state read; keep it out of the read-set.
-                self._consumed.add(id(func))
             # super().m(...) resolves past the defining class in the MRO
             if (
                 isinstance(receiver, ast.Call)
@@ -361,7 +362,7 @@ class _EffectsVisitor(ast.NodeVisitor):
         elif isinstance(func, ast.Name) and func.id in MUTATOR_FUNCTIONS and node.args:
             # from bisect import insort; insort(self.log, x)
             self._record(
-                _root_attr(node.args[0], self.aliases),
+                self._root(node.args[0]),
                 node.lineno,
                 f"call to mutator function {func.id}()",
             )
@@ -371,11 +372,11 @@ class _EffectsVisitor(ast.NodeVisitor):
 
     def visit_Attribute(self, node: ast.Attribute) -> None:
         if isinstance(node.ctx, ast.Load) and id(node) not in self._consumed:
-            self._record_read(_root_attr(node, self.aliases), node.lineno)
+            self._record_read(self._root(node), node.lineno)
         self.generic_visit(node)
 
     def visit_Subscript(self, node: ast.Subscript) -> None:
-        if isinstance(node.ctx, ast.Load) and _is_self_attribute(node.value):
+        if isinstance(node.ctx, ast.Load) and self._owner_attribute(node.value):
             # self.msgs[q] - a key-sensitive read; consume the inner
             # attribute so the unkeyed read does not swallow the key.
             self._record_read(node.value.attr, node.lineno, self._key_of(node.slice))
@@ -389,8 +390,12 @@ class _EffectsVisitor(ast.NodeVisitor):
         self.generic_visit(node)
 
 
-def method_effects(fn: ast.FunctionDef) -> MethodEffects:
-    visitor = _EffectsVisitor(fn)
+def method_effects(
+    fn: ast.FunctionDef, visitor: Optional[_EffectsVisitor] = None
+) -> MethodEffects:
+    """Run ``visitor`` (by default the ``self``-owned engine) over ``fn``."""
+    if visitor is None:
+        visitor = _EffectsVisitor(fn)
     for statement in fn.body:
         visitor.visit(statement)
     return visitor.effects
@@ -528,3 +533,11 @@ class ClassIndex:
         for write in effects.writes:
             result.setdefault(write.attr, write)
         return result
+
+    def owners(self, cls: type) -> Dict[str, type]:
+        """attr -> owning class, as ``_init_state_chain`` assigns them (base first)."""
+        owners: Dict[str, type] = {}
+        for klass in reversed(cls.__mro__):
+            for attr in self.state_writes(klass):
+                owners.setdefault(attr, klass)
+        return owners

@@ -28,7 +28,7 @@ their own request ids.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, FrozenSet, List, Optional, Tuple
+from typing import Any, Callable, FrozenSet, List, Optional
 
 from repro.errors import ReproError
 from repro.order.total import TotalOrderNode

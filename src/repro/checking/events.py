@@ -9,8 +9,8 @@ all of them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, FrozenSet, Iterable, Iterator, List, Optional, Tuple
 
 from repro.types import ProcessId, StartChangeId, View, initial_view
 

@@ -53,7 +53,6 @@ from repro.errors import ActionNotEnabled, RefinementViolation
 from repro.ioa import Action, Automaton, Composition
 from repro.spec.trans_set import TransSetSpec
 from repro.spec.vs_rfifo import FullSafetySpec, VsRfifoSpec
-from repro.spec.wv_rfifo import WvRfifoSpec
 from repro.types import ProcessId, View, initial_view
 
 

@@ -12,7 +12,7 @@ view, so Self Delivery follows from Virtual Synchrony.
 
 from __future__ import annotations
 
-from typing import Any, FrozenSet, Iterable, Tuple
+from typing import FrozenSet, Iterable, Tuple
 
 from repro.core.messages import SyncMsg, WireMessage
 from repro.core.vs_endpoint import VsRfifoTsEndpoint

@@ -10,7 +10,7 @@ projection onto a signature).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Iterable, Iterator, List, Optional
 
 from repro.ioa.action import Action, ActionKind
 

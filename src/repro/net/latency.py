@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Optional
 
 from repro.types import ProcessId
 

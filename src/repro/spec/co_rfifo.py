@@ -15,7 +15,7 @@ Per Figure 8, the membership outputs may be linked to the ``live`` input
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Deque, Dict, FrozenSet, Iterable, List, Set, Tuple
+from typing import Any, Callable, Deque, Dict, FrozenSet, Iterable, Tuple
 
 from repro.ioa import Action, ActionKind, Automaton
 from repro.types import ProcessId, View

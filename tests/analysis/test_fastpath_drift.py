@@ -66,6 +66,63 @@ def test_seeded_spurious_write_is_flagged(lane_checker):
     assert "try_send" in finding.explanation
 
 
+def _line_of(source, text):
+    """The one source line containing ``text`` (located like _ANCHOR)."""
+    (line,) = [n for n, row in enumerate(source.splitlines(), 1) if text in row]
+    return line
+
+
+def _spurious(findings, method):
+    """(line, attribute) of every R6.spurious-write against ``method``."""
+    return {
+        (f.location.line, f.explanation.split("endpoint state '")[1].split("'")[0])
+        for f in findings
+        if f.rule_id == "R6.spurious-write" and f.location.obj == f"FastLane.{method}"
+    }
+
+
+def _narrowed(method, claims):
+    return {**REPLAYED_ACTIONS, method: claims}
+
+
+@pytest.mark.parametrize("method, claims, expected", [
+    # the helper call, a local alias of its return, an alias attribute
+    ("try_receive", ("deliver",), {
+        ("ep.buffer(src, self._view)", "msgs"),
+        ("log.put(index, payload)", "msgs"),
+        ("self._last_rcvd[src] = index", "last_rcvd"),
+    }),
+    # an alias attribute bound to a helper return, an end-point local
+    ("try_send", ("deliver",), {
+        ("self._own_log.append(payload)", "msgs"),
+        ("ep.last_sent = index", "last_sent"),
+    }),
+    ("try_send", ("send",), {
+        ("ep.last_sent = index", "last_sent"),
+        ("self._last_dlvrd[pid] = index", "last_dlvrd"),
+    }),
+])
+def test_narrowed_claims_flag_writes_through_every_alias_path(
+    lane_checker, method, claims, expected
+):
+    source, check = lane_checker
+    findings = check(source, replays=_narrowed(method, claims))
+    assert _spurious(findings, method) == {
+        (_line_of(source, text), attr) for text, attr in expected
+    }
+
+
+def test_a_store_into_a_lane_container_is_lane_private(lane_checker):
+    source, check = lane_checker
+    anchor = "        log.put(index, payload)\n"
+    assert source.count(anchor) == 1, "splice anchor drifted"
+    spliced = source.replace(anchor, anchor + "        self._src_logs[src] = log\n")
+    findings = check(spliced, replays=_narrowed("try_receive", ("deliver",)))
+    line = _line_of(source, "log.put(index, payload)") + 1
+    assert line not in {row for row, _attr in _spurious(findings, "try_receive")}
+    assert _spurious(findings, "try_receive")  # the genuine writes still show
+
+
 def test_unknown_replay_claim_is_flagged(lane_checker):
     source, check = lane_checker
     replays = dict(REPLAYED_ACTIONS)

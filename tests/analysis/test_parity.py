@@ -1,7 +1,7 @@
 """--strict-parity: the static and runtime enforcers of [26] agree."""
 
 from repro.analysis import analyze, load_targets
-from repro.analysis.parity import diff_ownership, predicted_owners, run_strict_parity
+from repro.analysis.parity import diff_ownership, run_strict_parity
 from repro.analysis.rules import make_class_index
 from repro.core.gcs_endpoint import GcsEndpoint
 from repro.core.wv_endpoint import WvRfifoEndpoint
@@ -22,7 +22,7 @@ def test_analyze_accepts_the_flag():
 
 def test_predicted_owners_match_a_real_endpoint():
     index = _index()
-    owners = predicted_owners(GcsEndpoint, index)
+    owners = index.owners(GcsEndpoint)
     assert owners["msgs"] is WvRfifoEndpoint
     assert owners["block_status"] is GcsEndpoint
 
@@ -56,7 +56,7 @@ def test_hidden_guard_read_is_caught_by_the_probe():
 
 def test_ownership_drift_is_detected():
     index = _index()
-    runtime = dict(predicted_owners(GcsEndpoint, index))
+    runtime = dict(index.owners(GcsEndpoint))
     del runtime["msgs"]  # runtime "lost" a variable
     runtime["ghost"] = GcsEndpoint  # and grew one statically invisible
     runtime["block_status"] = WvRfifoEndpoint  # and re-homed another

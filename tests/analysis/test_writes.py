@@ -101,6 +101,15 @@ def test_tuple_unpack_tracks_each_alias_pairwise():
     assert _attrs(effects) == {"queue", "backlog"}
 
 
+def test_chained_assignment_aliases_every_target():
+    effects = _effects(
+        "def f(self, q, m):\n"
+        "    log = cache = self.msgs[q]\n"
+        "    log.append(m)\n"
+    )
+    assert _attrs(effects) == {"msgs"}
+
+
 def test_starred_unpack_falls_back_to_conservative_aliasing():
     effects = _effects(
         "def f(self, m):\n"

@@ -19,7 +19,6 @@ from repro.core.gcs_endpoint import GcsEndpoint
 from repro.core.messages import AppMsg, FwdMsg, ViewMsg
 from repro.core.runner import EndpointRunner
 from repro.errors import InvariantViolation
-from repro.ioa import Action
 from repro.types import make_view
 
 V1 = make_view(1, ["a", "b"], {"a": 1, "b": 1})

@@ -1,7 +1,5 @@
 """Unit tests for the GcsTrace event record and its view-relative queries."""
 
-import pytest
-
 from repro.checking.events import (
     DeliverEvent,
     GcsTrace,

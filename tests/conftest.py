@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional
-
 import pytest
 
 from repro.checking.events import (
@@ -13,7 +11,7 @@ from repro.checking.events import (
     ViewEvent,
 )
 from repro.harness import ModelHarness
-from repro.types import ProcessId, View, make_view
+from repro.types import View, make_view
 
 
 @pytest.fixture

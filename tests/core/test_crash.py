@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.gcs_endpoint import GcsEndpoint
-from repro.core.messages import ViewMsg, AppMsg
+from repro.core.messages import ViewMsg
 from repro.ioa import Action
 from repro.spec.client import BlockStatus
 from repro.types import initial_view, make_view

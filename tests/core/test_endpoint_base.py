@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core.endpoint_base import ProcessAutomaton
 from repro.core.gcs_endpoint import GcsEndpoint
 from repro.core.messages import ViewMsg
 from repro.ioa import Action

@@ -10,7 +10,7 @@ import pytest
 from repro.apps import ReplicatedStateMachine
 from repro.checking import SAFETY_CODES, run_verdict
 from repro.net import ConstantLatency, SimWorld, UniformLatency
-from repro.order import CausalOrderNode, TotalOrderNode
+from repro.order import TotalOrderNode
 
 
 class TestOrderingOverGroups:

@@ -1,6 +1,6 @@
 """Unit tests for the adversarial and fair schedulers."""
 
-from repro.ioa import Action, ActionKind, Automaton, Composition, FairScheduler, RandomScheduler
+from repro.ioa import ActionKind, Automaton, Composition, FairScheduler, RandomScheduler
 
 
 class Ticker(Automaton):

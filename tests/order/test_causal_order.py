@@ -1,7 +1,5 @@
 """Tests for the causal-order layer (vector clocks over the GCS)."""
 
-import pytest
-
 from repro.checking import SAFETY_CODES, run_verdict
 from repro.net import ConstantLatency, SimWorld, UniformLatency
 from repro.order import CausalOrderNode

@@ -1,6 +1,6 @@
 """Hypothesis property tests for the core data structures."""
 
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro._collections import MessageLog, frozendict

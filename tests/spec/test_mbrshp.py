@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.errors import ActionNotEnabled
 from repro.ioa import Action
 from repro.spec.mbrshp import MODE_CHANGE_STARTED, MODE_NORMAL, MbrshpSpec, MembershipDriver
 from repro.types import make_view

@@ -5,8 +5,6 @@ these tests execute them under the random scheduler via their candidate
 generators and check that everything generated is self-consistent.
 """
 
-import pytest
-
 from repro.ioa import Action, Composition, RandomScheduler
 from repro.spec.co_rfifo import CoRfifoSpec
 from repro.spec.wv_rfifo import WvRfifoSpec
