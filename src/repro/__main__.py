@@ -472,16 +472,13 @@ def build_parser() -> argparse.ArgumentParser:
     verdict.add_argument("--output", default=None, metavar="FILE",
                          help="also write the verdict JSON to FILE (CI artifact)")
 
+    from repro.analysis.cli import LINT_DESCRIPTION, add_lint_arguments
+
     lint = sub.add_parser(
         "lint",
-        help="statically verify automaton definitions (R1-R4)",
-        description="Static verifier for the I/O-automaton DSL: "
-                    "precondition purity (R1), inheritance conformance "
-                    "(R2), signature coherence (R3), and determinism "
-                    "hygiene (R4), without executing any transition.",
+        help="statically verify automaton definitions (R1-R6, SUP)",
+        description=LINT_DESCRIPTION,
     )
-    from repro.analysis.cli import add_lint_arguments
-
     add_lint_arguments(lint)
     return parser
 

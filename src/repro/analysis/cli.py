@@ -11,6 +11,15 @@ from repro.analysis.discovery import AnalysisError
 from repro.analysis.findings import RULE_CATALOGUE
 from repro.analysis.runner import DEFAULT_DET_SCOPE, analyze
 
+#: What ``repro lint`` checks: the one description both of its parsers
+#: (``python -m repro lint`` and ``python -m repro.analysis.cli``) show.
+LINT_DESCRIPTION = (
+    "Static verifier for the I/O-automaton DSL: precondition purity (R1), "
+    "inheritance conformance (R2), signature coherence (R3), determinism "
+    "hygiene (R4), interference (R5), fast-lane conformance (R6) and "
+    "suppression hygiene (SUP), without executing any transition."
+)
+
 
 def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
@@ -128,14 +137,7 @@ def _emit_interference(args: argparse.Namespace) -> None:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro lint",
-        description="Static verifier for the I/O-automaton DSL "
-                    "(precondition purity, inheritance conformance, "
-                    "signature coherence, determinism hygiene, "
-                    "interference, fast-lane conformance, suppression "
-                    "hygiene).",
-    )
+    parser = argparse.ArgumentParser(prog="repro lint", description=LINT_DESCRIPTION)
     add_lint_arguments(parser)
     return run_lint(parser.parse_args(argv))
 

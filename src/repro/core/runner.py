@@ -11,6 +11,15 @@ routes each output action to the appropriate callback.
 Because the runner only ever executes enabled actions of the automaton,
 every behaviour it produces is a behaviour of the formal algorithm; the
 safety proofs carry over verbatim.
+
+A substrate that hands over several inputs at once (a runtime fabric's
+run, the overlay's sync batch) applies them inside a *deferred-drain
+window* (:meth:`EndpointRunner.hold_drain` /
+:meth:`EndpointRunner.release_drain`): each input still takes its usual
+method, but its drain is only owed, and closing the window drains once
+if any input owed one.  CO_RFIFO and MBRSHP inputs are always enabled,
+so applying a run of them before any locally controlled action is still
+an execution of the algorithm.
 """
 
 from __future__ import annotations
@@ -77,7 +86,10 @@ class EndpointRunner:
         self.auto_block_ok = auto_block_ok
         self._clock = clock
         self.trace = trace if trace is not None else GcsTrace()
+        # Set while a drain runs or a deferred-drain window is open; a
+        # drain asked for meanwhile folds into that one (``_owed``).
         self._draining = False
+        self._owed = False
         # The steady-state direct-dispatch lane (repro.core.fastpath):
         # None when disabled (fastpath=False) or when the endpoint's
         # shape disqualifies it (subclass, strict mode, ack GC, custom
@@ -135,16 +147,22 @@ class EndpointRunner:
         """Apply a run of CO_RFIFO deliveries, then drain once.
 
         The amortised inbound path for aggregated traffic (the two-tier
-        overlay's sync batches): applying all entries before draining
-        makes a reconfiguration's sync phase O(entries) endpoint work
-        instead of one full drain per entry.  Entries bypass the receive
-        interceptor - the overlay itself is the caller.
+        overlay's sync batches): the entries are applied inside one
+        deferred-drain window, which makes a reconfiguration's sync phase
+        O(entries) endpoint work instead of one full drain per entry.
+        Entries bypass the receive interceptor - the overlay itself is
+        the caller.
         """
-        apply = self.endpoint.apply
-        pid = self.pid
-        for sender, message in entries:
-            apply(Action("co_rfifo.deliver", (sender, pid, message)))
-        self.drain()
+        held = self.hold_drain()
+        try:
+            apply = self.endpoint.apply
+            pid = self.pid
+            for sender, message in entries:
+                apply(Action("co_rfifo.deliver", (sender, pid, message)))
+            self._owed = True
+        finally:
+            if held:
+                self.release_drain()
 
     def membership_start_change(self, cid: StartChangeId, members: Iterable[ProcessId]) -> None:
         members = frozenset(members)
@@ -170,13 +188,36 @@ class EndpointRunner:
     # draining
     # ------------------------------------------------------------------
 
+    def hold_drain(self) -> bool:
+        """Open a deferred-drain window: until :meth:`release_drain`,
+        every input's drain is owed instead of run.
+
+        Returns False, opening nothing, inside a window or a drain
+        already open - the enclosing one then drains for the inputs.
+        """
+        if self._draining:
+            return False
+        self._draining = True
+        self._owed = False
+        return True
+
+    def release_drain(self) -> int:
+        """Close the window :meth:`hold_drain` opened, and drain once if
+        an input owed a drain; returns the number of actions executed."""
+        self._draining = False
+        if self._owed:
+            return self.drain()
+        return 0
+
     def drain(self) -> int:
         """Run enabled locally controlled actions to quiescence.
 
         Returns the number of actions executed.  Reentrant calls (an
-        output callback injecting a new input) fold into the outer drain.
+        output callback injecting a new input) fold into the outer drain,
+        and calls inside a deferred-drain window into its closing one.
         """
         if self._draining:
+            self._owed = True
             return 0
         self._draining = True
         endpoint = self.endpoint

@@ -16,6 +16,7 @@ from repro.links.core import (
     Link,
     LinkCore,
     LinkStats,
+    Run,
     Transmission,
     WireCopy,
     kind_of,
@@ -28,6 +29,7 @@ __all__ = [
     "LinkCore",
     "LinkStats",
     "MessageBatch",
+    "Run",
     "Transmission",
     "WireCopy",
     "kind_of",

@@ -74,6 +74,12 @@ Link = Tuple[ProcessId, ProcessId]
 # One wire copy: (message, extra delay before it may travel).
 WireCopy = Tuple[Any, float]
 
+# What a runtime fabric hands a process per wake-up: one ``(src,
+# payloads)`` group per arrived carrier, in arrival order, each
+# ``payloads`` what :meth:`LinkCore.inbound_batch` resolved it to - an
+# iterator on the fabrics, so a handler takes each group in one pass.
+Run = Sequence[Tuple[ProcessId, Iterable[Any]]]
+
 
 def kind_of(message: Any) -> str:
     """The counter key of a wire message: its class name."""

@@ -52,6 +52,7 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro._collections import frozendict
+from repro.links import Run
 from repro.membership.protocol import ServerProposal, StartChangeNotice, ViewNotice
 from repro.membership.state import ServerState, compose_counter, decompose_counter
 from repro.types import ProcessId, StartChangeId, View, ViewId
@@ -353,6 +354,13 @@ class MembershipServer:
             if sid != self.sid:
                 self._send(sid, proposal)
         self._maybe_form_view()
+
+    def on_run(self, run: Run) -> None:
+        """A substrate's run of arrivals (see :class:`~repro.membership.tier.TierLink`),
+        taken message by message."""
+        for src, messages in run:
+            for message in messages:
+                self.on_message(src, message)
 
     def on_message(self, src: ProcessId, message: Any) -> None:
         if self.crashed:

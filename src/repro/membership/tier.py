@@ -48,7 +48,7 @@ from typing import (
 )
 
 from repro.checking.events import GcsTrace, MbrshpFormEvent
-from repro.links import LinkCore
+from repro.links import LinkCore, Run
 from repro.membership.protocol import GroupEnvelope, server_id
 from repro.membership.server import MembershipServer
 from repro.membership.state import WatermarkStore
@@ -62,12 +62,18 @@ class TierLink(Protocol):
     ``attach`` registers a server's inbox on the substrate, without
     awaiting - a socket transport binds and listens at once and starts
     accepting from its own task - so the tier grows itself wherever it
-    finds it is short of servers; ``send`` carries one tier message from
-    a server to other processes - servers (proposals) or clients
-    (start_change / view notices) - and never blocks.  The pair is the
-    attach/send half of the runtime's
-    :class:`~repro.runtime.fabric.Fabric`, so any fabric hosts a tier
-    as it is.
+    finds it is short of servers.  The inbox takes a *run*
+    (:data:`~repro.links.Run`): ``(src, messages)`` groups in arrival
+    order, as ``LinkCore.inbound_batch`` resolved them - a runtime
+    fabric's one pump wake-up, or, on the simulator, one copy.  A
+    server takes its run message by message
+    (:meth:`~repro.membership.server.MembershipServer.on_run`).
+
+    ``send`` carries one tier message from a server to other processes -
+    servers (proposals) or clients (start_change / view notices) - and
+    never blocks.  The pair is the attach/send half of the runtime's
+    :class:`~repro.runtime.fabric.Fabric`, so any fabric hosts a tier as
+    it is.
 
     ``send`` is *not* a side-channel: it must route the message
     through the substrate's unified :class:`~repro.links.LinkCore`
@@ -79,7 +85,7 @@ class TierLink(Protocol):
     busiest-link diagnostics cover membership traffic too.
     """
 
-    def attach(self, sid: ProcessId, handler: Callable[[ProcessId, Any], None]) -> None:
+    def attach(self, sid: ProcessId, handler: Callable[[Run], None]) -> None:
         ...  # pragma: no cover - protocol
 
     def send(self, src: ProcessId, targets: Iterable[ProcessId], message: Any) -> None:
@@ -174,7 +180,7 @@ class MembershipTier:
             )
             server.on_view_formed = lambda view, sid=sid: self._on_formed(sid, view)
             self.servers[sid] = server
-            self.link.attach(sid, server.on_message)
+            self.link.attach(sid, server.on_run)
 
     def _on_formed(self, sid: ProcessId, view: View) -> None:
         """A server's round completed: the tier's durability point.

@@ -47,6 +47,7 @@ from repro.core.forwarding import ForwardingStrategy
 from repro.core.gcs_endpoint import GcsEndpoint
 from repro.core.host import EndpointHost
 from repro.errors import SettleTimeoutError
+from repro.links import Run
 from repro.membership.oracle import OracleMembership
 from repro.membership.protocol import GroupEnvelope
 from repro.membership.tier import MembershipTier
@@ -237,10 +238,11 @@ class SimWorld:
     # attach / send, and each process's reliable set
     # ------------------------------------------------------------------
 
-    def attach(self, pid: ProcessId, handler: Callable[[ProcessId, Any], None]) -> None:
+    def attach(self, pid: ProcessId, handler: Callable[[Run], None]) -> None:
         """Put ``pid`` on the network with ``handler`` as its inbox (how
-        the tier hosts a membership server)."""
-        self.network.register(pid, handler)
+        the tier hosts a membership server).  The simulator delivers copy
+        by copy, so each copy is a run of its own."""
+        self.network.register(pid, lambda src, message: handler(((src, (message,)),)))
 
     def send(self, src: ProcessId, targets: Iterable[ProcessId], message: Any) -> None:
         """FIFO multicast ``message`` from ``src`` to every other process

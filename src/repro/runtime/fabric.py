@@ -10,8 +10,8 @@ and gap-free while the pair stays connected.
 
 The base class states the service's runtime duties once: ``attach``
 (with its duplicate check), the sorted self-excluding fan-out through
-one ``admit`` call (:meth:`Fabric._admitted`), the hand-over of an
-arrived carrier to its handler with the first handler failure kept
+one ``admit`` call (:meth:`Fabric._admitted`), the hand-over of one pump
+wake-up's arrivals to their handler with the first handler failure kept
 (:meth:`Fabric._hand_over`), ``quiesce`` on the core's in-flight ledger
 and ``close``.  A *leg* says only how a copy travels: ``_open`` the
 channel state of a new process, ``send`` the admitted copies onto it,
@@ -20,28 +20,39 @@ channel state of a new process, ``send`` the admitted copies onto it,
 :class:`~repro.runtime.transport.AsyncHub` and the socket
 :class:`~repro.runtime.tcp.TcpFabric` are the two legs.
 
+A handler takes a *run* (:data:`~repro.links.Run`): one ``(src,
+payloads)`` group per carrier its pump took in one wake-up, in arrival
+order, each group's payloads as ``LinkCore.inbound_batch`` resolved
+them - the hub's run is every zero-delay carrier queued for the process
+when its pump wakes, a socket's is one frame.  There is no per-payload
+hand-over beside it: a process that wants one loops over the run.  That
+is what lets an end-point apply a whole wake-up's inputs before it runs
+one locally controlled action (``GcsNode`` drains once per run).
+
 Quiescence is counted, never timed: a leg admits every copy to the
 ledger in ``send``, and a copy leaves it when ``inbound_batch`` resolves
 it (delivered, deduplicated or dropped at a cut) or the leg declares it
-``lost``.  Handlers run synchronously after the copy they handle is
+``lost``.  Handlers run synchronously after the run they handle is
 resolved, so a reply is admitted before any waiter sees the zero.  A
 handler that raises does not stop its inbox: the fabric keeps the first
-such exception, ``quiesce`` raises it at once instead of waiting out its
-deadline, and ``close`` raises it again once the pumps are gone.
+such exception, hands the handler the rest of its run, ``quiesce``
+raises the exception at once instead of waiting out its deadline, and
+``close`` raises it again once the pumps are gone.
 """
 
 from __future__ import annotations
 
 import asyncio
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from operator import length_hint
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.chaos.faults import FaultInjector
 from repro.errors import SettleTimeoutError
-from repro.links import LinkCore, Transmission
+from repro.links import LinkCore, Run, Transmission
 from repro.runtime.settle import await_settled
 from repro.types import ProcessId
 
-Handler = Callable[[ProcessId, Any], None]
+Handler = Callable[[Run], None]
 
 
 class Fabric:
@@ -66,7 +77,8 @@ class Fabric:
         self.core.on_idle(self._quiet.set)
 
     def attach(self, pid: ProcessId, handler: Handler) -> None:
-        """Deliver every message for ``pid`` to ``handler(src, message)``."""
+        """Deliver every message for ``pid`` to ``handler(run)``, one run
+        per pump wake-up (see the module docstring)."""
         if pid in self._handlers:
             raise ValueError(f"duplicate process {pid!r}")
         self._open(pid)
@@ -88,7 +100,8 @@ class Fabric:
         raise NotImplementedError
 
     async def _pump(self, pid: ProcessId) -> None:
-        """Take ``pid``'s carriers off its channel in order, for ever."""
+        """Take ``pid``'s carriers off its channel in order, for ever,
+        and give each wake-up's to :meth:`_hand_over` as one run."""
         raise NotImplementedError
 
     def check_payload(self, payload: Any) -> None:
@@ -131,19 +144,30 @@ class Fabric:
             if transmission is not None
         ]
 
-    def _hand_over(
-        self, src: ProcessId, dst: ProcessId, copies: Sequence[Any], check_topology: bool = False
-    ) -> None:
-        """Resolve one arrived carrier and hand its payloads to ``dst``'s
-        handler; a handler exception is kept, and delivery goes on."""
+    def _hand_over(self, dst: ProcessId, run: List[Tuple[ProcessId, Iterator[Any]]]) -> None:
+        """Give one wake-up's resolved run to ``dst``'s handler; a handler
+        exception is kept, and delivery goes on.
+
+        Each group's payloads are an iterator, so what the handler took
+        before it raised stays taken: the rest of the run - the tail of
+        the group it raised in and every later group - goes to it again,
+        as long as each attempt takes something.
+        """
         handler = self._handlers[dst]
-        for payload in self.core.inbound_batch(src, dst, copies, check_topology=check_topology):
+        left = None
+        while run:
             try:
-                handler(src, payload)
+                handler(run)
+                return
             except Exception as exc:
                 if self.failure is None:
                     self.failure = exc
                     self._quiet.set()  # wake quiesce, which raises it
+            run = [group for group in run if length_hint(group[1])]
+            remaining = sum(length_hint(payloads) for _src, payloads in run)
+            if remaining == left:
+                return  # it took nothing this time: the rest is dropped
+            left = remaining
 
     async def quiesce(self, timeout: Optional[float] = None) -> None:
         """Wait until the core's ledger shows no message in flight.

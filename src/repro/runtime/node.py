@@ -8,7 +8,9 @@ requested a block, ``send`` waits.
 
 A node knows nothing about its substrate beyond the *fabric* it is
 attached to (:class:`~repro.runtime.fabric.Fabric`): wire messages
-leave through ``fabric.send`` and arrive at :meth:`GcsNode._on_wire`.
+leave through ``fabric.send`` and arrive, one pump wake-up's run at a
+time, at :meth:`GcsNode._on_run`, which applies the whole run inside
+one deferred-drain window of its runner and so drains at most once.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from repro.core.host import EndpointHost
 from repro.types import ProcessId, View
 
 if TYPE_CHECKING:  # pragma: no cover - annotation only
+    from repro.links import Run
     from repro.runtime.fabric import Fabric
 
 
@@ -76,7 +79,7 @@ class GcsNode(EndpointHost):
             on_block=self._unblocked.clear,
         )
         # Plugged in: from here on wire traffic reaches the end-point.
-        fabric.attach(pid, self._on_wire)
+        fabric.attach(pid, self._on_run)
 
     # -- application API ----------------------------------------------------
 
@@ -127,11 +130,22 @@ class GcsNode(EndpointHost):
         if not self.runner.blocked:
             self._unblocked.set()
 
-    def _on_wire(self, src: ProcessId, message: Any) -> None:
-        if self.endpoint.crashed:
-            return  # a crashed end-point hears nothing (Section 8)
-        self.dispatch(src, message)
-        if not self.runner.blocked:
+    def _on_run(self, run: Run) -> None:
+        """One wake-up's arrivals: each goes through :meth:`dispatch` as
+        ever, inside one deferred-drain window, so the run costs one
+        drain - none if every input took the fast lane."""
+        runner, endpoint, dispatch = self.runner, self.endpoint, self.dispatch
+        held = runner.hold_drain()
+        try:
+            for src, payloads in run:
+                for message in payloads:
+                    if endpoint.crashed:
+                        return  # a crashed end-point hears nothing (Section 8)
+                    dispatch(src, message)
+        finally:
+            if held:
+                runner.release_drain()
+        if not runner.blocked:
             self._unblocked.set()
 
     def _on_deliver(self, sender: ProcessId, payload: Any) -> None:

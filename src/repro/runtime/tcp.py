@@ -22,7 +22,8 @@ deployment.  :meth:`TcpFabric.send` adds each copy the base admitted to
 an open :class:`~repro.links.Carrier` queued on the sender's outbox;
 :meth:`TcpTransport.send_many` frames and writes one such carrier to
 one peer, and an accepted connection hands every frame to the fabric's
-``_hand_over``.
+``_hand_over`` as a run of one group, so a receiving end-point drains at
+most once per frame.
 
 The fabric paces application senders (:meth:`TcpFabric.pace`): a
 ``GcsNode.send`` yields to the loop only once one of its carriers is
@@ -145,8 +146,8 @@ class TcpTransport:
     loop waits in the kernel's backlog and is served from there.  The
     transport shares its fabric's ``core``, dials from the fabric's
     address book (``peers``) and gives every frame it reads to the
-    fabric's ``hand_over``, which keeps a handler's exception; the
-    connection reads on.
+    fabric's ``hand_over`` as a run of one group, which keeps a handler's
+    exception; the connection reads on.
     """
 
     def __init__(
@@ -286,11 +287,14 @@ class TcpTransport:
             while not self._closed:
                 src, wire = await read_frame(reader, decoder)
                 # Every frame is a carrier - a single copy is a batch of
-                # one.  The core drops a frame that crossed a partition
-                # cut whole (kernel buffers can hold it past the split),
-                # deduplicates wire copies, and resolves each in its
-                # ledger.
-                self.hand_over(src, self.pid, _copies(wire), check_topology=True)
+                # one - and a run of one group.  The core drops a frame
+                # that crossed a partition cut whole (kernel buffers can
+                # hold it past the split), deduplicates wire copies, and
+                # resolves each in its ledger.
+                payloads = self.core.inbound_batch(
+                    src, self.pid, _copies(wire), check_topology=True
+                )
+                self.hand_over(self.pid, [(src, iter(payloads))])
         except FrameError as exc:
             # Not a frame of this format: count it and hang up; the
             # decoder's tables can no longer be trusted.

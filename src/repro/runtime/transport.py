@@ -1,7 +1,7 @@
 """In-process asyncio transport hub.
 
 ``AsyncHub`` is the in-process leg of :class:`~repro.runtime.fabric.Fabric`:
-per-ordered-pair FIFO delivery through per-process inbox queues and pump
+per-ordered-pair FIFO delivery through per-process inboxes and pump
 tasks, with all link semantics - partition matrix, fault application,
 receiver-side deduplication, message counters - delegated to the
 :class:`~repro.links.LinkCore`, and attach, quiescence, handler failures
@@ -15,15 +15,20 @@ would).
 
 :meth:`AsyncHub.send` adds each copy the base admitted to the open
 :class:`~repro.links.Carrier` at the tail of its destination's inbox, so
-one pump wakeup delivers a sender's whole run.  An application sender
-yields after every send (the base's ``pace``), so the receivers handle a
-burst while it is being sent.
+a sender's back-to-back copies travel as one carrier.  A pump wake-up
+takes every zero-delay carrier already queued in its inbox - from any
+number of senders - and hands them over as one run, in queue order; a
+carrier with an injected delay ends the run and leads the next one once
+its delay is over, so per-link FIFO holds.  An application sender yields
+after every send (the base's ``pace``), so the receivers handle a burst
+while it is being sent.
 """
 
 from __future__ import annotations
 
 import asyncio
-from typing import Any, Dict, Iterable, Optional
+from collections import deque
+from typing import Any, Deque, Dict, Iterable, Optional, Tuple
 
 from repro.chaos.faults import FaultInjector
 from repro.links import Carrier, LinkCore
@@ -38,19 +43,21 @@ class AsyncHub(Fabric):
         self, *, faults: Optional[FaultInjector] = None, core: Optional[LinkCore] = None
     ) -> None:
         super().__init__(faults=faults, core=core)
-        self._queues: Dict[ProcessId, asyncio.Queue] = {}
+        # Per pid: its inbox of carriers, and the event its pump waits on
+        # while the inbox is empty.
+        self._inboxes: Dict[ProcessId, Tuple[Deque[Carrier], asyncio.Event]] = {}
         # Newest (possibly still open) carrier per destination inbox.
         self._tails: Dict[ProcessId, Carrier] = {}
 
     register = Fabric.attach  # the hub's own name for it, which its bare drivers use
 
     def _open(self, pid: ProcessId) -> None:
-        self._queues[pid] = asyncio.Queue()
+        self._inboxes[pid] = (deque(), asyncio.Event())
 
     def send(self, src: ProcessId, targets: Iterable[ProcessId], message: Any) -> None:
         tails = self._tails
         for dst, transmission in self._admitted(src, targets, message):
-            # A duplicated wire copy occupies the queue behind the
+            # A duplicated wire copy occupies the inbox behind the
             # original; the pump hands it to the core's dedup.  A
             # zero-delay copy behind an undelivered run from the same
             # sender rides the tail carrier instead of waking the pump
@@ -59,13 +66,25 @@ class AsyncHub(Fabric):
                 tail = tails.get(dst)
                 if tail is None or not tail.join(wire, extra, src):
                     tail = tails[dst] = Carrier(wire, extra, src)
-                    self._queues[dst].put_nowait(tail)
+                    inbox, arrived = self._inboxes[dst]
+                    inbox.append(tail)
+                    arrived.set()
 
     async def _pump(self, pid: ProcessId) -> None:
-        queue = self._queues[pid]
+        inbox, arrived = self._inboxes[pid]
+        inbound = self.core.inbound_batch
         while True:
-            carrier = await queue.get()
-            carrier.open = False
-            if carrier.extra:
-                await asyncio.sleep(carrier.extra)
-            self._hand_over(carrier.stamp, pid, carrier.copies)
+            while not inbox:
+                arrived.clear()
+                await arrived.wait()
+            # One wake-up, one run: every zero-delay carrier queued behind
+            # the first joins it; a delayed one stays queued, to lead the
+            # next run after its delay.
+            run = []
+            while inbox and not (run and inbox[0].extra):
+                carrier = inbox.popleft()
+                carrier.open = False
+                if carrier.extra:
+                    await asyncio.sleep(carrier.extra)
+                run.append((carrier.stamp, iter(inbound(carrier.stamp, pid, carrier.copies))))
+            self._hand_over(pid, run)

@@ -32,6 +32,19 @@ def run_clean_view_change(harness: ModelHarness, members: str = "abc", max_steps
     return view, scheduler
 
 
+def each_message(handle):
+    """A fabric or tier handler - one run of ``(src, messages)`` groups
+    per hand-over - that gives ``handle(src, message)`` every message of
+    its run, in order."""
+
+    def on_run(run):
+        for src, messages in run:
+            for message in messages:
+                handle(src, message)
+
+    return on_run
+
+
 def trace_of(*events) -> GcsTrace:
     """Build a GcsTrace from (kind, proc, ...) shorthand tuples.
 

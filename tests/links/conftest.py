@@ -27,6 +27,7 @@ from repro.net.simclock import EventScheduler
 from repro.runtime.tcp import TcpFabric
 from repro.runtime.transport import AsyncHub
 from repro.types import ProcessId
+from tests.conftest import each_message
 
 Received = Dict[ProcessId, List[Tuple[ProcessId, Any]]]
 
@@ -118,7 +119,7 @@ class AsyncContractDriver(ContractDriver):
     async def start(self, pids: Iterable[ProcessId]) -> None:
         self.hub = AsyncHub(core=self.core)  # pumps need the running loop
         for pid in pids:
-            self.hub.register(pid, self._record(pid))
+            self.hub.register(pid, each_message(self._record(pid)))
 
     async def send(self, src: ProcessId, dst: ProcessId, message: Any) -> None:
         assert self.hub is not None
@@ -146,7 +147,7 @@ class TcpContractDriver(ContractDriver):
 
     async def start(self, pids: Iterable[ProcessId]) -> None:
         for pid in pids:
-            self.fabric.attach(pid, self._record(pid))
+            self.fabric.attach(pid, each_message(self._record(pid)))
 
     async def send(self, src: ProcessId, dst: ProcessId, message: Any) -> None:
         self.fabric.send(src, [dst], message)

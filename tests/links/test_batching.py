@@ -187,8 +187,8 @@ def test_batch_accumulator_runs_fault_pipeline_per_message(monkeypatch):
 
     async def scenario():
         fabric = TcpFabric()
-        fabric.attach("a", lambda src, m: None)
-        fabric.attach("b", lambda src, m: None)
+        fabric.attach("a", lambda run: None)
+        fabric.attach("b", lambda run: None)
         try:
             for i in range(3):
                 fabric.send("a", ["b"], i)
@@ -210,8 +210,8 @@ def test_batch_accumulator_drops_across_cut(monkeypatch):
 
     async def scenario():
         fabric = TcpFabric()
-        fabric.attach("a", lambda src, m: None)
-        fabric.attach("b", lambda src, m: None)
+        fabric.attach("a", lambda run: None)
+        fabric.attach("b", lambda run: None)
         fabric.core.partition([["a"], ["b"]])
         try:
             fabric.send("a", ["b"], "x")

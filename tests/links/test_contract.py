@@ -20,6 +20,7 @@ from repro.net.world import SimWorld
 from repro.runtime.tcp import TcpFabric
 from repro.runtime.transport import AsyncHub
 
+from tests.conftest import each_message
 from tests.links.conftest import run_contract
 
 
@@ -269,8 +270,8 @@ def test_a_fabric_admits_a_copy_when_it_is_sent(fabric):
 
     async def scenario():
         f = fabric()
-        f.attach("a", lambda src, m: None)
-        f.attach("b", lambda src, m: None)
+        f.attach("a", lambda run: None)
+        f.attach("b", lambda run: None)
         try:
             f.send("a", ["b"], "m")
             assert f.core.in_flight == 1  # no yield since the send
@@ -290,7 +291,7 @@ def test_a_fabric_admits_a_copy_when_it_is_sent(fabric):
 def test_a_fabric_admits_nothing_for_an_unattached_pid(fabric):
     async def scenario():
         f = fabric()
-        f.attach("a", lambda src, m: None)
+        f.attach("a", lambda run: None)
         try:
             f.send("a", ["ghost"], "m")
             assert f.core.in_flight == 0
@@ -305,10 +306,10 @@ def test_a_fabric_admits_nothing_for_an_unattached_pid(fabric):
 def test_a_fabric_refuses_a_second_attach_of_one_pid(fabric):
     async def scenario():
         f = fabric()
-        f.attach("a", lambda src, m: None)
+        f.attach("a", lambda run: None)
         try:
             with pytest.raises(ValueError, match="duplicate process 'a'"):
-                f.attach("a", lambda src, m: None)
+                f.attach("a", lambda run: None)
         finally:
             await f.close()
 
@@ -323,12 +324,95 @@ def test_close_delivers_a_send_that_returned(fabric):
     async def scenario():
         f = fabric()
         received = []
-        f.attach("a", lambda src, m: None)
-        f.attach("b", lambda src, m: received.append((src, m)))
+        f.attach("a", lambda run: None)
+        f.attach("b", each_message(lambda src, m: received.append((src, m))))
         f.send("a", ["b"], "m")  # no yield before the close
         await f.close()
         assert received == [("a", "m")]
         assert f.core.in_flight == 0
+
+    asyncio.run(scenario())
+
+
+# A handler's run, as it saw it: one [(src, [payloads])] list per call.
+def recording_runs(runs):
+    return lambda run: runs.append([(src, list(payloads)) for src, payloads in run])
+
+
+@on_both_legs
+def test_carriers_queued_in_one_wake_up_reach_the_handler_as_one_run(fabric):
+    """Carriers queued from k sources with no yield between them: the hub
+    hands its pump's wake-up over as one run, in queue order; a socket
+    reads them on k connections, so each frame is a run of its own."""
+
+    async def scenario():
+        f = fabric()
+        runs = []
+        sources = ["s3", "s1", "s2"]  # queue order, not sorted order
+        for pid in sources:
+            f.attach(pid, lambda run: None)
+        f.attach("z", recording_runs(runs))
+        try:
+            for pid in sources:
+                f.send(pid, ["z"], f"from-{pid}")
+                f.send(pid, ["z"], f"again-{pid}")  # rides the same carrier
+            await f.quiesce(timeout=2)
+        finally:
+            await f.close()
+        groups = [(pid, [f"from-{pid}", f"again-{pid}"]) for pid in sources]
+        if fabric is AsyncHub:
+            assert runs == [groups]
+        else:
+            assert sorted(runs) == sorted([group] for group in groups)
+
+    asyncio.run(scenario())
+
+
+@on_both_legs
+def test_a_delayed_carrier_ends_a_run_and_fifo_holds(fabric):
+    """A fault-delayed copy travels in a carrier of its own after its
+    delay; no run carries one behind another carrier, and every link
+    stays FIFO."""
+
+    async def scenario():
+        faults = FaultInjector(FaultModel(delay=1.0, jitter=2.0, seed=3), time_scale=0.003)
+        f = fabric(faults=faults)
+        runs = []
+        for pid in ("a", "b"):
+            f.attach(pid, lambda run: None)
+        f.attach("z", recording_runs(runs))
+        sent = {pid: [f"{pid}{i}" for i in range(5)] for pid in ("a", "b")}
+        try:
+            for i in range(5):
+                for pid in ("a", "b"):
+                    f.send(pid, ["z"], sent[pid][i])
+            await f.quiesce(timeout=5)
+        finally:
+            await f.close()
+        assert faults.counters["delayed"] == 10
+        assert all(len(run) == 1 and len(run[0][1]) == 1 for run in runs)
+        for pid in ("a", "b"):
+            assert [run[0][1][0] for run in runs if run[0][0] == pid] == sent[pid]
+
+    asyncio.run(scenario())
+
+
+def test_a_tcp_frame_is_one_run():
+    """A burst queued on one link leaves as one batch frame and arrives
+    as one run of one group, its copies in send order."""
+
+    async def scenario():
+        f = TcpFabric()
+        runs = []
+        f.attach("a", lambda run: None)
+        f.attach("z", recording_runs(runs))
+        try:
+            for i in range(5):
+                f.send("a", ["z"], i)
+            await f.quiesce(timeout=2)
+        finally:
+            await f.close()
+        assert runs == [[("a", [0, 1, 2, 3, 4])]]
 
     asyncio.run(scenario())
 
@@ -378,8 +462,8 @@ def test_async_quiesce_timeout_reports_busiest_links():
         # A retransmission penalty of 0.2-0.6 s holds the copy past the
         # deadline.
         hub = AsyncHub(faults=FaultInjector(FaultModel(drop=1.0, penalty=0.4)))
-        hub.register("a", lambda src, m: None)
-        hub.register("b", lambda src, m: None)
+        hub.register("a", lambda run: None)
+        hub.register("b", lambda run: None)
         hub.send("a", ["b"], "slow")
         try:
             with pytest.raises(SettleTimeoutError) as excinfo:
@@ -399,8 +483,8 @@ def test_tcp_quiesce_timeout_reports_busiest_links():
 
     async def scenario():
         fabric = TcpFabric(faults=faults)
-        fabric.attach("a", lambda src, m: None)
-        fabric.attach("b", lambda src, m: None)
+        fabric.attach("a", lambda run: None)
+        fabric.attach("b", lambda run: None)
         fabric.send("a", ["b"], "slow")
         try:
             with pytest.raises(SettleTimeoutError) as excinfo:

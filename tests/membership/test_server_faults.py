@@ -38,7 +38,7 @@ class LoopbackLink:
         while self.queue:
             src, dst, message = self.queue.pop(0)
             if dst in self.handlers:
-                self.handlers[dst](src, message)
+                self.handlers[dst]([(src, [message])])
             else:
                 self.inboxes.setdefault(dst, []).append(message)
 

@@ -8,6 +8,7 @@ FIFO clamp still orders every link."""
 from repro.chaos.faults import FaultDecision
 from repro.net.latency import ConstantLatency
 from repro.net.world import SimWorld
+from tests.conftest import each_message
 
 
 def world_of(pids, **options):
@@ -19,7 +20,7 @@ def world_of(pids, **options):
             log.append(pid)
             inboxes[pid].append((src, message))
 
-        world.attach(pid, handler)
+        world.attach(pid, each_message(handler))
     return world, log, inboxes
 
 

@@ -7,6 +7,7 @@ from repro.net.latency import ConstantLatency
 from repro.net.network import SimNetwork
 from repro.net.simclock import EventScheduler
 from repro.net.world import SimWorld
+from tests.conftest import each_message
 
 
 def make_world(faults=None):
@@ -23,7 +24,7 @@ def test_multicast_excludes_self():
     world = SimWorld(latency=ConstantLatency(1.0))
     inboxes = {pid: [] for pid in ("a", "b")}
     for pid, box in inboxes.items():
-        world.attach(pid, lambda src, m, box=box: box.append((src, m)))
+        world.attach(pid, each_message(lambda src, m, box=box: box.append((src, m))))
     world.send("a", {"a", "b"}, "m")
     world.run()
     assert inboxes["b"] == [("a", "m")]
@@ -140,7 +141,7 @@ def test_server_notice_to_a_cut_off_client_is_lost():
     world.settle()
     (sid,) = world.tier.servers
     heard = []
-    world.attach("x", lambda src, m: heard.append(m))
+    world.attach("x", each_message(lambda src, m: heard.append(m)))
     notice = ViewNotice("x", world.node("c").current_view)
     world.send(sid, ["x"], notice)
     world.links.partition([["x"]])

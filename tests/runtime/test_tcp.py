@@ -14,6 +14,7 @@ from repro.runtime import Delivery, TcpDeployment, tcp
 from repro.runtime.tcp import TcpFabric, encode_frame
 from repro.types import make_view
 from repro.wire import HEADER, FrameEncoder
+from tests.conftest import each_message
 
 
 def run(coro):
@@ -24,8 +25,8 @@ def test_frame_roundtrip_via_sockets():
     async def scenario():
         received = asyncio.Queue()
         fabric = TcpFabric()
-        fabric.attach("a", lambda src, m: None)
-        fabric.attach("b", lambda src, m: received.put_nowait((src, m)))
+        fabric.attach("a", lambda run: None)
+        fabric.attach("b", each_message(lambda src, m: received.put_nowait((src, m))))
         view = make_view(1, ["a", "b"])
         try:
             fabric.send("a", ["b"], ViewMsg(view))
@@ -43,7 +44,7 @@ def test_frame_roundtrip_via_sockets():
 def test_send_to_unknown_peer_is_dropped():
     async def scenario():
         fabric = TcpFabric()
-        fabric.attach("a", lambda src, m: None)
+        fabric.attach("a", lambda run: None)
         try:
             fabric.send("a", ["ghost"], "m")  # no address: nothing admitted, no error
             assert fabric.core.in_flight == 0
@@ -58,7 +59,7 @@ def test_send_to_self_skipped():
     async def scenario():
         inbox = []
         fabric = TcpFabric()
-        fabric.attach("a", lambda src, m: inbox.append(m))
+        fabric.attach("a", each_message(lambda src, m: inbox.append(m)))
         try:
             fabric.send("a", ["a"], "loop")
             await fabric.quiesce(timeout=2)
@@ -86,8 +87,8 @@ def test_fabric_quiesce_waits_for_a_held_frame():
     async def scenario():
         fabric = TcpFabric(faults=faults)
         inbox = []
-        fabric.attach("a", lambda src, m: None)
-        fabric.attach("b", lambda src, m: inbox.append(m))
+        fabric.attach("a", lambda run: None)
+        fabric.attach("b", each_message(lambda src, m: inbox.append(m)))
         fabric.send("a", ["b"], "held")
         try:
             await fabric.quiesce()
@@ -115,8 +116,8 @@ def test_failed_write_resolves_the_unwritten_copies():
 
     async def scenario():
         fabric = TcpFabric()
-        fabric.attach("a", lambda src, m: None)
-        fabric.attach("b", lambda src, m: None)
+        fabric.attach("a", lambda run: None)
+        fabric.attach("b", lambda run: None)
         transport = fabric._transports["a"]
         transport._connections["b"] = (BrokenWriter(), FrameEncoder("a"))
         try:
@@ -142,8 +143,8 @@ def test_an_unframeable_message_does_not_stop_the_senders_pump(monkeypatch):
     async def scenario():
         fabric = TcpFabric()
         inbox = []
-        fabric.attach("a", lambda src, m: None)
-        fabric.attach("b", lambda src, m: inbox.append(m))
+        fabric.attach("a", lambda run: None)
+        fabric.attach("b", each_message(lambda src, m: inbox.append(m)))
         try:
             for message in ("x" * 5000, "small", ["no", "wire", "type"], "last"):
                 fabric.send("a", ["b"], message)
@@ -171,7 +172,7 @@ def test_hostile_bytes_end_in_a_counted_close(caplog):
 
     async def scenario():
         fabric = TcpFabric()
-        fabric.attach("b", lambda src, m: None)
+        fabric.attach("b", lambda run: None)
         try:
             await fabric.quiesce(timeout=2)  # the pump has started the listener
             for data in hostile.values():
@@ -196,9 +197,9 @@ def test_multiple_receivers():
     async def scenario():
         boxes = {"b": asyncio.Queue(), "c": asyncio.Queue()}
         fabric = TcpFabric()
-        fabric.attach("a", lambda src, m: None)
+        fabric.attach("a", lambda run: None)
         for pid, box in boxes.items():
-            fabric.attach(pid, lambda src, m, q=box: q.put_nowait(m))
+            fabric.attach(pid, each_message(lambda src, m, q=box: q.put_nowait(m)))
         try:
             fabric.send("a", ["b", "c"], "fanout")
             for box in boxes.values():
@@ -342,8 +343,8 @@ def test_a_batch_past_the_frame_limit_is_split(monkeypatch):
     async def scenario():
         fabric = TcpFabric()
         inbox = []
-        fabric.attach("a", lambda src, m: None)
-        fabric.attach("b", lambda src, m: inbox.append(m))
+        fabric.attach("a", lambda run: None)
+        fabric.attach("b", each_message(lambda src, m: inbox.append(m)))
         try:
             for message in messages:
                 fabric.send("a", ["b"], message)  # one run for the pump

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from repro.__main__ import build_parser, main
+from repro.analysis.cli import main as lint_main
 
 
 def run_cli(*args):
@@ -53,6 +54,20 @@ def test_lint_command_clean(capsys):
     out = capsys.readouterr().out
     assert "lint: clean" in out
     assert "automata" in out
+
+
+@pytest.mark.parametrize(
+    "parse", [lambda: build_parser().parse_args(["lint", "--help"]), lambda: lint_main(["--help"])],
+    ids=["repro", "repro.analysis.cli"],
+)
+def test_lint_help_names_all_seven_checks(parse, capsys):
+    with pytest.raises(SystemExit):
+        parse()
+    text = " ".join(capsys.readouterr().out.split())
+    for check in ("R1", "R2", "R3", "R4", "R5", "R6", "SUP"):
+        assert f"({check})" in text
+    for name in ("interference", "fast-lane conformance", "suppression hygiene"):
+        assert name in text
 
 
 def test_lint_list_rules(capsys):
