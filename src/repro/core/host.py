@@ -4,19 +4,27 @@ Every substrate runs an end-point the same way - the automaton, the one
 :class:`~repro.core.runner.EndpointRunner` driving it, what the
 application saw (``delivered``, ``views``) and the dispatch of whatever
 arrives: a membership notice goes to the MBRSHP input it stands for,
-anything else is a CO_RFIFO delivery.  A substrate's own host
+anything else is a CO_RFIFO delivery.
+
+Every substrate also hands arrivals over the same way: as a *run*
+(:data:`~repro.links.Run`) - a runtime fabric's pump wake-up, the
+simulator's arrival instant - which :meth:`EndpointHost.on_run` applies
+inside one deferred-drain window of the runner, so the run costs one
+drain (none if every input took the fast lane).  A substrate's own host
 (:class:`~repro.net.world.SimNode`, :class:`~repro.runtime.node.GcsNode`)
 adds only how it is wired to its transport.
 """
 
 from __future__ import annotations
 
+from operator import length_hint
 from typing import Any, Callable, FrozenSet, List, Optional, Tuple
 
 from repro.checking.events import GcsTrace
 from repro.core.gcs_endpoint import GcsEndpoint
 from repro.core.messages import WireMessage
 from repro.core.runner import EndpointRunner
+from repro.links import Run
 from repro.membership.protocol import StartChangeNotice, ViewNotice
 from repro.types import ProcessId, View
 
@@ -91,6 +99,31 @@ class EndpointHost:
             self.runner.membership_view(message.view)
         else:
             self.runner.receive(src, message)
+
+    def on_run(self, run: Run) -> None:
+        """One run of arrivals: each goes through :meth:`dispatch` as
+        ever, inside one deferred-drain window, so the run costs one
+        drain - none if every input took the fast lane.  A run of one
+        payload is dispatched bare: a window around one input is the
+        same execution."""
+        if len(run) == 1:
+            src, payloads = run[0]
+            if length_hint(payloads) == 1:
+                if not self.endpoint.crashed:
+                    for message in payloads:
+                        self.dispatch(src, message)
+                return
+        runner, endpoint, dispatch = self.runner, self.endpoint, self.dispatch
+        held = runner.hold_drain()
+        try:
+            for src, payloads in run:
+                for message in payloads:
+                    if endpoint.crashed:
+                        return  # a crashed end-point hears nothing (Section 8)
+                    dispatch(src, message)
+        finally:
+            if held:
+                runner.release_drain()
 
     def crash(self) -> None:
         """Crash the end-point: it ignores traffic until :meth:`recover`."""

@@ -74,10 +74,12 @@ Link = Tuple[ProcessId, ProcessId]
 # One wire copy: (message, extra delay before it may travel).
 WireCopy = Tuple[Any, float]
 
-# What a runtime fabric hands a process per wake-up: one ``(src,
-# payloads)`` group per arrived carrier, in arrival order, each
-# ``payloads`` what :meth:`LinkCore.inbound_batch` resolved it to - an
-# iterator on the fabrics, so a handler takes each group in one pass.
+# What a substrate hands a process at once - a runtime fabric per pump
+# wake-up, the simulator per arrival instant: one ``(src, payloads)``
+# group per arrived carrier, in arrival order, each ``payloads`` what
+# :meth:`LinkCore.inbound_batch` resolved it to - an iterator on the
+# fabrics, so a handler takes each group in one pass; a list on the
+# simulator.
 Run = Sequence[Tuple[ProcessId, Iterable[Any]]]
 
 

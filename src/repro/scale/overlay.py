@@ -286,7 +286,12 @@ class TwoTierOverlay:
         more at zero delay - so that on a discrete-event substrate every
         message *arriving at the same instant* is processed first: a
         batch whose last sync lands exactly ``FLUSH_DELAY`` after the
-        first is completed and flushed once, not split in two.
+        first is completed and flushed once, not split in two.  The
+        simulator delivers an instant as one event, but that event may
+        be queued behind the first hop (it takes its place when the
+        instant's first carrier is scheduled, which can be after the
+        timer was armed); the second hop is queued at the instant itself,
+        after every carrier of it was scheduled, so it still runs last.
         """
         self._flush_scheduled.add(aggregator)
         snapshot = self._accepts.get(aggregator, 0)

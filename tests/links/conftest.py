@@ -96,7 +96,7 @@ class SimContractDriver(ContractDriver):
 
     async def start(self, pids: Iterable[ProcessId]) -> None:
         for pid in pids:
-            self.net.register(pid, self._record(pid))
+            self.net.register(pid, each_message(self._record(pid)))
 
     async def send(self, src: ProcessId, dst: ProcessId, message: Any) -> None:
         self.net.send(src, dst, message)

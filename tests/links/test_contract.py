@@ -16,6 +16,7 @@ import pytest
 
 from repro.chaos.faults import FaultInjector, FaultModel
 from repro.errors import SettleTimeoutError
+from repro.net.latency import ConstantLatency
 from repro.net.world import SimWorld
 from repro.runtime.tcp import TcpFabric
 from repro.runtime.transport import AsyncHub
@@ -339,11 +340,28 @@ def recording_runs(runs):
     return lambda run: runs.append([(src, list(payloads)) for src, payloads in run])
 
 
-@on_both_legs
+class SimLeg:
+    """The simulator behind the fabric calls of the run-shape tests: a
+    world's ``attach`` / ``send``, settled for ``quiesce``."""
+
+    def __init__(self) -> None:
+        self.world = SimWorld(latency=ConstantLatency(1.0))
+        self.attach, self.send = self.world.attach, self.world.send
+
+    async def quiesce(self, timeout=None) -> None:
+        self.world.settle()
+
+    async def close(self) -> None:
+        pass
+
+
+@pytest.mark.parametrize("fabric", [AsyncHub, TcpFabric, SimLeg], ids=["hub", "tcp", "sim"])
 def test_carriers_queued_in_one_wake_up_reach_the_handler_as_one_run(fabric):
     """Carriers queued from k sources with no yield between them: the hub
-    hands its pump's wake-up over as one run, in queue order; a socket
-    reads them on k connections, so each frame is a run of its own."""
+    hands its pump's wake-up over as one run, in queue order, and the
+    simulator the carriers of one arrival instant, in send order; a
+    socket reads them on k connections, so each frame is a run of its
+    own."""
 
     async def scenario():
         f = fabric()
@@ -360,7 +378,7 @@ def test_carriers_queued_in_one_wake_up_reach_the_handler_as_one_run(fabric):
         finally:
             await f.close()
         groups = [(pid, [f"from-{pid}", f"again-{pid}"]) for pid in sources]
-        if fabric is AsyncHub:
+        if fabric is not TcpFabric:
             assert runs == [groups]
         else:
             assert sorted(runs) == sorted([group] for group in groups)

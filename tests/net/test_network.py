@@ -3,6 +3,7 @@
 from repro.net.latency import ConstantLatency, UniformLatency
 from repro.net.network import SimNetwork
 from repro.net.simclock import EventScheduler
+from tests.conftest import each_message
 
 
 class Box:
@@ -19,7 +20,7 @@ def make_net(latency=None):
     boxes = {}
     for pid in ("a", "b", "c"):
         box = Box()
-        net.register(pid, box.handler)
+        net.register(pid, each_message(box.handler))
         boxes[pid] = box
     return clock, net, boxes
 
@@ -145,7 +146,7 @@ def test_inflight_entry_keyed_by_event_not_message_identity():
     latency_first = 57.98945040232396
     net = SimNetwork(clock, _ScriptedLatency([latency_first, 1.0]))
     received = []
-    net.register("a", lambda src, m: None)
+    net.register("a", lambda run: None)
     net.set_reliable("a", {"a", "b"})
 
     def on_b(src, m):
@@ -153,13 +154,21 @@ def test_inflight_entry_keyed_by_event_not_message_identity():
         if len(received) == 1:  # partition the instant the first copy lands
             net.core.partition([["a"], ["b"]])
 
-    net.register("b", on_b)
+    net.register("b", each_message(on_b))
     message = ("payload",)
     net.send("a", "b", message)
     clock.schedule(t_second, lambda: net.send("a", "b", message))
     clock.run()
-    # Exactly one copy is delivered (before the cut) and exactly one is
-    # held by the partition; nothing crosses the cut afterwards.
-    assert received == [message]
+    # The clamp puts the second carrier at the first's exact arrival, so
+    # both land at one instant, as one run of two carriers (each popped
+    # by its own in-flight entry): both copies are delivered before the
+    # cut, none is held or counted twice.
+    assert received == [message, message]
+    assert net.channel("a", "b") == []
+    assert not any(net._in_flight.values())
+    # Nothing crosses the cut afterwards: the next copy is held.
+    net.send("a", "b", message)
+    clock.run()
+    assert received == [message, message]
     assert net.channel("a", "b") == [message]
     assert not any(net._in_flight.values())

@@ -16,7 +16,7 @@ def make_world(faults=None):
     inboxes = {}
     for pid in ("a", "b"):
         inboxes[pid] = []
-        net.register(pid, lambda src, m, box=inboxes[pid]: box.append((src, m)))
+        net.register(pid, each_message(lambda src, m, box=inboxes[pid]: box.append((src, m))))
     return clock, net, inboxes
 
 

@@ -4,6 +4,7 @@ import pytest
 
 from repro.checking import SAFETY_CODES, run_verdict
 from repro.checking.events import MbrshpViewEvent, ViewEvent
+from repro.errors import SettleTimeoutError
 from repro.net import ConstantLatency, SimWorld
 
 
@@ -100,3 +101,14 @@ def test_current_views_snapshot():
     views = world.current_views()
     assert set(views) == set(world.nodes)
     assert len({v.vid for v in views.values()}) == 1
+
+
+def test_settle_raises_on_a_leaked_in_flight_count():
+    """An empty event queue with copies still counted in flight is a
+    ledger leak: the settle raises a ``SettleTimeoutError`` naming it (not
+    a bare ``assert``, which ``python -O`` strips)."""
+    world, _nodes = make_world()
+    world.links.admit("p0", ["p1"], "forged")  # admitted, never scheduled
+    assert world.clock.pending() == 0
+    with pytest.raises(SettleTimeoutError, match="1 cop\\(ies\\) still in flight"):
+        world.settle()

@@ -26,6 +26,7 @@ from repro.membership.state import WatermarkStore
 from repro.membership.tier import MembershipTier
 from repro.net import ConstantLatency, SimWorld
 from repro.scale.sharding import GroupShardMap, auto_shards
+from tests.conftest import each_message
 
 GROUPS = [f"g{i:04d}" for i in range(1000)]
 
@@ -81,12 +82,15 @@ def _tap(world):
     the network *delivers* from here on."""
     heard = []
     for pid, deliver in list(world.network._handlers.items()):
-        def handle(src, message, pid=pid, deliver=deliver):
+        def note(src, message, pid=pid):
             if isinstance(message, GroupEnvelope) and isinstance(
                 message.message, (StartChangeNotice, ViewNotice)
             ):
                 heard.append((src, pid, message.group, message.message))
-            deliver(src, message)
+
+        def handle(run, note=each_message(note), deliver=deliver):
+            note(run)
+            deliver(run)
 
         world.network.register(pid, handle)
     return heard
