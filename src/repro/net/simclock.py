@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import sys
 from typing import Callable, List, Optional, Tuple
 
 
@@ -101,30 +102,28 @@ class EventScheduler:
     def run(self, max_events: Optional[int] = None) -> int:
         """Run until the queue drains (or ``max_events``); return count.
 
-        The unbounded form inlines the pop loop: at n=1000 scale a settle
-        drains millions of events and the per-event ``step()`` dispatch
-        (call + bound-method rebinds) is measurable against the callback
-        itself.
+        The pop loop is inlined: a settle drains up to millions of events
+        and the per-event ``step()`` dispatch (call + bound-method
+        rebinds) is measurable against the callback itself.  ``executed``
+        counts every callback that returned, also when a later one raises.
         """
-        if max_events is not None:
-            count = 0
-            while count < max_events and self.step():
-                count += 1
-            return count
+        limit = sys.maxsize if max_events is None else max_events
         count = 0
         pop = heapq.heappop
-        while True:
-            heap = self._heap  # re-read: compaction may swap the list
-            if not heap:
-                break
-            time, _seq, event = pop(heap)
-            if event.cancelled:
-                self._cancelled -= 1
-                continue
-            self.now = time
-            event.callback()
-            count += 1
-        self.executed += count
+        try:
+            while count < limit:
+                heap = self._heap  # re-read: compaction may swap the list
+                if not heap:
+                    break
+                time, _seq, event = pop(heap)
+                if event.cancelled:
+                    self._cancelled -= 1
+                    continue
+                self.now = time
+                event.callback()
+                count += 1
+        finally:
+            self.executed += count
         return count
 
     def run_until(self, time: float) -> int:
