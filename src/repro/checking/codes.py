@@ -14,13 +14,13 @@ Violations are ordered deterministically by
 2. rule class, in :data:`CLASS_ORDER`,
 3. lexical code.
 
-The class order puts the *contract* rules (direct statements of the
-paper's properties) ahead of the *refinement* rule (trace inclusion in
-the executable spec stack).  This is a deliberate deviation from a
-refinement-first ordering: the spec's ``view`` precondition subsumes
-several contract properties (monotonicity, self inclusion), so on a
-shared witness index the refinement rule would otherwise mask the
-specific property code that names the actual defect.
+The class order puts the *contract* codes (the paper's properties by
+name) ahead of the *refinement* code (trace inclusion in the executable
+spec stack).  Self Inclusion, Local Monotonicity, Self Delivery and
+Virtual Synchrony are conjuncts of the replayed specs' ``view``
+preconditions, so a refused step fails several codes at once: it
+reports the one that sorts first, and ``VS-SPEC-REFINE`` (or
+``MBRSHP-CONF``) only when no selected code names a failing conjunct.
 """
 
 from __future__ import annotations
@@ -72,28 +72,28 @@ REGISTRY: Dict[str, CodeInfo] = {
             "contract",
             "Self Inclusion: every view delivered to p contains p",
             "Section 3.1",
-            "O(n)",
+            "O(n * p) (the FullSafetySpec and MbrshpSpec replays)",
         ),
         CodeInfo(
             "VS-MONO",
             "contract",
             "Local Monotonicity: view identifiers at each process strictly increase",
             "Section 3.1",
-            "O(n)",
+            "O(n * p) (the FullSafetySpec and MbrshpSpec replays)",
         ),
         CodeInfo(
             "VS-SELF-DLV",
             "contract",
             "Self Delivery: p delivers its own messages before leaving the view",
             "Figure 7",
-            "O(n)",
+            "O(n * p) (the FullSafetySpec replay)",
         ),
         CodeInfo(
             "VS-VSYNC",
             "contract",
             "Virtual Synchrony: co-movers deliver the same messages in the old view",
             "Section 4.1",
-            "O(n * p)",
+            "O(n * p) (the FullSafetySpec replay)",
         ),
         CodeInfo(
             "VS-TRANS-SET",

@@ -72,12 +72,23 @@ class MbrshpSpec(Automaton):
 
     def _pre_mbrshp_view(self, p: ProcessId, v: View) -> bool:
         return (
-            v.vid > self.mbrshp_view[p].vid
+            self.advances(p, v)
             and v.members <= self.start_change[p].members
-            and p in v.members
+            and self.includes_self(p, v)
             and v.start_id(p) == self.start_change[p].cid
             and self.mode[p] == MODE_CHANGE_STARTED
         )
+
+    # Two of its conjuncts, named so a trace replay can say which one
+    # refused a step.
+
+    def includes_self(self, p: ProcessId, v: View) -> bool:
+        """Self Inclusion: ``p`` is a member of ``v``."""
+        return p in v.members
+
+    def advances(self, p: ProcessId, v: View) -> bool:
+        """Local Monotonicity: ``v``'s identifier exceeds ``p``'s last one."""
+        return v.vid > self.mbrshp_view[p].vid
 
     def _eff_mbrshp_view(self, p: ProcessId, v: View) -> None:
         self.mbrshp_view[p] = v

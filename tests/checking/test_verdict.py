@@ -29,7 +29,7 @@ from repro.checking import (
     run_verdict,
 )
 from repro.checking.codes import class_rank, violation_sort_key
-from repro.checking.events import SendEvent
+from repro.checking.events import GcsTrace, MbrshpFormEvent, SendEvent, ViewEvent
 from repro.types import make_view
 
 from tests.conftest import trace_of
@@ -83,25 +83,29 @@ class TestPassVerdict:
 
 class TestEarliestWitness:
     def test_multi_violation_trace_is_ordered_by_witness_then_class(self):
-        # index 1: non-monotonic view (contract) and spec rejection
-        # (refinement); index 2: a view without its recipient (contract)
-        # whose T is also outside the old/new intersection (contract).
-        alien = make_view(3, ["a"], {"a": 3})
-        trace = trace_of(
-            ("view", "a", V2, {"a"}),
-            ("view", "a", V1, {"a"}),
-            ("view", "b", alien, {"b"}),
-        )
+        # index 1: an origin server's counter regresses (membership);
+        # index 3: a re-used view identifier that is not monotone at a
+        # (contract), with a outside its own T (contract) and the
+        # identifier now denoting two views (membership).
+        high = make_view(2, ["x"], {"x": 2}, origin="s")
+        stale = make_view(1, ["x"], {"x": 3}, origin="s")
+        fork = make_view(2, ["a"], {"a": 2})
+        trace = GcsTrace([
+            MbrshpFormEvent(0.0, "s", high),
+            MbrshpFormEvent(1.0, "s", stale),
+            ViewEvent(2.0, "a", V2, frozenset({"a"})),
+            ViewEvent(3.0, "a", fork, frozenset({"b"})),
+        ])
         verdict = run_verdict(trace, ["a", "b"])
         assert not verdict.ok
         found = [(v.code, v.witness_index) for v in verdict.violations]
         assert found == [
-            ("VS-MONO", 1),  # contract beats refinement on the shared index
-            ("VS-SPEC-REFINE", 1),
-            ("VS-SELF-INCL", 2),  # lexically before VS-TRANS-SET, same class
-            ("VS-TRANS-SET", 2),
+            ("MBRSHP-SRV-MONO", 1),  # the earlier witness first, whatever its class
+            ("VS-MONO", 3),  # contract beats membership on the shared index
+            ("VS-TRANS-SET", 3),  # lexically after VS-MONO, same class
+            ("MBRSHP-SRV-FORK", 3),
         ]
-        assert verdict.primary.code == "VS-MONO"
+        assert verdict.primary.code == "MBRSHP-SRV-MONO"
         assert verdict.witness_index == 1
 
     def test_each_rule_reports_only_its_first_violation(self):
