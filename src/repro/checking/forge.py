@@ -85,6 +85,19 @@ def _identity_index(trace: GcsTrace, victim: GcsEvent) -> int:
     return next(i for i, e in enumerate(trace) if e is victim)
 
 
+def _forge_last_view(
+    trace: GcsTrace, code: str, forge: Callable[[ViewEvent], ViewEvent]
+) -> Optional[ForgedTrace]:
+    """Replace the last view delivery by ``forge`` of it, witnessed there."""
+    views = trace.of_type(ViewEvent)
+    if not views:
+        return None
+    index = _identity_index(trace, views[-1])
+    events = list(trace)
+    events[index] = forge(views[-1])
+    return ForgedTrace(GcsTrace(events), code, index)
+
+
 def _forge_self_inclusion(trace: GcsTrace) -> Optional[ForgedTrace]:
     """Strip the recipient from the last delivered view.
 
@@ -92,16 +105,11 @@ def _forge_self_inclusion(trace: GcsTrace) -> Optional[ForgedTrace]:
     event, but Self Inclusion wins the deterministic order there
     (contract class, lexically first), so it is the primary.
     """
-    views = trace.of_type(ViewEvent)
-    if not views:
-        return None
-    victim = views[-1]
-    index = _identity_index(trace, victim)
-    forged_view = replace(victim.view, members=victim.view.members - {victim.proc})
-    forged = replace(victim, view=forged_view)
-    events = list(trace)
-    events[index] = forged
-    return ForgedTrace(GcsTrace(events), "VS-SELF-INCL", index)
+    return _forge_last_view(
+        trace,
+        "VS-SELF-INCL",
+        lambda e: replace(e, view=replace(e.view, members=e.view.members - {e.proc})),
+    )
 
 
 def _forge_monotonicity(trace: GcsTrace) -> Optional[ForgedTrace]:
@@ -157,10 +165,7 @@ def _forge_virtual_synchrony(trace: GcsTrace) -> Optional[ForgedTrace]:
             # vector disagrees with the recorded one: the second mover
             # overall if the victim's owner moved first, else the
             # victim's owner's own view event.
-            if position == 0:
-                witness = mover_events[1][1]
-            else:
-                witness = view_index
+            witness = mover_events[1][1] if position == 0 else view_index
             events = [e for i, e in enumerate(trace) if i != victim]
             return ForgedTrace(GcsTrace(events), "VS-VSYNC", witness - 1)
     return None
@@ -198,9 +203,7 @@ def _last_foreign_delivery(
         if isinstance(event, DeliverEvent) and event.sender != proc:
             # walking backwards, the first hit per sender is its last
             last_by_sender.setdefault(event.sender, index)
-    if not last_by_sender:
-        return None
-    return max(last_by_sender.values())
+    return max(last_by_sender.values(), default=None)
 
 
 def _forge_trans_set(trace: GcsTrace) -> Optional[ForgedTrace]:
@@ -208,15 +211,9 @@ def _forge_trans_set(trace: GcsTrace) -> Optional[ForgedTrace]:
 
     No other rule reads T, so the code is primary - and unique.
     """
-    views = trace.of_type(ViewEvent)
-    if not views:
-        return None
-    victim = views[-1]
-    index = _identity_index(trace, victim)
-    forged = replace(victim, transitional=victim.transitional - {victim.proc})
-    events = list(trace)
-    events[index] = forged
-    return ForgedTrace(GcsTrace(events), "VS-TRANS-SET", index)
+    return _forge_last_view(
+        trace, "VS-TRANS-SET", lambda e: replace(e, transitional=e.transitional - {e.proc})
+    )
 
 
 def _forge_spec_refinement(trace: GcsTrace) -> Optional[ForgedTrace]:

@@ -443,9 +443,10 @@ class Automaton:
         """:meth:`apply` for an action the caller found enabled in the
         current state (a drain's just-enumerated candidate): the effects
         and the version bump, without evaluating the precondition again.
-        Strict mode evaluates it anyway and raises if it fails.  (The
-        tail is not shared with :meth:`apply` through a helper: every
-        spec replay of the verdict engine steps through ``apply``.)"""
+        Strict mode evaluates it anyway and raises if it fails.  The
+        verdict engine's spec replays also step through here on purpose
+        an action the spec refused, to go on past a refusal they do not
+        report; they build non-strict specs."""
         if self.strict and not self.precondition(action):
             raise ActionNotEnabled(f"{self.name}: {action!r} is not enabled")
         self._run_effects(action)
