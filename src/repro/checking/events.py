@@ -10,9 +10,9 @@ all of them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, FrozenSet, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, FrozenSet, Iterable, Iterator, List
 
-from repro.types import ProcessId, StartChangeId, View, initial_view
+from repro.types import ProcessId, StartChangeId, View
 
 
 @dataclass(frozen=True)
@@ -115,78 +115,11 @@ class GcsTrace:
     def of_type(self, *types: type) -> List[GcsEvent]:
         return [e for e in self.events if isinstance(e, types)]
 
-    def at(self, proc: ProcessId) -> List[GcsEvent]:
-        return [e for e in self.events if e.proc == proc]
-
     def processes(self) -> FrozenSet[ProcessId]:
         return frozenset(e.proc for e in self.events)
 
-    # ------------------------------------------------------------------
-    # view-relative queries ("an event occurs at p in view v")
-    # ------------------------------------------------------------------
-
     def views_at(self, proc: ProcessId) -> List[ViewEvent]:
         return [e for e in self.events if isinstance(e, ViewEvent) and e.proc == proc]
-
-    def per_view_segments(self, proc: ProcessId) -> List[Tuple[View, List[GcsEvent]]]:
-        """Split ``proc``'s events into segments by the view they occur in.
-
-        The first segment is the default initial view ``v_proc``.  An
-        event belongs to view ``v`` when ``v`` was the last view delivered
-        to ``proc`` before the event (the paper's Section 1 convention).
-        Recovery (Section 8) resets the end-point to its initial view, so
-        a :class:`RecoverEvent` opens a fresh initial-view segment.
-        """
-        segments: List[Tuple[View, List[GcsEvent]]] = [(initial_view(proc), [])]
-        for event in self.events:
-            if event.proc != proc:
-                continue
-            if isinstance(event, ViewEvent):
-                segments.append((event.view, []))
-            elif isinstance(event, RecoverEvent):
-                segments.append((initial_view(proc), []))
-            else:
-                segments[-1][1].append(event)
-        return segments
-
-    def sends_in_view(self, proc: ProcessId, view: View) -> List[Any]:
-        """Payloads ``proc`` sent while ``view`` was its current view."""
-        payloads: List[Any] = []
-        for seg_view, events in self.per_view_segments(proc):
-            if seg_view == view:
-                payloads.extend(e.payload for e in events if isinstance(e, SendEvent))
-        return payloads
-
-    def deliveries_in_view(
-        self, proc: ProcessId, view: View, sender: Optional[ProcessId] = None
-    ) -> List[Tuple[ProcessId, Any]]:
-        """(sender, payload) pairs delivered at ``proc`` in ``view``."""
-        result: List[Tuple[ProcessId, Any]] = []
-        for seg_view, events in self.per_view_segments(proc):
-            if seg_view == view:
-                result.extend(
-                    (e.sender, e.payload)
-                    for e in events
-                    if isinstance(e, DeliverEvent) and (sender is None or e.sender == sender)
-                )
-        return result
-
-    def transition_of(self, proc: ProcessId, view: View) -> Optional[View]:
-        """The view ``proc`` moved to ``view`` *from*, if it delivered it.
-
-        A recovery resets the previous view to the initial one (Section 8).
-        """
-        previous = initial_view(proc)
-        for event in self.events:
-            if event.proc != proc:
-                continue
-            if isinstance(event, RecoverEvent):
-                previous = initial_view(proc)
-            elif isinstance(event, ViewEvent):
-                if event.view == view:
-                    return previous
-                previous = event.view
-        return None
 
     def merged(self, *others: "GcsTrace") -> "GcsTrace":
         """A time-ordered union of this trace and ``others``."""

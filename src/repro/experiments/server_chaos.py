@@ -2,8 +2,8 @@
 
 The paper assumes the membership service away (Section 8: servers
 "never crash and never forget").  This repo mechanises that assumption
-instead: servers snapshot their state, crash, and rejoin via round
-adoption over a durable watermark floor.  E20 quantifies the claim that
+instead: servers crash and rejoin via round adoption over the tier's
+durable watermark floors.  E20 quantifies the claim that
 the *client-observable* guarantees survive the mechanisation:
 
 * a seeded sweep per substrate with ``server_crash`` / ``server_recover``

@@ -36,15 +36,15 @@ replaying each client's notice stream through ``MbrshpSpec``.
 
 The paper assumes the membership service itself never crashes and never
 forgets the per-client cid and view-counter watermarks (Section 8).
-Here that assumption is *mechanised* rather than presumed: a server's
-protocol state is an explicit, serialisable :class:`ServerState`
-(:meth:`MembershipServer.snapshot` / :meth:`MembershipServer.restore`),
-and the watermarks live durably in the tier's
-:class:`~repro.membership.state.WatermarkStore`.  A crashed server
-(:meth:`MembershipServer.crash`) goes inert; on recovery it restores its
-snapshot floored by the store's round and counter watermarks, so its
-first round exceeds every pre-crash round - peers adopt it (a rejoin,
-not a fork) - and every counter it issues preserves Local Monotonicity.
+Here that assumption is relaxed: the watermarks live with the tier, not
+the server - the round and counter floors of its
+:class:`~repro.membership.state.WatermarkStore` and the cid registry its
+servers share.  A crashed server (:meth:`MembershipServer.crash`) goes
+inert and hands its clients over; on recovery
+(:meth:`MembershipServer.restore`) it starts on the two floors and
+nothing else, so its first round exceeds every pre-crash round - peers
+adopt it (a rejoin, not a fork) - and every counter it issues preserves
+Local Monotonicity.
 """
 
 from __future__ import annotations
@@ -54,7 +54,6 @@ from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Set
 from repro._collections import frozendict
 from repro.links import Run
 from repro.membership.protocol import ServerProposal, StartChangeNotice, ViewNotice
-from repro.membership.state import ServerState, compose_counter, decompose_counter
 from repro.types import ProcessId, StartChangeId, View, ViewId
 
 SendFn = Callable[[ProcessId, Any], None]
@@ -71,19 +70,12 @@ class MembershipServer:
         *,
         cid_registry: Optional[Dict[ProcessId, StartChangeId]] = None,
         initial_counter: int = 0,
-        counter_bound: Optional[int] = None,
     ) -> None:
-        if counter_bound is not None and counter_bound < 2:
-            raise ValueError("counter_bound must be at least 2")
         self.sid = sid
         self._send = send
         self.local_clients: Set[ProcessId] = set(clients)
         self.reachable: FrozenSet[ProcessId] = frozenset({sid})
         self.round = 0
-        # Bounded-counter mode: the externally visible ``max_counter``
-        # stays the monotone epoch-composed value; only snapshots carry
-        # the (epoch, local) decomposition.  See repro.membership.state.
-        self.counter_bound = counter_bound
         # ``initial_counter`` seeds the view-counter watermark: a server
         # created after others have already formed views (e.g. to serve a
         # new partition component) must never issue a counter a client
@@ -98,12 +90,9 @@ class MembershipServer:
         )
         self._announced_estimate: Optional[FrozenSet[ProcessId]] = None
         self._crashed_clients: Set[ProcessId] = set()
-        # Figure 2 mode discipline, per local client.
-        self._mode: Dict[ProcessId, str] = {}
         # Latest proposal per server (highest round wins).
         self._proposals: Dict[ProcessId, ServerProposal] = {}
         self._formed_round = -1
-        self.views_delivered = 0
         self.rounds_started = 0
         # Until activated (the tier's first reachability report), configuration
         # triggers accumulate silently instead of starting rounds, so
@@ -118,91 +107,41 @@ class MembershipServer:
         self.on_view_formed: Optional[Callable[[View], None]] = None
 
     # ------------------------------------------------------------------
-    # the fault domain: snapshot / crash / restore
+    # the fault domain: crash / restore
     # ------------------------------------------------------------------
 
-    def bounded_counter(self) -> Tuple[int, int]:
-        """The ``(epoch, local)`` decomposition of the counter watermark."""
-        return decompose_counter(self.max_counter, self.counter_bound)
+    def crash(self) -> Tuple[Tuple[ProcessId, ...], Tuple[ProcessId, ...]]:
+        """Crash the server; returns its clients and the crashed among them.
 
-    def snapshot(self) -> ServerState:
-        """The server's protocol state as a frozen serialisable value."""
-        epoch, local = self.bounded_counter()
-        return ServerState(
-            sid=self.sid,
-            local_clients=tuple(sorted(self.local_clients)),
-            crashed_clients=tuple(sorted(self._crashed_clients)),
-            round=self.round,
-            epoch=epoch,
-            counter=local,
-            counter_bound=self.counter_bound,
-            cids=tuple(
-                (pid, self._next_cid[pid])
-                for pid in sorted(self.local_clients)
-                if pid in self._next_cid
-            ),
-            modes=tuple(sorted(self._mode.items())),
-        )
-
-    def crash(self) -> ServerState:
-        """Crash the server; returns its final snapshot.
-
-        The tier persists the snapshot in its durable
-        :class:`~repro.membership.state.WatermarkStore` - everything
-        else (proposals in flight, announced estimates) is volatile and
-        genuinely lost.  A dead server serves nobody: its clients leave
-        with the snapshot, for the tier to rehome
-        (:meth:`inherit_clients` at the survivors).
+        Both sorted, for the tier to rehome (:meth:`inherit_clients` at
+        the survivors): a dead server serves nobody.  Everything else it
+        held (proposals in flight, announced estimates) is volatile and
+        genuinely lost; the watermarks a recovery needs are the tier's.
         """
-        state = self.snapshot()
+        clients = tuple(sorted(self.local_clients))
+        crashed = tuple(sorted(self._crashed_clients))
         self.crashed = True
         self.active = False
         self._proposals.clear()
         self._announced_estimate = None
         self.local_clients = set()
         self._crashed_clients = set()
-        return state
+        return clients, crashed
 
-    def restore(
-        self,
-        state: Optional[ServerState],
-        *,
-        round_floor: int = 0,
-        counter_floor: int = 0,
-        clients: Optional[Iterable[ProcessId]] = None,
-    ) -> None:
-        """Recover from a durable snapshot, floored by the tier watermarks.
+    def restore(self, *, round_floor: int, counter_floor: int) -> None:
+        """Recover on the tier's floors, serving no client.
 
         ``round_floor``/``counter_floor`` come from the tier's store: the
-        restored round must reach the highest round the tier ever
-        observed (so the server's first new round is adopted by peers -
-        a rejoin, not a fork) and the counter watermark must reach the
-        highest counter any client may have seen (Local Monotonicity).
-        ``clients`` overrides the snapshot's client set - the tier
-        rehomes clients to surviving servers at crash time, so a
-        recovering server typically comes back empty.
+        round is the highest the tier ever observed (so the server's
+        first new round is adopted by peers - a rejoin, not a fork) and
+        the counter watermark the highest any client may have seen
+        (Local Monotonicity).  The tier rehomed the server's clients at
+        crash time, so it comes back empty.
         """
-        if state is not None:
-            restored_clients = set(state.local_clients)
-            self._crashed_clients = set(state.crashed_clients) & restored_clients
-            self.round = state.round
-            self.max_counter = compose_counter(
-                state.epoch, state.counter, state.counter_bound
-            )
-            for pid, cid in state.cids:
-                if self._next_cid.get(pid, 0) < cid:
-                    self._next_cid[pid] = cid
-            self._mode = dict(state.modes)
-        else:
-            restored_clients = set()
-            self._crashed_clients = set()
-            self._mode = {}
-        self.local_clients = restored_clients
-        if clients is not None:
-            self.local_clients = set(clients)
-            self._crashed_clients &= self.local_clients
-        self.round = max(self.round, round_floor)
-        self.max_counter = max(self.max_counter, counter_floor)
+        self.local_clients = set()
+        self._crashed_clients = set()
+        self.round = round_floor
+        self.max_counter = counter_floor
         self.reachable = frozenset({self.sid})
         self._proposals = {}
         self._announced_estimate = None
@@ -336,7 +275,6 @@ class MembershipServer:
             cid = self._next_cid.get(client, 0) + 1
             self._next_cid[client] = cid
             cids[client] = cid
-            self._mode[client] = "change_started"
             self._send(client, StartChangeNotice(client, cid, estimate))
         proposal = ServerProposal(
             server=self.sid,
@@ -429,9 +367,7 @@ class MembershipServer:
         if self.on_view_formed is not None:
             self.on_view_formed(view)
         for client in sorted(self.active_clients() & members):
-            self._mode[client] = "normal"
             self._send(client, ViewNotice(client, view))
-            self.views_delivered += 1
 
     def __repr__(self) -> str:
         return (

@@ -122,7 +122,6 @@ class MembershipTier:
         *,
         servers: int = 1,
         links: Optional[LinkCore] = None,
-        counter_bound: Optional[int] = None,
         trace: Union[GcsTrace, Callable[[Optional[GroupName]], GcsTrace], None] = None,
         clock: Optional[Callable[[], float]] = None,
     ) -> None:
@@ -143,12 +142,11 @@ class MembershipTier:
         self.links = links
         self.servers: Dict[ProcessId, MembershipServer] = {}
         self._initial_servers = servers
-        self._counter_bound = counter_bound
-        # The durable half of the service: per-server snapshots plus the
-        # tier-wide round/counter floors a correct recovery depends on.
+        # The durable half of the service, what a correct recovery reads:
+        # the tier-wide round/counter floors, and the shared per-client
+        # cid watermarks (cids stay locally unique and increasing even
+        # when clients move between servers or a server recovers).
         self.store = WatermarkStore()
-        # Shared per-client cid watermarks: cids stay locally unique and
-        # increasing even when clients move between servers.
         self._cid_registry: Dict[ProcessId, StartChangeId] = {}
         self._home: Dict[ProcessId, ProcessId] = {}
         self._known: Set[ProcessId] = set()
@@ -176,7 +174,6 @@ class MembershipTier:
                 send=self._sender(sid),
                 cid_registry=self._cid_registry,
                 initial_counter=self.watermark(),
-                counter_bound=self._counter_bound,
             )
             server.on_view_formed = lambda view, sid=sid: self._on_formed(sid, view)
             self.servers[sid] = server
@@ -186,11 +183,12 @@ class MembershipTier:
         """A server's round completed: the tier's durability point.
 
         Runs at *every* co-forming server (so even a client-less server's
-        watermarks are persisted), records the view once, and emits the
-        formation trace event the server fault-domain rules feed on.
+        round and counter reach the floors), records the view once, and
+        emits the formation trace event the server fault-domain rules
+        feed on.
         """
         server = self.servers[sid]
-        self.store.persist(server.snapshot())
+        self.store.observe(server.round, server.max_counter)
         if view not in self._seen_views:
             self._seen_views.add(view)
             self.views_formed.append(view)
@@ -200,12 +198,10 @@ class MembershipTier:
     def watermark(self) -> int:
         """The highest view counter any server of the tier has issued.
 
-        Includes the durable store's floor, so the watermark survives
-        every server of the tier crashing at once."""
-        return max(
-            self.store.counter_floor(),
-            *(s.max_counter for s in self.servers.values()),
-        ) if self.servers else self.store.counter_floor()
+        That is the durable store's floor: every formation raises it
+        (:meth:`_on_formed`) and a server's counter starts at or under it,
+        so the watermark survives every server of the tier crashing."""
+        return self.store.counter_floor()
 
     def alive_servers(self) -> List[ProcessId]:
         """The non-crashed server ids, sorted."""
@@ -422,10 +418,10 @@ class MembershipTier:
     def crash_server(self, sid: Optional[ProcessId] = None) -> ProcessId:
         """Crash one membership server; its clients fail over.
 
-        The server's final :class:`~repro.membership.state.ServerState`
-        is persisted in the durable store, the server goes inert (and is
-        cut from the fabric when a link core is attached), and its
-        clients are rehomed to the surviving servers - floored by the
+        The server's round and counter raise the durable floors one last
+        time, the server goes inert (and is cut from the fabric when a
+        link core is attached), and the clients it hands over are
+        rehomed to the surviving servers - floored by the
         tier watermark so no survivor can issue a counter the moved
         clients may already have seen.  Each named group it owned moves
         the same way: its machine is re-created at the survivor of
@@ -443,8 +439,8 @@ class MembershipTier:
             raise ValueError(f"server {sid} is already crashed")
         if len(alive) < 2:
             raise ValueError("the last alive server cannot crash")
-        final = server.crash()
-        self.store.persist(final)
+        self.store.observe(server.round, server.max_counter)
+        clients, crashed_clients = server.crash()
         if self.links is not None:
             self.links.restrict(sid, [])
         survivors = frozenset(self.alive_servers())
@@ -452,12 +448,12 @@ class MembershipTier:
         targets = sorted(survivors)
         loads = {t: len(self.servers[t].local_clients) for t in targets}
         adds: Dict[ProcessId, List[ProcessId]] = {}
-        for pid in final.local_clients:
+        for pid in clients:
             home = min(targets, key=lambda t: (loads[t], t))
             loads[home] += 1
             self._home[pid] = home
             adds.setdefault(home, []).append(pid)
-        crashed = self._crashed.union(final.crashed_clients)
+        crashed = self._crashed.union(crashed_clients)
         for tsid in targets:
             self.servers[tsid].inherit_clients(
                 adds.get(tsid, ()), counter_floor=floor, crashed=crashed
@@ -465,8 +461,8 @@ class MembershipTier:
         for tsid in targets:
             self._report(self.servers[tsid], survivors, bool(adds.get(tsid)))
         for group in sorted(g for g, s in self._groups.items() if s.machine.sid == sid):
-            final = self._groups[group].machine.crash()
-            self._place(group, final.local_clients).machine.activate(())
+            clients, _ = self._groups[group].machine.crash()
+            self._place(group, clients).machine.activate(())
         return sid
 
     @staticmethod
@@ -486,10 +482,11 @@ class MembershipTier:
     def recover_server(self, sid: ProcessId) -> None:
         """Recover a crashed server from the durable store.
 
-        The server restores its last persisted snapshot floored by the
-        store's round and counter watermarks, so the first round it
-        starts exceeds every pre-crash round - the peers *adopt* it (a
-        rejoin) instead of racing a forked server with forgotten state.
+        The server comes back on the store's round and counter floors and
+        nothing else (cids come from the shared registry), so the first
+        round it starts exceeds every pre-crash round - the peers *adopt*
+        it (a rejoin) instead of racing a forked server with forgotten
+        state.
         Its former clients stay where they failed over to, and so do
         its former named groups: moving a group off a *live* server would
         let the old owner's in-flight view notice overtake the new
@@ -501,10 +498,8 @@ class MembershipTier:
         if not server.crashed:
             raise ValueError(f"server {sid} is not crashed")
         server.restore(
-            self.store.load(sid),
             round_floor=self.store.round_floor(),
             counter_floor=self.store.counter_floor(),
-            clients=(),
         )
         if self.links is not None:
             self.links.restrict(sid, None)

@@ -1,10 +1,10 @@
-"""The server fault domain: snapshot/restore, durable watermarks, wraparound.
+"""The server fault domain: crash, recovery, durable watermarks.
 
 The paper's Section 8 assumes membership servers "never crash and never
 forget".  These tests exercise the machinery that *relaxes* that
-assumption - the explicit :class:`ServerState`, the tier-owned
-:class:`WatermarkStore`, and epoch-composed bounded counters - at the
-tier level, over a synchronous loopback link.
+assumption - the tier-owned :class:`WatermarkStore` floors and the
+rehoming of a crashed server's clients - at the tier level, over a
+synchronous loopback link.
 """
 
 
@@ -12,12 +12,7 @@ import pytest
 
 from repro.checking.events import GcsTrace, MbrshpFormEvent
 from repro.membership import MembershipTier
-from repro.membership.state import (
-    ServerState,
-    WatermarkStore,
-    compose_counter,
-    decompose_counter,
-)
+from repro.membership.state import WatermarkStore
 
 
 class LoopbackLink:
@@ -34,13 +29,16 @@ class LoopbackLink:
     def send(self, src, targets, message):
         self.queue.extend((src, dst, message) for dst in targets)
 
+    def step(self):
+        src, dst, message = self.queue.pop(0)
+        if dst in self.handlers:
+            self.handlers[dst]([(src, [message])])
+        else:
+            self.inboxes.setdefault(dst, []).append(message)
+
     def drain(self):
         while self.queue:
-            src, dst, message = self.queue.pop(0)
-            if dst in self.handlers:
-                self.handlers[dst]([(src, [message])])
-            else:
-                self.inboxes.setdefault(dst, []).append(message)
+            self.step()
 
 
 class Driver:
@@ -59,53 +57,23 @@ class Driver:
 
 
 # ----------------------------------------------------------------------
-# ServerState / WatermarkStore values
+# WatermarkStore values
 # ----------------------------------------------------------------------
-
-
-def test_server_state_dict_roundtrip():
-    state = ServerState(
-        sid="srv:0",
-        local_clients=("a", "b"),
-        crashed_clients=("b",),
-        round=7,
-        epoch=2,
-        counter=1,
-        counter_bound=4,
-        cids=(("a", 3), ("b", 5)),
-        modes=(("a", "NORMAL"), ("b", "CHANGE_STARTED")),
-    )
-    assert ServerState.from_dict(state.to_dict()) == state
-    assert state.max_counter == 2 * 4 + 1
-
-
-def test_counter_composition_roundtrip():
-    for bound in (None, 1, 4, 100):
-        for value in (0, 1, 3, 4, 17, 399):
-            epoch, local = decompose_counter(value, bound)
-            assert compose_counter(epoch, local, bound) == value
-            if bound is not None:
-                assert 0 <= local < bound
 
 
 def test_watermark_store_dict_roundtrip():
     store = WatermarkStore()
-    store.observe(3, 9)
-    store.persist(
-        ServerState("srv:1", (), (), 5, 0, 11, None, (), ())
-    )
+    store.observe(5, 11)
+    store.observe(3, 9)  # floors only rise
     store.observe_group("chat", 4)
-    store.observe_group("chat", 2)  # floors only rise
+    store.observe_group("chat", 2)
     store.observe_group("audit", 7)
-    clone = WatermarkStore.from_dict(store.to_dict())
-    assert clone.round_floor() == store.round_floor() == 5
-    assert clone.counter_floor() == store.counter_floor() == 11
+    assert store.round_floor() == 5
+    assert store.counter_floor() == 11
     # per-group floors: independent of the default group's and of each other
-    assert clone.counter_floor("chat") == store.counter_floor("chat") == 4
-    assert clone.counter_floor("audit") == 7 and clone.counter_floor("nobody") == 0
-    assert WatermarkStore.from_dict({"round": 1, "counter": 2}).counter_floor("chat") == 0
-    assert clone.load("srv:1") == store.load("srv:1")
-    assert clone.load("srv:404") is None
+    assert store.counter_floor("chat") == 4
+    assert store.counter_floor("audit") == 7 and store.counter_floor("nobody") == 0
+    assert WatermarkStore().counter_floor("chat") == 0
 
 
 # ----------------------------------------------------------------------
@@ -118,7 +86,6 @@ def test_crash_rehomes_clients_and_persists_snapshot():
     tier = driver.tier
     sid = driver.do(tier.crash_server)
     assert tier.servers[sid].crashed
-    assert tier.store.load(sid) is not None
     # Its clients failed over: the survivor re-forms the full view.
     view = tier.views_formed[-1]
     assert view.members == {"a", "b", "c", "d"}
@@ -163,6 +130,29 @@ def test_recovery_rejoins_without_forking():
     assert counters == sorted(set(counters)), "a recovery must not fork views"
 
 
+def test_floors_cover_every_server_after_every_message():
+    # The floors never lag a server: whenever a crash strikes, the round
+    # it reached and the counter it formed are already durable - a
+    # client-less co-former's formation included, before any notice.
+    driver = Driver(clients=("a", "b"), servers=3)
+    tier, link = driver.tier, driver.link
+
+    def do(fn, *args):
+        result = fn(*args)
+        while link.queue:
+            link.step()
+            for server in tier.servers.values():
+                assert server.round <= tier.store.round_floor(), server
+                assert server.max_counter <= tier.store.counter_floor(), server
+        return result
+
+    for members in (["a"], ["a", "b"], ["b"], ["a", "b"]):
+        do(tier.set_members, members)
+    do(tier.recover_server, do(tier.crash_server))
+    assert len(tier.views_formed) >= 6
+    assert {s.max_counter for s in tier.servers.values()} == {tier.store.counter_floor()}
+
+
 def test_watermark_survives_every_server_crashing():
     driver = Driver(clients=("a", "b"), servers=2)
     tier = driver.tier
@@ -183,44 +173,8 @@ def test_clientless_coformer_snapshot_is_persisted():
     clientless = [s for s in tier.servers.values() if not s.local_clients]
     assert clientless, "expected at least one client-less server"
     for server in clientless:
-        assert tier.store.load(server.sid) is not None
-
-
-# ----------------------------------------------------------------------
-# bounded counters (wraparound convergence)
-# ----------------------------------------------------------------------
-
-
-def test_bounded_counter_wraps_without_regressing():
-    driver = Driver(clients=("a", "b", "c"), servers=1, counter_bound=3)
-    tier = driver.tier
-    for _ in range(4):  # push the external counter well past the bound
-        driver.do(tier.set_members, ["a", "b"])
-        driver.do(tier.set_members, ["a", "b", "c"])
-    counters = [v.vid.counter for v in tier.views_formed]
-    assert counters == sorted(set(counters))
-    assert counters[-1] > 3, "external counter must sail past the bound"
-    (server,) = tier.servers.values()
-    epoch, local = server.bounded_counter()
-    assert epoch >= 1 and 0 <= local < 3
-    assert compose_counter(epoch, local, 3) == server.max_counter
-
-
-def test_bounded_counter_survives_crash_recover():
-    driver = Driver(clients=("a", "b"), servers=2, counter_bound=2)
-    tier = driver.tier
-    for _ in range(3):
-        driver.do(tier.set_members, ["a"])
-        driver.do(tier.set_members, ["a", "b"])
-    sid = driver.do(tier.crash_server)
-    driver.do(tier.set_members, ["a"])
-    driver.do(tier.recover_server, sid)
-    # The recomposed (epoch, local) watermark floors the recovered
-    # server above everything any client has seen.
-    assert tier.servers[sid].max_counter >= tier.store.counter_floor()
-    driver.do(tier.set_members, ["a", "b"])
-    counters = [v.vid.counter for v in tier.views_formed]
-    assert counters == sorted(set(counters))
+        assert server.round <= tier.store.round_floor()
+        assert server.max_counter <= tier.store.counter_floor()
 
 
 # ----------------------------------------------------------------------

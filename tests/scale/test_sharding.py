@@ -22,7 +22,6 @@ import repro
 from repro.checking import run_verdict
 from repro.checking.events import MbrshpStartChangeEvent, MbrshpViewEvent
 from repro.membership.protocol import GroupEnvelope, StartChangeNotice, ViewNotice
-from repro.membership.state import WatermarkStore
 from repro.membership.tier import MembershipTier
 from repro.net import ConstantLatency, SimWorld
 from repro.scale.sharding import GroupShardMap, auto_shards
@@ -408,7 +407,7 @@ class TestConsecutiveResizes:
 
     def test_moved_floors_are_recorded_durably(self):
         world, owners = self._watermark_history(["srv:2", "srv:0"])
-        store = WatermarkStore.from_dict(world.tier.store.to_dict())
+        store = world.tier.store
         assert any(len(set(path)) > 1 for path in owners.values())
         for group in owners:
             view = world.group_view(group)
