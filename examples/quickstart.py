@@ -9,7 +9,7 @@ Run with:  python examples/quickstart.py
 
 import asyncio
 
-from repro import AsyncDeployment, Delivery, ViewChange
+from repro import AsyncDeployment
 
 
 async def main() -> None:
@@ -27,15 +27,16 @@ async def main() -> None:
         await carol.send("carol here")
         await cluster.settle()
 
+        # Each node keeps what its application saw: the views it
+        # installed, with their transitional sets, and the messages it
+        # delivered, in order.
         for node in (alice, bob, carol):
             print(f"\n{node.pid} observed:")
-            while not node.events_queue.empty():
-                event = node.events_queue.get_nowait()
-                if isinstance(event, ViewChange):
-                    print(f"  view {event.view.vid}: members {sorted(event.view.members)}, "
-                          f"transitional set {sorted(event.transitional)}")
-                elif isinstance(event, Delivery):
-                    print(f"  message from {event.sender}: {event.payload!r}")
+            for installed, transitional in node.views:
+                print(f"  view {installed.vid}: members {sorted(installed.members)}, "
+                      f"transitional set {sorted(transitional)}")
+            for sender, payload in node.delivered:
+                print(f"  message from {sender}: {payload!r}")
 
         # Carol leaves.  The survivors move together, so the transitional
         # set they receive with the new view is {alice, bob} - they know
@@ -44,15 +45,14 @@ async def main() -> None:
         new_view = await cluster.reconfigure(["alice", "bob"])
         print(f"\nafter carol left: view {new_view.vid} = {sorted(new_view.members)}")
         for node in (alice, bob):
-            while not node.events_queue.empty():
-                event = node.events_queue.get_nowait()
-                if isinstance(event, ViewChange):
-                    print(f"  {node.pid}: transitional set {sorted(event.transitional)}")
+            _installed, transitional = node.views[-1]
+            print(f"  {node.pid}: transitional set {sorted(transitional)}")
 
+        # An application can also take each delivery as it happens.
+        bob.set_app(on_deliver=lambda sender, payload: print(
+            f"\nbob got: {payload!r} from {sender}"))
         await alice.send("just the two of us now")
         await cluster.settle()
-        event = await bob.next_event(timeout=1.0)
-        print(f"\nbob got: {event.payload!r} from {event.sender}")
 
         # The recorded trace passes the paper's full safety battery.
         from repro import SAFETY_CODES, run_verdict

@@ -11,7 +11,7 @@ Run with:  python examples/tcp_sockets.py
 import asyncio
 
 from repro.checking import SAFETY_CODES, run_verdict
-from repro.runtime import Delivery, TcpDeployment, ViewChange
+from repro.runtime import TcpDeployment
 
 
 async def main() -> None:
@@ -27,13 +27,8 @@ async def main() -> None:
         await asyncio.sleep(0.2)
 
         for node in nodes:
-            received = []
-            while not node.events_queue.empty():
-                event = node.events_queue.get_nowait()
-                if isinstance(event, Delivery):
-                    received.append(f"{event.sender}: {event.payload!r}")
-                elif isinstance(event, ViewChange):
-                    received.append(f"view {event.view.vid}, T={sorted(event.transitional)}")
+            received = [f"view {v.vid}, T={sorted(t)}" for v, t in node.views]
+            received += [f"{sender}: {payload!r}" for sender, payload in node.delivered]
             print(f"{node.pid} saw: {received}")
 
         smaller = await cluster.reconfigure(["athens", "berlin"])

@@ -31,7 +31,8 @@ Quickstart (asyncio)::
             a, b = await cluster.add_nodes(["a", "b"])
             await cluster.start()
             await a.send("hello group")
-            print(await b.next_event(timeout=1.0))
+            await cluster.settle()
+            print(b.delivered)  # [('a', 'hello group')]
 
     asyncio.run(main())
 """
@@ -69,7 +70,7 @@ from repro.net import (
     UniformLatency,
 )
 from repro.order import CausalOrderNode, TotalOrderNode
-from repro.runtime import Delivery, GcsNode, ViewChange
+from repro.runtime import GcsNode
 from repro.types import (
     CID_ZERO,
     VID_ZERO,
@@ -91,7 +92,6 @@ __all__ = [
     "CausalOrderNode",
     "ConstantLatency",
     "Cut",
-    "Delivery",
     "Deployment",
     "GcsEndpoint",
     "GcsNode",
@@ -119,7 +119,6 @@ __all__ = [
     "UniformLatency",
     "VID_ZERO",
     "View",
-    "ViewChange",
     "ViewId",
     "VsRfifoTsEndpoint",
     "WvRfifoEndpoint",

@@ -21,7 +21,7 @@ Quickstart::
 Dependency note: the substrates import :mod:`repro.chaos.faults` for the
 fault hooks, so nothing in this package may import :mod:`repro.deploy`,
 :mod:`repro.net` or :mod:`repro.runtime` at module level (the runner
-imports the deployment registry lazily inside the episode).
+imports the deployment registry lazily, in its constructor).
 """
 
 from repro.chaos.faults import (

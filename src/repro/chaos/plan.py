@@ -34,28 +34,37 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field, replace
 from itertools import islice
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.chaos.faults import FaultModel
 from repro.types import ProcessId
 
-# Operation kinds, in the vocabulary of repro.deploy.base.Deployment.
+# Operation kinds, in the vocabulary of repro.deploy.base.Deployment,
+# with the weight of each in the random draw (sends dominate so every
+# membership event competes with application traffic).  The order is the
+# draw's: a new kind goes last, or every seeded plan changes.
 # ``leader_crash`` is a crash whose target was an acting overlay leader
 # when the op was generated - it exercises the scale tier's re-election
 # path and only appears in plans with ``overlay_leaders`` set.
-OP_KINDS = (
-    "send",
-    "settle",
-    "partition",
-    "heal",
-    "crash",
-    "leader_crash",
-    "recover",
-    "reconfigure",
-    "server_crash",
-    "server_recover",
-    "server_partition",
-)
+_WEIGHTS: Dict[str, float] = {
+    "send": 5.0,
+    "settle": 1.5,
+    "partition": 1.5,
+    "heal": 2.5,
+    "crash": 1.0,
+    "leader_crash": 1.5,
+    "recover": 2.0,
+    "reconfigure": 1.0,
+    "server_crash": 1.0,
+    "server_recover": 2.0,
+    "server_partition": 1.0,
+}
+OP_KINDS = tuple(_WEIGHTS)
+
+
+def _target(kind: str) -> str:
+    """The :class:`ChaosOp` field a targeted kind names its target in."""
+    return "server" if kind.startswith("server_") else "pid"
 
 
 @dataclass(frozen=True)
@@ -229,44 +238,27 @@ class _ScheduleState:
             and len(self.full) >= 2
         )
 
+    def options(self, kind: str) -> Union[bool, List[Any]]:
+        """Falsy while ``kind`` is disabled; else the targets it may name,
+        or True for a kind that names none (see ``_OPTIONS``)."""
+        return _OPTIONS[kind](self) if kind in _OPTIONS else False
+
     def enabled(self, op: ChaosOp) -> bool:
-        if op.kind == "settle":
-            return True
-        if op.kind == "send":
-            return op.pid in self.senders()
+        options = self.options(op.kind)
+        if not options:
+            return False
         if op.kind == "partition":
-            return (
-                self.can_partition()
-                and len(op.groups) >= 2
-                and sorted(p for g in op.groups for p in g) == sorted(self.full)
-            )
-        if op.kind == "heal":
-            return self.can_heal()
-        if op.kind == "crash":
-            return op.pid in self.crash_candidates()
-        if op.kind == "leader_crash":
-            return op.pid in self.leader_crash_candidates()
-        if op.kind == "recover":
-            return op.pid in self.recover_candidates()
+            return len(op.groups) >= 2 and sorted(
+                p for g in op.groups for p in g
+            ) == sorted(self.full)
         if op.kind == "reconfigure":
             members = set(op.members)
-            return (
-                self.can_reconfigure()
-                and len(members) >= 2
-                and members <= set(self.full)
-            )
-        if op.kind == "server_crash":
-            return op.server in self.server_crash_candidates()
-        if op.kind == "server_recover":
-            return op.server in self.server_recover_candidates()
+            return len(members) >= 2 and members <= set(self.full)
         if op.kind == "server_partition":
-            return (
-                self.can_server_partition()
-                and len(op.server_groups) >= 2
-                and sorted(i for g in op.server_groups for i in g)
-                == list(range(self.servers))
-            )
-        return False
+            return len(op.server_groups) >= 2 and sorted(
+                i for g in op.server_groups for i in g
+            ) == list(range(self.servers))
+        return options is True or getattr(op, _target(op.kind)) in options
 
     def apply(self, op: ChaosOp) -> None:
         if op.kind == "partition":
@@ -287,12 +279,49 @@ class _ScheduleState:
         elif op.kind == "server_partition":
             self.server_partitioned = True
 
+    def draw(self, rng: random.Random, sent: int) -> ChaosOp:
+        """One random op, weighted over the enabled kinds; ``sent`` numbers
+        the payload of a send."""
+        enabled = {kind: options for kind in _WEIGHTS if (options := self.options(kind))}
+        kind = rng.choices(list(enabled), weights=[_WEIGHTS[k] for k in enabled], k=1)[0]
+        options = enabled[kind]
+        if kind == "send":
+            pid = rng.choice(options)
+            return ChaosOp("send", pid=pid, payload=f"{pid}-m{sent}")
+        if kind == "partition":
+            pids = list(self.full)
+            rng.shuffle(pids)
+            groups = 3 if len(pids) >= 4 and rng.random() < 0.3 else 2
+            cuts = sorted(rng.sample(range(1, len(pids)), groups - 1))
+            parts = [
+                tuple(pids[i:j]) for i, j in zip([0] + cuts, cuts + [len(pids)])
+            ]
+            return ChaosOp("partition", groups=tuple(parts))
+        if kind == "reconfigure":
+            size = rng.randint(2, len(self.full))
+            members = tuple(sorted(rng.sample(list(self.full), size)))
+            return ChaosOp("reconfigure", members=members)
+        if kind == "server_partition":
+            indices = list(range(self.servers))
+            rng.shuffle(indices)
+            cut = rng.randint(1, len(indices) - 1)
+            return ChaosOp(
+                "server_partition",
+                server_groups=(
+                    tuple(sorted(indices[:cut])),
+                    tuple(sorted(indices[cut:])),
+                ),
+            )
+        if options is True:
+            return ChaosOp(kind)
+        return ChaosOp(kind, **{_target(kind): rng.choice(options)})
+
     def random_ops(self, rng: random.Random) -> Iterator[ChaosOp]:
         """The seeded op stream: endless enabled ops, each applied to this
         state as it is drawn - so draw only an op that will be run."""
         sent = 0
         while True:
-            op = ChaosPlan._random_op(rng, self, sent)
+            op = self.draw(rng, sent)
             if op.kind == "send":
                 sent += 1
             self.apply(op)
@@ -311,6 +340,26 @@ class _ScheduleState:
             ops.append(ChaosOp("reconfigure", members=self.full))
         ops.append(ChaosOp("settle"))
         return ops
+
+
+# When each op kind is enabled, stated once: the random draw, ``enabled``
+# (and with it ``sanitise_ops`` and the process shrink) read this table.
+# A falsy result disables the kind; a list is the set of targets it may
+# name.  partition, reconfigure and server_partition are True-or-False
+# here and check their shape in ``enabled``.
+_OPTIONS: Dict[str, Callable[[_ScheduleState], Union[bool, List[Any]]]] = {
+    "send": _ScheduleState.senders,
+    "settle": lambda state: True,
+    "partition": _ScheduleState.can_partition,
+    "heal": _ScheduleState.can_heal,
+    "crash": _ScheduleState.crash_candidates,
+    "leader_crash": _ScheduleState.leader_crash_candidates,
+    "recover": _ScheduleState.recover_candidates,
+    "reconfigure": _ScheduleState.can_reconfigure,
+    "server_crash": _ScheduleState.server_crash_candidates,
+    "server_recover": _ScheduleState.server_recover_candidates,
+    "server_partition": _ScheduleState.can_server_partition,
+}
 
 
 def sanitise_ops(
@@ -422,77 +471,6 @@ class ChaosPlan:
         """The schedule state machine at the start of this plan's ops."""
         return _ScheduleState(self.processes, self.overlay_leaders, self.servers)
 
-    @staticmethod
-    def _random_op(rng: random.Random, state: _ScheduleState, sent: int) -> ChaosOp:
-        # Weighted pick among the enabled op kinds; sends dominate so
-        # every membership event competes with application traffic.
-        choices: List[Tuple[str, float]] = [("send", 5.0), ("settle", 1.5)]
-        if state.can_partition():
-            choices.append(("partition", 1.5))
-        if state.can_heal():
-            choices.append(("heal", 2.5))
-        if state.crash_candidates():
-            choices.append(("crash", 1.0))
-        if state.leader_crash_candidates():
-            choices.append(("leader_crash", 1.5))
-        if state.recover_candidates():
-            choices.append(("recover", 2.0))
-        if state.can_reconfigure():
-            choices.append(("reconfigure", 1.0))
-        if state.server_crash_candidates():
-            choices.append(("server_crash", 1.0))
-        if state.server_recover_candidates():
-            choices.append(("server_recover", 2.0))
-        if state.can_server_partition():
-            choices.append(("server_partition", 1.0))
-        kinds = [kind for kind, _w in choices]
-        weights = [w for _kind, w in choices]
-        kind = rng.choices(kinds, weights=weights, k=1)[0]
-        if kind == "send":
-            pid = rng.choice(state.senders())
-            return ChaosOp("send", pid=pid, payload=f"{pid}-m{sent}")
-        if kind == "partition":
-            pids = list(state.full)
-            rng.shuffle(pids)
-            groups = 3 if len(pids) >= 4 and rng.random() < 0.3 else 2
-            cuts = sorted(rng.sample(range(1, len(pids)), groups - 1))
-            parts = [
-                tuple(pids[i:j]) for i, j in zip([0] + cuts, cuts + [len(pids)])
-            ]
-            return ChaosOp("partition", groups=tuple(parts))
-        if kind == "crash":
-            return ChaosOp("crash", pid=rng.choice(state.crash_candidates()))
-        if kind == "leader_crash":
-            return ChaosOp(
-                "leader_crash", pid=rng.choice(state.leader_crash_candidates())
-            )
-        if kind == "recover":
-            return ChaosOp("recover", pid=rng.choice(state.recover_candidates()))
-        if kind == "reconfigure":
-            size = rng.randint(2, len(state.full))
-            members = tuple(sorted(rng.sample(list(state.full), size)))
-            return ChaosOp("reconfigure", members=members)
-        if kind == "server_crash":
-            return ChaosOp(
-                "server_crash", server=rng.choice(state.server_crash_candidates())
-            )
-        if kind == "server_recover":
-            return ChaosOp(
-                "server_recover", server=rng.choice(state.server_recover_candidates())
-            )
-        if kind == "server_partition":
-            indices = list(range(state.servers))
-            rng.shuffle(indices)
-            cut = rng.randint(1, len(indices) - 1)
-            return ChaosOp(
-                "server_partition",
-                server_groups=(
-                    tuple(sorted(indices[:cut])),
-                    tuple(sorted(indices[cut:])),
-                ),
-            )
-        return ChaosOp(kind)
-
     # -- derived plans ----------------------------------------------------
 
     def with_ops(self, ops: Iterable[ChaosOp]) -> "ChaosPlan":
@@ -515,35 +493,24 @@ class ChaosPlan:
         keep = tuple(p for p in self.processes if p in set(processes))
         if len(keep) < 2:
             raise ValueError("cannot shrink below 2 processes")
-        kept_set = set(keep)
-        ops: List[ChaosOp] = []
-        for op in self.ops:
-            if op.kind in ("send", "crash", "leader_crash", "recover"):
-                if op.pid not in kept_set:
-                    continue
-                ops.append(op)
-            elif op.kind == "partition":
-                groups = tuple(
-                    tuple(p for p in g if p in kept_set) for g in op.groups
-                )
-                groups = tuple(g for g in groups if g)
-                if len(groups) >= 2:
-                    ops.append(replace(op, groups=groups))
-            elif op.kind == "reconfigure":
-                members = tuple(p for p in op.members if p in kept_set)
-                if len(members) >= 2:
-                    ops.append(replace(op, members=members))
-            else:
-                ops.append(op)
+        kept = set(keep)
+
+        def restrict(pids: Iterable[ProcessId]) -> Tuple[ProcessId, ...]:
+            return tuple(p for p in pids if p in kept)
+
+        # sanitise_ops drops what no longer holds: an op of a dropped
+        # process, a partition left with one group, a reconfigure left
+        # with fewer than 2 members.
+        ops = [
+            replace(
+                op,
+                groups=tuple(g for g in map(restrict, op.groups) if g),
+                members=restrict(op.members),
+            )
+            for op in self.ops
+        ]
         leaders = min(self.overlay_leaders, len(keep))
-        return ChaosPlan(
-            seed=self.seed,
-            processes=keep,
-            faults=self.faults,
-            ops=sanitise_ops(keep, ops, leaders=leaders, servers=self.servers),
-            overlay_leaders=leaders,
-            servers=self.servers,
-        )
+        return replace(self, processes=keep, overlay_leaders=leaders).with_ops(ops)
 
     # -- presentation and serialisation -----------------------------------
 

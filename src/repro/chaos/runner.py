@@ -42,7 +42,7 @@ import asyncio
 import random
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Any, Awaitable, Callable, Dict, Mapping, Optional, Tuple, Type
+from typing import Any, Awaitable, Callable, Dict, Mapping, Optional, Tuple
 
 from repro.chaos.faults import FaultInjector
 from repro.chaos.plan import ChaosOp, ChaosPlan
@@ -67,27 +67,6 @@ def frame_verdict(frame_errors: Mapping[str, int]) -> Verdict:
     """Frames the socket codec refused, as a finding: one ``RUN-FRAME``."""
     counted = ", ".join(f"{reason}: {n}" for reason, n in sorted(frame_errors.items()))
     return Verdict.runtime("RUN-FRAME", f"frame errors: {counted}")
-
-
-def backend_class(backend: str) -> Type[Any]:
-    """The deployment class registered as ``backend``; its ``time_scale``
-    is one latency unit of the fault model in that substrate's own time."""
-    from repro.deploy import BACKENDS  # local import: no cycle
-
-    if backend not in BACKENDS:
-        raise ValueError(f"unknown backend {backend!r}; expected one of {sorted(BACKENDS)}")
-    return BACKENDS[backend]
-
-
-def deploy_for(backend: str, injector: FaultInjector, servers: int, **options: Any) -> Any:
-    """A fresh deployment for a chaos run under ``injector``.
-
-    ``servers`` > 0 targets the server fault domain: every substrate
-    then deploys a crashable membership tier of that size.
-    """
-    if servers:
-        options["servers"] = servers
-    return backend_class(backend)(faults=injector, **options)
 
 
 def default_resident_limit(processes: int, audit_every: int) -> int:
@@ -206,7 +185,13 @@ class ChaosRunner:
         *,
         mutate_trace: Optional[TraceMutator] = None,
     ) -> None:
-        self.time_scale = backend_class(backend).time_scale
+        from repro.deploy import BACKENDS  # local import: no cycle
+
+        if backend not in BACKENDS:
+            raise ValueError(f"unknown backend {backend!r}; expected one of {sorted(BACKENDS)}")
+        # The deployment class; its ``time_scale`` is one latency unit of
+        # the fault model in that substrate's own time.
+        self.deployment_class = BACKENDS[backend]
         self.backend = backend
         self.mutate_trace = mutate_trace
 
@@ -301,11 +286,15 @@ class ChaosRunner:
         link core) as one ``RUN-FRAME`` - ahead of any stall it caused;
         with a finding the deployment is None.
         """
-        injector = FaultInjector(plan.faults, time_scale=self.time_scale)
+        injector = FaultInjector(plan.faults, time_scale=self.deployment_class.time_scale)
+        if plan.servers:
+            # The server fault domain: every substrate then deploys a
+            # crashable membership tier of that size.
+            options["servers"] = plan.servers
 
         async def drive() -> Tuple[Any, Optional[Verdict]]:
             stall = None
-            async with deploy_for(self.backend, injector, plan.servers, **options) as deployment:
+            async with self.deployment_class(faults=injector, **options) as deployment:
                 try:
                     await deployment.setup(list(plan.processes))
                     await body(deployment, injector)
@@ -446,9 +435,7 @@ __all__ = [
     "Episode",
     "SOAK_ACK_GC_INTERVAL",
     "SoakReport",
-    "backend_class",
     "default_resident_limit",
-    "deploy_for",
     "frame_verdict",
     "stall_verdict",
 ]

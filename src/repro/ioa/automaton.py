@@ -180,7 +180,7 @@ class Automaton:
                 template.update(klass.__dict__.get("SIGNATURE", {}))
             cls._ioa_signature = template
         # Per-instance copy: some automata overlay instance-specific
-        # inputs after construction (see CoRfifoSpec.link_membership).
+        # inputs after construction (see CoRfifoSpec's link_membership).
         return dict(template)
 
     @property

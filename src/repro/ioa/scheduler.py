@@ -28,14 +28,12 @@ class SchedulerBase:
     def __init__(self, system: Composition, hooks: Optional[List[StepHook]] = None) -> None:
         self.system = system
         self.hooks: List[StepHook] = list(hooks or [])
-        self.steps_taken = 0
 
     def add_hook(self, hook: StepHook) -> None:
         self.hooks.append(hook)
 
     def _execute(self, owner: Automaton, action: Action) -> None:
         self.system.execute(owner, action)
-        self.steps_taken += 1
         for hook in self.hooks:
             hook(self.system, owner, action)
 

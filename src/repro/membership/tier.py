@@ -121,7 +121,7 @@ class MembershipTier:
         link: TierLink,
         *,
         servers: int = 1,
-        links: Optional[LinkCore] = None,
+        links: LinkCore,
         trace: Union[GcsTrace, Callable[[Optional[GroupName]], GcsTrace], None] = None,
         clock: Optional[Callable[[], float]] = None,
     ) -> None:
@@ -136,9 +136,9 @@ class MembershipTier:
         self._trace_of = trace if callable(trace) else {None: trace}.get
         self._trace = self._trace_of(None)
         self._clock = clock if clock is not None else (lambda: 0.0)
-        # The substrate's unified link core.  When given, the tier cuts
-        # and heals the transport itself (one API for every substrate)
-        # instead of each deployment reimplementing the partition wiring.
+        # The substrate's unified link core: the tier cuts and heals the
+        # transport itself (one API for every substrate) instead of each
+        # deployment reimplementing the partition wiring.
         self.links = links
         self.servers: Dict[ProcessId, MembershipServer] = {}
         self._initial_servers = servers
@@ -419,8 +419,8 @@ class MembershipTier:
         """Crash one membership server; its clients fail over.
 
         The server's round and counter raise the durable floors one last
-        time, the server goes inert (and is cut from the fabric when a
-        link core is attached), and the clients it hands over are
+        time, the server goes inert and is cut from the fabric, and the
+        clients it hands over are
         rehomed to the surviving servers - floored by the
         tier watermark so no survivor can issue a counter the moved
         clients may already have seen.  Each named group it owned moves
@@ -441,8 +441,7 @@ class MembershipTier:
             raise ValueError("the last alive server cannot crash")
         self.store.observe(server.round, server.max_counter)
         clients, crashed_clients = server.crash()
-        if self.links is not None:
-            self.links.restrict(sid, [])
+        self.links.restrict(sid, [])
         survivors = frozenset(self.alive_servers())
         floor = self.watermark()
         targets = sorted(survivors)
@@ -501,8 +500,7 @@ class MembershipTier:
             round_floor=self.store.round_floor(),
             counter_floor=self.store.counter_floor(),
         )
-        if self.links is not None:
-            self.links.restrict(sid, None)
+        self.links.restrict(sid, None)
         alive = frozenset(self.alive_servers())
         for tsid in sorted(alive):
             self.servers[tsid].set_reachable(alive)
@@ -545,8 +543,7 @@ class MembershipTier:
             )
             components.append(members)
         components.extend([sid] for sid in self.crashed_servers())
-        if self.links is not None:
-            self.links.partition(components)
+        self.links.partition(components)
         for group in group_sets:
             for sid in sorted(group):
                 self.servers[sid].set_reachable(group)
@@ -579,15 +576,12 @@ class MembershipTier:
     def apply_partition(self, plan: PartitionPlan) -> None:
         """Cut the transport and announce a planned partition.
 
-        With a :class:`~repro.links.LinkCore` attached, the tier splits
-        the fabric along ``plan.components`` itself before moving any
-        client - one partition surface for every substrate.  (A
-        deployment without a link core must have cut its transport
-        already.)  Every notice a server sends from here on stays within
-        its own component.
+        The tier splits the fabric's link core along ``plan.components``
+        itself before moving any client - one partition surface for
+        every substrate.  Every notice a server sends from here on stays
+        within its own component.
         """
-        if self.links is not None:
-            self.links.partition(plan.components)
+        self.links.partition(plan.components)
         snapshot = self.watermark()
         listed: Set[ProcessId] = set().union(*plan.groups) if plan.groups else set()
         adds: Dict[ProcessId, List[ProcessId]] = {}
@@ -619,14 +613,12 @@ class MembershipTier:
     def heal(self) -> None:
         """Reunite the tier: all servers reachable, cut-off clients back.
 
-        With a :class:`~repro.links.LinkCore` attached, the transport
-        fabric is healed here too (all components merged, all
-        restrictions lifted)."""
-        if self.links is not None:
-            self.links.heal()
-            for sid in self.crashed_servers():
-                # Healing the fabric must not resurrect dead servers.
-                self.links.restrict(sid, [])
+        The transport's link core is healed here too (all components
+        merged, all restrictions lifted)."""
+        self.links.heal()
+        for sid in self.crashed_servers():
+            # Healing the fabric must not resurrect dead servers.
+            self.links.restrict(sid, [])
         everyone = frozenset(self.alive_servers())
         adds: Dict[ProcessId, List[ProcessId]] = {}
         for pid in sorted(self._detached - self._crashed):

@@ -18,7 +18,7 @@ C++ implementation).
 
 from repro.runtime.cluster import AsyncDeployment, Cluster, TcpDeployment
 from repro.runtime.fabric import Fabric
-from repro.runtime.node import Delivery, GcsNode, ViewChange
+from repro.runtime.node import GcsNode
 from repro.runtime.settle import await_settled, describe_views
 from repro.runtime.tcp import TcpFabric, TcpTransport, encode_frame, read_frame
 from repro.runtime.transport import AsyncHub
@@ -27,13 +27,11 @@ __all__ = [
     "AsyncDeployment",
     "AsyncHub",
     "Cluster",
-    "Delivery",
     "Fabric",
     "GcsNode",
     "TcpDeployment",
     "TcpFabric",
     "TcpTransport",
-    "ViewChange",
     "await_settled",
     "describe_views",
     "encode_frame",

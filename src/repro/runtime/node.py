@@ -1,10 +1,11 @@
 """A runtime GCS node: the end-point host behind an async API.
 
 ``GcsNode`` is the asyncio face of :class:`~repro.core.host.EndpointHost`:
-applications ``await node.send(payload)`` and consume deliveries and
-views from ``node.events_queue``.  The blocking contract of Figure 12 is
-enforced for the application automatically: while the end-point has
-requested a block, ``send`` waits.
+applications ``await node.send(payload)`` and read deliveries and views
+where every host keeps them - the ``delivered`` / ``views`` lists, or
+the callbacks of :meth:`~repro.core.host.EndpointHost.set_app`.  The
+blocking contract of Figure 12 is enforced for the application
+automatically: while the end-point has requested a block, ``send`` waits.
 
 A node knows nothing about its substrate beyond the *fabric* it is
 attached to (:class:`~repro.runtime.fabric.Fabric`): wire messages
@@ -19,7 +20,6 @@ from __future__ import annotations
 
 import asyncio
 import time
-from dataclasses import dataclass
 from functools import partial
 from typing import TYPE_CHECKING, Any, Callable, FrozenSet, Optional
 
@@ -32,22 +32,6 @@ from repro.types import ProcessId, View
 if TYPE_CHECKING:  # pragma: no cover - annotation only
     from repro.links import Run
     from repro.runtime.fabric import Fabric
-
-
-@dataclass(frozen=True)
-class Delivery:
-    """An application message delivered to this node."""
-
-    sender: ProcessId
-    payload: Any
-
-
-@dataclass(frozen=True)
-class ViewChange:
-    """A new view (with its transitional set) installed at this node."""
-
-    view: View
-    transitional: FrozenSet[ProcessId]
 
 
 class GcsNode(EndpointHost):
@@ -65,7 +49,6 @@ class GcsNode(EndpointHost):
     ) -> None:
         self.fabric = fabric
         options = {} if forwarding is None else {"forwarding": forwarding}
-        self.events_queue: asyncio.Queue = asyncio.Queue()
         self._on_view_installed = on_view_installed
         self._unblocked = asyncio.Event()
         self._unblocked.set()
@@ -103,24 +86,6 @@ class GcsNode(EndpointHost):
         self.runner.app_send(payload)
         await self.fabric.pace(self.pid)
 
-    async def next_event(self, timeout: Optional[float] = None) -> Any:
-        """The next :class:`Delivery` or :class:`ViewChange`."""
-        return await asyncio.wait_for(self.events_queue.get(), timeout)
-
-    async def wait_for_view(self, predicate: Callable[[View], bool], timeout: float = 5.0) -> ViewChange:
-        """Consume events until a view satisfying ``predicate`` arrives;
-        ``asyncio.TimeoutError`` once ``timeout`` has passed, however many
-        other events keep arriving."""
-        clock = asyncio.get_running_loop().time
-        deadline = clock() + timeout
-        while True:
-            remaining = deadline - clock()
-            if remaining <= 0:
-                raise asyncio.TimeoutError
-            event = await asyncio.wait_for(self.events_queue.get(), remaining)
-            if isinstance(event, ViewChange) and predicate(event.view):
-                return event
-
     # -- wiring -------------------------------------------------------------
 
     def crash(self) -> None:
@@ -138,12 +103,7 @@ class GcsNode(EndpointHost):
         if not self.runner.blocked:
             self._unblocked.set()
 
-    def _on_deliver(self, sender: ProcessId, payload: Any) -> None:
-        super()._on_deliver(sender, payload)
-        self.events_queue.put_nowait(Delivery(sender, payload))
-
     def _on_view(self, view: View, transitional: FrozenSet[ProcessId]) -> None:
         super()._on_view(view, transitional)
-        self.events_queue.put_nowait(ViewChange(view, transitional))
         self._unblocked.set()
         self._on_view_installed()

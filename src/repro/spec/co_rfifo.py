@@ -52,7 +52,6 @@ class CoRfifoSpec(Automaton):
         **kwargs: Any,
     ) -> None:
         self.processes: Tuple[ProcessId, ...] = tuple(sorted(set(processes)))
-        self.link_membership = link_membership
         super().__init__(name, **kwargs)
         if link_membership:
             # Accept the membership outputs as extra inputs (Figure 8).

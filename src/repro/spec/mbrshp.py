@@ -126,16 +126,9 @@ class MembershipDriver:
     violates the MBRSHP preconditions.
     """
 
-    def __init__(
-        self,
-        spec: MbrshpSpec,
-        seed: int = 0,
-        *,
-        max_concurrent_views: int = 2,
-    ) -> None:
+    def __init__(self, spec: MbrshpSpec, seed: int = 0) -> None:
         self.spec = spec
         self.rng = random.Random(seed)
-        self.max_concurrent_views = max_concurrent_views
         self._cid_counter = itertools.count(start=1)
         self._vid_counter = itertools.count(start=1)
 

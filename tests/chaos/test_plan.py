@@ -1,28 +1,61 @@
 """Plan generation: validity, determinism, serialisation, sanitising."""
 
+import random
+from itertools import islice
+
 import pytest
 
 from repro.chaos import ChaosOp, ChaosPlan, sanitise_ops
-from repro.chaos.plan import _ScheduleState
+
+
+def assert_closed(state) -> None:
+    """The stable full view: no partition, no crash, everyone configured."""
+    assert not state.partitioned and not state.server_partitioned
+    assert not state.crashed and not state.crashed_servers
+    assert state.configured == state.full
 
 
 def assert_executable(plan: ChaosPlan) -> None:
-    """Every op must be enabled at its position in the schedule."""
-    state = _ScheduleState(plan.processes)
+    """Every op must be enabled at its position in the plan's own schedule
+    (its overlay leaders and membership servers included)."""
+    state = plan.schedule_state()
     for op in plan.ops:
         assert state.enabled(op), f"disabled op in schedule: {op.describe()}"
         state.apply(op)
     # The closing suffix must have restored the stable full view.
-    assert not state.partitioned
-    assert not state.crashed
-    assert state.configured == state.full
+    assert_closed(state)
     assert plan.ops[-1].kind == "settle"
 
 
+# The plain ids stay the bare seed; the option sets add their own.
+OPTION_SETS = {"": {}, "servers": {"servers": 3}, "leaders": {"overlay_leaders": 2}}
+
+
 class TestGeneration:
-    @pytest.mark.parametrize("seed", range(30))
-    def test_generated_plans_are_executable(self, seed):
-        assert_executable(ChaosPlan.generate(seed))
+    @pytest.mark.parametrize(
+        "seed, options",
+        [
+            pytest.param(seed, options, id=f"{name}-{seed}" if name else str(seed))
+            for name, options in OPTION_SETS.items()
+            for seed in range(30)
+        ],
+    )
+    def test_generated_plans_are_executable(self, seed, options):
+        assert_executable(ChaosPlan.generate(seed, **options))
+
+    @pytest.mark.parametrize("seed", [7, 42])
+    def test_soak_stream_is_enabled_op_by_op(self, seed):
+        # A soak's stream (as ChaosRunner.soak draws it), replayed on a
+        # mirror state: each op is enabled before it is applied.
+        plan = ChaosPlan.generate(seed, processes=("a", "b", "c", "d"), length=0, servers=3)
+        mirror = plan.schedule_state()
+        for op in islice(plan.schedule_state().random_ops(random.Random(seed)), 300):
+            assert mirror.enabled(op), f"disabled op in stream: {op.describe()}"
+            mirror.apply(op)
+        for op in mirror.closing_ops():
+            assert mirror.enabled(op), f"disabled closing op: {op.describe()}"
+            mirror.apply(op)
+        assert_closed(mirror)
 
     def test_same_seed_same_plan(self):
         assert ChaosPlan.generate(17) == ChaosPlan.generate(17)

@@ -21,6 +21,7 @@ from repro.deploy import (
     run_scenario,
 )
 from repro.errors import SpecificationViolation
+from repro.links import LinkCore
 from repro.membership import (
     MembershipTier,
     StartChangeNotice,
@@ -68,7 +69,7 @@ class TierDriver:
 
     def __init__(self, clients=("a", "b", "c"), servers=1):
         self.link = LoopbackLink()
-        self.tier = MembershipTier(self.link, servers=servers)
+        self.tier = MembershipTier(self.link, servers=servers, links=LinkCore())
         for pid in clients:
             self.tier.add_client(pid)
         self.tier.start()

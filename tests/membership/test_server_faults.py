@@ -11,6 +11,7 @@ synchronous loopback link.
 import pytest
 
 from repro.checking.events import GcsTrace, MbrshpFormEvent
+from repro.links import LinkCore
 from repro.membership import MembershipTier
 from repro.membership.state import WatermarkStore
 
@@ -44,7 +45,7 @@ class LoopbackLink:
 class Driver:
     def __init__(self, clients=("a", "b", "c"), servers=2, **tier_kwargs):
         self.link = LoopbackLink()
-        self.tier = MembershipTier(self.link, servers=servers, **tier_kwargs)
+        self.tier = MembershipTier(self.link, servers=servers, links=LinkCore(), **tier_kwargs)
         for pid in clients:
             self.tier.add_client(pid)
         self.tier.start()

@@ -13,10 +13,11 @@ from __future__ import annotations
 import asyncio
 import signal
 from contextlib import contextmanager
+from weakref import WeakKeyDictionary
 
 import pytest
 
-from repro.runtime import AsyncDeployment, Delivery, TcpDeployment
+from repro.runtime import AsyncDeployment, TcpDeployment
 
 FABRICS = {"hub": AsyncDeployment, "tcp": TcpDeployment}
 
@@ -33,17 +34,23 @@ def on_fabrics():
     return run
 
 
+# Per node, how far of its ``delivered`` and ``views`` lists the tests
+# have read.
+_read = WeakKeyDictionary()
+
+
 def drain_events(node):
-    """Everything queued at ``node`` so far (deliveries and view changes)."""
-    events = []
-    while not node.events_queue.empty():
-        events.append(node.events_queue.get_nowait())
-    return events
+    """What ``node`` delivered and installed since the last drain, as
+    ``(deliveries, views)``: lists of ``(sender, payload)`` and of
+    ``(view, transitional set)``, each in order."""
+    delivered, viewed = _read.get(node, (0, 0))
+    _read[node] = (len(node.delivered), len(node.views))
+    return node.delivered[delivered:], node.views[viewed:]
 
 
 def payloads(node):
-    """The payloads delivered to ``node`` so far, in order."""
-    return [e.payload for e in drain_events(node) if isinstance(e, Delivery)]
+    """The payloads delivered to ``node`` since the last drain, in order."""
+    return [payload for _sender, payload in drain_events(node)[0]]
 
 
 @contextmanager

@@ -10,7 +10,7 @@ from repro.chaos.faults import FaultInjector, FaultModel
 from repro.core.messages import AppMsg, ViewMsg
 from repro.errors import TransportError
 from repro.links import BATCH_LIMIT, LinkCore
-from repro.runtime import Delivery, TcpDeployment, tcp
+from repro.runtime import TcpDeployment, tcp
 from repro.runtime.tcp import TcpFabric, encode_frame
 from repro.types import make_view
 from repro.wire import HEADER, FrameEncoder
@@ -279,32 +279,22 @@ def test_interleaved_bursts_keep_per_sender_fifo(app_batches):
 
 
 def test_a_long_sender_loop_lets_readers_run():
-    """Pacing yields once per full carrier: a peer's event consumer makes
-    progress while one sender is still looping."""
+    """Pacing yields once per full carrier: a peer's socket reader makes
+    progress - its ``delivered`` grows - while one sender is still
+    looping."""
     count = 8 * BATCH_LIMIT
 
     async def scenario():
         async with TcpDeployment() as deployment:
             await deployment.setup(["a", "b"])
             reader = deployment.nodes["b"]
-            consumed = []
-
-            async def consume():
-                while True:
-                    event = await reader.next_event()
-                    if isinstance(event, Delivery):
-                        consumed.append(event.payload)
-
-            consumer = asyncio.get_running_loop().create_task(consume())
+            before = len(reader.delivered)
             for i in range(count):
                 await deployment.send("a", i)
-            during = len(consumed)
+            during = len(reader.delivered) - before
             await deployment.settle()
-            await asyncio.sleep(0)
-            consumer.cancel()
-            await asyncio.gather(consumer, return_exceptions=True)
             assert 0 < during < count
-            assert consumed == list(range(count))
+            assert [payload for _sender, payload in reader.delivered[before:]] == list(range(count))
 
     run(scenario())
 

@@ -1,13 +1,14 @@
-"""End-to-end GCS over real loopback TCP sockets, consumed event by
-event through ``next_event`` (the fabric-generic suite in
-``test_async_runtime`` / ``test_cluster_faults`` drains queues instead)."""
+"""End-to-end GCS over real loopback TCP sockets, read from each node's
+``delivered`` / ``views`` as they arrive, without a settle (the
+fabric-generic suite in ``test_async_runtime`` / ``test_cluster_faults``
+settles first)."""
 
 import asyncio
 
 import pytest
 
 from repro.checking import SAFETY_CODES, run_verdict
-from repro.runtime import Delivery, TcpDeployment, ViewChange
+from repro.runtime import TcpDeployment
 from repro.wire import MAX_DEPTH
 
 
@@ -16,12 +17,14 @@ def run(coro):
 
 
 async def collect_deliveries(node, count, timeout=5.0):
-    got = []
-    while len(got) < count:
-        event = await node.next_event(timeout)
-        if isinstance(event, Delivery):
-            got.append(event)
-    return got
+    """The first ``count`` deliveries at ``node``, as ``(sender, payload)``."""
+
+    async def arrived():
+        while len(node.delivered) < count:
+            await asyncio.sleep(0.001)
+
+    await asyncio.wait_for(arrived(), timeout)
+    return node.delivered[:count]
 
 
 def test_view_and_multicast_over_sockets():
@@ -32,7 +35,7 @@ def test_view_and_multicast_over_sockets():
             assert view.members == {"a", "b", "c"}
             await a.send("over real sockets")
             deliveries = await collect_deliveries(b, 1)
-            assert deliveries[0] == Delivery("a", "over real sockets")
+            assert deliveries[0] == ("a", "over real sockets")
             run_verdict(cluster.trace, list(cluster.nodes), include=SAFETY_CODES).raise_for()
 
     run(scenario())
@@ -46,7 +49,7 @@ def test_fifo_order_over_sockets():
             for i in range(10):
                 await a.send(i)
             deliveries = await collect_deliveries(b, 10)
-            assert [d.payload for d in deliveries] == list(range(10))
+            assert [payload for _sender, payload in deliveries] == list(range(10))
 
     run(scenario())
 
@@ -61,7 +64,7 @@ def test_reconfiguration_over_sockets():
             assert v2.members == {"a", "b"}
             await a.send("after")
             deliveries = await collect_deliveries(b, 2)
-            assert [d.payload for d in deliveries] == ["before", "after"]
+            assert [payload for _sender, payload in deliveries] == ["before", "after"]
             run_verdict(cluster.trace, list(cluster.nodes), include=SAFETY_CODES).raise_for()
 
     run(scenario())
@@ -81,7 +84,7 @@ def test_a_payload_outside_the_wire_set_is_refused_at_send():
             await a.send("next")
             for node in (a, b):
                 deliveries = await collect_deliveries(node, 1)
-                assert deliveries == [Delivery("a", "next")]
+                assert deliveries == [("a", "next")]
             await cluster.settle()
             assert not cluster.links.frame_errors
             run_verdict(cluster.trace, list(cluster.nodes), include=SAFETY_CODES).raise_for()
@@ -121,9 +124,8 @@ def test_view_change_event_over_sockets():
         async with TcpDeployment() as cluster:
             (a,) = await cluster.add_nodes(["a"])
             view = await cluster.start()
-            event = await a.next_event(timeout=5.0)
-            assert isinstance(event, ViewChange)
-            assert event.view == view
-            assert event.transitional == {"a"}
+            ((installed, transitional),) = a.views
+            assert installed == view
+            assert transitional == {"a"}
 
     run(scenario())

@@ -21,6 +21,7 @@ import repro
 
 from repro.checking import run_verdict
 from repro.checking.events import MbrshpStartChangeEvent, MbrshpViewEvent
+from repro.links import LinkCore
 from repro.membership.protocol import GroupEnvelope, StartChangeNotice, ViewNotice
 from repro.membership.tier import MembershipTier
 from repro.net import ConstantLatency, SimWorld
@@ -271,7 +272,7 @@ class _SocketLink(_GrowableLink):
 class TestPlanPartitionSelfGrow:
     def test_grows_over_sync_attachable_link(self):
         link = _GrowableLink()
-        tier = MembershipTier(link, servers=1)
+        tier = MembershipTier(link, servers=1, links=LinkCore())
         tier.start()
         assert len(tier.servers) == 1
         plan = tier.plan_partition([["a"], ["b"], ["c"]])
@@ -281,7 +282,7 @@ class TestPlanPartitionSelfGrow:
 
     def test_grows_over_a_socket_link(self):
         link = _SocketLink()
-        tier = MembershipTier(link, servers=1)
+        tier = MembershipTier(link, servers=1, links=LinkCore())
         tier.start()
         try:
             plan = tier.plan_partition([["a"], ["b"], ["c"]])
@@ -477,7 +478,7 @@ class TestGroupsBeforeStart:
 
     def test_named_groups_grow_over_a_socket_link(self):
         link = _SocketLink()
-        tier = MembershipTier(link, servers=2)
+        tier = MembershipTier(link, servers=2, links=LinkCore())
         try:
             assert tier.set_group("g", ["a"]).members == {"a"}  # _place before start
             assert tier.owner_of("g") in tier.servers and not tier.started
