@@ -20,18 +20,26 @@ What must hold against the recording:
   replay that refused an unselected step goes on from a state the
   hand-written rule never had, so what follows is not comparable.
 
+The seven source traces are frozen in ``replay_subsumption_sources.json``
+as the simulator produced them when the verdicts were recorded: a change
+to the simulator's traffic (a message fewer, a timing shifted) would
+otherwise change every mutant, and the hand-written rules that gave the
+recorded verdicts no longer exist to re-record them.
+
 Tier-1 checks the first :data:`QUICK` mutants of each trace; the slow
 test checks all of them.  ``python tests/checking/test_replay_subsumption.py``
-re-records the file from the tree it runs in.
+re-records the verdicts over the frozen sources with the rules of the
+tree it runs in; ``--sources`` re-records the sources from its simulator.
 """
 
 from __future__ import annotations
 
 import json
 import random
+import sys
 from dataclasses import replace
 from pathlib import Path
-from typing import Dict, List, Tuple
+from typing import Any, Dict, List, Tuple
 
 import pytest
 
@@ -41,6 +49,8 @@ from repro.checking import (
     SAFETY_CODES,
     CrashEvent,
     DeliverEvent,
+    BlockEvent,
+    BlockOkEvent,
     GcsTrace,
     MbrshpStartChangeEvent,
     MbrshpViewEvent,
@@ -49,9 +59,10 @@ from repro.checking import (
     ViewEvent,
     run_verdict,
 )
-from repro.types import make_view
+from repro.types import View, ViewId, make_view
 
 RECORDING = Path(__file__).with_name("replay_subsumption.json")
+SOURCES = Path(__file__).with_name("replay_subsumption_sources.json")
 
 #: Mutants per source trace: all of them (slow), the first QUICK (tier-1).
 MUTANTS = 300
@@ -99,11 +110,67 @@ def battery_trace() -> GcsTrace:
     return ChaosRunner("sim").run(plan).trace
 
 
-def sources() -> List[Tuple[str, GcsTrace]]:
+def simulate_sources() -> List[Tuple[str, GcsTrace]]:
     found = [("battery", battery_trace())]
     for seed in range(1, 7):
         found.append((f"chaos{seed}", ChaosRunner("sim").run(ChaosPlan.generate(seed)).trace))
     return found
+
+
+# The frozen sources: one JSON array per event, its class name, time and
+# process, then its own fields in declaration order; a view is
+# [counter, origin, members, start_ids], a set a sorted list.
+EVENT_CLASSES = {
+    cls.__name__: cls
+    for cls in (
+        SendEvent, DeliverEvent, ViewEvent, BlockEvent, BlockOkEvent,
+        MbrshpStartChangeEvent, MbrshpViewEvent, CrashEvent, RecoverEvent,
+    )
+}
+
+
+def _encode(value: Any) -> Any:
+    if isinstance(value, View):
+        return [value.vid.counter, value.vid.origin, sorted(value.members),
+                [list(item) for item in sorted(value.start_ids.items())]]
+    if isinstance(value, frozenset):
+        return sorted(value)
+    return value
+
+
+def encode_trace(trace: GcsTrace) -> List[list]:
+    return [
+        [type(event).__name__, *(_encode(value) for value in vars(event).values())]
+        for event in trace.events
+    ]
+
+
+def decode_trace(rows: List[list]) -> GcsTrace:
+    views: Dict[str, View] = {}  # one object per view, as a run shares them
+
+    def view(row: list) -> View:
+        key = json.dumps(row)
+        if key not in views:
+            counter, origin, members, start_ids = row
+            views[key] = View(ViewId(counter, origin), frozenset(members), dict(start_ids))
+        return views[key]
+
+    events = []
+    for kind, time, proc, *fields in rows:
+        cls = EVENT_CLASSES[kind]
+        if cls is ViewEvent:
+            fields = [view(fields[0]), frozenset(fields[1])]
+        elif cls is MbrshpViewEvent:
+            fields = [view(fields[0])]
+        elif cls is MbrshpStartChangeEvent:
+            fields = [fields[0], frozenset(fields[1])]
+        events.append(cls(time, proc, *fields))
+    return GcsTrace(events)
+
+
+def sources() -> List[Tuple[str, GcsTrace]]:
+    frozen = json.loads(SOURCES.read_text())
+    return [(name, decode_trace(rows)) for name, rows in frozen.items()]
 
 
 def mutate(events: list, rng: random.Random) -> list:
@@ -219,6 +286,13 @@ def test_recording_is_whole(recording):
     assert REPLAY_CODES - {"VS-SPEC-REFINE"} <= primaries
 
 
+def test_frozen_sources_round_trip():
+    frozen = json.loads(SOURCES.read_text())
+    assert list(frozen) == ["battery"] + [f"chaos{seed}" for seed in range(1, 7)]
+    for name, trace in sources():
+        assert encode_trace(trace) == frozen[name]
+
+
 def test_quick_subset_matches_the_recording(recording):
     _check(recording, QUICK)
 
@@ -302,7 +376,18 @@ def test_a_self_excluding_membership_view_fails_the_safety_codes():
         assert verdict.primary.message.startswith("Self Inclusion:")
 
 
-if __name__ == "__main__":
+def record_sources() -> None:
+    lines = ",\n".join(
+        f"  {json.dumps(name)}: {json.dumps(encode_trace(trace), separators=(',', ':'))}"
+        for name, trace in simulate_sources()
+    )
+    SOURCES.write_text(f"{{\n{lines}\n}}\n")
+    print(f"recorded the source traces to {SOURCES.name}")
+
+
+if __name__ == "__main__" and sys.argv[1:] == ["--sources"]:
+    record_sources()
+elif __name__ == "__main__":
     cases = observe(MUTANTS)
     lines = ",\n".join(
         f"  {json.dumps(case)}: {json.dumps(entries, separators=(',', ':'))}"
