@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, replace
-from itertools import islice
+from itertools import accumulate, islice
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.chaos.faults import FaultModel
@@ -144,6 +144,11 @@ class _ScheduleState:
         self.crashed: set = set()
         self.crashed_servers: set = set()
         self.configured: Tuple[ProcessId, ...] = self.full
+        # The overlay's balanced groups over ``full``, built on first use.
+        self._groups: Optional[List[List[ProcessId]]] = None
+        # The draw's enabled kinds with their options and cumulative
+        # weights; cleared by every op that changes the state.
+        self._drawable: Optional[Tuple[List[Tuple[str, Any]], List[float]]] = None
 
     # -- enabling preconditions -------------------------------------------
 
@@ -217,18 +222,21 @@ class _ScheduleState:
         """
         if not self.leaders:
             return []
-        from repro.scale.overlay import balanced_groups
+        if self._groups is None:
+            from repro.scale.overlay import balanced_groups
 
-        leaders: List[ProcessId] = []
-        for members in balanced_groups(list(self.full), self.leaders).values():
-            leaders.append(
-                next((p for p in members if p not in self.crashed), members[0])
-            )
-        return leaders
+            self._groups = list(balanced_groups(list(self.full), self.leaders).values())
+        return [
+            next((p for p in members if p not in self.crashed), members[0])
+            for members in self._groups
+        ]
 
     def leader_crash_candidates(self) -> List[ProcessId]:
+        candidates = self.crash_candidates() if self.leaders else []
+        if not candidates:
+            return []
         acting = set(self.current_leaders())
-        return [p for p in self.crash_candidates() if p in acting]
+        return [p for p in candidates if p in acting]
 
     def can_reconfigure(self) -> bool:
         return (
@@ -261,6 +269,9 @@ class _ScheduleState:
         return options is True or getattr(op, _target(op.kind)) in options
 
     def apply(self, op: ChaosOp) -> None:
+        if op.kind in ("send", "settle"):
+            return  # nothing here changes
+        self._drawable = None
         if op.kind == "partition":
             self.partitioned = True
         elif op.kind == "heal":
@@ -282,9 +293,11 @@ class _ScheduleState:
     def draw(self, rng: random.Random, sent: int) -> ChaosOp:
         """One random op, weighted over the enabled kinds; ``sent`` numbers
         the payload of a send."""
-        enabled = {kind: options for kind in _WEIGHTS if (options := self.options(kind))}
-        kind = rng.choices(list(enabled), weights=[_WEIGHTS[k] for k in enabled], k=1)[0]
-        options = enabled[kind]
+        if self._drawable is None:
+            enabled = [(kind, options) for kind, of in _DRAWN if (options := of(self))]
+            self._drawable = (enabled, list(accumulate(_WEIGHTS[k] for k, _ in enabled)))
+        enabled, cum_weights = self._drawable
+        kind, options = rng.choices(enabled, cum_weights=cum_weights)[0]
         if kind == "send":
             pid = rng.choice(options)
             return ChaosOp("send", pid=pid, payload=f"{pid}-m{sent}")
@@ -360,6 +373,8 @@ _OPTIONS: Dict[str, Callable[[_ScheduleState], Union[bool, List[Any]]]] = {
     "server_recover": _ScheduleState.server_recover_candidates,
     "server_partition": _ScheduleState.can_server_partition,
 }
+# The draw's view of the table: every kind, in ``_WEIGHTS`` order.
+_DRAWN = tuple((kind, _OPTIONS[kind]) for kind in _WEIGHTS)
 
 
 def sanitise_ops(
