@@ -50,7 +50,11 @@ def test_6_1_detects_missing_self(settled_harness):
 
 
 def test_6_2_detects_shrunk_reliable_set(settled_harness):
+    # 6.2 speaks of an announced view, and the marker waits for a send.
+    settled_harness.clients["a"].queue("a1")
+    settled_harness.scheduler("fair").run(max_steps=20_000)
     ep = settled_harness.endpoints["a"]
+    assert ep.view_msg_of("a") == ep.current_view
     ep.reliable_set = frozenset({"a"})
     with pytest.raises(InvariantViolation, match="6.2"):
         invariant_6_2(settled_harness.world)

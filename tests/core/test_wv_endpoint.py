@@ -25,10 +25,20 @@ V1 = make_view(1, ["a", "b", "c"], {"a": 1, "b": 1, "c": 1})
 
 
 def install(ep, v=V1):
+    """Install ``v`` with its reliable set; its marker waits for a send."""
     ep.apply(mbrshp_view(ep.pid, v))
     ep.apply(Action("view", (ep.pid, v)))
     ep.apply(Action("co_rfifo.reliable", (ep.pid, frozenset(v.members))))
+
+
+def announce(ep):
+    """Send the current view's marker (enabled once a message waits)."""
+    v = ep.current_view
     ep.apply(Action("co_rfifo.send", (ep.pid, frozenset(v.members - {ep.pid}), ViewMsg(v))))
+
+
+def wire_sends(ep):
+    return [a for a in ep.enabled_actions() if a.name == "co_rfifo.send"]
 
 
 class TestViews:
@@ -53,6 +63,7 @@ class TestViews:
     def test_view_resets_counters(self, ep):
         install(ep)
         ep.apply(Action("send", ("a", "m")))
+        announce(ep)
         ep.apply(Action("co_rfifo.send", ("a", frozenset({"b", "c"}),
                                           AppMsg("m", V1, 1))))
         v2 = make_view(2, ["a", "b", "c"], {"a": 2, "b": 2, "c": 2})
@@ -64,23 +75,27 @@ class TestViews:
 
 class TestSendPath:
     def test_view_msg_required_before_app_messages(self, ep):
-        install_view_only(ep)
+        install(ep)
         ep.apply(Action("send", ("a", "m1")))
-        sends = [a for a in ep.enabled_actions() if a.name == "co_rfifo.send"]
+        sends = wire_sends(ep)
         assert len(sends) == 1
         assert isinstance(sends[0].params[2], ViewMsg)
 
     def test_view_msg_needs_reliable_superset(self, ep):
         ep.apply(mbrshp_view("a", V1))
         ep.apply(Action("view", ("a", V1)))
+        ep.apply(Action("send", ("a", "m1")))  # a message waits
         # reliable_set is still {a}: the ViewMsg send must not be offered
         sends = [a for a in ep.enabled_actions() if a.name == "co_rfifo.send"]
         assert sends == []
+        ep.apply(Action("co_rfifo.reliable", ("a", frozenset(V1.members))))
+        assert [type(a.params[2]) for a in wire_sends(ep)] == [ViewMsg]
 
     def test_app_send_stream_in_fifo_order(self, ep):
         install(ep)
         ep.apply(Action("send", ("a", "m1")))
         ep.apply(Action("send", ("a", "m2")))
+        announce(ep)
         first = next(a for a in ep.enabled_actions() if a.name == "co_rfifo.send")
         assert first.params[2].payload == "m1"
         ep.apply(first)
@@ -91,6 +106,7 @@ class TestSendPath:
     def test_app_msg_carries_history_tags(self, ep):
         install(ep)
         ep.apply(Action("send", ("a", "m1")))
+        announce(ep)
         msg = next(a for a in ep.enabled_actions() if a.name == "co_rfifo.send").params[2]
         assert msg.history_view == V1
         assert msg.history_index == 1
@@ -98,6 +114,8 @@ class TestSendPath:
     def test_self_delivery_gated_on_wire_send(self, ep):
         install(ep)
         ep.apply(Action("send", ("a", "mine")))
+        assert not ep.is_enabled(Action("deliver", ("a", "a", "mine")))
+        announce(ep)
         assert not ep.is_enabled(Action("deliver", ("a", "a", "mine")))
         send = next(a for a in ep.enabled_actions() if a.name == "co_rfifo.send")
         ep.apply(send)
@@ -111,10 +129,37 @@ class TestSendPath:
         assert "co_rfifo.send" in names
 
 
-def install_view_only(ep, v=V1):
-    ep.apply(Action("mbrshp.view", (ep.pid, v)))
-    ep.apply(Action("view", (ep.pid, v)))
-    ep.apply(Action("co_rfifo.reliable", (ep.pid, frozenset(v.members))))
+class TestLazyMarker:
+    """The marker waits for an application message of the view."""
+
+    def test_no_wire_send_after_a_view_with_nothing_to_send(self, ep):
+        install(ep)
+        assert wire_sends(ep) == []
+        assert not ep.is_enabled(
+            Action("co_rfifo.send", ("a", frozenset({"b", "c"}), ViewMsg(V1)))
+        )
+        assert ep.view_msg_of("a") == initial_view("a")
+
+    def test_marker_precedes_the_first_app_msg(self, ep):
+        install(ep)
+        ep.apply(Action("send", ("a", "m1")))
+        order = []
+        while sends := wire_sends(ep):
+            assert len(sends) == 1
+            ep.apply(sends[0])
+            order.append(sends[0].params[2])
+        assert order == [ViewMsg(V1), AppMsg("m1", V1, 1)]
+        assert ep.view_msg_of("a") == V1 and ep.last_sent == 1
+
+    def test_marker_goes_once_per_view(self, ep):
+        install(ep)
+        for payload in ("m1", "m2"):
+            ep.apply(Action("send", ("a", payload)))
+        kinds = []
+        while sends := wire_sends(ep):
+            ep.apply(sends[0])
+            kinds.append(type(sends[0].params[2]))
+        assert kinds == [ViewMsg, AppMsg, AppMsg]
 
 
 class TestReceivePath:
@@ -181,6 +226,6 @@ class TestReliable:
         assert not any(a.name == "co_rfifo.reliable" for a in ep.enabled_actions())
 
     def test_reliable_requires_view_superset(self, ep):
-        install_view_only(ep)
+        install(ep)
         too_small = frozenset({"a"})
         assert not ep.is_enabled(Action("co_rfifo.reliable", ("a", too_small)))

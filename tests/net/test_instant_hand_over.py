@@ -3,18 +3,19 @@
 The simulator hands each destination one run per arrival instant - every
 copy that reaches it then, over any link - and the end-point host
 applies the run inside one deferred-drain window of its runner
-(:meth:`~repro.core.host.EndpointHost.on_run`): the n-2 ``SyncMsg``s and
-the n-2 ``ViewMsg``s of a leave cost each surviving end-point one drain
-each.  On a process with named groups the world's envelope router hands
-each group end-point a run touches its share as a run of its own, so
-each drains once.
+(:meth:`~repro.core.host.EndpointHost.on_run`): the n-2 ``SyncMsg``s of
+a leave, and the n-2 ``ViewMsg``s that go with the survivors' first
+messages of the new view, cost each surviving end-point one drain each.
+On a process with named groups the world's envelope router hands each
+group end-point a run touches its share as a run of its own, so each
+drains once.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core.messages import SyncMsg, ViewMsg
+from repro.core.messages import AppMsg, SyncMsg, ViewMsg
 from repro.membership.protocol import GroupEnvelope
 from repro.net.latency import ConstantLatency
 from repro.net.world import SimWorld
@@ -68,14 +69,19 @@ def test_a_settled_leave_costs_each_end_point_one_drain_per_instant():
     world.settle()
     assert all(world.node(pid).current_view.members == frozenset(survivors) for pid in survivors)
     for pid in survivors:
-        # The round's syncs and view markers each land at one instant ...
-        assert [kinds for kinds, _drains in runs[pid]] == [
-            [SyncMsg] * (n - 2),
-            [ViewMsg] * (n - 2),
-        ]
-        # ... and each instant costs one drain, not n - 2.
-        assert [drains for _kinds, drains in runs[pid]] == [1, 1]
+        # An idle leave sends no view markers: the round's syncs land at
+        # one instant ...
+        assert [kinds for kinds, _drains in runs[pid]] == [[SyncMsg] * (n - 2)]
+        # ... and the instant costs one drain, not n - 2.
+        assert [drains for _kinds, drains in runs[pid]] == [1]
         assert evaluations[pid] < n - 2
+    # Each survivor's marker leaves with its first message of the view:
+    # every peer's pair lands at one instant, which costs one drain.
+    for pid in survivors:
+        world.node(pid).send(f"after-{pid}")
+    world.settle()
+    for pid in survivors:
+        assert runs[pid][1:] == [([ViewMsg, AppMsg] * (n - 2), 1)]
 
 
 def test_a_named_group_run_drains_each_groups_end_point_once():
@@ -103,6 +109,11 @@ def test_a_named_group_run_drains_each_groups_end_point_once():
     world.settle()
     for group in ("g1", "g2"):
         assert world.node("a", group).current_view.members == frozenset("abc")
+    # b and c send in both groups: their view markers go with the messages.
+    for group in ("g1", "g2"):
+        for pid in "bc":
+            world.node(pid, group).send(f"{pid}-{group}")
+    world.settle()
     # Notices, syncs, view markers: three instants, each a run that
     # carries both groups' envelopes (the syncs and markers from b and c).
     assert groups_per_run == [["g1", "g2"]] * 3

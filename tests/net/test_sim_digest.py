@@ -139,71 +139,71 @@ def run_digest(run):
 
 
 EXPECTED = {
-    "chaos-overlay2-0": "8f7680e25dd787872e294ed2c82ff8a4a058891255acc673d7c8ae8d137d97f1",
-    "chaos-overlay2-1": "ef7c9b94ca8722254836a7246badd9c77c746ce999363240eee9fb324729d943",
-    "chaos-overlay2-10": "a4d54a06b13d2821c3f358d1f1997bca715039aa60f9228f9d8ba8c80fec6124",
-    "chaos-overlay2-11": "7f36a772a2f48a9ae5bad6c1fa6c4d96a3b4f8ad3e26cbd4d2096fc87ae10157",
-    "chaos-overlay2-12": "fd371cc164ab9633f6615d19db14e6bc345f04027b9c148ca9614033faa76b59",
-    "chaos-overlay2-13": "8e717b5470407773905fbbcd7ee98c4906cb84754a529f1c57dffbe72d23b48a",
-    "chaos-overlay2-14": "ec65b5a4fca1726967a600707c39b9bc1e017e7c9b5d0641fb5e855e7228c264",
-    "chaos-overlay2-2": "513c4f975be38866e2593b6a2538ad42c04b49aaed778a925448104dff174008",
-    "chaos-overlay2-3": "de73cb11a3d07df4af8e8b1e7614a1c0a28b17401d01c536af6a38eb5a1fe28f",
-    "chaos-overlay2-4": "e9f3da116f17815ffc3d303abdb94c92679d65d42aa39b59cb5811550c8178c7",
-    "chaos-overlay2-5": "de99b40f9f790a9e608a541035fe94e90c5fb397749b86216c2c0daaddbbaf59",
-    "chaos-overlay2-6": "1cd3bb3c4e2037f9366d36199d6a1011a384b7b7e4fbacf2fcfd1c56d427fb23",
-    "chaos-overlay2-7": "11852d4a18d23c7855840c54f4ef378fbca90dedac7d81f87fd2077e5644d044",
-    "chaos-overlay2-8": "76597de74e197644b8e73821c3a6a0ee0a28ec53150efe342db5921bea5caeec",
-    "chaos-overlay2-9": "a70856bd4aae57ff3ab0349d28fe5f5eeeff0cec6b327e6b4ee5ce3091afa9e6",
-    "chaos-plain-0": "8aa40bf5fc0b8273064fe8ae363e714340440b3aa9b8b5b019dc27702c230410",
-    "chaos-plain-1": "03f8485cac58096484853918b103df76cf6997f50cf07de810f055e406e120fc",
-    "chaos-plain-10": "01490eb1c687db54d1e7e8f77d0f84be0ecaf7b2ff4b39cf4c86cfe9cd6ff1bc",
-    "chaos-plain-11": "412d6b3a4ac9aa97f1349ba2f0e70c5d0b766a6a38455d03be0264f33f4e1851",
-    "chaos-plain-12": "9db027d4b5653deb72c01f5daada0952b64562371f8ffa03f2003f0f27be8e1d",
-    "chaos-plain-13": "7871c81172d968556ff189f354b161cc513b029f0d716561118efc49701069f7",
-    "chaos-plain-14": "87b8f0a86ff8ba1eb6bddbe93f95a278ea88f8c1c7ac07dacf62f6543a75faa1",
-    "chaos-plain-2": "d444a2623fc9347f2a570555c63b5c98d6d62ecb76593f8d3863fdaf2b015cb9",
-    "chaos-plain-3": "d952bfa9a8b4efa5ccdc8adbcc68840c014787b77da382d2a6ef4a43cdbc56bd",
-    "chaos-plain-4": "20c410668fb518ace202c96ff73d0d1f777c5aff91845846c73633733775458b",
-    "chaos-plain-5": "f90bd24f48fd569ffefe3a0ae50732da85836b540fa7f9e1c9e4260da507f829",
-    "chaos-plain-6": "ee3a3528c5085385cb2bab7b137ead3b29a2f61fc9f2bc626aeb3d4e23002388",
-    "chaos-plain-7": "d806427bffa92decc8c549d80eb7f3ee9f9502c9253ff4c846ff606d80c0bb1a",
-    "chaos-plain-8": "7463bdfb358ed5b5297a38eb92feee426b42ca5e17a75214596989c6d25e758e",
-    "chaos-plain-9": "dc6f2aed4af66b255a2479f591b861fd192def10e7254a6f24ad26ff7a5f0ffe",
-    "chaos-servers3-0": "65f09846d1f2c30eb81f97901e18ac8d97b15712e0e6173c8a05627d2060c144",
-    "chaos-servers3-1": "fbee48584dd5b1367463c9863063ca559e6389729586e0190856189dbce76f50",
-    "chaos-servers3-10": "294345a9ff5ab26cb0512a50fcdf343d1e572593c880601a36026899d6a6c5e4",
-    "chaos-servers3-11": "33169fb587fb57c6baa027b3291639595cfbbf1f0a7a1aa80b329933ea2f481d",
-    "chaos-servers3-12": "97037ae9f4159b6546f03dc0af9e1b4927b05178e6d9739149376e2747d0fc0d",
-    "chaos-servers3-13": "fdbb8d80f655b86dc70dbe05d7f54053b3036aaf007f10ab77b5658338e9597d",
-    "chaos-servers3-14": "cc985bc8a3525b59f45c34dad0b0cfb144e92cf403f91f0d20d388c68f9cb7b6",
-    "chaos-servers3-2": "98752b4dd369349b0f861eb9dc7d0b50115db9867a6c92df562bc9daeadc0852",
-    "chaos-servers3-3": "559bff341e12aba1b5ac072f2ce3c341ed32f5297d11b0ebfa8dce2f9eb5feda",
-    "chaos-servers3-4": "105589cc384bb943706ec03bab875be91396be9261a1b4d5f58228303aaa46df",
-    "chaos-servers3-5": "871cef15eaf23aebe20a0c0b5178fae542b8c56c8ad106cb0329b19f692a414b",
-    "chaos-servers3-6": "a20f811f5add26557a2385143a599a1330bb072554306a538ef738a3c2850e6c",
-    "chaos-servers3-7": "0cb5667ac04a280797534657b962260b7d98a30bf3287da7510c65fb0d182893",
-    "chaos-servers3-8": "23198fe1738d0f6f5e523296f86a7c2b38972b329f6f845c9798162dc3dd7857",
-    "chaos-servers3-9": "5e69ababdc37e986676f9f428e692b48045d34371547fb5861ceb6d021ce414a",
-    "scenario-self_delivery-oracle": "669e022daa19a1f0ba5fcbb4b00d74f0cff6b542d1869d740689e5e0e2902f4e",
-    "scenario-self_delivery-servers2": "2b6654de5cb6510dd56ac625ff89da155db70db1b7eb5efd4bbbacc11fce9e24",
-    "scenario-reconfiguration-oracle": "5df69ab542856f28f3688d1a94b655b3614c5cd897477a9fcda61ca0fd54040b",
-    "scenario-reconfiguration-servers2": "569af4baf4b938361a3095f43bf31141ef925148800a62b4ed371f03eed8ca54",
-    "scenario-virtual_synchrony-oracle": "2e3983e0c796ef468dd4ad23a256b5f981b4abf5ed6899b376b3b3861d146747",
-    "scenario-virtual_synchrony-servers2": "0b89b8d21b7b727af88f7a5364a725e500e9f6da69be417dee0f3edb2efd8464",
-    "scenario-churn-oracle": "01d84bb4e82b0292124daf96d035e1abf679fc880b3ff0f714b7ed8c5ec7aab5",
-    "scenario-churn-servers2": "8245d27d94207a613e49949c2fb4b0c8a711d707a8209565454e2cb672eea98a",
-    "scenario-crash_mid_sync-oracle": "606eb4c12514a8831eec66873493e6e2a3684d90d18f289718eaa6f05ffaaf8c",
-    "scenario-crash_mid_sync-servers2": "2d673b29ca6190f364b6bb403b0507a062c32c8790b869138904f0e34c4f09c4",
-    "cut-0-oracle": "66a3dbc887714d1d936f4ca3f050ca772f2a8686a19b81bb2d2849b197dc54a7",
-    "cut-0-servers2": "2d65e3b5be514d6c0af9c4bee3adc89e9e6d510bc18167f4dd10fac763b79159",
-    "cut-1-oracle": "7e6cd6db10da304d254bef49478cc25ac42885a29a12094d7f32eb7e77d50d36",
-    "cut-1-servers2": "f8781e5046e11adff35a9347a7d70dc0163fc9a7a4cdf7959db649bca9aca161",
-    "cut-2-oracle": "36211a3f8bb89f35182c49e0c0a05a560d3b46543a188f26625da4d6fc789fbc",
-    "cut-2-servers2": "b33ec5ca77dccca86904dfe1159ae146584103dd1aecd91f8d3ba9128be51bd7",
-    "cut-3-oracle": "feccb60c12b0e0c5343f247b9718c3628a640debc8437cc9007f9a8216d6e0e4",
-    "cut-3-servers2": "e845606e244d832702c126f82d00907f567e29c77c2d6652d6793d637cff9c3a",
-    "cut-4-oracle": "9683b9f9e02d010bbd15c8e729f6eb9b2e9b4a8545b2e10f088c2e04227c3dcf",
-    "cut-4-servers2": "9b1ffdb7d4912a573682b3602c06412beb388091cdd16fda6be6c0a1c287f256",
+    "chaos-overlay2-0": "4bab1ecc5cee3930830dec49292602ac81d9cef0dc6efad7bd02124d012ec707",
+    "chaos-overlay2-1": "98dd891e062765cbe89883ab5a5dfeed817a7d67371af19df8f26d89bb3c78a3",
+    "chaos-overlay2-10": "2ad2c354cbb2d9034dac93e82e45f7a22bef2b4ac3515b8d2191cdaff01280eb",
+    "chaos-overlay2-11": "9aab2ef4e0d5392273fad87ea71eb5d267eae37bc761a0266c5f1c1dbadbf4a2",
+    "chaos-overlay2-12": "37e2c30bfba055bda4ce8acfb492c12cd126bb047e3ddb28515350323719ebb8",
+    "chaos-overlay2-13": "5dc4df73b853368df8f30048fc2bf86feceecf44be1a2874d0881b3a6e399856",
+    "chaos-overlay2-14": "fe3ddd11d2f9747be7df1d039ba70dd8a3cb074af385b00ba345533b15d45b3e",
+    "chaos-overlay2-2": "b461943f84a80ea5bbccba82d8dc84a8c9ad6598f53924fe7526509363c9ff1f",
+    "chaos-overlay2-3": "44e54f171d008f72c4620cd4c1abd630cf32a9f18615468d3ef04a8eb57af427",
+    "chaos-overlay2-4": "507436c2092d583b9d4504f079c5db302563ced5aafb89f7c9b76ed5dbf6d130",
+    "chaos-overlay2-5": "c64701c8e814d2271e66b1adac21855ec1af4367a677a2f481a42822b0b1cbab",
+    "chaos-overlay2-6": "30523727af189514689a0beb59953330e20de3fac90dbc66a1f9e7e0a430484e",
+    "chaos-overlay2-7": "933dfd38b254e33202f2594e036478d6f2cb46add19cdfde5940a7cffc588872",
+    "chaos-overlay2-8": "3aaab6233e08757cf3cedf6fac4b87f28c27332789b52196b5499ca59b551d10",
+    "chaos-overlay2-9": "ae85d627bc348c379371e8db616797191c76701185be5302d1775ad4f7b58d49",
+    "chaos-plain-0": "ba29409f70698e619974d28e4802d503f31acf1bc94c118bf3e3ead902f36193",
+    "chaos-plain-1": "2c66adfc4f1e0f0365141732c3ecaa4845a2a7bdbf2350f4e4f5920fa720c726",
+    "chaos-plain-10": "af2c7c6519668c405e4c951298627afc2ecff9ec977ab3ed0250fbb13954c8e0",
+    "chaos-plain-11": "e2934cd10f5db6f6c5090c574084fc1b2eb9fa04f8ee09e474429c6325b87b18",
+    "chaos-plain-12": "1dc5f50ae2b87f0816ddf1b7bd720e7e4cbe37f10f9e045111edf6562ec68e49",
+    "chaos-plain-13": "03649eb7a735bfafe7653899cefdb82d5d4fc10e06ec20219fbccf38dce582e3",
+    "chaos-plain-14": "ee21d675bebbe0e7ec7e8388f76f37aaa363caf7cbdce329186af69b63d82ded",
+    "chaos-plain-2": "bb4acc4db472acc727e84c1040c8a57785cafcf1e2822a4d303b8fb3636d514e",
+    "chaos-plain-3": "4f8e7718a63649a6ba947d788134544cdff30ac91c8d6e32402b2066d0bf9979",
+    "chaos-plain-4": "b793242c915db2e52a73986831dbb24fc18b2e04a799387a8bfbce0620ba688e",
+    "chaos-plain-5": "a9b0cba1a6517185fa517fa617c8fcbd0ee13e9e04320b089a79b2042556375f",
+    "chaos-plain-6": "c6bbde099c9dfc7f7ce093ba8049d377ebb6c7ecbc191414b0f7e9f9389ec419",
+    "chaos-plain-7": "50142c8e4204e5ec0c32551303f4b355a85037b4686aacd7776775664c35455c",
+    "chaos-plain-8": "55a16f55481a1740f61b8d4712a8ae715e11b2942ba88ad22c4aad6f4e56220b",
+    "chaos-plain-9": "f9276dec3f6153ed4a52bafc66acd4e223ba412ba15feaf717e9b2a03fdfd284",
+    "chaos-servers3-0": "9362ec70a223621209b01c5fdd236e64096d7f8eb281d4a254cb36b8ee0aeba7",
+    "chaos-servers3-1": "545140dcda05ca3b0f311da70099bd736f1eca229fb13c2957babdc6e0724ccc",
+    "chaos-servers3-10": "1015ca2999a159ddc82e38710d160d178656199e160c555c01e695ae37c26d64",
+    "chaos-servers3-11": "31ff3f0ca733f202d1959e49e2a7ae10882eedcb27f926c7a9a921d2bb7980b4",
+    "chaos-servers3-12": "8953f9c37bdf2426691580d0f9a22f48a4c30473e7d3c45919a7aa87accfb0ff",
+    "chaos-servers3-13": "1cfe472e138bde902ca242917ba3e8d1ea12ae4fa6bc43f4f783c8203eb92dbe",
+    "chaos-servers3-14": "d53f388cadeb7f2ba7c5b00ce1e75cf001dfea7cce27a27b6e737e14541a5f50",
+    "chaos-servers3-2": "ee6e17cf35fba07d2df27a06b24373506ef05c6a6d6b6eab96ce37b08018cc95",
+    "chaos-servers3-3": "4a47488f2e30130b0f1db2eb714be48a1854bebacf96bd0edfdab5d2d3a74546",
+    "chaos-servers3-4": "08712e8daaf72da58a53328ba21c94eb0e8a40408b2b51c148d77163451967bd",
+    "chaos-servers3-5": "a955810686387e3a61908b3e11732ffd20401e135fa167f91278595ef8657dbc",
+    "chaos-servers3-6": "2644328afa622a2d62c9dc4b7c047a435a129ccd647498c432205a7440f6c483",
+    "chaos-servers3-7": "a51af62b54f0d2fa42e80fbe4e6a7689648547f208fb516931183459bb753a45",
+    "chaos-servers3-8": "2c579de23c7395b11306b72ec7f6634310b355ebc237dc4944e40c92651f1be8",
+    "chaos-servers3-9": "0ce827d94e3b8b91a1d474391972265e235ffc2001115ac9820da15a11e8c54d",
+    "scenario-self_delivery-oracle": "d1ed532bbd3880aecf20a24f744e6a2b6618f3eea83c297eaa16c46f186d5491",
+    "scenario-self_delivery-servers2": "ab6c96a5e29d619490ef980c6918745177b55648eb9de525ba4c9ebf1d20ed12",
+    "scenario-reconfiguration-oracle": "4af4c32ec91c065e0524925f5737a33de2ca08a787fd88dd11b7569b857a08c8",
+    "scenario-reconfiguration-servers2": "e4b0db2ff881a295ab14c7cd8ed8cbc3d2481be8f3c1a3f4092eb46a90440b8b",
+    "scenario-virtual_synchrony-oracle": "7c937c5c232bbaaaa90fa172bbd42352ac00863089fc796654fa4e6330008935",
+    "scenario-virtual_synchrony-servers2": "10350e68e5995414de7a2ca1f54923119e03281f6ff5ed0ec77f9b4e1f2fd1ab",
+    "scenario-churn-oracle": "50cd76d2461a2966751a14fae861e7666a52cb16212dacc25ff7421bc312232f",
+    "scenario-churn-servers2": "db076c704271f407a5890b63cd461507b750b07a551df6f8bc54ec631f83d778",
+    "scenario-crash_mid_sync-oracle": "a7460e0532ec8963b56c8c35dd5174a00802a6c4b3f1fe47298069b309be4acf",
+    "scenario-crash_mid_sync-servers2": "7e30391db46aeb42b5f2274ac7515505377913d4d59e645fa17a21a614fa8815",
+    "cut-0-oracle": "cc14da134f726574579a5d3dc41da5148c4bcb3fc600bf692fbda7bf2d64a695",
+    "cut-0-servers2": "5a25b6a6044fe5749f3430b5c624fd5e8cb5a7ff4371d76210b3338d6bb1c126",
+    "cut-1-oracle": "9cb7c4d000ccce9f22eb5524896b92fc374505c95069780e4bd835085376cdf2",
+    "cut-1-servers2": "3398e40cbca082b1eef99e0b1a832ad74c67890f8178c892fa18bc6b105922a3",
+    "cut-2-oracle": "2f1f2332da5ddda9a747c40775e45c01662f877c1c96ceda511dafe4e71ca4cf",
+    "cut-2-servers2": "e74a87eea932f41e1ebf6c8531f5d18cc183b878d97023ec47ba16cb996d2043",
+    "cut-3-oracle": "09d0bb534b3d761e7ba9eedf1a90cb617b3b189da8ed910c127f83ef2348db64",
+    "cut-3-servers2": "2a301a2722594142717b64e19b9afbd5de37b805281a78b478400ac71f9778af",
+    "cut-4-oracle": "39ccc52e7fbc8980afd7c8cbbdb856cab9a0d022a674a6a9f94c1e3d5dd9ed4b",
+    "cut-4-servers2": "1f56c0a372ad8b18296609d89ebf0112e696b5f78c2d071f9d38ed1fe3406c8c",
 }
 
 

@@ -150,7 +150,8 @@ class TestOthers:
     def test_throughput_accounting(self):
         result = measure_throughput(group_size=3, messages_per_sender=2)
         assert result.total_deliveries == 3 * 3 * 2
-        assert result.wire_messages == 3 * 2 * 2
+        assert result.app_messages == 3 * 2 * 2
+        assert result.view_messages == 3 * 2
 
     def test_blocking_window_ordering(self):
         ours = measure_blocking_window(GcsEndpoint, group_size=3).mean_blocking_window

@@ -6,7 +6,7 @@ import pytest
 from repro.chaos.faults import FaultInjector, FaultModel
 from repro.checking import extract_skeleton, run_verdict
 from repro.checking.events import MbrshpFormEvent
-from repro.core.messages import AppMsg
+from repro.core.messages import AppMsg, ViewMsg
 from repro.membership.protocol import GroupEnvelope, StartChangeNotice, ViewNotice
 from repro.net import ConstantLatency, SimWorld
 from repro.scale import TwoTierOverlay, balanced_groups
@@ -239,8 +239,9 @@ def test_shared_transport_contract():
     # reliable to the union of what the default and the named group ask for
     assert world.network.reliable_set("q0") == {"q0", "q1", "p0"}
     assert q0.endpoint.current_view.members == {"q0", "q1"}
-    # the default group sends bare: the network sees its AppMsg
-    # unwrapped, a named group's inside an envelope
+    # the default group sends bare: the network sees its AppMsg (and the
+    # view marker that goes ahead of a view's first one) unwrapped, a
+    # named group's inside an envelope
     sent = []
     multicast = world.network.multicast
     world.network.multicast = lambda src, dsts, m: (
@@ -249,15 +250,16 @@ def test_shared_transport_contract():
     q0.send("bare")
     world.node("q0", "side").send("wrapped")
     world.settle()
-    assert [type(m) for m in sent if not isinstance(m, GroupEnvelope)] == [AppMsg]
+    assert [type(m) for m in sent if not isinstance(m, GroupEnvelope)] == [ViewMsg, AppMsg]
     assert {(type(m.message), m.group) for m in sent if isinstance(m, GroupEnvelope)} == {
-        (AppMsg, "side")
+        (ViewMsg, "side"), (AppMsg, "side")
     }
     # an envelope for a group the receiver never joined is dropped
     # (p1 joined nothing, q1 joined only "side")
     world.network.multicast = multicast
+    bare = next(m for m in sent if type(m) is AppMsg)
     for dst in ("p1", "q1"):
-        world.network.send("q0", dst, GroupEnvelope("nowhere", sent[0]))
+        world.network.send("q0", dst, GroupEnvelope("nowhere", bare))
     world.settle()
     assert world.node("q1").delivered == [("q0", "bare")]
     assert world.node("q1", "side").delivered == [("q0", "wrapped")]
