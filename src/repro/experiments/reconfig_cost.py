@@ -8,9 +8,10 @@ exactly m(m-1) for a ``start_change`` set of m (the leave's (n-1)(n-2)
 and the join's n(n-1) average to the benchmark's 225 at n=16); under the
 overlay it stays within twice n + L(L-1) + nL, as E19 holds it.  And
 ``enabled_actions()`` evaluations per end-point do not grow with n: every
-end-point gets the round's n-1 syncs and n-1 view markers at one arrival
-instant each and drains once per instant, so no row exceeds the smallest
-group's figure by more than ``EVALUATIONS_SLACK``.  Wire copies and wall
+end-point gets the round's n-1 syncs at one arrival instant and drains
+once per instant (view markers are lazy, so an idle change sends none),
+and no row exceeds the smallest group's figure by more than
+``EVALUATIONS_SLACK``.  Wire copies and wall
 time - with its fitted exponent beside the model's - are printed, not
 asserted.
 """

@@ -23,8 +23,9 @@
 The network hands each process one run per arrival instant (every copy
 that reaches it then, over any link), so a default-group process's
 handler is its node's :meth:`~repro.core.host.EndpointHost.on_run`: the
-n-1 ``SyncMsg``s or ``ViewMsg``s of a view round that land together
-cost the end-point one drain, not n-1.
+n-1 ``SyncMsg``s of a view round, or the n-1 ``ViewMsg`` + ``AppMsg``
+pairs of the view's first multicasts, that land together cost the
+end-point one drain, not n-1.
 
 All externally observable behaviour lands in a single time-stamped
 :class:`~repro.checking.events.GcsTrace`, so the property checkers of

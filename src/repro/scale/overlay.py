@@ -19,7 +19,10 @@ message eventually reaches every intended recipient with its original
 sender attribution.  Only :class:`~repro.core.messages.SyncMsg` is
 relayed; view and application messages stay direct, because they carry
 the per-channel FIFO discipline Figure 9 threads ``view_msg`` markers
-through.
+through.  A marker is lazy - it leaves with its sender's first
+application message of the view - so an idle reconfiguration sends no
+view message at all, and its wire traffic is the membership round plus
+the relayed syncs.
 
 Cost model (n members, L leaders, groups of g = n/L): a
 reconfiguration's sync traffic drops from n(n-1) point-to-point messages

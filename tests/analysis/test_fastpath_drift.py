@@ -92,12 +92,15 @@ def _narrowed(method, claims):
         ("log.put(index, payload)", "msgs"),
         ("self._last_rcvd[src] = index", "last_rcvd"),
     }),
-    # an alias attribute bound to a helper return, an end-point local
+    # an alias attribute bound to a helper return, an end-point local,
+    # and the view marker's store (co_rfifo.send's, claimed by neither)
     ("try_send", ("deliver",), {
         ("self._own_log.append(payload)", "msgs"),
+        ("ep.view_msg[pid] = self._view", "view_msg"),
         ("ep.last_sent = index", "last_sent"),
     }),
     ("try_send", ("send",), {
+        ("ep.view_msg[pid] = self._view", "view_msg"),
         ("ep.last_sent = index", "last_sent"),
         ("self._last_dlvrd[pid] = index", "last_dlvrd"),
     }),
