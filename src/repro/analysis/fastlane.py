@@ -13,28 +13,26 @@ as ``R6.spurious-write`` at lint time.
 
 The write-sets come from the one footprint engine of
 :mod:`repro.analysis.writes` (the visitor behind R1, R2 and R5), run
-with the end-point instead of ``self`` as the owner of the state.  The
-lane subclass resolves the lane's aliasing discipline statically:
+with the end-point instead of ``self`` as the owner of the state:
+attribute loads ending in ``.endpoint`` (and locals bound from them,
+the ``ep = self.endpoint`` idiom) are the owner, and calls to end-point
+helpers resolve to the state attribute their return value aliases
+(``ep.buffer(...)`` returns a log inside ``msgs``), their own transitive
+writes folded in at the call site.
 
-* attribute loads ending in ``.endpoint`` (and locals bound from them,
-  the ``ep = self.endpoint`` idiom) are the owner;
-* lane attributes assigned endpoint-rooted values are **aliases**
-  (``self._last_rcvd = ep.last_rcvd`` - mutating the object mutates
-  endpoint state), while lane containers that receive endpoint-rooted
-  *elements* (``self._src_logs[src] = ep.buffer(...)``) alias through
-  their values only - storing into the container is lane-private, but
-  anything read out of it roots at the endpoint;
-* calls to endpoint helpers resolve to the state attribute their return
-  value aliases (``ep.buffer(...)`` returns a log inside ``msgs``), and
-  their own transitive writes are folded in.
+That is sound only because the lane holds no end-point state of its
+own, and ``R6.lane-state`` makes it a rule: in any lane method, a lane
+attribute - or an item stored under one - may not be bound to a value
+rooted in end-point state, the version counter aside.  So no write can
+hide behind a lane attribute, and no replay can act on a copy gone
+stale.
 
-Only the replay bodies are checked: ``_revalidate`` and friends are
-eligibility proofs, not replays (they must not mutate endpoint state
-beyond what on-demand helpers like ``buffer`` create, which the replayed
-chains write anyway).  ``R6.unknown-replay`` enforces the bookkeeping
-itself: every ``try_*`` method needs a ``REPLAYED_ACTIONS`` entry, every
-entry must name a real method, and every claimed action must resolve to
-an ``_eff_`` definition on the endpoint class.
+Only the replay bodies are checked for writes: ``_revalidate`` and
+friends are eligibility proofs, not replays.  ``R6.unknown-replay``
+enforces the bookkeeping itself: every ``try_*`` method needs a
+``REPLAYED_ACTIONS`` entry, every entry must name a real method, and
+every claimed action must resolve to an ``_eff_`` definition on the
+endpoint class.
 """
 
 from __future__ import annotations
@@ -46,19 +44,15 @@ from repro.analysis.discovery import ModuleTarget
 from repro.analysis.findings import Finding, Location, Severity
 from repro.analysis.writes import (
     FRAMEWORK_MUTATORS,
+    MUTATOR_METHODS,
     VERSION_ATTR,
     ClassIndex,
-    MethodEffects,
     _EffectsVisitor,
     method_effects,
     methods_of,
 )
 
 _LANE_CLASS = "FastLane"
-
-#: lane-attribute alias kinds (see module docstring)
-_ALIAS = "alias"
-_CONTAINER = "container"
 
 
 def _finding(
@@ -81,7 +75,9 @@ def _finding(
 
 
 def _lane_attr(node: ast.expr) -> Optional[str]:
-    """``self.X`` -> ``X`` (a lane attribute), else None."""
+    """``self.X`` or ``self.X[k]`` -> ``X`` (a lane attribute), else None."""
+    if isinstance(node, ast.Subscript):
+        node = node.value
     if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
             and node.value.id == "self":
         return node.attr
@@ -92,24 +88,19 @@ class _LaneWrites(_EffectsVisitor):
     """The footprint engine over lane code, with the end-point as owner.
 
     Overrides only what differs from an automaton body: the owner test
-    (and binding ``ep = self.endpoint``), the root of a lane attribute or
-    of an end-point helper's return value, stores into a lane container,
-    and end-point helper calls.  Every assignment also harvests lane
-    attribute aliasing into the shared ``lane_map``.
+    (and binding ``ep = self.endpoint``), the root of an end-point
+    helper's return value, and end-point helper calls.  Every binding of
+    a lane attribute, and every store under one, is also checked for
+    end-point state (``lane_state``).
     """
 
-    def __init__(
-        self,
-        fn: ast.FunctionDef,
-        lane_map: Dict[str, Tuple[str, str]],
-        endpoint_cls: type,
-        index: ClassIndex,
-    ) -> None:
+    def __init__(self, fn: ast.FunctionDef, endpoint_cls: type, index: ClassIndex) -> None:
         super().__init__(fn)
-        self.lane_map = lane_map
         self.endpoint_cls = endpoint_cls
         self.index = index
         self.ep_locals: Set[str] = set()
+        # (line, lane attribute, end-point attribute) of each lane-state hold
+        self.lane_state: List[Tuple[int, str, str]] = []
 
     def _owner(self, node: ast.expr) -> bool:
         if isinstance(node, ast.Attribute) and node.attr == "endpoint":
@@ -117,21 +108,20 @@ class _LaneWrites(_EffectsVisitor):
         return isinstance(node, ast.Name) and node.id in self.ep_locals
 
     def _root(self, node: ast.expr) -> Optional[str]:
-        lane = _lane_attr(node)
-        if lane is not None:
-            entry = self.lane_map.get(lane)
-            return entry[1] if entry is not None else None
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
                 and self._owner(node.func.value):
             # ep.buffer(...) - what does the helper return?
             return _helper_return_root(self.endpoint_cls, node.func.attr, self.index)
         return super()._root(node)
 
-    def _written_root(self, target: ast.expr) -> Tuple[Optional[str], Optional[str]]:
-        lane = _lane_attr(target.value) if isinstance(target, ast.Subscript) else None
-        if lane in self.lane_map and self.lane_map[lane][0] == _CONTAINER:
-            return None, None  # self._src_logs[src] = ... is lane-private
-        return super()._written_root(target)
+    def _hold(self, lane: Optional[str], value: ast.expr) -> None:
+        """``value`` goes into lane attribute ``lane``: it must not be
+        end-point state other than the version counter."""
+        if lane is None:
+            return
+        root = self._root(value)
+        if root is not None and root != VERSION_ATTR:
+            self.lane_state.append((value.lineno, lane, root))
 
     def _bind_aliases(self, target: ast.expr, value: ast.expr) -> None:
         super()._bind_aliases(target, value)
@@ -141,16 +131,16 @@ class _LaneWrites(_EffectsVisitor):
             else:
                 self.ep_locals.discard(target.id)
             return
-        root = self._root(value)
-        if root is None:
-            return
-        lane = _lane_attr(target)
-        if lane is not None and lane != "endpoint":
-            self.lane_map[lane] = (_ALIAS, root)
-        elif isinstance(target, ast.Subscript):
-            lane = _lane_attr(target.value)
-            if lane is not None:
-                self.lane_map.setdefault(lane, (_CONTAINER, root))
+        self._hold(_lane_attr(target), value)
+
+    def visit_Call(self, node: ast.Call) -> None:
+        func = node.func
+        if isinstance(func, ast.Attribute) and func.attr in MUTATOR_METHODS:
+            # self._cache.append(...) / .put(k, ...) stores under the lane
+            lane = _lane_attr(func.value)
+            for arg in node.args:
+                self._hold(lane, arg)
+        super().visit_Call(node)
 
     def _owner_call(self, name: str, line: int) -> None:
         if name in FRAMEWORK_MUTATORS:
@@ -169,6 +159,7 @@ def _helper_return_root(cls: type, name: str, index: ClassIndex) -> Optional[str
         if fn is None:
             continue
         engine = _EffectsVisitor(fn)
+        method_effects(fn, engine)  # bind the body's local aliases first
         roots: Set[str] = set()
         for node in ast.walk(fn):
             if isinstance(node, ast.Return) and node.value is not None:
@@ -228,17 +219,19 @@ def check_r6(
                 "entry; R6 cannot check it against any transition chain",
             )
 
-    # lane attribute -> (alias kind, end-point attribute).  Two passes: a
-    # lane attribute may be consumed in a method parsed before the one
-    # that establishes its aliasing.
-    lane_map: Dict[str, Tuple[str, str]] = {}
-
-    def scan(fn: ast.FunctionDef) -> MethodEffects:
-        return method_effects(fn, _LaneWrites(fn, lane_map, endpoint_cls, index))
-
-    for _pass in range(2):
-        for fn in methods.values():
-            scan(fn)
+    # one scan per method: what each lane method holds, what each writes
+    scans: Dict[str, _LaneWrites] = {}
+    for method_name, fn in sorted(methods.items()):
+        scan = scans[method_name] = _LaneWrites(fn, endpoint_cls, index)
+        method_effects(fn, scan)
+        for line, lane, attr in scan.lane_state:
+            emit(
+                "lane-state", line, method_name,
+                f"lane attribute {lane!r} holds endpoint state {attr!r}; the "
+                "lane may keep only the version counter - read the endpoint "
+                "on every operation",
+                fn.lineno,
+            )
 
     for method_name in sorted(replays):
         fn = methods.get(method_name)
@@ -253,7 +246,7 @@ def check_r6(
             allowed.update(write.attr for write in chain_writes)
         reported: Set[Tuple[str, int]] = set()
         claimed = ", ".join(repr(a) for a in replays[method_name])
-        for write in scan(fn).writes:
+        for write in scans[method_name].effects.writes:
             if write.attr in allowed or (write.attr, write.line) in reported:
                 continue
             reported.add((write.attr, write.line))

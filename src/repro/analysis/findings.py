@@ -34,7 +34,8 @@ Each rule encodes one clause of the paper's structural discipline:
 ``R6``
     fast-lane conformance: the straight-line replay bodies of
     ``repro.core.fastpath.FastLane`` may write only endpoint state the
-    transition chains they claim to replay (``REPLAYED_ACTIONS``) write.
+    transition chains they claim to replay (``REPLAYED_ACTIONS``) write,
+    and no lane attribute may hold endpoint state but the version counter.
 
 ``SUP``
     suppression hygiene: every ``# repro: allow[...]`` must name rules
@@ -183,6 +184,12 @@ RULE_CATALOGUE: Dict[str, Tuple[str, str]] = {
         "chains never write",
         "Section 4-5: the lane is a peephole over the same state - every "
         "mutation must be an effect the general engine performs",
+    ),
+    "R6.lane-state": (
+        "a fast-lane attribute, or an item stored under one, holds "
+        "endpoint state other than the version counter",
+        "the lane keeps no state of its own: a cached reference can hide "
+        "a write from R6 or go stale across a view change",
     ),
     "R6.unknown-replay": (
         "REPLAYED_ACTIONS and the fast-lane class body disagree",

@@ -48,9 +48,16 @@ Engagement is cached against the automaton's monotone
 notice, a sync or forwarded message, a crash, a test poking state) bumps
 the version, which *is* the drain-back: the next operation revalidates
 from scratch, and until the conditions hold again every input flows
-through the general engine.  There is no lane-private state to flush -
-the lane writes the automaton's own variables, so handing control back
-is free and cannot lose messages.
+through the general engine.  The lane keeps no end-point state: besides
+that version it holds only the view's peers, a set it builds itself,
+and every operation reads the end-point's own variables (its buffers as
+``msgs[q][view]``, calling ``buffer`` only to create a missing one).  So
+there is nothing to flush or to go stale - handing control back is free
+and cannot lose messages - and rule R6's ``lane-state`` check
+(:mod:`repro.analysis.fastlane`) keeps it so.  The lane's outputs are
+the runner's own: its wire sends go through the one ``co_rfifo.send``
+output, past the overlay's wire interceptor, and its deliveries are
+recorded as the general drain records them.
 
 The lane advances the version itself after each fast operation (through
 :meth:`~repro.ioa.automaton.Automaton.touch` semantics), keeping
@@ -59,15 +66,14 @@ composition enabled-set caches honest if the general engine resumes.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, FrozenSet, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, FrozenSet, Tuple
 
-from repro._collections import MessageLog
-from repro.checking.events import DeliverEvent, SendEvent
+from repro.checking.events import SendEvent
 from repro.core.forwarding import MinCopiesStrategy, NoForwarding, SimpleStrategy
 from repro.core.gcs_endpoint import GcsEndpoint
 from repro.core.messages import AppMsg, ViewMsg
 from repro.spec.client import BlockStatus
-from repro.types import ProcessId, View
+from repro.types import ProcessId
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.runner import EndpointRunner
@@ -98,37 +104,20 @@ class FastLane:
     ``try_send`` and ``try_receive`` return ``False`` whenever the
     current state is not (or can no longer be proven) steady, in which
     case the caller must run the operation through the general engine.
+    The lane keeps no end-point state: the version it last proved
+    steadiness at, and the current view's peers, are all it holds.
     """
 
-    __slots__ = (
-        "runner",
-        "endpoint",
-        "pid",
-        "_version",
-        "_view",
-        "_peers",
-        "_own_log",
-        "_announced",
-        "_src_logs",
-        "_last_rcvd",
-        "_last_dlvrd",
-    )
+    __slots__ = ("runner", "endpoint", "_version", "_peers")
 
     def __init__(self, runner: "EndpointRunner") -> None:
         self.runner = runner
         self.endpoint = runner.endpoint
-        self.pid: ProcessId = runner.pid
         # Engagement cache: valid while the endpoint's state_version
         # still equals _version.  -1 never matches, forcing an initial
         # revalidation.
         self._version = -1
-        self._view: Optional[View] = None
         self._peers: FrozenSet[ProcessId] = frozenset()
-        self._own_log: Optional[MessageLog] = None
-        self._announced = False  # the own view_msg announces _view
-        self._src_logs: Dict[ProcessId, MessageLog] = {}
-        self._last_rcvd: Dict[ProcessId, int] = {}
-        self._last_dlvrd: Dict[ProcessId, int] = {}
 
     @property
     def structural_ok(self) -> bool:
@@ -161,17 +150,8 @@ class FastLane:
         # a forward, an undelivered backlog), the general engine knows.
         if ep.enabled_actions():
             return False
-        self._view = view
         self._peers = frozenset(view.members - {ep.pid})
-        self._own_log = ep.buffer(ep.pid, view)
-        self._announced = ep.view_msg_of(ep.pid) == view
-        self._src_logs = {}
-        # The dict objects themselves: the general engine only rebinds
-        # them on a view install, which bumps the version and lands us
-        # back here - so caching the references is sound.
-        self._last_rcvd = ep.last_rcvd
-        self._last_dlvrd = ep.last_dlvrd
-        self._version = ep.state_version
+        self._version = ep._state_version
         return True
 
     # ------------------------------------------------------------------
@@ -196,24 +176,23 @@ class FastLane:
         if ep._state_version != self._version and not self._revalidate():
             return False
         runner = self.runner
-        pid = self.pid
+        pid = ep.pid
+        view = ep.current_view
         runner.trace.append(SendEvent(runner._clock(), pid, payload))
-        self._own_log.append(payload)
-        if not self._announced:
-            ep.view_msg[pid] = self._view
-            self._announced = True
-            runner._send_wire(self._peers, ViewMsg(self._view))
+        try:
+            log = ep.msgs[pid][view]
+        except KeyError:
+            log = ep.buffer(pid, view)
+        log.append(payload)
+        if ep.view_msg.get(pid) is not view and ep.view_msg_of(pid) != view:
+            ep.view_msg[pid] = view
+            runner._send(self._peers, ViewMsg(view))
         index = ep.last_sent + 1
         ep.last_sent = index
-        self._last_dlvrd[pid] = index
+        ep.last_dlvrd[pid] = index
         self._version = ep.touch()  # keep enabled-set caches honest
-        runner._send_wire(
-            self._peers,
-            AppMsg(payload, history_view=self._view, history_index=index),
-        )
-        runner.trace.append(DeliverEvent(runner._clock(), pid, pid, payload))
-        if runner._on_deliver is not None:
-            runner._on_deliver(pid, payload)
+        runner._send(self._peers, AppMsg(payload, history_view=view, history_index=index))
+        runner._on_deliver(pid, payload)
         return True
 
     def try_receive(self, src: ProcessId, message: Any) -> bool:
@@ -237,28 +216,32 @@ class FastLane:
             return False
         if src not in self._peers:
             return False
-        if ep.view_msg.get(src) != self._view:
+        view = ep.current_view
+        announced = ep.view_msg.get(src)
+        if announced is not view and announced != view:
             return False
-        index = self._last_rcvd.get(src, 0) + 1
-        if index != self._last_dlvrd.get(src, 0) + 1:
+        index = ep.last_rcvd.get(src, 0) + 1
+        if index != ep.last_dlvrd.get(src, 0) + 1:
             return False  # backlog or hole: not the steady-state shape
-        log = self._src_logs.get(src)
-        if log is None:
-            log = self._src_logs[src] = ep.buffer(src, self._view)
+        # Indexed by the announcing view object, as _eff_co_rfifo_deliver
+        # indexes it (view_msg_of(q)): on a socket the peer's views are
+        # decoded objects of their own, equal to the current view but not
+        # it, and a key found by identity costs no View comparison.
+        try:
+            log = ep.msgs[src][announced]
+        except KeyError:
+            log = ep.buffer(src, announced)
         payload = message.payload
         log.put(index, payload)
-        self._last_rcvd[src] = index
-        self._last_dlvrd[src] = index
+        ep.last_rcvd[src] = index
+        ep.last_dlvrd[src] = index
         self._version = ep.touch()  # keep enabled-set caches honest
-        runner = self.runner
-        runner.trace.append(DeliverEvent(runner._clock(), self.pid, src, payload))
-        if runner._on_deliver is not None:
-            runner._on_deliver(src, payload)
+        self.runner._on_deliver(src, payload)
         return True
 
     def __repr__(self) -> str:
         engaged = self.endpoint.state_version == self._version
-        return f"<FastLane {self.pid} {'engaged' if engaged else 'idle'}>"
+        return f"<FastLane {self.endpoint.pid} {'engaged' if engaged else 'idle'}>"
 
 
 __all__ = ["FastLane", "REPLAYED_ACTIONS"]

@@ -1,4 +1,4 @@
-"""Reactive driver for a GCS end-point automaton.
+"""The end-point driver: one GCS end-point, hosted, on any substrate.
 
 The formal automata of :mod:`repro.core` are nondeterministic machines;
 deployments (the discrete-event simulator, the asyncio runtime) need a
@@ -12,19 +12,32 @@ Because the runner only ever executes enabled actions of the automaton,
 every behaviour it produces is a behaviour of the formal algorithm; the
 safety proofs carry over verbatim.
 
-A substrate that hands over several inputs at once (a runtime fabric's
-run, the overlay's sync batch) applies them inside a *deferred-drain
-window* (:meth:`EndpointRunner.hold_drain` /
-:meth:`EndpointRunner.release_drain`): each input still takes its usual
+Every substrate hosts an end-point the same way, in this one class: the
+automaton, what the application saw (``delivered``, ``views``, and the
+hooks of :meth:`EndpointRunner.set_app`) and the dispatch of whatever
+arrives - a membership notice goes to the MBRSHP input it stands for,
+anything else is a CO_RFIFO delivery.  A substrate's own node
+(:class:`~repro.net.world.SimNode`, :class:`~repro.runtime.node.GcsNode`)
+subclasses the runner and adds only how it is wired to its transport.
+
+Every substrate also hands arrivals over the same way: as a *run*
+(:data:`~repro.links.Run`) - a runtime fabric's pump wake-up, the
+simulator's arrival instant - which :meth:`EndpointRunner.on_run`
+applies inside one *deferred-drain window*
+(:meth:`EndpointRunner.hold_drain` / :meth:`EndpointRunner.release_drain`),
+as the overlay's sync batches do through
+:meth:`EndpointRunner.receive_batch`: each input still takes its usual
 method, but its drain is only owed, and closing the window drains once
-if any input owed one.  CO_RFIFO and MBRSHP inputs are always enabled,
-so applying a run of them before any locally controlled action is still
-an execution of the algorithm.
+if any input owed one - none if every input took the fast lane.
+CO_RFIFO and MBRSHP inputs are always enabled, so applying a run of them
+before any locally controlled action is still an execution of the
+algorithm.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, FrozenSet, Iterable, Optional, Tuple
+from operator import length_hint
+from typing import Any, Callable, FrozenSet, Iterable, List, Optional, Tuple
 
 from repro.checking.events import (
     BlockEvent,
@@ -43,12 +56,15 @@ from repro.core.gcs_endpoint import GcsEndpoint
 from repro.core.messages import WireMessage
 from repro.errors import ClientMisuseError, CrashedError
 from repro.ioa import Action
+from repro.links import Run
+from repro.membership.protocol import StartChangeNotice, ViewNotice
 from repro.spec.client import BlockStatus
 from repro.types import ProcessId, StartChangeId, View
 
 
 class EndpointRunner:
-    """Drives one :class:`~repro.core.gcs_endpoint.GcsEndpoint` reactively."""
+    """Drives one :class:`~repro.core.gcs_endpoint.GcsEndpoint` reactively,
+    and keeps what its application saw."""
 
     def __init__(
         self,
@@ -56,8 +72,6 @@ class EndpointRunner:
         *,
         send_wire: Callable[[FrozenSet[ProcessId], WireMessage], None],
         set_reliable: Callable[[FrozenSet[ProcessId]], None],
-        on_deliver: Optional[Callable[[ProcessId, Any], None]] = None,
-        on_view: Optional[Callable[[View, FrozenSet[ProcessId]], None]] = None,
         on_block: Optional[Callable[[], None]] = None,
         auto_block_ok: bool = True,
         clock: Callable[[], float] = lambda: 0.0,
@@ -68,12 +82,17 @@ class EndpointRunner:
         self.pid = endpoint.pid
         self._send_wire = send_wire
         self._set_reliable = set_reliable
-        self._on_deliver = on_deliver
-        self._on_view = on_view
         self._on_block = on_block
+        self.delivered: List[Tuple[ProcessId, Any]] = []
+        self.views: List[Tuple[View, FrozenSet[ProcessId]]] = []
+        # Optional application hooks, invoked after the runner's own
+        # bookkeeping; see :meth:`set_app`.
+        self._app_on_deliver: Optional[Callable[[ProcessId, Any], None]] = None
+        self._app_on_view: Optional[Callable[[View, FrozenSet[ProcessId]], None]] = None
         # Overlay seams (repro.scale): a wire interceptor sees every
-        # outbound co_rfifo.send before the substrate does and may consume
-        # it (return True); a receive interceptor likewise sees every
+        # outbound co_rfifo.send - the fast lane's too, which sends
+        # through _send - before the substrate does and may consume it
+        # (return True); a receive interceptor likewise sees every
         # inbound wire message.  They sit on the runner - not on any one
         # substrate's node - so the same overlay installs over the
         # simulator, the asyncio hub, and TCP unchanged.
@@ -106,6 +125,19 @@ class EndpointRunner:
             )
         priorities = {name: rank for rank, name in enumerate(ordering)}
         self._priority_key = lambda action: priorities.get(action.name, len(ordering))
+
+    # ------------------------------------------------------------------
+    # application side
+    # ------------------------------------------------------------------
+
+    def set_app(
+        self,
+        on_deliver: Optional[Callable[[ProcessId, Any], None]] = None,
+        on_view: Optional[Callable[[View, FrozenSet[ProcessId]], None]] = None,
+    ) -> None:
+        """Attach application callbacks for deliveries and view changes."""
+        self._app_on_deliver = on_deliver
+        self._app_on_view = on_view
 
     # ------------------------------------------------------------------
     # environment inputs
@@ -185,6 +217,44 @@ class EndpointRunner:
         self.drain()
 
     # ------------------------------------------------------------------
+    # substrate side
+    # ------------------------------------------------------------------
+
+    def dispatch(self, src: ProcessId, message: Any) -> None:
+        """Everything the substrate delivers for this end-point."""
+        if isinstance(message, StartChangeNotice):
+            self.membership_start_change(message.cid, message.members)
+        elif isinstance(message, ViewNotice):
+            self.membership_view(message.view)
+        else:
+            self.receive(src, message)
+
+    def on_run(self, run: Run) -> None:
+        """One run of arrivals: each goes through :meth:`dispatch` as
+        ever, inside one deferred-drain window, so the run costs one
+        drain - none if every input took the fast lane.  A run of one
+        payload is dispatched bare: a window around one input is the
+        same execution."""
+        if len(run) == 1:
+            src, payloads = run[0]
+            if length_hint(payloads) == 1:
+                if not self.endpoint.crashed:
+                    for message in payloads:
+                        self.dispatch(src, message)
+                return
+        endpoint, dispatch = self.endpoint, self.dispatch
+        held = self.hold_drain()
+        try:
+            for src, payloads in run:
+                for message in payloads:
+                    if endpoint.crashed:
+                        return  # a crashed end-point hears nothing (Section 8)
+                    dispatch(src, message)
+        finally:
+            if held:
+                self.release_drain()
+
+    # ------------------------------------------------------------------
     # draining
     # ------------------------------------------------------------------
 
@@ -245,28 +315,20 @@ class EndpointRunner:
 
     def _route(self, action: Action) -> None:
         name = action.name
-        now = self._clock()
         if name == "co_rfifo.send":
             _p, targets, message = action.params
-            targets = frozenset(targets)
-            interceptor = self.wire_interceptor
-            if interceptor is not None and interceptor(targets, message):
-                return
-            self._send_wire(targets, message)
+            self._send(frozenset(targets), message)
         elif name == "co_rfifo.reliable":
             _p, targets = action.params
             self._set_reliable(frozenset(targets))
         elif name == "deliver":
             _p, sender, payload = action.params
-            self.trace.append(DeliverEvent(now, self.pid, sender, payload))
-            if self._on_deliver is not None:
-                self._on_deliver(sender, payload)
+            self._on_deliver(sender, payload)
         elif name == "view":
             _p, view, transitional = action.params
-            self.trace.append(ViewEvent(now, self.pid, view, frozenset(transitional)))
-            if self._on_view is not None:
-                self._on_view(view, frozenset(transitional))
+            self._on_view(view, frozenset(transitional))
         elif name == "block":
+            now = self._clock()
             self.trace.append(BlockEvent(now, self.pid))
             if self._on_block is not None:
                 self._on_block()
@@ -276,6 +338,29 @@ class EndpointRunner:
                 # outer loop will pick up whatever the block_ok enables.
                 self.trace.append(BlockOkEvent(now, self.pid))
                 self.endpoint.apply(Action("block_ok", (self.pid,)))
+
+    # The outputs, each stated once: the general drain (_route) and the
+    # fast lane both emit through these.
+
+    def _send(self, targets: FrozenSet[ProcessId], message: WireMessage) -> None:
+        """``co_rfifo.send``: past the wire interceptor, to the substrate."""
+        interceptor = self.wire_interceptor
+        if interceptor is None or not interceptor(targets, message):
+            self._send_wire(targets, message)
+
+    def _on_deliver(self, sender: ProcessId, payload: Any) -> None:
+        """``deliver``: traced, recorded, then the application's hook."""
+        self.trace.append(DeliverEvent(self._clock(), self.pid, sender, payload))
+        self.delivered.append((sender, payload))
+        if self._app_on_deliver is not None:
+            self._app_on_deliver(sender, payload)
+
+    def _on_view(self, view: View, transitional: FrozenSet[ProcessId]) -> None:
+        """``view``: traced, recorded, then the application's hook."""
+        self.trace.append(ViewEvent(self._clock(), self.pid, view, transitional))
+        self.views.append((view, transitional))
+        if self._app_on_view is not None:
+            self._app_on_view(view, transitional)
 
     # ------------------------------------------------------------------
     # introspection
@@ -289,5 +374,9 @@ class EndpointRunner:
     def blocked(self) -> bool:
         return self.endpoint.block_status is BlockStatus.BLOCKED
 
+    @property
+    def crashed(self) -> bool:
+        return self.endpoint.crashed
+
     def __repr__(self) -> str:
-        return f"<EndpointRunner {self.pid} view={self.endpoint.current_view.vid!r}>"
+        return f"<{type(self).__name__} {self.pid} view={self.endpoint.current_view.vid!r}>"

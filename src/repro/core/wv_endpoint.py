@@ -70,8 +70,15 @@ class WvRfifoEndpoint(ProcessAutomaton):
     # -- state helpers ------------------------------------------------------
 
     def buffer(self, q: ProcessId, v: View) -> MessageLog:
-        """The paper's ``msgs[q][v]``, created on demand."""
-        return self.msgs.setdefault(q, {}).setdefault(v, MessageLog())
+        """The paper's ``msgs[q][v]``, created on demand (and only then
+        allocated: this runs for every message on the general path)."""
+        msgs = self.msgs
+        if q not in msgs:
+            msgs[q] = {}
+        buffers = msgs[q]
+        if v not in buffers:
+            buffers[v] = MessageLog()
+        return buffers[v]
 
     def peek_buffer(self, q: ProcessId, v: View) -> Optional[MessageLog]:
         return self.msgs.get(q, {}).get(v)

@@ -18,12 +18,13 @@ views it must produce through :meth:`Deployment.await_members`, the one
 thing a substrate owes.  Illegal input is a :class:`ValueError` raised
 before anything is touched.
 
-A new backend is one subclass hosting each end-point in an
-:class:`~repro.core.host.EndpointHost` and supplying the lifecycle, the
-clock and that wait; every scenario in :mod:`repro.deploy.scenarios`
-(and every parametrized integration test) runs on it unchanged.  The
-runtime :class:`~repro.runtime.cluster.Cluster` is that subclass for
-every fabric, :class:`~repro.deploy.sim.SimDeployment` the one over
+A new backend is one subclass hosting each end-point as an
+:class:`~repro.core.runner.EndpointRunner` (a node subclass of its own)
+and supplying the lifecycle, the clock and that wait; every scenario in
+:mod:`repro.deploy.scenarios` (and every parametrized integration test)
+runs on it unchanged.  The runtime
+:class:`~repro.runtime.cluster.Cluster` is that subclass for every
+fabric, :class:`~repro.deploy.sim.SimDeployment` the one over
 :class:`~repro.net.world.SimWorld`.
 """
 
@@ -48,7 +49,7 @@ from typing import (
 from repro.checking.events import GcsTrace
 from repro.checking.refinement import TraceSkeleton, extract_skeleton
 from repro.checking.verdict import Verdict, run_verdict
-from repro.core.host import EndpointHost
+from repro.core.runner import EndpointRunner
 from repro.links import LinkCore
 from repro.types import VID_ZERO, ProcessId, View
 
@@ -94,10 +95,11 @@ class Deployment(ABC):
     #: partition matrix, fault pipeline and counter set per deployment.
     links: LinkCore
 
-    #: pid -> host, one shape on every substrate.  With :meth:`schedule`
-    #: and :meth:`now`, the seam cross-substrate tools (overlay, soak,
-    #: experiments) work through: the hosts, a timer, a clock.
-    nodes: Mapping[ProcessId, EndpointHost]
+    #: pid -> node (a runner), one shape on every substrate.  With
+    #: :meth:`schedule` and :meth:`now`, the seam cross-substrate tools
+    #: (overlay, soak, experiments) work through: the nodes, a timer, a
+    #: clock.
+    nodes: Mapping[ProcessId, EndpointRunner]
 
     #: One model time unit in this substrate's own clock - what chaos
     #: scales fault latencies by, so timers and faults agree.

@@ -39,7 +39,7 @@ class SimDeployment(Deployment):
 
     async def send(self, pid: ProcessId, payload: Any) -> None:
         node = self.world.node(pid)
-        if node.runner.blocked:
+        if node.blocked:
             # The Figure 12 contract: wait out the pending view change.
             self.world.settle()
         node.send(payload)

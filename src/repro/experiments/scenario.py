@@ -77,7 +77,7 @@ def crash_last_member(
     nodes = world.add_nodes(pids)
     if leaders:
         TwoTierOverlay(
-            {node.pid: node.runner for node in nodes},
+            {node.pid: node for node in nodes},
             world.clock.schedule,
             balanced_groups(pids, leaders),
             connected=world.links.connected,

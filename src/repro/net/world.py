@@ -4,9 +4,9 @@
 
 * a :class:`~repro.net.network.SimNetwork` with a latency model and
   partition support;
-* one :class:`SimNode` per client process - a GCS end-point automaton
-  driven reactively by an :class:`~repro.core.runner.EndpointRunner`
-  over the network's CO_RFIFO service;
+* one :class:`SimNode` per client process - the
+  :class:`~repro.core.runner.EndpointRunner` driving a GCS end-point
+  automaton reactively over the network's CO_RFIFO service;
 * a membership service behind one control surface: either the
   centralized :class:`~repro.membership.oracle.OracleMembership`
   (scripted timing, for controlled experiments) or, with ``servers=N``, a
@@ -22,7 +22,7 @@
 
 The network hands each process one run per arrival instant (every copy
 that reaches it then, over any link), so a default-group process's
-handler is its node's :meth:`~repro.core.host.EndpointHost.on_run`: the
+handler is its node's :meth:`~repro.core.runner.EndpointRunner.on_run`: the
 n-1 ``SyncMsg``s of a view round, or the n-1 ``ViewMsg`` + ``AppMsg``
 pairs of the view's first multicasts, that land together cost the
 end-point one drain, not n-1.
@@ -54,7 +54,7 @@ from repro.chaos.faults import FaultInjector
 from repro.checking.events import GcsTrace
 from repro.core.forwarding import ForwardingStrategy
 from repro.core.gcs_endpoint import GcsEndpoint
-from repro.core.host import EndpointHost
+from repro.core.runner import EndpointRunner
 from repro.errors import SettleTimeoutError
 from repro.links import Run
 from repro.membership.oracle import OracleMembership
@@ -67,7 +67,7 @@ from repro.scale.sharding import GroupName
 from repro.types import ProcessId, View
 
 
-class SimNode(EndpointHost):
+class SimNode(EndpointRunner):
     """One end-point of a client process: the default group's (``group``
     None) sends bare, a named group's inside a :class:`GroupEnvelope` and
     into the group's own trace.  The process is on the network once,
@@ -96,6 +96,10 @@ class SimNode(EndpointHost):
             trace=world.trace_of(group),
             fastpath=world.fastpath,
         )
+
+    def send(self, payload: Any) -> None:
+        """Application-level multicast to the current view."""
+        self.app_send(payload)
 
 
 class SimWorld:
@@ -279,7 +283,7 @@ class SimWorld:
         """Hand one instant's arrivals to ``pid``'s end-points, each in its
         group; an envelope for a group ``pid`` has no end-point in is
         dropped.  Each end-point gets its share as one run of its own
-        (:meth:`~repro.core.host.EndpointHost.on_run`), so it drains once
+        (:meth:`~repro.core.runner.EndpointRunner.on_run`), so it drains once
         for the instant; end-points go in the order the run first reaches
         them."""
         shares: Dict[SimNode, List[Tuple[ProcessId, List[Any]]]] = {}

@@ -1,19 +1,20 @@
-"""A runtime GCS node: the end-point host behind an async API.
+"""A runtime GCS node: the end-point driver behind an async API.
 
-``GcsNode`` is the asyncio face of :class:`~repro.core.host.EndpointHost`:
-applications ``await node.send(payload)`` and read deliveries and views
-where every host keeps them - the ``delivered`` / ``views`` lists, or
-the callbacks of :meth:`~repro.core.host.EndpointHost.set_app`.  The
-blocking contract of Figure 12 is enforced for the application
-automatically: while the end-point has requested a block, ``send`` waits.
+``GcsNode`` is the asyncio face of
+:class:`~repro.core.runner.EndpointRunner`: applications ``await
+node.send(payload)`` and read deliveries and views where every runner
+keeps them - the ``delivered`` / ``views`` lists, or the callbacks of
+:meth:`~repro.core.runner.EndpointRunner.set_app`.  The blocking
+contract of Figure 12 is enforced for the application automatically:
+while the end-point has requested a block, ``send`` waits.
 
 A node knows nothing about its substrate beyond the *fabric* it is
 attached to (:class:`~repro.runtime.fabric.Fabric`): wire messages
 leave through ``fabric.send`` and arrive, one pump wake-up's run at a
-time, at the host's one run consumer
-(:meth:`~repro.core.host.EndpointHost.on_run`), which applies the whole
-run inside one deferred-drain window of its runner and so drains at most
-once; the node adds only the wake-up of a sender waiting out a block.
+time, at the runner's one run consumer
+(:meth:`~repro.core.runner.EndpointRunner.on_run`), which applies the
+whole run inside one deferred-drain window and so drains at most once;
+the node adds only the wake-up of a sender waiting out a block.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import TYPE_CHECKING, Any, Callable, FrozenSet, Optional
 from repro.checking.events import GcsTrace
 from repro.core.forwarding import ForwardingStrategy
 from repro.core.gcs_endpoint import GcsEndpoint
-from repro.core.host import EndpointHost
+from repro.core.runner import EndpointRunner
 from repro.types import ProcessId, View
 
 if TYPE_CHECKING:  # pragma: no cover - annotation only
@@ -34,8 +35,8 @@ if TYPE_CHECKING:  # pragma: no cover - annotation only
     from repro.runtime.fabric import Fabric
 
 
-class GcsNode(EndpointHost):
-    """One group member on a fabric: the host's asyncio face."""
+class GcsNode(EndpointRunner):
+    """One group member on a fabric: the runner's asyncio face."""
 
     def __init__(
         self,
@@ -81,9 +82,9 @@ class GcsNode(EndpointHost):
         # Before the end-point delivers it to itself and indexes it: a
         # payload the fabric fails to frame later would leave a gap.
         self.fabric.check_payload(payload)
-        while self.runner.blocked and not self.endpoint.crashed:
+        while self.blocked and not self.endpoint.crashed:
             await self._unblocked.wait()
-        self.runner.app_send(payload)
+        self.app_send(payload)
         await self.fabric.pace(self.pid)
 
     # -- wiring -------------------------------------------------------------
@@ -94,13 +95,13 @@ class GcsNode(EndpointHost):
 
     def recover(self) -> None:
         super().recover()
-        if not self.runner.blocked:
+        if not self.blocked:
             self._unblocked.set()
 
     def on_run(self, run: Run) -> None:
-        """The host's run consumer; then a sender a block held may go."""
+        """The runner's run consumer; then a sender a block held may go."""
         super().on_run(run)
-        if not self.runner.blocked:
+        if not self.blocked:
             self._unblocked.set()
 
     def _on_view(self, view: View, transitional: FrozenSet[ProcessId]) -> None:

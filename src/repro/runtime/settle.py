@@ -18,7 +18,7 @@ import asyncio
 import os
 from typing import Callable, Mapping, Optional
 
-from repro.core.host import EndpointHost
+from repro.core.runner import EndpointRunner
 from repro.errors import SettleTimeoutError
 from repro.types import ProcessId
 
@@ -91,10 +91,10 @@ async def await_settled(
             pass  # fall through to the deadline check / final predicate try
 
 
-def describe_views(nodes: Mapping[ProcessId, EndpointHost]) -> str:
+def describe_views(nodes: Mapping[ProcessId, EndpointRunner]) -> str:
     """Render ``pid -> current view`` for settle-timeout diagnostics."""
     return ", ".join(
-        f"{pid}={node.current_view!r}{' blocked' if node.runner.blocked else ''}"
+        f"{pid}={node.current_view!r}{' blocked' if node.blocked else ''}"
         for pid, node in sorted(nodes.items())
     )
 

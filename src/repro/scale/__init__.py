@@ -49,7 +49,7 @@ def install_overlay(
     own ``schedule`` (model time units on every substrate);
     connectivity comes from its unified :class:`~repro.links.LinkCore`.
     """
-    runners = {pid: node.runner for pid, node in deployment.nodes.items()}
+    runners = dict(deployment.nodes)
     if groups is None:
         pids = sorted(runners)
         count = leaders if leaders is not None else auto_leaders(len(pids))

@@ -51,6 +51,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import (
+    TYPE_CHECKING,
     Callable,
     Dict,
     FrozenSet,
@@ -64,9 +65,12 @@ from typing import (
 )
 
 from repro.core.messages import SyncMsg, WireMessage
-from repro.core.runner import EndpointRunner
 from repro.links import MessageBatch
 from repro.types import ProcessId
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard: the runner
+    # imports repro.membership, whose tier imports repro.scale.sharding
+    from repro.core.runner import EndpointRunner
 
 #: How long an aggregator waits for stragglers before flushing a partial
 #: batch, in model time units (one network hop).

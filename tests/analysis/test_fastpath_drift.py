@@ -5,7 +5,10 @@ the *real* ``repro.core.fastpath`` source, splice one spurious write
 into a replay body (the mutation a hurried optimisation would make),
 and require ``check_r6`` to flag exactly it.  The unmutated source must
 stay clean - the rule's power comes from the gap between those two
-outcomes.
+outcomes.  The lane's second obligation, holding no end-point state
+(``R6.lane-state``), is seeded the same way: a cached reference spliced
+into the lane must be flagged, while the version counter and the peer
+set it builds stay clean.
 """
 
 import ast
@@ -24,7 +27,7 @@ from repro.core.gcs_endpoint import GcsEndpoint
 # no claimed transition of the send chain performs.  mbrshp_view is
 # written only by _eff_mbrshp_view, which try_send does not claim.
 _ANCHOR = "        ep.last_sent = index\n"
-_MUTATION = _ANCHOR + "        ep.mbrshp_view = self._view\n"
+_MUTATION = _ANCHOR + "        ep.mbrshp_view = view\n"
 
 
 @pytest.fixture(scope="module")
@@ -52,7 +55,11 @@ def lane_checker():
 
 
 def test_shipped_fast_lane_is_clean(lane_checker):
+    """Clean, also of R6.lane-state: the version counter and the peer set
+    the lane builds are not end-point state."""
     source, check = lane_checker
+    assert "self._version = ep._state_version" in source
+    assert "self._peers = frozenset(" in source
     assert check(source) == []
 
 
@@ -86,23 +93,25 @@ def _narrowed(method, claims):
 
 
 @pytest.mark.parametrize("method, claims, expected", [
-    # the helper call, a local alias of its return, an alias attribute
+    # the helper fallback, a local aliasing both the buffer lookup and
+    # the helper's return, and a store through an end-point local
     ("try_receive", ("deliver",), {
-        ("ep.buffer(src, self._view)", "msgs"),
+        ("ep.buffer(src, announced)", "msgs"),
         ("log.put(index, payload)", "msgs"),
-        ("self._last_rcvd[src] = index", "last_rcvd"),
+        ("ep.last_rcvd[src] = index", "last_rcvd"),
     }),
-    # an alias attribute bound to a helper return, an end-point local,
-    # and the view marker's store (co_rfifo.send's, claimed by neither)
+    # the same on the send side, and the view marker's store
+    # (co_rfifo.send's, claimed by neither)
     ("try_send", ("deliver",), {
-        ("self._own_log.append(payload)", "msgs"),
-        ("ep.view_msg[pid] = self._view", "view_msg"),
+        ("ep.buffer(pid, view)", "msgs"),
+        ("log.append(payload)", "msgs"),
+        ("ep.view_msg[pid] = view", "view_msg"),
         ("ep.last_sent = index", "last_sent"),
     }),
     ("try_send", ("send",), {
-        ("ep.view_msg[pid] = self._view", "view_msg"),
+        ("ep.view_msg[pid] = view", "view_msg"),
         ("ep.last_sent = index", "last_sent"),
-        ("self._last_dlvrd[pid] = index", "last_dlvrd"),
+        ("ep.last_dlvrd[pid] = index", "last_dlvrd"),
     }),
 ])
 def test_narrowed_claims_flag_writes_through_every_alias_path(
@@ -115,15 +124,41 @@ def test_narrowed_claims_flag_writes_through_every_alias_path(
     }
 
 
-def test_a_store_into_a_lane_container_is_lane_private(lane_checker):
-    source, check = lane_checker
-    anchor = "        log.put(index, payload)\n"
+def _splice(source, anchor, line):
+    """``source`` with ``line`` inserted after the one ``anchor`` line."""
     assert source.count(anchor) == 1, "splice anchor drifted"
-    spliced = source.replace(anchor, anchor + "        self._src_logs[src] = log\n")
-    findings = check(spliced, replays=_narrowed("try_receive", ("deliver",)))
-    line = _line_of(source, "log.put(index, payload)") + 1
-    assert line not in {row for row, _attr in _spurious(findings, "try_receive")}
-    assert _spurious(findings, "try_receive")  # the genuine writes still show
+    return source.replace(anchor, anchor + line)
+
+
+def _lane_state(findings):
+    """(method, line) of every R6.lane-state finding."""
+    return {
+        (f.location.obj, f.location.line)
+        for f in findings if f.rule_id == "R6.lane-state"
+    }
+
+
+@pytest.mark.parametrize("method, anchor, cached", [
+    # a store under a lane container: the item is a buffer of msgs
+    ("try_receive", "        log.put(index, payload)\n",
+     "        self._logs[src] = log\n"),
+    # a cached reference to a live end-point dict, bound where the lane
+    # proves steadiness and read by no replay body: a write check alone
+    # never sees it
+    ("_revalidate", "        self._peers = frozenset(view.members - {ep.pid})\n",
+     "        self._cache = ep.last_rcvd\n"),
+    # a view object the lane would keep across a view change
+    ("_revalidate", "        self._peers = frozenset(view.members - {ep.pid})\n",
+     "        self._view = view\n"),
+    # an item appended to a lane list
+    ("try_send", "        log.append(payload)\n",
+     "        self._seen.append(ep.last_dlvrd)\n"),
+], ids=["lane-container-item", "cached-dict", "cached-view", "lane-list-item"])
+def test_end_point_state_held_by_the_lane_is_flagged(lane_checker, method, anchor, cached):
+    source, check = lane_checker
+    findings = check(_splice(source, anchor, cached))
+    line = _line_of(source, anchor.strip()) + 1
+    assert _lane_state(findings) == {(f"FastLane.{method}", line)}
 
 
 def test_unknown_replay_claim_is_flagged(lane_checker):

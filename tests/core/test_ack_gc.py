@@ -136,5 +136,5 @@ class TestEndToEnd:
         ep = nodes[0].endpoint
         before = dict(ep.acked)
         stale = AckMsg(ViewId(999), frozendict({"p1": 50}))
-        nodes[0].runner.receive("p1", stale)
+        nodes[0].receive("p1", stale)
         assert dict(ep.acked) == before

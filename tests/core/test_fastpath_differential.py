@@ -139,7 +139,7 @@ def test_sim_seeded_random_ops_identical(seed):
             if op < 0.7:
                 pid = rng.choice(sorted(alive))
                 node = world.node(pid)
-                if not node.runner.blocked:
+                if not node.blocked:
                     node.send((pid, step))
             elif op < 0.8 and len(alive) > 2:
                 pid = rng.choice(sorted(alive))

@@ -197,7 +197,7 @@ def test_receive_lane_engages_for_a_member_that_has_not_sent(monkeypatch):
 
         def counted(lane, *args, name=name, original=original):
             hit = original(lane, *args)
-            calls.append((lane.pid, name, type(args[-1]).__name__, hit))
+            calls.append((lane.endpoint.pid, name, type(args[-1]).__name__, hit))
             return hit
 
         monkeypatch.setattr(FastLane, name, counted)

@@ -24,14 +24,17 @@ class Recorder:
 
     def make_runner(self, pid="a", **kwargs):
         endpoint = GcsEndpoint(pid)
-        return EndpointRunner(
+        runner = EndpointRunner(
             endpoint,
             send_wire=lambda targets, m: self.wire.append((targets, m)),
             set_reliable=self.reliable.append,
-            on_deliver=lambda sender, payload: self.delivered.append((sender, payload)),
-            on_view=lambda view, T: self.views.append((view, T)),
             **kwargs,
         )
+        runner.set_app(
+            on_deliver=lambda sender, payload: self.delivered.append((sender, payload)),
+            on_view=lambda view, T: self.views.append((view, T)),
+        )
+        return runner
 
 
 @pytest.fixture

@@ -11,7 +11,7 @@ import inspect
 import pytest
 
 from repro.core.forwarding import MinCopiesStrategy
-from repro.core.host import EndpointHost
+from repro.core.runner import EndpointRunner
 from repro.deploy import (
     SUBSTRATES,
     AsyncDeployment,
@@ -251,8 +251,8 @@ class TestDeploymentContract:
 
         deployment = run_scenario(substrate, scenario)
         for pid, host in deployment.nodes.items():
-            assert isinstance(host, EndpointHost)
-            assert host.pid == pid and host.runner.endpoint is host.endpoint
+            assert isinstance(host, EndpointRunner)
+            assert host.pid == host.endpoint.pid == pid
             assert [view for view, _transitional in host.views] == deployment.views(pid)
             assert all(pid in transitional for _view, transitional in host.views)
             assert host.delivered == deployment.delivered(pid)

@@ -17,7 +17,7 @@ def make_world(n=8, leaders=2, **kwargs):
     pids = [f"p{i:02d}" for i in range(n)]
     nodes = world.add_nodes(pids)
     overlay = TwoTierOverlay(
-        {node.pid: node.runner for node in nodes},
+        {node.pid: node for node in nodes},
         world.clock.schedule,
         balanced_groups(pids, leaders),
         connected=world.links.connected,

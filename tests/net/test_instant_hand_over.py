@@ -1,9 +1,9 @@
 """A simulated end-point drains once per arrival instant, not once per copy.
 
 The simulator hands each destination one run per arrival instant - every
-copy that reaches it then, over any link - and the end-point host
-applies the run inside one deferred-drain window of its runner
-(:meth:`~repro.core.host.EndpointHost.on_run`): the n-2 ``SyncMsg``s of
+copy that reaches it then, over any link - and the end-point's runner
+applies the run inside one deferred-drain window
+(:meth:`~repro.core.runner.EndpointRunner.on_run`): the n-2 ``SyncMsg``s of
 a leave, and the n-2 ``ViewMsg``s that go with the survivors' first
 messages of the new view, cost each surviving end-point one drain each.
 On a process with named groups the world's envelope router hands each
@@ -51,7 +51,7 @@ def test_a_settled_leave_costs_each_end_point_one_drain_per_instant():
     evaluations = {pid: 0 for pid in survivors}
     for pid in survivors:
         node = world.node(pid)
-        drains = count_drains(node.runner)
+        drains = count_drains(node)
 
         def on_run(run, pid=pid, node=node, drains=drains):
             kinds = [type(message) for _src, payloads in run for message in payloads]
@@ -93,7 +93,7 @@ def test_a_named_group_run_drains_each_groups_end_point_once():
     world.settle()
     route = world.network._handlers["a"]
     groups_per_run = []
-    drains = {group: count_drains(world.node("a", group).runner) for group in ("g1", "g2")}
+    drains = {group: count_drains(world.node("a", group)) for group in ("g1", "g2")}
     per_run = []
 
     def on_run(run):
@@ -134,7 +134,7 @@ def test_a_raising_input_closes_its_end_points_window():
 
     def raising_dispatch(src, message):
         if isinstance(message, SyncMsg):
-            assert node.runner._draining  # b's and c's syncs: a window
+            assert node._draining  # b's and c's syncs: a window
             raise RuntimeError("input hook")
         dispatch(src, message)
 
@@ -143,5 +143,5 @@ def test_a_raising_input_closes_its_end_points_window():
     world.leave("d", "g2")
     with pytest.raises(RuntimeError, match="input hook"):
         world.settle()
-    assert not node.runner._draining
-    assert not world.node("a", "g2").runner._draining
+    assert not node._draining
+    assert not world.node("a", "g2")._draining

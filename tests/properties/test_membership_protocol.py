@@ -110,7 +110,7 @@ class TestServerMembershipUnderChurn:
                 world.recover(victim)
                 crashed.discard(victim)
             for pid, node in world.nodes.items():
-                if pid not in crashed and not node.runner.blocked:
+                if pid not in crashed and not node.blocked:
                     node.send(f"{pid}@{world.now():.1f}")
             world.run_until(world.now() + delay)
         world.heal()

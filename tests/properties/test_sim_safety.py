@@ -55,7 +55,7 @@ def drive(world, steps):
                 node = world.nodes[pid]
                 # respect the Figure 12 client contract: no sends while
                 # the end-point has us blocked for a view change
-                if pid not in crashed and not node.runner.blocked:
+                if pid not in crashed and not node.blocked:
                     node.send(f"{pid}@{world.now():.1f}")
         world.run_until(world.now() + delay)
     world.heal()
@@ -102,7 +102,7 @@ class TestSimulatedFaultSchedules:
         world = SimWorld(latency=ConstantLatency(1.0), round_duration=2.0)
         nodes = world.add_nodes(PIDS)
         TwoTierOverlay(
-            {node.pid: node.runner for node in nodes},
+            {node.pid: node for node in nodes},
             world.clock.schedule,
             balanced_groups(PIDS, 2),
             connected=world.links.connected,

@@ -80,7 +80,7 @@ def test_send_waits_while_blocked(on_fabrics):
                 cluster.fabric.send(
                     server, [pid], StartChangeNotice(pid, cid, frozenset(cids))
                 )
-            await asyncio.wait_for(until(lambda: a.runner.blocked), 2.0)
+            await asyncio.wait_for(until(lambda: a.blocked), 2.0)
             send_task = asyncio.create_task(a.send("queued until view"))
             await asyncio.sleep(0.02)
             assert not send_task.done()  # waiting, per the Figure 12 contract
@@ -99,8 +99,8 @@ def test_crash_releases_a_sender_waiting_out_a_block(on_fabrics):
         async with make_cluster() as cluster:
             a, _b = await cluster.add_nodes(["a", "b"])
             await cluster.start()
-            a.runner.membership_start_change(901, frozenset({"a", "b"}))
-            assert a.runner.blocked
+            a.membership_start_change(901, frozenset({"a", "b"}))
+            assert a.blocked
             send_task = asyncio.ensure_future(a.send("never sent"))
             await asyncio.sleep(0)
             assert not send_task.done()  # waiting, per the Figure 12 contract

@@ -121,7 +121,7 @@ def test_a_hook_raising_in_the_deferred_drain_leaves_no_window_open():
         await a.send("boom")
         with pytest.raises(Broken):
             await cluster.fabric.quiesce(timeout=2.0)
-        assert not b.runner._draining  # the window closed on the raise
+        assert not b._draining  # the window closed on the raise
         await a.send("after")
         await until_resolved(cluster.fabric)
         assert [payload for _sender, payload in b.delivered] == ["boom", "after"]

@@ -24,15 +24,15 @@ class Counts:
 
     def __init__(self, node):
         self.runs = self.drains = self.evaluations = 0
-        runner, endpoint = node.runner, node.endpoint
-        hold, drain, enabled = runner.hold_drain, runner.drain, endpoint.enabled_actions
+        endpoint = node.endpoint
+        hold, drain, enabled = node.hold_drain, node.drain, endpoint.enabled_actions
 
         def counted_hold():
             self.runs += 1
             return hold()
 
         def counted_drain():
-            if not runner._draining:
+            if not node._draining:
                 self.drains += 1
             return drain()
 
@@ -40,7 +40,7 @@ class Counts:
             self.evaluations += 1
             return enabled()
 
-        runner.hold_drain, runner.drain = counted_hold, counted_drain
+        node.hold_drain, node.drain = counted_hold, counted_drain
         endpoint.enabled_actions = counted_enabled
 
 
@@ -54,18 +54,18 @@ def test_the_syncs_of_one_wake_up_cost_one_drain():
             await cluster.settle()
             x, peers = nodes[0], nodes[1:]
             members = frozenset(pids)
-            x.runner.membership_start_change(901, members)
+            x.membership_start_change(901, members)
             counts = Counts(x)
             # No yield: every peer's SyncMsg is queued at x before its pump wakes.
             for node in peers:
-                node.runner.membership_start_change(901, members)
+                node.membership_start_change(901, members)
             syncs = []
 
             def note(src, message):
                 syncs.append(type(message))
                 return False  # not consumed: the runner applies it
 
-            x.runner.receive_interceptor = note
+            x.receive_interceptor = note
             await cluster.settle()
             assert syncs == [SyncMsg] * len(peers)
             assert counts.runs == 1
@@ -73,7 +73,7 @@ def test_the_syncs_of_one_wake_up_cost_one_drain():
             assert counts.evaluations < len(peers)
             view = View(ViewId(50), members, frozendict({pid: 901 for pid in pids}))
             for node in nodes:
-                node.runner.membership_view(view)
+                node.membership_view(view)
             await cluster.settle()
             assert all(node.current_view == view for node in nodes)
 
@@ -94,7 +94,7 @@ def test_a_run_of_steady_app_messages_drains_nothing():
             await cluster.settle()
             counts = Counts(x)
             for node in peers:
-                node.runner.app_send(f"from-{node.pid}")  # no yield between
+                node.app_send(f"from-{node.pid}")  # no yield between
             await cluster.settle()
             assert x.delivered[-len(peers):] == [(n.pid, f"from-{n.pid}") for n in peers]
             assert counts.runs == 1

@@ -33,7 +33,7 @@ def _make_world(n=8, leaders=0):
     overlay = None
     if leaders:
         overlay = TwoTierOverlay(
-            {pid: node.runner for pid, node in world.nodes.items()},
+            dict(world.nodes),
             world.clock.schedule,
             balanced_groups(pids, leaders),
             connected=world.links.connected,

@@ -205,7 +205,7 @@ def test_overlay_and_faults_apply_to_a_named_group():
     world.set_group("big", pids)
     world.set_group("plain", pids[:4])
     world.settle()
-    runners = {pid: node.runner for pid, node in world.group_nodes["big"].items()}
+    runners = dict(world.group_nodes["big"])
     overlay = TwoTierOverlay(
         runners, world.clock.schedule, balanced_groups(pids, 3),
         connected=world.links.connected,
