@@ -25,11 +25,20 @@ from repro.checking import (
     SAFETY_CODES,
     SOUNDNESS,
     Verdict,
+    VerdictMonitor,
     extract_skeleton,
     run_verdict,
 )
 from repro.checking.codes import class_rank, violation_sort_key
-from repro.checking.events import GcsTrace, MbrshpFormEvent, SendEvent, ViewEvent
+from repro.checking.events import (
+    DeliverEvent,
+    GcsTrace,
+    MbrshpFormEvent,
+    MbrshpViewEvent,
+    SendEvent,
+    ViewEvent,
+)
+from repro.net import ConstantLatency, SimWorld
 from repro.types import make_view
 
 from tests.conftest import trace_of
@@ -133,6 +142,76 @@ class TestEarliestWitness:
         assert "VS-SELF-INCL" < "VS-TRANS-SET"
         assert "VS-MONO" < "VS-TRANS-SET"
         assert "VS-SELF-DLV" < "VS-VSYNC"
+
+
+class TestRetirement:
+    """A rule retires at its first violation; the rules still open read on,
+    the event that retired it included."""
+
+    ALIEN = make_view(1, ["b"], {"b": 1})  # a view without a
+
+    def test_one_event_witnessing_two_rules_reports_both_at_its_index(self):
+        # a's T lacks a (VS-TRANS-SET, which reads first and retires) and
+        # a's view lacks a (the replay's Self Inclusion conjunct): both
+        # rules judge the one event.
+        trace = trace_of(("view", "a", self.ALIEN, {"b"}))
+        found = [(v.code, v.witness_index) for v in run_verdict(trace, ["a", "b"]).violations]
+        assert found == [("VS-SELF-INCL", 0), ("VS-TRANS-SET", 0)]
+
+    def test_a_retired_refinement_replay_leaves_membership_conformance_open(self):
+        # A delivery nothing sent retires VS-SPEC-REFINE at once; the
+        # membership replay still refuses the later notice.  With the
+        # refinement replay gone, Self Inclusion is no longer watched
+        # whole, so the notice reports as MBRSHP-CONF.
+        trace = GcsTrace([
+            DeliverEvent(0.0, "a", "b", "ghost"),
+            MbrshpViewEvent(1.0, "a", self.ALIEN),
+        ])
+        found = [(v.code, v.witness_index) for v in run_verdict(trace, ["a", "b"]).violations]
+        assert found == [("VS-SPEC-REFINE", 0), ("MBRSHP-CONF", 1)]
+        alone = run_verdict(GcsTrace(trace.events[1:]), ["a", "b"]).violations
+        assert [(v.code, v.witness_index) for v in alone] == [("VS-SELF-INCL", 0)]
+
+    @staticmethod
+    def settled_sim_run():
+        """A four-process simulated run: traffic, a crash, a recovery, more
+        traffic, settled.  Returns its trace, processes and final view."""
+        world = SimWorld(latency=ConstantLatency(1.0), round_duration=2.0)
+        nodes = world.add_nodes(["p0", "p1", "p2", "p3"])
+        world.start()
+        world.settle()
+        for round_ in range(3):
+            for node in nodes:
+                node.send(f"{node.pid}-{round_}")
+        world.crash("p3")
+        world.settle()
+        world.recover("p3")
+        world.settle()
+        for node in nodes:
+            node.send(f"{node.pid}-after")
+        world.settle()
+        return world.trace, ("p0", "p1", "p2", "p3"), world.node("p0").current_view
+
+    @pytest.mark.parametrize("forged", [False, True], ids=["settled", "forged-delivery"])
+    def test_advancing_one_event_at_a_time_equals_the_one_shot_verdict(self, forged):
+        trace, procs, final = self.settled_sim_run()
+        events = list(trace.events)
+        if forged:
+            at = next(
+                i for i, e in enumerate(events)
+                if isinstance(e, DeliverEvent) and e.proc != e.sender
+            )
+            e = events[at]
+            events[at] = DeliverEvent(e.time, e.proc, e.sender, "ghost")
+        full = GcsTrace(events)
+        one_shot = run_verdict(full, procs, final_view=final)
+        assert one_shot.ok != forged
+        growing = GcsTrace()
+        monitor = VerdictMonitor(growing, procs, final_view=final)
+        for event in events:
+            growing.append(event)
+            monitor.advance(growing)
+        assert monitor.verdict().to_json() == one_shot.to_json()
 
 
 class TestTransSetRegression:
