@@ -16,11 +16,14 @@ prefix violates them, only the completed run does.
 
 Each rule is an incremental object fed ``(index, event)`` pairs; a rule
 retires at its first violation, so its reported witness is minimal by
-construction.  Self Inclusion, Local Monotonicity, Self Delivery and
-Virtual Synchrony have no rule of their own: they are conjuncts of the
-``view`` preconditions of the replayed specifications, and a replay
-that refuses a step names the conjunct (:class:`SpecReplayRule`).
-:class:`VerdictMonitor` holds the rules open with a read cursor, so a
+construction.  A rule declares the event types its ``feed`` acts on
+(``READS``), and the engine hands each event only to the rules that read
+its type.  Self Inclusion, Local Monotonicity, Self Delivery and Virtual
+Synchrony have no rule of their own: they are conjuncts of the ``view``
+preconditions of the replayed specifications, and a replay that refuses
+a step names the conjunct (:class:`SpecReplayRule`); an accepted step
+goes through the spec's compiled chains and builds no
+:class:`~repro.ioa.Action`.  :class:`VerdictMonitor` holds the rules open with a read cursor, so a
 live run is audited in one pass however often it is asked;
 :func:`run_verdict` is one monitor advanced once over a finished trace.
 Violations are ordered by the deterministic key of
@@ -38,7 +41,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
-from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from itertools import islice
+from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple, Type
 
 from repro.checking.codes import DEFAULT_CODES, REGISTRY, violation_sort_key
 from repro.checking.events import (
@@ -170,10 +174,14 @@ class TraceRule:
     ``feed`` returns the rule's violation the first time the prefix
     ``trace[0..index]`` violates it (the engine then retires the rule, so
     the reported witness is the minimal one); ``finish`` reports
-    violations only a completed run can exhibit.
+    violations only a completed run can exhibit.  ``READS`` names the
+    event types ``feed`` acts on: the engine hands a rule only events of
+    those types (subclasses included), and ``feed`` returns None on any
+    other.
     """
 
     code: str = ""
+    READS: Tuple[Type[GcsEvent], ...] = (GcsEvent,)
 
     def feed(self, index: int, event: GcsEvent) -> Optional[Violation]:
         return None
@@ -200,6 +208,7 @@ class TransSetRule(TraceRule):
     """
 
     code = "VS-TRANS-SET"
+    READS = (ViewEvent, RecoverEvent)
 
     def __init__(self) -> None:
         self._current: Dict[ProcessId, View] = {}
@@ -287,22 +296,30 @@ class SpecReplayRule(TraceRule):
         )
 
     def _step(
-        self, index: int, action: Action, found: Optional[Dict[str, str]] = None
+        self,
+        index: int,
+        name: str,
+        params: Tuple[Any, ...],
+        found: Optional[Dict[str, str]] = None,
     ) -> Optional[Violation]:
-        """Take ``action``; ``found`` holds the codes (with messages) that
-        already fail at this step for another reason."""
+        """Take ``name(*params)``; ``found`` holds the codes (with messages)
+        that already fail at this step for another reason.  An accepted
+        step builds no :class:`Action`."""
         spec = self._spec
-        if not spec.precondition(action):
+        if not spec.step_if_enabled(name, params):
+            # The refusal left the spec in its pre-step state: the
+            # conjuncts are judged there.
+            action = Action(name, params)
             found = found or {}
             refusal = f"{spec.name}: {action!r} is not enabled"
-            for holds, code in self.CONJUNCTS.get(action.name, ()):
-                if not holds(spec, *action.params):
+            for holds, code in self.CONJUNCTS.get(name, ()):
+                if not holds(spec, *params):
                     prefix = REGISTRY[code].title.partition(":")[0]
                     found.setdefault(code, f"{prefix}: {refusal}")
             found[self.code] = f"{self.label}: {refusal}"
-        # Refused or not, the step is taken (it may go unreported), so the
-        # replayed specs must stay non-strict.
-        spec.apply_enabled(action)
+            # Refused, the step is taken anyway (it may go unreported), so
+            # the replayed specs must stay non-strict.
+            spec.apply_enabled(action)
         if not found:
             return None
         reported = [code for code in found if code in self._selected]
@@ -341,6 +358,7 @@ class SpecRefinementRule(SpecReplayRule):
         )
     }
     WATCHED = ("VS-MONO",)
+    READS = (SendEvent, DeliverEvent, ViewEvent, CrashEvent, RecoverEvent)
 
     def __init__(self, processes: Tuple[ProcessId, ...], selected: Set[str]) -> None:
         super().__init__(FullSafetySpec(processes), selected)
@@ -350,16 +368,16 @@ class SpecRefinementRule(SpecReplayRule):
         self._unmatched: Dict[ProcessId, int] = {}
 
     def feed(self, index: int, event: GcsEvent) -> Optional[Violation]:
-        if isinstance(event, SendEvent):
-            if event.proc in self._down:
-                self._unmatched[event.proc] += 1
-            return self._step(index, Action("send", (event.proc, event.payload)))
         if isinstance(event, DeliverEvent):
-            if event.proc in self._down and event.sender == event.proc:
-                self._unmatched[event.proc] -= 1
-            return self._step(
-                index, Action("deliver", (event.proc, event.sender, event.payload))
-            )
+            p = event.proc
+            if p in self._down and event.sender == p:
+                self._unmatched[p] -= 1
+            return self._step(index, "deliver", (p, event.sender, event.payload))
+        if isinstance(event, SendEvent):
+            p = event.proc
+            if p in self._down:
+                self._unmatched[p] += 1
+            return self._step(index, "send", (p, event.payload))
         if isinstance(event, ViewEvent):
             return self._view(index, event)
         if isinstance(event, CrashEvent):
@@ -386,7 +404,7 @@ class SpecRefinementRule(SpecReplayRule):
         if p in self._down:
             self._unmatched[p] = 0
         infer_set_cut(self._spec, p, view)
-        return self._step(index, Action("view", (p, view, event.transitional)), found)
+        return self._step(index, "view", (p, view, event.transitional), found)
 
 
 class MbrshpConformanceRule(SpecReplayRule):
@@ -405,24 +423,25 @@ class MbrshpConformanceRule(SpecReplayRule):
             (MbrshpSpec.advances, "VS-MONO"),
         )
     }
+    READS = (MbrshpStartChangeEvent, MbrshpViewEvent, CrashEvent, RecoverEvent)
 
     def __init__(self, processes: Iterable[ProcessId], selected: Set[str]) -> None:
         super().__init__(MbrshpSpec(processes), selected)
 
     def feed(self, index: int, event: GcsEvent) -> Optional[Violation]:
         if isinstance(event, MbrshpStartChangeEvent):
-            action = Action(
-                "mbrshp.start_change", (event.proc, event.cid, frozenset(event.members))
+            return self._step(
+                index,
+                "mbrshp.start_change",
+                (event.proc, event.cid, frozenset(event.members)),
             )
-        elif isinstance(event, MbrshpViewEvent):
-            action = Action("mbrshp.view", (event.proc, event.view))
-        elif isinstance(event, CrashEvent):
-            action = Action("crash", (event.proc,))
-        elif isinstance(event, RecoverEvent):
-            action = Action("recover", (event.proc,))
-        else:
-            return None
-        return self._step(index, action)
+        if isinstance(event, MbrshpViewEvent):
+            return self._step(index, "mbrshp.view", (event.proc, event.view))
+        if isinstance(event, CrashEvent):
+            return self._step(index, "crash", (event.proc,))
+        if isinstance(event, RecoverEvent):
+            return self._step(index, "recover", (event.proc,))
+        return None
 
 
 class ServerForkRule(TraceRule):
@@ -437,12 +456,13 @@ class ServerForkRule(TraceRule):
     """
 
     code = "MBRSHP-SRV-FORK"
+    READS = (ViewEvent, MbrshpViewEvent, MbrshpFormEvent)
 
     def __init__(self) -> None:
         self._by_vid: Dict[Any, View] = {}
 
     def feed(self, index: int, event: GcsEvent) -> Optional[Violation]:
-        if isinstance(event, (ViewEvent, MbrshpViewEvent, MbrshpFormEvent)):
+        if isinstance(event, self.READS):
             view = event.view
             first = self._by_vid.setdefault(view.vid, view)
             if first != view:
@@ -473,6 +493,7 @@ class ServerCounterMonotonicityRule(TraceRule):
     """
 
     code = "MBRSHP-SRV-MONO"
+    READS = (MbrshpFormEvent,)
 
     def __init__(self) -> None:
         self._issued: Dict[str, int] = {}
@@ -503,27 +524,38 @@ class LivenessRule(TraceRule):
     """
 
     code = "VS-LIVE"
+    READS = (SendEvent, DeliverEvent, ViewEvent, RecoverEvent)
 
     def __init__(self, final_view: View) -> None:
         self._final = final_view
-        self._current: Dict[ProcessId, View] = {}
+        # the processes whose current view is the final one: views are
+        # compared once per view change, not per send and delivery
+        self._in_final: Set[ProcessId] = set()
         self._delivered_final: set = set()
         self._sent: Dict[ProcessId, List[Any]] = {}
         self._got: Dict[Tuple[ProcessId, ProcessId], List[Any]] = {}
 
     def feed(self, index: int, event: GcsEvent) -> Optional[Violation]:
         p = event.proc
-        if isinstance(event, RecoverEvent):
-            self._current[p] = initial_view(p)
+        if isinstance(event, DeliverEvent):
+            if p in self._in_final:
+                self._got.setdefault((p, event.sender), []).append(event.payload)
+        elif isinstance(event, SendEvent):
+            if p in self._in_final:
+                self._sent.setdefault(p, []).append(event.payload)
         elif isinstance(event, ViewEvent):
-            self._current[p] = event.view
-            if event.view == self._final:
+            self._move(p, event.view)
+            if p in self._in_final:
                 self._delivered_final.add(p)
-        elif isinstance(event, SendEvent) and self._current.get(p) == self._final:
-            self._sent.setdefault(p, []).append(event.payload)
-        elif isinstance(event, DeliverEvent) and self._current.get(p) == self._final:
-            self._got.setdefault((p, event.sender), []).append(event.payload)
+        elif isinstance(event, RecoverEvent):
+            self._move(p, initial_view(p))
         return None
+
+    def _move(self, p: ProcessId, view: View) -> None:
+        if view == self._final:
+            self._in_final.add(p)
+        else:
+            self._in_final.discard(p)
 
     def finish(self, length: int) -> Optional[Violation]:
         members = sorted(self._final.members)
@@ -550,6 +582,7 @@ class GoldenSkeletonRule(TraceRule):
     """Golden-trace mode: the observed skeleton equals the recorded one."""
 
     code = "VS-SKEL"
+    READS = (SendEvent, DeliverEvent, ViewEvent, CrashEvent, RecoverEvent)
 
     def __init__(self, golden: TraceSkeleton) -> None:
         self._golden = golden
@@ -641,21 +674,30 @@ class VerdictMonitor:
         self._violations: List[Violation] = []
 
     def advance(self, trace: GcsTrace) -> "VerdictMonitor":
-        """Feed every event past the cursor; a rule retires at its first
-        violation, so its witness is minimal.  Returns the monitor."""
+        """Feed every event past the cursor to the rules that read its
+        type; a rule retires at its first violation, so its witness is
+        minimal.  Returns the monitor."""
         start, self.cursor = self.cursor, len(trace)
         active = self._active
-        for index, event in enumerate(trace.events[start:], start):
+        # event type -> the feeds of the active rules that read it, in rule
+        # order: built at a type's first event, dropped when a rule retires
+        routes: Dict[type, List[Callable[[int, GcsEvent], Optional[Violation]]]] = {}
+        for index, event in enumerate(islice(trace.events, start, self.cursor), start):
             if not active:
                 break
-            survivors = []
-            for rule in active:
-                violation = rule.feed(index, event)
-                if violation is None:
-                    survivors.append(rule)
-                else:
+            kind = type(event)
+            route = routes.get(kind)
+            if route is None:
+                route = routes[kind] = [
+                    rule.feed for rule in active if issubclass(kind, rule.READS)
+                ]
+            # Every rule on the route reads the event, one retiring or not.
+            for feed in route:
+                violation = feed(index, event)
+                if violation is not None:
                     self._violations.append(violation)  # the rule retires
-            active = survivors
+                    active = [rule for rule in active if rule is not feed.__self__]
+                    routes = {}
         self._active = active
         return self
 

@@ -274,7 +274,16 @@ class WvRfifoEndpoint(ProcessAutomaton):
 
     def _eff_co_rfifo_deliver(self, q: ProcessId, p: ProcessId, m: WireMessage) -> None:
         if isinstance(m, ViewMsg):
-            self.view_msg[q] = m.view
+            # Keep one object per view: a socket decodes each peer's views
+            # as objects of their own, and an equal one of ours lets the
+            # fast lane's identity test hit and keys msgs[q] by it.
+            view = m.view
+            if view is not self.mbrshp_view:
+                if view == self.mbrshp_view:
+                    view = self.mbrshp_view
+                elif view == self.current_view:
+                    view = self.current_view
+            self.view_msg[q] = view
             self.last_rcvd[q] = 0
         elif isinstance(m, AppMsg):
             index = self.rcvd(q) + 1

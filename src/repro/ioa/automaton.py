@@ -356,31 +356,32 @@ class Automaton:
             raise UnknownAction(f"{self.name}: unknown action {action.name!r}")
         if kind is ActionKind.INPUT:
             return True  # input actions are enabled in every state
-        params = action.params
-        for fn, projection in self._compiled_for(action.name).pre_chain:
+        return self._pre_holds(self._compiled_for(action.name), action.params)
+
+    def _pre_holds(self, compiled: CompiledAction, params: Tuple) -> bool:
+        for fn, projection in compiled.pre_chain:
             if fn is not None and not fn(self, *params):
                 return False
             if projection is not None:
                 params = tuple(projection(*params))
         return True
 
-    def _run_effects(self, action: Action) -> None:
-        params = action.params
+    def _run_effects(self, compiled: CompiledAction, params: Tuple) -> None:
         if self.strict:
-            for fn, klass, projection in self._compiled_for(action.name).eff_chain:
+            for fn, klass, projection in compiled.eff_chain:
                 if fn is not None:
-                    self._run_strict_effect(fn, klass, action, params)
+                    self._run_strict_effect(fn, klass, compiled.name, params)
                 if projection is not None:
                     params = tuple(projection(*params))
         else:
-            for fn, _klass, projection in self._compiled_for(action.name).eff_chain:
+            for fn, _klass, projection in compiled.eff_chain:
                 if fn is not None:
                     fn(self, *params)
                 if projection is not None:
                     params = tuple(projection(*params))
 
     def _run_strict_effect(
-        self, fn: Callable, klass: Type["Automaton"], action: Action, params: Tuple
+        self, fn: Callable, klass: Type["Automaton"], action_name: str, params: Tuple
     ) -> None:
         """Run one effect piece under the ownership rule of [26].
 
@@ -417,7 +418,7 @@ class Automaton:
             if new != old:
                 raise InheritanceError(
                     f"{self.name}: effect of {klass.__name__} for action "
-                    f"{action.name!r} modified parent variable {attr!r}"
+                    f"{action_name!r} modified parent variable {attr!r}"
                 )
 
     def is_enabled(self, action: Action) -> bool:
@@ -431,13 +432,40 @@ class Automaton:
 
     def apply(self, action: Action) -> None:
         """Take a step with ``action``, executing its effects atomically."""
-        kind = self.kind_of(action.name)
-        if kind is not ActionKind.INPUT and not self.precondition(action):
+        if not self.step_if_enabled(action.name, action.params):
             raise ActionNotEnabled(f"{self.name}: {action!r} is not enabled")
-        self._run_effects(action)
+
+    def step_if_enabled(self, name: str, params: Tuple[Any, ...]) -> bool:
+        """Take a step with ``name(*params)`` if it is enabled in the current
+        state, and return whether it was taken; a refused step leaves the
+        state untouched.  :meth:`apply` without the :class:`Action`: the
+        chain is looked up once, and nothing is built for a step taken.
+        An override of :meth:`apply` (an end-point's crash handling) is
+        not consulted; the verdict engine's spec replays step through
+        here."""
+        kind = self._signature.get(name)
+        if kind is None:
+            raise UnknownAction(f"{self.name}: unknown action {name!r}")
+        compiled = self._chain_cache.get(name) or self._compiled_for(name)
+        if kind is not ActionKind.INPUT:
+            level = params
+            for fn, projection in compiled.pre_chain:
+                if fn is not None and not fn(self, *level):
+                    return False
+                if projection is not None:
+                    level = tuple(projection(*level))
+        if self.strict:
+            self._run_effects(compiled, params)
+        else:
+            for fn, _klass, projection in compiled.eff_chain:
+                if fn is not None:
+                    fn(self, *params)
+                if projection is not None:
+                    params = tuple(projection(*params))
         self._state_version += 1
         for observer in self._version_observers:
             observer()
+        return True
 
     def apply_enabled(self, action: Action) -> None:
         """:meth:`apply` for an action the caller found enabled in the
@@ -449,7 +477,7 @@ class Automaton:
         report; they build non-strict specs."""
         if self.strict and not self.precondition(action):
             raise ActionNotEnabled(f"{self.name}: {action!r} is not enabled")
-        self._run_effects(action)
+        self._run_effects(self._compiled_for(action.name), action.params)
         self._state_version += 1
         for observer in self._version_observers:
             observer()

@@ -12,6 +12,7 @@ demonstrable one.
 
 import json
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -29,15 +30,31 @@ from repro.checking import (
     extract_skeleton,
     run_verdict,
 )
+from repro.checking import events as event_module
 from repro.checking.codes import class_rank, violation_sort_key
 from repro.checking.events import (
+    BlockEvent,
+    BlockOkEvent,
     DeliverEvent,
+    GcsEvent,
     GcsTrace,
     MbrshpFormEvent,
     MbrshpViewEvent,
     SendEvent,
     ViewEvent,
 )
+from repro.checking.verdict import (
+    GoldenSkeletonRule,
+    LivenessRule,
+    MbrshpConformanceRule,
+    ServerCounterMonotonicityRule,
+    ServerForkRule,
+    SpecRefinementRule,
+    SpecReplayRule,
+    TraceRule,
+    TransSetRule,
+)
+from repro.errors import ActionNotEnabled
 from repro.net import ConstantLatency, SimWorld
 from repro.types import make_view
 
@@ -212,6 +229,112 @@ class TestRetirement:
             growing.append(event)
             monitor.advance(growing)
         assert monitor.verdict().to_json() == one_shot.to_json()
+
+
+class TestRouting:
+    """Each rule's ``READS`` names exactly the event types its ``feed`` acts
+    on, so routing an event only to the rules that read its type changes
+    no verdict."""
+
+    @staticmethod
+    def server_tier_run():
+        """Every event type: a three-process run on two membership servers
+        (formations, notices, block handshakes), with a crash, a recovery
+        and traffic.  Returns the trace and the first three-member view."""
+        world = SimWorld(latency=ConstantLatency(1.0), round_duration=2.0, servers=2)
+        nodes = world.add_nodes(["p0", "p1", "p2"])
+        world.start()
+        world.settle()
+        first = world.node("p0").current_view
+        for node in nodes:
+            node.send(f"{node.pid}-x")
+        world.crash("p2")
+        world.settle()
+        world.recover("p2")
+        world.settle()
+        for node in nodes:
+            node.send(f"{node.pid}-y")
+        world.settle()
+        return world.trace, first
+
+    @staticmethod
+    def rule_factories(trace, view):
+        procs = ("p0", "p1", "p2")
+        golden = extract_skeleton(trace)
+        return {
+            TransSetRule: TransSetRule,
+            SpecRefinementRule: lambda: SpecRefinementRule(procs, set(DEFAULT_CODES)),
+            MbrshpConformanceRule: lambda: MbrshpConformanceRule(procs, set(DEFAULT_CODES)),
+            ServerForkRule: ServerForkRule,
+            ServerCounterMonotonicityRule: ServerCounterMonotonicityRule,
+            # p2 leaves this view by crashing: its recovery moves the rule
+            LivenessRule: lambda: LivenessRule(view),
+            GoldenSkeletonRule: lambda: GoldenSkeletonRule(golden),
+        }
+
+    @staticmethod
+    def rule_classes():
+        found, todo = set(), [TraceRule]
+        while todo:
+            for sub in todo.pop().__subclasses__():
+                found.add(sub)
+                todo.append(sub)
+        return found - {SpecReplayRule}  # abstract: its replays are listed
+
+    @staticmethod
+    def event_classes():
+        return {
+            cls
+            for cls in vars(event_module).values()
+            if isinstance(cls, type) and issubclass(cls, GcsEvent) and cls is not GcsEvent
+        }
+
+    def test_every_rule_and_event_class_is_covered(self):
+        trace, view = self.server_tier_run()
+        assert set(self.rule_factories(trace, view)) == self.rule_classes()
+        assert {type(event) for event in trace} == self.event_classes()
+
+    def test_reads_names_exactly_the_types_feed_acts_on(self):
+        """Outside ``READS`` a feed returns None and leaves the rule's
+        pickled state as it was; inside, each type moves some rule state
+        (fed at its place in the run, or to a fresh rule)."""
+        trace, view = self.server_tier_run()
+        for cls, make in self.rule_factories(trace, view).items():
+            rule, acted = make(), set()
+            for index, event in enumerate(trace):
+                kind = type(event)
+                before = pickle.dumps(rule)
+                violation = rule.feed(index, event)
+                if kind not in cls.READS:
+                    assert violation is None, (cls.__name__, kind.__name__)
+                    assert pickle.dumps(rule) == before, (cls.__name__, kind.__name__)
+                    continue
+                if violation is not None or pickle.dumps(rule) != before:
+                    acted.add(kind)
+                fresh = make()
+                before = pickle.dumps(fresh)
+                if fresh.feed(index, event) is not None or pickle.dumps(fresh) != before:
+                    acted.add(kind)
+            assert acted == set(cls.READS), cls.__name__
+
+    def test_block_handshakes_reach_no_rule(self):
+        # Every trace rule erases the block handshake: nothing reads it.
+        for cls in self.rule_classes():
+            assert not issubclass(BlockEvent, cls.READS), cls.__name__
+            assert not issubclass(BlockOkEvent, cls.READS), cls.__name__
+
+    def test_a_subclassed_event_routes_like_its_base(self):
+        class LateDelivery(DeliverEvent):
+            pass
+
+        trace = GcsTrace([LateDelivery(0.0, "a", "b", "ghost")])
+        assert run_verdict(trace, ["a", "b"]).code == "VS-SPEC-REFINE"
+
+    def test_a_strict_replayed_spec_still_raises_on_a_refused_step(self):
+        rule = SpecRefinementRule(("a", "b"), set(DEFAULT_CODES))
+        rule._spec.strict = True
+        with pytest.raises(ActionNotEnabled, match="is not enabled"):
+            rule.feed(0, DeliverEvent(0.0, "a", "b", "ghost"))
 
 
 class TestTransSetRegression:
