@@ -356,32 +356,31 @@ class Automaton:
             raise UnknownAction(f"{self.name}: unknown action {action.name!r}")
         if kind is ActionKind.INPUT:
             return True  # input actions are enabled in every state
-        return self._pre_holds(self._compiled_for(action.name), action.params)
-
-    def _pre_holds(self, compiled: CompiledAction, params: Tuple) -> bool:
-        for fn, projection in compiled.pre_chain:
+        params = action.params
+        for fn, projection in self._compiled_for(action.name).pre_chain:
             if fn is not None and not fn(self, *params):
                 return False
             if projection is not None:
                 params = tuple(projection(*params))
         return True
 
-    def _run_effects(self, compiled: CompiledAction, params: Tuple) -> None:
+    def _run_effects(self, action: Action) -> None:
+        params = action.params
         if self.strict:
-            for fn, klass, projection in compiled.eff_chain:
+            for fn, klass, projection in self._compiled_for(action.name).eff_chain:
                 if fn is not None:
-                    self._run_strict_effect(fn, klass, compiled.name, params)
+                    self._run_strict_effect(fn, klass, action, params)
                 if projection is not None:
                     params = tuple(projection(*params))
         else:
-            for fn, _klass, projection in compiled.eff_chain:
+            for fn, _klass, projection in self._compiled_for(action.name).eff_chain:
                 if fn is not None:
                     fn(self, *params)
                 if projection is not None:
                     params = tuple(projection(*params))
 
     def _run_strict_effect(
-        self, fn: Callable, klass: Type["Automaton"], action_name: str, params: Tuple
+        self, fn: Callable, klass: Type["Automaton"], action: Action, params: Tuple
     ) -> None:
         """Run one effect piece under the ownership rule of [26].
 
@@ -418,7 +417,7 @@ class Automaton:
             if new != old:
                 raise InheritanceError(
                     f"{self.name}: effect of {klass.__name__} for action "
-                    f"{action_name!r} modified parent variable {attr!r}"
+                    f"{action.name!r} modified parent variable {attr!r}"
                 )
 
     def is_enabled(self, action: Action) -> bool:
@@ -438,15 +437,14 @@ class Automaton:
     def step_if_enabled(self, name: str, params: Tuple[Any, ...]) -> bool:
         """Take a step with ``name(*params)`` if it is enabled in the current
         state, and return whether it was taken; a refused step leaves the
-        state untouched.  :meth:`apply` without the :class:`Action`: the
-        chain is looked up once, and nothing is built for a step taken.
-        An override of :meth:`apply` (an end-point's crash handling) is
-        not consulted; the verdict engine's spec replays step through
-        here."""
+        state untouched.  :meth:`apply` without the :class:`Action` (strict
+        mode aside): the chain is looked up once.  An override of
+        :meth:`apply` (an end-point's crash handling) is not consulted;
+        the verdict engine's spec replays step through here."""
         kind = self._signature.get(name)
         if kind is None:
             raise UnknownAction(f"{self.name}: unknown action {name!r}")
-        compiled = self._chain_cache.get(name) or self._compiled_for(name)
+        compiled = self._compiled_for(name)
         if kind is not ActionKind.INPUT:
             level = params
             for fn, projection in compiled.pre_chain:
@@ -455,7 +453,7 @@ class Automaton:
                 if projection is not None:
                     level = tuple(projection(*level))
         if self.strict:
-            self._run_effects(compiled, params)
+            self._run_effects(Action(name, params))
         else:
             for fn, _klass, projection in compiled.eff_chain:
                 if fn is not None:
@@ -477,7 +475,7 @@ class Automaton:
         report; they build non-strict specs."""
         if self.strict and not self.precondition(action):
             raise ActionNotEnabled(f"{self.name}: {action!r} is not enabled")
-        self._run_effects(self._compiled_for(action.name), action.params)
+        self._run_effects(action)
         self._state_version += 1
         for observer in self._version_observers:
             observer()

@@ -7,11 +7,12 @@ the two must agree exactly - same actions, same order - or seeded
 schedules would stop replaying.
 """
 
+import copy
 import random
 
 import pytest
 
-from repro.errors import InheritanceError
+from repro.errors import ActionNotEnabled, InheritanceError, UnknownAction
 from repro.ioa import (
     Action,
     ActionKind,
@@ -192,6 +193,37 @@ def test_strict_mode_unpicklable_state_falls_back_to_deepcopy():
     bad = UnpicklableViolator("bad", strict=True)
     with pytest.raises(InheritanceError, match="modified parent variable 'count'"):
         bad.apply(Action("go", ()))
+
+
+def test_step_if_enabled_takes_an_enabled_step_as_apply_does():
+    stepped, applied = EvenCounter(limit=6), EvenCounter(limit=6)
+    for params in [(2, "a"), (1, "odd"), (2, "b")]:
+        took = stepped.step_if_enabled("inc", params)
+        try:
+            applied.apply(Action("inc", params))
+        except ActionNotEnabled:
+            assert not took
+        else:
+            assert took
+        assert stepped.state_vars() == applied.state_vars()
+        assert stepped.state_version == applied.state_version
+    assert stepped.value == 4 and stepped.notes == ["a", "b"]
+    assert Counter().step_if_enabled("poke", ())  # an input is always enabled
+
+
+def test_step_if_enabled_refuses_without_touching_the_state():
+    auto = EvenCounter(limit=6)
+    auto.step_if_enabled("inc", (2, "a"))
+    before, version = copy.deepcopy(auto.state_vars()), auto.state_version
+    assert not auto.step_if_enabled("inc", (1, "odd"))
+    assert auto.state_vars() == before and auto.state_version == version
+    with pytest.raises(UnknownAction):
+        auto.step_if_enabled("nope", ())
+
+
+def test_step_if_enabled_keeps_strict_ownership_checks():
+    with pytest.raises(InheritanceError, match="modified parent variable 'value'"):
+        MutatingChild(strict=True).step_if_enabled("inc", (1,))
 
 
 # ---------------------------------------------------------------------------
