@@ -23,9 +23,10 @@ Synchrony have no rule of their own: they are conjuncts of the ``view``
 preconditions of the replayed specifications, and a replay that refuses
 a step names the conjunct (:class:`SpecReplayRule`); an accepted step
 goes through the spec's compiled chains and builds no
-:class:`~repro.ioa.Action`.  :class:`VerdictMonitor` holds the rules open with a read cursor, so a
-live run is audited in one pass however often it is asked;
-:func:`run_verdict` is one monitor advanced once over a finished trace.
+:class:`~repro.ioa.Action`.  :class:`VerdictMonitor` holds the rules
+open with a read cursor, so a live run is audited in one pass however
+often it is asked; :func:`run_verdict` is one monitor advanced once over
+a finished trace.
 Violations are ordered by the deterministic key of
 :func:`repro.checking.codes.violation_sort_key` and the verdict
 serialises to canonical JSON - two runs over the same trace are
