@@ -364,23 +364,27 @@ class Automaton:
                 params = tuple(projection(*params))
         return True
 
-    def _run_effects(self, action: Action) -> None:
-        params = action.params
+    def _run_effects(self, name: str, params: Tuple[Any, ...], compiled: CompiledAction) -> None:
+        """Run the effect pieces of ``name(*params)`` along ``compiled``'s
+        chain, then bump the state version."""
         if self.strict:
-            for fn, klass, projection in self._compiled_for(action.name).eff_chain:
+            for fn, klass, projection in compiled.eff_chain:
                 if fn is not None:
-                    self._run_strict_effect(fn, klass, action, params)
+                    self._run_strict_effect(fn, klass, name, params)
                 if projection is not None:
                     params = tuple(projection(*params))
         else:
-            for fn, _klass, projection in self._compiled_for(action.name).eff_chain:
+            for fn, _klass, projection in compiled.eff_chain:
                 if fn is not None:
                     fn(self, *params)
                 if projection is not None:
                     params = tuple(projection(*params))
+        self._state_version += 1
+        for observer in self._version_observers:
+            observer()
 
     def _run_strict_effect(
-        self, fn: Callable, klass: Type["Automaton"], action: Action, params: Tuple
+        self, fn: Callable, klass: Type["Automaton"], name: str, params: Tuple
     ) -> None:
         """Run one effect piece under the ownership rule of [26].
 
@@ -417,7 +421,7 @@ class Automaton:
             if new != old:
                 raise InheritanceError(
                     f"{self.name}: effect of {klass.__name__} for action "
-                    f"{action.name!r} modified parent variable {attr!r}"
+                    f"{name!r} modified parent variable {attr!r}"
                 )
 
     def is_enabled(self, action: Action) -> bool:
@@ -437,8 +441,8 @@ class Automaton:
     def step_if_enabled(self, name: str, params: Tuple[Any, ...]) -> bool:
         """Take a step with ``name(*params)`` if it is enabled in the current
         state, and return whether it was taken; a refused step leaves the
-        state untouched.  :meth:`apply` without the :class:`Action` (strict
-        mode aside): the chain is looked up once.  An override of
+        state untouched.  :meth:`apply` without the :class:`Action`: the
+        chain is looked up once.  An override of
         :meth:`apply` (an end-point's crash handling) is not consulted;
         the verdict engine's spec replays step through here."""
         kind = self._signature.get(name)
@@ -452,17 +456,7 @@ class Automaton:
                     return False
                 if projection is not None:
                     level = tuple(projection(*level))
-        if self.strict:
-            self._run_effects(Action(name, params))
-        else:
-            for fn, _klass, projection in compiled.eff_chain:
-                if fn is not None:
-                    fn(self, *params)
-                if projection is not None:
-                    params = tuple(projection(*params))
-        self._state_version += 1
-        for observer in self._version_observers:
-            observer()
+        self._run_effects(name, params, compiled)
         return True
 
     def apply_enabled(self, action: Action) -> None:
@@ -475,10 +469,7 @@ class Automaton:
         report; they build non-strict specs."""
         if self.strict and not self.precondition(action):
             raise ActionNotEnabled(f"{self.name}: {action!r} is not enabled")
-        self._run_effects(action)
-        self._state_version += 1
-        for observer in self._version_observers:
-            observer()
+        self._run_effects(action.name, action.params, self._compiled_for(action.name))
 
     # ------------------------------------------------------------------
     # candidate enumeration
